@@ -12,14 +12,32 @@ import statistics
 
 import pytest
 
+from repro.achilles import server_analysis
 from repro.bench.experiments import run_ablation
 from repro.bench.tables import format_table
 from repro.systems.fsp import GroundTruth
 
 
+class _TrielessObserver(server_analysis.TrojanSearchObserver):
+    """Forgets the prefix trie at every path start, so every replayed
+    prefix re-poses its queries: the observer as it was before the trie."""
+
+    def on_path_start(self, ctx):
+        self._root = server_analysis._PrefixNode(self._root.live)
+        super().on_path_start(ctx)
+
+
 @pytest.fixture(scope="module")
 def outcomes():
     return run_ablation()
+
+
+@pytest.fixture(scope="module")
+def trieless_outcomes():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_analysis, "TrojanSearchObserver",
+                      _TrielessObserver)
+        return run_ablation()
 
 
 def test_all_variants_find_the_same_trojans(benchmark, outcomes, artifact,
@@ -112,19 +130,27 @@ def test_pruning_reduces_explored_paths(benchmark, outcomes):
             > with_pruning.server_paths_explored)
 
 
-def test_query_cache_absorbs_repeated_queries(benchmark, outcomes):
-    """The canonical query cache must answer a meaningful share of the
-    incremental search's repeated queries (pred re-checks, replays,
-    cross-phase reuse) without reaching the solver."""
+def test_query_cache_absorbs_repeated_queries(benchmark, outcomes,
+                                              trieless_outcomes):
+    """The canonical query cache still answers repeats the observer's
+    prefix trie cannot see — pathS ∧ pathC_i re-posed across sibling
+    prefixes, branch probes, cross-phase reuse — without reaching the
+    solver.
+
+    Replayed prefixes no longer reach the cache at all (the trie answers
+    them), so the hit rate is no longer the measure: FSP's drops from
+    ~97% to ~26% with identical solver work. The gate is that solver
+    work: every row poses exactly as many solver queries, and misses the
+    cache exactly as often, as the same row run without the trie.
+    """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for label, report in outcomes.items():
         if label == "a-posteriori":
             # Vanilla exploration poses each branch query exactly once and
             # differences every accepting path once: nothing repeats.
             continue
+        reference = trieless_outcomes[label]
         assert report.cache_hits > 0, label
-        assert report.cache_hit_rate > 0.0, label
-    optimized = outcomes["achilles-optimized"]
-    # The incremental search re-poses pathS ∧ pathC_i at every appended
-    # constraint; most of those are repeats of earlier prefixes.
-    assert optimized.cache_hit_rate > 0.3
+        assert report.solver_queries == reference.solver_queries, label
+        assert report.cache_misses == reference.cache_misses, label
+        assert report.cache_hits < reference.cache_hits, label

@@ -104,7 +104,12 @@ class AchillesReport:
             search), so these are cumulative over the whole
             :class:`~repro.achilles.core.Achilles` instance — they include
             cross-phase reuse and therefore count more lookups than the
-            phase-2-only ``solver_queries``.
+            phase-2-only ``solver_queries``. Replayed server prefixes
+            never reach the cache: the Trojan observer answers them from
+            its prefix trie. So the counters measure repeats the trie
+            cannot see (sibling prefixes, branch probes, cross-phase
+            reuse), and FSP's hit rate is ~26%, where counting replays
+            gave ~97.5% for the same solver work.
         frames_reused: assertion-stack frames whose propagation fixpoint
             the incremental layer reused across prefix-sharing queries
             (:class:`~repro.solver.incremental.IncrementalSolver`) during
@@ -184,7 +189,11 @@ class AchillesReport:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of solver queries answered by the canonical cache."""
+        """Fraction of query-cache lookups answered by the cache.
+
+        Replayed server prefixes are answered by the observer's prefix
+        trie before they reach the cache, so they count neither way.
+        """
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 

@@ -77,11 +77,30 @@ class OptimizationFlags:
         return cls(False, False, False)
 
 
+class _PrefixNode:
+    """What the observer answered for one path-condition prefix.
+
+    Nodes form a trie rooted at the empty path condition; a child is keyed
+    by the constraint appended to its parent's prefix (hash-consed, so the
+    lookup is an identity compare). ``live`` is the live predicate set
+    after that constraint's drop step; ``trojan`` is the Trojan-feasible
+    bit of the prefix, or None when no hook computed it (pruning off, or
+    the root).
+    """
+
+    __slots__ = ("live", "trojan", "children")
+
+    def __init__(self, live: frozenset[int], trojan: bool | None = None):
+        self.live = live
+        self.trojan = trojan
+        self.children: dict[Expr, _PrefixNode] = {}
+
+
 @dataclass
 class _PathSlot:
     """Per-path search state (lives in ``PathState.observer_slot``)."""
 
-    live: set[int] = field(default_factory=set)
+    node: _PrefixNode
     samples: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -114,9 +133,12 @@ class _FindingCell:
 class TrojanSearchObserver(PathObserver):
     """The Achilles plugin: incremental Trojan search during exploration.
 
-    All solver work goes through the engine's memoized queries, so replays
-    of forked prefixes (the engine re-executes paths) cost dictionary
-    lookups, not solver calls. Below the cache, every per-path probe —
+    The engine forks by re-execution, so every path replays its forked
+    prefix from the root. The observer memoizes its state per prefix in a
+    trie of :class:`_PrefixNode` (live predicate set and Trojan-feasible
+    bit): a replayed constraint costs one dict lookup and never reaches
+    the engine, the query cache or the solver service. Only the first
+    visit of a prefix poses queries. Below the cache, every such probe —
     ``pathS ∧ pathC_i`` predicate re-checks and ``pathS ∧ ⋀ negations``
     Trojan queries alike — is a ``pc + probe`` shape, which the engine's
     incremental assertion stack answers as push/pop against the path's
@@ -148,7 +170,7 @@ class TrojanSearchObserver(PathObserver):
         self._flags = flags or OptimizationFlags()
         self._combined = [p.combined(server_msg) for p in clients.predicates]
         self._negation_exprs = [n.expr for n in clients.negations]
-        self._trojan_cache: dict[tuple[tuple[Expr, ...], frozenset[int]], bool] = {}
+        self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
         self._started = time.perf_counter()
         self._cells: list[_FindingCell] = []
         # Sharding support costs per-path bookkeeping (samples are kept
@@ -169,19 +191,19 @@ class TrojanSearchObserver(PathObserver):
 
     def on_path_start(self, ctx: ExecutionContext) -> None:
         self.paths_seen += 1
-        ctx.state.observer_slot = _PathSlot(
-            live=set(range(len(self._clients.predicates))))
+        ctx.state.observer_slot = _PathSlot(node=self._root)
 
     def on_constraint(self, ctx: ExecutionContext, constraint: Expr) -> bool:
         slot: _PathSlot = ctx.state.observer_slot
-        pc = tuple(ctx.state.constraints)
-        if self._flags.incremental_drop:
-            self._drop_dead_predicates(pc, constraint, slot)
+        node = slot.node.children.get(constraint)
+        if node is None:
+            node = self._extend(ctx, constraint, slot.node)
+        slot.node = node
+        sample = (len(ctx.state.constraints), len(node.live))
         if self._record_delta:
-            slot.samples.append((len(pc), len(slot.live)))
-        self.samples.append((len(pc), len(slot.live)))
-        if self._flags.prune_unreachable and not self._trojan_feasible(
-                pc, frozenset(slot.live)):
+            slot.samples.append(sample)
+        self.samples.append(sample)
+        if node.trojan is False:
             self.paths_pruned += 1
             return False
         return True
@@ -190,22 +212,24 @@ class TrojanSearchObserver(PathObserver):
         slot: _PathSlot = ctx.state.observer_slot
         cell = None
         if result.verdict == ACCEPTED:
-            cell = self._witness_cell(result, slot)
+            cell = self._witness_cell(result, slot.node)
         if self._record_delta:
             self._per_path.append((result.decisions, tuple(slot.samples),
                                    cell))
 
     def _witness_cell(self, result: PathResult,
-                      slot: _PathSlot) -> _FindingCell | None:
-        live = frozenset(slot.live)
+                      node: _PrefixNode) -> _FindingCell | None:
         pc = result.constraints
-        if not self._trojan_feasible(pc, live):
+        feasible = node.trojan
+        if feasible is None:
+            feasible = self._trojan_feasible(pc, node.live)
+        if not feasible:
             return None  # accepting, but only by non-Trojan messages
-        negation = self._negation_query(live)
+        negation = self._negation_query(node.live)
         cell = _FindingCell(
             deferred=self._engine.solve_async(pc + negation),
             result=result, pc=pc, negation=negation,
-            live=tuple(sorted(live)))
+            live=tuple(sorted(node.live)))
         self._cells.append(cell)
         if cell.deferred.done:
             self._materialize(cell)
@@ -273,29 +297,43 @@ class TrojanSearchObserver(PathObserver):
 
     # -- search internals --------------------------------------------------------------
 
+    def _extend(self, ctx: ExecutionContext, constraint: Expr,
+                parent: _PrefixNode) -> _PrefixNode:
+        """First visit of ``parent``'s prefix plus ``constraint``: run the
+        drop step and the Trojan query, and record the child node."""
+        pc = tuple(ctx.state.constraints)
+        live = parent.live
+        if self._flags.incremental_drop:
+            live = self._drop_dead_predicates(pc, constraint, live)
+        trojan = None
+        if self._flags.prune_unreachable:
+            trojan = self._trojan_feasible(pc, live)
+        node = parent.children[constraint] = _PrefixNode(live, trojan)
+        return node
+
     def _drop_dead_predicates(self, pc: tuple[Expr, ...], constraint: Expr,
-                              slot: _PathSlot) -> None:
+                              live: frozenset[int]) -> frozenset[int]:
         # One probe batch per appended constraint: the ``pathS ∧ pathC_i``
         # re-checks for all live predicates are independent, so a parallel
         # service answers the cache misses concurrently; serially this is
         # the same per-predicate loop as always.
-        indices = sorted(slot.live)
+        indices = sorted(live)
         answers = self._engine.probe_feasible_batch(
             pc, [self._combined[index] for index in indices])
         dropped_now = [index for index, feasible in zip(indices, answers)
                        if not feasible]
-        for index in dropped_now:
-            slot.live.discard(index)
-        if not (self._flags.use_different_from and dropped_now):
-            return
-        constraint_field = single_field_of(
-            constraint, self._server_msg, self._clients.layout)
-        if constraint_field is None:
-            return
-        for index in dropped_now:
-            for other in self._clients.different_from.droppable_with(
-                    index, constraint_field):
-                slot.live.discard(other)
+        if not dropped_now:
+            return live
+        kept = set(live).difference(dropped_now)
+        if self._flags.use_different_from:
+            constraint_field = single_field_of(
+                constraint, self._server_msg, self._clients.layout)
+            if constraint_field is not None:
+                for index in dropped_now:
+                    kept.difference_update(
+                        self._clients.different_from.droppable_with(
+                            index, constraint_field))
+        return frozenset(kept)
 
     def _negation_query(self, live: frozenset[int]) -> tuple[Expr, ...]:
         """Negations of the live predicates; dropped ones are implicit."""
@@ -307,12 +345,7 @@ class TrojanSearchObserver(PathObserver):
 
     def _trojan_feasible(self, pc: tuple[Expr, ...],
                          live: frozenset[int]) -> bool:
-        key = (pc, live if self._flags.incremental_drop else frozenset())
-        cached = self._trojan_cache.get(key)
-        if cached is None:
-            cached = self._engine.is_feasible(pc + self._negation_query(live))
-            self._trojan_cache[key] = cached
-        return cached
+        return self._engine.is_feasible(pc + self._negation_query(live))
 
 
 def _shard_setup(engine: Engine, server, clients: ClientPredicateSet,

@@ -67,7 +67,7 @@ class Expr:
             extract bounds, extension width).
     """
 
-    __slots__ = ("op", "sort", "args", "params", "_hash", "_serial", "__weakref__")
+    __slots__ = ("op", "sort", "args", "params", "_serial", "__weakref__")
 
     def __new__(cls, op: str, sort: Sort, args: tuple["Expr", ...] = (), params: tuple = ()):
         key = (op, sort, args, params)
@@ -79,7 +79,6 @@ class Expr:
         self.sort = sort
         self.args = args
         self.params = params
-        self._hash = hash(key)
         self._serial = next(_NEXT_SERIAL)
         _INTERN_TABLE[key] = self
         return self
@@ -88,10 +87,11 @@ class Expr:
     #
     # Interning makes structural equality an identity check: every
     # construction of the same (op, sort, args, params) returns the same
-    # instance, and copy/pickle round-trips re-enter __new__.
+    # instance, and copy/pickle round-trips re-enter __new__. Hashing is
+    # therefore identity hashing too, done in C with no Python frame.
+    # Hash values differ between processes, so nothing may depend on them.
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -81,8 +81,9 @@ class QueryCache:
         """Canonical cache key for a constraint conjunction.
 
         Keys are memoized on the raw constraint tuple: the exploration
-        engine re-poses the same tuples constantly (path replays, the
-        per-predicate probe loops), and tuple hashing over interned
+        engine re-poses the same tuples constantly (assumptions checked
+        again on replayed paths, the per-predicate probe loops, cross-phase
+        reuse), and tuple hashing over interned
         expressions is far cheaper than re-canonicalizing every conjunct.
         Exactness comes from hash-consing — tuple equality is per-element
         identity, so distinct-but-equal ASTs cannot alias.
@@ -90,8 +91,8 @@ class QueryCache:
         The memo holds strong references to the raw tuples (which pin
         their expressions in the weak intern arena), so it is bounded:
         past :data:`_KEY_MEMO_LIMIT` entries it is dropped wholesale and
-        re-warms — the lookup traffic is ~97% repeats, so recovery is
-        fast and memory stays flat on arbitrarily long runs.
+        re-warms — a dropped memo only costs re-canonicalization, and
+        memory stays flat on arbitrarily long runs.
         """
         if not isinstance(constraints, tuple):
             constraints = tuple(constraints)

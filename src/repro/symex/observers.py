@@ -64,8 +64,11 @@ class PathObserver:
 
     All hooks run during *every* execution of a path, including scheduled
     replays of a forked prefix — implementations must therefore be
-    deterministic functions of the constraint sequence (memoizing solver
-    queries is the intended way to keep replays cheap).
+    deterministic functions of the constraint sequence. That also makes
+    the state after a prefix memoizable per prefix, which is the intended
+    way to keep replays cheap: a replayed constraint can restore its
+    answer without re-posing any query (see
+    :class:`~repro.achilles.server_analysis.TrojanSearchObserver`).
     """
 
     def on_path_start(self, ctx: "ExecutionContext") -> None:

@@ -1,16 +1,25 @@
-"""Unit tests for the incremental Trojan search on small synthetic servers."""
+"""Unit tests for the incremental Trojan search on small synthetic servers,
+plus replay parity of the observer's prefix trie on every workload."""
 
 import pytest
 
+from repro.achilles import Achilles, AchillesConfig, server_analysis
 from repro.achilles.client_analysis import extract_client_predicates, preprocess
 from repro.achilles.server_analysis import (
     OptimizationFlags,
+    TrojanSearchObserver,
     a_posteriori_search,
     search_server,
 )
+from repro.bench.experiments import FSP_SESSION_MASK
 from repro.messages.layout import Field, MessageLayout
 from repro.messages.symbolic import MessageBuilder, field_expr, message_vars
 from repro.solver import ast
+from repro.symex.engine import Engine
+from repro.systems import broadcast, fsp, raft, tpc
+from repro.systems.pbft import REQUEST_LAYOUT, pbft_client, pbft_replica
+from repro.systems.toy import TOY_LAYOUT, toy_client
+from repro.systems.toy.server import toy_server
 
 LAYOUT = MessageLayout("t", [Field("kind", 1), Field("v", 1)])
 MSG = message_vars(LAYOUT, "msg")
@@ -114,3 +123,97 @@ class TestOptimizationFlagEquivalence:
         assert report.trojan_count == 1
         witness = report.findings[0].witness
         assert witness[0] == 1 and 50 <= witness[1] < 100
+
+
+class _TrielessObserver(TrojanSearchObserver):
+    """Forgets the prefix trie at every path start, so every replayed
+    prefix recomputes its drop step and Trojan query from scratch."""
+
+    def on_path_start(self, ctx):
+        self._root = server_analysis._PrefixNode(self._root.live)
+        super().on_path_start(ctx)
+
+
+#: name -> (AchillesConfig keywords, client programs, server program).
+WORKLOADS = {
+    "toy": ({"layout": TOY_LAYOUT}, lambda: {"toy": toy_client}, toy_server),
+    "fsp": ({"layout": fsp.FSP_LAYOUT, "mask": FSP_SESSION_MASK},
+            fsp.literal_clients, fsp.fsp_server),
+    "pbft": ({"layout": REQUEST_LAYOUT, "destination": "replica0"},
+             lambda: {"pbft-client": pbft_client}, pbft_replica),
+    "raft": ({"layout": raft.RAFT_LAYOUT, "destination": "follower"},
+             raft.peer_clients, raft.raft_follower),
+    "tpc": ({"layout": tpc.TPC_LAYOUT, "destination": "participant"},
+            tpc.coordinator_clients, tpc.tpc_participant),
+    "broadcast": ({"layout": broadcast.BROADCAST_LAYOUT, "destination": "node"},
+                  broadcast.peer_clients, broadcast.broadcast_node),
+}
+
+FLAGS = {
+    "default": OptimizationFlags(),
+    "all-off": OptimizationFlags.all_off(),
+    "no-differentfrom": OptimizationFlags(use_different_from=False),
+    "no-pruning": OptimizationFlags(prune_unreachable=False),
+}
+
+
+def _hunt(workload: str, flags: OptimizationFlags, observer_class):
+    config, clients, server = WORKLOADS[workload]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_analysis, "TrojanSearchObserver", observer_class)
+        with Achilles(AchillesConfig(optimizations=flags, **config)) as achilles:
+            return achilles.search(server, achilles.extract_clients(clients()))
+
+
+def _observable(report):
+    """Everything the trie must leave unchanged."""
+    findings = [(f.server_path_id, f.decisions, f.path_condition, f.negation,
+                 f.witness, f.live_predicates, f.labels)
+                for f in report.findings]
+    return (findings, report.predicate_samples, report.server_paths_pruned,
+            report.server_paths_explored, report.solver_queries,
+            report.cache_misses)
+
+
+class TestPrefixTrieReplayParity:
+    @pytest.mark.parametrize("flags", FLAGS)
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_trie_matches_recompute_from_scratch(self, workload, flags):
+        with_trie = _hunt(workload, FLAGS[flags], TrojanSearchObserver)
+        without = _hunt(workload, FLAGS[flags], _TrielessObserver)
+        assert with_trie.findings
+        assert _observable(with_trie) == _observable(without)
+        # Replays skip the cache, never the solver.
+        assert with_trie.cache_hits <= without.cache_hits
+
+    def test_replayed_prefix_makes_no_engine_call(self, monkeypatch):
+        engine_calls = [0]
+        for name in ("is_feasible", "probe_feasible_batch"):
+            original = getattr(Engine, name)
+
+            def counted(self, *args, _original=original):
+                engine_calls[0] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Engine, name, counted)
+
+        seen: set[tuple] = set()
+        calls = {"fresh": [], "replayed": []}
+        original_hook = TrojanSearchObserver.on_constraint
+
+        def on_constraint(observer, ctx, constraint):
+            prefix = tuple(ctx.state.constraints)
+            kind = "replayed" if prefix in seen else "fresh"
+            seen.add(prefix)
+            before = engine_calls[0]
+            keep = original_hook(observer, ctx, constraint)
+            calls[kind].append(engine_calls[0] - before)
+            return keep
+
+        monkeypatch.setattr(TrojanSearchObserver, "on_constraint",
+                            on_constraint)
+        report = _hunt("fsp", OptimizationFlags(), TrojanSearchObserver)
+        assert report.trojan_count == 80
+        assert len(calls["replayed"]) > len(calls["fresh"]) > 0
+        assert all(count > 0 for count in calls["fresh"])
+        assert not any(calls["replayed"])
