@@ -296,6 +296,41 @@ def test_incremental_speedup_on_extend_by_one(json_artifact):
     assert stats.frames_reused > stats.frames_pushed
 
 
+def test_probe_stacks_push_one_frame_per_step(json_artifact):
+    """Deterministic count gate: the Trojan search's ``pathS ∧ pathC_i``
+    pattern — the same K probes of m conjuncts posed against a prefix
+    that grows one conjunct per step — must cost K frame pushes per
+    step on the engine's per-probe stacks, where one shared stack pays
+    1 + K*m (pop the previous probe, push the next one whole)."""
+    msg = message_vars(TOY_LAYOUT)
+    path = [msg[i] < 200 - i for i in range(10)]
+    probes = [tuple(ast.ne(msg[10], bv_const(k * 16 + j, 8))
+                    for j in range(6)) for k in range(8)]
+    engine = Engine(EngineConfig(), query_cache=QueryCache())
+    shared = IncrementalSolver()
+    probe_pushes, shared_pushes = [], []
+    for depth in range(1, len(path) + 1):
+        prefix = tuple(path[:depth])
+        before = engine.solver.stats.frames_pushed
+        answers = engine.probe_feasible_batch(prefix, probes)
+        probe_pushes.append(engine.solver.stats.frames_pushed - before)
+        before = shared.solver.stats.frames_pushed
+        assert answers == [shared.check(prefix + probe).is_sat
+                           for probe in probes]
+        shared_pushes.append(shared.solver.stats.frames_pushed - before)
+    steps = len(path) - 1
+    print(f"\nprobe stacks: {sum(probe_pushes[1:]) / steps:.1f} pushes per "
+          f"step; shared stack: {sum(shared_pushes[1:]) / steps:.1f}")
+    json_artifact("probe_stacks", {
+        "workload": "8 probes x 6 conjuncts, prefix grown to 10 conjuncts",
+        "probe_stack_pushes_per_step": probe_pushes,
+        "shared_stack_pushes_per_step": shared_pushes,
+    })
+    assert engine.solver.stats.cache_misses == len(path) * len(probes)
+    assert probe_pushes[1:] == [len(probes)] * steps
+    assert shared_pushes[1:] == [1 + len(probes) * 6] * steps
+
+
 def test_trail_pop_is_cheaper_than_repropagation(benchmark):
     """pop() must be O(changes): popping and re-pushing one probe conjunct
     at the end of a deep stack, timed."""

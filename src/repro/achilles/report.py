@@ -113,7 +113,9 @@ class AchillesReport:
         frames_reused: assertion-stack frames whose propagation fixpoint
             the incremental layer reused across prefix-sharing queries
             (:class:`~repro.solver.incremental.IncrementalSolver`) during
-            the server search.
+            the server search, summed over the engine's main stack and
+            its per-probe stacks (the drop step's ``pathS ∧ pathC_i``
+            probes each keep their own).
         propagation_seconds: wall clock the server search spent in
             incremental interval propagation.
         workers: solver-service worker count the search ran with (1 =

@@ -101,10 +101,18 @@ class IncrementalSolver:
         solver: fallback satisfiability backend; quick answers and frame
             counters are recorded on its :class:`SolverStats`, so sharing
             the engine's solver keeps one coherent set of counters.
+        suffix_frames: number of bottom frames that every query poses
+            *last* — a fixed probe held at the bottom of the stack while
+            the prefix above it changes. The fallback search receives
+            these conjuncts after the others, in query order: its
+            branching order (so its running time, never its answer)
+            follows conjunct order, and this keeps it the order of the
+            query as posed.
     """
 
-    def __init__(self, solver: Solver | None = None):
+    def __init__(self, solver: Solver | None = None, suffix_frames: int = 0):
         self.solver = solver or Solver()
+        self._suffix_frames = suffix_frames
         self._domains = TrailDomains()
         self._var_index: VarIndex = {}
         self._frames: list[_Frame] = []
@@ -232,7 +240,9 @@ class IncrementalSolver:
         # by the pushed conjuncts, so handing them over as seeds is sound
         # and saves the from-scratch pass re-deriving the narrowing the
         # stack already paid for. (Solver.check only reads the mapping.)
-        return self.solver.check([frame.raw for frame in self._frames],
+        raws = [frame.raw for frame in self._frames]
+        suffix = self._suffix_frames
+        return self.solver.check(raws[suffix:] + raws[:suffix],
                                  seed_domains=self._domains)
 
     def check(self, constraints: Iterable[Expr]) -> SatResult:

@@ -20,7 +20,15 @@ cache → incremental frame stack → propagation → full search:
   being explored: the common prefix of consecutive queries keeps its
   propagation fixpoint (``frames_reused`` in ``SolverStats``), only the
   differing suffix is re-propagated, and most answers resolve from the
-  propagated domains without the from-scratch search.
+  propagated domains without the from-scratch search;
+* cache-missed ``prefix + probe`` queries from
+  :meth:`Engine.probe_feasible_batch` (the Trojan search's
+  ``pathS ∧ pathC_i`` re-checks) go to a *per-probe* stack instead,
+  aligned as ``probe + prefix``: the probe's conjuncts stay propagated at
+  the bottom, so a prefix grown by one server constraint costs one push,
+  where the shared main stack would pop the previous probe and push this
+  one whole. Only booleans leave the probe stacks; models always come
+  from the main stack.
 
 The engine is deliberately policy-free. Accept/reject classification
 defaults follow the paper (§5.1): a server path that sent a reply is
@@ -205,6 +213,10 @@ class Engine:
         # checks and frame/fast-path counters land on one SolverStats.
         self.incremental = (IncrementalSolver(solver=self.solver)
                             if self.config.incremental else None)
+        # One frame stack per probe of probe_feasible_batch, built on first
+        # use and kept for the engine's lifetime (one search, or one shard
+        # worker session); they share the engine's solver like the main one.
+        self._probe_stacks: dict[tuple[Expr, ...], IncrementalSolver] = {}
         # Optional batched dispatch (repro.solver.service.SolverService):
         # probe_feasible_batch ships cache-missed probe bundles to its
         # worker pool. Only consulted when the service is parallel — the
@@ -230,6 +242,26 @@ class Engine:
             return self.solver.check(constraints)
         return self.incremental.check(constraints)
 
+    def _check_probe(self, prefix: tuple[Expr, ...],
+                     probe: tuple[Expr, ...]) -> bool:
+        """Decide a cache-missed ``prefix + probe`` on the probe's own stack.
+
+        The stack holds ``probe + prefix``: the probe's conjuncts sit at
+        the bottom and keep their propagation across calls, so a prefix
+        extended by one constraint since the last call costs one push.
+        Conjunction order does not change satisfiability, and only the
+        boolean leaves, so answers equal the main stack's. A fallback
+        search still sees ``prefix + probe`` (``suffix_frames``), because
+        its running time depends on conjunct order.
+        """
+        if self.incremental is None:
+            return self._check(prefix + probe).is_sat
+        stack = self._probe_stacks.get(probe)
+        if stack is None:
+            stack = self._probe_stacks[probe] = IncrementalSolver(
+                solver=self.solver, suffix_frames=len(probe))
+        return stack.check(probe + prefix).is_sat
+
     def _note_cache_hit(self, key) -> None:
         """Mirror a canonical-cache hit onto this engine's solver stats.
 
@@ -244,13 +276,25 @@ class Engine:
 
     def is_feasible(self, constraints: tuple[Expr, ...]) -> bool:
         """Satisfiability of a path condition, memoized canonically."""
+        return self._feasible(constraints)
+
+    def _feasible(self, prefix: tuple[Expr, ...],
+                  probe: tuple[Expr, ...] | None = None) -> bool:
+        """Memoized feasibility of ``prefix`` (+ ``probe``, when given).
+
+        The canonical cache keys the whole query either way; a miss is
+        decided on the main stack, or on the probe's stack when a probe
+        is given (:meth:`_check_probe`).
+        """
         tracer = obs_trace.active
         if tracer is None:
-            return self._feasibility(constraints)
+            return self._feasibility(prefix, probe)
         with tracer.span("solver.cache"):
-            return self._feasibility(constraints)
+            return self._feasibility(prefix, probe)
 
-    def _feasibility(self, constraints: tuple[Expr, ...]) -> bool:
+    def _feasibility(self, prefix: tuple[Expr, ...],
+                     probe: tuple[Expr, ...] | None) -> bool:
+        constraints = prefix if probe is None else prefix + probe
         cache = self.query_cache
         key = cache.key(constraints)
         cached = cache.get_feasible(key)
@@ -260,8 +304,10 @@ class Engine:
         self.solver.stats.cache_misses += 1
         if cache.is_trivially_unsat(key):
             feasible = False
-        else:
+        elif probe is None:
             feasible = self._check(constraints).is_sat
+        else:
+            feasible = self._check_probe(prefix, probe)
         cache.put_feasible(key, feasible)
         return feasible
 
@@ -270,15 +316,19 @@ class Engine:
         """Feasibility of ``prefix + probe`` for every probe, in order.
 
         Each probe is memoized canonically exactly like
-        :meth:`is_feasible`; with a parallel service attached, the cache
-        misses of one call are dispatched as a single probe batch across
-        the worker pool instead of being solved one at a time. Answers
-        (and the cache entries they leave behind) are identical either
-        way — only the wall clock changes.
+        :meth:`is_feasible`. A cache miss is decided on that probe's own
+        frame stack (see :meth:`_check_probe`), built on first use: the
+        Trojan search poses the same probes against a prefix that grows
+        one constraint at a time, so each stack pays one push per call
+        instead of re-pushing the whole probe. With a parallel service
+        attached, the cache misses of one call are dispatched as a single
+        probe batch across the worker pool instead. Answers (and the
+        cache entries they leave behind) are identical either way — only
+        the wall clock changes.
         """
         if (self.service is None or not self.service.parallel
                 or len(probes) < 2):
-            return [self.is_feasible(prefix + probe) for probe in probes]
+            return [self._feasible(prefix, probe) for probe in probes]
         cache = self.query_cache
         results: list[bool | None] = [None] * len(probes)
         miss_indices: list[int] = []
@@ -303,7 +353,7 @@ class Engine:
             # the reports read (the service's serial fallback would book
             # it on a solver nobody aggregates).
             idx, key = miss_indices[0], miss_keys[0]
-            feasible = self._check(prefix + probes[idx]).is_sat
+            feasible = self._check_probe(prefix, probes[idx])
             cache.put_feasible(key, feasible)
             results[idx] = feasible
         elif miss_indices:

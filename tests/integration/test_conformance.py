@@ -12,6 +12,10 @@ same answer (and a genuinely satisfying model) for
 * ``IncrementalSolver`` at every push depth, including after pops,
 * ``QueryCache``-fronted ``Engine.is_feasible`` calls (miss, replay hit,
   and the canonically-equal reordered variant),
+* ``Engine.probe_feasible_batch`` along a depth-first walk of a prefix
+  (extend, backtrack, extend a sibling) against fixed multi-conjunct
+  probes, with the per-probe frame stacks on and with
+  ``EngineConfig.incremental`` off,
 * an engine fronted by an *absorbed* cache snapshot
   (``QueryCache.snapshot()`` → ``absorb()``), which must answer every
   prefix depth identically — and entirely from cache hits,
@@ -36,7 +40,7 @@ from repro.solver.evalmodel import all_hold
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.service import SolverService
 from repro.solver.solver import Solver
-from repro.symex.engine import Engine
+from repro.symex.engine import Engine, EngineConfig
 
 settings.register_profile(
     "conformance",
@@ -138,6 +142,62 @@ def test_query_cache_fronted_engine_agrees(workload):
     hits_before = cache.stats.hits
     assert Engine(query_cache=cache).is_feasible(variant) == reference.is_sat
     assert cache.stats.hits == hits_before + 1
+
+
+#: Fixed multi-conjunct probes (as CONSTRAINT_SPEC tuples): field indices
+#: wrap modulo the drawn layout, so they apply to every layout.
+_PROBE_SPECS = (
+    ((2, False, (0, 0, 0), 0x80), (3, False, (0, 1, 0), 0x40)),
+    ((0, True, (1, 0, 3), 9), (4, False, (0, 1, 0), 200),
+     (1, False, (2, 2, 0x0F), 5)),
+    ((5, True, (3, 1, 0x21), 0x7F), (0, False, (4, 3, 0x55), 0x12)),
+)
+
+#: One step of a prefix walk: None backtracks, (index, negate) extends
+#: the prefix with the drawn constraint at ``index`` (or its negation,
+#: the branch's other direction).
+WALK_MOVE = st.one_of(st.none(), st.tuples(st.integers(0, 3), st.booleans()))
+
+
+@st.composite
+def prefix_walks(draw):
+    """A layout, fixed probes over it, and a depth-first prefix walk."""
+    layout = draw(layouts())
+    wire = message_vars(layout, "conf_msg")
+    pool = [_constraint(layout, wire, spec)
+            for spec in draw(st.lists(CONSTRAINT_SPEC, min_size=4,
+                                      max_size=4))]
+    probes = [tuple(_constraint(layout, wire, spec) for spec in specs)
+              for specs in _PROBE_SPECS]
+    moves = draw(st.lists(WALK_MOVE, min_size=1, max_size=12))
+    return pool, probes, moves
+
+
+@CONFORMANCE
+@given(walk=prefix_walks())
+def test_probe_batch_agrees_along_a_prefix_walk(walk):
+    """The drop step's access pattern: the same probes posed against a
+    prefix that grows, backtracks and grows a sibling, as the server
+    walk does. Every answer must equal from-scratch ``Solver.check`` on
+    ``prefix + probe``, with per-probe stacks and without them."""
+    pool, probes, moves = walk
+    engines = {incremental: Engine(EngineConfig(incremental=incremental))
+               for incremental in (True, False)}
+    references: dict = {}  # a revisited prefix re-asks the engines only
+    prefix: tuple = ()
+    for step, move in enumerate(moves):
+        if move is None:
+            prefix = prefix[:-1]
+        else:
+            index, negate = move
+            prefix += (ast.not_(pool[index]) if negate else pool[index],)
+        if prefix not in references:
+            references[prefix] = [Solver().check(prefix + probe).is_sat
+                                  for probe in probes]
+        reference = references[prefix]
+        for incremental, engine in engines.items():
+            assert engine.probe_feasible_batch(prefix, probes) == \
+                reference, f"step {step}, incremental={incremental}"
 
 
 @CONFORMANCE

@@ -88,6 +88,15 @@ class TestTable1AchillesColumn:
         assert min(deep) < 32  # deep paths retain a strict subset
 
 
+    def test_solver_work_is_pinned(self, accuracy_run):
+        """Where the drop step's probes are decided (which frame stack,
+        in which conjunct order) must not change what reaches the
+        solver: the search's query and cache-miss counts are exact."""
+        _, report = accuracy_run
+        assert report.solver_queries == 1907
+        assert report.cache_misses == 1927
+
+
 class TestWildcardExperiment:
     """§6.3: with globbing clients, wildcard paths become Trojans."""
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.solver import ast
+from repro.solver.ast import bv_const, bv_var
+from repro.solver.solver import Solver
 from repro.symex.engine import Engine, EngineConfig, client_verdict, server_verdict
 from repro.symex.state import ACCEPTED, COMPLETED, LIMIT, REJECTED
 
@@ -219,6 +221,72 @@ class TestIncrementalParity:
         assert engine.incremental is None
         engine.explore(self._program)
         assert engine.solver.stats.frames_pushed == 0
+
+
+class TestProbeStacks:
+    """``probe_feasible_batch`` decides cache misses on one frame stack
+    per probe, so a prefix grown by one conjunct costs one push per
+    probe — not a pop and re-push of every probe's conjuncts."""
+
+    PROBES = 4     # K probes ...
+    CONJUNCTS = 5  # ... of m conjuncts each
+    STEPS = 6
+
+    @classmethod
+    def _workload(cls):
+        # Probe k bounds its own variables, and the prefix grows over a
+        # separate one, so every query is satisfiable and none repeats
+        # canonically: each call misses the cache for every probe.
+        probes = []
+        for k in range(cls.PROBES):
+            v = [bv_var(f"p{k}_{j}", 8) for j in range(cls.CONJUNCTS)]
+            probes.append(tuple(var < 100 + k for var in v))
+        z = bv_var("z", 8)
+        prefix = tuple(z > step for step in range(cls.STEPS))
+        return prefix, probes
+
+    def test_each_step_pushes_one_frame_per_probe(self):
+        engine = _engine()
+        stats = engine.solver.stats
+        prefix, probes = self._workload()
+        pushed = []
+        for depth in range(1, self.STEPS + 1):
+            before = stats.frames_pushed
+            answers = engine.probe_feasible_batch(prefix[:depth], probes)
+            assert answers == [True] * self.PROBES
+            pushed.append(stats.frames_pushed - before)
+        assert stats.cache_misses == self.STEPS * self.PROBES
+        # First call builds each stack: the probe plus the first conjunct.
+        assert pushed[0] == self.PROBES * (self.CONJUNCTS + 1)
+        # Afterwards K pushes per step; the shared main stack would pay
+        # 1 + K*m (pop each probe, push the next one whole).
+        assert pushed[1:] == [self.PROBES] * (self.STEPS - 1)
+
+    def test_fallback_search_sees_the_query_order(self):
+        # The from-scratch search branches in conjunct order. Posed as
+        # prefix + probe this unsat query takes ~7.4k branch steps;
+        # posed probe-first it exhausts the 50k budget below (and runs
+        # past 30 s without one), so a probe stack must hand its
+        # fallback the query order, not its own frame order.
+        b = [bv_var(f"b{i}", 8) for i in range(4)]
+        hi = ast.concat(b[0], b[1])
+        lo = ast.concat(b[2], b[3])
+        w = bv_var("w", 8)
+        prefix = (ast.eq(ast.bvor(lo, bv_const(0x09EC, 16)),
+                         bv_const(0x5BF6, 16)),)
+        probe = (ast.not_(ast.sle(ast.bvor(hi, bv_const(0x21, 16)),
+                                  bv_const(0x7F, 16))),
+                 ast.eq(ast.bvxor(w, bv_const(0x55, 8)), bv_const(0x12, 8)))
+        engine = Engine(solver=Solver(max_branch_steps=50_000))
+        assert engine.probe_feasible_batch(prefix, [probe]) == [False]
+
+    def test_models_stay_on_the_main_stack(self):
+        engine = _engine()
+        prefix, probes = self._workload()
+        engine.probe_feasible_batch(prefix, probes)
+        assert engine.incremental.depth == 0
+        assert engine.solve(prefix) is not None
+        assert engine.incremental.depth == len(prefix)
 
 
 def _vars(expr):
