@@ -1,10 +1,10 @@
 """Observability overhead: tracing must be free when it is off.
 
-Every instrumented hot site (the four solver layers, the service
-dispatch, the shard loops) guards on ``repro.obs.trace.active is
-None``, so the disabled cost of the whole subsystem is one module
-attribute load plus a pointer comparison per call. This benchmark
-pins that promise with a deterministic gate:
+Every instrumented hot site (the four solver layers, the shard loops)
+guards on ``repro.obs.trace.active is None``, so the disabled cost of
+the whole subsystem is one module attribute load plus a pointer
+comparison per call. This benchmark pins that promise with a
+deterministic gate:
 
 1. run the FSP end-to-end analysis (4-utility subset) untraced and
    traced, asserting the findings are byte-identical (tracing is

@@ -1,4 +1,4 @@
-"""Scaling sweeps: Achilles cost vs client-predicate count and vs workers.
+"""Scaling sweeps: Achilles cost vs client-predicate count and vs shards.
 
 Not a paper figure, but the scaling behaviour behind Figures 10/11: both
 phases grow with ``|PC|`` — pre-processing quadratically (the
@@ -6,16 +6,13 @@ phases grow with ``|PC|`` — pre-processing quadratically (the
 linearly in the per-path live-predicate load. The sweep varies the number
 of FSP utilities analyzed (2 → 4 → 8) and records the phase costs.
 
-The *worker* sweep runs the same FSP end-to-end analysis at 1, 2 and 4
-solver-service workers (paper §3.3: the ``differentFrom`` precompute and
-the per-path probes are embarrassingly parallel) and asserts the findings
-are byte-identical at every worker count. The *shard* sweep does the same
-for the exploration layer (decision-prefix sharding of the phase-2 path
-tree, :mod:`repro.explore`) at 1, 2 and 4 shards, emitting
-``BENCH_explore_scaling.json``. Wall-clock speedup assertions are gated
-on the machine actually having the cores — on a single-core box either
-pool can only add dispatch overhead, which the emitted JSON records
-rather than hides.
+The *shard* sweep runs the same FSP end-to-end analysis at 1, 2 and 4
+exploration shards (decision-prefix sharding of the phase-2 path tree,
+:mod:`repro.explore`), asserts the findings are byte-identical at every
+shard count and emits ``BENCH_explore_scaling.json``. The wall-clock
+speedup assertion is gated on the machine actually having the cores — on
+a single-core box the shards can only add dispatch overhead, which the
+emitted JSON records rather than hides.
 """
 
 import itertools
@@ -27,9 +24,6 @@ import pytest
 from repro.achilles import Achilles, AchillesConfig
 from repro.bench.experiments import FSP_SESSION_MASK, run_fsp_accuracy
 from repro.bench.tables import format_table
-from repro.solver import ast
-from repro.solver.ast import bv_const
-from repro.solver.service import SolverService
 from repro.systems import fsp
 
 
@@ -90,81 +84,6 @@ def test_preprocess_grows_superlinearly(benchmark, sweep):
     assert large > 4 * small
 
 
-# -- worker-pool scaling ------------------------------------------------------
-
-WORKER_COUNTS = (1, 2, 4)
-
-
-@pytest.fixture(scope="module")
-def worker_sweep():
-    """Full FSP end-to-end (Table 1 workload) at each worker count.
-
-    Two runs per count, keeping the faster wall clock — best-of-n is the
-    standard defense against scheduler noise on shared CI runners, so the
-    speedup gate below compares two minima rather than single samples.
-    """
-    runs = {}
-    for workers in WORKER_COUNTS:
-        best_seconds, outcome = None, None
-        for _ in range(2):
-            started = time.perf_counter()
-            outcome = run_fsp_accuracy(workers=workers)
-            elapsed = time.perf_counter() - started
-            if best_seconds is None or elapsed < best_seconds:
-                best_seconds = elapsed
-        runs[workers] = (best_seconds, outcome)
-    return runs
-
-
-def test_worker_sweep_end_to_end(benchmark, worker_sweep, artifact,
-                                 json_artifact):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cores = os.cpu_count() or 1
-    serial_seconds = worker_sweep[1][0]
-
-    rows = []
-    payload = {"cpu_count": cores, "workload": "FSP end-to-end (Table 1)",
-               "end_to_end": {}}
-    for workers in WORKER_COUNTS:
-        seconds, outcome = worker_sweep[workers]
-        report = outcome.report
-        speedup = serial_seconds / seconds
-        rows.append([workers, f"{seconds:.2f}s", f"{speedup:.2f}x",
-                     report.trojan_count, report.solver_queries,
-                     f"{report.cache_hit_rate:.1%}"])
-        payload["end_to_end"][str(workers)] = {
-            "seconds": round(seconds, 4),
-            "speedup_vs_serial": round(speedup, 4),
-            "findings": report.trojan_count,
-            "solver_queries": report.solver_queries,
-            "cache_hit_rate": round(report.cache_hit_rate, 4),
-            "propagation_seconds": round(report.propagation_seconds, 6),
-        }
-    artifact("scaling_workers", format_table(
-        ["Workers", "Wall clock", "Speedup", "Findings", "Queries",
-         "Cache hits"],
-        rows, title=f"Worker-pool scaling, FSP end-to-end "
-                    f"({cores} core(s) available)"))
-    json_artifact("scaling", payload)
-
-    # Parity is unconditional: worker count must never change findings.
-    baseline = worker_sweep[1][1].report.witnesses()
-    for workers in WORKER_COUNTS[1:]:
-        assert worker_sweep[workers][1].report.witnesses() == baseline, (
-            f"workers={workers} changed the findings")
-    for workers in WORKER_COUNTS:
-        assert worker_sweep[workers][1].true_positives == 80
-        assert worker_sweep[workers][1].false_positives == 0
-
-    # The wall-clock claim needs the hardware to exist: with fewer cores
-    # than workers the pool can only time-slice. The JSON artifact above
-    # records the measured numbers either way.
-    if cores >= 4:
-        speedup4 = serial_seconds / worker_sweep[4][0]
-        assert speedup4 >= 1.5, (
-            f"4-worker FSP run only {speedup4:.2f}x over serial")
-
-
 # -- exploration-shard scaling ------------------------------------------------
 
 SHARD_COUNTS = (1, 2, 4)
@@ -173,8 +92,12 @@ SHARD_COUNTS = (1, 2, 4)
 @pytest.fixture(scope="module")
 def shard_sweep():
     """Full FSP end-to-end (Table 1 workload) at each exploration shard
-    count, best-of-two per count (same scheduler-noise defense as the
-    worker sweep)."""
+    count.
+
+    Two runs per count, keeping the faster wall clock — best-of-n is the
+    standard defense against scheduler noise on shared CI runners, so the
+    speedup gate below compares two minima rather than single samples.
+    """
     runs = {}
     for shards in SHARD_COUNTS:
         best_seconds, outcome = None, None
@@ -241,63 +164,3 @@ def test_shard_sweep_end_to_end(benchmark, shard_sweep, artifact,
     speedup4 = serial_seconds / shard_sweep[4][0]
     assert speedup4 >= 1.5, (
         f"4-shard FSP run only {speedup4:.2f}x over serial")
-
-
-def _micro_batch_queries(count: int):
-    """Distinct toy-checksum feasibility queries (no cache aliasing)."""
-    from repro.messages.symbolic import message_vars
-    from repro.systems.toy import TOY_LAYOUT
-    from repro.systems.toy.protocol import toy_checksum
-
-    msg = message_vars(TOY_LAYOUT)
-    crc = toy_checksum(list(msg[:10]))
-    queries = []
-    for i in range(count):
-        queries.append((
-            ast.or_(ast.eq(msg[0], bv_const(1 + i % 3, 8)),
-                    ast.eq(msg[0], bv_const(4 + i % 5, 8))),
-            ast.eq(msg[10], crc),
-            ast.eq(msg[1], bv_const(i % 251, 8)),
-            ast.ugt(msg[2], bv_const(i % 97, 8)),
-        ))
-    return queries
-
-
-def test_batch_dispatch_micro(benchmark, json_artifact):
-    """The CI smoke gate: 2 workers must not lose to serial on raw batches.
-
-    256 independent checksum-shaped queries dispatched as one batch —
-    pure solver work with no exploration in the way, so two real cores
-    should win outright (and a tolerance absorbs runner jitter). On a
-    single-core machine the gate is skipped after recording the numbers.
-    """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    queries = _micro_batch_queries(256)
-
-    serial = SolverService()
-    started = time.perf_counter()
-    serial_results = serial.check_batch(queries)
-    serial_seconds = time.perf_counter() - started
-
-    with SolverService(workers=2) as pool:
-        pool.check_batch(queries[:2])  # absorb pool start-up
-        started = time.perf_counter()
-        pool_results = pool.check_batch(queries)
-        pool_seconds = time.perf_counter() - started
-
-    assert ([r.status for r in pool_results]
-            == [r.status for r in serial_results])
-
-    cores = os.cpu_count() or 1
-    json_artifact("scaling_micro", {
-        "cpu_count": cores,
-        "queries": len(queries),
-        "serial_seconds": round(serial_seconds, 4),
-        "workers2_seconds": round(pool_seconds, 4),
-        "speedup": round(serial_seconds / pool_seconds, 4),
-    })
-    if cores < 2:
-        pytest.skip("batch-dispatch smoke gate needs >= 2 cores")
-    assert pool_seconds <= serial_seconds * 1.10, (
-        f"2-worker batch dispatch slower than serial: "
-        f"{pool_seconds:.3f}s vs {serial_seconds:.3f}s")

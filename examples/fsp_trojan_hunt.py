@@ -9,23 +9,21 @@ column (80 true positives, 0 false positives) and the Figure 10 curve.
 Run::
 
     python examples/fsp_trojan_hunt.py
-    python examples/fsp_trojan_hunt.py --workers 4   # parallel solver service
     python examples/fsp_trojan_hunt.py --shards 4    # sharded exploration
 
-    # multi-host: start a worker daemon per analysis machine first
-    #   (hostA) python -m repro worker --listen 0.0.0.0:9100
-    #   (hostB) python -m repro worker --listen 0.0.0.0:9100
+    # multi-host: start a worker daemon per analysis machine first; the
+    # daemons unpickle unauthenticated frames, so bind them only where
+    # every peer is trusted (see examples/README.md)
+    #   (hostA) python -m repro worker --listen 127.0.0.1:9100
+    #   (hostB) python -m repro worker --listen 127.0.0.1:9100
     python examples/fsp_trojan_hunt.py --shards 4 \
         --hosts hostA:9100,hostB:9100
 
-``--workers N`` shards the embarrassingly parallel solver batches (the
-``differentFrom`` matrix, negation probes, per-path predicate re-checks)
-across N worker processes; ``--shards N`` partitions the server's path
-tree itself by decision prefixes across N exploration processes with
-work-stealing. ``--hosts`` lifts those shards off local processes and
-onto TCP worker daemons (shards round-robin across the listed hosts).
-All knobs compose, and the findings are byte-identical to the serial
-run either way. ``--search-order`` and ``--max-paths`` override the
+``--shards N`` partitions the server's path tree by decision prefixes
+across N exploration processes with work-stealing. ``--hosts`` lifts
+those shards off local processes and onto TCP worker daemons (shards
+round-robin across the listed hosts). The findings are byte-identical
+to the serial run either way. ``--search-order`` and ``--max-paths`` override the
 exploration policy.
 
 Watch it live with ``--progress`` (one fleet-status line per second on
@@ -47,9 +45,6 @@ from repro.systems.fsp import FSP_LAYOUT, classify_message
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1,
-                        help="solver-service worker processes (default: 1, "
-                             "fully serial)")
     parser.add_argument("--shards", type=int, default=1,
                         help="exploration shard processes for the server "
                              "search (default: 1, one in-process walk)")
@@ -79,8 +74,8 @@ def main() -> None:
     transport = "tcp" if hosts else "local"
     where = f"hosts={','.join(hosts)}" if hosts else "local processes"
     print(f"Running Achilles on FSP (8 utilities, path bound 5, "
-          f"workers={args.workers}, shards={args.shards}, {where})...")
-    outcome = run_fsp_accuracy(workers=args.workers, shards=args.shards,
+          f"shards={args.shards}, {where})...")
+    outcome = run_fsp_accuracy(shards=args.shards,
                                search_order=args.search_order,
                                max_paths=args.max_paths,
                                transport=transport, hosts=hosts,

@@ -10,17 +10,14 @@ follower erases its committed log entries.
 Run::
 
     python examples/raft_trojan_hunt.py
-    python examples/raft_trojan_hunt.py --workers 4   # parallel solver service
     python examples/raft_trojan_hunt.py --shards 4    # sharded exploration
     python examples/raft_trojan_hunt.py --shards 4 \
         --hosts hostA:9100,hostB:9100    # shards over TCP worker daemons
 
-``--workers N`` shards the embarrassingly parallel solver batches across
-N worker processes; ``--shards N`` partitions the follower's path tree
-by decision prefixes across N exploration processes. ``--hosts`` lifts
-those shards onto ``python -m repro worker`` daemons over TCP. All knobs
-compose, and the findings are byte-identical to the serial run either
-way.
+``--shards N`` partitions the follower's path tree by decision prefixes
+across N exploration processes. ``--hosts`` lifts those shards onto
+``python -m repro worker`` daemons over TCP. The findings are
+byte-identical to the serial run either way.
 """
 
 import argparse
@@ -35,9 +32,6 @@ from repro.systems.raft import (
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1,
-                        help="solver-service worker processes (default: 1, "
-                             "fully serial)")
     parser.add_argument("--shards", type=int, default=1,
                         help="exploration shard processes for the follower "
                              "search (default: 1, one in-process walk)")
@@ -66,9 +60,9 @@ def main() -> None:
     hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
     transport = "tcp" if hosts else "local"
     where = f"hosts={','.join(hosts)}" if hosts else "local processes"
-    print(f"Running Achilles on the Raft follower (workers={args.workers}, "
-          f"shards={args.shards}, {where})...")
-    outcome = run_raft_accuracy(workers=args.workers, shards=args.shards,
+    print(f"Running Achilles on the Raft follower (shards={args.shards}, "
+          f"{where})...")
+    outcome = run_raft_accuracy(shards=args.shards,
                                 search_order=args.search_order,
                                 max_paths=args.max_paths,
                                 transport=transport, hosts=hosts,

@@ -11,14 +11,15 @@ Usage::
     python -m repro broadcast      # Bracha broadcast (7 seeded classes)
     python -m repro list           # show available experiments
 
-    python -m repro worker --listen 0.0.0.0:9100   # shard worker daemon
+    python -m repro worker --listen 127.0.0.1:9100 # shard worker daemon
     python -m repro cache stats --cache-dir CACHE  # inspect a disk cache
     python -m repro trace summarize RUN/trace.jsonl  # inspect a trace
     python -m repro corpus run --variants 12       # scenario-matrix corpus
 
-Every experiment accepts ``--workers/--shards`` (parallel throughput
-knobs; findings are byte-identical at any count) and
-``--search-order/--max-paths`` (exploration policy overrides).
+Every experiment accepts ``--shards`` (the one parallelism knob: it
+partitions the server's path tree across worker processes; findings are
+byte-identical at any count) and ``--search-order/--max-paths``
+(exploration policy overrides).
 
 Crash safety: ``--cache-dir DIR`` persists the canonical query cache
 across runs (a warm re-analysis only re-solves what changed; corrupted
@@ -35,7 +36,10 @@ hostA:9100,hostB:9100``. The coordinator connects one shard session per
 merge keeps findings byte-identical to the local run. With
 ``--on-worker-loss recover`` a killed daemon session (or local worker)
 no longer aborts the run: its prefixes are reassigned and the findings
-stay byte-identical.
+stay byte-identical. Frames between coordinator and daemon are
+unauthenticated pickles, and unpickling runs code: a daemon may listen
+only on an address that no untrusted peer can reach (loopback, or a
+network where every peer is trusted).
 
 Observability: ``--trace-dir DIR`` records structured spans across the
 coordinator, the shard workers and every solver layer, writing the
@@ -56,7 +60,7 @@ import sys
 from repro.bench.tables import format_table
 
 
-def _run_toy(workers: int = 1, shards: int = 1,
+def _run_toy(shards: int = 1,
              search_order: str | None = None,
              max_paths: int | None = None,
              transport: str = "local", hosts: tuple = (),
@@ -76,7 +80,6 @@ def _run_toy(workers: int = 1, shards: int = 1,
                                      search_order, max_paths),
                                  server_engine=make_engine_config(
                                      search_order, max_paths),
-                                 workers=workers,
                                  shards=shards,
                                  transport=transport,
                                  hosts=tuple(hosts),
@@ -98,7 +101,7 @@ def _run_toy(workers: int = 1, shards: int = 1,
     return 0
 
 
-def _run_fsp(workers: int = 1, shards: int = 1,
+def _run_fsp(shards: int = 1,
              search_order: str | None = None,
              max_paths: int | None = None,
              transport: str = "local", hosts: tuple = (),
@@ -111,7 +114,7 @@ def _run_fsp(workers: int = 1, shards: int = 1,
              progress: bool = False) -> int:
     from repro.bench.experiments import run_fsp_accuracy
 
-    outcome = run_fsp_accuracy(workers=workers, shards=shards,
+    outcome = run_fsp_accuracy(shards=shards,
                                search_order=search_order,
                                max_paths=max_paths,
                                transport=transport, hosts=hosts,
@@ -132,7 +135,7 @@ def _run_fsp(workers: int = 1, shards: int = 1,
     return 0 if outcome.false_positives == 0 else 1
 
 
-def _run_fsp_wildcard(workers: int = 1, shards: int = 1,
+def _run_fsp_wildcard(shards: int = 1,
                       search_order: str | None = None,
                       max_paths: int | None = None,
                       transport: str = "local", hosts: tuple = (),
@@ -146,7 +149,7 @@ def _run_fsp_wildcard(workers: int = 1, shards: int = 1,
     from repro.bench.experiments import run_fsp_wildcard
     from repro.systems.fsp import FSP_LAYOUT
 
-    report = run_fsp_wildcard(workers=workers, shards=shards,
+    report = run_fsp_wildcard(shards=shards,
                               search_order=search_order, max_paths=max_paths,
                               transport=transport, hosts=hosts,
                               on_worker_loss=on_worker_loss,
@@ -166,7 +169,7 @@ def _run_fsp_wildcard(workers: int = 1, shards: int = 1,
     return 0 if wildcard else 1
 
 
-def _run_pbft(workers: int = 1, shards: int = 1,
+def _run_pbft(shards: int = 1,
               search_order: str | None = None,
               max_paths: int | None = None,
               transport: str = "local", hosts: tuple = (),
@@ -179,7 +182,7 @@ def _run_pbft(workers: int = 1, shards: int = 1,
              progress: bool = False) -> int:
     from repro.bench.experiments import run_pbft_impact
 
-    outcome = run_pbft_impact(workers=workers, shards=shards,
+    outcome = run_pbft_impact(shards=shards,
                               search_order=search_order, max_paths=max_paths,
                               transport=transport, hosts=hosts,
                               on_worker_loss=on_worker_loss,
@@ -212,7 +215,7 @@ def _accuracy_table(title: str, outcome, classes_total: int) -> None:
         title=title))
 
 
-def _run_raft(workers: int = 1, shards: int = 1,
+def _run_raft(shards: int = 1,
               search_order: str | None = None,
               max_paths: int | None = None,
               transport: str = "local", hosts: tuple = (),
@@ -226,7 +229,7 @@ def _run_raft(workers: int = 1, shards: int = 1,
     from repro.bench.experiments import run_raft_accuracy
     from repro.systems.raft import all_trojan_classes, classify_message
 
-    outcome = run_raft_accuracy(workers=workers, shards=shards,
+    outcome = run_raft_accuracy(shards=shards,
                                 search_order=search_order,
                                 max_paths=max_paths,
                                 transport=transport, hosts=hosts,
@@ -244,7 +247,7 @@ def _run_raft(workers: int = 1, shards: int = 1,
     return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
 
 
-def _run_tpc(workers: int = 1, shards: int = 1,
+def _run_tpc(shards: int = 1,
              search_order: str | None = None,
              max_paths: int | None = None,
              transport: str = "local", hosts: tuple = (),
@@ -258,7 +261,7 @@ def _run_tpc(workers: int = 1, shards: int = 1,
     from repro.bench.experiments import run_tpc_accuracy
     from repro.systems.tpc import all_trojan_classes, classify_message
 
-    outcome = run_tpc_accuracy(workers=workers, shards=shards,
+    outcome = run_tpc_accuracy(shards=shards,
                                search_order=search_order,
                                max_paths=max_paths,
                                transport=transport, hosts=hosts,
@@ -276,7 +279,7 @@ def _run_tpc(workers: int = 1, shards: int = 1,
     return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
 
 
-def _run_broadcast(workers: int = 1, shards: int = 1,
+def _run_broadcast(shards: int = 1,
                    search_order: str | None = None,
                    max_paths: int | None = None,
                    transport: str = "local", hosts: tuple = (),
@@ -294,7 +297,7 @@ def _run_broadcast(workers: int = 1, shards: int = 1,
         run_forged_delivery_demo,
     )
 
-    outcome = run_broadcast_accuracy(workers=workers, shards=shards,
+    outcome = run_broadcast_accuracy(shards=shards,
                                      search_order=search_order,
                                      max_paths=max_paths,
                                      transport=transport, hosts=hosts,
@@ -364,8 +367,10 @@ def _run_worker(argv: list[str]) -> int:
                     "'READY <host> <port>' once listening (port 0 picks "
                     "an ephemeral port).")
     parser.add_argument("--listen", required=True, metavar="HOST:PORT",
-                        help="address to listen on, e.g. 0.0.0.0:9100 "
-                             "or 127.0.0.1:0")
+                        help="address to listen on, e.g. 127.0.0.1:9100 "
+                             "or 127.0.0.1:0; frames are unauthenticated "
+                             "pickles, so listen only where every peer "
+                             "is trusted")
     parser.add_argument("--max-sessions", type=int, default=None,
                         help="exit after serving this many sessions "
                              "(default: serve forever)")
@@ -520,8 +525,6 @@ def _run_corpus(argv: list[str]) -> int:
                         help="also write the deterministic JSON report "
                              "here (byte-identical across runs of the "
                              "same seed)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="solver-service worker processes per hunt")
     parser.add_argument("--shards", type=int, default=1,
                         help="exploration shard processes per hunt")
     parser.add_argument("--transport", choices=["local", "tcp"],
@@ -570,7 +573,7 @@ def _run_corpus(argv: list[str]) -> int:
         outcome = run_corpus(
             corpus_seed=args.corpus_seed, variants=args.variants,
             templates=templates or None, only=tuple(args.variant),
-            workers=args.workers, shards=args.shards,
+            shards=args.shards,
             search_order=args.search_order, max_paths=args.max_paths,
             transport=args.transport, hosts=hosts,
             on_worker_loss=args.on_worker_loss,
@@ -617,10 +620,6 @@ def main(argv: list[str] | None = None) -> int:
                              "worker daemon), 'cache' (disk-cache "
                              "maintenance), 'trace' (trace inspector), "
                              "or 'corpus' (scenario-matrix corpus)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="solver-service worker processes (default: 1, "
-                             "fully serial; findings are identical at any "
-                             "worker count)")
     parser.add_argument("--shards", type=int, default=1,
                         help="exploration shard processes for the server "
                              "search (default: 1, one in-process walk; "
@@ -705,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         resume = True
     hosts = tuple(h.strip() for h in args.hosts.split(",") if h.strip())
     runner, _ = _EXPERIMENTS[args.experiment]
-    return runner(workers=args.workers, shards=args.shards,
+    return runner(shards=args.shards,
                   search_order=args.search_order, max_paths=args.max_paths,
                   transport=args.transport, hosts=hosts,
                   on_worker_loss=args.on_worker_loss,

@@ -136,11 +136,10 @@ def preprocess(predicates: list[ClientPathPredicate],
     All pre-processing probes flow through one
     :class:`~repro.solver.service.SolverService`: the per-field negation
     overlap checks and the pairwise matrix entries are independent
-    queries, batched per predicate. On the default serial backend both
-    families share the service's single incremental frame stack (the
-    ``pred.combined(server_msg)`` prefix propagates once per predicate,
-    whichever family probes it first); with ``workers > 1`` the batches
-    shard across the pool.
+    queries, batched per predicate. Both families share the service's
+    single incremental frame stack (the ``pred.combined(server_msg)``
+    prefix propagates once per predicate, whichever family probes it
+    first).
 
     The surviving per-field negation expressions computed for
     ``negations`` are handed to :class:`DifferentFrom` directly, so the

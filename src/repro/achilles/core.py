@@ -29,15 +29,15 @@ incremental assertion stack
 pipeline is canonicalize → shared query cache (identical queries) →
 per-engine frame stack (prefix-sharing queries reuse interval-propagation
 fixpoints; ``frames_reused`` / ``propagation_seconds`` on the report) →
-from-scratch search for whatever remains.
+from-scratch search for whatever remains. Pre-processing batches its
+independent probes (the negation overlap checks and the ``differentFrom``
+matrix) through one :class:`~repro.solver.service.SolverService`, whose
+single frame stack both families share.
 
-With ``AchillesConfig.workers > 1`` the run also holds one
-:class:`~repro.solver.service.SolverService` worker pool (shared across
-pre-processing and the server search), and the embarrassingly parallel
-query batches — the ``differentFrom`` matrix, the negation overlap
-probes and the per-path predicate re-checks — shard across it. Findings
-are byte-identical at any worker count; use the instance as a context
-manager (or call :meth:`Achilles.close`) to shut the pool down.
+The one parallelism knob is ``AchillesConfig.shards``: it partitions the
+phase-2 path tree across worker processes or hosts
+(:mod:`repro.explore`). Use the instance as a context manager (or call
+:meth:`Achilles.close`) to flush a persistent query cache.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.errors import AchillesError
 from repro.messages.layout import MessageLayout
 from repro.messages.symbolic import message_vars
 from repro.solver.cache import QueryCache
-from repro.solver.service import SolverService
 from repro.solver.solver import Solver
 from repro.symex.engine import EngineConfig, NodeProgram
 
@@ -78,20 +77,11 @@ class AchillesConfig:
         destination: when set, only client messages sent to this node
             name enter ``PC``.
         msg_name: base name of the server's symbolic message variables.
-        workers: solver-service worker count. 1 (the default) keeps every
-            query in-process — exactly the classic serial pipeline; >1
-            dispatches the embarrassingly parallel batches (the
-            ``differentFrom`` matrix, the negation overlap probes and the
-            per-path predicate re-checks) across a ``multiprocessing``
-            pool. Findings are byte-identical at any worker count.
         shards: phase-2 exploration shard count. 1 (the default) walks
             the server's path tree in one process; >1 partitions the
             tree by decision prefixes across that many worker processes
             (:mod:`repro.explore`) with coordinator-brokered stealing.
-            Findings are byte-identical at any shard count. ``workers``
-            and ``shards`` compose: the former parallelizes solver
-            *batches* (pre-processing, and the seed phase's probes), the
-            latter the *walk* itself.
+            Findings are byte-identical at any shard count.
         transport: where the shard workers live — ``"local"`` (the
             default: ``multiprocessing`` processes on this machine) or
             ``"tcp"`` (``python -m repro worker`` daemons reached over
@@ -151,7 +141,6 @@ class AchillesConfig:
     optimizations: OptimizationFlags = field(default_factory=OptimizationFlags)
     destination: str | None = None
     msg_name: str = "msg"
-    workers: int = 1
     shards: int = 1
     transport: object = "local"
     hosts: tuple[str, ...] = ()
@@ -165,14 +154,11 @@ class AchillesConfig:
     progress: bool = False
 
     def __post_init__(self) -> None:
-        # Validate here, not at pool start: a bad count otherwise
-        # surfaces deep inside multiprocessing as a confusing failure.
+        # Validate here, not when the shard workers start: a bad count
+        # otherwise surfaces deep inside multiprocessing as a confusing
+        # failure.
         from repro.explore.transport import Transport
 
-        if self.workers < 1:
-            raise AchillesError(
-                f"AchillesConfig.workers must be >= 1, got {self.workers} "
-                "(1 = serial; N > 1 = N solver worker processes)")
         if self.shards < 1:
             raise AchillesError(
                 f"AchillesConfig.shards must be >= 1, got {self.shards} "
@@ -272,28 +258,10 @@ class Achilles:
 
             self._store = DiskCacheStore(config.cache_dir)
             self.disk_cache_report = self._store.load_into(self.query_cache)
-        self._service: SolverService | None = None
-
-    # -- solver service -----------------------------------------------------------
-
-    @property
-    def service(self) -> SolverService:
-        """The run's shared solver service (lazily started).
-
-        One instance spans pre-processing and the server search, so with
-        ``workers > 1`` the pool is started once and its per-worker caches
-        and frame stacks stay warm across phases.
-        """
-        if self._service is None:
-            self._service = SolverService(workers=self.config.workers)
-        return self._service
 
     def close(self) -> None:
-        """Flush the disk cache and shut the worker pool down."""
+        """Flush the disk cache (a no-op without ``cache_dir``)."""
         self.query_cache.flush_store()
-        if self._service is not None:
-            self._service.close()
-            self._service = None
 
     def __enter__(self) -> "Achilles":
         return self
@@ -317,8 +285,7 @@ class Achilles:
         result = preprocess(
             predicates, self.config.layout, self.server_msg,
             self.config.mask, Solver(), stats,
-            build_difference=self.config.optimizations.use_different_from,
-            service=self.service)
+            build_difference=self.config.optimizations.use_different_from)
         # Phase-1 + pre-processing answers become durable before phase 2
         # starts: a crash during the server search still leaves a warm
         # cache for the re-run.
@@ -331,7 +298,7 @@ class Achilles:
         report, _ = search_server(
             server, clients, self.server_msg, self.config.server_engine,
             self.config.optimizations, self.config.msg_name,
-            query_cache=self.query_cache, service=self.service,
+            query_cache=self.query_cache,
             shards=self.config.shards, transport=self.config.transport,
             hosts=self.config.hosts,
             on_worker_loss=self.config.on_worker_loss,
@@ -341,7 +308,6 @@ class Achilles:
             resume=self.config.resume,
             trace_dir=self.config.trace_dir,
             progress=self.config.progress)
-        report.workers = self.config.workers
         report.timings.client_extraction = clients.stats.extraction_seconds
         report.timings.preprocessing = clients.stats.preprocess_seconds
         return report

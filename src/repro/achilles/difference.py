@@ -18,11 +18,9 @@ Every entry is an independent query (the paper notes the precompute is
 trivially parallelizable), so the matrix is built through the batched
 :class:`~repro.solver.service.SolverService` as a single probe batch in
 row-major order: each row poses the fixed ``i_pred.combined(server_msg)``
-prefix plus one negation per (j, field) pair. On the serial backend the
-probes ride the service's shared incremental frame stack (a row's prefix
-propagates once, shared with the negate operator's overlap probes); on
-the pool backend the rows shard across workers with one join for the
-whole precompute.
+prefix plus one negation per (j, field) pair. The probes ride the
+service's shared incremental frame stack, so a row's prefix propagates
+once, shared with the negate operator's overlap probes.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ class DifferentFrom:
         solver: fallback solver when no service is given (a serial
             service is built around it).
         service: batched solver dispatch; pass the run's shared instance
-            so matrix probes reuse its frame stack (serial) or worker
-            pool (parallel).
+            so matrix probes reuse its frame stack.
         field_negations: per-(predicate, field) negation expressions
             already computed by the pre-processing step; when omitted the
             matrix recomputes them via the negate operator.
@@ -119,9 +116,9 @@ class DifferentFrom:
         """Drop the solver service: the matrix is pure data after _build.
 
         Sharded exploration ships the whole :class:`ClientPredicateSet`
-        (this matrix included) to worker processes; the service — which
-        may hold a live multiprocessing pool — is only used during
-        construction and must not travel.
+        (this matrix included) to worker processes; the service — and
+        its frame stack — is only used during construction and need not
+        travel.
         """
         state = self.__dict__.copy()
         state["_service"] = None
@@ -144,11 +141,8 @@ class DifferentFrom:
         # The whole matrix goes out as one probe batch: every (i, j,
         # field) entry poses ``i_pred.combined(...) + (negation,)``.
         # Row-major order keeps each i's prefix consecutive, so the
-        # serial backend (and each worker's contiguous chunk) propagates
-        # a row prefix once and push/pops the negations against it; one
-        # batch means one pool join for the entire precompute. The shared
-        # prefix expressions are pickled once per chunk (pickle memoizes
-        # shared objects within a payload).
+        # service's frame stack propagates a row prefix once and
+        # push/pops the negations against it.
         probes: list[tuple[Expr, ...]] = []
         entries: list[tuple[int, int, str]] = []
         for i_pred in self._predicates:

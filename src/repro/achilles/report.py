@@ -118,18 +118,9 @@ class AchillesReport:
             probes each keep their own).
         propagation_seconds: wall clock the server search spent in
             incremental interval propagation.
-        workers: solver-service worker count the search ran with (1 =
-            fully in-process). When workers > 1, the query/frame/
-            propagation counters above include the per-worker
-            ``SolverStats`` folded in fixed chunk order, so they describe
-            the whole run (their exact values can vary with chunk→worker
-            placement — findings never do); the cache counters describe
-            the run's *shared* canonical cache only (its lookup traffic
-            is the same at any worker count), keeping ``cache_hit_rate``
-            comparable between serial and parallel runs.
         shards: exploration shard count the server search ran with (1 =
             one in-process walk). When shards > 1, per-shard solver
-            counters are folded in like worker counters, and the cache
+            counters are folded in fixed order, and the cache
             counters describe only the coordinator's seed-phase cache —
             shard workers warm private caches whose traffic depends on
             the (timing-dependent) partition. Findings never depend on
@@ -174,7 +165,6 @@ class AchillesReport:
     cache_misses: int = 0
     frames_reused: int = 0
     propagation_seconds: float = 0.0
-    workers: int = 1
     shards: int = 1
     worker_failures: int = 0
     prefixes_reassigned: int = 0

@@ -45,7 +45,7 @@ from repro.obs.trace import (
 from repro.solver.ast import Expr
 from repro.solver.cache import QueryCache
 from repro.symex.context import ExecutionContext
-from repro.symex.engine import DFS, DeferredModel, Engine, EngineConfig, ExplorationResult
+from repro.symex.engine import DFS, Engine, EngineConfig, ExplorationResult
 from repro.symex.observers import ObserverDelta, PathObserver
 from repro.symex.state import ACCEPTED, PathResult
 
@@ -112,24 +112,6 @@ class _TrojanPathRecord:
     finding: TrojanFinding | None
 
 
-@dataclass
-class _FindingCell:
-    """One accepting path's (possibly still in-flight) witness solve.
-
-    Cells keep findings in discovery order even when some witness models
-    resolve eagerly (cache hits, serial service) and others are still on
-    the worker pool: :meth:`TrojanSearchObserver.finalize` materializes
-    the ``findings`` list from the cell sequence.
-    """
-
-    deferred: DeferredModel
-    result: PathResult
-    pc: tuple[Expr, ...]
-    negation: tuple[Expr, ...]
-    live: tuple[int, ...]
-    finding: TrojanFinding | None = None
-
-
 class TrojanSearchObserver(PathObserver):
     """The Achilles plugin: incremental Trojan search during exploration.
 
@@ -137,7 +119,7 @@ class TrojanSearchObserver(PathObserver):
     prefix from the root. The observer memoizes its state per prefix in a
     trie of :class:`_PrefixNode` (live predicate set and Trojan-feasible
     bit): a replayed constraint costs one dict lookup and never reaches
-    the engine, the query cache or the solver service. Only the first
+    the engine, the query cache or the solver. Only the first
     visit of a prefix poses queries. Below the cache, every such probe —
     ``pathS ∧ pathC_i`` predicate re-checks and ``pathS ∧ ⋀ negations``
     Trojan queries alike — is a ``pc + probe`` shape, which the engine's
@@ -145,13 +127,8 @@ class TrojanSearchObserver(PathObserver):
     frame: the ``pc`` prefix keeps its propagation fixpoint and only the
     probe conjuncts are propagated per query.
 
-    Witness models for accepting paths go through
-    :meth:`Engine.solve_async`: with a parallel service the solve is in
-    flight on the worker pool while exploration continues, and
-    :meth:`finalize` (called once exploration ends) joins the stragglers
-    — findings stay in discovery order with witnesses byte-identical to
-    the serial run, only ``elapsed_seconds`` of late-resolving findings
-    shifts to the join point.
+    An accepting path's witness is solved when the path ends
+    (:meth:`Engine.solve`), so ``findings`` grows in discovery order.
 
     The observer is also delta-capable (:meth:`delta` / :meth:`restore`),
     which is what lets the sharded exploration layer run one private
@@ -172,16 +149,15 @@ class TrojanSearchObserver(PathObserver):
         self._negation_exprs = [n.expr for n in clients.negations]
         self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
         self._started = time.perf_counter()
-        self._cells: list[_FindingCell] = []
         # Sharding support costs per-path bookkeeping (samples are kept
         # per path as well as in the flat stream), so it is opt-in: only
         # observers created for a sharded run record it.
         self._record_delta = record_delta
-        # (decisions, per-path samples, witness cell or None) per executed
+        # (decisions, per-path samples, finding or None) per executed
         # path; delta() freezes these into _TrojanPathRecord payloads.
         self._per_path: list[tuple[tuple[bool, ...],
                                    tuple[tuple[int, int], ...],
-                                   _FindingCell | None]] = []
+                                   TrojanFinding | None]] = []
         self.findings: list[TrojanFinding] = []
         self.samples: list[tuple[int, int]] = []
         self.paths_pruned = 0
@@ -210,15 +186,17 @@ class TrojanSearchObserver(PathObserver):
 
     def on_path_end(self, ctx: ExecutionContext, result: PathResult) -> None:
         slot: _PathSlot = ctx.state.observer_slot
-        cell = None
+        finding = None
         if result.verdict == ACCEPTED:
-            cell = self._witness_cell(result, slot.node)
+            finding = self._finding(result, slot.node)
+            if finding is not None:
+                self.findings.append(finding)
         if self._record_delta:
             self._per_path.append((result.decisions, tuple(slot.samples),
-                                   cell))
+                                   finding))
 
-    def _witness_cell(self, result: PathResult,
-                      node: _PrefixNode) -> _FindingCell | None:
+    def _finding(self, result: PathResult,
+                 node: _PrefixNode) -> TrojanFinding | None:
         pc = result.constraints
         feasible = node.trojan
         if feasible is None:
@@ -226,40 +204,21 @@ class TrojanSearchObserver(PathObserver):
         if not feasible:
             return None  # accepting, but only by non-Trojan messages
         negation = self._negation_query(node.live)
-        cell = _FindingCell(
-            deferred=self._engine.solve_async(pc + negation),
-            result=result, pc=pc, negation=negation,
-            live=tuple(sorted(node.live)))
-        self._cells.append(cell)
-        if cell.deferred.done:
-            self._materialize(cell)
-        return cell
-
-    def _materialize(self, cell: _FindingCell) -> None:
-        model = cell.deferred.result()
+        model = self._engine.solve(pc + negation)
         if model is None:  # pragma: no cover - guarded by trojan_feasible
-            return
-        witness = bytes(model.get(var, 0) for var in self._server_msg)
-        cell.finding = TrojanFinding(
-            server_path_id=cell.result.path_id,
-            decisions=cell.result.decisions,
-            path_condition=cell.pc,
-            negation=cell.negation,
-            witness=witness,
-            live_predicates=cell.live,
+            return None
+        return TrojanFinding(
+            server_path_id=result.path_id,
+            decisions=result.decisions,
+            path_condition=pc,
+            negation=negation,
+            witness=bytes(model.get(var, 0) for var in self._server_msg),
+            live_predicates=tuple(sorted(node.live)),
             elapsed_seconds=time.perf_counter() - self._started,
-            labels=cell.result.labels,
+            labels=result.labels,
         )
 
-    # -- deferred work / sharding protocol ----------------------------------------
-
-    def finalize(self) -> None:
-        """Join in-flight witness solves; (re)build ``findings`` in order."""
-        for cell in self._cells:
-            if cell.finding is None:
-                self._materialize(cell)
-        self.findings = [cell.finding for cell in self._cells
-                         if cell.finding is not None]
+    # -- sharding protocol ---------------------------------------------------------
 
     def delta(self) -> ObserverDelta | None:
         """Picklable snapshot of this instance's findings (see base class).
@@ -268,12 +227,9 @@ class TrojanSearchObserver(PathObserver):
         """
         if not self._record_delta:
             return None
-        self.finalize()
         per_path = [
-            (decisions,
-             _TrojanPathRecord(samples=samples,
-                               finding=cell.finding if cell else None))
-            for decisions, samples, cell in self._per_path
+            (decisions, _TrojanPathRecord(samples=samples, finding=finding))
+            for decisions, samples, finding in self._per_path
         ]
         return ObserverDelta(
             per_path=per_path,
@@ -287,7 +243,6 @@ class TrojanSearchObserver(PathObserver):
         self.paths_pruned = delta.counters.get("paths_pruned", 0)
         self.samples = []
         self.findings = []
-        self._cells = []
         self._per_path = []
         for decisions, record in delta.per_path:
             self.samples.extend(record.samples)
@@ -314,9 +269,7 @@ class TrojanSearchObserver(PathObserver):
     def _drop_dead_predicates(self, pc: tuple[Expr, ...], constraint: Expr,
                               live: frozenset[int]) -> frozenset[int]:
         # One probe batch per appended constraint: the ``pathS ∧ pathC_i``
-        # re-checks for all live predicates are independent, so a parallel
-        # service answers the cache misses concurrently; serially this is
-        # the same per-predicate loop as always.
+        # re-checks for all live predicates, each on its own frame stack.
         indices = sorted(live)
         answers = self._engine.probe_feasible_batch(
             pc, [self._combined[index] for index in indices])
@@ -373,7 +326,6 @@ def search_server(server, clients: ClientPredicateSet,
                   flags: OptimizationFlags | None = None,
                   msg_name: str = "msg",
                   query_cache: QueryCache | None = None,
-                  service=None,
                   shards: int = 1,
                   transport: str | None = None,
                   hosts: tuple = (),
@@ -399,12 +351,6 @@ def search_server(server, clients: ClientPredicateSet,
         msg_name: base name used when materializing the message vars.
         query_cache: shared canonical query cache (the orchestrator passes
             the phase-1 cache here so cross-phase queries hit).
-        service: optional :class:`~repro.solver.service.SolverService`;
-            when parallel, the observer's per-constraint predicate
-            re-checks dispatch their cache misses across its worker pool
-            and witness solves overlap with exploration as async futures.
-            Worker-side counters accumulated during this search are merged
-            into the report.
         shards: exploration shard count. 1 (the default) walks the path
             tree in-process; > 1 partitions it by decision prefixes
             across that many worker processes
@@ -455,8 +401,7 @@ def search_server(server, clients: ClientPredicateSet,
         The (partially filled) report and the raw exploration result; the
         orchestrator merges in client stats and timings.
     """
-    engine = Engine(engine_config or EngineConfig(), query_cache=query_cache,
-                    service=service)
+    engine = Engine(engine_config or EngineConfig(), query_cache=query_cache)
     if shards > 1 and engine.config.search_order != DFS:
         # The sharded merge renumbers paths in canonical prefix order,
         # which reproduces DFS completion order exactly — a serial BFS
@@ -476,7 +421,6 @@ def search_server(server, clients: ClientPredicateSet,
         tracer = obs_trace.activate(source="coordinator")
     meter = ProgressMeter() if progress else None
 
-    service_mark = service.stats.copy() if service is not None else None
     started = time.perf_counter()
     shard_stats = None
     sharded = None
@@ -510,7 +454,6 @@ def search_server(server, clients: ClientPredicateSet,
                 with tracer.span("coordinator.explore", shards=1):
                     exploration = engine.explore(program, observer,
                                                  control=control)
-            observer.finalize()
     except BaseException:
         if tracer is not None:
             obs_trace.deactivate()
@@ -546,8 +489,6 @@ def search_server(server, clients: ClientPredicateSet,
         report.recovery_seconds = sharded.recovery_seconds
         report.checkpoints_written = sharded.journal_checkpoints
         report.resumed_regions = sharded.resumed_regions
-    if service_mark is not None:
-        _merge_service_stats(report, service, service_mark)
     report.timings.server_analysis = elapsed
     if meter is not None:
         if sharded is not None:
@@ -593,55 +534,24 @@ def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
     write_trace(Path(trace_dir) / TRACE_FILE_NAME, merged)
 
 
-def _merge_service_stats(report: AchillesReport, service,
-                         mark) -> None:
-    """Fold worker-side counters (since ``mark``) into the report.
-
-    Queries dispatched to the pool run against per-worker solvers, so
-    their solve-side counters (queries, frames, propagation seconds)
-    never touch the phase-2 engine's ``SolverStats``; merging the
-    deterministic worker aggregate keeps ``solver_queries`` and
-    ``propagation_seconds`` meaning the same thing at any worker count.
-
-    The worker-side *cache* counters are deliberately not folded in:
-    ``report.cache_hits/misses`` describe the run's shared canonical
-    cache, which sees the exact same lookup traffic at any worker count —
-    adding the workers' private warm-up caches on top would make
-    ``cache_hit_rate`` an artifact of chunk placement instead of a
-    property of the workload.
-    """
-    worker = service.stats.delta_since(mark)
-    report.solver_queries += worker.queries
-    report.frames_reused += worker.frames_reused
-    report.propagation_seconds += worker.propagation_seconds
-    report.workers = service.workers
-
-
 def a_posteriori_search(server, clients: ClientPredicateSet,
                         server_msg: tuple[Expr, ...],
                         engine_config: EngineConfig | None = None,
                         msg_name: str = "msg",
                         query_cache: QueryCache | None = None,
-                        service=None) -> AchillesReport:
+                        ) -> AchillesReport:
     """The §6.4 non-optimized baseline: explore first, difference after.
 
     Runs vanilla symbolic execution of the server (no per-path predicate
-    tracking, no pruning), then checks every accepting path against the
-    full conjunction of all client negations. The per-path Trojan probes
-    are mutually independent, so with a parallel service they dispatch
-    through :meth:`~repro.symex.engine.Engine.solve_batch` across the
-    worker pool — which mirrors the serial ``engine.solve`` cache
-    semantics query by query, so findings stay in path order with
-    witnesses byte-identical at any worker count.
+    tracking, no pruning), then solves every accepting path against the
+    full conjunction of all client negations, in path order.
     """
-    engine = Engine(engine_config or EngineConfig(), query_cache=query_cache,
-                    service=service)
+    engine = Engine(engine_config or EngineConfig(), query_cache=query_cache)
 
     def program(ctx: ExecutionContext) -> None:
         wire = tuple(ctx.fresh_bytes(msg_name, len(server_msg)))
         server(ctx, wire)
 
-    service_mark = service.stats.copy() if service is not None else None
     started = time.perf_counter()
     exploration = engine.explore(program)
     negations = tuple(n.expr for n in clients.negations)
@@ -649,10 +559,8 @@ def a_posteriori_search(server, clients: ClientPredicateSet,
         client_predicate_count=len(clients),
         server_paths_explored=len(exploration.paths),
     )
-    accepting = [p for p in exploration.paths if p.verdict == ACCEPTED]
-    models = engine.solve_batch(
-        [path.constraints + negations for path in accepting])
-    for path, model in zip(accepting, models):
+    for path in exploration.accepting:
+        model = engine.solve(path.constraints + negations)
         if model is None:
             continue
         witness = bytes(model.get(var, 0) for var in server_msg)
@@ -672,6 +580,4 @@ def a_posteriori_search(server, clients: ClientPredicateSet,
     report.cache_misses = engine.query_cache.stats.misses
     report.frames_reused = engine.solver.stats.frames_reused
     report.propagation_seconds = engine.solver.stats.propagation_seconds
-    if service_mark is not None:
-        _merge_service_stats(report, service, service_mark)
     return report

@@ -71,7 +71,7 @@ class AccuracyOutcome:
 
 
 def _fsp_achilles(optimizations: OptimizationFlags | None = None,
-                  workers: int = 1, shards: int = 1,
+                  shards: int = 1,
                   search_order: str | None = None,
                   max_paths: int | None = None,
                   transport="local",
@@ -89,7 +89,7 @@ def _fsp_achilles(optimizations: OptimizationFlags | None = None,
                                                              max_paths),
                             server_engine=make_engine_config(search_order,
                                                              max_paths),
-                            workers=workers, shards=shards,
+                            shards=shards,
                             transport=transport, hosts=tuple(hosts),
                             on_worker_loss=on_worker_loss,
                             cache_dir=cache_dir, run_dir=run_dir,
@@ -100,7 +100,7 @@ def _fsp_achilles(optimizations: OptimizationFlags | None = None,
 
 
 def run_fsp_accuracy(optimizations: OptimizationFlags | None = None,
-                     workers: int = 1, shards: int = 1,
+                     shards: int = 1,
                      search_order: str | None = None,
                      max_paths: int | None = None,
                      transport="local",
@@ -114,12 +114,10 @@ def run_fsp_accuracy(optimizations: OptimizationFlags | None = None,
                      progress: bool = False) -> AccuracyOutcome:
     """Table 1 (Achilles column) + Figures 10/11 raw data.
 
-    ``workers`` > 1 dispatches the parallel batches (pre-processing and
-    the per-path predicate re-checks) across a solver-service pool;
-    ``shards`` > 1 additionally partitions the phase-2 path tree across
-    exploration worker processes. Findings are byte-identical at any
-    worker or shard count. ``search_order`` / ``max_paths`` override the
-    default exploration policy for both phases. ``transport``/``hosts``
+    ``shards`` > 1 partitions the phase-2 path tree across exploration
+    worker processes; findings are byte-identical at any shard count.
+    ``search_order`` / ``max_paths`` override the default exploration
+    policy for both phases. ``transport``/``hosts``
     choose where shard workers live (``"tcp"`` drives remote
     ``python -m repro worker`` daemons; findings stay byte-identical).
     ``cache_dir`` persists the canonical query cache across runs (a warm
@@ -127,7 +125,7 @@ def run_fsp_accuracy(optimizations: OptimizationFlags | None = None,
     ``checkpoint_interval`` / ``resume`` checkpoint the sharded phase-2
     search and continue it after a coordinator kill.
     """
-    with _fsp_achilles(optimizations, workers, shards, search_order,
+    with _fsp_achilles(optimizations, shards, search_order,
                        max_paths, transport, hosts, on_worker_loss,
                        cache_dir, run_dir, checkpoint_interval,
                        resume, trace_dir, progress) as achilles:
@@ -144,7 +142,7 @@ def run_fsp_accuracy(optimizations: OptimizationFlags | None = None,
 
 
 def run_fsp_wildcard(listing: tuple[str, ...] = ("f1", "f2", "doc"),
-                     workers: int = 1, shards: int = 1,
+                     shards: int = 1,
                      search_order: str | None = None,
                      max_paths: int | None = None,
                      transport="local",
@@ -157,7 +155,7 @@ def run_fsp_wildcard(listing: tuple[str, ...] = ("f1", "f2", "doc"),
                      trace_dir: str | None = None,
                      progress: bool = False) -> AchillesReport:
     """§6.3 wildcard experiment: globbing clients, same server."""
-    with _fsp_achilles(workers=workers, shards=shards,
+    with _fsp_achilles(shards=shards,
                        search_order=search_order,
                        max_paths=max_paths, transport=transport,
                        hosts=hosts, on_worker_loss=on_worker_loss,
@@ -287,7 +285,7 @@ class PbftOutcome:
     impact: dict[str, ClusterStats] = field(default_factory=dict)
 
 
-def run_pbft_analysis(workers: int = 1, shards: int = 1,
+def run_pbft_analysis(shards: int = 1,
                       search_order: str | None = None,
                       max_paths: int | None = None,
                       transport="local",
@@ -306,7 +304,6 @@ def run_pbft_analysis(workers: int = 1, shards: int = 1,
                                      search_order, max_paths),
                                  server_engine=make_engine_config(
                                      search_order, max_paths),
-                                 workers=workers,
                                  shards=shards,
                                  transport=transport,
                                  hosts=tuple(hosts),
@@ -321,7 +318,7 @@ def run_pbft_analysis(workers: int = 1, shards: int = 1,
         return achilles.search(pbft_replica, predicates)
 
 
-def run_pbft_impact(requests: int = 40, workers: int = 1, shards: int = 1,
+def run_pbft_impact(requests: int = 40, shards: int = 1,
                     search_order: str | None = None,
                     max_paths: int | None = None,
                     transport="local",
@@ -334,7 +331,7 @@ def run_pbft_impact(requests: int = 40, workers: int = 1, shards: int = 1,
                     trace_dir: str | None = None,
                     progress: bool = False) -> PbftOutcome:
     """§6.3 MAC attack impact: throughput under increasing attack rates."""
-    report = run_pbft_analysis(workers=workers, shards=shards,
+    report = run_pbft_analysis(shards=shards,
                                search_order=search_order,
                                max_paths=max_paths, transport=transport,
                                hosts=hosts, on_worker_loss=on_worker_loss,
@@ -350,7 +347,7 @@ def run_pbft_impact(requests: int = 40, workers: int = 1, shards: int = 1,
 
 def _scored_accuracy_run(layout, destination: str, clients, server,
                          ground_truth, class_count: int,
-                         workers: int, shards: int,
+                         shards: int,
                          search_order: str | None,
                          max_paths: int | None,
                          transport="local",
@@ -368,7 +365,7 @@ def _scored_accuracy_run(layout, destination: str, clients, server,
                                                              max_paths),
                             server_engine=make_engine_config(search_order,
                                                              max_paths),
-                            workers=workers, shards=shards,
+                            shards=shards,
                             transport=transport, hosts=tuple(hosts),
                             on_worker_loss=on_worker_loss,
                             cache_dir=cache_dir, run_dir=run_dir,
@@ -388,7 +385,7 @@ def _scored_accuracy_run(layout, destination: str, clients, server,
     )
 
 
-def run_raft_accuracy(workers: int = 1, shards: int = 1,
+def run_raft_accuracy(shards: int = 1,
                       search_order: str | None = None,
                       max_paths: int | None = None,
                       transport="local",
@@ -404,20 +401,20 @@ def run_raft_accuracy(workers: int = 1, shards: int = 1,
 
     Scores Achilles against :mod:`repro.systems.raft.ground_truth`
     (8 stale-term AppendEntries classes + 1 vote off-by-one); a perfect
-    run has ``precision == recall == 1.0``. The parallel knobs behave as
-    for FSP: findings are byte-identical at any worker/shard count.
+    run has ``precision == recall == 1.0``. ``shards`` behaves as for
+    FSP: findings are byte-identical at any shard count.
     """
     from repro.systems import raft
 
     return _scored_accuracy_run(
         raft.RAFT_LAYOUT, "follower", raft.peer_clients(),
         raft.raft_follower, raft.GroundTruth,
-        len(raft.all_trojan_classes()), workers, shards, search_order,
+        len(raft.all_trojan_classes()), shards, search_order,
         max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
         checkpoint_interval, resume, trace_dir, progress)
 
 
-def run_broadcast_accuracy(workers: int = 1, shards: int = 1,
+def run_broadcast_accuracy(shards: int = 1,
                            search_order: str | None = None,
                            max_paths: int | None = None,
                            transport="local",
@@ -440,7 +437,7 @@ def run_broadcast_accuracy(workers: int = 1, shards: int = 1,
     return _scored_accuracy_run(
         broadcast.BROADCAST_LAYOUT, "node", broadcast.peer_clients(),
         broadcast.broadcast_node, broadcast.GroundTruth,
-        len(broadcast.all_trojan_classes()), workers, shards,
+        len(broadcast.all_trojan_classes()), shards,
         search_order, max_paths, transport, hosts, on_worker_loss,
         cache_dir, run_dir, checkpoint_interval, resume, trace_dir,
         progress)
@@ -449,7 +446,7 @@ def run_broadcast_accuracy(workers: int = 1, shards: int = 1,
 def run_corpus(corpus_seed: int = 0, variants: int = 12,
                templates: tuple[str, ...] | None = None,
                only: tuple[str, ...] = (),
-               workers: int = 1, shards: int = 1,
+               shards: int = 1,
                search_order: str | None = None,
                max_paths: int | None = None,
                transport="local",
@@ -485,7 +482,7 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
         outcome = _scored_accuracy_run(
             variant.layout, variant.destination, variant.clients,
             variant.server, bound_ground_truth(variant),
-            len(variant.classes), workers, shards, search_order,
+            len(variant.classes), shards, search_order,
             max_paths, transport, hosts, on_worker_loss, cache_dir,
             None, 1, False, None, progress)
         results.append(VariantOutcome(variant=variant, outcome=outcome))
@@ -493,7 +490,7 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
                          results=results)
 
 
-def run_tpc_accuracy(workers: int = 1, shards: int = 1,
+def run_tpc_accuracy(shards: int = 1,
                      search_order: str | None = None,
                      max_paths: int | None = None,
                      transport="local",
@@ -516,6 +513,6 @@ def run_tpc_accuracy(workers: int = 1, shards: int = 1,
     return _scored_accuracy_run(
         tpc.TPC_LAYOUT, "participant", tpc.coordinator_clients(),
         tpc.tpc_participant, tpc.GroundTruth,
-        len(tpc.all_trojan_classes()), workers, shards, search_order,
+        len(tpc.all_trojan_classes()), shards, search_order,
         max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
         checkpoint_interval, resume, trace_dir, progress)

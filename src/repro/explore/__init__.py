@@ -46,12 +46,10 @@ is pure: branch feasibility is a function of the path condition, and
 delta-capable observers are (by the :class:`PathObserver` contract)
 deterministic functions of the constraint sequence.
 
-When to shard paths vs. batch queries: the solver service (layer 5)
-accelerates workloads whose *queries* are independent but whose
-exploration is cheap; sharding (this layer) is for workloads dominated by
-per-path work — path replays, per-constraint observer probes — where the
-walk itself must spread across cores. The two compose: a sharded run may
-still batch its pre-processing through a worker pool.
+Sharding is the one parallelism axis: the solver service (layer 5)
+batches independent queries through one in-process frame stack, while
+this layer spreads the walk itself — path replays, per-constraint
+observer probes — across cores or hosts.
 
 *Where* the shard workers live is pluggable
 (:mod:`repro.explore.transport`): the default

@@ -162,9 +162,9 @@ class ShardScheduler:
         setup_args: picklable arguments for ``setup``.
         shards: worker count (>= 1).
         engine: coordinator engine for the seed phase; defaults to a
-            fresh ``Engine(engine_config)``. Its query cache/service
-            wiring is used only above the frontier — workers build
-            private engines from ``engine_config``.
+            fresh ``Engine(engine_config)``. Its query cache is used
+            only above the frontier — workers build private engines
+            from ``engine_config``.
         engine_config: exploration limits for workers (defaults to the
             coordinator engine's config). Note the ``max_paths`` cap
             degrades to per-worker granularity in a sharded run; byte
@@ -368,7 +368,6 @@ class ShardScheduler:
                 order=BFS)
         seed_delta = None
         if observer is not None:
-            observer.finalize()
             seed_delta = observer.delta()
             if seed_delta is None:
                 raise SymexError(

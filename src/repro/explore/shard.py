@@ -229,7 +229,6 @@ def run_assignment(engine: Engine, setup: ShardSetup, setup_args: tuple,
                             control=control)
     delta = None
     if observer is not None:
-        observer.finalize()
         delta = observer.delta()
     return ShardOutcome(executed=result.executed, paths=result.paths,
                         stats=result.stats, solver_stats=engine.solver.stats,

@@ -189,8 +189,8 @@ class LocalTransport(Transport):
     def start(self, count: int, session: WorkerSession) -> None:
         import multiprocessing
 
-        # Same policy as the solver service: fork inherits the interned
-        # AST arena copy-on-write; spawn re-interns on unpickle.
+        # fork inherits the interned AST arena copy-on-write; spawn (the
+        # only option on some platforms) re-interns on unpickle.
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")

@@ -2,9 +2,9 @@
 
 The registry makes per-layer latency distributions and hit rates
 first-class: every solver layer (canonicalization, the canonical query
-cache, the incremental frame stack, the from-scratch fallback, the
-batch-dispatch service) feeds a histogram via the tracer's span exit,
-and run-level counters/gauges are folded in at snapshot time.
+cache, the incremental frame stack, the from-scratch fallback) feeds a
+histogram via the tracer's span exit, and run-level counters/gauges are
+folded in at snapshot time.
 
 Like tracing, metrics are off unless activated; snapshots are plain
 JSON-able dicts so worker registries ship home inside a

@@ -21,11 +21,8 @@ Public surface:
 * Enumeration: :func:`count_models` / :func:`iter_models` for bounded
   spaces (used by the evaluation benchmarks).
 * Batched dispatch: :class:`SolverService` (:mod:`repro.solver.service`)
-  answers bulk independent queries — ``check_batch`` / ``probe_batch`` /
-  ``iter_models_batch`` — on a serial in-process backend or a
-  ``multiprocessing`` worker pool, each worker owning a private cache +
-  frame stack, with results in input order and per-worker stats merged
-  deterministically.
+  answers bulk independent queries — ``check_batch`` / ``probe_batch`` —
+  in input order through one shared :class:`IncrementalSolver`.
 
 Query pipeline, outermost layer first — each layer only sees what the
 previous one could not answer: **canonicalize** (syntactic variants
@@ -72,7 +69,7 @@ from repro.solver.enumerate import count_models, iter_models
 from repro.solver.evalmodel import all_hold, evaluate, holds
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.propagate import TrailDomains, build_var_index, propagate_delta
-from repro.solver.service import SolverService, default_worker_count
+from repro.solver.service import SolverService
 from repro.solver.simplify import canonical_constraint_set, canonicalize
 from repro.solver.solver import SAT, UNSAT, SatResult, Solver, SolverStats, check, is_satisfiable
 from repro.solver.sorts import BOOL, BV8, BV16, BV32, BV64, BitVecSort, bitvec_sort
@@ -82,7 +79,7 @@ __all__ = [
     "BOOL", "BV8", "BV16", "BV32", "BV64", "BitVecSort", "CacheStats",
     "Expr", "FALSE", "IncrementalSolver", "QueryCache", "SAT", "SatResult",
     "Solver", "SolverService", "SolverStats", "TRUE", "TrailDomains",
-    "UNSAT", "all_hold", "default_worker_count",
+    "UNSAT", "all_hold",
     "all_of", "and_", "any_of", "bitvec_sort", "bool_const", "bool_var",
     "build_var_index", "bv_const", "bv_var", "bytes_to_exprs",
     "canonical_constraint_set",

@@ -176,9 +176,8 @@ class QueryCache:
         with these answers can never change what that cache's owner
         computes — it only saves the re-solve. Models are deliberately
         excluded: a model stored for a canonically-equal *variant* could
-        otherwise change which witness a remote worker reports (the same
-        reason the solver service never serves models from a canonical
-        cache). The canonical keys are frozensets of hash-consed
+        otherwise change which witness a remote worker reports. The
+        canonical keys are frozensets of hash-consed
         expressions, which re-intern on unpickle, so a snapshot crosses
         process and host boundaries intact.
         """

@@ -1,409 +1,64 @@
-"""Batched solver dispatch: the parallel layer of the query pipeline.
+"""Batched solver dispatch: one surface for bulk independent queries.
 
-The three Achilles hot loops the paper calls embarrassingly parallel
-(§3.3) — the pairwise ``differentFrom`` matrix, the per-predicate/per-field
-negation probes, and the per-path Trojan probes — all pose *independent*
-queries in bulk. :class:`SolverService` gives them one batched surface:
+Two Achilles hot loops the paper calls embarrassingly parallel (§3.3) —
+the pairwise ``differentFrom`` matrix and the per-predicate/per-field
+negation probes — pose *independent* queries in bulk. :class:`SolverService`
+gives them one batched surface:
 
 * :meth:`SolverService.probe_batch` — feasibility of ``prefix + probe_i``
   for many probes against one shared prefix (the push/pop shape);
 * :meth:`SolverService.check_batch` — full :class:`SatResult` (including a
-  model) for each of many independent constraint conjunctions;
-* :meth:`SolverService.iter_models_batch` — exhaustive model enumeration
-  over many independent bounded spaces.
+  model) for each of many independent constraint conjunctions.
 
-Each call also has a non-blocking ``submit_*`` twin returning a
-:class:`BatchFuture`: chunks go out to the pool immediately and the caller
-overlaps its own work with the in-flight solving, joining later via
-``future.result()`` (the exploration engine's async witness solves ride
-this, see :meth:`repro.symex.engine.Engine.solve_async`).
-
-Two backends answer them:
-
-* **serial** (``workers=1``, the default): everything runs in-process on
-  one shared :class:`~repro.solver.incremental.IncrementalSolver`, so
-  callers that probe the same prefix (the negate overlap checks and the
-  ``differentFrom`` matrix) ride the same propagation frames.
-* **worker pool** (``workers>1``): queries are chunked contiguously across
-  ``multiprocessing`` workers. Each worker owns a full private pipeline —
-  its own hash-consed AST arena (expressions re-intern on unpickle via
-  ``Expr.__reduce__``), :class:`~repro.solver.cache.QueryCache`,
-  :class:`~repro.solver.incremental.IncrementalSolver` frame stack and
-  :class:`~repro.solver.solver.SolverStats` — and worker state persists
-  across batches, so repeated prefixes keep hitting warm frames and warm
-  caches. Per-chunk stats are merged into :attr:`SolverService.stats` in
-  chunk-index order — a fixed fold order, so float accumulation never
-  depends on worker completion order. (The counter *values* can still
-  vary run-to-run at ``workers>1``: which worker picks up a chunk decides
-  whose warm cache it meets. Answers never vary — only the work-done
-  accounting.)
-
-Determinism contract: results are always returned in input order, and
-answers are byte-identical at any worker count. Feasibility probes may be
-answered from per-worker canonical caches (SAT/UNSAT is a pure function of
-the query, so canonical aliasing is harmless); model-producing calls are
-never answered from a canonical cache — a canonically-equal *variant* of a
-query can carry a different stored model, which would make witnesses
-depend on chunk placement.
+Both run in-process on one shared
+:class:`~repro.solver.incremental.IncrementalSolver`, so callers that probe
+the same prefix (the negate overlap checks and the ``differentFrom``
+matrix) ride the same propagation frames. Results come back in input
+order. Parallelism lives one layer up, in sharded exploration
+(:mod:`repro.explore`), which splits the path tree itself.
 
 When to batch vs. push/pop directly: the assertion stack is the right tool
 for *sequentially dependent* queries (extend-by-one branch checks, where
 each query's prefix is the previous query); the service is the right tool
-when many queries are known *up front* and independent — then chunks can
-run concurrently and the per-query dispatch overhead amortizes over the
-batch.
+when many queries are known *up front* and independent: one call answers
+the bulk, and probes posed against one prefix propagate it once.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.errors import SolverError
-from repro.obs import trace as obs_trace
 from repro.solver.ast import Expr
-from repro.solver.cache import QueryCache
-from repro.solver.enumerate import iter_models
 from repro.solver.incremental import IncrementalSolver
-from repro.solver.solver import SAT, UNSAT, SatResult, Solver, SolverStats
-
-#: One feasibility probe / model query: a tuple of boolean conjuncts.
-Query = tuple[Expr, ...]
-
-#: ``iter_models_batch`` task: (constraints, enumeration variables).
-ModelSpec = tuple[Sequence[Expr], Sequence[Expr]]
-
-
-def default_worker_count() -> int:
-    """Worker count matching the machine (never less than 1)."""
-    return max(1, os.cpu_count() or 1)
+from repro.solver.solver import SatResult, Solver
 
 
 class SolverService:
-    """Batched satisfiability dispatch over a serial or pooled backend.
+    """Batched satisfiability dispatch over one shared frame stack.
 
     Args:
-        workers: backend selector — 1 (default) answers everything
-            in-process; >1 spawns that many pool workers, each with a
-            private solver pipeline.
-        solver: serial-backend satisfiability fallback; sharing a caller's
-            solver keeps serial counters on one :class:`SolverStats`
-            (workers never see this instance — they build their own).
-
-    Attributes:
-        stats: worker-side counters, folded in chunk-index order after
-            every parallel batch (values may vary with chunk→worker
-            placement; see the module docstring). Stays zero on the
-            serial backend, whose counters land on ``solver.stats``.
+        solver: satisfiability fallback of the shared stack; sharing a
+            caller's solver keeps the service's counters on that
+            solver's :class:`~repro.solver.solver.SolverStats`.
     """
 
-    def __init__(self, workers: int = 1, solver: Solver | None = None):
-        if workers < 1:
-            raise SolverError(f"worker count must be >= 1, got {workers}")
-        self.workers = workers
-        self.stats = SolverStats()
+    def __init__(self, solver: Solver | None = None):
         self.solver = solver or Solver()
-        # The serial backend's shared assertion stack: every serial caller
-        # of this service probes through one IncrementalSolver, which is
-        # how the negate overlap checks and the differentFrom matrix end
-        # up riding the same prefix frames.
+        # Every caller of this service probes through one
+        # IncrementalSolver, which is how the negate overlap checks and the
+        # differentFrom matrix end up riding the same prefix frames.
         self.incremental = IncrementalSolver(solver=self.solver)
-        self._pool = None
-        # Bumped on every close(): a BatchFuture remembers the generation
-        # it was dispatched under and refuses to join a newer pool.
-        self._generation = 0
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; serial backend is a no-op).
-
-        The service stays usable afterwards: the next batch lazily starts
-        a fresh pool (with cold worker caches). Outstanding
-        :class:`BatchFuture` handles from before the close are invalidated
-        — their chunks died with the pool — and raise a
-        :class:`~repro.errors.SolverError` on :meth:`BatchFuture.result`.
-        """
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            # Invalidate futures dispatched to the pool that just died.
-            self._generation += 1
-
-    def __enter__(self) -> "SolverService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-
-            # fork inherits the parent's interned AST arena copy-on-write;
-            # spawn (the only option on some platforms) re-interns shipped
-            # expressions on unpickle instead — both are correct, fork is
-            # just cheaper to start.
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn")
-            self._pool = ctx.Pool(processes=self.workers,
-                                  initializer=_init_worker)
-        return self._pool
-
-    # -- batched API ---------------------------------------------------------
 
     def probe_batch(self, prefix: Sequence[Expr],
                     probes: Sequence[Sequence[Expr]]) -> list[bool]:
-        """Feasibility of ``prefix + probe`` for every probe, in order.
-
-        The prefix is shipped (and propagated) once per worker chunk; each
-        probe is a tuple of extra conjuncts pushed/popped against it.
-        Workers consult their canonical caches — sound for booleans.
-        """
+        """Feasibility of ``prefix + probe`` for every probe, in order."""
         prefix = tuple(prefix)
-        probes = [tuple(p) for p in probes]
-        if not self.parallel or len(probes) < 2:
-            return [self.incremental.check(prefix + probe).is_sat
-                    for probe in probes]
-        return self._dispatch("probe", probes, extra=prefix)
+        return [self.incremental.check(prefix + tuple(probe)).is_sat
+                for probe in probes]
 
     def check_batch(self, queries: Sequence[Sequence[Expr]]) -> list[SatResult]:
-        """Full results (with models) for independent queries, in order.
-
-        Models are computed afresh per raw query — never served from a
-        canonical cache — so the returned models are a pure function of
-        each query and identical at any worker count.
-        """
-        queries = [tuple(q) for q in queries]
-        if not self.parallel or len(queries) < 2:
-            return [self.incremental.check(query) for query in queries]
-        return self._dispatch("check", queries)
-
-    def iter_models_batch(self, specs: Sequence[ModelSpec],
-                          limit: int = 1_000_000,
-                          ) -> list[list[dict[Expr, int]]]:
-        """All models of each ``(constraints, variables)`` space, in order.
-
-        The per-space enumeration order is fixed by ``variables`` (see
-        :func:`repro.solver.enumerate.iter_models`), so concatenated
-        results are chunking-invariant.
-        """
-        specs = [(tuple(constraints), tuple(variables))
-                 for constraints, variables in specs]
-        if not self.parallel or len(specs) < 2:
-            return [list(iter_models(constraints, variables, limit))
-                    for constraints, variables in specs]
-        return self._dispatch("models", specs, extra=limit)
-
-    # -- async batched API ---------------------------------------------------
-    #
-    # submit_* are the non-blocking versions of the calls above: chunks
-    # are dispatched to the pool immediately and a BatchFuture is
-    # returned, so the caller's own work (exploration, report assembly)
-    # overlaps with the in-flight solving instead of blocking on the
-    # join. On the serial backend there is nothing to overlap with — the
-    # batch is answered eagerly and the future comes back completed, so
-    # semantics (and answers) are identical either way. Unlike the
-    # blocking calls, a parallel submit dispatches even a single-item
-    # batch: the caller asked for overlap, not amortization.
-
-    def submit_probe_batch(self, prefix: Sequence[Expr],
-                           probes: Sequence[Sequence[Expr]]) -> "BatchFuture":
-        """Non-blocking :meth:`probe_batch`; collect via ``.result()``."""
-        prefix = tuple(prefix)
-        probes = [tuple(p) for p in probes]
-        if not self.parallel or not probes:
-            return BatchFuture.completed(
-                self, [self.incremental.check(prefix + probe).is_sat
-                       for probe in probes])
-        return self._submit("probe", probes, extra=prefix)
-
-    def submit_check_batch(self,
-                           queries: Sequence[Sequence[Expr]]) -> "BatchFuture":
-        """Non-blocking :meth:`check_batch`; collect via ``.result()``."""
-        queries = [tuple(q) for q in queries]
-        if not self.parallel or not queries:
-            return BatchFuture.completed(
-                self, [self.incremental.check(query) for query in queries])
-        return self._submit("check", queries)
-
-    def submit_iter_models_batch(self, specs: Sequence[ModelSpec],
-                                 limit: int = 1_000_000) -> "BatchFuture":
-        """Non-blocking :meth:`iter_models_batch`; collect via ``.result()``."""
-        specs = [(tuple(constraints), tuple(variables))
-                 for constraints, variables in specs]
-        if not self.parallel or not specs:
-            return BatchFuture.completed(
-                self, [list(iter_models(constraints, variables, limit))
-                       for constraints, variables in specs])
-        return self._submit("models", specs, extra=limit)
-
-    # -- pool dispatch -------------------------------------------------------
-
-    def _submit(self, kind: str, items: list, extra=None) -> "BatchFuture":
-        tracer = obs_trace.active
-        if tracer is not None:
-            tracer.event("solver.service.submit", kind=kind,
-                         items=len(items))
-        pool = self._ensure_pool()
-        chunks = _chunk(items, self.workers)
-        handles = [pool.apply_async(_run_chunk, (kind, chunk, extra))
-                   for chunk in chunks]
-        return BatchFuture(self, handles=handles)
-
-    def _dispatch(self, kind: str, items: list, extra=None) -> list:
-        return self._submit(kind, items, extra).result()
+        """Full results (with models) for independent queries, in order."""
+        return [self.incremental.check(tuple(query)) for query in queries]
 
 
-class BatchFuture:
-    """Handle for one in-flight (or already answered) batch.
-
-    ``result()`` gathers the per-chunk answers in chunk-index order and —
-    exactly once — folds the per-chunk :class:`SolverStats` into
-    :attr:`SolverService.stats` in that same fixed order, so the stats
-    aggregate is identical whether a batch was collected eagerly or long
-    after later batches were submitted. Joining a future whose pool has
-    been closed raises :class:`~repro.errors.SolverError`.
-    """
-
-    __slots__ = ("_service", "_handles", "_generation", "_results")
-
-    _PENDING = object()
-
-    def __init__(self, service: SolverService, handles: list | None = None):
-        self._service = service
-        self._handles = handles or []
-        self._generation = service._generation
-        self._results: object = self._PENDING
-
-    @classmethod
-    def completed(cls, service: SolverService, results: list) -> "BatchFuture":
-        """An already-answered future (the serial backend's shape)."""
-        future = cls(service)
-        future._results = results
-        return future
-
-    @property
-    def done(self) -> bool:
-        """True when :meth:`result` will not block."""
-        return (self._results is not self._PENDING
-                or all(handle.ready() for handle in self._handles))
-
-    def result(self) -> list:
-        """Answers in input order (blocking until the chunks finish)."""
-        if self._results is not self._PENDING:
-            return self._results
-        if self._generation != self._service._generation:
-            raise SolverError(
-                "batch future is stale: the service was closed after this "
-                "batch was submitted; re-submit it on the fresh pool")
-        tracer = obs_trace.active
-        if tracer is None:
-            return self._collect()
-        with tracer.span("solver.service.batch", chunks=len(self._handles)):
-            return self._collect()
-
-    def _collect(self) -> list:
-        results: list = []
-        deltas: list[SolverStats] = []
-        for handle in self._handles:
-            chunk_results, chunk_stats = handle.get()
-            results.extend(chunk_results)
-            deltas.append(chunk_stats)
-        # Merge in chunk-index order: float accumulation (propagation
-        # seconds) must not depend on worker completion order.
-        for delta in deltas:
-            self._service.stats += delta
-        self._handles = []
-        self._results = results
-        return results
-
-
-def _chunk(items: list, parts: int) -> list[list]:
-    """Split into at most ``parts`` contiguous, near-equal chunks."""
-    count = min(parts, len(items))
-    base, extra = divmod(len(items), count)
-    chunks = []
-    start = 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        chunks.append(items[start:start + size])
-        start += size
-    return chunks
-
-
-# -- worker side ---------------------------------------------------------------
-#
-# Each pool process builds one _WorkerState at initialization and keeps it
-# for its lifetime: the assertion stack and canonical cache stay warm
-# across batches, which is what makes repeated prefixes (the same i-row of
-# the differentFrom matrix split over several batches, replayed path
-# prefixes) cheap on the second encounter.
-
-class _WorkerState:
-    """One worker's private solver pipeline."""
-
-    def __init__(self):
-        self.solver = Solver()
-        self.incremental = IncrementalSolver(solver=self.solver)
-        self.cache = QueryCache()
-
-
-_STATE: _WorkerState | None = None
-
-
-def _init_worker() -> None:
-    global _STATE
-    _STATE = _WorkerState()
-
-
-def _run_chunk(kind: str, items: list, extra) -> tuple[list, SolverStats]:
-    """Answer one chunk; returns (results, this chunk's stats delta)."""
-    state = _STATE if _STATE is not None else _WorkerState()
-    # Fresh counters per chunk: the parent merges exactly this chunk's
-    # work, in chunk order, regardless of which worker ran it.
-    state.solver.stats = SolverStats()
-    if kind == "probe":
-        prefix = extra
-        results: list = [_probe_feasible(state, prefix + probe)
-                         for probe in items]
-    elif kind == "check":
-        results = [state.incremental.check(query) for query in items]
-    elif kind == "models":
-        results = [list(iter_models(constraints, variables, extra))
-                   for constraints, variables in items]
-    else:  # pragma: no cover - internal protocol
-        raise SolverError(f"unknown batch kind {kind!r}")
-    return results, state.solver.stats
-
-
-def _probe_feasible(state: _WorkerState, query: Query) -> bool:
-    """Worker-cached feasibility (mirrors Engine.is_feasible bookkeeping)."""
-    key = state.cache.key(query)
-    cached = state.cache.get_feasible(key)
-    if cached is not None:
-        state.solver.stats.cache_hits += 1
-        return cached
-    state.solver.stats.cache_misses += 1
-    if state.cache.is_trivially_unsat(key):
-        feasible = False
-    else:
-        feasible = state.incremental.check(query).is_sat
-    state.cache.put_feasible(key, feasible)
-    return feasible
-
-
-__all__ = ["SolverService", "BatchFuture", "default_worker_count", "SAT",
-           "UNSAT", "SatResult"]
+__all__ = ["SolverService"]

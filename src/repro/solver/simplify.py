@@ -101,7 +101,7 @@ def _arg_key(expr: Expr) -> tuple:
     propagation rules match against is preserved. Remaining ties are
     broken by a *structural* fingerprint — never by interning order or
     memory address — so the canonical form of a formula is identical in
-    every process. The parallel solver service relies on this: a worker
+    every process. Sharded exploration relies on this: a shard worker
     that re-interns a shipped query must canonicalize (and therefore
     search) it exactly like the coordinating process, or model-producing
     answers would depend on which worker ran them.

@@ -120,12 +120,12 @@ class SolverStats:
 
     # -- aggregation ---------------------------------------------------------
     #
-    # The parallel solver service runs one SolverStats per worker chunk and
-    # folds them into a single aggregate on join; every counter is a plain
-    # sum, so merging is associative and (for the integer fields) order-
+    # Sharded exploration runs one SolverStats per shard assignment and
+    # folds them into a single aggregate; every counter is a plain sum, so
+    # merging is associative and (for the integer fields) order-
     # independent. ``propagation_seconds`` is a float accumulator — callers
     # that need bit-identical aggregates must merge in a fixed order, which
-    # is what the service's chunk-index-ordered join does.
+    # is what the scheduler's canonical merge does.
 
     def merge(self, other: "SolverStats") -> "SolverStats":
         """Fold ``other``'s counters into this instance (returns self)."""
@@ -143,14 +143,6 @@ class SolverStats:
         for field_name in _STATS_FIELDS:
             setattr(clone, field_name, getattr(self, field_name))
         return clone
-
-    def delta_since(self, snapshot: "SolverStats") -> "SolverStats":
-        """Counters accumulated since ``snapshot`` (taken via :meth:`copy`)."""
-        diff = SolverStats()
-        for field_name in _STATS_FIELDS:
-            setattr(diff, field_name,
-                    getattr(self, field_name) - getattr(snapshot, field_name))
-        return diff
 
     @property
     def cache_hit_rate(self) -> float:

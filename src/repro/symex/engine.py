@@ -30,6 +30,10 @@ cache → incremental frame stack → propagation → full search:
   one whole. Only booleans leave the probe stacks; models always come
   from the main stack.
 
+Every query is answered in-process, in the order it is posed. To spread
+a search over cores or hosts, shard the path tree (:mod:`repro.explore`):
+each shard runs a private engine.
+
 The engine is deliberately policy-free. Accept/reject classification
 defaults follow the paper (§5.1): a server path that sent a reply is
 *accepting*, a path that fell back to waiting for input is *rejecting* —
@@ -202,8 +206,7 @@ class Engine:
 
     def __init__(self, config: EngineConfig | None = None,
                  solver: Solver | None = None,
-                 query_cache: QueryCache | None = None,
-                 service=None):
+                 query_cache: QueryCache | None = None):
         self.config = config or EngineConfig()
         self.solver = solver or Solver()
         # Explicit None check: an empty QueryCache is falsy (len() == 0),
@@ -217,16 +220,7 @@ class Engine:
         # use and kept for the engine's lifetime (one search, or one shard
         # worker session); they share the engine's solver like the main one.
         self._probe_stacks: dict[tuple[Expr, ...], IncrementalSolver] = {}
-        # Optional batched dispatch (repro.solver.service.SolverService):
-        # probe_feasible_batch ships cache-missed probe bundles to its
-        # worker pool. Only consulted when the service is parallel — the
-        # serial path stays on this engine's own incremental stack.
-        self.service = service
         self._stats: ExplorationStats | None = None
-        # In-flight async model queries keyed canonically (solve_async):
-        # a second query for a key already on the pool attaches to the
-        # first instead of dispatching again.
-        self._inflight_models: dict = {}
 
     # -- services used by ExecutionContext ------------------------------------
 
@@ -320,49 +314,9 @@ class Engine:
         frame stack (see :meth:`_check_probe`), built on first use: the
         Trojan search poses the same probes against a prefix that grows
         one constraint at a time, so each stack pays one push per call
-        instead of re-pushing the whole probe. With a parallel service
-        attached, the cache misses of one call are dispatched as a single
-        probe batch across the worker pool instead. Answers (and the
-        cache entries they leave behind) are identical either way — only
-        the wall clock changes.
+        instead of re-pushing the whole probe.
         """
-        if (self.service is None or not self.service.parallel
-                or len(probes) < 2):
-            return [self._feasible(prefix, probe) for probe in probes]
-        cache = self.query_cache
-        results: list[bool | None] = [None] * len(probes)
-        miss_indices: list[int] = []
-        miss_keys = []
-        for idx, probe in enumerate(probes):
-            key = cache.key(prefix + probe)
-            cached = cache.get_feasible(key)
-            if cached is not None:
-                self._note_cache_hit(key)
-                results[idx] = cached
-                continue
-            self.solver.stats.cache_misses += 1
-            if cache.is_trivially_unsat(key):
-                cache.put_feasible(key, False)
-                results[idx] = False
-            else:
-                miss_indices.append(idx)
-                miss_keys.append(key)
-        if len(miss_indices) == 1:
-            # A lone miss gains nothing from the pool; answer it on this
-            # engine's own stack so its counters stay on the SolverStats
-            # the reports read (the service's serial fallback would book
-            # it on a solver nobody aggregates).
-            idx, key = miss_indices[0], miss_keys[0]
-            feasible = self._check_probe(prefix, probes[idx])
-            cache.put_feasible(key, feasible)
-            results[idx] = feasible
-        elif miss_indices:
-            answers = self.service.probe_batch(
-                prefix, [probes[i] for i in miss_indices])
-            for idx, key, feasible in zip(miss_indices, miss_keys, answers):
-                cache.put_feasible(key, feasible)
-                results[idx] = feasible
-        return results
+        return [self._feasible(prefix, probe) for probe in probes]
 
     def branch_feasibility(self, pc: tuple[Expr, ...],
                            condition: Expr) -> tuple[bool, bool]:
@@ -398,103 +352,6 @@ class Engine:
             model = dict(result.model) if result.is_sat else None
         cache.put_model(key, model)
         return dict(model) if model is not None else None
-
-    def solve_batch(self, queries: list[tuple[Expr, ...]],
-                    ) -> list[dict[Expr, int] | None]:
-        """Models for many independent queries, in order.
-
-        Mirrors :meth:`solve` query by query — including the canonical
-        model cache, so two canonically-equal queries in one batch share
-        one model exactly as they would when posed serially (the first
-        becomes the *leader*, later ones complete its model with default
-        zeros). With a parallel service only the leaders are dispatched;
-        the answers (and witnesses built from them) are therefore
-        identical at any worker count.
-
-        Dispatch additionally requires this engine's incremental layer to
-        be enabled: pool workers answer through their own
-        ``IncrementalSolver``, and a model computed there is only
-        guaranteed to match the serial answer when the serial path solves
-        the same way (the ``incremental=False`` ablation uses the plain
-        backtracking search, whose models can legitimately differ).
-        """
-        if (self.service is None or not self.service.parallel
-                or self.incremental is None or len(queries) < 2):
-            return [self.solve(query) for query in queries]
-        cache = self.query_cache
-        results: list[dict[Expr, int] | None] = [None] * len(queries)
-        leader_for_key: dict = {}
-        followers: list[tuple[int, object]] = []
-        misses: list[tuple[int, object, tuple[Expr, ...]]] = []
-        for idx, query in enumerate(queries):
-            key = cache.key(query)
-            hit, model = cache.get_model(key)
-            if hit:
-                self._note_cache_hit(key)
-                results[idx] = self._complete_model(model, query)
-                continue
-            self.solver.stats.cache_misses += 1
-            if cache.is_trivially_unsat(key):
-                cache.put_model(key, None)
-            elif key in leader_for_key:
-                followers.append((idx, key))
-            else:
-                leader_for_key[key] = idx
-                misses.append((idx, key, query))
-        if misses:
-            answers = self.service.check_batch([q for _, _, q in misses])
-            for (idx, key, _query), answer in zip(misses, answers):
-                model = dict(answer.model) if answer.is_sat else None
-                cache.put_model(key, model)
-                results[idx] = dict(model) if model is not None else None
-        for idx, key in followers:
-            results[idx] = self._complete_model(cache.peek_model(key),
-                                                queries[idx])
-        return results
-
-    def solve_async(self, constraints: tuple[Expr, ...]) -> "DeferredModel":
-        """Like :meth:`solve`, but may overlap with further exploration.
-
-        With a parallel service (and the incremental layer on), a cache
-        miss is submitted to the worker pool and a :class:`DeferredModel`
-        handle is returned immediately — the caller keeps exploring while
-        the pool solves, and collects the model later via
-        :meth:`DeferredModel.result`. Everything else (serial service, no
-        service, cache hits, trivially-unsat queries) resolves eagerly, so
-        behaviour and answers are exactly :meth:`solve`'s.
-
-        Canonically-equal queries share one in-flight computation: a
-        second ``solve_async`` for a key already in flight attaches as a
-        follower and completes the leader's model with its own defaulted
-        variables — the same leader/follower semantics as
-        :meth:`solve_batch`, which is what keeps witnesses byte-identical
-        to the serial run at any worker count.
-        """
-        if (self.service is None or not self.service.parallel
-                or self.incremental is None):
-            # No pool to overlap with: answer now (the registry below is
-            # only ever populated on the parallel path).
-            return DeferredModel(engine=self, query=constraints,
-                                 value=self.solve(constraints))
-        cache = self.query_cache
-        key = cache.key(constraints)
-        hit, model = cache.get_model(key)
-        if hit:
-            self._note_cache_hit(key)
-            return DeferredModel(engine=self, query=constraints,
-                                 value=self._complete_model(model, constraints))
-        self.solver.stats.cache_misses += 1
-        if cache.is_trivially_unsat(key):
-            cache.put_model(key, None)
-            return DeferredModel(engine=self, query=constraints, value=None)
-        leader = self._inflight_models.get(key)
-        if leader is not None:
-            return DeferredModel(engine=self, query=constraints, leader=leader)
-        future = self.service.submit_check_batch([constraints])
-        deferred = DeferredModel(engine=self, query=constraints,
-                                 key=key, future=future)
-        self._inflight_models[key] = deferred
-        return deferred
 
     @staticmethod
     def _complete_model(model: dict[Expr, int] | None,
@@ -609,67 +466,3 @@ class Engine:
             return st.LIMIT
         return state.verdict or self.config.default_verdict(state)
 
-
-_UNSET = object()
-
-
-class DeferredModel:
-    """Handle for a model query that may still be in flight on the pool.
-
-    Produced by :meth:`Engine.solve_async`. Three shapes exist:
-
-    * *resolved* — the model was available at submit time (cache hit,
-      serial backend, trivially unsat); :meth:`result` never blocks.
-    * *leader* — the query was dispatched to the worker pool; the first
-      :meth:`result` call joins the pool future, stores the model in the
-      engine's canonical cache and unregisters the in-flight key.
-    * *follower* — a canonically-equal query was already in flight; the
-      model is completed from the leader's answer with this query's
-      missing variables defaulted to 0, mirroring the serial cache-hit
-      path.
-    """
-
-    __slots__ = ("_engine", "_query", "_key", "_future", "_leader",
-                 "_value", "_raw")
-
-    def __init__(self, engine: Engine, query: tuple[Expr, ...], *,
-                 value=_UNSET, key=None, future=None, leader=None):
-        self._engine = engine
-        self._query = query
-        self._key = key
-        self._future = future
-        self._leader = leader
-        self._value = value
-        self._raw = None
-
-    @property
-    def done(self) -> bool:
-        """True when :meth:`result` will not block."""
-        if self._value is not _UNSET:
-            return True
-        if self._leader is not None:
-            return self._leader.done
-        return self._future.done
-
-    def result(self) -> dict[Expr, int] | None:
-        """The model (a fresh dict per call), or None for unsat."""
-        if self._value is _UNSET:
-            if self._leader is not None:
-                self._value = self._engine._complete_model(
-                    self._leader._raw_model(), self._query)
-            else:
-                self._resolve_leader()
-        return dict(self._value) if self._value is not None else None
-
-    def _resolve_leader(self) -> None:
-        answer = self._future.result()[0]
-        self._raw = dict(answer.model) if answer.is_sat else None
-        self._engine.query_cache.put_model(self._key, self._raw)
-        self._engine._inflight_models.pop(self._key, None)
-        self._value = dict(self._raw) if self._raw is not None else None
-
-    def _raw_model(self) -> dict[Expr, int] | None:
-        """The leader's uncompleted model, resolving the future if needed."""
-        if self._value is _UNSET:
-            self._resolve_leader()
-        return self._raw

@@ -105,15 +105,11 @@ class PathObserver:
     # -- sharded exploration protocol ---------------------------------------
     #
     # Observers that support decision-prefix sharding additionally
-    # implement the delta triple below: finalize() settles any deferred
-    # work after an exploration, delta() snapshots this instance's
+    # implement the pair below: delta() snapshots this instance's
     # findings as a picklable ObserverDelta, and restore() rebuilds the
     # instance from a canonical merge of shard deltas. The base class
     # opts out (delta() -> None), which the scheduler rejects when an
     # observer is attached.
-
-    def finalize(self) -> None:
-        """Settle deferred work (e.g. in-flight async solves); idempotent."""
 
     def delta(self) -> ObserverDelta | None:
         """Picklable snapshot of findings, or None when not delta-capable."""

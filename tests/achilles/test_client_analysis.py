@@ -11,6 +11,8 @@ from repro.errors import AchillesError
 from repro.messages.layout import Field, MessageLayout
 from repro.messages.symbolic import MessageBuilder, message_vars
 from repro.solver import ast
+from repro.solver.service import SolverService
+from repro.solver.solver import Solver
 
 LAYOUT = MessageLayout("t", [Field("kind", 1), Field("v", 1)])
 MSG = message_vars(LAYOUT, "m")
@@ -113,3 +115,33 @@ class TestPreprocess:
         prepared = preprocess(predicates, LAYOUT, MSG, stats=stats)
         assert prepared.stats.extraction_seconds > 0
         assert prepared.stats.preprocess_seconds > 0
+
+    def test_negations_and_matrix_share_one_service(self):
+        """Both pre-processing families probe through the one service
+        they are given: the negate overlap checks against a predicate's
+        prefix, the ``differentFrom`` entries as bare probes."""
+        class Recording(SolverService):
+            def __init__(self):
+                super().__init__()
+                self.prefixes = []
+
+            def probe_batch(self, prefix, probes):
+                self.prefixes.append(tuple(prefix))
+                return super().probe_batch(prefix, probes)
+
+        predicates, _ = extract_client_predicates(
+            {"a": _client_sending(1, bound=10),
+             "b": _client_sending(2, bound=20)}, LAYOUT)
+        service = Recording()
+        prepared = preprocess(predicates, LAYOUT, MSG, service=service)
+        assert prepared.different_from.stats.pairs_checked > 0
+        assert () in service.prefixes
+        assert any(service.prefixes)
+
+    def test_default_service_counts_on_the_given_solver(self):
+        predicates, _ = extract_client_predicates(
+            {"a": _client_sending(1, bound=10),
+             "b": _client_sending(2, bound=20)}, LAYOUT)
+        solver = Solver()
+        preprocess(predicates, LAYOUT, MSG, solver=solver)
+        assert solver.stats.frames_pushed > 0

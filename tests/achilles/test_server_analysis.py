@@ -1,6 +1,8 @@
 """Unit tests for the incremental Trojan search on small synthetic servers,
 plus replay parity of the observer's prefix trie on every workload."""
 
+import hashlib
+
 import pytest
 
 from repro.achilles import Achilles, AchillesConfig, server_analysis
@@ -107,6 +109,46 @@ class TestAPosteriori:
         posterior = a_posteriori_search(_exact_server, clients, MSG)
         assert posterior.trojan_count == 0
         assert posterior.server_paths_pruned == 0
+
+
+def _findings_digest(report) -> str:
+    """Digest of the ordered witnesses and their decision vectors."""
+    sha = hashlib.sha256()
+    for finding in report.findings:
+        sha.update(bytes(finding.decisions))
+        sha.update(b"|")
+        sha.update(finding.witness)
+        sha.update(b"\n")
+    return sha.hexdigest()[:16]
+
+
+class TestAPosterioriOnFsp:
+    """The §6.4 baseline on FSP finds exactly what the incremental search
+    finds: every seeded class, no false positive, same witnesses."""
+
+    FSP_DIGEST = "b1f938e2aa98f70f"
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK)
+        with Achilles(config) as achilles:
+            predicates = achilles.extract_clients(fsp.literal_clients())
+            incremental = achilles.search(fsp.fsp_server, predicates)
+            posterior = a_posteriori_search(fsp.fsp_server, predicates,
+                                            achilles.server_msg)
+        return incremental, posterior
+
+    def test_scores_exactly_against_ground_truth(self, runs):
+        _, posterior = runs
+        score = fsp.GroundTruth.score(posterior.witnesses())
+        assert posterior.trojan_count == 80
+        assert score.false_positives == 0
+        assert len(score.classes_found) == len(fsp.all_trojan_classes()) == 80
+
+    def test_same_findings_as_incremental_search(self, runs):
+        incremental, posterior = runs
+        assert _findings_digest(incremental) == self.FSP_DIGEST
+        assert _findings_digest(posterior) == self.FSP_DIGEST
 
 
 class TestOptimizationFlagEquivalence:

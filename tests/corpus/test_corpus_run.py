@@ -73,7 +73,8 @@ class TestCorpusRun:
         sharded = _scored_accuracy_run(
             variant.layout, variant.destination, variant.clients,
             variant.server, bound_ground_truth(variant),
-            len(variant.classes), 1, 2, None, None)
+            len(variant.classes), shards=2, search_order=None,
+            max_paths=None)
         serial_findings = [
             (f.server_path_id, f.decisions, f.witness, f.labels)
             for f in result.outcome.report.findings]

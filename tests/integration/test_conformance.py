@@ -2,7 +2,7 @@
 
 The pipeline's fast paths — canonicalization, the shared
 :class:`QueryCache`, the :class:`IncrementalSolver` frame stack, and
-:class:`SolverService` dispatch (serial and pooled) — are each pinned
+:class:`SolverService` dispatch — are each pinned
 against from-scratch :meth:`Solver.check` pairwise elsewhere. This suite
 is the N-way version: hypothesis generates random small protocol layouts
 plus constraint sets over their fields, and every layer must return the
@@ -19,10 +19,10 @@ same answer (and a genuinely satisfying model) for
 * an engine fronted by an *absorbed* cache snapshot
   (``QueryCache.snapshot()`` → ``absorb()``), which must answer every
   prefix depth identically — and entirely from cache hits,
-* ``SolverService.check_batch`` / ``probe_batch`` /
-  ``iter_models_batch`` on the serial backend and on a worker pool,
-* the async ``submit_*`` twins of each batch surface, which must agree
-  with their blocking counterparts element for element.
+* ``SolverService.check_batch`` / ``probe_batch``, whose one shared
+  frame stack must give the same answers in any query order and with
+  the two surfaces interleaved, and whose probes must agree with the
+  engine's per-probe stacks (``Engine.probe_feasible_batch``).
 
 The hypothesis profile is derandomized (fixed seed) with the deadline
 disabled, so the suite is reproducible on 1-core CI runners; CI runs it
@@ -248,29 +248,44 @@ def test_serial_service_agrees_with_scratch(workload):
     reference = _reference_answers(constraints)
     prefixes = [tuple(constraints[:depth + 1])
                 for depth in range(len(constraints))]
-    with SolverService(workers=1) as service:
-        results = service.check_batch(prefixes)
-        assert [r.is_sat for r in results] == \
-            [r.is_sat for r in reference]
-        for prefix, result in zip(prefixes, results):
-            if result.is_sat:
-                assert all_hold(prefix, dict(result.model))
-        # The push/pop probe surface must agree too, including on the
-        # negated final conjunct.
-        probes = [(constraints[-1],), (ast.not_(constraints[-1]),)]
-        probed = service.probe_batch(tuple(constraints[:-1]), probes)
-        assert probed[0] == reference[-1].is_sat
-        assert probed[1] == Solver().is_satisfiable(
-            list(constraints[:-1]) + [ast.not_(constraints[-1])])
+    service = SolverService()
+    results = service.check_batch(prefixes)
+    assert [r.is_sat for r in results] == [r.is_sat for r in reference]
+    for prefix, result in zip(prefixes, results):
+        if result.is_sat:
+            assert all_hold(prefix, dict(result.model))
+    # The push/pop probe surface must agree too, including on the negated
+    # final conjunct.
+    probes = [(constraints[-1],), (ast.not_(constraints[-1]),)]
+    probed = service.probe_batch(tuple(constraints[:-1]), probes)
+    assert probed[0] == reference[-1].is_sat
+    assert probed[1] == Solver().is_satisfiable(
+        list(constraints[:-1]) + [ast.not_(constraints[-1])])
+
+
+@CONFORMANCE
+@given(workload=workloads())
+def test_service_answers_are_order_independent(workload):
+    """The service's stack carries state from query to query; posing the
+    same prefixes deepest-first must not change a single answer."""
+    _, constraints = workload
+    reference = _reference_answers(constraints)
+    prefixes = [tuple(constraints[:depth + 1])
+                for depth in range(len(constraints))]
+    service = SolverService()
+    forward = service.check_batch(prefixes)
+    backward = service.check_batch(list(reversed(prefixes)))
+    assert [r.is_sat for r in forward] == [r.is_sat for r in reference]
+    assert [r.is_sat for r in reversed(backward)] == \
+        [r.is_sat for r in reference]
+    for prefix, result in zip(reversed(prefixes), backward):
+        if result.is_sat:
+            assert all_hold(prefix, dict(result.model))
 
 
 def _battery():
-    """A deterministic battery of workloads for the pooled backend.
-
-    Pool startup is too expensive to pay per hypothesis example, so the
-    worker-pool leg of the oracle runs once over a fixed sweep built
-    from the same constraint grammar.
-    """
+    """A deterministic battery of workloads, built from the same
+    constraint grammar as the hypothesis examples."""
     layout = MessageLayout("conf", [Field("f0", 1), Field("f1", 2)])
     wire = message_vars(layout, "conf_msg")
     queries = []
@@ -286,117 +301,65 @@ def _battery():
     return queries
 
 
-def test_worker_pool_agrees_with_scratch():
-    queries = _battery()
-    reference = [Solver().check(query) for query in queries]
-    with SolverService(workers=2) as service:
-        results = service.check_batch(queries)
-    assert [r.is_sat for r in results] == [r.is_sat for r in reference]
-    for query, result in zip(queries, results):
-        if result.is_sat:
-            assert all_hold(query, dict(result.model))
+def test_interleaved_service_batches_agree_with_scratch():
+    """Probe and check batches alternate on one service, as the negate
+    overlap checks and the ``differentFrom`` matrix do in
+    pre-processing; neither may disturb the other's answers."""
+    service = SolverService()
+    for query in _battery():
+        anchor, conjunct = query
+        probed = service.probe_batch((anchor,), [(conjunct,),
+                                                 (ast.not_(conjunct),)])
+        assert probed == [
+            Solver().is_satisfiable([anchor, conjunct]),
+            Solver().is_satisfiable([anchor, ast.not_(conjunct)])], query
+        checked, = service.check_batch([query])
+        assert checked.is_sat == probed[0], query
+        if checked.is_sat:
+            assert all_hold(query, dict(checked.model))
 
 
-def _model_battery():
-    """Fixed ``(constraints, variables)`` enumeration spaces.
-
-    Kept deliberately narrow (single-byte fields, tight bounds) so model
-    counts stay small; one unsat space pins the empty-list answer.
-    """
-    layout = MessageLayout("conf", [Field("f0", 1), Field("f1", 1)])
-    wire = message_vars(layout, "conf_msg")
-    f0 = field_expr(wire, layout.view("f0"))
-    f1 = field_expr(wire, layout.view("f1"))
-    specs = []
-    for bound in (1, 3, 6):
-        specs.append(((ast.ult(f0, bv_const(bound, 8)),), (f0,)))
-        specs.append(((ast.ult(f0, bv_const(bound, 8)),
-                       ast.eq(f1, bv_const(7, 8))), (f0, f1)))
-    specs.append(((ast.eq(f0, bv_const(9, 8)),
-                   ast.ult(f0, bv_const(2, 8))), (f0,)))  # unsat: no models
-    return specs
-
-
-def test_iter_models_batch_agrees_with_direct_enumeration():
-    """The batched enumeration surface folds into the N-way oracle: the
-    serial service and a worker pool must both reproduce the direct
-    ``iter_models`` answer, order included (chunking-invariance)."""
-    from repro.solver.enumerate import iter_models
-
-    specs = _model_battery()
-    reference = [list(iter_models(constraints, variables))
-                 for constraints, variables in specs]
-    assert any(reference) and [] in reference  # sat and unsat both present
-    with SolverService(workers=1) as serial:
-        assert serial.iter_models_batch(specs) == reference
-    with SolverService(workers=2) as pooled:
-        assert pooled.iter_models_batch(specs) == reference
-
-
-def test_async_submissions_agree_with_blocking_calls():
-    """submit_check/probe/iter_models must return exactly what their
-    blocking twins return — on the pooled backend, where the answers
-    genuinely travel through worker processes."""
-    queries = _battery()
-    prefix = queries[0][:1]
-    probes = [query[1:] for query in queries]
-    model_specs = _model_battery()
-    with SolverService(workers=2) as service:
-        blocking_checks = service.check_batch(queries)
-        blocking_probes = service.probe_batch(prefix, probes)
-        blocking_models = service.iter_models_batch(model_specs)
-        # Submit all three before collecting any: results must land by
-        # submission identity, not completion order.
-        check_future = service.submit_check_batch(queries)
-        probe_future = service.submit_probe_batch(prefix, probes)
-        models_future = service.submit_iter_models_batch(model_specs)
-        async_checks = check_future.result()
-        assert probe_future.result() == blocking_probes
-        assert models_future.result() == blocking_models
-    assert [r.is_sat for r in async_checks] == \
-        [r.is_sat for r in blocking_checks]
-    assert [r.model for r in async_checks] == \
-        [r.model for r in blocking_checks]
-
-
-def test_async_submissions_serial_fallback_agrees():
-    """The serial service completes submissions eagerly; the contract
-    (same answers as blocking) must hold there too."""
-    queries = _battery()[:6]
-    model_specs = _model_battery()
-    with SolverService(workers=1) as service:
-        assert [r.is_sat for r in service.submit_check_batch(queries).result()] \
-            == [r.is_sat for r in service.check_batch(queries)]
-        assert service.submit_iter_models_batch(model_specs).result() \
-            == service.iter_models_batch(model_specs)
+def test_engine_probe_stacks_agree_with_service():
+    """The two batched probe surfaces — the engine's per-probe stacks and
+    the service's single shared stack — answer one battery alike."""
+    by_anchor: dict = {}
+    for anchor, conjunct in _battery():
+        by_anchor.setdefault(anchor, []).append((conjunct,))
+    assert len(by_anchor) == 2
+    engine = Engine(query_cache=QueryCache())
+    service = SolverService()
+    for anchor, probes in by_anchor.items():
+        expected = [Solver().is_satisfiable([anchor, *probe])
+                    for probe in probes]
+        assert True in expected and False in expected
+        assert service.probe_batch((anchor,), probes) == expected
+        assert engine.probe_feasible_batch((anchor,), probes) == expected
 
 
 def test_all_layers_one_oracle():
     """The N-way cross-check on one battery: every layer, same answers.
 
     This is the suite's summary property — scratch, incremental (at
-    every depth), cache-fronted engine, and the serial service answer
-    one fixed battery identically. (The pooled leg is pinned against
-    the same scratch reference above.)
+    every depth), cache-fronted engine, and the service answer one
+    fixed battery identically.
     """
     queries = _battery()
-    with SolverService(workers=1) as service:
-        batched = service.check_batch(queries)
-        for query, from_service in zip(queries, batched):
-            scratch = Solver().check(query)
-            incremental = IncrementalSolver()
-            prefix_answers = []
-            for conjunct in query:
-                incremental.push(conjunct)
-                prefix_answers.append(incremental.check_current().is_sat)
-            engine = Engine(query_cache=QueryCache())
-            answers = {
-                "scratch": scratch.is_sat,
-                "incremental": prefix_answers[-1],
-                "engine+cache": engine.is_feasible(tuple(query)),
-                "service": from_service.is_sat,
-            }
-            assert len(set(answers.values())) == 1, answers
-            # Prefix monotonicity: once UNSAT, deeper stays UNSAT.
-            for shallow, deep in zip(prefix_answers, prefix_answers[1:]):
-                assert shallow or not deep
+    batched = SolverService().check_batch(queries)
+    for query, from_service in zip(queries, batched):
+        scratch = Solver().check(query)
+        incremental = IncrementalSolver()
+        prefix_answers = []
+        for conjunct in query:
+            incremental.push(conjunct)
+            prefix_answers.append(incremental.check_current().is_sat)
+        engine = Engine(query_cache=QueryCache())
+        answers = {
+            "scratch": scratch.is_sat,
+            "incremental": prefix_answers[-1],
+            "engine+cache": engine.is_feasible(tuple(query)),
+            "service": from_service.is_sat,
+        }
+        assert len(set(answers.values())) == 1, answers
+        # Prefix monotonicity: once UNSAT, deeper stays UNSAT.
+        for shallow, deep in zip(prefix_answers, prefix_answers[1:]):
+            assert shallow or not deep

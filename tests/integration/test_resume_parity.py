@@ -110,7 +110,7 @@ def _search(system, run_dir, *, resume=False, hook=None, hosts=None):
         report, _ = search_server(
             spec["server"], predicates, achilles.server_msg,
             config.server_engine, config.optimizations, config.msg_name,
-            query_cache=achilles.query_cache, service=achilles.service,
+            query_cache=achilles.query_cache,
             shards=config.shards, transport=config.transport,
             hosts=config.hosts,
             run_dir=None if run_dir is None else str(run_dir),

@@ -1,12 +1,13 @@
 """Shard-parity: exploration shard count must never change what Achilles finds.
 
-Mirror of ``test_parallel_parity.py`` for the sharded exploration layer:
-the FSP, PBFT, Raft and two-phase-commit end-to-end analyses must
+The FSP, PBFT, Raft and two-phase-commit end-to-end analyses must
 produce *identical* findings (same order, same path ids, same witnesses,
 same live-predicate sets) at shards = 1, 2 and 4 — shards=1 being the
 plain in-process walk, so this also pins the sharded pipeline against
 the classic serial engine. The canonical ordering is the same pinned
-prefix order for every system.
+prefix order for every system. The sharded walk must also compose with
+the from-scratch solver (``EngineConfig(incremental=False)``): the frame
+stacks are a pure optimization, in every shard.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 
 from repro.achilles import Achilles, AchillesConfig
 from repro.bench.experiments import FSP_SESSION_MASK
+from repro.symex.engine import EngineConfig
 from repro.systems import broadcast, fsp, raft, tpc
 from repro.systems.pbft import REQUEST_LAYOUT, pbft_client, pbft_replica
 
@@ -30,47 +32,52 @@ def _finding_signature(report):
     ]
 
 
-def _run_fsp(shards: int, workers: int = 1):
+def _run_fsp(shards: int, incremental: bool = True):
     commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
+    server_engine = EngineConfig(incremental=incremental)
     config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-                            workers=workers, shards=shards)
+                            shards=shards, server_engine=server_engine)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(fsp.literal_clients(commands))
         report = achilles.search(fsp.fsp_server, predicates)
     return report
 
 
-def _run_pbft(shards: int):
+def _run_pbft(shards: int, incremental: bool = True):
+    server_engine = EngineConfig(incremental=incremental)
     config = AchillesConfig(layout=REQUEST_LAYOUT, destination="replica0",
-                            shards=shards)
+                            shards=shards, server_engine=server_engine)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients({"pbft-client": pbft_client})
         report = achilles.search(pbft_replica, predicates)
     return report
 
 
-def _run_raft(shards: int, workers: int = 1):
+def _run_raft(shards: int, incremental: bool = True):
+    server_engine = EngineConfig(incremental=incremental)
     config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            workers=workers, shards=shards)
+                            shards=shards, server_engine=server_engine)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(raft.peer_clients())
         report = achilles.search(raft.raft_follower, predicates)
     return report
 
 
-def _run_tpc(shards: int, workers: int = 1):
+def _run_tpc(shards: int, incremental: bool = True):
+    server_engine = EngineConfig(incremental=incremental)
     config = AchillesConfig(layout=tpc.TPC_LAYOUT, destination="participant",
-                            workers=workers, shards=shards)
+                            shards=shards, server_engine=server_engine)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(tpc.coordinator_clients())
         report = achilles.search(tpc.tpc_participant, predicates)
     return report
 
 
-def _run_broadcast(shards: int, workers: int = 1):
+def _run_broadcast(shards: int, incremental: bool = True):
+    server_engine = EngineConfig(incremental=incremental)
     config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
                             destination="node",
-                            workers=workers, shards=shards)
+                            shards=shards, server_engine=server_engine)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(broadcast.peer_clients())
         report = achilles.search(broadcast.broadcast_node, predicates)
@@ -108,12 +115,10 @@ class TestFspShardParity:
         for shards in SHARD_COUNTS:
             assert fsp_runs[shards].shards == shards
 
-    def test_shards_compose_with_workers(self):
-        """Sharded exploration plus a parallel solver service for the
-        pre-processing batches: still byte-identical findings."""
-        baseline = _finding_signature(_run_fsp(1))
-        combined = _run_fsp(2, workers=2)
-        assert _finding_signature(combined) == baseline
+    def test_shards_compose_with_scratch_solving(self, fsp_runs):
+        scratch = _run_fsp(2, incremental=False)
+        assert _finding_signature(scratch) == \
+            _finding_signature(fsp_runs[1])
 
 
 @pytest.fixture(scope="module")
@@ -147,10 +152,10 @@ class TestRaftShardParity:
             for finding in raft_runs[shards].findings:
                 assert raft.classify_message(finding.witness) is not None
 
-    def test_shards_compose_with_workers(self):
-        baseline = _finding_signature(_run_raft(1))
-        combined = _run_raft(2, workers=2)
-        assert _finding_signature(combined) == baseline
+    def test_shards_compose_with_scratch_solving(self, raft_runs):
+        scratch = _run_raft(2, incremental=False)
+        assert _finding_signature(scratch) == \
+            _finding_signature(raft_runs[1])
 
 
 class TestTpcShardParity:
@@ -166,10 +171,10 @@ class TestTpcShardParity:
             for finding in tpc_runs[shards].findings:
                 assert tpc.classify_message(finding.witness) is not None
 
-    def test_shards_compose_with_workers(self):
-        baseline = _finding_signature(_run_tpc(1))
-        combined = _run_tpc(2, workers=2)
-        assert _finding_signature(combined) == baseline
+    def test_shards_compose_with_scratch_solving(self, tpc_runs):
+        scratch = _run_tpc(2, incremental=False)
+        assert _finding_signature(scratch) == \
+            _finding_signature(tpc_runs[1])
 
 
 @pytest.fixture(scope="module")
@@ -199,10 +204,10 @@ class TestBroadcastShardParity:
                 assert broadcast.classify_message(finding.witness) \
                     is not None
 
-    def test_shards_compose_with_workers(self):
-        baseline = _finding_signature(_run_broadcast(1))
-        combined = _run_broadcast(2, workers=2)
-        assert _finding_signature(combined) == baseline
+    def test_shards_compose_with_scratch_solving(self, broadcast_runs):
+        scratch = _run_broadcast(2, incremental=False)
+        assert _finding_signature(scratch) == \
+            _finding_signature(broadcast_runs[1])
 
 
 class TestPbftShardParity:
@@ -221,3 +226,8 @@ class TestPbftShardParity:
             for finding in pbft_runs[shards].findings:
                 mac = decode(REQUEST_LAYOUT, finding.witness)["mac"]
                 assert mac != MAC_STUB
+
+    def test_shards_compose_with_scratch_solving(self, pbft_runs):
+        scratch = _run_pbft(2, incremental=False)
+        assert _finding_signature(scratch) == \
+            _finding_signature(pbft_runs[1])

@@ -185,6 +185,22 @@ class TestDeterminism:
         assert names == {"x", "x#1"}
 
 
+class TestConstruction:
+    def test_takes_no_solver_service(self):
+        """Batched probes run on the engine's own probe stacks; there is
+        no pool-backed service to hand it."""
+        from repro.solver.service import SolverService
+
+        with pytest.raises(TypeError, match="service"):
+            Engine(EngineConfig(), service=SolverService())
+
+    def test_shares_the_given_solver(self):
+        solver = Solver()
+        engine = Engine(EngineConfig(), solver=solver)
+        assert engine.solver is solver
+        assert engine.incremental.solver is solver
+
+
 class TestIncrementalParity:
     """The incremental frame stack is a pure optimization: exploration
     must produce identical paths with it on or off."""

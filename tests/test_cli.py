@@ -29,6 +29,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nonsense"])
 
+    def test_workers_flag_rejected(self, capsys):
+        """``--shards`` is the only parallelism flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fsp", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestPersistenceFlags:
     def test_toy_run_populates_cache_dir(self, capsys, tmp_path):
@@ -168,6 +175,12 @@ class TestCorpusSubcommand:
     def test_unknown_template_exits_two(self, capsys):
         assert main(["corpus", "run", "--templates", "paxos"]) == 2
         assert "paxos" in capsys.readouterr().err
+
+    def test_workers_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", "run", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_corpus_listed_in_experiment_list(self, capsys):
         assert main(["list"]) == 0
