@@ -8,13 +8,13 @@ yields useful results.
 
 import pytest
 
-from repro.bench.experiments import run_fsp_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_series
 
 
 @pytest.fixture(scope="module")
 def outcome():
-    return run_fsp_accuracy()
+    return run_accuracy("fsp")
 
 
 def test_fig10_discovery_curve(benchmark, outcome, artifact):

@@ -11,13 +11,13 @@ import statistics
 
 import pytest
 
-from repro.bench.experiments import run_fsp_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_series
 
 
 @pytest.fixture(scope="module")
 def outcome():
-    return run_fsp_accuracy()
+    return run_accuracy("fsp")
 
 
 def _mean_by_length(samples):

@@ -10,7 +10,7 @@ orders-of-magnitude gap.
 
 import pytest
 
-from repro.bench.experiments import run_fsp_accuracy, run_fuzzing_comparison
+from repro.bench.experiments import run_accuracy, run_fuzzing_comparison
 from repro.bench.tables import format_table
 
 
@@ -46,7 +46,7 @@ def test_fuzzing_comparison(benchmark, fuzzing, artifact):
 def test_gap_to_achilles_is_orders_of_magnitude(benchmark, fuzzing):
     """Achilles: 80 Trojans per analysis hour; fuzzing: ~0 per hour."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    achilles_outcome = run_fsp_accuracy()
+    achilles_outcome = run_accuracy("fsp")
     analysis_hours = max(achilles_outcome.report.timings.total, 1e-6) / 3600
     achilles_rate = achilles_outcome.true_positives / analysis_hours
     fuzz_rate = max(fuzzing.expected_trojans_in_one_hour, 1e-12)

@@ -14,18 +14,18 @@ Machine-readable wall clocks and pipeline counters land in
 
 import pytest
 
-from repro.bench.experiments import run_raft_accuracy, run_tpc_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_table
 
 
 @pytest.fixture(scope="module")
 def raft_outcome():
-    return run_raft_accuracy()
+    return run_accuracy("raft")
 
 
 @pytest.fixture(scope="module")
 def tpc_outcome():
-    return run_tpc_accuracy()
+    return run_accuracy("tpc")
 
 
 def _finding_signature(report):
@@ -34,7 +34,8 @@ def _finding_signature(report):
 
 
 def test_raft_accuracy(benchmark, raft_outcome, artifact):
-    outcome = benchmark.pedantic(run_raft_accuracy, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(run_accuracy, args=("raft",), rounds=1,
+                                 iterations=1)
     assert outcome.true_positives == 9
     assert outcome.false_positives == 0
     assert outcome.classes_found == outcome.classes_total == 9
@@ -49,7 +50,8 @@ def test_raft_accuracy(benchmark, raft_outcome, artifact):
 
 
 def test_tpc_accuracy(benchmark, tpc_outcome, artifact):
-    outcome = benchmark.pedantic(run_tpc_accuracy, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(run_accuracy, args=("tpc",), rounds=1,
+                                 iterations=1)
     assert outcome.true_positives == 2
     assert outcome.false_positives == 0
     assert outcome.classes_found == outcome.classes_total == 2
@@ -66,10 +68,10 @@ def test_tpc_accuracy(benchmark, tpc_outcome, artifact):
 def test_sharded_runs_stay_byte_identical(raft_outcome, tpc_outcome):
     """Parity smoke at shards=2: the new systems honour the contract the
     FSP/PBFT parity suites pin exhaustively."""
-    sharded_raft = run_raft_accuracy(shards=2)
+    sharded_raft = run_accuracy("raft", shards=2)
     assert _finding_signature(sharded_raft.report) == \
         _finding_signature(raft_outcome.report)
-    sharded_tpc = run_tpc_accuracy(shards=2)
+    sharded_tpc = run_accuracy("tpc", shards=2)
     assert _finding_signature(sharded_tpc.report) == \
         _finding_signature(tpc_outcome.report)
 

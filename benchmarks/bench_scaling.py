@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.achilles import Achilles, AchillesConfig
-from repro.bench.experiments import FSP_SESSION_MASK, run_fsp_accuracy
+from repro.bench.experiments import FSP_SESSION_MASK, run_accuracy
 from repro.bench.tables import format_table
 from repro.systems import fsp
 
@@ -103,7 +103,7 @@ def shard_sweep():
         best_seconds, outcome = None, None
         for _ in range(2):
             started = time.perf_counter()
-            outcome = run_fsp_accuracy(shards=shards)
+            outcome = run_accuracy("fsp", shards=shards)
             elapsed = time.perf_counter() - started
             if best_seconds is None or elapsed < best_seconds:
                 best_seconds = elapsed

@@ -9,13 +9,13 @@ non-Trojan (false positive) entries.
 
 import pytest
 
-from repro.bench.experiments import run_classic_baseline, run_fsp_accuracy
+from repro.bench.experiments import run_accuracy, run_classic_baseline
 from repro.bench.tables import format_table
 
 
 @pytest.fixture(scope="module")
 def achilles_outcome():
-    return run_fsp_accuracy()
+    return run_accuracy("fsp")
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,8 @@ def classic_outcome():
 
 
 def test_table1_achilles_column(benchmark, achilles_outcome, artifact):
-    outcome = benchmark.pedantic(run_fsp_accuracy, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(run_accuracy, args=("fsp",), rounds=1,
+                                 iterations=1)
     assert outcome.true_positives == 80
     assert outcome.false_positives == 0
     assert outcome.classes_found == outcome.classes_total == 80

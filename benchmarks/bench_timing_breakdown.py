@@ -10,7 +10,7 @@ time on predicate pre-processing plus server search.
 
 import pytest
 
-from repro.bench.experiments import run_fsp_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_table
 
 PAPER_SPLIT = {"client_extraction": 3 / 63, "preprocessing": 15 / 63,
@@ -19,7 +19,7 @@ PAPER_SPLIT = {"client_extraction": 3 / 63, "preprocessing": 15 / 63,
 
 @pytest.fixture(scope="module")
 def outcome():
-    return run_fsp_accuracy()
+    return run_accuracy("fsp")
 
 
 def test_timing_breakdown(benchmark, outcome, artifact, json_artifact):

@@ -38,8 +38,9 @@ afterwards::
 import argparse
 from collections import Counter
 
-from repro.bench.experiments import run_fsp_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_series, format_table
+from repro.symex.engine import EngineConfig
 from repro.systems.fsp import FSP_LAYOUT, classify_message
 
 
@@ -75,13 +76,14 @@ def main() -> None:
     where = f"hosts={','.join(hosts)}" if hosts else "local processes"
     print(f"Running Achilles on FSP (8 utilities, path bound 5, "
           f"shards={args.shards}, {where})...")
-    outcome = run_fsp_accuracy(shards=args.shards,
-                               search_order=args.search_order,
-                               max_paths=args.max_paths,
-                               transport=transport, hosts=hosts,
-                               on_worker_loss=args.on_worker_loss,
-                               trace_dir=args.trace_dir,
-                               progress=args.progress)
+    engine = EngineConfig(search_order=args.search_order or "dfs",
+                          max_paths=args.max_paths or EngineConfig.max_paths)
+    outcome = run_accuracy("fsp", shards=args.shards,
+                           client_engine=engine, server_engine=engine,
+                           transport=transport, hosts=hosts,
+                           on_worker_loss=args.on_worker_loss,
+                           trace_dir=args.trace_dir,
+                           progress=args.progress)
     report = outcome.report
 
     print(format_table(

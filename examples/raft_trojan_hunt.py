@@ -22,8 +22,9 @@ byte-identical to the serial run either way.
 
 import argparse
 
-from repro.bench.experiments import run_raft_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_table
+from repro.symex.engine import EngineConfig
 from repro.systems.raft import (
     classify_message,
     run_truncation_attack,
@@ -62,13 +63,14 @@ def main() -> None:
     where = f"hosts={','.join(hosts)}" if hosts else "local processes"
     print(f"Running Achilles on the Raft follower (shards={args.shards}, "
           f"{where})...")
-    outcome = run_raft_accuracy(shards=args.shards,
-                                search_order=args.search_order,
-                                max_paths=args.max_paths,
-                                transport=transport, hosts=hosts,
-                                on_worker_loss=args.on_worker_loss,
-                                trace_dir=args.trace_dir,
-                                progress=args.progress)
+    engine = EngineConfig(search_order=args.search_order or "dfs",
+                          max_paths=args.max_paths or EngineConfig.max_paths)
+    outcome = run_accuracy("raft", shards=args.shards,
+                           client_engine=engine, server_engine=engine,
+                           transport=transport, hosts=hosts,
+                           on_worker_loss=args.on_worker_loss,
+                           trace_dir=args.trace_dir,
+                           progress=args.progress)
     report = outcome.report
 
     print(format_table(

@@ -16,10 +16,19 @@ Usage::
     python -m repro trace summarize RUN/trace.jsonl  # inspect a trace
     python -m repro corpus run --variants 12       # scenario-matrix corpus
 
-Every experiment accepts ``--shards`` (the one parallelism knob: it
-partitions the server's path tree across worker processes; findings are
-byte-identical at any count) and ``--search-order/--max-paths``
-(exploration policy overrides).
+Each experiment is one row of ``_EXPERIMENTS``: a driver from
+:mod:`repro.bench.experiments` and a printer for its outcome. The run
+settings come from flags and become
+:class:`~repro.achilles.AchillesConfig` fields, which that class's
+docstring describes. Experiments and ``corpus run`` share these flags:
+``--shards`` (the one parallelism knob: it partitions the server's path
+tree across worker processes; findings are byte-identical at any
+count), ``--transport/--hosts/--on-worker-loss`` (where shard workers
+live and what a lost one costs), ``--search-order/--max-paths`` (one
+exploration policy for both phases), ``--cache-dir`` and ``--progress``.
+Only experiments take ``--run-dir/--checkpoint-interval/--resume``,
+``--trace-dir`` and ``-v/-q``. A setting the config rejects is reported
+on stderr, without a traceback, with exit code 2.
 
 Crash safety: ``--cache-dir DIR`` persists the canonical query cache
 across runs (a warm re-analysis only re-solves what changed; corrupted
@@ -55,43 +64,25 @@ off.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from functools import partial
 
+from repro.bench.experiments import (
+    run_accuracy,
+    run_corpus,
+    run_fsp_wildcard,
+    run_pbft_impact,
+    run_toy,
+)
 from repro.bench.tables import format_table
+from repro.errors import ReproError
+from repro.symex.engine import EngineConfig
 
 
-def _run_toy(shards: int = 1,
-             search_order: str | None = None,
-             max_paths: int | None = None,
-             transport: str = "local", hosts: tuple = (),
-             on_worker_loss: str = "fail",
-             cache_dir: str | None = None,
-             run_dir: str | None = None,
-             checkpoint_interval: int = 1,
-             resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
-    from repro.achilles import Achilles, AchillesConfig
-    from repro.bench.experiments import make_engine_config
-    from repro.systems.toy import TOY_LAYOUT, toy_client, toy_server
+def _print_toy(report) -> int:
+    from repro.systems.toy import TOY_LAYOUT
 
-    with Achilles(AchillesConfig(layout=TOY_LAYOUT,
-                                 client_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 server_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 shards=shards,
-                                 transport=transport,
-                                 hosts=tuple(hosts),
-                                 on_worker_loss=on_worker_loss,
-                                 cache_dir=cache_dir,
-                                 run_dir=run_dir,
-                                 checkpoint_interval=checkpoint_interval,
-                                 resume=resume,
-                                 trace_dir=trace_dir,
-                                 progress=progress)) as achilles:
-        predicates = achilles.extract_clients({"toy": toy_client})
-        report = achilles.search(toy_server, predicates)
     rows = [[f.server_path_id, f.witness.hex(),
              str(f.witness_fields(TOY_LAYOUT))] for f in report.findings]
     print(format_table(["path", "witness", "fields"], rows,
@@ -101,28 +92,7 @@ def _run_toy(shards: int = 1,
     return 0
 
 
-def _run_fsp(shards: int = 1,
-             search_order: str | None = None,
-             max_paths: int | None = None,
-             transport: str = "local", hosts: tuple = (),
-             on_worker_loss: str = "fail",
-             cache_dir: str | None = None,
-             run_dir: str | None = None,
-             checkpoint_interval: int = 1,
-             resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
-    from repro.bench.experiments import run_fsp_accuracy
-
-    outcome = run_fsp_accuracy(shards=shards,
-                               search_order=search_order,
-                               max_paths=max_paths,
-                               transport=transport, hosts=hosts,
-                               on_worker_loss=on_worker_loss,
-                               cache_dir=cache_dir, run_dir=run_dir,
-                               checkpoint_interval=checkpoint_interval,
-                               resume=resume, trace_dir=trace_dir,
-                               progress=progress)
+def _print_fsp(outcome) -> int:
     print(format_table(
         ["metric", "paper", "here"],
         [["true positives", 80, outcome.true_positives],
@@ -135,28 +105,9 @@ def _run_fsp(shards: int = 1,
     return 0 if outcome.false_positives == 0 else 1
 
 
-def _run_fsp_wildcard(shards: int = 1,
-                      search_order: str | None = None,
-                      max_paths: int | None = None,
-                      transport: str = "local", hosts: tuple = (),
-                      on_worker_loss: str = "fail",
-                      cache_dir: str | None = None,
-                      run_dir: str | None = None,
-                      checkpoint_interval: int = 1,
-                      resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
-    from repro.bench.experiments import run_fsp_wildcard
+def _print_fsp_wildcard(report) -> int:
     from repro.systems.fsp import FSP_LAYOUT
 
-    report = run_fsp_wildcard(shards=shards,
-                              search_order=search_order, max_paths=max_paths,
-                              transport=transport, hosts=hosts,
-                              on_worker_loss=on_worker_loss,
-                              cache_dir=cache_dir, run_dir=run_dir,
-                              checkpoint_interval=checkpoint_interval,
-                              resume=resume, trace_dir=trace_dir,
-                              progress=progress)
     buf = FSP_LAYOUT.view("buf")
     wildcard = [w for w in report.witnesses()
                 if any(b in (42, 63) for b in w[buf.offset:buf.end])]
@@ -169,27 +120,7 @@ def _run_fsp_wildcard(shards: int = 1,
     return 0 if wildcard else 1
 
 
-def _run_pbft(shards: int = 1,
-              search_order: str | None = None,
-              max_paths: int | None = None,
-              transport: str = "local", hosts: tuple = (),
-              on_worker_loss: str = "fail",
-              cache_dir: str | None = None,
-              run_dir: str | None = None,
-              checkpoint_interval: int = 1,
-              resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
-    from repro.bench.experiments import run_pbft_impact
-
-    outcome = run_pbft_impact(shards=shards,
-                              search_order=search_order, max_paths=max_paths,
-                              transport=transport, hosts=hosts,
-                              on_worker_loss=on_worker_loss,
-                              cache_dir=cache_dir, run_dir=run_dir,
-                              checkpoint_interval=checkpoint_interval,
-                              resume=resume, trace_dir=trace_dir,
-                              progress=progress)
+def _print_pbft(outcome) -> int:
     print(f"findings: {outcome.report.trojan_count} "
           f"(MAC != {outcome.mac_stub.hex()}) in "
           f"{outcome.report.timings.total:.2f}s")
@@ -202,121 +133,38 @@ def _run_pbft(shards: int = 1,
     return 0
 
 
-def _accuracy_table(title: str, outcome, classes_total: int) -> None:
+def _print_scored(title: str, system: str, outcome) -> int:
+    """Printer of a :func:`run_accuracy` row: the accuracy table, run
+    health, and each finding's Trojan class."""
+    total = outcome.classes_total
     print(format_table(
         ["metric", "seeded", "here"],
-        [["true positives", f">= {classes_total}", outcome.true_positives],
+        [["true positives", f">= {total}", outcome.true_positives],
          ["false positives", 0, outcome.false_positives],
-         ["classes", f"{classes_total}/{classes_total}",
-          f"{outcome.classes_found}/{outcome.classes_total}"],
+         ["classes", f"{total}/{total}", f"{outcome.classes_found}/{total}"],
          ["precision", "1.00", f"{outcome.precision:.2f}"],
          ["recall", "1.00", f"{outcome.recall:.2f}"],
          ["time", "-", f"{outcome.report.timings.total:.1f}s"]],
         title=title))
-
-
-def _run_raft(shards: int = 1,
-              search_order: str | None = None,
-              max_paths: int | None = None,
-              transport: str = "local", hosts: tuple = (),
-              on_worker_loss: str = "fail",
-              cache_dir: str | None = None,
-              run_dir: str | None = None,
-              checkpoint_interval: int = 1,
-              resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
-    from repro.bench.experiments import run_raft_accuracy
-    from repro.systems.raft import all_trojan_classes, classify_message
-
-    outcome = run_raft_accuracy(shards=shards,
-                                search_order=search_order,
-                                max_paths=max_paths,
-                                transport=transport, hosts=hosts,
-                                on_worker_loss=on_worker_loss,
-                                cache_dir=cache_dir, run_dir=run_dir,
-                                checkpoint_interval=checkpoint_interval,
-                                resume=resume, trace_dir=trace_dir,
-                                progress=progress)
-    _accuracy_table("Raft follower ingress vs seeded ground truth",
-                    outcome, len(all_trojan_classes()))
     _report_health(outcome.report)
+    classify = importlib.import_module(
+        f"repro.systems.{system}").classify_message
     for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
+        print(f"  {classify(finding.witness)}  "
               f"wire={finding.witness.hex()}")
     return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
 
 
-def _run_tpc(shards: int = 1,
-             search_order: str | None = None,
-             max_paths: int | None = None,
-             transport: str = "local", hosts: tuple = (),
-             on_worker_loss: str = "fail",
-             cache_dir: str | None = None,
-             run_dir: str | None = None,
-             checkpoint_interval: int = 1,
-             resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
-    from repro.bench.experiments import run_tpc_accuracy
-    from repro.systems.tpc import all_trojan_classes, classify_message
+def _print_broadcast(outcome) -> int:
+    from repro.systems.broadcast import run_forged_delivery_demo
 
-    outcome = run_tpc_accuracy(shards=shards,
-                               search_order=search_order,
-                               max_paths=max_paths,
-                               transport=transport, hosts=hosts,
-                               on_worker_loss=on_worker_loss,
-                               cache_dir=cache_dir, run_dir=run_dir,
-                               checkpoint_interval=checkpoint_interval,
-                               resume=resume, trace_dir=trace_dir,
-                               progress=progress)
-    _accuracy_table("Two-phase-commit participant vs seeded ground truth",
-                    outcome, len(all_trojan_classes()))
-    _report_health(outcome.report)
-    for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
-              f"wire={finding.witness.hex()}")
-    return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
-
-
-def _run_broadcast(shards: int = 1,
-                   search_order: str | None = None,
-                   max_paths: int | None = None,
-                   transport: str = "local", hosts: tuple = (),
-                   on_worker_loss: str = "fail",
-                   cache_dir: str | None = None,
-                   run_dir: str | None = None,
-                   checkpoint_interval: int = 1,
-                   resume: bool = False,
-                   trace_dir: str | None = None,
-                   progress: bool = False) -> int:
-    from repro.bench.experiments import run_broadcast_accuracy
-    from repro.systems.broadcast import (
-        all_trojan_classes,
-        classify_message,
-        run_forged_delivery_demo,
-    )
-
-    outcome = run_broadcast_accuracy(shards=shards,
-                                     search_order=search_order,
-                                     max_paths=max_paths,
-                                     transport=transport, hosts=hosts,
-                                     on_worker_loss=on_worker_loss,
-                                     cache_dir=cache_dir, run_dir=run_dir,
-                                     checkpoint_interval=checkpoint_interval,
-                                     resume=resume, trace_dir=trace_dir,
-                                     progress=progress)
-    _accuracy_table("Bracha broadcast node vs seeded ground truth",
-                    outcome, len(all_trojan_classes()))
-    _report_health(outcome.report)
-    for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
-              f"wire={finding.witness.hex()}")
+    code = _print_scored("Bracha broadcast node vs seeded ground truth",
+                         "broadcast", outcome)
     demo = run_forged_delivery_demo()
     print(f"concrete impact: buggy node delivered "
           f"{demo.delivered:#04x} from a forged slot; strict control "
           f"node delivered {demo.control_delivered}")
-    return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
+    return code
 
 
 def _report_health(report) -> None:
@@ -345,16 +193,94 @@ def _report_health(report) -> None:
         print(f"  {name:20} {value}")
 
 
+#: name -> (description, driver, printer). A driver takes the run
+#: settings as AchillesConfig keywords and returns an outcome; the
+#: printer prints that outcome and returns the exit code.
 _EXPERIMENTS = {
-    "toy": (_run_toy, "the §2.1 working example"),
-    "fsp": (_run_fsp, "Table 1 accuracy run on FSP"),
-    "fsp-wildcard": (_run_fsp_wildcard, "§6.3 wildcard experiment"),
-    "pbft": (_run_pbft, "MAC-attack analysis + cluster impact"),
-    "raft": (_run_raft, "Raft follower ingress vs 9 seeded Trojan classes"),
-    "tpc": (_run_tpc, "two-phase commit: ack-without-WAL + empty-op prepare"),
-    "broadcast": (_run_broadcast,
-                  "Bracha broadcast: forged-sender SEND + thin-quorum READY"),
+    "toy": ("the §2.1 working example", run_toy, _print_toy),
+    "fsp": ("Table 1 accuracy run on FSP", partial(run_accuracy, "fsp"),
+            _print_fsp),
+    "fsp-wildcard": ("§6.3 wildcard experiment", run_fsp_wildcard,
+                     _print_fsp_wildcard),
+    "pbft": ("MAC-attack analysis + cluster impact", run_pbft_impact,
+             _print_pbft),
+    "raft": ("Raft follower ingress vs 9 seeded Trojan classes",
+             partial(run_accuracy, "raft"),
+             partial(_print_scored,
+                     "Raft follower ingress vs seeded ground truth",
+                     "raft")),
+    "tpc": ("two-phase commit: ack-without-WAL + empty-op prepare",
+            partial(run_accuracy, "tpc"),
+            partial(_print_scored,
+                    "Two-phase-commit participant vs seeded ground truth",
+                    "tpc")),
+    "broadcast": ("Bracha broadcast: forged-sender SEND + thin-quorum READY",
+                  partial(run_accuracy, "broadcast"), _print_broadcast),
 }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def _settings_parser() -> argparse.ArgumentParser:
+    """The run-settings flags experiments and ``corpus run`` share."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--shards", type=int, default=1,
+                        help="exploration shard processes for the server "
+                             "search (default: 1, one in-process walk; "
+                             "findings are identical at any shard count)")
+    parser.add_argument("--transport", choices=["local", "tcp"],
+                        default="local",
+                        help="where shard workers live (default: local "
+                             "processes; tcp drives `repro worker` daemons "
+                             "named by --hosts)")
+    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
+                        help="comma-separated worker daemon addresses for "
+                             "--transport tcp; shards round-robin over them")
+    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
+                        default="fail",
+                        help="policy when a shard worker dies silently "
+                             "mid-run (default: fail loudly naming the "
+                             "lost assignment; recover reassigns it to a "
+                             "respawned or surviving worker — findings "
+                             "are identical either way)")
+    parser.add_argument("--search-order", choices=["dfs", "bfs"],
+                        default=None,
+                        help="exploration worklist order (default: the "
+                             "engine default, dfs)")
+    parser.add_argument("--max-paths", type=_positive_int, default=None,
+                        help="cap on completed paths per exploration "
+                             "(default: the engine default)")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="persist the canonical query cache to this "
+                             "directory and pre-load it on start; a warm "
+                             "re-run only re-solves what changed, and "
+                             "corrupted cache files degrade to a colder "
+                             "cache, never an error")
+    parser.add_argument("--progress", action="store_true",
+                        help="print a live one-line fleet status to "
+                             "stderr while the search runs")
+    return parser
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The shared flags as AchillesConfig keywords."""
+    engine = EngineConfig()
+    if args.search_order is not None:
+        engine.search_order = args.search_order
+    if args.max_paths is not None:
+        engine.max_paths = args.max_paths
+    return dict(
+        shards=args.shards, transport=args.transport,
+        hosts=tuple(h.strip() for h in args.hosts.split(",") if h.strip()),
+        on_worker_loss=args.on_worker_loss, client_engine=engine,
+        server_engine=engine, cache_dir=args.cache_dir,
+        progress=args.progress)
 
 
 def _run_worker(argv: list[str]) -> int:
@@ -491,7 +417,7 @@ def _run_trace(argv: list[str]) -> int:
 def _run_corpus(argv: list[str]) -> int:
     """The ``corpus`` subcommand: scenario-matrix generation + scoring."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro corpus",
+        prog="python -m repro corpus", parents=[_settings_parser()],
         description="Generate a corpus of randomized seeded-bug system "
                     "variants from the registered templates and score a "
                     "full Achilles hunt on each against the variant's "
@@ -525,25 +451,6 @@ def _run_corpus(argv: list[str]) -> int:
                         help="also write the deterministic JSON report "
                              "here (byte-identical across runs of the "
                              "same seed)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="exploration shard processes per hunt")
-    parser.add_argument("--transport", choices=["local", "tcp"],
-                        default="local",
-                        help="where shard workers live")
-    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
-                        help="worker daemon addresses for --transport tcp")
-    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
-                        default="fail",
-                        help="policy when a shard worker dies mid-run")
-    parser.add_argument("--search-order", choices=["dfs", "bfs"],
-                        default=None, help="exploration worklist order")
-    parser.add_argument("--max-paths", type=int, default=None,
-                        help="cap on completed paths per exploration")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent query cache shared by all the "
-                             "corpus hunts")
-    parser.add_argument("--progress", action="store_true",
-                        help="live fleet status on stderr per hunt")
     args = parser.parse_args(argv)
     import json
     from pathlib import Path
@@ -563,24 +470,12 @@ def _run_corpus(argv: list[str]) -> int:
         print(render_payload(payload))
         return 0 if payload.get("all_perfect") else 1
 
-    from repro.bench.experiments import run_corpus
-    from repro.errors import ReproError
-
     templates = tuple(t.strip() for t in args.templates.split(",")
                       if t.strip())
-    hosts = tuple(h.strip() for h in args.hosts.split(",") if h.strip())
-    try:
-        outcome = run_corpus(
-            corpus_seed=args.corpus_seed, variants=args.variants,
-            templates=templates or None, only=tuple(args.variant),
-            shards=args.shards,
-            search_order=args.search_order, max_paths=args.max_paths,
-            transport=args.transport, hosts=hosts,
-            on_worker_loss=args.on_worker_loss,
-            cache_dir=args.cache_dir, progress=args.progress)
-    except ReproError as exc:
-        print(f"corpus error: {exc}", file=sys.stderr)
-        return 2
+    outcome = run_corpus(
+        corpus_seed=args.corpus_seed, variants=args.variants,
+        templates=templates or None, only=tuple(args.variant),
+        **_settings(args))
     payload = corpus_payload(outcome)
     seconds = {result.variant.token: result.outcome.report.timings.total
                for result in outcome.results}
@@ -593,6 +488,16 @@ def _run_corpus(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        return _dispatch(argv)
+    except ReproError as exc:
+        # A setting the run rejects (or a malformed corpus token) is bad
+        # input, not a crash: say what is wrong, without a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv: list[str]) -> int:
     # The worker daemon has its own flag set (and runs forever), so it
     # branches off before the experiment parser.
     if argv[:1] == ["worker"]:
@@ -604,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["corpus"]:
         return _run_corpus(argv[1:])
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
+        prog="python -m repro", parents=[_settings_parser()],
         description="Run Achilles reproduction experiments "
                     "('python -m repro worker --help' for the shard "
                     "worker daemon, 'python -m repro cache --help' for "
@@ -620,38 +525,6 @@ def main(argv: list[str] | None = None) -> int:
                              "worker daemon), 'cache' (disk-cache "
                              "maintenance), 'trace' (trace inspector), "
                              "or 'corpus' (scenario-matrix corpus)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="exploration shard processes for the server "
-                             "search (default: 1, one in-process walk; "
-                             "findings are identical at any shard count)")
-    parser.add_argument("--transport", choices=["local", "tcp"],
-                        default="local",
-                        help="where shard workers live (default: local "
-                             "processes; tcp drives `repro worker` daemons "
-                             "named by --hosts)")
-    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
-                        help="comma-separated worker daemon addresses for "
-                             "--transport tcp; shards round-robin over them")
-    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
-                        default="fail",
-                        help="policy when a shard worker dies silently "
-                             "mid-run (default: fail loudly naming the "
-                             "lost assignment; recover reassigns it to a "
-                             "respawned or surviving worker — findings "
-                             "are identical either way)")
-    parser.add_argument("--search-order", choices=["dfs", "bfs"],
-                        default=None,
-                        help="exploration worklist order (default: the "
-                             "engine default, dfs)")
-    parser.add_argument("--max-paths", type=int, default=None,
-                        help="cap on completed paths per exploration "
-                             "(default: the engine default)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist the canonical query cache to this "
-                             "directory and pre-load it on start; a warm "
-                             "re-run only re-solves what changed, and "
-                             "corrupted cache files degrade to a colder "
-                             "cache, never an error")
     parser.add_argument("--run-dir", default=None, metavar="DIR",
                         help="journal sharded-search progress to "
                              "DIR/journal.wal (needs --shards >= 2) so a "
@@ -669,9 +542,6 @@ def main(argv: list[str] | None = None) -> int:
                              "workers, every solver layer) and write the "
                              "merged trace to DIR/trace.jsonl; inspect "
                              "with 'python -m repro trace'")
-    parser.add_argument("--progress", action="store_true",
-                        help="print a live one-line fleet status to "
-                             "stderr while the search runs")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="raise repro logger verbosity (repeatable: "
                              "-v info, -vv debug)")
@@ -683,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
 
     configure(verbosity=-1 if args.quiet else args.verbose)
     if args.experiment == "list":
-        for name, (_, description) in sorted(_EXPERIMENTS.items()):
+        for name, (description, _, _) in sorted(_EXPERIMENTS.items()):
             print(f"{name:14} {description}")
         print("worker         shard worker daemon "
               "(python -m repro worker --help)")
@@ -695,23 +565,16 @@ def main(argv: list[str] | None = None) -> int:
               "(python -m repro corpus --help)")
         return 0
     run_dir = args.run_dir
-    resume = False
     if args.resume is not None:
         if run_dir is not None and run_dir != args.resume:
             parser.error("--resume RUN_DIR already names the run "
                          "directory; drop the conflicting --run-dir")
         run_dir = args.resume
-        resume = True
-    hosts = tuple(h.strip() for h in args.hosts.split(",") if h.strip())
-    runner, _ = _EXPERIMENTS[args.experiment]
-    return runner(shards=args.shards,
-                  search_order=args.search_order, max_paths=args.max_paths,
-                  transport=args.transport, hosts=hosts,
-                  on_worker_loss=args.on_worker_loss,
-                  cache_dir=args.cache_dir, run_dir=run_dir,
-                  checkpoint_interval=args.checkpoint_interval,
-                  resume=resume, trace_dir=args.trace_dir,
-                  progress=args.progress)
+    _, driver, printer = _EXPERIMENTS[args.experiment]
+    return printer(driver(**_settings(args), run_dir=run_dir,
+                          checkpoint_interval=args.checkpoint_interval,
+                          resume=args.resume is not None,
+                          trace_dir=args.trace_dir))
 
 
 if __name__ == "__main__":

@@ -69,10 +69,16 @@ from repro.symex.engine import EngineConfig, NodeProgram
 class AchillesConfig:
     """Configuration of one Achilles run.
 
+    This is the one description of the run settings: the command-line
+    flags, the experiment drivers' ``**settings`` and
+    :func:`~repro.achilles.server_analysis.search_server` all carry them
+    as these fields.
+
     Attributes:
         layout: wire layout shared by client and server.
         mask: fields hidden from the Trojan check (§5.2).
-        client_engine / server_engine: exploration limits per phase.
+        client_engine / server_engine: exploration limits per phase
+            (``--search-order`` and ``--max-paths`` set both).
         optimizations: the §3.3 switches (all on by default).
         destination: when set, only client messages sent to this node
             name enter ``PC``.
@@ -83,10 +89,12 @@ class AchillesConfig:
             (:mod:`repro.explore`) with coordinator-brokered stealing.
             Findings are byte-identical at any shard count.
         transport: where the shard workers live — ``"local"`` (the
-            default: ``multiprocessing`` processes on this machine) or
+            default: ``multiprocessing`` processes on this machine),
             ``"tcp"`` (``python -m repro worker`` daemons reached over
-            sockets; requires ``hosts``). Findings are byte-identical
-            on either transport.
+            sockets; requires ``hosts``), or a
+            :class:`~repro.explore.transport.Transport` instance, which
+            carries its own hosts. Findings are byte-identical on any
+            transport.
         hosts: ``"host:port"`` addresses of running ``repro worker``
             daemons, one shard session per address round-robin (so 4
             shards against 2 hosts run 2 sessions on each). Extra
@@ -295,19 +303,8 @@ class Achilles:
     def search(self, server: ServerProgram,
                clients: ClientPredicateSet) -> AchillesReport:
         """Phase 2: incremental Trojan search over the server."""
-        report, _ = search_server(
-            server, clients, self.server_msg, self.config.server_engine,
-            self.config.optimizations, self.config.msg_name,
-            query_cache=self.query_cache,
-            shards=self.config.shards, transport=self.config.transport,
-            hosts=self.config.hosts,
-            on_worker_loss=self.config.on_worker_loss,
-            max_worker_retries=self.config.max_worker_retries,
-            run_dir=self.config.run_dir,
-            checkpoint_interval=self.config.checkpoint_interval,
-            resume=self.config.resume,
-            trace_dir=self.config.trace_dir,
-            progress=self.config.progress)
+        report, _ = search_server(server, clients, self.server_msg,
+                                  self.config, query_cache=self.query_cache)
         report.timings.client_extraction = clients.stats.extraction_seconds
         report.timings.preprocessing = clients.stats.preprocess_seconds
         return report

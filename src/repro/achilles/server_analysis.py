@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.achilles.client_analysis import ClientPredicateSet
 from repro.achilles.negate import single_field_of
@@ -48,6 +48,9 @@ from repro.symex.context import ExecutionContext
 from repro.symex.engine import DFS, Engine, EngineConfig, ExplorationResult
 from repro.symex.observers import ObserverDelta, PathObserver
 from repro.symex.state import ACCEPTED, PathResult
+
+if TYPE_CHECKING:  # core.py imports this module
+    from repro.achilles.core import AchillesConfig
 
 #: A server node program as Achilles drives it: the engine hands it the
 #: execution context plus the unconstrained symbolic message byte vector.
@@ -322,20 +325,8 @@ def _shard_setup(engine: Engine, server, clients: ClientPredicateSet,
 
 def search_server(server, clients: ClientPredicateSet,
                   server_msg: tuple[Expr, ...],
-                  engine_config: EngineConfig | None = None,
-                  flags: OptimizationFlags | None = None,
-                  msg_name: str = "msg",
+                  config: AchillesConfig | None = None, *,
                   query_cache: QueryCache | None = None,
-                  shards: int = 1,
-                  transport: str | None = None,
-                  hosts: tuple = (),
-                  on_worker_loss: str = "fail",
-                  max_worker_retries: int = 2,
-                  run_dir: str | None = None,
-                  checkpoint_interval: int = 1,
-                  resume: bool = False,
-                  trace_dir: str | None = None,
-                  progress: bool = False,
                   checkpoint_hook=None,
                   ) -> tuple[AchillesReport, ExplorationResult]:
     """Explore a server program under the incremental Trojan search.
@@ -346,62 +337,32 @@ def search_server(server, clients: ClientPredicateSet,
         clients: preprocessed ``PC``.
         server_msg: message variables (must match what the wrapped
             program will receive — see :func:`wrap_server`).
-        engine_config: exploration limits.
-        flags: optimization switches.
-        msg_name: base name used when materializing the message vars.
+        config: the run's :class:`~repro.achilles.core.AchillesConfig`;
+            this reads its ``server_engine``, ``optimizations``,
+            ``msg_name`` and the distribution and observability settings
+            described there. None runs one serial in-process walk with
+            the defaults.
         query_cache: shared canonical query cache (the orchestrator passes
             the phase-1 cache here so cross-phase queries hit).
-        shards: exploration shard count. 1 (the default) walks the path
-            tree in-process; > 1 partitions it by decision prefixes
-            across that many worker processes
-            (:class:`~repro.explore.scheduler.ShardScheduler`) with
-            work-stealing, and the deterministic merge makes findings
-            byte-identical to the serial walk. Query-cache counters then
-            describe the coordinator's seed phase only (shard workers
-            warm private caches), while query/frame/propagation counters
-            include the per-shard solver work.
-        transport: where sharded workers live — a
-            :class:`~repro.explore.transport.Transport` instance,
-            ``"local"`` / ``"tcp"``, or None (tcp when ``hosts`` are
-            given, local otherwise). Ignored for ``shards == 1``.
-        hosts: ``"host:port"`` addresses of running
-            ``python -m repro worker`` daemons for the TCP transport.
-        on_worker_loss: ``"fail"`` (default) raises when a shard worker
-            dies silently mid-search; ``"recover"`` reclaims and re-runs
-            the lost prefixes (see
-            :class:`~repro.explore.scheduler.ShardScheduler`) —
-            findings stay byte-identical, and the report carries
-            ``worker_failures``/``prefixes_reassigned``/
-            ``recovery_seconds``.
-        max_worker_retries: respawn attempts per lost worker before its
-            slot is written off (``"recover"`` only).
-        run_dir: when set (sharded runs only), journal completed shard
-            assignments to ``run_dir/journal.wal``
-            (:class:`~repro.explore.checkpoint.RunJournal`) so a killed
-            coordinator can be resumed.
-        checkpoint_interval: completed assignments per durable journal
-            checkpoint.
-        resume: replay ``run_dir``'s journal and explore only the
-            outstanding regions; findings stay byte-identical to an
-            uninterrupted run.
-        trace_dir: when set, activate the structured tracer
-            (:mod:`repro.obs.trace`) for the whole search and write the
-            merged trace — coordinator spans, per-worker assignment
-            deltas and the metrics trailer — to
-            ``trace_dir/trace.jsonl``. Observational only: findings are
-            byte-identical with tracing on or off.
-        progress: print a periodic one-line fleet status to stderr
-            (:class:`~repro.obs.progress.ProgressMeter`) while the
-            search runs.
         checkpoint_hook: test seam — called with the checkpoint index
             after each durable checkpoint (see
             :class:`~repro.explore.faults.KillCoordinatorAt`).
+
+    With ``shards > 1`` the query-cache counters describe the
+    coordinator's seed phase only (shard workers warm private caches),
+    while query/frame/propagation counters include the per-shard solver
+    work.
 
     Returns:
         The (partially filled) report and the raw exploration result; the
         orchestrator merges in client stats and timings.
     """
-    engine = Engine(engine_config or EngineConfig(), query_cache=query_cache)
+    if config is None:
+        from repro.achilles.core import AchillesConfig
+
+        config = AchillesConfig(layout=clients.layout)
+    shards = config.shards
+    engine = Engine(config.server_engine, query_cache=query_cache)
     if shards > 1 and engine.config.search_order != DFS:
         # The sharded merge renumbers paths in canonical prefix order,
         # which reproduces DFS completion order exactly — a serial BFS
@@ -414,12 +375,12 @@ def search_server(server, clients: ClientPredicateSet,
             "only byte-identical across shard counts for DFS runs")
 
     tracer = None
-    if trace_dir is not None:
+    if config.trace_dir is not None:
         # Clear any tracer a failed earlier run left behind, then own a
         # fresh coordinator-sourced one for exactly this search.
         obs_trace.deactivate()
         tracer = obs_trace.activate(source="coordinator")
-    meter = ProgressMeter() if progress else None
+    meter = ProgressMeter() if config.progress else None
 
     started = time.perf_counter()
     shard_stats = None
@@ -430,21 +391,25 @@ def search_server(server, clients: ClientPredicateSet,
 
             scheduler = ShardScheduler(
                 _shard_setup,
-                (server, clients, server_msg, flags, msg_name, True),
+                (server, clients, server_msg, config.optimizations,
+                 config.msg_name, True),
                 shards=shards, engine=engine,
-                transport=transport, hosts=hosts,
-                on_worker_loss=on_worker_loss,
-                max_worker_retries=max_worker_retries,
-                run_dir=run_dir, checkpoint_interval=checkpoint_interval,
-                resume=resume, checkpoint_hook=checkpoint_hook,
-                trace=trace_dir is not None, progress=meter)
+                transport=config.transport, hosts=config.hosts,
+                on_worker_loss=config.on_worker_loss,
+                max_worker_retries=config.max_worker_retries,
+                run_dir=config.run_dir,
+                checkpoint_interval=config.checkpoint_interval,
+                resume=config.resume, checkpoint_hook=checkpoint_hook,
+                trace=tracer is not None, progress=meter)
             sharded = scheduler.run()
             exploration = sharded.exploration
             observer = sharded.observer
             shard_stats = sharded.worker_solver_stats
         else:
             program, observer = _shard_setup(engine, server, clients,
-                                             server_msg, flags, msg_name)
+                                             server_msg,
+                                             config.optimizations,
+                                             config.msg_name)
             control = (meter.serial_control(engine)
                        if meter is not None else None)
             if tracer is None:
@@ -498,7 +463,7 @@ def search_server(server, clients: ClientPredicateSet,
     if tracer is not None:
         obs_trace.deactivate()
         worker_deltas = sharded.worker_traces if sharded is not None else None
-        _write_run_trace(tracer, trace_dir, worker_deltas, report)
+        _write_run_trace(tracer, config.trace_dir, worker_deltas, report)
     return report, exploration
 
 

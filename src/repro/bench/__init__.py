@@ -16,8 +16,8 @@ from repro.bench.experiments import (
     FuzzingOutcome,
     PbftOutcome,
     run_ablation,
+    run_accuracy,
     run_classic_baseline,
-    run_fsp_accuracy,
     run_fsp_wildcard,
     run_fuzzing_comparison,
     run_pbft_analysis,
@@ -31,8 +31,8 @@ __all__ = [
     "format_series",
     "format_table",
     "run_ablation",
+    "run_accuracy",
     "run_classic_baseline",
-    "run_fsp_accuracy",
     "run_fsp_wildcard",
     "run_fuzzing_comparison",
     "run_pbft_analysis",

@@ -5,11 +5,17 @@ structured outcome; the benchmark files print the paper-shaped rows and
 assert the qualitative claims (who wins, by what rough factor, where the
 curves bend). Absolute times differ from the paper's 16-core testbed by
 construction — the shapes are what reproduces.
+
+Drivers that hunt take ``**settings``: run settings passed straight into
+:class:`~repro.achilles.AchillesConfig` (``shards``, ``server_engine``,
+``cache_dir``, ...), whose docstring describes each of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from repro.achilles import Achilles, AchillesConfig, FieldMask, OptimizationFlags
 from repro.achilles.report import AchillesReport
@@ -17,6 +23,7 @@ from repro.achilles.server_analysis import a_posteriori_search
 from repro.baselines.classic import ClassicResult, classic_symbolic_execution
 from repro.baselines.fuzzer import FuzzCampaign, FuzzResult, expected_trojans_per_hour
 from repro.messages.concrete import encode
+from repro.messages.layout import MessageLayout
 from repro.systems import fsp
 from repro.systems.fsp.protocol import STUBS
 from repro.systems.pbft import (
@@ -27,21 +34,9 @@ from repro.systems.pbft import (
     run_workload,
 )
 from repro.systems.pbft.cluster import ClusterStats
-from repro.symex.engine import EngineConfig
 
 #: The §6.1 annotation mask: session fields are stubbed, not analyzed.
 FSP_SESSION_MASK = FieldMask.hide("sum", "bb_key", "bb_seq", "bb_pos")
-
-
-def make_engine_config(search_order: str | None = None,
-                       max_paths: int | None = None) -> EngineConfig:
-    """An :class:`EngineConfig` with the CLI's exploration overrides applied."""
-    config = EngineConfig()
-    if search_order is not None:
-        config.search_order = search_order
-    if max_paths is not None:
-        config.max_paths = max_paths
-    return config
 
 
 @dataclass
@@ -70,101 +65,105 @@ class AccuracyOutcome:
         return self.classes_found / self.classes_total
 
 
-def _fsp_achilles(optimizations: OptimizationFlags | None = None,
-                  shards: int = 1,
-                  search_order: str | None = None,
-                  max_paths: int | None = None,
-                  transport="local",
-                  hosts: tuple = (),
-                  on_worker_loss: str = "fail",
-                  cache_dir: str | None = None,
-                  run_dir: str | None = None,
-                  checkpoint_interval: int = 1,
-                  resume: bool = False,
-                  trace_dir: str | None = None,
-                  progress: bool = False) -> Achilles:
-    config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-                            optimizations=optimizations or OptimizationFlags(),
-                            client_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            server_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            shards=shards,
-                            transport=transport, hosts=tuple(hosts),
-                            on_worker_loss=on_worker_loss,
-                            cache_dir=cache_dir, run_dir=run_dir,
-                            checkpoint_interval=checkpoint_interval,
-                            resume=resume, trace_dir=trace_dir,
-                            progress=progress)
-    return Achilles(config)
+@dataclass(frozen=True)
+class ScoredSystem:
+    """A system with seeded Trojan classes: what to hunt, how to score it.
 
-
-def run_fsp_accuracy(optimizations: OptimizationFlags | None = None,
-                     shards: int = 1,
-                     search_order: str | None = None,
-                     max_paths: int | None = None,
-                     transport="local",
-                     hosts: tuple = (),
-                     on_worker_loss: str = "fail",
-                     cache_dir: str | None = None,
-                     run_dir: str | None = None,
-                     checkpoint_interval: int = 1,
-                     resume: bool = False,
-                     trace_dir: str | None = None,
-                     progress: bool = False) -> AccuracyOutcome:
-    """Table 1 (Achilles column) + Figures 10/11 raw data.
-
-    ``shards`` > 1 partitions the phase-2 path tree across exploration
-    worker processes; findings are byte-identical at any shard count.
-    ``search_order`` / ``max_paths`` override the default exploration
-    policy for both phases. ``transport``/``hosts``
-    choose where shard workers live (``"tcp"`` drives remote
-    ``python -m repro worker`` daemons; findings stay byte-identical).
-    ``cache_dir`` persists the canonical query cache across runs (a warm
-    re-run only re-solves what changed); ``run_dir`` /
-    ``checkpoint_interval`` / ``resume`` checkpoint the sharded phase-2
-    search and continue it after a coordinator kill.
+    Attributes:
+        layout: wire layout shared by its clients and server.
+        clients: builds the client programs handed to phase 1.
+        server: the server program phase 2 explores.
+        ground_truth: scores witnesses (``ground_truth.score(witnesses)``).
+        class_count: how many Trojan classes are seeded.
+        mask: fields hidden from the Trojan check.
+        destination: node name client messages must be sent to.
     """
-    with _fsp_achilles(optimizations, shards, search_order,
-                       max_paths, transport, hosts, on_worker_loss,
-                       cache_dir, run_dir, checkpoint_interval,
-                       resume, trace_dir, progress) as achilles:
-        predicates = achilles.extract_clients(fsp.literal_clients())
-        report = achilles.search(fsp.fsp_server, predicates)
-    score = fsp.GroundTruth.score(report.witnesses())
+
+    layout: MessageLayout
+    clients: Callable[[], dict]
+    server: Callable
+    ground_truth: object
+    class_count: int
+    mask: FieldMask = field(default_factory=FieldMask.none)
+    destination: str | None = None
+
+
+def scored_systems() -> dict[str, ScoredSystem]:
+    """The table :func:`run_accuracy` runs, one row per system.
+
+    Built on call, so importing this module leaves the Raft, 2PC and
+    broadcast systems unimported.
+    """
+    from repro.systems import broadcast, raft, tpc
+
+    return {
+        # Table 1 (Achilles column) and the raw data of Figures 10/11.
+        "fsp": ScoredSystem(
+            fsp.FSP_LAYOUT, fsp.literal_clients, fsp.fsp_server,
+            fsp.GroundTruth, len(fsp.all_trojan_classes()),
+            mask=FSP_SESSION_MASK),
+        # 8 stale-term AppendEntries classes + 1 vote off-by-one.
+        "raft": ScoredSystem(
+            raft.RAFT_LAYOUT, raft.peer_clients, raft.raft_follower,
+            raft.GroundTruth, len(raft.all_trojan_classes()),
+            destination="follower"),
+        # Ack-without-WAL + empty-op prepare.
+        "tpc": ScoredSystem(
+            tpc.TPC_LAYOUT, tpc.coordinator_clients, tpc.tpc_participant,
+            tpc.GroundTruth, len(tpc.all_trojan_classes()),
+            destination="participant"),
+        # 1 forged-sender SEND class + 6 thin-quorum READY certificates.
+        "broadcast": ScoredSystem(
+            broadcast.BROADCAST_LAYOUT, broadcast.peer_clients,
+            broadcast.broadcast_node, broadcast.GroundTruth,
+            len(broadcast.all_trojan_classes()), destination="node"),
+    }
+
+
+def _hunt(system: ScoredSystem, **settings) -> AchillesReport:
+    """One full Achilles pipeline over ``system`` under ``settings``."""
+    config = AchillesConfig(layout=system.layout, mask=system.mask,
+                            destination=system.destination, **settings)
+    with Achilles(config) as achilles:
+        return achilles.run(system.clients(), system.server)
+
+
+def _score(system: ScoredSystem, **settings) -> AccuracyOutcome:
+    """Hunt ``system`` and score its witnesses against the ground truth."""
+    report = _hunt(system, **settings)
+    score = system.ground_truth.score(report.witnesses())
     return AccuracyOutcome(
         report=report,
         true_positives=score.true_positives,
         false_positives=score.false_positives,
         classes_found=len(score.classes_found),
-        classes_total=len(fsp.all_trojan_classes()),
+        classes_total=system.class_count,
     )
 
 
+def run_accuracy(name: str, **settings) -> AccuracyOutcome:
+    """Hunt the :func:`scored_systems` row ``name`` and score it.
+
+    A perfect run has ``precision == recall == 1.0``; findings are
+    byte-identical at any shard count.
+    """
+    return _score(scored_systems()[name], **settings)
+
+
+def run_toy(**settings) -> AchillesReport:
+    """§2.1 working example: one Trojan, a READ with a negative address."""
+    from repro.systems.toy import TOY_LAYOUT, toy_client, toy_server
+
+    with Achilles(AchillesConfig(layout=TOY_LAYOUT, **settings)) as achilles:
+        return achilles.run({"toy": toy_client}, toy_server)
+
+
 def run_fsp_wildcard(listing: tuple[str, ...] = ("f1", "f2", "doc"),
-                     shards: int = 1,
-                     search_order: str | None = None,
-                     max_paths: int | None = None,
-                     transport="local",
-                     hosts: tuple = (),
-                     on_worker_loss: str = "fail",
-                     cache_dir: str | None = None,
-                     run_dir: str | None = None,
-                     checkpoint_interval: int = 1,
-                     resume: bool = False,
-                     trace_dir: str | None = None,
-                     progress: bool = False) -> AchillesReport:
+                     **settings) -> AchillesReport:
     """§6.3 wildcard experiment: globbing clients, same server."""
-    with _fsp_achilles(shards=shards,
-                       search_order=search_order,
-                       max_paths=max_paths, transport=transport,
-                       hosts=hosts, on_worker_loss=on_worker_loss,
-                       cache_dir=cache_dir, run_dir=run_dir,
-                       checkpoint_interval=checkpoint_interval,
-                       resume=resume, trace_dir=trace_dir,
-                       progress=progress) as achilles:
-        predicates = achilles.extract_clients(fsp.globbing_clients(listing))
-        return achilles.search(fsp.fsp_server, predicates)
+    system = replace(scored_systems()["fsp"],
+                     clients=partial(fsp.globbing_clients, listing))
+    return _hunt(system, **settings)
 
 
 def run_classic_baseline(per_path_limit: int = 512) -> tuple[ClassicResult,
@@ -249,7 +248,8 @@ def run_ablation() -> dict[str, AchillesReport]:
     Also includes single-optimization-off variants (the design-choice
     ablation DESIGN.md calls out).
     """
-    achilles = _fsp_achilles()
+    achilles = Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
+                                       mask=FSP_SESSION_MASK))
     predicates = achilles.extract_clients(fsp.literal_clients())
 
     outcomes: dict[str, AchillesReport] = {}
@@ -262,11 +262,7 @@ def run_ablation() -> dict[str, AchillesReport]:
         "no-incremental-drop": OptimizationFlags(incremental_drop=False,
                                                  use_different_from=False),
     }.items():
-        variant = Achilles(AchillesConfig(
-            layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-            optimizations=flags))
-        variant_preds = variant.extract_clients(fsp.literal_clients())
-        outcomes[label] = variant.search(fsp.fsp_server, variant_preds)
+        outcomes[label] = _hunt(scored_systems()["fsp"], optimizations=flags)
 
     posterior = a_posteriori_search(
         fsp.fsp_server, predicates, achilles.server_msg)
@@ -285,175 +281,26 @@ class PbftOutcome:
     impact: dict[str, ClusterStats] = field(default_factory=dict)
 
 
-def run_pbft_analysis(shards: int = 1,
-                      search_order: str | None = None,
-                      max_paths: int | None = None,
-                      transport="local",
-                      hosts: tuple = (),
-                      on_worker_loss: str = "fail",
-                      cache_dir: str | None = None,
-                      run_dir: str | None = None,
-                      checkpoint_interval: int = 1,
-                      resume: bool = False,
-                      trace_dir: str | None = None,
-                      progress: bool = False) -> AchillesReport:
+def run_pbft_analysis(**settings) -> AchillesReport:
     """§6.2 PBFT run: the MAC Trojan on every accepting path."""
-    with Achilles(AchillesConfig(layout=REQUEST_LAYOUT,
-                                 destination="replica0",
-                                 client_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 server_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 shards=shards,
-                                 transport=transport,
-                                 hosts=tuple(hosts),
-                                 on_worker_loss=on_worker_loss,
-                                 cache_dir=cache_dir,
-                                 run_dir=run_dir,
-                                 checkpoint_interval=checkpoint_interval,
-                                 resume=resume,
-                                 trace_dir=trace_dir,
-                                 progress=progress)) as achilles:
-        predicates = achilles.extract_clients({"pbft-client": pbft_client})
-        return achilles.search(pbft_replica, predicates)
+    config = AchillesConfig(layout=REQUEST_LAYOUT, destination="replica0",
+                            **settings)
+    with Achilles(config) as achilles:
+        return achilles.run({"pbft-client": pbft_client}, pbft_replica)
 
 
-def run_pbft_impact(requests: int = 40, shards: int = 1,
-                    search_order: str | None = None,
-                    max_paths: int | None = None,
-                    transport="local",
-                    hosts: tuple = (),
-                    on_worker_loss: str = "fail",
-                    cache_dir: str | None = None,
-                    run_dir: str | None = None,
-                    checkpoint_interval: int = 1,
-                    resume: bool = False,
-                    trace_dir: str | None = None,
-                    progress: bool = False) -> PbftOutcome:
+def run_pbft_impact(requests: int = 40, **settings) -> PbftOutcome:
     """§6.3 MAC attack impact: throughput under increasing attack rates."""
-    report = run_pbft_analysis(shards=shards,
-                               search_order=search_order,
-                               max_paths=max_paths, transport=transport,
-                               hosts=hosts, on_worker_loss=on_worker_loss,
-                               cache_dir=cache_dir, run_dir=run_dir,
-                               checkpoint_interval=checkpoint_interval,
-                               resume=resume, trace_dir=trace_dir,
-                               progress=progress)
-    outcome = PbftOutcome(report=report, mac_stub=MAC_STUB)
+    outcome = PbftOutcome(report=run_pbft_analysis(**settings),
+                          mac_stub=MAC_STUB)
     for label, every in {"clean": 0, "attack-10%": 10, "attack-50%": 2}.items():
         outcome.impact[label] = run_workload(requests, malicious_every=every)
     return outcome
 
 
-def _scored_accuracy_run(layout, destination: str, clients, server,
-                         ground_truth, class_count: int,
-                         shards: int,
-                         search_order: str | None,
-                         max_paths: int | None,
-                         transport="local",
-                         hosts: tuple = (),
-                         on_worker_loss: str = "fail",
-                         cache_dir: str | None = None,
-                         run_dir: str | None = None,
-                         checkpoint_interval: int = 1,
-                         resume: bool = False,
-                         trace_dir: str | None = None,
-                         progress: bool = False) -> AccuracyOutcome:
-    """Full pipeline + ground-truth scoring, shared by raft and tpc."""
-    config = AchillesConfig(layout=layout, destination=destination,
-                            client_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            server_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            shards=shards,
-                            transport=transport, hosts=tuple(hosts),
-                            on_worker_loss=on_worker_loss,
-                            cache_dir=cache_dir, run_dir=run_dir,
-                            checkpoint_interval=checkpoint_interval,
-                            resume=resume, trace_dir=trace_dir,
-                            progress=progress)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(clients)
-        report = achilles.search(server, predicates)
-    score = ground_truth.score(report.witnesses())
-    return AccuracyOutcome(
-        report=report,
-        true_positives=score.true_positives,
-        false_positives=score.false_positives,
-        classes_found=len(score.classes_found),
-        classes_total=class_count,
-    )
-
-
-def run_raft_accuracy(shards: int = 1,
-                      search_order: str | None = None,
-                      max_paths: int | None = None,
-                      transport="local",
-                      hosts: tuple = (),
-                      on_worker_loss: str = "fail",
-                      cache_dir: str | None = None,
-                      run_dir: str | None = None,
-                      checkpoint_interval: int = 1,
-                      resume: bool = False,
-                      trace_dir: str | None = None,
-                      progress: bool = False) -> AccuracyOutcome:
-    """Raft follower ingress vs the 9 seeded Trojan classes.
-
-    Scores Achilles against :mod:`repro.systems.raft.ground_truth`
-    (8 stale-term AppendEntries classes + 1 vote off-by-one); a perfect
-    run has ``precision == recall == 1.0``. ``shards`` behaves as for
-    FSP: findings are byte-identical at any shard count.
-    """
-    from repro.systems import raft
-
-    return _scored_accuracy_run(
-        raft.RAFT_LAYOUT, "follower", raft.peer_clients(),
-        raft.raft_follower, raft.GroundTruth,
-        len(raft.all_trojan_classes()), shards, search_order,
-        max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
-        checkpoint_interval, resume, trace_dir, progress)
-
-
-def run_broadcast_accuracy(shards: int = 1,
-                           search_order: str | None = None,
-                           max_paths: int | None = None,
-                           transport="local",
-                           hosts: tuple = (),
-                           on_worker_loss: str = "fail",
-                           cache_dir: str | None = None,
-                           run_dir: str | None = None,
-                           checkpoint_interval: int = 1,
-                           resume: bool = False,
-                           trace_dir: str | None = None,
-                           progress: bool = False) -> AccuracyOutcome:
-    """Bracha broadcast node ingress vs the 7 seeded Trojan classes.
-
-    Scores Achilles against :mod:`repro.systems.broadcast.ground_truth`
-    (1 forged-sender SEND class + 6 thin-quorum READY certificates); a
-    perfect run has ``precision == recall == 1.0``.
-    """
-    from repro.systems import broadcast
-
-    return _scored_accuracy_run(
-        broadcast.BROADCAST_LAYOUT, "node", broadcast.peer_clients(),
-        broadcast.broadcast_node, broadcast.GroundTruth,
-        len(broadcast.all_trojan_classes()), shards,
-        search_order, max_paths, transport, hosts, on_worker_loss,
-        cache_dir, run_dir, checkpoint_interval, resume, trace_dir,
-        progress)
-
-
 def run_corpus(corpus_seed: int = 0, variants: int = 12,
                templates: tuple[str, ...] | None = None,
-               only: tuple[str, ...] = (),
-               shards: int = 1,
-               search_order: str | None = None,
-               max_paths: int | None = None,
-               transport="local",
-               hosts: tuple = (),
-               on_worker_loss: str = "fail",
-               cache_dir: str | None = None,
-               progress: bool = False):
+               only: tuple[str, ...] = (), **settings):
     """Scenario-matrix corpus: generate, hunt and score system variants.
 
     Generates ``variants`` randomized systems from the registered
@@ -479,40 +326,11 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
         systems = generate_corpus(corpus_seed, variants, templates)
     results = []
     for variant in systems:
-        outcome = _scored_accuracy_run(
-            variant.layout, variant.destination, variant.clients,
-            variant.server, bound_ground_truth(variant),
-            len(variant.classes), shards, search_order,
-            max_paths, transport, hosts, on_worker_loss, cache_dir,
-            None, 1, False, None, progress)
-        results.append(VariantOutcome(variant=variant, outcome=outcome))
+        system = ScoredSystem(
+            variant.layout, partial(dict, variant.clients), variant.server,
+            bound_ground_truth(variant), len(variant.classes),
+            destination=variant.destination)
+        results.append(VariantOutcome(variant=variant,
+                                      outcome=_score(system, **settings)))
     return CorpusOutcome(corpus_seed=None if only else corpus_seed,
                          results=results)
-
-
-def run_tpc_accuracy(shards: int = 1,
-                     search_order: str | None = None,
-                     max_paths: int | None = None,
-                     transport="local",
-                     hosts: tuple = (),
-                     on_worker_loss: str = "fail",
-                     cache_dir: str | None = None,
-                     run_dir: str | None = None,
-                     checkpoint_interval: int = 1,
-                     resume: bool = False,
-                     trace_dir: str | None = None,
-                     progress: bool = False) -> AccuracyOutcome:
-    """Two-phase-commit participant vs the 2 seeded Trojan classes.
-
-    Scores Achilles against :mod:`repro.systems.tpc.ground_truth`
-    (ack-without-WAL + empty-op prepare); a perfect run has
-    ``precision == recall == 1.0``.
-    """
-    from repro.systems import tpc
-
-    return _scored_accuracy_run(
-        tpc.TPC_LAYOUT, "participant", tpc.coordinator_clients(),
-        tpc.tpc_participant, tpc.GroundTruth,
-        len(tpc.all_trojan_classes()), shards, search_order,
-        max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
-        checkpoint_interval, resume, trace_dir, progress)

@@ -82,7 +82,8 @@ class TestSearch:
     def test_pruning_disabled_still_no_false_findings(self, clients):
         report, _ = search_server(
             _exact_server, clients, MSG,
-            flags=OptimizationFlags.all_off())
+            AchillesConfig(layout=LAYOUT,
+                           optimizations=OptimizationFlags.all_off()))
         assert report.trojan_count == 0
         assert report.server_paths_pruned == 0
 
@@ -160,8 +161,9 @@ class TestOptimizationFlagEquivalence:
         OptimizationFlags.all_off(),
     ], ids=["all-on", "no-drop", "no-diff", "no-prune", "all-off"])
     def test_flags_do_not_change_findings(self, clients, flags):
-        report, _ = search_server(_server_with_hole, clients, MSG,
-                                  flags=flags)
+        report, _ = search_server(
+            _server_with_hole, clients, MSG,
+            AchillesConfig(layout=LAYOUT, optimizations=flags))
         assert report.trojan_count == 1
         witness = report.findings[0].witness
         assert witness[0] == 1 and 50 <= witness[1] < 100

@@ -9,8 +9,8 @@ contract of the underlying pipeline.
 
 import pytest
 
-from repro.bench.experiments import _scored_accuracy_run, run_corpus
-from repro.corpus import bound_ground_truth, corpus_payload, dump_payload
+from repro.bench.experiments import run_corpus
+from repro.corpus import corpus_payload, dump_payload
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +70,8 @@ class TestCorpusRun:
         # of the same variant must reproduce the serial findings.
         result = small_corpus.results[1]  # the raft variant
         variant = result.variant
-        sharded = _scored_accuracy_run(
-            variant.layout, variant.destination, variant.clients,
-            variant.server, bound_ground_truth(variant),
-            len(variant.classes), shards=2, search_order=None,
-            max_paths=None)
+        sharded = run_corpus(only=(variant.token,),
+                             shards=2).results[0].outcome
         serial_findings = [
             (f.server_path_id, f.decisions, f.witness, f.labels)
             for f in result.outcome.report.findings]

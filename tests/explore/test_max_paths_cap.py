@@ -17,7 +17,8 @@ import itertools
 import pytest
 
 from repro.achilles import Achilles, AchillesConfig
-from repro.bench.experiments import FSP_SESSION_MASK, make_engine_config
+from repro.bench.experiments import FSP_SESSION_MASK
+from repro.symex.engine import EngineConfig
 from repro.systems import fsp
 
 #: Small enough to truncate the 2-command FSP tree (~300 paths) hard.
@@ -43,7 +44,8 @@ def _generable_by_run_clients(witness: bytes) -> bool:
 def _run(shards: int, max_paths: int | None):
     config = AchillesConfig(
         layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-        server_engine=make_engine_config(None, max_paths),
+        server_engine=(EngineConfig() if max_paths is None
+                       else EngineConfig(max_paths=max_paths)),
         shards=shards)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(

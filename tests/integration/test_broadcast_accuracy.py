@@ -8,13 +8,13 @@ independent concrete oracles.
 
 import pytest
 
-from repro.bench.experiments import run_broadcast_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.systems import broadcast
 
 
 @pytest.fixture(scope="module")
 def broadcast_outcome():
-    return run_broadcast_accuracy()
+    return run_accuracy("broadcast")
 
 
 class TestBroadcastAccuracy:

@@ -8,18 +8,18 @@ under the independent concrete oracles.
 
 import pytest
 
-from repro.bench.experiments import run_raft_accuracy, run_tpc_accuracy
+from repro.bench.experiments import run_accuracy
 from repro.systems import raft, tpc
 
 
 @pytest.fixture(scope="module")
 def raft_outcome():
-    return run_raft_accuracy()
+    return run_accuracy("raft")
 
 
 @pytest.fixture(scope="module")
 def tpc_outcome():
-    return run_tpc_accuracy()
+    return run_accuracy("tpc")
 
 
 class TestRaftAccuracy:

@@ -23,6 +23,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -109,12 +110,10 @@ def _search(system, run_dir, *, resume=False, hook=None, hosts=None):
         predicates = achilles.extract_clients(spec["clients"]())
         report, _ = search_server(
             spec["server"], predicates, achilles.server_msg,
-            config.server_engine, config.optimizations, config.msg_name,
-            query_cache=achilles.query_cache,
-            shards=config.shards, transport=config.transport,
-            hosts=config.hosts,
-            run_dir=None if run_dir is None else str(run_dir),
-            checkpoint_interval=1, resume=resume, checkpoint_hook=hook)
+            replace(config,
+                    run_dir=None if run_dir is None else str(run_dir),
+                    checkpoint_interval=1, resume=resume),
+            query_cache=achilles.query_cache, checkpoint_hook=hook)
         return report
 
 

@@ -1,10 +1,27 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _EXPERIMENTS, main
+from repro.achilles import AchillesConfig
+from repro.bench import experiments
+from repro.explore.checkpoint import JOURNAL_NAME
+from repro.systems.toy import TOY_LAYOUT
+
+#: The first line each experiment's printer starts with (a prefix where
+#: the line embeds a wall-clock time).
+TITLES = {
+    "toy": "1 Trojan finding(s) in ",
+    "fsp": "FSP accuracy (Table 1, Achilles column)",
+    "fsp-wildcard": "findings: 112; wildcard witnesses: 32",
+    "pbft": "findings: ",
+    "raft": "Raft follower ingress vs seeded ground truth",
+    "tpc": "Two-phase-commit participant vs seeded ground truth",
+    "broadcast": "Bracha broadcast node vs seeded ground truth",
+}
 
 
 class TestCli:
@@ -35,6 +52,130 @@ class TestCli:
             main(["fsp", "--workers", "2"])
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+class TestExperimentTable:
+    def test_every_row_has_a_title(self):
+        assert set(TITLES) == set(_EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
+    def test_experiment_runs_and_prints_its_title(self, capsys, name):
+        assert main([name]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(TITLES[name])
+        assert "run health:" in out
+
+
+class _Captured(Exception):
+    """Stops a driver at the Achilles it would build."""
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """The AchillesConfig each hunt is given, instead of hunting."""
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(experiments, "Achilles", capture)
+    return configs
+
+
+#: Every shared run-settings flag, each off its default.
+SHARED_FLAGS = ["--shards", "3", "--transport", "tcp",
+                "--hosts", " a:1, b:2 ", "--on-worker-loss", "recover",
+                "--search-order", "bfs", "--max-paths", "7", "--progress"]
+
+#: AchillesConfig fields no flag sets: the system's own description and
+#: the worker retry budget.
+UNFLAGGED = {"layout", "mask", "optimizations", "destination", "msg_name",
+             "max_worker_retries"}
+
+
+class TestFlagsReachTheConfig:
+    def _assert_shared(self, config, cache_dir):
+        assert config.shards == 3
+        assert config.transport == "tcp"
+        assert config.hosts == ("a:1", "b:2")
+        assert config.on_worker_loss == "recover"
+        assert config.cache_dir == str(cache_dir)
+        assert config.progress is True
+        for engine in (config.client_engine, config.server_engine):
+            assert engine.search_order == "bfs"
+            assert engine.max_paths == 7
+
+    def test_experiment_sets_every_run_setting(self, captured, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / JOURNAL_NAME).touch()
+        with pytest.raises(_Captured):
+            main(["toy", *SHARED_FLAGS,
+                  "--cache-dir", str(tmp_path / "cache"),
+                  "--resume", str(run_dir), "--checkpoint-interval", "4",
+                  "--trace-dir", str(tmp_path / "trace")])
+        [config] = captured
+        self._assert_shared(config, tmp_path / "cache")
+        assert config.run_dir == str(run_dir)
+        assert config.resume is True
+        assert config.checkpoint_interval == 4
+        assert config.trace_dir == str(tmp_path / "trace")
+        default = AchillesConfig(layout=TOY_LAYOUT)
+        changed = {f.name for f in fields(AchillesConfig)
+                   if getattr(config, f.name) != getattr(default, f.name)}
+        assert changed == {f.name for f in fields(AchillesConfig)} - UNFLAGGED
+
+    def test_corpus_run_sets_the_shared_settings(self, captured, tmp_path):
+        with pytest.raises(_Captured):
+            main(["corpus", "run", "--variants", "1", *SHARED_FLAGS,
+                  "--cache-dir", str(tmp_path / "cache")])
+        [config] = captured
+        self._assert_shared(config, tmp_path / "cache")
+        assert config.run_dir is None
+        assert config.resume is False
+        assert config.checkpoint_interval == 1
+        assert config.trace_dir is None
+
+
+class TestBadSettings:
+    """A setting the config rejects is an error message and exit 2."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--shards", "0"], "shards must be >= 1"),
+        (["--transport", "tcp"], "needs hosts"),
+        (["--resume", "{tmp}", "--shards", "1"], "set shards >= 2"),
+        (["--checkpoint-interval", "0"], "checkpoint_interval must be >= 1"),
+    ], ids=["shards-0", "tcp-without-hosts", "resume-serial",
+            "checkpoint-interval-0"])
+    def test_experiment(self, capsys, tmp_path, flags, message):
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["toy", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--shards", "0"], "shards must be >= 1"),
+        (["--transport", "tcp"], "needs hosts"),
+    ], ids=["shards-0", "tcp-without-hosts"])
+    def test_corpus_run(self, capsys, flags, message):
+        assert main(["corpus", "run", "--variants", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [["toy"], ["corpus", "run"]],
+                             ids=["toy", "corpus-run"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_max_paths_fails_parsing(self, capsys, command,
+                                                  value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--max-paths", value])
+        assert excinfo.value.code == 2
+        assert "--max-paths: must be a positive integer" in \
+            capsys.readouterr().err
 
 
 class TestPersistenceFlags:
