@@ -12,7 +12,6 @@ Usage::
     python -m repro list           # show available experiments
 
     python -m repro worker --listen 127.0.0.1:9100 # shard worker daemon
-    python -m repro cache stats --cache-dir CACHE  # inspect a disk cache
     python -m repro trace summarize RUN/trace.jsonl  # inspect a trace
     python -m repro corpus run --variants 12       # scenario-matrix corpus
 
@@ -25,18 +24,15 @@ docstring describes. Experiments and ``corpus run`` share these flags:
 tree across worker processes; findings are byte-identical at any
 count), ``--transport/--hosts/--on-worker-loss`` (where shard workers
 live and what a lost one costs), ``--search-order/--max-paths`` (one
-exploration policy for both phases), ``--cache-dir`` and ``--progress``.
+exploration policy for both phases) and ``--progress``.
 Only experiments take ``--run-dir/--checkpoint-interval/--resume``,
 ``--trace-dir`` and ``-v/-q``. A setting the config rejects is reported
 on stderr, without a traceback, with exit code 2.
 
-Crash safety: ``--cache-dir DIR`` persists the canonical query cache
-across runs (a warm re-analysis only re-solves what changed; corrupted
-cache files degrade to a colder cache, never an error). With ``--shards
-N --run-dir DIR`` the sharded search journals its progress, and
-``--resume DIR`` continues a killed run from its last checkpoint —
-findings are byte-identical to an uninterrupted run. The ``cache``
-subcommand inspects, verifies, compacts, or clears a cache directory.
+Crash safety: with ``--shards N --run-dir DIR`` the sharded search
+journals its progress, and ``--resume DIR`` continues a killed run from
+its last checkpoint — findings are byte-identical to an uninterrupted
+run. The query cache lives in memory for one run.
 
 Multi-host analysis: start a ``worker`` daemon on each host, then point
 any experiment at them with ``--transport tcp --hosts
@@ -56,7 +52,7 @@ merged trace to ``DIR/trace.jsonl`` (``trace summarize`` prints span
 statistics, ``trace export`` converts to Chrome trace-event JSON for
 Perfetto). ``--progress`` prints a live one-line fleet status to stderr
 while the search runs. ``--verbose``/``--quiet`` move the ``repro``
-logger's threshold (recovery notices, cache salvage warnings). All of
+logger's threshold (worker loss and recovery notices). All of
 it is observational: findings are byte-identical with everything on or
 off.
 """
@@ -170,19 +166,17 @@ def _print_broadcast(outcome) -> int:
 def _report_health(report) -> None:
     """Robustness/observability counters after the experiment tables.
 
-    Surfaces what the run survived (worker deaths, reclaimed prefixes,
-    salvaged cache records) and what it leaned on (disk cache, journal
-    checkpoints) in one scannable block. The cache hit rate counts only
-    lookups that reach the query cache: replayed server prefixes are
-    answered by the Trojan observer's prefix trie first, so FSP shows
-    ~26% with the same solver work that used to read ~97.5%.
+    Surfaces what the run survived (worker deaths, reclaimed prefixes)
+    and what it leaned on (journal checkpoints) in one scannable block.
+    The cache hit rate counts only lookups that reach the query cache:
+    replayed server prefixes are answered by the Trojan observer's
+    prefix trie first, so FSP shows ~26% with the same solver work that
+    used to read ~97.5%.
     """
     queries = report.cache_hits + report.cache_misses
     hit_rate = f"{report.cache_hits / queries:.1%}" if queries else "n/a"
     rows = [("solver queries", report.solver_queries),
             ("cache hit rate", hit_rate),
-            ("disk cache hits", report.disk_hits),
-            ("salvaged records", report.salvaged_records),
             ("worker failures", report.worker_failures),
             ("prefixes reassigned", report.prefixes_reassigned),
             ("recovery seconds", f"{report.recovery_seconds:.2f}"),
@@ -256,12 +250,6 @@ def _settings_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-paths", type=_positive_int, default=None,
                         help="cap on completed paths per exploration "
                              "(default: the engine default)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist the canonical query cache to this "
-                             "directory and pre-load it on start; a warm "
-                             "re-run only re-solves what changed, and "
-                             "corrupted cache files degrade to a colder "
-                             "cache, never an error")
     parser.add_argument("--progress", action="store_true",
                         help="print a live one-line fleet status to "
                              "stderr while the search runs")
@@ -279,8 +267,7 @@ def _settings(args: argparse.Namespace) -> dict:
         shards=args.shards, transport=args.transport,
         hosts=tuple(h.strip() for h in args.hosts.split(",") if h.strip()),
         on_worker_loss=args.on_worker_loss, client_engine=engine,
-        server_engine=engine, cache_dir=args.cache_dir,
-        progress=args.progress)
+        server_engine=engine, progress=args.progress)
 
 
 def _run_worker(argv: list[str]) -> int:
@@ -308,54 +295,6 @@ def _run_worker(argv: list[str]) -> int:
     return 0
 
 
-def _run_cache(argv: list[str]) -> int:
-    """The ``cache`` subcommand: inspect/maintain a disk query cache."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cache",
-        description="Inspect or maintain a persistent query-cache "
-                    "directory (the --cache-dir of analysis runs). "
-                    "'stats' prints segment/record counts, 'verify' "
-                    "replays every segment and reports salvage/drop "
-                    "counts (exit 1 when records were lost), 'compact' "
-                    "rewrites the segments into one (model records "
-                    "subsume their feasibility records), 'clear' deletes "
-                    "all segments.")
-    parser.add_argument("action",
-                        choices=["stats", "verify", "compact", "clear"],
-                        help="what to do with the cache directory")
-    parser.add_argument("--cache-dir", required=True, metavar="DIR",
-                        help="the cache directory analysis runs wrote "
-                             "with --cache-dir")
-    args = parser.parse_args(argv)
-    from repro.solver.diskcache import DiskCacheStore
-
-    store = DiskCacheStore(args.cache_dir)
-    if args.action == "stats":
-        for name, value in store.stats().items():
-            print(f"{name:18} {value}")
-        return 0
-    if args.action == "verify":
-        report = store.verify()
-        print(f"segments scanned   {report.segments_scanned}")
-        print(f"segments damaged   {report.segments_damaged}")
-        print(f"records loaded     {report.loaded_records}")
-        print(f"records salvaged   {report.salvaged_records}")
-        print(f"records dropped    {report.dropped_records}")
-        if report.truncated:
-            print("load truncated at the in-memory entry bound")
-        for warning in report.warnings:
-            print(f"warning: {warning}")
-        return 1 if report.dropped_records else 0
-    if args.action == "compact":
-        segments, kept = store.compact()
-        print(f"compacted {segments} segment(s) into "
-              f"{len(store.segment_paths())}; {kept} record(s) kept")
-        return 0
-    removed = store.clear()
-    print(f"removed {removed} segment(s)")
-    return 0
-
-
 def _run_trace(argv: list[str]) -> int:
     """The ``trace`` subcommand: inspect/convert a recorded trace."""
     parser = argparse.ArgumentParser(
@@ -365,7 +304,7 @@ def _run_trace(argv: list[str]) -> int:
                     "metrics trailer; 'export' converts the trace to "
                     "Chrome trace-event JSON (open in Perfetto or "
                     "chrome://tracing). A damaged trace file salvages "
-                    "its valid prefix, like a damaged cache segment.")
+                    "its valid prefix, like a damaged run journal.")
     parser.add_argument("action", choices=["summarize", "export"],
                         help="print span statistics, or convert to "
                              "Chrome trace-event JSON")
@@ -502,8 +441,6 @@ def _dispatch(argv: list[str]) -> int:
     # branches off before the experiment parser.
     if argv[:1] == ["worker"]:
         return _run_worker(argv[1:])
-    if argv[:1] == ["cache"]:
-        return _run_cache(argv[1:])
     if argv[:1] == ["trace"]:
         return _run_trace(argv[1:])
     if argv[:1] == ["corpus"]:
@@ -512,18 +449,14 @@ def _dispatch(argv: list[str]) -> int:
         prog="python -m repro", parents=[_settings_parser()],
         description="Run Achilles reproduction experiments "
                     "('python -m repro worker --help' for the shard "
-                    "worker daemon, 'python -m repro cache --help' for "
-                    "the disk-cache maintenance tool, 'python -m repro "
-                    "trace --help' for the trace inspector, 'python -m "
-                    "repro corpus --help' for the scenario-matrix "
-                    "corpus).")
+                    "worker daemon, 'python -m repro trace --help' for "
+                    "the trace inspector, 'python -m repro corpus "
+                    "--help' for the scenario-matrix corpus).")
     parser.add_argument("experiment",
                         choices=sorted(_EXPERIMENTS) + ["list", "worker",
-                                                        "cache", "trace",
-                                                        "corpus"],
+                                                        "trace", "corpus"],
                         help="experiment to run, 'list', 'worker' (shard "
-                             "worker daemon), 'cache' (disk-cache "
-                             "maintenance), 'trace' (trace inspector), "
+                             "worker daemon), 'trace' (trace inspector), "
                              "or 'corpus' (scenario-matrix corpus)")
     parser.add_argument("--run-dir", default=None, metavar="DIR",
                         help="journal sharded-search progress to "
@@ -546,8 +479,8 @@ def _dispatch(argv: list[str]) -> int:
                         help="raise repro logger verbosity (repeatable: "
                              "-v info, -vv debug)")
     parser.add_argument("-q", "--quiet", action="store_true",
-                        help="only log errors (hides recovery and cache "
-                             "salvage warnings)")
+                        help="only log errors (hides worker loss and "
+                             "recovery warnings)")
     args = parser.parse_args(argv)
     from repro.obs.log import configure
 
@@ -557,8 +490,6 @@ def _dispatch(argv: list[str]) -> int:
             print(f"{name:14} {description}")
         print("worker         shard worker daemon "
               "(python -m repro worker --help)")
-        print("cache          disk-cache maintenance "
-              "(python -m repro cache --help)")
         print("trace          trace inspector/exporter "
               "(python -m repro trace --help)")
         print("corpus         scenario-matrix corpus runner "

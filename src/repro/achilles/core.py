@@ -19,6 +19,7 @@ Both phases share one canonical :class:`~repro.solver.cache.QueryCache`
 (held on the :class:`Achilles` instance as ``query_cache``): feasibility
 answers computed while exploring the clients are reused verbatim during
 the server search whenever the canonicalized constraint sets coincide.
+The cache lives in memory for one run.
 The cache's hit/miss counters are surfaced on the resulting
 :class:`~repro.achilles.report.AchillesReport` (``cache_hits``,
 ``cache_misses``, ``cache_hit_rate``).
@@ -36,8 +37,7 @@ single frame stack both families share.
 
 The one parallelism knob is ``AchillesConfig.shards``: it partitions the
 phase-2 path tree across worker processes or hosts
-(:mod:`repro.explore`). Use the instance as a context manager (or call
-:meth:`Achilles.close`) to flush a persistent query cache.
+(:mod:`repro.explore`).
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ class AchillesConfig:
         max_worker_retries: with ``on_worker_loss="recover"``, respawn
             attempts per worker slot before that slot is written off and
             its work spread over the survivors.
-        cache_dir: when set, persist the canonical query cache to this
-            directory (:class:`~repro.solver.diskcache.DiskCacheStore`)
-            and pre-load whatever a previous run left there: feasibility
-            and model answers are content-addressed on process-stable
-            structural fingerprints, so a warm re-analysis only pays for
-            the queries that changed. Corrupted segments degrade to a
-            partially cold cache with a warning — never an error, never
-            a wrong answer.
         run_dir: when set (sharded runs only), journal completed
             assignments to ``run_dir/journal.wal`` so a killed
             coordinator can be resumed with ``resume=True``.
@@ -154,7 +146,6 @@ class AchillesConfig:
     hosts: tuple[str, ...] = ()
     on_worker_loss: str = "fail"
     max_worker_retries: int = 2
-    cache_dir: str | None = None
     run_dir: str | None = None
     checkpoint_interval: int = 1
     resume: bool = False
@@ -203,13 +194,6 @@ class AchillesConfig:
                 f"AchillesConfig.checkpoint_interval must be >= 1, got "
                 f"{self.checkpoint_interval} (1 = fsync the run journal "
                 "after every completed shard assignment)")
-        if self.cache_dir is not None:
-            cache_path = Path(self.cache_dir)
-            if cache_path.exists() and not cache_path.is_dir():
-                raise AchillesError(
-                    f"AchillesConfig.cache_dir points at a file "
-                    f"({cache_path}); it must name a directory for the "
-                    "cache segments (it is created if missing)")
         if self.run_dir is not None:
             run_path = Path(self.run_dir)
             if run_path.exists() and not run_path.is_dir():
@@ -257,19 +241,10 @@ class Achilles:
         # One canonical query cache for the whole run: phase 1 engines and
         # the phase 2 search all consult (and fill) the same instance.
         self.query_cache = QueryCache()
-        #: The disk-cache salvage report when ``cache_dir`` is set
-        #: (:class:`~repro.solver.diskcache.LoadReport`), else None.
-        self.disk_cache_report = None
-        self._store = None
-        if config.cache_dir is not None:
-            from repro.solver.diskcache import DiskCacheStore
-
-            self._store = DiskCacheStore(config.cache_dir)
-            self.disk_cache_report = self._store.load_into(self.query_cache)
 
     def close(self) -> None:
-        """Flush the disk cache (a no-op without ``cache_dir``)."""
-        self.query_cache.flush_store()
+        """Release run resources; an Achilles run holds none past its
+        calls, so this only completes the context-manager protocol."""
 
     def __enter__(self) -> "Achilles":
         return self
@@ -294,10 +269,6 @@ class Achilles:
             predicates, self.config.layout, self.server_msg,
             self.config.mask, Solver(), stats,
             build_difference=self.config.optimizations.use_different_from)
-        # Phase-1 + pre-processing answers become durable before phase 2
-        # starts: a crash during the server search still leaves a warm
-        # cache for the re-run.
-        self.query_cache.flush_store()
         return result
 
     def search(self, server: ServerProgram,

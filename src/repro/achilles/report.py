@@ -137,16 +137,6 @@ class AchillesReport:
             respawning, and re-dispatching after worker losses — the
             overhead the faults cost (included in the server-analysis
             timing, not extra).
-        disk_hits: cache hits answered by entries pre-loaded from a
-            persistent on-disk cache (``cache_dir``) — the warm-start
-            payoff a re-analysis gets for free. Always <= cache_hits.
-        salvaged_records: disk-cache records recovered from *damaged*
-            segments (truncated tail, bad CRC elsewhere in the file).
-            Non-zero means the store healed itself; the salvaged entries
-            re-verified their content fingerprints before being trusted.
-        dropped_records: disk-cache records lost to corruption and not
-            recovered. Dropped entries degrade to cache misses — never
-            to wrong answers.
         checkpoints_written: durable (fsync'd) run-journal checkpoints
             the sharded search wrote (``run_dir``); 0 when no run
             directory was set.
@@ -169,9 +159,6 @@ class AchillesReport:
     worker_failures: int = 0
     prefixes_reassigned: int = 0
     recovery_seconds: float = 0.0
-    disk_hits: int = 0
-    salvaged_records: int = 0
-    dropped_records: int = 0
     checkpoints_written: int = 0
     resumed_regions: int = 0
 

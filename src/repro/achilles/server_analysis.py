@@ -425,9 +425,6 @@ def search_server(server, clients: ClientPredicateSet,
         raise
     elapsed = time.perf_counter() - started
 
-    # New answers this search produced become durable before the report
-    # claims them — a crash after search_server returns loses nothing.
-    engine.query_cache.flush_store()
     cache_stats = engine.query_cache.stats
     report = AchillesReport(
         findings=observer.findings,
@@ -441,9 +438,6 @@ def search_server(server, clients: ClientPredicateSet,
         frames_reused=engine.solver.stats.frames_reused,
         propagation_seconds=engine.solver.stats.propagation_seconds,
         shards=shards,
-        disk_hits=cache_stats.disk_hits,
-        salvaged_records=cache_stats.salvaged_records,
-        dropped_records=cache_stats.dropped_records,
     )
     if shard_stats is not None:
         report.solver_queries += shard_stats.queries
@@ -480,8 +474,6 @@ def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
     run_counters = {
         "cache.hits": report.cache_hits,
         "cache.misses": report.cache_misses,
-        "cache.disk_hits": report.disk_hits,
-        "cache.salvaged_records": report.salvaged_records,
         "solver.queries": report.solver_queries,
         "solver.frames_reused": report.frames_reused,
         "run.worker_failures": report.worker_failures,

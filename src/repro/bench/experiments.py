@@ -8,7 +8,7 @@ construction — the shapes are what reproduces.
 
 Drivers that hunt take ``**settings``: run settings passed straight into
 :class:`~repro.achilles.AchillesConfig` (``shards``, ``server_engine``,
-``cache_dir``, ...), whose docstring describes each of them.
+``trace_dir``, ...), whose docstring describes each of them.
 """
 
 from __future__ import annotations

@@ -9,13 +9,12 @@ included) — to a single :class:`RunJournal` file. Records buffer in
 memory and every ``checkpoint_interval`` completions they are written,
 flushed and fsync'd as one durable checkpoint.
 
-The journal shares the segment framing of
-:mod:`repro.solver.diskcache` (magic + version header, per-record CRC),
-and the same salvage rule: on resume the valid prefix is replayed, a
-torn tail is truncated away, and appending continues after it — a
-coordinator killed between checkpoints simply loses its unflushed
-buffer, exactly as if it had died an instant after the previous
-checkpoint.
+The journal uses the segment framing of :mod:`repro.framing` (magic +
+version header, per-record CRC) and its salvage rule: on resume the
+valid prefix is replayed, a torn tail is truncated away, and appending
+continues after it — a coordinator killed between checkpoints simply
+loses its unflushed buffer, exactly as if it had died an instant after
+the previous checkpoint.
 
 Resume soundness rests on the property PR 7 already established for
 reclaimed worker prefixes: re-running any *uncompleted* region of the
@@ -37,11 +36,7 @@ from typing import Callable
 
 from repro.errors import SymexError
 from repro.explore.shard import Prefix, ShardOutcome, extends
-from repro.solver.diskcache import (
-    HEADER,
-    frame_record,
-    scan_frames,
-)
+from repro.framing import HEADER, frame_record, scan_frames
 
 #: The journal file inside a run directory.
 JOURNAL_NAME = "journal.wal"

@@ -30,13 +30,13 @@ transports.
 
 The *disk* fault vocabulary does for the persistence layer what the
 transport faults do for the fleet: :class:`TruncateSegment`,
-:class:`CorruptRecord` and :class:`TornWrite` damage a cache segment or
-run journal at the exact byte positions the salvage code distinguishes
-(header, mid-record, torn tail), applied via :func:`apply_disk_fault`;
-:class:`KillCoordinatorAt` injects coordinator death immediately after
-the nth durable journal checkpoint — the worst honest crash point, since
-anything later than a checkpoint is equivalent to dying right after it
-with the unflushed buffer lost.
+:class:`CorruptRecord` and :class:`TornWrite` damage a framed file (a
+run journal or trace) at the exact byte positions the salvage code
+distinguishes (header, mid-record, torn tail), applied via
+:func:`apply_disk_fault`; :class:`KillCoordinatorAt` injects coordinator
+death immediately after the nth durable journal checkpoint — the worst
+honest crash point, since anything later than a checkpoint is
+equivalent to dying right after it with the unflushed buffer lost.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from pathlib import Path
 
 from repro.errors import SymexError
 from repro.explore.transport import Transport, WorkerSession
-from repro.solver.diskcache import FRAME_HEADER_SIZE, record_spans
+from repro.framing import FRAME_HEADER_SIZE, record_spans
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class GarbleResult:
     nth: int
 
 
-# -- disk faults (cache segments, run journals) -------------------------------
+# -- disk faults (run journals, trace files) ----------------------------------
 
 
 class CoordinatorKilled(Exception):
@@ -156,7 +156,7 @@ def apply_disk_fault(path: str | Path, fault) -> None:
     """Damage the segment/journal file at ``path`` as ``fault`` says.
 
     Operates on the real on-disk framing (via
-    :func:`repro.solver.diskcache.record_spans`), so tests corrupt
+    :func:`repro.framing.record_spans`), so tests corrupt
     exactly the bytes the salvage code will scan.
     """
     path = Path(path)

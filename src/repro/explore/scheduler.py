@@ -409,11 +409,7 @@ class ShardScheduler:
                                self.engine_config))
 
     def _on_checkpoint(self, index: int) -> None:
-        # Checkpoint the durable query cache with the journal: a resumed
-        # coordinator then re-solves at most one checkpoint interval's
-        # worth of seed-phase queries.
-        with self._span("coordinator.checkpoint", index=index):
-            self.engine.query_cache.flush_store()
+        self._event("coordinator.checkpoint", index=index)
         if self.checkpoint_hook is not None:
             self.checkpoint_hook(index)
 

@@ -7,8 +7,8 @@ module global being ``None``, so the disabled cost is one attribute
 load per call site. Workers ship their spans home as
 :class:`~repro.obs.trace.TraceDelta` payloads riding the existing
 result frames, and the coordinator merges everything into one
-CRC-framed ``trace.jsonl`` (the diskcache segment framing, so a torn
-trace salvages like a torn cache segment).
+CRC-framed ``trace.jsonl`` (the :mod:`repro.framing` segment framing,
+so a torn trace salvages like a torn run journal).
 """
 
 from repro.obs.metrics import MetricsRegistry

@@ -20,9 +20,9 @@ first, then workers by id, each in local sequence order), so the merged
 trace file is stable regardless of message arrival order or shard
 count.
 
-The on-disk format is CRC-framed JSONL using the diskcache segment
-framing — one JSON object per frame — so a torn trace file salvages
-its valid prefix exactly like a torn cache segment.
+The on-disk format is CRC-framed JSONL using the :mod:`repro.framing`
+segment framing — one JSON object per frame — so a torn trace file
+salvages its valid prefix exactly like a torn run journal.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.framing import scan_frames, write_segment
 from repro.obs import metrics as obs_metrics
 
 #: File name used for merged traces inside a trace directory.
@@ -232,8 +233,6 @@ class TraceFile:
 
 def write_trace(path, records) -> Path:
     """Write records as a CRC-framed JSONL segment (atomic rename)."""
-    from repro.solver.diskcache import write_segment
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payloads = [
@@ -246,8 +245,6 @@ def write_trace(path, records) -> Path:
 
 def read_trace(path) -> TraceFile:
     """Read a trace file, salvaging the valid prefix of a damaged one."""
-    from repro.solver.diskcache import scan_frames
-
     data = Path(path).read_bytes()
     scan = scan_frames(data)
     records = [json.loads(payload) for payload in scan.payloads]

@@ -36,21 +36,10 @@ _KEY_MEMO_LIMIT = 400_000
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters of one :class:`QueryCache`.
-
-    ``disk_hits`` is the subset of ``hits`` answered by entries that a
-    :class:`~repro.solver.diskcache.DiskCacheStore` loaded from a
-    previous run; ``salvaged_records``/``dropped_records`` describe
-    what that load recovered from (respectively refused out of)
-    damaged segment files. All three stay 0 for a purely in-memory
-    cache.
-    """
+    """Hit/miss counters of one :class:`QueryCache`."""
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
-    salvaged_records: int = 0
-    dropped_records: int = 0
 
     @property
     def queries(self) -> int:
@@ -71,11 +60,6 @@ class QueryCache:
     _feasible: dict[QueryKey, bool] = field(default_factory=dict)
     _models: dict[QueryKey, dict[Expr, int] | None] = field(default_factory=dict)
     _key_memo: dict[tuple[Expr, ...], QueryKey] = field(default_factory=dict)
-    # Disk persistence (both None/empty for a plain in-memory cache):
-    # the attached DiskCacheStore receiving new answers, and the keys
-    # whose answers were loaded from disk (feeds ``stats.disk_hits``).
-    _store: object | None = None
-    _disk_keys: set = field(default_factory=set)
 
     def key(self, constraints: Iterable[Expr]) -> QueryKey:
         """Canonical cache key for a constraint conjunction.
@@ -122,16 +106,12 @@ class QueryCache:
         cached = self._feasible.get(key)
         if cached is not None:
             self.stats.hits += 1
-            if self._disk_keys and key in self._disk_keys:
-                self.stats.disk_hits += 1
             return cached
         self.stats.misses += 1
         return None
 
     def put_feasible(self, key: QueryKey, feasible: bool) -> None:
         self._feasible[key] = feasible
-        if self._store is not None:
-            self._store.record_feasible(key, feasible)
 
     # -- models --------------------------------------------------------------
 
@@ -145,26 +125,13 @@ class QueryCache:
         """
         if key in self._models:
             self.stats.hits += 1
-            if self._disk_keys and key in self._disk_keys:
-                self.stats.disk_hits += 1
             return True, self._models[key]
         self.stats.misses += 1
         return False, None
 
-    def peek_model(self, key: QueryKey) -> dict[Expr, int] | None:
-        """Stored model for ``key`` without touching the hit/miss counters.
-
-        For bookkeeping re-reads of an entry the caller just stored (e.g.
-        batch followers completing their leader's model); returns None
-        both for unsat entries and absent keys.
-        """
-        return self._models.get(key)
-
     def put_model(self, key: QueryKey, model: dict[Expr, int] | None) -> None:
         self._models[key] = model
         self._feasible[key] = model is not None
-        if self._store is not None:
-            self._store.record_model(key, model)
 
     # -- cross-process shipping ----------------------------------------------
 
@@ -196,49 +163,6 @@ class QueryCache:
             self._feasible.setdefault(key, feasible)
         return len(self._feasible) - before
 
-    # -- disk persistence ----------------------------------------------------
-    #
-    # The durable layer lives in :mod:`repro.solver.diskcache`; this
-    # cache only knows the narrow contract: an attached store receives
-    # every *new* answer (see ``put_feasible``/``put_model``), preloaded
-    # answers never overwrite locally computed ones, and disk-loaded
-    # keys are remembered so warm hits can be told apart from same-run
-    # hits in the stats.
-
-    def attach_store(self, store) -> None:
-        """Forward every newly stored answer to ``store`` from now on."""
-        self._store = store
-
-    def preload_feasible(self, key: QueryKey, feasible: bool) -> bool:
-        """Load one disk feasibility record; local entries win. Returns
-        True when the key was new."""
-        fresh = key not in self._feasible
-        if fresh:
-            self._feasible[key] = feasible
-        self._disk_keys.add(key)
-        return fresh
-
-    def preload_model(self, key: QueryKey,
-                      model: dict[Expr, int] | None) -> bool:
-        """Load one disk model record; local entries win. Returns True
-        when the key was new to the model map."""
-        fresh = key not in self._models
-        if fresh:
-            self._models[key] = model
-        self._feasible.setdefault(key, model is not None)
-        self._disk_keys.add(key)
-        return fresh
-
-    def is_disk_loaded(self, key: QueryKey) -> bool:
-        """True when ``key``'s answer came from the attached disk store."""
-        return key in self._disk_keys
-
-    def flush_store(self):
-        """Persist buffered answers (no-op without an attached store)."""
-        if self._store is not None:
-            return self._store.flush()
-        return None
-
     # -- maintenance ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -249,4 +173,3 @@ class QueryCache:
         self._feasible.clear()
         self._models.clear()
         self._key_memo.clear()
-        self._disk_keys.clear()

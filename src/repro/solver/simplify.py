@@ -87,12 +87,6 @@ def _fingerprint(expr: Expr) -> bytes:
     return cached
 
 
-#: Public name for the structural digest: the disk cache layer
-#: content-addresses canonical queries with it, relying on exactly the
-#: process-stability this module already guarantees for ``_arg_key``.
-structural_fingerprint = _fingerprint
-
-
 def _arg_key(expr: Expr) -> tuple:
     """Stable total ordering key for commutative arguments.
 

@@ -105,12 +105,6 @@ class SolverStats:
     propagation_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    # Durable-cache counters: the subset of cache_hits answered by
-    # records a DiskCacheStore loaded from a previous run, and what that
-    # load salvaged from / refused out of damaged segment files.
-    disk_hits: int = 0
-    salvaged_records: int = 0
-    dropped_records: int = 0
     frames_pushed: int = 0
     frames_reused: int = 0
     propagation_seconds: float = 0.0

@@ -256,18 +256,6 @@ class Engine:
                 solver=self.solver, suffix_frames=len(probe))
         return stack.check(probe + prefix).is_sat
 
-    def _note_cache_hit(self, key) -> None:
-        """Mirror a canonical-cache hit onto this engine's solver stats.
-
-        Reports read ``SolverStats``, not the (possibly shared) cache's
-        own counters; warm hits against entries a disk store loaded from
-        a previous run are additionally booked as ``disk_hits``.
-        """
-        stats = self.solver.stats
-        stats.cache_hits += 1
-        if self.query_cache.is_disk_loaded(key):
-            stats.disk_hits += 1
-
     def is_feasible(self, constraints: tuple[Expr, ...]) -> bool:
         """Satisfiability of a path condition, memoized canonically."""
         return self._feasible(constraints)
@@ -293,7 +281,7 @@ class Engine:
         key = cache.key(constraints)
         cached = cache.get_feasible(key)
         if cached is not None:
-            self._note_cache_hit(key)
+            self.solver.stats.cache_hits += 1
             return cached
         self.solver.stats.cache_misses += 1
         if cache.is_trivially_unsat(key):
@@ -339,7 +327,7 @@ class Engine:
         key = cache.key(constraints)
         hit, model = cache.get_model(key)
         if hit:
-            self._note_cache_hit(key)
+            self.solver.stats.cache_hits += 1
             # The entry may come from a canonically-equal variant whose
             # simplification dropped some of this query's variables; they
             # are unconstrained, so 0 completes the (copied) model.

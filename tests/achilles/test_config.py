@@ -74,21 +74,31 @@ class TestParallelismValidation:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         from repro.explore.checkpoint import JOURNAL_NAME
-        from repro.solver.diskcache import HEADER
+        from repro.framing import HEADER
 
         (run_dir / JOURNAL_NAME).write_bytes(HEADER)
         config = AchillesConfig(layout=TOY_LAYOUT, shards=2,
-                                cache_dir=str(tmp_path / "cache"),
                                 run_dir=str(run_dir),
                                 checkpoint_interval=5, resume=True)
         assert config.checkpoint_interval == 5
         assert config.resume
 
-    def test_cache_dir_pointing_at_file_rejected(self, tmp_path):
-        not_a_dir = tmp_path / "segments"
-        not_a_dir.write_text("plain file")
-        with pytest.raises(AchillesError, match="cache_dir points at a"):
-            AchillesConfig(layout=TOY_LAYOUT, cache_dir=str(not_a_dir))
+    def test_cache_dir_is_not_a_knob(self, tmp_path):
+        """The query cache lives in memory for one run: there is no
+        directory to persist it to."""
+        with pytest.raises(TypeError, match="cache_dir"):
+            AchillesConfig(layout=TOY_LAYOUT,
+                           cache_dir=str(tmp_path / "cache"))
+
+    def test_report_carries_no_disk_cache_counters(self):
+        import dataclasses
+
+        from repro.achilles import AchillesReport
+
+        names = {f.name for f in dataclasses.fields(AchillesReport)}
+        assert "cache_hits" in names
+        assert not names & {"disk_hits", "salvaged_records",
+                            "dropped_records"}
 
     def test_run_dir_pointing_at_file_rejected(self, tmp_path):
         not_a_dir = tmp_path / "run"

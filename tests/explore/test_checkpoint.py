@@ -138,7 +138,7 @@ class TestLoadJournalErrors:
             load_journal(path)
 
     def test_died_before_first_checkpoint(self, tmp_path):
-        from repro.solver.diskcache import HEADER
+        from repro.framing import HEADER
 
         path = tmp_path / JOURNAL_NAME
         path.write_bytes(HEADER)

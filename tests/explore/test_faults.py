@@ -346,7 +346,7 @@ class TestRecoveryParity:
 
 
 def _framed_file(tmp_path, payloads):
-    from repro.solver.diskcache import write_segment
+    from repro.framing import write_segment
 
     path = tmp_path / "framed.qc"
     write_segment(path, payloads)
@@ -370,7 +370,7 @@ class TestDiskFaults:
         assert len(diffs) == 1
 
     def test_corrupt_header_targets_the_file_header(self, tmp_path):
-        from repro.solver.diskcache import MAGIC, scan_frames
+        from repro.framing import MAGIC, scan_frames
 
         path = _framed_file(tmp_path, [b"abc"])
         apply_disk_fault(path, CorruptRecord(record=-1))
@@ -379,7 +379,7 @@ class TestDiskFaults:
         assert scan_frames(data).reason == "unrecognized header"
 
     def test_torn_write_halves_the_final_payload(self, tmp_path):
-        from repro.solver.diskcache import scan_frames
+        from repro.framing import scan_frames
 
         path = _framed_file(tmp_path, [b"abc", b"defghijk"])
         apply_disk_fault(path, TornWrite())

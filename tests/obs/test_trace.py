@@ -2,7 +2,7 @@
 
 Determinism is the load-bearing property: merged traces must come out
 identical however worker deltas interleaved in real time, and the
-on-disk framing must salvage a torn file exactly like a cache segment.
+on-disk framing must salvage a torn file exactly like a run journal.
 """
 
 import json

@@ -95,12 +95,11 @@ UNFLAGGED = {"layout", "mask", "optimizations", "destination", "msg_name",
 
 
 class TestFlagsReachTheConfig:
-    def _assert_shared(self, config, cache_dir):
+    def _assert_shared(self, config):
         assert config.shards == 3
         assert config.transport == "tcp"
         assert config.hosts == ("a:1", "b:2")
         assert config.on_worker_loss == "recover"
-        assert config.cache_dir == str(cache_dir)
         assert config.progress is True
         for engine in (config.client_engine, config.server_engine):
             assert engine.search_order == "bfs"
@@ -112,11 +111,10 @@ class TestFlagsReachTheConfig:
         (run_dir / JOURNAL_NAME).touch()
         with pytest.raises(_Captured):
             main(["toy", *SHARED_FLAGS,
-                  "--cache-dir", str(tmp_path / "cache"),
                   "--resume", str(run_dir), "--checkpoint-interval", "4",
                   "--trace-dir", str(tmp_path / "trace")])
         [config] = captured
-        self._assert_shared(config, tmp_path / "cache")
+        self._assert_shared(config)
         assert config.run_dir == str(run_dir)
         assert config.resume is True
         assert config.checkpoint_interval == 4
@@ -126,12 +124,11 @@ class TestFlagsReachTheConfig:
                    if getattr(config, f.name) != getattr(default, f.name)}
         assert changed == {f.name for f in fields(AchillesConfig)} - UNFLAGGED
 
-    def test_corpus_run_sets_the_shared_settings(self, captured, tmp_path):
+    def test_corpus_run_sets_the_shared_settings(self, captured):
         with pytest.raises(_Captured):
-            main(["corpus", "run", "--variants", "1", *SHARED_FLAGS,
-                  "--cache-dir", str(tmp_path / "cache")])
+            main(["corpus", "run", "--variants", "1", *SHARED_FLAGS])
         [config] = captured
-        self._assert_shared(config, tmp_path / "cache")
+        self._assert_shared(config)
         assert config.run_dir is None
         assert config.resume is False
         assert config.checkpoint_interval == 1
@@ -179,11 +176,6 @@ class TestBadSettings:
 
 
 class TestPersistenceFlags:
-    def test_toy_run_populates_cache_dir(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
-        assert main(["toy", "--cache-dir", str(cache_dir)]) == 0
-        assert list(cache_dir.glob("*.qc")), "no segment was written"
-
     def test_resume_conflicting_run_dir_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             main(["toy", "--shards", "2",
@@ -215,51 +207,25 @@ class TestPersistenceFlags:
         assert "resumed regions" in second
 
 
-class TestCacheSubcommand:
-    def _populate(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        assert main(["toy", "--cache-dir", str(cache_dir)]) == 0
-        return cache_dir
+class TestNoDiskCache:
+    """The query cache lives for one run: no flag, no subcommand."""
 
-    def test_stats_reports_segments_and_records(self, capsys, tmp_path):
-        cache_dir = self._populate(tmp_path)
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "segments" in out
-        assert "records" in out
+    def test_cache_dir_flag_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["toy", "--cache-dir", str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
-    def test_verify_clean_cache_exits_zero(self, capsys, tmp_path):
-        cache_dir = self._populate(tmp_path)
-        capsys.readouterr()
-        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "records dropped    0" in out
+    def test_cache_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "stats"])
+        assert excinfo.value.code == 2
 
-    def test_verify_corrupted_cache_exits_one(self, capsys, tmp_path):
-        from repro.explore.faults import CorruptRecord, apply_disk_fault
-        from repro.solver.diskcache import DiskCacheStore
-
-        cache_dir = self._populate(tmp_path)
-        segment = DiskCacheStore(cache_dir).segment_paths()[0]
-        apply_disk_fault(segment, CorruptRecord(record=0))
-        capsys.readouterr()
-        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
-        out = capsys.readouterr().out
-        assert "segments damaged   1" in out
-
-    def test_compact_then_clear(self, capsys, tmp_path):
-        cache_dir = self._populate(tmp_path)
-        capsys.readouterr()
-        assert main(["cache", "compact", "--cache-dir", str(cache_dir)]) == 0
-        assert "compacted" in capsys.readouterr().out
-        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
-        assert "removed" in capsys.readouterr().out
-        assert not list(cache_dir.glob("*.qc"))
-
-    def test_cache_listed_in_experiment_list(self, capsys):
+    def test_list_does_not_name_cache(self, capsys):
         assert main(["list"]) == 0
-        assert "cache" in capsys.readouterr().out
+        names = [line.split()[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert "cache" not in names
 
 
 class TestBroadcastExperiment:
