@@ -100,6 +100,43 @@ class TestParallelismValidation:
         assert not names & {"disk_hits", "salvaged_records",
                             "dropped_records"}
 
+    def test_stats_carry_no_disk_cache_counters(self):
+        import dataclasses
+
+        from repro.solver.cache import CacheStats
+        from repro.solver.solver import SolverStats
+
+        for stats in (CacheStats, SolverStats):
+            names = {f.name for f in dataclasses.fields(stats)}
+            assert not names & {"disk_hits", "salvaged_records",
+                                "dropped_records"}, stats.__name__
+
+    def test_both_phases_fill_one_in_memory_cache(self):
+        from repro.achilles import Achilles
+        from repro.systems.toy import toy_client, toy_server
+
+        achilles = Achilles(AchillesConfig(layout=TOY_LAYOUT))
+        cache = achilles.query_cache
+        predicates = achilles.extract_clients({"toy": toy_client})
+        after_phase_1 = (len(cache), cache.stats.misses)
+        assert after_phase_1[0] > 0
+        report = achilles.search(toy_server, predicates)
+        assert achilles.query_cache is cache
+        assert len(cache) > after_phase_1[0]
+        assert cache.stats.misses > after_phase_1[1]
+        assert (report.cache_hits, report.cache_misses) == (
+            cache.stats.hits, cache.stats.misses)
+
+    def test_close_is_idempotent(self):
+        from repro.achilles import Achilles
+        from repro.systems.toy import toy_client, toy_server
+
+        with Achilles(AchillesConfig(layout=TOY_LAYOUT)) as achilles:
+            report = achilles.run({"toy": toy_client}, toy_server)
+        achilles.close()
+        achilles.close()
+        assert len(report.findings) == 1
+
     def test_run_dir_pointing_at_file_rejected(self, tmp_path):
         not_a_dir = tmp_path / "run"
         not_a_dir.write_text("plain file")

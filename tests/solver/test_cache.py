@@ -110,6 +110,14 @@ class TestQueryCache:
         cache.get_feasible(key)          # hit
         assert cache.stats.hit_rate == 0.5
 
+    def test_no_disk_store_surface(self):
+        """The cache lives in memory for one run: nothing attaches a
+        store, preloads from one or flushes to one."""
+        cache = QueryCache()
+        for name in ("attach_store", "preload_feasible", "preload_model",
+                     "is_disk_loaded", "flush_store", "peek_model"):
+            assert not hasattr(cache, name), name
+
     def test_clear_drops_entries_but_keeps_counters(self):
         cache = QueryCache()
         key = cache.key([ult(X, Y)])

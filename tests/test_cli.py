@@ -221,6 +221,25 @@ class TestNoDiskCache:
             main(["cache", "stats"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("verb", ["verify", "compact", "clear"])
+    def test_cache_maintenance_verbs_rejected(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", verb])
+        assert excinfo.value.code == 2
+
+    def test_corpus_run_rejects_cache_dir(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", "run", "--variants", "1",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
+    def test_toy_run_leaves_nothing_on_disk(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["toy"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_list_does_not_name_cache(self, capsys):
         assert main(["list"]) == 0
         names = [line.split()[0]
