@@ -1,26 +1,15 @@
-"""Transport overhead: local vs TCP shard dispatch on the FSP workload.
+"""Shard transport costs on the FSP workload (4-utility subset, shards=2).
 
-The pluggable transport's promise is *byte-identical findings* on either
-wire plus a dispatch overhead small enough that multi-host fan-out pays
-off as soon as real cores exist on the far side. This benchmark runs the
-FSP end-to-end analysis (4-utility subset, shards=2) three ways — serial
-baseline, local multiprocessing transport, TCP against two localhost
-``repro worker`` daemons — and emits ``BENCH_transport.json`` with the
-wall clocks and the shipped-cache effect. Parity is asserted
-unconditionally; the overhead numbers are recorded, not gated (a 1-core
-runner time-slices everything, which the JSON shows rather than hides).
-
-The cache-snapshot satellite is measured here too: shard workers that
-absorb the coordinator's phase-1 feasibility answers pose measurably
-fewer solver queries than cold-cache workers on the same run.
+Two measurements: shard workers that absorb the coordinator's phase-1
+feasibility answers pose fewer solver queries than cold-cache workers
+(``BENCH_transport_cache_snapshot.json``), and a mid-run worker loss
+under ``on_worker_loss="recover"`` costs wall clock only, never findings
+(``BENCH_recovery.json``). Parity is asserted unconditionally; the wall
+clocks are recorded, not gated.
 """
 
 import itertools
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 from repro.achilles import Achilles, AchillesConfig
 from repro.achilles.server_analysis import _shard_setup
@@ -29,34 +18,11 @@ from repro.bench.tables import format_table
 from repro.explore import ShardScheduler
 from repro.systems import fsp
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
 
-
-def _spawn_daemons(count: int):
-    env = dict(os.environ)
-    src = str(_REPO_ROOT / "src")
-    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
-                         if env.get("PYTHONPATH") else src)
-    daemons, hosts = [], []
-    for _ in range(count):
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--listen", "127.0.0.1:0"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
-        daemons.append(daemon)
-        ready, host, port = daemon.stdout.readline().split()
-        assert ready == "READY"
-        hosts.append(f"{host}:{port}")
-    return daemons, tuple(hosts)
-
-
-def _run_fsp(shards: int, transport="local", hosts=(),
-             on_worker_loss: str = "fail"):
+def _run_fsp(shards: int, transport=None, on_worker_loss: str = "fail"):
     commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
     config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
                             shards=shards, transport=transport,
-                            hosts=tuple(hosts),
                             on_worker_loss=on_worker_loss)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(fsp.literal_clients(commands))
@@ -64,54 +30,6 @@ def _run_fsp(shards: int, transport="local", hosts=(),
         report = achilles.search(fsp.fsp_server, predicates)
         seconds = time.perf_counter() - started
     return report, seconds
-
-
-def test_transport_overhead(benchmark, artifact, json_artifact):
-    """Local vs TCP dispatch on identical work; parity unconditional."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cores = os.cpu_count() or 1
-
-    serial_report, serial_seconds = _run_fsp(1)
-    local_report, local_seconds = _run_fsp(2)
-    daemons, hosts = _spawn_daemons(2)
-    try:
-        # Warm-up run absorbs daemon fork/connect cold start, then the
-        # measured run — mirroring the pool warm-up in bench_scaling.
-        _run_fsp(2, transport="tcp", hosts=hosts)
-        tcp_report, tcp_seconds = _run_fsp(2, transport="tcp", hosts=hosts)
-    finally:
-        for daemon in daemons:
-            daemon.terminate()
-        for daemon in daemons:
-            daemon.wait(timeout=10)
-
-    # Parity: the whole point of the transport abstraction.
-    assert local_report.witnesses() == serial_report.witnesses()
-    assert tcp_report.witnesses() == serial_report.witnesses()
-    assert tcp_report.server_paths_explored == \
-        serial_report.server_paths_explored
-
-    rows = [
-        ["serial (shards=1)", f"{serial_seconds:.2f}s", "-"],
-        ["local transport (shards=2)", f"{local_seconds:.2f}s",
-         f"{local_seconds / serial_seconds:.2f}x"],
-        ["tcp transport (shards=2, 2 daemons)", f"{tcp_seconds:.2f}s",
-         f"{tcp_seconds / serial_seconds:.2f}x"],
-    ]
-    artifact("transport_overhead", format_table(
-        ["Configuration", "Server search", "vs serial"], rows,
-        title=f"Transport dispatch overhead, FSP 4-utility subset "
-              f"({cores} core(s) available)"))
-    json_artifact("transport", {
-        "cpu_count": cores,
-        "workload": "FSP 4-utility subset, server search",
-        "serial_seconds": round(serial_seconds, 4),
-        "local_shards2_seconds": round(local_seconds, 4),
-        "tcp_shards2_seconds": round(tcp_seconds, 4),
-        "tcp_vs_local_overhead": round(tcp_seconds / local_seconds, 4),
-        "findings": local_report.trojan_count,
-        "parity": True,
-    })
 
 
 def test_cache_snapshot_cuts_duplicate_queries(benchmark, json_artifact):
@@ -163,15 +81,13 @@ def test_cache_snapshot_cuts_duplicate_queries(benchmark, json_artifact):
 def test_recovery_overhead(benchmark, artifact, json_artifact):
     """What a mid-run worker loss costs under ``on_worker_loss="recover"``.
 
-    The same FSP run three ways — fault-free, one worker killed before
+    The same FSP run two ways — fault-free, and one worker killed before
     its first result (plus one refused respawn, exercising the retry
-    budget), and the same fault plan over TCP daemons. Findings must be
-    byte-identical in every configuration (the robustness criterion);
-    the JSON records the recovery wall clock the faults cost.
+    budget). Findings must be byte-identical in both (the robustness
+    criterion); the JSON records the recovery wall clock the faults cost.
     """
     from repro.explore import (FaultPlan, FaultyTransport, KillWorker,
                                LocalTransport, RefuseRespawn)
-    from repro.explore.tcp import TcpTransport
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
@@ -186,26 +102,12 @@ def test_recovery_overhead(benchmark, artifact, json_artifact):
     local_report, local_seconds = _run_fsp(2, transport=local_faulty,
                                            on_worker_loss="recover")
 
-    daemons, hosts = _spawn_daemons(2)
-    try:
-        tcp_faulty = FaultyTransport(TcpTransport(hosts), chaos_plan())
-        tcp_report, tcp_seconds = _run_fsp(2, transport=tcp_faulty,
-                                           on_worker_loss="recover")
-    finally:
-        for daemon in daemons:
-            daemon.terminate()
-        for daemon in daemons:
-            daemon.wait(timeout=10)
-
     # Byte-identical findings with and without injected faults.
     assert clean_report.witnesses() == baseline_report.witnesses()
     assert local_report.witnesses() == baseline_report.witnesses()
-    assert tcp_report.witnesses() == baseline_report.witnesses()
     # The faults must actually have fired, and been accounted for.
     assert local_faulty.injected_kills == 1
-    assert tcp_faulty.injected_kills == 1
     assert local_report.worker_failures == 1
-    assert tcp_report.worker_failures == 1
     assert clean_report.worker_failures == 0
 
     rows = [
@@ -213,9 +115,6 @@ def test_recovery_overhead(benchmark, artifact, json_artifact):
         ["1 kill + 1 refused respawn (local)", f"{local_seconds:.2f}s",
          f"{local_report.prefixes_reassigned}",
          f"{local_report.recovery_seconds:.3f}s"],
-        ["1 kill + 1 refused respawn (tcp)", f"{tcp_seconds:.2f}s",
-         f"{tcp_report.prefixes_reassigned}",
-         f"{tcp_report.recovery_seconds:.3f}s"],
     ]
     artifact("recovery_overhead", format_table(
         ["Configuration", "Server search", "Prefixes moved", "Recovery"],
@@ -226,11 +125,8 @@ def test_recovery_overhead(benchmark, artifact, json_artifact):
         "serial_seconds": round(baseline_seconds, 4),
         "fault_free_seconds": round(clean_seconds, 4),
         "local_faulted_seconds": round(local_seconds, 4),
-        "tcp_faulted_seconds": round(tcp_seconds, 4),
         "local_recovery_seconds": round(local_report.recovery_seconds, 4),
-        "tcp_recovery_seconds": round(tcp_report.recovery_seconds, 4),
         "local_prefixes_reassigned": local_report.prefixes_reassigned,
-        "tcp_prefixes_reassigned": tcp_report.prefixes_reassigned,
         "worker_failures": local_report.worker_failures,
         "parity": True,
     })

@@ -11,20 +11,10 @@ Run::
     python examples/fsp_trojan_hunt.py
     python examples/fsp_trojan_hunt.py --shards 4    # sharded exploration
 
-    # multi-host: start a worker daemon per analysis machine first; the
-    # daemons unpickle unauthenticated frames, so bind them only where
-    # every peer is trusted (see examples/README.md)
-    #   (hostA) python -m repro worker --listen 127.0.0.1:9100
-    #   (hostB) python -m repro worker --listen 127.0.0.1:9100
-    python examples/fsp_trojan_hunt.py --shards 4 \
-        --hosts hostA:9100,hostB:9100
-
 ``--shards N`` partitions the server's path tree by decision prefixes
-across N exploration processes with work-stealing. ``--hosts`` lifts
-those shards off local processes and onto TCP worker daemons (shards
-round-robin across the listed hosts). The findings are byte-identical
-to the serial run either way. ``--search-order`` and ``--max-paths`` override the
-exploration policy.
+across N local exploration processes with work-stealing. The findings
+are byte-identical to the serial run. ``--search-order`` and
+``--max-paths`` override the exploration policy.
 
 Watch it live with ``--progress`` (one fleet-status line per second on
 stderr), or record a full trace with ``--trace-dir DIR`` and inspect it
@@ -53,11 +43,6 @@ def main() -> None:
                         help="exploration worklist order (default: dfs)")
     parser.add_argument("--max-paths", type=int, default=None,
                         help="cap on completed paths per exploration")
-    parser.add_argument("--hosts", default=None,
-                        help="comma-separated host:port worker daemons; "
-                             "runs the shards over TCP instead of local "
-                             "processes (start each daemon with "
-                             "`python -m repro worker --listen HOST:PORT`)")
     parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
                         default="fail",
                         help="recover reassigns a dead worker's prefixes "
@@ -71,16 +56,12 @@ def main() -> None:
                         help="print a live one-line fleet status to "
                              "stderr while the hunt runs")
     args = parser.parse_args()
-    hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
-    transport = "tcp" if hosts else "local"
-    where = f"hosts={','.join(hosts)}" if hosts else "local processes"
     print(f"Running Achilles on FSP (8 utilities, path bound 5, "
-          f"shards={args.shards}, {where})...")
+          f"shards={args.shards})...")
     engine = EngineConfig(search_order=args.search_order or "dfs",
                           max_paths=args.max_paths or EngineConfig.max_paths)
     outcome = run_accuracy("fsp", shards=args.shards,
                            client_engine=engine, server_engine=engine,
-                           transport=transport, hosts=hosts,
                            on_worker_loss=args.on_worker_loss,
                            trace_dir=args.trace_dir,
                            progress=args.progress)

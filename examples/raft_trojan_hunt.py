@@ -11,13 +11,10 @@ Run::
 
     python examples/raft_trojan_hunt.py
     python examples/raft_trojan_hunt.py --shards 4    # sharded exploration
-    python examples/raft_trojan_hunt.py --shards 4 \
-        --hosts hostA:9100,hostB:9100    # shards over TCP worker daemons
 
 ``--shards N`` partitions the follower's path tree by decision prefixes
-across N exploration processes. ``--hosts`` lifts those shards onto
-``python -m repro worker`` daemons over TCP. The findings are
-byte-identical to the serial run either way.
+across N local exploration processes. The findings are byte-identical
+to the serial run.
 """
 
 import argparse
@@ -40,11 +37,6 @@ def main() -> None:
                         help="exploration worklist order (default: dfs)")
     parser.add_argument("--max-paths", type=int, default=None,
                         help="cap on completed paths per exploration")
-    parser.add_argument("--hosts", default=None,
-                        help="comma-separated host:port worker daemons; "
-                             "runs the shards over TCP instead of local "
-                             "processes (start each daemon with "
-                             "`python -m repro worker --listen HOST:PORT`)")
     parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
                         default="fail",
                         help="recover reassigns a dead worker's prefixes "
@@ -58,16 +50,12 @@ def main() -> None:
                         help="print a live one-line fleet status to "
                              "stderr while the hunt runs")
     args = parser.parse_args()
-    hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
-    transport = "tcp" if hosts else "local"
-    where = f"hosts={','.join(hosts)}" if hosts else "local processes"
-    print(f"Running Achilles on the Raft follower (shards={args.shards}, "
-          f"{where})...")
+    print(f"Running Achilles on the Raft follower "
+          f"(shards={args.shards})...")
     engine = EngineConfig(search_order=args.search_order or "dfs",
                           max_paths=args.max_paths or EngineConfig.max_paths)
     outcome = run_accuracy("raft", shards=args.shards,
                            client_engine=engine, server_engine=engine,
-                           transport=transport, hosts=hosts,
                            on_worker_loss=args.on_worker_loss,
                            trace_dir=args.trace_dir,
                            progress=args.progress)

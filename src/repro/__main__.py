@@ -11,7 +11,6 @@ Usage::
     python -m repro broadcast      # Bracha broadcast (7 seeded classes)
     python -m repro list           # show available experiments
 
-    python -m repro worker --listen 127.0.0.1:9100 # shard worker daemon
     python -m repro trace summarize RUN/trace.jsonl  # inspect a trace
     python -m repro corpus run --variants 12       # scenario-matrix corpus
 
@@ -21,10 +20,10 @@ settings come from flags and become
 :class:`~repro.achilles.AchillesConfig` fields, which that class's
 docstring describes. Experiments and ``corpus run`` share these flags:
 ``--shards`` (the one parallelism knob: it partitions the server's path
-tree across worker processes; findings are byte-identical at any
-count), ``--transport/--hosts/--on-worker-loss`` (where shard workers
-live and what a lost one costs), ``--search-order/--max-paths`` (one
-exploration policy for both phases) and ``--progress``.
+tree across local worker processes; findings are byte-identical at any
+count), ``--on-worker-loss`` (what a lost worker costs),
+``--search-order/--max-paths`` (one exploration policy for both phases)
+and ``--progress``.
 Only experiments take ``--run-dir/--checkpoint-interval/--resume``,
 ``--trace-dir`` and ``-v/-q``. A setting the config rejects is reported
 on stderr, without a traceback, with exit code 2.
@@ -32,19 +31,9 @@ on stderr, without a traceback, with exit code 2.
 Crash safety: with ``--shards N --run-dir DIR`` the sharded search
 journals its progress, and ``--resume DIR`` continues a killed run from
 its last checkpoint — findings are byte-identical to an uninterrupted
-run. The query cache lives in memory for one run.
-
-Multi-host analysis: start a ``worker`` daemon on each host, then point
-any experiment at them with ``--transport tcp --hosts
-hostA:9100,hostB:9100``. The coordinator connects one shard session per
-``--shards`` slot, round-robin over the hosts, and the deterministic
-merge keeps findings byte-identical to the local run. With
-``--on-worker-loss recover`` a killed daemon session (or local worker)
-no longer aborts the run: its prefixes are reassigned and the findings
-stay byte-identical. Frames between coordinator and daemon are
-unauthenticated pickles, and unpickling runs code: a daemon may listen
-only on an address that no untrusted peer can reach (loopback, or a
-network where every peer is trusted).
+run. The query cache lives in memory for one run. With
+``--on-worker-loss recover`` a killed shard worker no longer aborts the
+run: its prefixes are reassigned and the findings stay byte-identical.
 
 Observability: ``--trace-dir DIR`` records structured spans across the
 coordinator, the shard workers and every solver layer, writing the
@@ -228,14 +217,6 @@ def _settings_parser() -> argparse.ArgumentParser:
                         help="exploration shard processes for the server "
                              "search (default: 1, one in-process walk; "
                              "findings are identical at any shard count)")
-    parser.add_argument("--transport", choices=["local", "tcp"],
-                        default="local",
-                        help="where shard workers live (default: local "
-                             "processes; tcp drives `repro worker` daemons "
-                             "named by --hosts)")
-    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
-                        help="comma-separated worker daemon addresses for "
-                             "--transport tcp; shards round-robin over them")
     parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
                         default="fail",
                         help="policy when a shard worker dies silently "
@@ -264,35 +245,8 @@ def _settings(args: argparse.Namespace) -> dict:
     if args.max_paths is not None:
         engine.max_paths = args.max_paths
     return dict(
-        shards=args.shards, transport=args.transport,
-        hosts=tuple(h.strip() for h in args.hosts.split(",") if h.strip()),
-        on_worker_loss=args.on_worker_loss, client_engine=engine,
-        server_engine=engine, progress=args.progress)
-
-
-def _run_worker(argv: list[str]) -> int:
-    """The ``worker`` subcommand: a shard worker daemon for TCP transport."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro worker",
-        description="Run a shard worker daemon that serves TCP-transport "
-                    "exploration sessions. Point a coordinator at it with "
-                    "--transport tcp --hosts HOST:PORT[,...]. Prints "
-                    "'READY <host> <port>' once listening (port 0 picks "
-                    "an ephemeral port).")
-    parser.add_argument("--listen", required=True, metavar="HOST:PORT",
-                        help="address to listen on, e.g. 127.0.0.1:9100 "
-                             "or 127.0.0.1:0; frames are unauthenticated "
-                             "pickles, so listen only where every peer "
-                             "is trusted")
-    parser.add_argument("--max-sessions", type=int, default=None,
-                        help="exit after serving this many sessions "
-                             "(default: serve forever)")
-    args = parser.parse_args(argv)
-    from repro.explore.tcp import serve_worker
-
-    serve_worker(args.listen, max_sessions=args.max_sessions,
-                 ready_stream=sys.stdout)
-    return 0
+        shards=args.shards, on_worker_loss=args.on_worker_loss,
+        client_engine=engine, server_engine=engine, progress=args.progress)
 
 
 def _run_trace(argv: list[str]) -> int:
@@ -437,10 +391,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(argv: list[str]) -> int:
-    # The worker daemon has its own flag set (and runs forever), so it
-    # branches off before the experiment parser.
-    if argv[:1] == ["worker"]:
-        return _run_worker(argv[1:])
     if argv[:1] == ["trace"]:
         return _run_trace(argv[1:])
     if argv[:1] == ["corpus"]:
@@ -448,16 +398,15 @@ def _dispatch(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro", parents=[_settings_parser()],
         description="Run Achilles reproduction experiments "
-                    "('python -m repro worker --help' for the shard "
-                    "worker daemon, 'python -m repro trace --help' for "
-                    "the trace inspector, 'python -m repro corpus "
-                    "--help' for the scenario-matrix corpus).")
+                    "('python -m repro trace --help' for the trace "
+                    "inspector, 'python -m repro corpus --help' for the "
+                    "scenario-matrix corpus).")
     parser.add_argument("experiment",
-                        choices=sorted(_EXPERIMENTS) + ["list", "worker",
-                                                        "trace", "corpus"],
-                        help="experiment to run, 'list', 'worker' (shard "
-                             "worker daemon), 'trace' (trace inspector), "
-                             "or 'corpus' (scenario-matrix corpus)")
+                        choices=sorted(_EXPERIMENTS) + ["list", "trace",
+                                                        "corpus"],
+                        help="experiment to run, 'list', 'trace' (trace "
+                             "inspector), or 'corpus' (scenario-matrix "
+                             "corpus)")
     parser.add_argument("--run-dir", default=None, metavar="DIR",
                         help="journal sharded-search progress to "
                              "DIR/journal.wal (needs --shards >= 2) so a "
@@ -488,8 +437,6 @@ def _dispatch(argv: list[str]) -> int:
     if args.experiment == "list":
         for name, (description, _, _) in sorted(_EXPERIMENTS.items()):
             print(f"{name:14} {description}")
-        print("worker         shard worker daemon "
-              "(python -m repro worker --help)")
         print("trace          trace inspector/exporter "
               "(python -m repro trace --help)")
         print("corpus         scenario-matrix corpus runner "

@@ -36,8 +36,7 @@ matrix) through one :class:`~repro.solver.service.SolverService`, whose
 single frame stack both families share.
 
 The one parallelism knob is ``AchillesConfig.shards``: it partitions the
-phase-2 path tree across worker processes or hosts
-(:mod:`repro.explore`).
+phase-2 path tree across local worker processes (:mod:`repro.explore`).
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from repro.achilles.server_analysis import (
     search_server,
 )
 from repro.errors import AchillesError
+from repro.explore.transport import Transport
 from repro.messages.layout import MessageLayout
 from repro.messages.symbolic import message_vars
 from repro.solver.cache import QueryCache
@@ -88,21 +88,13 @@ class AchillesConfig:
             tree by decision prefixes across that many worker processes
             (:mod:`repro.explore`) with coordinator-brokered stealing.
             Findings are byte-identical at any shard count.
-        transport: where the shard workers live — ``"local"`` (the
-            default: ``multiprocessing`` processes on this machine),
-            ``"tcp"`` (``python -m repro worker`` daemons reached over
-            sockets; requires ``hosts``), or a
-            :class:`~repro.explore.transport.Transport` instance, which
-            carries its own hosts. Findings are byte-identical on any
-            transport.
-        hosts: ``"host:port"`` addresses of running ``repro worker``
-            daemons, one shard session per address round-robin (so 4
-            shards against 2 hosts run 2 sessions on each). Extra
-            addresses beyond the shard count serve as spares: with
-            ``on_worker_loss="recover"`` a lost session respawns against
-            the next listed host.
+        transport: a test seam, set by no flag. None (the default)
+            runs the shard workers as ``multiprocessing`` processes on
+            this machine (:class:`~repro.explore.transport.LocalTransport`);
+            a :class:`~repro.explore.transport.Transport` instance — a
+            fault-injecting or scripted stand-in — is used as given.
         on_worker_loss: what a sharded search does when a worker dies
-            silently mid-run (SIGKILL, lost host). ``"fail"`` (the
+            silently mid-run (SIGKILL, OOM kill). ``"fail"`` (the
             default) raises an error naming the dead worker and the
             decision prefixes it held; ``"recover"`` discards the dead
             worker's partial results, reclaims its prefixes, and re-runs
@@ -142,8 +134,7 @@ class AchillesConfig:
     destination: str | None = None
     msg_name: str = "msg"
     shards: int = 1
-    transport: object = "local"
-    hosts: tuple[str, ...] = ()
+    transport: Transport | None = None
     on_worker_loss: str = "fail"
     max_worker_retries: int = 2
     run_dir: str | None = None
@@ -156,31 +147,17 @@ class AchillesConfig:
         # Validate here, not when the shard workers start: a bad count
         # otherwise surfaces deep inside multiprocessing as a confusing
         # failure.
-        from repro.explore.transport import Transport
-
         if self.shards < 1:
             raise AchillesError(
                 f"AchillesConfig.shards must be >= 1, got {self.shards} "
                 "(1 = in-process exploration; N > 1 = N exploration "
                 "shard processes)")
-        self.hosts = tuple(self.hosts)
-        if isinstance(self.transport, Transport):
-            if self.hosts:
-                raise AchillesError(
-                    "a Transport instance carries its own hosts; "
-                    "AchillesConfig.hosts must stay empty with one")
-        elif self.transport not in ("local", "tcp"):
+        if not (self.transport is None
+                or isinstance(self.transport, Transport)):
             raise AchillesError(
-                f"AchillesConfig.transport must be 'local', 'tcp', or a "
-                f"Transport instance, got {self.transport!r}")
-        elif self.transport == "tcp" and not self.hosts:
-            raise AchillesError(
-                "AchillesConfig.transport='tcp' needs hosts: 'host:port' "
-                "addresses of running `python -m repro worker` daemons")
-        elif self.transport == "local" and self.hosts:
-            raise AchillesError(
-                "AchillesConfig.hosts is only meaningful with "
-                "transport='tcp'")
+                f"AchillesConfig.transport must be None (local worker "
+                f"processes) or a Transport instance, got "
+                f"{self.transport!r}")
         if self.on_worker_loss not in ("fail", "recover"):
             raise AchillesError(
                 f"AchillesConfig.on_worker_loss must be 'fail' or "

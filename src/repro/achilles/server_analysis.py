@@ -394,7 +394,7 @@ def search_server(server, clients: ClientPredicateSet,
                 (server, clients, server_msg, config.optimizations,
                  config.msg_name, True),
                 shards=shards, engine=engine,
-                transport=config.transport, hosts=config.hosts,
+                transport=config.transport,
                 on_worker_loss=config.on_worker_loss,
                 max_worker_retries=config.max_worker_retries,
                 run_dir=config.run_dir,

@@ -12,7 +12,7 @@ ground-truth oracle, so every variant stays precisely scorable.
 
 The node programs and oracles are callable dataclasses (not closures)
 so a variant survives pickling: sharded runs ship the server program to
-exploration workers, over TCP included.
+exploration worker processes.
 
 Variant Trojan classes are plain strings (``"prepare:skip-wal"``,
 ``"ready:thin-quorum(cert=0x05)"``): JSON-able for the corpus report,

@@ -49,15 +49,13 @@ deterministic functions of the constraint sequence.
 Sharding is the one parallelism axis: the solver service (layer 5)
 batches independent queries through one in-process frame stack, while
 this layer spreads the walk itself — path replays, per-constraint
-observer probes — across cores or hosts.
+observer probes — across the cores of this machine.
 
-*Where* the shard workers live is pluggable
-(:mod:`repro.explore.transport`): the default
-:class:`~repro.explore.transport.LocalTransport` runs them as
-``multiprocessing`` processes on this machine, while
-:class:`~repro.explore.tcp.TcpTransport` drives ``python -m repro
-worker`` daemons on arbitrary hosts over length-prefixed pickled frames.
-The deterministic merge makes findings byte-identical on either.
+The shard workers are ``multiprocessing`` processes
+(:class:`~repro.explore.transport.LocalTransport`). The coordinator
+reaches them only through the :class:`~repro.explore.transport.Transport`
+interface, which is where :class:`~repro.explore.faults.FaultyTransport`
+injects scripted worker loss.
 """
 
 from repro.explore.checkpoint import (
@@ -71,7 +69,6 @@ from repro.explore.faults import (
     CoordinatorKilled,
     CorruptRecord,
     DelayResult,
-    DropConnection,
     FaultPlan,
     FaultyTransport,
     GarbleResult,
@@ -95,7 +92,6 @@ from repro.explore.transport import (
     LocalTransport,
     Transport,
     WorkerSession,
-    resolve_transport,
 )
 
 __all__ = [
@@ -103,7 +99,6 @@ __all__ = [
     "CoordinatorKilled",
     "CorruptRecord",
     "DelayResult",
-    "DropConnection",
     "ExcludeControl",
     "FaultPlan",
     "FaultyTransport",
@@ -129,5 +124,4 @@ __all__ = [
     "load_journal",
     "merge_outcomes",
     "outstanding_regions",
-    "resolve_transport",
 ]

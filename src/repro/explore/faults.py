@@ -10,23 +10,21 @@ counts in unit tests and CI chaos jobs.
 
 The fault vocabulary mirrors how distributed workers actually fail:
 
-* :class:`KillWorker` / :class:`DropConnection` — the worker goes
-  silent after its Nth delivered message: ``alive()`` turns False, its
-  subsequent messages are swallowed (a dead host delivers nothing), and
-  assignments to it bounce. Only a successful respawn revives the slot.
+* :class:`KillWorker` — the worker goes silent after its Nth delivered
+  message: ``alive()`` turns False, its subsequent messages are
+  swallowed (a dead process delivers nothing), and assignments to it
+  bounce. Only a successful respawn revives the slot.
 * :class:`RefuseRespawn` — the first K replacement attempts for a slot
   fail, exercising the ``max_worker_retries`` budget.
 * :class:`DelayResult` — one message is delivered late, exercising the
   liveness grace window.
-* :class:`GarbleResult` — one message arrives undecodable; since a
-  desynced stream can never be re-framed, the worker is severed exactly
-  as a corrupted TCP connection would be.
+* :class:`GarbleResult` — one message arrives undecodable; nothing the
+  worker sends after it can be trusted, so the worker is severed.
 
 The wrapper never reorders or fabricates messages, so a run under an
 empty plan is byte-identical to the bare transport — and the headline
 parity criterion (findings byte-identical with and without injected
-faults, under ``on_worker_loss="recover"``) is testable on both
-transports.
+faults, under ``on_worker_loss="recover"``) is testable end to end.
 
 The *disk* fault vocabulary does for the persistence layer what the
 transport faults do for the fleet: :class:`TruncateSegment`,
@@ -60,20 +58,9 @@ class KillWorker:
 
 
 @dataclass(frozen=True)
-class DropConnection:
-    """Drop ``wid``'s connection after ``after_results`` delivered
-    messages. At the transport interface this is indistinguishable from
-    :class:`KillWorker` (EOF and SIGKILL look the same from the
-    coordinator); the separate name keeps fault plans readable."""
-
-    wid: int
-    after_results: int = 0
-
-
-@dataclass(frozen=True)
 class RefuseRespawn:
     """Fail the first ``times`` respawn attempts for worker ``wid``
-    (a daemon that is itself down, or a host still rebooting)."""
+    (a replacement process that cannot be brought up)."""
 
     wid: int
     times: int = 1
@@ -82,7 +69,7 @@ class RefuseRespawn:
 @dataclass(frozen=True)
 class DelayResult:
     """Sleep ``seconds`` before delivering ``wid``'s ``nth`` (1-based)
-    message — a slow network, not a dead one."""
+    message — a slow worker, not a dead one."""
 
     wid: int
     nth: int
@@ -92,8 +79,8 @@ class DelayResult:
 @dataclass(frozen=True)
 class GarbleResult:
     """Corrupt ``wid``'s ``nth`` (1-based) message in flight. The
-    message is dropped and the worker severed: once a framed stream is
-    desynced, nothing after the corruption can be decoded either."""
+    message is dropped and the worker severed: a worker whose output
+    arrived corrupt cannot be trusted to deliver anything after it."""
 
     wid: int
     nth: int
@@ -226,7 +213,7 @@ class FaultyTransport(Transport):
         if wid in self._severed:
             return True
         for fault in self.plan.faults:
-            if (isinstance(fault, (KillWorker, DropConnection))
+            if (isinstance(fault, KillWorker)
                     and fault.wid == wid
                     and id(fault) not in self._consumed
                     and self._delivered.get(wid, 0) >= fault.after_results):

@@ -9,12 +9,11 @@ checkpoint donates the shallowest half of its worklist back for
 reassignment. Outcomes merge deterministically regardless of any of this
 scheduling — see :mod:`repro.explore.merge`.
 
-Where the workers live is the :class:`~repro.explore.transport.Transport`'s
-business: :class:`~repro.explore.transport.LocalTransport` (the default)
-runs them as ``multiprocessing`` processes on this machine,
-:class:`~repro.explore.tcp.TcpTransport` drives ``repro worker`` daemons
-on remote hosts over sockets. The scheduler speaks only the transport
-interface, so findings are byte-identical on either.
+The workers are ``multiprocessing`` processes on this machine
+(:class:`~repro.explore.transport.LocalTransport`). The scheduler speaks
+only the :class:`~repro.explore.transport.Transport` interface, so a
+fault-injecting wrapper or a scripted test transport can stand in for
+the real one.
 
 Worker loss is a policy decision (``on_worker_loss``): the default
 ``"fail"`` raises a :class:`SymexError` naming the dead worker and its
@@ -56,7 +55,7 @@ from repro.explore.shard import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger, log_event
-from repro.explore.transport import Transport, WorkerSession, resolve_transport
+from repro.explore.transport import LocalTransport, Transport, WorkerSession
 from repro.solver.solver import SolverStats
 from repro.symex.engine import BFS, Engine, EngineConfig, ExplorationResult
 from repro.symex.observers import PathObserver
@@ -172,18 +171,16 @@ class ShardScheduler:
             that drain the tree below the cap.
         seed_factor: frontier prefixes to grow per shard before
             partitioning.
-        transport: where the workers live — a ready
-            :class:`~repro.explore.transport.Transport`, ``"local"``
-            (default) or ``"tcp"`` (requires ``hosts``).
-        hosts: ``"host:port"`` addresses of running ``repro worker``
-            daemons for the TCP transport.
+        transport: the :class:`~repro.explore.transport.Transport`
+            to drive the workers through; None (the default) means a
+            fresh :class:`~repro.explore.transport.LocalTransport`.
+            Tests pass fault-injecting or scripted transports here.
         ship_cache: ship a read-only snapshot of the coordinator
             engine's canonical query cache (phase-1 + seed-phase
             feasibility answers) to every worker at fan-out, so shards
             do not re-solve queries a sibling phase already answered.
-            Sound on any transport (booleans are pure functions of the
-            canonical query); disable only to measure the overhead it
-            removes.
+            Sound (booleans are pure functions of the canonical query);
+            disable only to measure the overhead it removes.
         on_worker_loss: ``"fail"`` (default) raises on a silently dead
             worker, naming the lost assignment — exactly the
             pre-recovery semantics. ``"recover"`` reclaims the dead
@@ -225,8 +222,7 @@ class ShardScheduler:
                  shards: int = 2, engine: Engine | None = None,
                  engine_config: EngineConfig | None = None,
                  seed_factor: int = DEFAULT_SEED_FACTOR,
-                 transport: Transport | str | None = None,
-                 hosts: tuple = (),
+                 transport: Transport | None = None,
                  ship_cache: bool = True,
                  on_worker_loss: str = "fail",
                  max_worker_retries: int = 2,
@@ -260,7 +256,8 @@ class ShardScheduler:
         self.engine = engine or Engine(engine_config)
         self.engine_config = engine_config or self.engine.config
         self.seed_factor = max(1, seed_factor)
-        self.transport = resolve_transport(transport, hosts)
+        self.transport = (LocalTransport() if transport is None
+                          else transport)
         self.ship_cache = ship_cache
         self.on_worker_loss = on_worker_loss
         self.max_worker_retries = max_worker_retries
@@ -471,8 +468,8 @@ class ShardScheduler:
             message = transport.recv(_POLL_SECONDS)
             if message is None:
                 # Liveness: a worker that died without reporting (OOM
-                # kill, hard crash, lost host — MSG_ERROR only covers
-                # Python exceptions) would leave this loop polling
+                # kill, hard crash — MSG_ERROR only covers Python
+                # exceptions) would leave this loop polling
                 # forever. A few empty polls of grace let a just-dead
                 # worker's last in-flight message drain first.
                 dead = [wid for wid in sorted(active)
@@ -652,7 +649,8 @@ class ShardScheduler:
                 f"[{rendered}{f', +{more} more' if more > 0 else ''}]")
         detail = "\n".join(lines)
         return ("shard worker(s) died without reporting a result "
-                f"(killed? lost host?); the lost assignment(s):\n{detail}\n"
+                f"(killed? out of memory?); the lost assignment(s):\n"
+                f"{detail}\n"
                 "sharded exploration cannot complete "
                 "(on_worker_loss='recover' reassigns instead)")
 

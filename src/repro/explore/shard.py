@@ -1,9 +1,11 @@
 """Shard-side primitives: exploration controls and the worker main loop.
 
-A *shard* is one worker process owning a private engine (and therefore a
-private solver pipeline). It is driven by the coordinator through two
-queues and a steal flag — see the package docstring for the protocol and
-:mod:`repro.explore.scheduler` for the coordinator side.
+A *shard* is one local worker process owning a private engine (and
+therefore a private solver pipeline). It is driven by the coordinator
+through a task queue, a shared result queue and a steal flag — see the
+package docstring for the protocol, :mod:`repro.explore.transport` for
+the process plumbing and :mod:`repro.explore.scheduler` for the
+coordinator side.
 """
 
 from __future__ import annotations
@@ -235,56 +237,53 @@ def run_assignment(engine: Engine, setup: ShardSetup, setup_args: tuple,
                         delta=delta)
 
 
-def worker_loop(session, get_task: Callable, put_message: Callable,
-                steal_flag) -> None:
-    """Transport-agnostic worker main loop (one per shard).
+def shard_worker(worker_id: int, session, task_queue, result_queue,
+                 steal_flag) -> None:
+    """Worker process main loop (one per shard).
 
-    The shared heart of both transports: ``get_task()`` blocks for the
-    next prefix assignment (None shuts the loop down), ``put_message``
-    ships ``(kind, payload)`` messages back to the coordinator, and
-    ``steal_flag`` is any object with ``is_set``/``clear`` — a
-    ``multiprocessing.Event`` for local workers, a ``threading.Event``
-    fed by the socket reader for TCP workers. The engine (and with it
-    the warm canonical cache and frame stack) persists across
-    assignments; the coordinator's cache snapshot, when shipped, is
-    absorbed once before the first assignment. Any exception is reported
-    as an :data:`MSG_ERROR` message instead of dying silently.
+    ``task_queue`` yields the next :class:`Assignment` (None shuts the
+    loop down), ``result_queue`` carries ``(kind, worker_id, payload)``
+    messages back to the coordinator, and ``steal_flag`` is the
+    ``multiprocessing.Event`` the coordinator raises to ask for a
+    donation. The engine (and with it the warm canonical cache and frame
+    stack) persists across assignments; the coordinator's cache
+    snapshot, when shipped, is absorbed once before the first
+    assignment. Any exception is reported as an :data:`MSG_ERROR`
+    message instead of dying silently.
 
     Args:
         session: a :class:`~repro.explore.transport.WorkerSession`.
     """
+    def put_message(kind, payload):
+        result_queue.put((kind, worker_id, payload))
+
     try:
         engine = Engine(session.engine_config)
         if session.cache_snapshot is not None:
             engine.query_cache.absorb(session.cache_snapshot)
         tracer = None
-        if getattr(session, "trace", False):
+        if session.trace:
             # A forked worker inherits the coordinator's tracer binding;
             # replace it with a fresh worker-sourced one.
             obs_trace.deactivate()
             tracer = obs_trace.activate(source="worker")
         heartbeat = None
-        interval = getattr(session, "heartbeat_interval", 0.0)
-        if interval:
+        if session.heartbeat_interval:
             heartbeat = HeartbeatControl(
-                interval,
+                session.heartbeat_interval,
                 lambda payload: put_message(MSG_HEARTBEAT, payload),
                 engine=engine)
         steal = StealControl(
             steal_flag, lambda share: put_message(MSG_DONATE, share))
         while True:
-            assignment = get_task()
+            assignment = task_queue.get()
             if assignment is None:
                 return
             # A steal request that raced a previous DONE must not leak
             # into this assignment.
             steal_flag.clear()
-            if isinstance(assignment, Assignment):
-                roots = list(assignment.roots)
-                exclude = assignment.exclude
-            else:  # bare prefix list (direct transport callers, old tests)
-                roots = list(assignment)
-                exclude = ()
+            roots = list(assignment.roots)
+            exclude = assignment.exclude
             control = (ExcludeControl(exclude, steal) if exclude else steal)
             if heartbeat is not None:
                 heartbeat.inner = control
@@ -302,14 +301,3 @@ def worker_loop(session, get_task: Callable, put_message: Callable,
             put_message(MSG_DONE, outcome)
     except Exception:  # pragma: no cover - exercised via scheduler tests
         put_message(MSG_ERROR, traceback.format_exc())
-
-
-def shard_worker(worker_id: int, session, task_queue, result_queue,
-                 steal_flag) -> None:
-    """``multiprocessing`` entry point: :func:`worker_loop` over queues."""
-    worker_loop(
-        session,
-        get_task=task_queue.get,
-        put_message=lambda kind, payload: result_queue.put(
-            (kind, worker_id, payload)),
-        steal_flag=steal_flag)

@@ -1,29 +1,25 @@
-"""The coordinator↔worker transport abstraction for sharded exploration.
+"""The coordinator↔worker transport for sharded exploration.
 
-The shard protocol was deliberately transport-shaped from the start: the
-coordinator assigns decision-prefix lists, raises steal flags, and folds
-back ``ShardOutcome``/donation/error messages — nothing in it requires
-the workers to live on the same host. :class:`Transport` names that
-protocol as an interface; two interchangeable implementations ship:
-
-* :class:`LocalTransport` — worker processes on this machine, driven
-  over ``multiprocessing`` queues and ``Event`` steal flags. The default
-  and exactly the pre-transport behaviour.
-* :class:`~repro.explore.tcp.TcpTransport` — workers are
-  ``python -m repro worker`` daemons on arbitrary hosts, driven over
-  length-prefixed pickled frames on TCP sockets.
-
-The scheduler (:mod:`repro.explore.scheduler`) is written purely against
-this interface, so findings are byte-identical on either transport: the
-deterministic canonical-order merge never sees which wire carried an
-outcome. Parity is pinned by ``tests/explore/test_transport_parity.py``.
+The shard protocol is message-shaped: the coordinator assigns decision
+prefixes, raises steal flags, and folds back ``ShardOutcome``/donation/
+error messages. :class:`Transport` names that protocol as an interface
+and :class:`LocalTransport` implements it: worker processes on this
+machine, driven over ``multiprocessing`` queues and ``Event`` steal
+flags. It is the only transport. The interface stays because it is the
+seam fault injection and tests stand behind:
+:class:`~repro.explore.faults.FaultyTransport` wraps a
+``LocalTransport``, and scripted in-memory transports stand in for it
+in the scheduler's unit tests. The scheduler
+(:mod:`repro.explore.scheduler`) is written purely against this
+interface.
 
 Message flow, coordinator side:
 
-1. :meth:`Transport.start` launches/connects ``count`` workers and hands
-   each one the :class:`WorkerSession` (setup callable, engine config,
-   and the read-only :class:`~repro.solver.cache.QueryCache` snapshot).
-2. :meth:`Transport.assign` ships a prefix list to one worker;
+1. :meth:`Transport.start` launches ``count`` workers and hands each
+   one the :class:`WorkerSession` (setup callable, engine config, and
+   the read-only :class:`~repro.solver.cache.QueryCache` snapshot).
+2. :meth:`Transport.assign` ships an
+   :class:`~repro.explore.shard.Assignment` to one worker;
    :meth:`Transport.request_steal` raises its steal flag.
 3. :meth:`Transport.recv` polls for the next ``(kind, wid, payload)``
    message (``MSG_DONE``/``MSG_DONATE``/``MSG_ERROR``), returning None
@@ -31,16 +27,14 @@ Message flow, coordinator side:
    :meth:`Transport.alive`.
 4. :meth:`Transport.stop` shuts every worker down (idempotent).
 
-Failure semantics are uniform: a worker that raises reports
-``MSG_ERROR`` with its traceback; a worker that dies silently (SIGKILL,
-lost host) is detected by ``alive()`` going False while the worker still
-holds an assignment. What happens next is the scheduler's
-``on_worker_loss`` policy: ``"fail"`` (default) raises naming the lost
-assignment, ``"recover"`` reclaims the assignment and asks the transport
-to :meth:`Transport.respawn` a replacement worker — a fresh local
-process seeded with the same :class:`WorkerSession`, or a new TCP
-session against the next listed host. See the ROADMAP architecture note
-(layer 6) for when to use which transport.
+Failure semantics: a worker that raises reports ``MSG_ERROR`` with its
+traceback; a worker that dies silently (SIGKILL) is detected by
+``alive()`` going False while the worker still holds an assignment.
+What happens next is the scheduler's ``on_worker_loss`` policy:
+``"fail"`` (default) raises naming the lost assignment, ``"recover"``
+reclaims the assignment and asks the transport to
+:meth:`Transport.respawn` a replacement worker — a fresh local process
+seeded with the same :class:`WorkerSession`.
 """
 
 from __future__ import annotations
@@ -49,8 +43,7 @@ import queue as queue_module
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import SymexError
-from repro.explore.shard import Prefix, ShardSetup, shard_worker
+from repro.explore.shard import Assignment, ShardSetup, shard_worker
 from repro.symex.engine import EngineConfig
 
 
@@ -58,9 +51,9 @@ from repro.symex.engine import EngineConfig
 class WorkerSession:
     """Everything a worker needs to serve one sharded run.
 
-    This is the session-init payload both transports hand to every
+    This is the session-init payload the transport hands to every
     worker before the first assignment; all of it must be picklable
-    (the TCP transport literally puts it on the wire).
+    (the ``spawn`` start method pickles it into the new process).
 
     Attributes:
         setup: module-level ``setup(engine, *args) -> (program, observer)``
@@ -93,9 +86,9 @@ class Transport:
     """Coordinator-side interface over one fleet of shard workers.
 
     Implementations own the full worker lifecycle: :meth:`start` brings
-    the fleet up (or connects to it), the messaging methods carry the
-    shard protocol, and :meth:`stop` tears it down. All methods are
-    called from the coordinator thread only.
+    the fleet up, the messaging methods carry the shard protocol, and
+    :meth:`stop` tears it down. All methods are called from the
+    coordinator thread only.
     """
 
     #: Number of workers this transport was started with.
@@ -105,11 +98,10 @@ class Transport:
         """Bring up ``count`` workers, each initialized with ``session``."""
         raise NotImplementedError
 
-    def assign(self, wid: int,
-               prefixes: "list[Prefix] | object") -> None:
-        """Ship an assignment (an :class:`~repro.explore.shard.Assignment`
-        or a bare prefix list); raises :class:`SymexError` if the worker
-        is unreachable (the assignment would otherwise be silently lost)."""
+    def assign(self, wid: int, assignment: Assignment) -> None:
+        """Ship an :class:`~repro.explore.shard.Assignment`; raises
+        :class:`~repro.errors.SymexError` if the worker is unreachable
+        (the assignment would otherwise be silently lost)."""
         raise NotImplementedError
 
     def request_steal(self, wid: int) -> None:
@@ -130,7 +122,7 @@ class Transport:
 
     def respawn(self, wid: int) -> bool:
         """Try to replace a dead worker with a fresh one for the same
-        session (new process / new connection, same ``WorkerSession``).
+        session (a new process, same ``WorkerSession``).
 
         Returns True when slot ``wid`` is live again and ready for an
         assignment; False when this transport cannot (or could not)
@@ -160,8 +152,7 @@ class Transport:
 class LocalTransport(Transport):
     """Shard workers as local ``multiprocessing`` processes.
 
-    The default transport, preserving the original scheduler plumbing
-    verbatim: one task queue and one steal ``Event`` per worker, one
+    One task queue and one steal ``Event`` per worker, one
     shared result queue back, daemon processes joined (and terminated as
     a hang safety net) on :meth:`stop`.
     """
@@ -216,8 +207,8 @@ class LocalTransport(Transport):
         worker.start()
         return slot
 
-    def assign(self, wid: int, prefixes) -> None:
-        self._task_queues[self._slot_of_wid[wid]].put(prefixes)
+    def assign(self, wid: int, assignment: Assignment) -> None:
+        self._task_queues[self._slot_of_wid[wid]].put(assignment)
 
     def request_steal(self, wid: int) -> None:
         self._steal_flags[self._slot_of_wid[wid]].set()
@@ -300,40 +291,3 @@ class LocalTransport(Transport):
         self._slot_of_wid = []
         self._wid_of_slot = {}
         self._session = None
-
-
-def resolve_transport(transport, hosts=()) -> Transport:
-    """Build the transport a caller asked for.
-
-    Args:
-        transport: a ready :class:`Transport` instance (used as-is), the
-            string ``"local"`` / ``"tcp"``, or None (meaning ``"tcp"``
-            when ``hosts`` are given, ``"local"`` otherwise).
-        hosts: ``"host:port"`` strings of running ``repro worker``
-            daemons, required for (and only meaningful with) ``"tcp"``.
-
-    Raises:
-        SymexError: unknown transport name, ``"tcp"`` without hosts, or
-            hosts given with an explicitly local transport.
-    """
-    if isinstance(transport, Transport):
-        return transport
-    if transport is None:
-        transport = "tcp" if hosts else "local"
-    if transport == "local":
-        if hosts:
-            raise SymexError(
-                "transport='local' does not take hosts; pass "
-                "transport='tcp' to use them")
-        return LocalTransport()
-    if transport == "tcp":
-        if not hosts:
-            raise SymexError(
-                "transport='tcp' needs at least one 'host:port' of a "
-                "running `python -m repro worker` daemon")
-        from repro.explore.tcp import TcpTransport
-
-        return TcpTransport(hosts)
-    raise SymexError(
-        f"unknown transport {transport!r}: expected 'local', 'tcp', or a "
-        "Transport instance")

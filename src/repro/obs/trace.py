@@ -71,9 +71,9 @@ def deactivate() -> "Tracer | None":
 
 @dataclass(frozen=True)
 class TraceDelta:
-    """A worker's trace records for one assignment, shipped on the
-    result frame. Plain tuples/dicts of JSON-able values — picklable
-    for the local queue and the TCP frame alike."""
+    """A worker's trace records for one assignment, shipped on its
+    result message. Plain tuples/dicts of JSON-able values, so it
+    pickles through the worker's result queue."""
 
     source: str
     records: tuple = ()

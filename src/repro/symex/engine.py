@@ -31,7 +31,7 @@ cache → incremental frame stack → propagation → full search:
   from the main stack.
 
 Every query is answered in-process, in the order it is posed. To spread
-a search over cores or hosts, shard the path tree (:mod:`repro.explore`):
+a search over cores, shard the path tree (:mod:`repro.explore`):
 each shard runs a private engine.
 
 The engine is deliberately policy-free. Accept/reject classification
@@ -405,9 +405,14 @@ class Engine:
 
         while worklist and (stats.paths_finished + stats.paths_limited
                             < self.config.max_paths):
-            if control is not None and not control.checkpoint(worklist):
-                stopped = True
-                break
+            if control is not None:
+                if not control.checkpoint(worklist):
+                    stopped = True
+                    break
+                if not worklist:
+                    # The control carved out every pending entry (an
+                    # ExcludeControl dropping donated subtrees).
+                    break
             if order == DFS:
                 schedule = worklist.pop()
             else:

@@ -55,7 +55,7 @@ class TestParallelismValidation:
         assert config.on_worker_loss == "recover"
         assert config.max_worker_retries == 0
 
-    def test_transport_instance_accepted_without_hosts(self):
+    def test_transport_instance_accepted(self):
         from repro.explore import LocalTransport
 
         transport = LocalTransport()
@@ -63,12 +63,17 @@ class TestParallelismValidation:
                                 transport=transport)
         assert config.transport is transport
 
-    def test_transport_instance_with_hosts_rejected(self):
-        from repro.explore import LocalTransport
+    def test_hosts_is_not_a_knob(self):
+        """Shard workers are local processes: there are no hosts."""
+        with pytest.raises(TypeError, match="hosts"):
+            AchillesConfig(layout=TOY_LAYOUT, hosts=("127.0.0.1:9100",))
 
-        with pytest.raises(AchillesError, match="carries its own hosts"):
-            AchillesConfig(layout=TOY_LAYOUT, transport=LocalTransport(),
-                           hosts=("127.0.0.1:9100",))
+    @pytest.mark.parametrize("name", ["tcp", "local", "carrier-pigeon"])
+    def test_transport_names_rejected(self, name):
+        """The field is a seam for Transport instances; no name selects
+        a transport."""
+        with pytest.raises(AchillesError, match="Transport instance"):
+            AchillesConfig(layout=TOY_LAYOUT, shards=2, transport=name)
 
     def test_persistence_knobs_accepted(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -178,3 +183,47 @@ class TestParallelismValidation:
             predicates = achilles.extract_clients({"toy": toy_client})
             with pytest.raises(AchillesError, match="dfs"):
                 achilles.search(toy_server, predicates)
+
+
+class _SchedulerBuilt(Exception):
+    """Stops a sharded search at the scheduler it built."""
+
+
+class TestTransportSeam:
+    """``AchillesConfig.transport`` reaches the shard scheduler as given;
+    None means local worker processes."""
+
+    def _scheduler_transport(self, monkeypatch, transport):
+        import repro.explore
+        from repro.achilles import Achilles
+        from repro.systems.toy import toy_client, toy_server
+
+        seen = []
+
+        class Capturing(repro.explore.ShardScheduler):
+            def run(self):
+                seen.append(self.transport)
+                raise _SchedulerBuilt
+
+        monkeypatch.setattr(repro.explore, "ShardScheduler", Capturing)
+        config = AchillesConfig(layout=TOY_LAYOUT, shards=2,
+                                transport=transport)
+        with Achilles(config) as achilles:
+            predicates = achilles.extract_clients({"toy": toy_client})
+            with pytest.raises(_SchedulerBuilt):
+                achilles.search(toy_server, predicates)
+        [built] = seen
+        return built
+
+    def test_default_is_local(self, monkeypatch):
+        from repro.explore import LocalTransport
+
+        assert AchillesConfig(layout=TOY_LAYOUT).transport is None
+        built = self._scheduler_transport(monkeypatch, None)
+        assert type(built) is LocalTransport
+
+    def test_instance_passes_through(self, monkeypatch):
+        from repro.explore import FaultPlan, FaultyTransport, LocalTransport
+
+        instance = FaultyTransport(LocalTransport(), FaultPlan())
+        assert self._scheduler_transport(monkeypatch, instance) is instance

@@ -1,17 +1,17 @@
 """Wire hygiene: everything the transport ships must survive pickling.
 
-The TCP transport puts whole :class:`WorkerSession` bundles and
-:class:`ShardOutcome` results on a socket; the local transport pickles
-the same objects through multiprocessing queues. Any unpicklable or
-process-local state hiding inside these types (open sockets, live
-solver pools, lambdas) would surface as a confusing failure deep inside
-a worker, so this file round-trips every wire-crossing type explicitly —
-through the actual frame codec, not just ``pickle.dumps``.
+The local transport pickles whole :class:`WorkerSession` bundles and
+:class:`ShardOutcome` results through ``multiprocessing`` queues. Any
+unpicklable or process-local state hiding inside these types (open
+files, live solver pools, lambdas) would surface as a confusing failure
+deep inside a worker, so this file round-trips every wire-crossing type
+explicitly — through a real ``multiprocessing`` queue, not just
+``pickle.dumps``.
 """
 
 import itertools
+import multiprocessing
 import pickle
-import socket
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.achilles.report import TrojanFinding
 from repro.bench.experiments import FSP_SESSION_MASK
 from repro.explore import ShardScheduler, WorkerSession
 from repro.explore.shard import ShardOutcome, run_assignment
-from repro.explore.tcp import FrameReader, send_frame
 from repro.solver.solver import SolverStats
 from repro.symex.engine import Engine, EngineConfig
 from repro.systems import fsp
@@ -28,14 +27,15 @@ from repro.systems.toy import TOY_LAYOUT, toy_client, toy_server
 
 
 def wire_roundtrip(obj):
-    """Send ``obj`` through the real frame codec and return the copy."""
-    left, right = socket.socketpair()
-    with left, right:
-        send_frame(left, "payload", obj)
-        reader = FrameReader(right)
-        while not reader.pending():
-            assert reader.feed()
-        kind, copy = reader.next_frame()
+    """Send ``obj`` through a real ``multiprocessing`` queue — the codec
+    between coordinator and shard workers — and return the copy."""
+    wire = multiprocessing.get_context().Queue()
+    try:
+        wire.put(("payload", obj))
+        kind, copy = wire.get(timeout=30)
+    finally:
+        wire.close()
+        wire.join_thread()
     assert kind == "payload"
     return copy
 
@@ -49,7 +49,7 @@ def toy_achilles():
 
 
 class TestClientPredicateSet:
-    def test_round_trips_through_the_frame_codec(self, toy_achilles):
+    def test_round_trips_through_the_worker_queue(self, toy_achilles):
         _, predicates, _ = toy_achilles
         copy = wire_roundtrip(predicates)
         assert len(copy) == len(predicates)
@@ -146,7 +146,7 @@ class TestShardOutcome:
 
 class TestScalarPayloads:
     def test_assignment(self):
-        """The task-frame payload a coordinator ships on reassignment:
+        """The task payload a coordinator ships on reassignment:
         roots plus the excluded (already-donated) subtrees."""
         from repro.explore import Assignment
 
@@ -194,11 +194,42 @@ class TestScalarPayloads:
         assert len(copy.cache_snapshot) > 0
 
 
+class TestWorkerMessages:
+    """The other payloads a worker puts on its result queue."""
+
+    def test_donation_share(self):
+        share = [(True, False), (False,), ()]
+        assert wire_roundtrip(share) == share
+
+    def test_heartbeat_gauges(self):
+        beat = {"paths": 12, "worklist": 3, "cache_hits": 8,
+                "cache_misses": 30}
+        assert wire_roundtrip(beat) == beat
+
+    def test_trace_delta(self):
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer(source="worker")
+        with tracer.span("worker.assignment", roots=2, exclude=0):
+            tracer.event("coordinator.steal", wid=1)
+        delta = tracer.take_delta()
+        assert delta.records
+        copy = wire_roundtrip(delta)
+        assert copy == delta
+
+    def test_traced_outcome_keeps_its_trace(self):
+        from repro.obs.trace import TraceDelta
+
+        outcome = ShardOutcome(trace=TraceDelta(source="worker",
+                                                records=({"name": "x"},)))
+        assert wire_roundtrip(outcome).trace == outcome.trace
+
+
 class TestSchedulerSessionIsPicklable:
     def test_scheduler_builds_a_picklable_session(self):
         """What _fan_out would ship must survive pickle even before any
         transport is involved — catching hygiene regressions without a
-        socket in the loop."""
+        worker process in the loop."""
         def module_level_stand_in(engine):  # pragma: no cover - shipped
             return None, None
 

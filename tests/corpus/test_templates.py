@@ -228,7 +228,7 @@ class TestOracleSelfConsistency:
 
 class TestPicklability:
     def test_programs_and_oracles_survive_pickling(self):
-        # Sharded/TCP runs ship the server program by pickle; the corpus
+        # Sharded runs ship the server program by pickle; the corpus
         # programs are callable dataclasses precisely for this.
         for template in TEMPLATES:
             variant = build_variant(template, 99)

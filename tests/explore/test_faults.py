@@ -18,10 +18,10 @@ import pytest
 
 from repro.errors import SymexError
 from repro.explore import (
+    Assignment,
     CoordinatorKilled,
     CorruptRecord,
     DelayResult,
-    DropConnection,
     ExcludeControl,
     FaultPlan,
     FaultyTransport,
@@ -114,8 +114,8 @@ class TestFaultyTransportSemantics:
         inner = _ScriptedTransport()
         faulty = FaultyTransport(inner, FaultPlan())
         inner.inbox.append((MSG_DONE, 0, "payload"))
-        faulty.assign(0, [()])
-        assert inner.assigned == [(0, [()])]
+        faulty.assign(0, Assignment(((),)))
+        assert inner.assigned == [(0, Assignment(((),)))]
         assert faulty.recv(0.1) == (MSG_DONE, 0, "payload")
         assert faulty.alive(0)
         assert faulty.injected_kills == 0
@@ -127,7 +127,7 @@ class TestFaultyTransportSemantics:
         assert faulty.alive(1)
         assert faulty.injected_kills == 1
         with pytest.raises(SymexError, match="unreachable"):
-            faulty.assign(0, [()])
+            faulty.assign(0, Assignment(((),)))
         assert "severed by fault plan" in faulty.describe(0)
 
     def test_kill_after_nth_result_lets_earlier_messages_through(self):
@@ -141,12 +141,6 @@ class TestFaultyTransportSemantics:
         assert faulty.recv(0.1) is None
         assert not faulty.alive(0)
         assert faulty.injected_kills == 1
-
-    def test_drop_connection_behaves_like_kill(self):
-        faulty = FaultyTransport(_ScriptedTransport(),
-                                 FaultPlan(DropConnection(1)))
-        assert not faulty.alive(1)
-        assert faulty.alive(0)
 
     def test_severed_workers_messages_are_swallowed_not_delivered(self):
         inner = _ScriptedTransport()
@@ -237,6 +231,16 @@ class TestExcludeControl:
 
         control = ExcludeControl(exclude=((True,),), inner=Stop())
         assert control.checkpoint(deque()) is False
+
+    def test_excluding_every_pending_entry_ends_the_walk(self):
+        """The last pending entry carved out leaves an empty worklist
+        mid-walk; the engine stops there instead of popping from it."""
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, 1)
+        result = engine.explore(program,
+                                control=ExcludeControl(((False,),)))
+        assert [p.decisions for p in result.paths] == [(True,)]
+        assert result.frontier == ()
 
 
 # -- end-to-end recovery over a real LocalTransport ---------------------------

@@ -1,272 +1,24 @@
-"""Unit tests for the transport layer: frame codec, resolution, snapshots.
+"""Unit tests for the transport layer: snapshots, the interface, the
+local worker lifecycle, and the absence of any network transport.
 
-The end-to-end socket behaviour (parity with the local transport, worker
-death, remote tracebacks) lives in
-``tests/integration/test_transport_parity.py``; this file covers the
-pieces in isolation.
+End-to-end sharded runs (parity across shard counts, worker death,
+tracing) live in ``tests/integration/``; this file covers the pieces in
+isolation.
 """
 
+import ast
+import importlib
 import pickle
-import socket
-import struct
-import threading
-import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import SymexError
-from repro.explore import LocalTransport, Transport, resolve_transport
-from repro.explore.tcp import (
-    MSG_HELLO,
-    PROTOCOL_VERSION,
-    FrameReader,
-    TcpTransport,
-    parse_hostport,
-    send_frame,
-)
+from repro.explore import Assignment, LocalTransport, Transport
 from repro.solver.ast import bv_const, bv_var, ult
 from repro.solver.cache import QueryCache
 from repro.symex.engine import EngineConfig
 
-
-def _socketpair():
-    left, right = socket.socketpair()
-    left.settimeout(5.0)
-    right.settimeout(5.0)
-    return left, right
-
-
-class TestFrameCodec:
-    def test_round_trip_one_frame(self):
-        left, right = _socketpair()
-        with left, right:
-            send_frame(left, "task", [(True, False), (False,)])
-            reader = FrameReader(right)
-            while not reader.pending():
-                assert reader.feed()
-            assert reader.next_frame() == ("task", [(True, False), (False,)])
-
-    def test_multiple_frames_in_one_read(self):
-        """One recv can deliver several frames; pending() must surface
-        each of them without another socket read."""
-        left, right = _socketpair()
-        with left, right:
-            for i in range(3):
-                send_frame(left, "task", i)
-            left.shutdown(socket.SHUT_WR)
-            reader = FrameReader(right)
-            got = []
-            while True:
-                if reader.pending():
-                    got.append(reader.next_frame())
-                    continue
-                if not reader.feed():
-                    break
-            assert got == [("task", 0), ("task", 1), ("task", 2)]
-
-    def test_expressions_survive_the_wire(self):
-        """Hash-consed expressions re-intern on unpickle: a frame-carried
-        constraint is identical (is-comparable) to the local build."""
-        left, right = _socketpair()
-        constraint = ult(bv_var("msg_0", 8), bv_const(42, 8))
-        with left, right:
-            send_frame(left, "done", (constraint,))
-            reader = FrameReader(right)
-            while not reader.pending():
-                assert reader.feed()
-            _, (received,) = reader.next_frame()
-            assert received is constraint
-
-    def test_oversized_frame_rejected(self):
-        left, right = _socketpair()
-        with left, right:
-            left.sendall((1 << 30).to_bytes(4, "big"))
-            reader = FrameReader(right)
-            reader.feed()
-            with pytest.raises(SymexError, match="oversized frame"):
-                reader.pending()
-
-    def test_recv_blocking_times_out_loudly(self):
-        left, right = _socketpair()
-        with left, right:
-            reader = FrameReader(right)
-            with pytest.raises(SymexError, match="timed out"):
-                reader.recv_blocking(timeout=0.05)
-
-    def test_recv_blocking_returns_none_on_eof(self):
-        left, right = _socketpair()
-        with right:
-            left.close()
-            reader = FrameReader(right)
-            assert reader.recv_blocking(timeout=1.0) is None
-
-    def test_recv_blocking_restores_previous_socket_timeout(self):
-        """The blocking read must not clobber the socket's configured
-        timeout — later polling reads rely on it."""
-        left, right = _socketpair()
-        with left, right:
-            send_frame(left, "task", 1)
-            reader = FrameReader(right)
-            assert reader.recv_blocking(timeout=0.5) == ("task", 1)
-            assert right.gettimeout() == 5.0
-            # Also after a timeout (the error path runs the same finally).
-            with pytest.raises(SymexError, match="timed out"):
-                reader.recv_blocking(timeout=0.05)
-            assert right.gettimeout() == 5.0
-
-
-class TestParseHostport:
-    def test_parses_host_and_port(self):
-        assert parse_hostport("10.0.0.7:9100") == ("10.0.0.7", 9100)
-
-    def test_rejects_missing_port(self):
-        with pytest.raises(SymexError, match="expected 'host:port'"):
-            parse_hostport("justahost")
-
-    def test_rejects_non_integer_port(self):
-        with pytest.raises(SymexError, match="not an integer"):
-            parse_hostport("host:ninety")
-
-    def test_rejects_empty_host(self):
-        with pytest.raises(SymexError, match="expected 'host:port'"):
-            parse_hostport(":9100")
-
-
-class TestResolveTransport:
-    def test_default_is_local(self):
-        assert isinstance(resolve_transport(None), LocalTransport)
-        assert isinstance(resolve_transport("local"), LocalTransport)
-
-    def test_hosts_imply_tcp(self):
-        transport = resolve_transport(None, ("127.0.0.1:9100",))
-        assert isinstance(transport, TcpTransport)
-
-    def test_instance_passes_through(self):
-        instance = LocalTransport()
-        assert resolve_transport(instance) is instance
-
-    def test_tcp_without_hosts_rejected(self):
-        with pytest.raises(SymexError, match="needs at least one"):
-            resolve_transport("tcp")
-
-    def test_local_with_hosts_rejected(self):
-        with pytest.raises(SymexError, match="does not take hosts"):
-            resolve_transport("local", ("127.0.0.1:9100",))
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SymexError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
-
-
-class TestTcpConnectFailure:
-    def test_unreachable_host_fails_with_guidance(self):
-        # A bound-but-never-accepting port is indistinguishable from a
-        # dead daemon; grab a fresh port and close it so connect fails.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        transport = TcpTransport([f"127.0.0.1:{port}"],
-                                 connect_timeout=0.3, retry_interval=0.05)
-        from repro.explore.transport import WorkerSession
-
-        with pytest.raises(SymexError, match="repro worker --listen"):
-            transport.start(1, WorkerSession(setup=None))
-
-    def test_connect_failure_reports_backoff_attempts(self):
-        """The error must say how hard it tried: attempt count and the
-        backoff discipline, so a flaky-network failure is debuggable."""
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        transport = TcpTransport([f"127.0.0.1:{port}"],
-                                 connect_timeout=0.3, retry_interval=0.05)
-        from repro.explore.transport import WorkerSession
-
-        with pytest.raises(SymexError,
-                           match=r"\d+ attempt\(s\)") as excinfo:
-            transport.start(1, WorkerSession(setup=None))
-        assert "exponential backoff" in str(excinfo.value)
-
-    def test_non_worker_endpoint_rejected_at_handshake(self):
-        """Connecting to something that is not a repro worker must fail
-        at the hello, not deep inside an unpickle."""
-        server = socket.create_server(("127.0.0.1", 0))
-        port = server.getsockname()[1]
-
-        def bogus_peer():
-            conn, _ = server.accept()
-            with conn:
-                send_frame(conn, "greetings", 99)
-
-        thread = threading.Thread(target=bogus_peer, daemon=True)
-        thread.start()
-        transport = TcpTransport([f"127.0.0.1:{port}"], connect_timeout=2.0)
-        from repro.explore.transport import WorkerSession
-
-        with server:
-            with pytest.raises(SymexError, match="not a compatible"):
-                transport.start(1, WorkerSession(setup=None))
-        thread.join(timeout=5.0)
-
-    def test_hello_frame_shape(self):
-        assert pickle.loads(pickle.dumps((MSG_HELLO, PROTOCOL_VERSION))) \
-            == (MSG_HELLO, PROTOCOL_VERSION)
-
-
-class TestRecvStallDeadline:
-    """The per-worker recv deadline fires on a frame that *stops
-    growing*, never on a large frame that is still arriving — slow is
-    not dead."""
-
-    def _transport_with_reader(self, deadline):
-        transport = TcpTransport(["127.0.0.1:9100"], recv_deadline=deadline)
-        left, right = _socketpair()
-        transport._socks = [right]
-        transport._readers = [FrameReader(right)]
-        return transport, left, transport._readers[0]
-
-    def test_growing_frame_resets_the_stall_clock(self):
-        """Bytes keep landing, each gap longer than the deadline: the
-        worker must stay alive — the transfer is making progress."""
-        transport, left, reader = self._transport_with_reader(0.05)
-        with left, reader.sock:
-            left.sendall(b"\x00")  # frame torso begins (partial header)
-            reader.feed()
-            transport._check_stalls()
-            for _ in range(3):
-                time.sleep(0.06)   # past the deadline every time...
-                left.sendall(b"\x00")  # ...but another byte arrives
-                reader.feed()
-                transport._check_stalls()
-            assert transport.alive(0)
-
-    def test_frame_that_stops_growing_is_a_death(self):
-        transport, left, reader = self._transport_with_reader(0.05)
-        with left, reader.sock:
-            left.sendall(b"\x00")
-            reader.feed()
-            transport._check_stalls()  # clock starts
-            time.sleep(0.06)
-            transport._check_stalls()  # no new bytes for > deadline
-            assert not transport.alive(0)
-
-    def test_completed_frame_clears_the_stall_clock(self):
-        transport, left, reader = self._transport_with_reader(0.05)
-        body = pickle.dumps(("done", 1), protocol=pickle.HIGHEST_PROTOCOL)
-        frame = struct.pack(">I", len(body)) + body
-        with left, reader.sock:
-            left.sendall(frame[:3])
-            reader.feed()
-            transport._check_stalls()
-            assert 0 in transport._partial_since
-            left.sendall(frame[3:])    # the rest arrives; frame complete
-            reader.feed()
-            transport._check_stalls()
-            assert 0 not in transport._partial_since
-            assert reader.pending()
-            assert transport.alive(0)
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 class TestCacheSnapshot:
@@ -350,7 +102,7 @@ class TestLocalTransportLifecycle:
         try:
             assert transport.alive(0)
             assert "local worker 0" in transport.describe(0)
-            transport.assign(0, [()])
+            transport.assign(0, Assignment(((),)))
             message = None
             for _ in range(500):
                 message = transport.recv(0.05)
@@ -390,7 +142,7 @@ class TestLocalTransportLifecycle:
             assert transport.alive(1)
             assert transport.respawn(0) is True
             assert transport.alive(0)
-            transport.assign(0, [()])
+            transport.assign(0, Assignment(((),)))
             message = None
             for _ in range(500):
                 message = transport.recv(0.05)
@@ -402,3 +154,198 @@ class TestLocalTransportLifecycle:
             assert len(outcome.paths) == 2
         finally:
             transport.stop()
+
+
+def _started(count):
+    from repro.explore import WorkerSession
+
+    transport = LocalTransport()
+    transport.start(count, WorkerSession(setup=tiny_setup,
+                                         engine_config=EngineConfig()))
+    return transport
+
+
+def _next_message(transport, attempts=500):
+    for _ in range(attempts):
+        message = transport.recv(0.05)
+        if message is not None:
+            return message
+    raise AssertionError("no worker message arrived")
+
+
+class TestLocalTransportMessaging:
+    def test_worker_count_is_the_started_count(self):
+        transport = _started(2)
+        try:
+            assert transport.worker_count == 2
+            assert transport.alive(0) and transport.alive(1)
+        finally:
+            transport.stop()
+
+    def test_messages_carry_the_assigned_workers_id(self):
+        from repro.explore.shard import MSG_DONE
+
+        transport = _started(2)
+        try:
+            transport.assign(0, Assignment(((True,),)))
+            transport.assign(1, Assignment(((False,),)))
+            got = {}
+            for _ in range(2):
+                kind, wid, outcome = _next_message(transport)
+                assert kind == MSG_DONE
+                got[wid] = [p.decisions for p in outcome.paths]
+            assert got == {0: [(True,)], 1: [(False,)]}
+        finally:
+            transport.stop()
+
+    def test_exclusions_cross_the_process_boundary(self):
+        transport = _started(1)
+        try:
+            transport.assign(0, Assignment(((),), ((False,),)))
+            _, _, outcome = _next_message(transport)
+            assert [p.decisions for p in outcome.paths] == [(True,)]
+        finally:
+            transport.stop()
+
+    def test_recv_times_out_with_none_when_idle(self):
+        transport = _started(1)
+        try:
+            assert transport.recv(0.05) is None
+        finally:
+            transport.stop()
+
+    def test_request_steal_raises_only_that_workers_flag(self):
+        transport = _started(2)
+        try:
+            transport.request_steal(1)
+            flags = transport._steal_flags
+            assert not flags[transport._slot_of_wid[0]].is_set()
+            assert flags[transport._slot_of_wid[1]].is_set()
+        finally:
+            transport.stop()
+
+    def test_acknowledge_done_clears_an_unanswered_steal(self):
+        transport = _started(1)
+        try:
+            transport.request_steal(0)
+            transport.acknowledge_done(0)
+            assert not transport._steal_flags[
+                transport._slot_of_wid[0]].is_set()
+        finally:
+            transport.stop()
+
+
+class TestLocalTransportRespawn:
+    def _kill(self, transport, wid):
+        victim = transport._workers[transport._slot_of_wid[wid]]
+        victim.terminate()
+        victim.join(timeout=10)
+        return victim
+
+    def test_retired_slot_messages_are_dropped(self):
+        """A message the dead predecessor left in the shared result
+        queue must never be credited to its replacement."""
+        from repro.explore.shard import MSG_DONE
+
+        transport = _started(1)
+        try:
+            old_slot = transport._slot_of_wid[0]
+            self._kill(transport, 0)
+            assert transport.respawn(0) is True
+            transport._result_queue.put((MSG_DONE, old_slot, "stale"))
+            assert transport.recv(0.5) is None
+            transport.assign(0, Assignment(((),)))
+            kind, wid, outcome = _next_message(transport)
+            assert (kind, wid) == (MSG_DONE, 0)
+            assert outcome != "stale"
+        finally:
+            transport.stop()
+
+    def test_replacement_is_a_new_process(self):
+        transport = _started(2)
+        try:
+            victim = self._kill(transport, 0)
+            survivor = transport.describe(1)
+            assert transport.respawn(0) is True
+            assert f"pid {victim.pid}" not in transport.describe(0)
+            assert transport.describe(1) == survivor
+        finally:
+            transport.stop()
+
+    def test_respawn_terminates_a_worker_declared_dead_while_alive(self):
+        """The scheduler's verdict (an injected fault) may condemn a
+        live process; respawn makes the verdict true before replacing
+        it."""
+        transport = _started(1)
+        try:
+            condemned = transport._workers[transport._slot_of_wid[0]]
+            assert transport.respawn(0) is True
+            assert not condemned.is_alive()
+            assert transport.alive(0)
+        finally:
+            transport.stop()
+
+
+class TestLocalTransportShutdown:
+    def test_stop_drains_workers_gracefully(self):
+        transport = _started(2)
+        workers = list(transport._workers)
+        transport.stop()
+        assert [w.exitcode for w in workers] == [0, 0]
+
+    def test_abort_kills_busy_workers_and_forgets_them(self):
+        transport = _started(2)
+        workers = list(transport._workers)
+        transport.abort()
+        assert not any(w.is_alive() for w in workers)
+        assert transport._workers == []
+
+    def test_stop_after_abort_is_harmless(self):
+        transport = _started(1)
+        transport.abort()
+        transport.stop()
+
+
+class TestOneTransport:
+    """Local worker processes are the only transport: nothing in the
+    package listens on, or connects over, the network."""
+
+    def test_tcp_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.explore.tcp")
+
+    def test_package_exports_no_network_names(self):
+        import repro.explore
+
+        for name in ("TcpTransport", "resolve_transport", "DropConnection"):
+            assert name not in repro.explore.__all__
+            assert not hasattr(repro.explore, name)
+
+    def test_every_exported_name_resolves(self):
+        import repro.explore
+
+        for name in repro.explore.__all__:
+            assert getattr(repro.explore, name) is not None, name
+
+    def test_scheduler_takes_no_hosts(self):
+        from repro.explore import ShardScheduler
+
+        with pytest.raises(TypeError, match="hosts"):
+            ShardScheduler(tiny_setup, shards=2, hosts=("127.0.0.1:9100",))
+
+    def test_no_module_imports_socket(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] in ("socket", "socketserver")
+                       for name in names):
+                    offenders.append(
+                        f"{path.relative_to(SRC)}:{node.lineno}")
+        assert not offenders, offenders

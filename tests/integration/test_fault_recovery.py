@@ -3,23 +3,16 @@
 The headline robustness criterion, end to end: the FSP and Raft analyses
 run under a scripted :class:`FaultPlan` — one worker killed before it
 delivers anything, its first respawn attempt refused — with
-``on_worker_loss="recover"``, on both transports, at shards = 2 and 4;
-the findings must be byte-identical to a fault-free serial run, and the
-report must prove the faults actually fired (``worker_failures``,
-``prefixes_reassigned``) rather than silently missing the injection.
+``on_worker_loss="recover"``, on local worker processes at shards = 2
+and 4; the findings must be byte-identical to a fault-free serial run,
+and the report must prove the faults actually fired
+(``worker_failures``, ``prefixes_reassigned``) rather than silently
+missing the injection.
 
-This is the suite the CI chaos job runs. Like the parity suite,
-``REPRO_TCP_HOSTS`` can aim the TCP runs at externally launched daemons;
-otherwise two private localhost daemons are spawned per module. Two
-hosts also exercise the respawn ring: the killed session's replacement
-connects to the *next* listed host.
+This is the suite the CI chaos job runs.
 """
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -32,12 +25,9 @@ from repro.explore import (
     LocalTransport,
     RefuseRespawn,
 )
-from repro.explore.tcp import TcpTransport
 from repro.systems import broadcast, fsp, raft
 
 SHARD_COUNTS = (2, 4)
-
-_REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _chaos_plan():
@@ -45,47 +35,6 @@ def _chaos_plan():
     attempt refused (inside the default max_worker_retries=2 budget)."""
     return FaultPlan(KillWorker(0, after_results=0),
                      RefuseRespawn(0, times=1))
-
-
-def _spawn_daemons(count: int):
-    env = dict(os.environ)
-    path_entries = [str(_REPO_ROOT / "src")]
-    if env.get("PYTHONPATH"):
-        path_entries.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(path_entries)
-    daemons, hosts = [], []
-    for _ in range(count):
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--listen", "127.0.0.1:0"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
-        daemons.append(daemon)
-        line = daemon.stdout.readline().strip()
-        ready, host, port = line.split()
-        assert ready == "READY", f"unexpected daemon banner: {line!r}"
-        hosts.append(f"{host}:{port}")
-    return daemons, tuple(hosts)
-
-
-@pytest.fixture(scope="module")
-def tcp_hosts():
-    configured = os.environ.get("REPRO_TCP_HOSTS", "").strip()
-    if configured:
-        yield tuple(h.strip() for h in configured.split(",") if h.strip())
-        return
-    daemons, hosts = _spawn_daemons(2)
-    try:
-        yield hosts
-    finally:
-        for daemon in daemons:
-            daemon.terminate()
-        for daemon in daemons:
-            try:
-                daemon.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                daemon.kill()
-                daemon.wait()
 
 
 def _finding_signature(report):
@@ -96,7 +45,7 @@ def _finding_signature(report):
     ]
 
 
-def _run_fsp(shards, transport="local", on_worker_loss="fail"):
+def _run_fsp(shards, transport=None, on_worker_loss="fail"):
     commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
     config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
                             shards=shards, transport=transport,
@@ -106,7 +55,7 @@ def _run_fsp(shards, transport="local", on_worker_loss="fail"):
         return achilles.search(fsp.fsp_server, predicates)
 
 
-def _run_raft(shards, transport="local", on_worker_loss="fail"):
+def _run_raft(shards, transport=None, on_worker_loss="fail"):
     config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
                             shards=shards, transport=transport,
                             on_worker_loss=on_worker_loss)
@@ -115,7 +64,7 @@ def _run_raft(shards, transport="local", on_worker_loss="fail"):
         return achilles.search(raft.raft_follower, predicates)
 
 
-def _run_broadcast(shards, transport="local", on_worker_loss="fail"):
+def _run_broadcast(shards, transport=None, on_worker_loss="fail"):
     config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
                             destination="node", shards=shards,
                             transport=transport,
@@ -183,28 +132,19 @@ class TestChaosParityLocal:
                        f"{system} local shards=2")
 
 
-class TestChaosParityTcp:
-    @pytest.mark.parametrize("system", sorted(_RUNNERS))
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_findings_survive_injected_worker_loss(self, system, shards,
-                                                   tcp_hosts, baselines):
-        faulty = FaultyTransport(TcpTransport(tcp_hosts), _chaos_plan())
-        report = _RUNNERS[system](shards, transport=faulty,
-                                  on_worker_loss="recover")
-        _assert_parity(report, faulty, baselines[system],
-                       f"{system} tcp shards={shards}")
-
+class TestEveryWorkerLost:
     @pytest.mark.parametrize("system", _FANS_OUT)
-    def test_injection_fires_at_two_shards(self, system, tcp_hosts,
-                                           baselines):
-        faulty = FaultyTransport(TcpTransport(tcp_hosts), _chaos_plan())
+    def test_both_workers_killed_and_respawned(self, system, baselines):
+        """Every worker of a 2-shard run dies before its first result;
+        both slots respawn and the findings stay byte-identical."""
+        faulty = FaultyTransport(LocalTransport(),
+                                 FaultPlan(KillWorker(0), KillWorker(1)))
         report = _RUNNERS[system](2, transport=faulty,
                                   on_worker_loss="recover")
-        assert faulty.injected_kills == 1
-        assert faulty.refused_respawns == 1
-        assert report.worker_failures == 1
+        assert faulty.injected_kills == 2
+        assert report.worker_failures == 2
         _assert_parity(report, faulty, baselines[system],
-                       f"{system} tcp shards=2")
+                       f"{system} local shards=2, both workers lost")
 
 
 class TestRecoveryCountersSurface:

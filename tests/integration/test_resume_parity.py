@@ -3,12 +3,10 @@
 ``tests/explore/test_checkpoint.py`` pins the journal mechanics on toy
 trees; this suite closes the acceptance criterion on the real analyses:
 the coordinator is killed at *every* checkpoint boundary of an FSP
-(reduced command set, as in the transport-parity suite) and a Raft hunt,
+(reduced command set, as in the tracing-parity suite) and a Raft hunt,
 the run is resumed from the journal, and the findings — path ids,
 witnesses, live-predicate sets, labels — plus the exploration and
-sampling counters must be byte-identical to an uninterrupted run. Both
-transports are covered: local ``multiprocessing`` workers and
-``python -m repro worker`` daemons over TCP.
+sampling counters must be byte-identical to an uninterrupted run.
 
 The kill is injected through the ``checkpoint_hook`` test seam of
 :func:`search_server` (:class:`KillCoordinatorAt` fires *after* the
@@ -20,11 +18,7 @@ actually fired along the way.
 """
 
 import itertools
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -33,47 +27,6 @@ from repro.achilles.server_analysis import search_server
 from repro.bench.experiments import FSP_SESSION_MASK
 from repro.explore import CoordinatorKilled, KillCoordinatorAt
 from repro.systems import fsp, raft
-
-_REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def _spawn_daemons(count: int):
-    """Start ``count`` worker daemons on ephemeral ports; return
-    (processes, hosts) once every daemon has printed its READY line."""
-    env = dict(os.environ)
-    path_entries = [str(_REPO_ROOT / "src")]
-    if env.get("PYTHONPATH"):
-        path_entries.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(path_entries)
-    daemons, hosts = [], []
-    for _ in range(count):
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--listen", "127.0.0.1:0"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
-        daemons.append(daemon)
-        line = daemon.stdout.readline().strip()
-        ready, host, port = line.split()
-        assert ready == "READY", f"unexpected daemon banner: {line!r}"
-        hosts.append(f"{host}:{port}")
-    return daemons, tuple(hosts)
-
-
-@pytest.fixture(scope="module")
-def tcp_hosts():
-    daemons, hosts = _spawn_daemons(2)
-    try:
-        yield hosts
-    finally:
-        for daemon in daemons:
-            daemon.terminate()
-        for daemon in daemons:
-            try:
-                daemon.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                daemon.kill()
-                daemon.wait()
 
 
 def _finding_signature(report):
@@ -98,14 +51,12 @@ _SYSTEMS = {
 }
 
 
-def _search(system, run_dir, *, resume=False, hook=None, hosts=None):
+def _search(system, run_dir, *, resume=False, hook=None):
     """One full pipeline run, phase 2 journaled under ``run_dir``.
 
     ``run_dir=None`` runs unjournaled (the uninterrupted baseline)."""
     spec = _SYSTEMS[system]
-    transport = ({} if hosts is None
-                 else {"transport": "tcp", "hosts": tuple(hosts)})
-    config = AchillesConfig(shards=2, **spec["config"], **transport)
+    config = AchillesConfig(shards=2, **spec["config"])
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(spec["clients"]())
         report, _ = search_server(
@@ -119,7 +70,7 @@ def _search(system, run_dir, *, resume=False, hook=None, hosts=None):
 
 @pytest.fixture(scope="module")
 def baselines():
-    """Uninterrupted (local, unjournaled) report per system."""
+    """Uninterrupted (unjournaled) report per system."""
     reports = {name: _search(name, None) for name in _SYSTEMS}
     for name, report in reports.items():
         assert report.findings, f"{name}: baseline run found nothing"
@@ -134,7 +85,7 @@ def _assert_parity(report, baseline, context):
     assert report.predicate_samples == baseline.predicate_samples
 
 
-def _kill_at_every_checkpoint(system, baseline, tmp_path, hosts=None):
+def _kill_at_every_checkpoint(system, baseline, tmp_path):
     """Walk the kill target across every checkpoint boundary."""
     kills_fired = 0
     target = 1
@@ -142,10 +93,10 @@ def _kill_at_every_checkpoint(system, baseline, tmp_path, hosts=None):
         run_dir = tmp_path / f"{system}-kill-{target}"
         try:
             report = _search(system, run_dir,
-                             hook=KillCoordinatorAt(target), hosts=hosts)
+                             hook=KillCoordinatorAt(target))
         except CoordinatorKilled:
             kills_fired += 1
-            report = _search(system, run_dir, resume=True, hosts=hosts)
+            report = _search(system, run_dir, resume=True)
             assert report.resumed_regions >= 0
             completed = False
         else:
@@ -169,11 +120,3 @@ class TestLocalResumeParity:
         _assert_parity(report, baselines["fsp"], "for journaled fsp")
         assert report.checkpoints_written >= 1
         assert report.resumed_regions == 0
-
-
-class TestTcpResumeParity:
-    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
-    def test_kill_at_every_checkpoint(self, system, baselines, tmp_path,
-                                      tcp_hosts):
-        _kill_at_every_checkpoint(system, baselines[system], tmp_path,
-                                  hosts=tcp_hosts)

@@ -84,21 +84,19 @@ def captured(monkeypatch):
 
 
 #: Every shared run-settings flag, each off its default.
-SHARED_FLAGS = ["--shards", "3", "--transport", "tcp",
-                "--hosts", " a:1, b:2 ", "--on-worker-loss", "recover",
+SHARED_FLAGS = ["--shards", "3", "--on-worker-loss", "recover",
                 "--search-order", "bfs", "--max-paths", "7", "--progress"]
 
-#: AchillesConfig fields no flag sets: the system's own description and
-#: the worker retry budget.
+#: AchillesConfig fields no flag sets: the system's own description, the
+#: worker retry budget and the transport test seam.
 UNFLAGGED = {"layout", "mask", "optimizations", "destination", "msg_name",
-             "max_worker_retries"}
+             "max_worker_retries", "transport"}
 
 
 class TestFlagsReachTheConfig:
     def _assert_shared(self, config):
         assert config.shards == 3
-        assert config.transport == "tcp"
-        assert config.hosts == ("a:1", "b:2")
+        assert config.transport is None
         assert config.on_worker_loss == "recover"
         assert config.progress is True
         for engine in (config.client_engine, config.server_engine):
@@ -140,11 +138,9 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("flags, message", [
         (["--shards", "0"], "shards must be >= 1"),
-        (["--transport", "tcp"], "needs hosts"),
         (["--resume", "{tmp}", "--shards", "1"], "set shards >= 2"),
         (["--checkpoint-interval", "0"], "checkpoint_interval must be >= 1"),
-    ], ids=["shards-0", "tcp-without-hosts", "resume-serial",
-            "checkpoint-interval-0"])
+    ], ids=["shards-0", "resume-serial", "checkpoint-interval-0"])
     def test_experiment(self, capsys, tmp_path, flags, message):
         flags = [flag.format(tmp=tmp_path) for flag in flags]
         assert main(["toy", *flags]) == 2
@@ -155,8 +151,7 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("flags, message", [
         (["--shards", "0"], "shards must be >= 1"),
-        (["--transport", "tcp"], "needs hosts"),
-    ], ids=["shards-0", "tcp-without-hosts"])
+    ], ids=["shards-0"])
     def test_corpus_run(self, capsys, flags, message):
         assert main(["corpus", "run", "--variants", "1", *flags]) == 2
         captured = capsys.readouterr()
@@ -245,6 +240,43 @@ class TestNoDiskCache:
         names = [line.split()[0]
                  for line in capsys.readouterr().out.splitlines()]
         assert "cache" not in names
+
+
+class TestNoWorkerDaemon:
+    """Shard workers are local processes: no daemon, no transport or
+    host flags."""
+
+    def test_worker_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--listen", "127.0.0.1:0"])
+        assert excinfo.value.code == 2
+        assert "worker" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["toy"], ["corpus", "run"]],
+                             ids=["toy", "corpus-run"])
+    @pytest.mark.parametrize("flag, value", [("--transport", "tcp"),
+                                             ("--hosts", "a:1")])
+    def test_transport_flags_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [[], ["corpus"]],
+                             ids=["experiments", "corpus"])
+    def test_help_names_no_daemon_or_transport(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for text in ("--transport", "--hosts", "daemon"):
+            assert text not in out
+
+    def test_list_does_not_name_worker(self, capsys):
+        assert main(["list"]) == 0
+        names = [line.split()[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert "worker" not in names
 
 
 class TestBroadcastExperiment:
