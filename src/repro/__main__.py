@@ -24,16 +24,15 @@ tree across local worker processes; findings are byte-identical at any
 count), ``--on-worker-loss`` (what a lost worker costs),
 ``--search-order/--max-paths`` (one exploration policy for both phases)
 and ``--progress``.
-Only experiments take ``--run-dir/--checkpoint-interval/--resume``,
-``--trace-dir`` and ``-v/-q``. A setting the config rejects is reported
-on stderr, without a traceback, with exit code 2.
+Only experiments take ``--trace-dir`` and ``-v/-q``. A setting the
+config rejects is reported on stderr, without a traceback, with exit
+code 2.
 
-Crash safety: with ``--shards N --run-dir DIR`` the sharded search
-journals its progress, and ``--resume DIR`` continues a killed run from
-its last checkpoint — findings are byte-identical to an uninterrupted
-run. The query cache lives in memory for one run. With
-``--on-worker-loss recover`` a killed shard worker no longer aborts the
-run: its prefixes are reassigned and the findings stay byte-identical.
+A run keeps no durable state: the query cache and the sharded search's
+progress live in memory for one run, and a killed run is simply run
+again. With ``--on-worker-loss recover`` a killed shard worker no longer
+aborts the run: its prefixes are reassigned and the findings stay
+byte-identical.
 
 Observability: ``--trace-dir DIR`` records structured spans across the
 coordinator, the shard workers and every solver layer, writing the
@@ -156,7 +155,8 @@ def _report_health(report) -> None:
     """Robustness/observability counters after the experiment tables.
 
     Surfaces what the run survived (worker deaths, reclaimed prefixes)
-    and what it leaned on (journal checkpoints) in one scannable block.
+    and what it cost (solver queries, recovery time) in one scannable
+    block.
     The cache hit rate counts only lookups that reach the query cache:
     replayed server prefixes are answered by the Trojan observer's
     prefix trie first, so FSP shows ~26% with the same solver work that
@@ -168,9 +168,7 @@ def _report_health(report) -> None:
             ("cache hit rate", hit_rate),
             ("worker failures", report.worker_failures),
             ("prefixes reassigned", report.prefixes_reassigned),
-            ("recovery seconds", f"{report.recovery_seconds:.2f}"),
-            ("journal checkpoints", report.checkpoints_written),
-            ("resumed regions", report.resumed_regions)]
+            ("recovery seconds", f"{report.recovery_seconds:.2f}")]
     print("run health:")
     for name, value in rows:
         print(f"  {name:20} {value}")
@@ -257,8 +255,9 @@ def _run_trace(argv: list[str]) -> int:
                     "'summarize' prints per-span statistics and the "
                     "metrics trailer; 'export' converts the trace to "
                     "Chrome trace-event JSON (open in Perfetto or "
-                    "chrome://tracing). A damaged trace file salvages "
-                    "its valid prefix, like a damaged run journal.")
+                    "chrome://tracing). A trace is JSON Lines; a "
+                    "damaged one salvages the records before its first "
+                    "bad line.")
     parser.add_argument("action", choices=["summarize", "export"],
                         help="print span statistics, or convert to "
                              "Chrome trace-event JSON")
@@ -286,7 +285,7 @@ def _run_trace(argv: list[str]) -> int:
         path = path / TRACE_FILE_NAME
     try:
         trace = read_trace(path)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"cannot read trace {path}: {exc}", file=sys.stderr)
         return 1
     if args.action == "summarize":
@@ -407,18 +406,6 @@ def _dispatch(argv: list[str]) -> int:
                         help="experiment to run, 'list', 'trace' (trace "
                              "inspector), or 'corpus' (scenario-matrix "
                              "corpus)")
-    parser.add_argument("--run-dir", default=None, metavar="DIR",
-                        help="journal sharded-search progress to "
-                             "DIR/journal.wal (needs --shards >= 2) so a "
-                             "killed run can be continued with --resume")
-    parser.add_argument("--checkpoint-interval", type=int, default=1,
-                        metavar="N",
-                        help="completed shard assignments per durable "
-                             "(fsync'd) journal checkpoint (default: 1)")
-    parser.add_argument("--resume", default=None, metavar="RUN_DIR",
-                        help="continue the interrupted run journaled in "
-                             "RUN_DIR from its last checkpoint; findings "
-                             "are byte-identical to an uninterrupted run")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="record structured spans (coordinator, "
                              "workers, every solver layer) and write the "
@@ -442,17 +429,8 @@ def _dispatch(argv: list[str]) -> int:
         print("corpus         scenario-matrix corpus runner "
               "(python -m repro corpus --help)")
         return 0
-    run_dir = args.run_dir
-    if args.resume is not None:
-        if run_dir is not None and run_dir != args.resume:
-            parser.error("--resume RUN_DIR already names the run "
-                         "directory; drop the conflicting --run-dir")
-        run_dir = args.resume
     _, driver, printer = _EXPERIMENTS[args.experiment]
-    return printer(driver(**_settings(args), run_dir=run_dir,
-                          checkpoint_interval=args.checkpoint_interval,
-                          resume=args.resume is not None,
-                          trace_dir=args.trace_dir))
+    return printer(driver(**_settings(args), trace_dir=args.trace_dir))
 
 
 if __name__ == "__main__":

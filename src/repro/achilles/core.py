@@ -104,16 +104,6 @@ class AchillesConfig:
         max_worker_retries: with ``on_worker_loss="recover"``, respawn
             attempts per worker slot before that slot is written off and
             its work spread over the survivors.
-        run_dir: when set (sharded runs only), journal completed
-            assignments to ``run_dir/journal.wal`` so a killed
-            coordinator can be resumed with ``resume=True``.
-        checkpoint_interval: completed shard assignments per durable
-            (fsync'd) journal checkpoint; 1 (the default) checkpoints
-            every completion.
-        resume: replay ``run_dir``'s journal instead of starting the
-            phase-2 search from scratch: journaled outcomes merge as-is
-            and only the outstanding frontier is re-explored. Findings
-            are byte-identical to an uninterrupted run.
         trace_dir: when set, record structured spans across the whole
             phase-2 search — coordinator phases, per-worker exploration
             and every solver layer — and write the merged trace to
@@ -137,9 +127,6 @@ class AchillesConfig:
     transport: Transport | None = None
     on_worker_loss: str = "fail"
     max_worker_retries: int = 2
-    run_dir: str | None = None
-    checkpoint_interval: int = 1
-    resume: bool = False
     trace_dir: str | None = None
     progress: bool = False
 
@@ -166,24 +153,6 @@ class AchillesConfig:
             raise AchillesError(
                 f"AchillesConfig.max_worker_retries must be >= 0, got "
                 f"{self.max_worker_retries}")
-        if self.checkpoint_interval < 1:
-            raise AchillesError(
-                f"AchillesConfig.checkpoint_interval must be >= 1, got "
-                f"{self.checkpoint_interval} (1 = fsync the run journal "
-                "after every completed shard assignment)")
-        if self.run_dir is not None:
-            run_path = Path(self.run_dir)
-            if run_path.exists() and not run_path.is_dir():
-                raise AchillesError(
-                    f"AchillesConfig.run_dir points at a file "
-                    f"({run_path}); it must name a directory for the "
-                    "run journal (it is created if missing)")
-            if self.shards < 2:
-                raise AchillesError(
-                    "AchillesConfig.run_dir checkpoints the sharded "
-                    f"phase-2 search, but shards={self.shards}; set "
-                    "shards >= 2 (a serial walk has no coordinator to "
-                    "checkpoint)")
         if self.trace_dir is not None:
             trace_path = Path(self.trace_dir)
             if trace_path.exists() and not trace_path.is_dir():
@@ -191,21 +160,6 @@ class AchillesConfig:
                     f"AchillesConfig.trace_dir points at a file "
                     f"({trace_path}); it must name a directory for the "
                     "trace (it is created if missing)")
-        if self.resume:
-            if self.run_dir is None:
-                raise AchillesError(
-                    "AchillesConfig.resume=True needs run_dir: the "
-                    "journal of the interrupted run is what a resume "
-                    "replays")
-            from repro.explore.checkpoint import JOURNAL_NAME
-
-            journal = Path(self.run_dir) / JOURNAL_NAME
-            if not journal.exists():
-                raise AchillesError(
-                    f"AchillesConfig.resume=True but {journal} does not "
-                    "exist; resume needs the journal a previous "
-                    "checkpointed run wrote (start one with run_dir "
-                    "set, then resume after an interruption)")
 
 
 class Achilles:

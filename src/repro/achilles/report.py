@@ -120,11 +120,10 @@ class AchillesReport:
             incremental interval propagation.
         shards: exploration shard count the server search ran with (1 =
             one in-process walk). When shards > 1, per-shard solver
-            counters are folded in fixed order, and the cache
-            counters describe only the coordinator's seed-phase cache —
-            shard workers warm private caches whose traffic depends on
-            the (timing-dependent) partition. Findings never depend on
-            the shard count.
+            counters — the cache hits and misses of the workers' private
+            caches included — are folded in fixed order onto the
+            coordinator's. Their split depends on the (timing-dependent)
+            partition; findings never depend on the shard count.
         worker_failures: shard workers declared dead during the search.
             0 on a fault-free run; only ever non-zero with
             ``on_worker_loss="recover"`` (a loss under the default
@@ -137,11 +136,6 @@ class AchillesReport:
             respawning, and re-dispatching after worker losses — the
             overhead the faults cost (included in the server-analysis
             timing, not extra).
-        checkpoints_written: durable (fsync'd) run-journal checkpoints
-            the sharded search wrote (``run_dir``); 0 when no run
-            directory was set.
-        resumed_regions: journaled completed assignments replayed
-            instead of re-explored (``resume=True``); 0 on a fresh run.
     """
 
     findings: list[TrojanFinding] = field(default_factory=list)
@@ -159,8 +153,6 @@ class AchillesReport:
     worker_failures: int = 0
     prefixes_reassigned: int = 0
     recovery_seconds: float = 0.0
-    checkpoints_written: int = 0
-    resumed_regions: int = 0
 
     @property
     def trojan_count(self) -> int:

@@ -327,7 +327,6 @@ def search_server(server, clients: ClientPredicateSet,
                   server_msg: tuple[Expr, ...],
                   config: AchillesConfig | None = None, *,
                   query_cache: QueryCache | None = None,
-                  checkpoint_hook=None,
                   ) -> tuple[AchillesReport, ExplorationResult]:
     """Explore a server program under the incremental Trojan search.
 
@@ -344,14 +343,11 @@ def search_server(server, clients: ClientPredicateSet,
             the defaults.
         query_cache: shared canonical query cache (the orchestrator passes
             the phase-1 cache here so cross-phase queries hit).
-        checkpoint_hook: test seam — called with the checkpoint index
-            after each durable checkpoint (see
-            :class:`~repro.explore.faults.KillCoordinatorAt`).
 
-    With ``shards > 1`` the query-cache counters describe the
-    coordinator's seed phase only (shard workers warm private caches),
-    while query/frame/propagation counters include the per-shard solver
-    work.
+    With ``shards > 1`` every solver counter — queries, frames,
+    propagation time and the query-cache hits and misses — is the
+    coordinator's own plus the sum over the shard workers' private
+    engines.
 
     Returns:
         The (partially filled) report and the raw exploration result; the
@@ -397,9 +393,6 @@ def search_server(server, clients: ClientPredicateSet,
                 transport=config.transport,
                 on_worker_loss=config.on_worker_loss,
                 max_worker_retries=config.max_worker_retries,
-                run_dir=config.run_dir,
-                checkpoint_interval=config.checkpoint_interval,
-                resume=config.resume, checkpoint_hook=checkpoint_hook,
                 trace=tracer is not None, progress=meter)
             sharded = scheduler.run()
             exploration = sharded.exploration
@@ -441,13 +434,13 @@ def search_server(server, clients: ClientPredicateSet,
     )
     if shard_stats is not None:
         report.solver_queries += shard_stats.queries
+        report.cache_hits += shard_stats.cache_hits
+        report.cache_misses += shard_stats.cache_misses
         report.frames_reused += shard_stats.frames_reused
         report.propagation_seconds += shard_stats.propagation_seconds
         report.worker_failures = sharded.worker_failures
         report.prefixes_reassigned = sharded.prefixes_reassigned
         report.recovery_seconds = sharded.recovery_seconds
-        report.checkpoints_written = sharded.journal_checkpoints
-        report.resumed_regions = sharded.resumed_regions
     report.timings.server_analysis = elapsed
     if meter is not None:
         if sharded is not None:
@@ -464,8 +457,8 @@ def search_server(server, clients: ClientPredicateSet,
 def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
     """Finalize one search's trace: fold worker metrics and run-level
     counters into the coordinator registry, merge coordinator records
-    with the per-worker deltas deterministically, and write the framed
-    JSONL file with a metrics trailer record."""
+    with the per-worker deltas deterministically, and write the JSON
+    Lines file with a metrics trailer record."""
     registry = tracer.metrics
     for deltas in (worker_deltas or {}).values():
         for delta in deltas:
@@ -478,7 +471,6 @@ def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
         "solver.frames_reused": report.frames_reused,
         "run.worker_failures": report.worker_failures,
         "run.prefixes_reassigned": report.prefixes_reassigned,
-        "run.journal_checkpoints": report.checkpoints_written,
     }
     for name, value in run_counters.items():
         if value:

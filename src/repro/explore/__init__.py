@@ -56,28 +56,20 @@ The shard workers are ``multiprocessing`` processes
 reaches them only through the :class:`~repro.explore.transport.Transport`
 interface, which is where :class:`~repro.explore.faults.FaultyTransport`
 injects scripted worker loss.
+
+A sharded run keeps no durable state: the coordinator holds the seed
+outcome, the frontier and every shard outcome in memory until the merge,
+and writes nothing to disk. A killed run is simply run again — a hunt
+takes seconds, less than setting up a resume would.
 """
 
-from repro.explore.checkpoint import (
-    JournalMeta,
-    JournalReplay,
-    RunJournal,
-    load_journal,
-    outstanding_regions,
-)
 from repro.explore.faults import (
-    CoordinatorKilled,
-    CorruptRecord,
     DelayResult,
     FaultPlan,
     FaultyTransport,
     GarbleResult,
-    KillCoordinatorAt,
     KillWorker,
     RefuseRespawn,
-    TornWrite,
-    TruncateSegment,
-    apply_disk_fault,
 )
 from repro.explore.merge import MergedExploration, merge_outcomes
 from repro.explore.scheduler import ShardedExploration, ShardScheduler
@@ -96,32 +88,21 @@ from repro.explore.transport import (
 
 __all__ = [
     "Assignment",
-    "CoordinatorKilled",
-    "CorruptRecord",
     "DelayResult",
     "ExcludeControl",
     "FaultPlan",
     "FaultyTransport",
     "FrontierControl",
     "GarbleResult",
-    "JournalMeta",
-    "JournalReplay",
-    "KillCoordinatorAt",
     "KillWorker",
     "LocalTransport",
     "MergedExploration",
     "RefuseRespawn",
-    "RunJournal",
     "ShardOutcome",
     "ShardScheduler",
     "ShardedExploration",
     "StealControl",
-    "TornWrite",
     "Transport",
-    "TruncateSegment",
     "WorkerSession",
-    "apply_disk_fault",
-    "load_journal",
     "merge_outcomes",
-    "outstanding_regions",
 ]

@@ -25,27 +25,17 @@ The wrapper never reorders or fabricates messages, so a run under an
 empty plan is byte-identical to the bare transport — and the headline
 parity criterion (findings byte-identical with and without injected
 faults, under ``on_worker_loss="recover"``) is testable end to end.
-
-The *disk* fault vocabulary does for the persistence layer what the
-transport faults do for the fleet: :class:`TruncateSegment`,
-:class:`CorruptRecord` and :class:`TornWrite` damage a framed file (a
-run journal or trace) at the exact byte positions the salvage code
-distinguishes (header, mid-record, torn tail), applied via
-:func:`apply_disk_fault`; :class:`KillCoordinatorAt` injects coordinator
-death immediately after the nth durable journal checkpoint — the worst
-honest crash point, since anything later than a checkpoint is
-equivalent to dying right after it with the unflushed buffer lost.
+Faults act on the transport only: a run writes no durable state, so
+there is nothing on disk for a fault to damage.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import SymexError
 from repro.explore.transport import Transport, WorkerSession
-from repro.framing import FRAME_HEADER_SIZE, record_spans
 
 
 @dataclass(frozen=True)
@@ -84,88 +74,6 @@ class GarbleResult:
 
     wid: int
     nth: int
-
-
-# -- disk faults (run journals, trace files) ----------------------------------
-
-
-class CoordinatorKilled(Exception):
-    """Injected coordinator death (see :class:`KillCoordinatorAt`).
-
-    Deliberately *not* a :class:`SymexError`: recovery code must treat
-    it as an abrupt crash, never catch-and-handle it like a protocol
-    failure.
-    """
-
-
-@dataclass(frozen=True)
-class KillCoordinatorAt:
-    """Kill the coordinator right after its ``checkpoint_n``-th durable
-    journal checkpoint (1-based; checkpoint 1 is the seed). Install as
-    the scheduler's ``checkpoint_hook``: the journal fires hooks only
-    after the fsync returns, so the simulated crash leaves exactly the
-    on-disk state a real kill at that boundary would."""
-
-    checkpoint_n: int
-
-    def __call__(self, index: int) -> None:
-        if index == self.checkpoint_n:
-            raise CoordinatorKilled(
-                f"injected coordinator death after checkpoint {index}")
-
-
-@dataclass(frozen=True)
-class TruncateSegment:
-    """Cut ``drop_bytes`` off the file's tail — a crash mid-append or a
-    filesystem that lost the end of the file."""
-
-    drop_bytes: int = 1
-
-
-@dataclass(frozen=True)
-class CorruptRecord:
-    """Flip one payload byte of the ``record``-th intact record
-    (0-based; ``record=-1`` targets the file header instead), ``offset``
-    bytes into it — silent media corruption the CRC must catch."""
-
-    record: int
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class TornWrite:
-    """Keep only the first half of the final record's payload — a
-    power-cut mid-write, with the frame header promising more bytes
-    than the file holds."""
-
-
-def apply_disk_fault(path: str | Path, fault) -> None:
-    """Damage the segment/journal file at ``path`` as ``fault`` says.
-
-    Operates on the real on-disk framing (via
-    :func:`repro.framing.record_spans`), so tests corrupt
-    exactly the bytes the salvage code will scan.
-    """
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if isinstance(fault, TruncateSegment):
-        del data[max(0, len(data) - fault.drop_bytes):]
-    elif isinstance(fault, CorruptRecord):
-        if fault.record < 0:
-            position = fault.offset
-        else:
-            spans = record_spans(path)
-            start, _length = spans[fault.record]
-            position = start + FRAME_HEADER_SIZE + fault.offset
-        data[position] ^= 0xFF
-    elif isinstance(fault, TornWrite):
-        spans = record_spans(path)
-        start, length = spans[-1]
-        payload_length = length - FRAME_HEADER_SIZE
-        del data[start + FRAME_HEADER_SIZE + payload_length // 2:]
-    else:
-        raise SymexError(f"unknown disk fault {fault!r}")
-    path.write_bytes(bytes(data))
 
 
 class FaultPlan:

@@ -34,12 +34,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import SymexError
-from repro.explore.checkpoint import (
-    JournalMeta,
-    RunJournal,
-    engine_signature,
-    outstanding_regions,
-)
 from repro.explore.merge import merge_outcomes
 from repro.explore.shard import (
     MSG_DONATE,
@@ -110,10 +104,6 @@ class ShardedExploration:
             workers and re-run elsewhere.
         recovery_seconds: wall clock spent inside recovery (reclaiming,
             respawning, re-dispatching) — the overhead a fault cost.
-        journal_checkpoints: durable run-journal checkpoints this
-            process wrote (0 when the run was not journaled).
-        resumed_regions: completed assignments replayed from the journal
-            instead of re-explored (0 for a fresh run).
         worker_traces: per-worker :class:`~repro.obs.trace.TraceDelta`
             lists (in per-worker arrival order) collected from traced
             result frames — empty unless the run traced. Observational
@@ -130,8 +120,6 @@ class ShardedExploration:
     worker_failures: int = 0
     prefixes_reassigned: int = 0
     recovery_seconds: float = 0.0
-    journal_checkpoints: int = 0
-    resumed_regions: int = 0
     worker_traces: dict[int, list] = field(default_factory=dict)
 
 
@@ -193,19 +181,6 @@ class ShardScheduler:
         max_worker_retries: respawn attempts per worker slot across the
             run before that slot is written off and its work spread over
             the survivors. The run only fails when no worker is left.
-        run_dir: when set, journal completed assignments to a
-            write-ahead file in this directory
-            (:class:`~repro.explore.checkpoint.RunJournal`) so a killed
-            coordinator can be resumed.
-        checkpoint_interval: completed assignments per durable journal
-            checkpoint (1 = fsync every completion).
-        resume: replay the journal in ``run_dir`` instead of seeding
-            from scratch: journaled outcomes are merged as-is and only
-            the outstanding regions of the frontier are re-explored.
-            Findings are byte-identical to an uninterrupted run.
-        checkpoint_hook: test seam called as ``hook(n)`` after the nth
-            journal checkpoint of this process is durable (the fault
-            harness injects coordinator death here).
         trace: ship tracing-enabled sessions to the workers; their span
             deltas come home on result frames and land in
             :attr:`ShardedExploration.worker_traces`. Purely
@@ -226,10 +201,6 @@ class ShardScheduler:
                  ship_cache: bool = True,
                  on_worker_loss: str = "fail",
                  max_worker_retries: int = 2,
-                 run_dir: str | None = None,
-                 checkpoint_interval: int = 1,
-                 resume: bool = False,
-                 checkpoint_hook=None,
                  trace: bool = False,
                  heartbeat_interval: float | None = None,
                  progress=None):
@@ -242,14 +213,6 @@ class ShardScheduler:
         if max_worker_retries < 0:
             raise SymexError(
                 f"max_worker_retries must be >= 0, got {max_worker_retries}")
-        if checkpoint_interval < 1:
-            raise SymexError(
-                f"checkpoint_interval must be >= 1, "
-                f"got {checkpoint_interval}")
-        if resume and run_dir is None:
-            raise SymexError(
-                "resume=True needs run_dir: the journal of the killed "
-                "run is what a resume replays")
         self.setup = setup
         self.setup_args = tuple(setup_args)
         self.shards = shards
@@ -261,21 +224,15 @@ class ShardScheduler:
         self.ship_cache = ship_cache
         self.on_worker_loss = on_worker_loss
         self.max_worker_retries = max_worker_retries
-        self.run_dir = run_dir
-        self.checkpoint_interval = checkpoint_interval
-        self.resume = resume
-        self.checkpoint_hook = checkpoint_hook
         self.trace = trace
         if heartbeat_interval is None:
             heartbeat_interval = (DEFAULT_HEARTBEAT_SECONDS
                                   if (trace or progress is not None) else 0.0)
         self.heartbeat_interval = heartbeat_interval
         self.progress = progress
-        self._journal: RunJournal | None = None
         self._worker_failures = 0
         self._prefixes_reassigned = 0
         self._recovery_seconds = 0.0
-        self._resumed_regions = 0
         self._worker_traces: dict[int, list] = {}
         self._fleet_gauges: dict[int, dict] = {}
 
@@ -297,39 +254,20 @@ class ShardScheduler:
     # -- phases --------------------------------------------------------------
 
     def run(self) -> ShardedExploration:
-        """Seed (or replay), fan out, steal until drained, merge."""
+        """Seed, fan out, steal until drained, merge."""
         started = time.perf_counter()
         self._worker_failures = 0
         self._prefixes_reassigned = 0
         self._recovery_seconds = 0.0
-        self._resumed_regions = 0
         self._worker_traces = {}
         self._fleet_gauges = {}
-        self._journal = None
-        if self.run_dir is not None:
-            self._journal = RunJournal(
-                self.run_dir, self.checkpoint_interval,
-                on_checkpoint=self._on_checkpoint)
         program, observer = self.setup(self.engine, *self.setup_args)
-        try:
-            if self.resume:
-                outcomes, entries = self._replay_journal(observer)
-            else:
-                outcomes, entries = self._seed(program, observer)
-            steals = 0
-            shipped = 0
-            if entries:
-                shard_outcomes, steals, shipped = self._fan_out(entries)
-                outcomes.extend(shard_outcomes)
-        except BaseException:
-            # Aborting (including an injected coordinator kill): leave
-            # the journal exactly as durable as the last checkpoint —
-            # that is the state a resume must recover from.
-            if self._journal is not None:
-                self._journal.abandon()
-            raise
-        if self._journal is not None:
-            self._journal.close()
+        outcomes, entries = self._seed(program, observer)
+        steals = 0
+        shipped = 0
+        if entries:
+            shard_outcomes, steals, shipped = self._fan_out(entries)
+            outcomes.extend(shard_outcomes)
 
         with self._span("coordinator.merge", outcomes=len(outcomes)):
             merged = merge_outcomes(outcomes)
@@ -345,13 +283,10 @@ class ShardScheduler:
             worker_failures=self._worker_failures,
             prefixes_reassigned=self._prefixes_reassigned,
             recovery_seconds=self._recovery_seconds,
-            journal_checkpoints=(self._journal.checkpoints_written
-                                 if self._journal is not None else 0),
-            resumed_regions=self._resumed_regions,
             worker_traces=self._worker_traces)
 
     def _seed(self, program, observer):
-        """Fresh-run seed phase: explore the tree top, open the journal."""
+        """Seed phase: explore the tree top, harvest the frontier."""
         # Seed breadth-first regardless of the configured order: a DFS
         # worklist only ever holds one open sibling per level (too narrow
         # a frontier on deep trees), while BFS's worklist is the breadth
@@ -377,38 +312,7 @@ class ShardScheduler:
         seed_outcome = ShardOutcome(executed=seed.executed, paths=seed.paths,
                                     stats=seed.stats, delta=seed_delta)
         frontier = sorted(seed.frontier, key=canonical_key)
-        if self._journal is not None:
-            self._journal.begin(self._journal_meta(), seed_outcome,
-                                tuple(frontier))
         return [seed_outcome], [(prefix, ()) for prefix in frontier]
-
-    def _replay_journal(self, observer):
-        """Resume: merge journaled outcomes, re-seed only what's left.
-
-        The setup has already run (the observer instance must exist for
-        the merged delta to restore into), but the seed exploration is
-        skipped — its outcome is replayed from the journal, as is every
-        assignment that completed before the coordinator died.
-        """
-        replay = self._journal.load_for_resume(self._journal_meta())
-        outcomes = [replay.seed_outcome]
-        outcomes.extend(replay.outcomes)
-        self._resumed_regions = len(replay.regions)
-        entries = outstanding_regions(replay.frontier, replay.regions)
-        entries.sort(key=lambda entry: canonical_key(entry[0]))
-        return outcomes, entries
-
-    def _journal_meta(self) -> JournalMeta:
-        setup_name = (f"{getattr(self.setup, '__module__', '?')}:"
-                      f"{getattr(self.setup, '__qualname__', repr(self.setup))}")
-        return JournalMeta(setup=setup_name,
-                           engine_signature=engine_signature(
-                               self.engine_config))
-
-    def _on_checkpoint(self, index: int) -> None:
-        self._event("coordinator.checkpoint", index=index)
-        if self.checkpoint_hook is not None:
-            self.checkpoint_hook(index)
 
     # -- worker fleet --------------------------------------------------------
 
@@ -426,9 +330,9 @@ class ShardScheduler:
         try:
             outcomes, steals = self._coordinate(entries)
         except BaseException:
-            # Aborting (coordinator crash, ^C, injected kill): every
-            # in-flight assignment is doomed anyway, so don't grant the
-            # graceful drain window — tear the fleet down immediately.
+            # Aborting (coordinator crash, ^C): every in-flight
+            # assignment is doomed anyway, so don't grant the graceful
+            # drain window — tear the fleet down immediately.
             self.transport.abort()
             raise
         self.transport.stop()
@@ -437,8 +341,8 @@ class ShardScheduler:
     def _coordinate(self, entries) -> tuple[list[ShardOutcome], int]:
         transport = self.transport
         # Pending work is (root prefix, exclusions) — exclusions are
-        # non-empty for work reclaimed from a dead worker (or replayed
-        # from a journal) whose region had donated subtrees carved out.
+        # non-empty for work reclaimed from a dead worker whose region
+        # had donated subtrees carved out.
         pending: deque[tuple[Prefix, tuple[Prefix, ...]]] = deque(entries)
         active = set(range(self.shards))
         idle = set(active)
@@ -513,20 +417,15 @@ class ShardScheduler:
                 if trace_delta is not None:
                     # Observational payload: collect per worker (arrival
                     # order per worker is deterministic — result frames
-                    # are FIFO) and strip before journal/merge.
+                    # are FIFO) and strip before the merge.
                     self._worker_traces.setdefault(wid, []).append(
                         trace_delta)
                     payload.trace = None
                 outcomes.append(payload)
                 idle.add(wid)
-                booking = assigned.pop(wid, None)
+                assigned.pop(wid, None)
                 steal_pending.discard(wid)
                 transport.acknowledge_done(wid)
-                if self._journal is not None and booking is not None:
-                    # The booking at completion time is the completed
-                    # region: roots minus everything donated meanwhile.
-                    self._journal.note_outcome(booking.roots,
-                                               booking.exclude, payload)
                 if pending:
                     self._dispatch(pending, idle, active, assigned,
                                    steal_pending, retries)

@@ -7,8 +7,8 @@ module global being ``None``, so the disabled cost is one attribute
 load per call site. Workers ship their spans home as
 :class:`~repro.obs.trace.TraceDelta` payloads riding the existing
 result frames, and the coordinator merges everything into one
-CRC-framed ``trace.jsonl`` (the :mod:`repro.framing` segment framing,
-so a torn trace salvages like a torn run journal).
+``trace.jsonl`` of plain JSON Lines; a reader salvages the records
+before the first damaged line.
 """
 
 from repro.obs.metrics import MetricsRegistry

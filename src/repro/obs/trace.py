@@ -20,20 +20,22 @@ first, then workers by id, each in local sequence order), so the merged
 trace file is stable regardless of message arrival order or shard
 count.
 
-The on-disk format is CRC-framed JSONL using the :mod:`repro.framing`
-segment framing — one JSON object per frame — so a torn trace file
-salvages its valid prefix exactly like a torn run journal.
+The on-disk format is plain JSON Lines: one compact, key-sorted JSON
+object per line, written whole to a temp file and renamed into place, so
+``jq`` and ``head`` read it directly. A reader keeps every record before
+the first line that is not one complete JSON object (a torn final line
+included) and flags the file as damaged.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.framing import scan_frames, write_segment
 from repro.obs import metrics as obs_metrics
 
 #: File name used for merged traces inside a trace directory.
@@ -224,7 +226,8 @@ def metrics_record(snapshot: dict) -> dict:
 
 @dataclass
 class TraceFile:
-    """A parsed trace file; ``damaged`` mirrors the segment salvage."""
+    """A parsed trace file: the records before the first bad line, and
+    whether (and why) the scan stopped early."""
 
     records: list[dict] = field(default_factory=list)
     damaged: bool = False
@@ -232,24 +235,46 @@ class TraceFile:
 
 
 def write_trace(path, records) -> Path:
-    """Write records as a CRC-framed JSONL segment (atomic rename)."""
+    """Write records as JSON Lines: temp file, then atomic rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-        for record in records
-    ]
-    write_segment(path, payloads)
+    tmp = path.with_name(f".tmp-{path.name}.{os.getpid()}")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True,
+                                    separators=(",", ":")))
+            handle.write("\n")
+    os.replace(tmp, path)
     return path
 
 
+def _parse_line(line: bytes) -> dict | None:
+    """The JSON object on one line, or None if the line is not one."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # includes JSONDecodeError and UnicodeDecodeError
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def read_trace(path) -> TraceFile:
-    """Read a trace file, salvaging the valid prefix of a damaged one."""
-    data = Path(path).read_bytes()
-    scan = scan_frames(data)
-    records = [json.loads(payload) for payload in scan.payloads]
-    return TraceFile(records=records, damaged=scan.damaged,
-                     reason=scan.reason)
+    """Read a trace file, salvaging the records before any damage."""
+    lines = Path(path).read_bytes().split(b"\n")
+    # Whatever follows the last newline is a line the writer never
+    # finished: empty for a whole file, a torn record otherwise.
+    tail = lines.pop()
+    trace = TraceFile()
+    for number, line in enumerate(lines, 1):
+        record = _parse_line(line)
+        if record is None:
+            trace.damaged = True
+            trace.reason = f"line {number} is not a JSON object"
+            return trace
+        trace.records.append(record)
+    if tail:
+        trace.damaged = True
+        trace.reason = f"line {len(lines) + 1} has no final newline"
+    return trace
 
 
 # -- Chrome trace-event export ----------------------------------------

@@ -75,19 +75,6 @@ class TestParallelismValidation:
         with pytest.raises(AchillesError, match="Transport instance"):
             AchillesConfig(layout=TOY_LAYOUT, shards=2, transport=name)
 
-    def test_persistence_knobs_accepted(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        from repro.explore.checkpoint import JOURNAL_NAME
-        from repro.framing import HEADER
-
-        (run_dir / JOURNAL_NAME).write_bytes(HEADER)
-        config = AchillesConfig(layout=TOY_LAYOUT, shards=2,
-                                run_dir=str(run_dir),
-                                checkpoint_interval=5, resume=True)
-        assert config.checkpoint_interval == 5
-        assert config.resume
-
     def test_cache_dir_is_not_a_knob(self, tmp_path):
         """The query cache lives in memory for one run: there is no
         directory to persist it to."""
@@ -142,34 +129,6 @@ class TestParallelismValidation:
         achilles.close()
         assert len(report.findings) == 1
 
-    def test_run_dir_pointing_at_file_rejected(self, tmp_path):
-        not_a_dir = tmp_path / "run"
-        not_a_dir.write_text("plain file")
-        with pytest.raises(AchillesError, match="run_dir points at a"):
-            AchillesConfig(layout=TOY_LAYOUT, shards=2,
-                           run_dir=str(not_a_dir))
-
-    def test_run_dir_without_shards_rejected(self, tmp_path):
-        with pytest.raises(AchillesError, match="no coordinator to"):
-            AchillesConfig(layout=TOY_LAYOUT,
-                           run_dir=str(tmp_path / "run"))
-
-    def test_bad_checkpoint_interval_rejected(self):
-        with pytest.raises(AchillesError,
-                           match="checkpoint_interval must be >= 1"):
-            AchillesConfig(layout=TOY_LAYOUT, checkpoint_interval=0)
-
-    def test_resume_without_run_dir_rejected(self):
-        with pytest.raises(AchillesError, match="resume=True needs run_dir"):
-            AchillesConfig(layout=TOY_LAYOUT, shards=2, resume=True)
-
-    def test_resume_without_journal_rejected(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        with pytest.raises(AchillesError, match="does not.*exist"):
-            AchillesConfig(layout=TOY_LAYOUT, shards=2,
-                           run_dir=str(run_dir), resume=True)
-
     def test_sharded_bfs_rejected(self):
         """Sharded merge order == DFS completion order; a BFS serial run
         orders findings differently, so the combination fails loudly."""
@@ -183,6 +142,113 @@ class TestParallelismValidation:
             predicates = achilles.extract_clients({"toy": toy_client})
             with pytest.raises(AchillesError, match="dfs"):
                 achilles.search(toy_server, predicates)
+
+
+class TestNoRunJournal:
+    """A run keeps no durable state: no run directory, checkpoint or
+    resume setting anywhere from the config down to the scheduler."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("run_dir", "run"), ("resume", True), ("checkpoint_interval", 1)])
+    def test_config_rejects_journal_settings(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            AchillesConfig(layout=TOY_LAYOUT, shards=2, **{name: value})
+
+    def test_report_carries_no_journal_counters(self):
+        import dataclasses
+
+        from repro.achilles import AchillesReport
+
+        names = {f.name for f in dataclasses.fields(AchillesReport)}
+        assert not names & {"checkpoints_written", "resumed_regions"}
+
+    def test_sharded_exploration_carries_no_journal_counters(self):
+        import dataclasses
+
+        from repro.explore import ShardedExploration
+
+        names = {f.name for f in dataclasses.fields(ShardedExploration)}
+        assert not names & {"journal_checkpoints", "resumed_regions"}
+
+    @pytest.mark.parametrize("name, value", [
+        ("run_dir", "run"), ("resume", True), ("checkpoint_interval", 1),
+        ("checkpoint_hook", print)])
+    def test_scheduler_rejects_journal_settings(self, name, value):
+        from repro.achilles.server_analysis import _shard_setup
+        from repro.explore import ShardScheduler
+
+        with pytest.raises(TypeError, match=name):
+            ShardScheduler(_shard_setup, shards=2, **{name: value})
+
+    def test_search_server_takes_no_checkpoint_hook(self):
+        from repro.achilles.server_analysis import search_server
+        from repro.messages.symbolic import message_vars
+        from repro.systems.toy import toy_server
+
+        with pytest.raises(TypeError, match="checkpoint_hook"):
+            search_server(toy_server, None, message_vars(TOY_LAYOUT),
+                          checkpoint_hook=print)
+
+
+def _reduced_fsp_search(monkeypatch, shards, **settings):
+    """A reduced FSP hunt; returns the report, the coordinator's query
+    cache and the sharded result (None for a serial walk)."""
+    import itertools
+
+    import repro.explore
+    from repro.achilles import Achilles
+    from repro.bench.experiments import FSP_SESSION_MASK
+    from repro.systems import fsp
+
+    runs = []
+
+    class Recording(repro.explore.ShardScheduler):
+        def run(self):
+            runs.append(super().run())
+            return runs[-1]
+
+    monkeypatch.setattr(repro.explore, "ShardScheduler", Recording)
+    commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
+    config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
+                            shards=shards, **settings)
+    with Achilles(config) as achilles:
+        predicates = achilles.extract_clients(fsp.literal_clients(commands))
+        report = achilles.search(fsp.fsp_server, predicates)
+    return report, achilles.query_cache, (runs[0] if runs else None)
+
+
+class TestShardedCacheCounters:
+    """A sharded report counts every query-cache lookup: the
+    coordinator's cache plus each worker's private one."""
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_report_adds_the_workers_cache_traffic(self,
+                                                           monkeypatch,
+                                                           shards):
+        report, cache, sharded = _reduced_fsp_search(monkeypatch, shards)
+        workers = sharded.worker_solver_stats
+        assert workers.cache_hits + workers.cache_misses > 0
+        assert report.cache_hits == cache.stats.hits + workers.cache_hits
+        assert report.cache_misses == (cache.stats.misses
+                                       + workers.cache_misses)
+
+    def test_trace_trailer_agrees_with_the_report(self, monkeypatch,
+                                                  tmp_path):
+        from repro.obs.trace import read_trace
+
+        report, _, _ = _reduced_fsp_search(monkeypatch, 2,
+                                           trace_dir=str(tmp_path))
+        trailer = read_trace(tmp_path / "trace.jsonl").records[-1]
+        counters = trailer["attrs"]["counters"]
+        assert (counters["cache.hits"], counters["cache.misses"]) == (
+            report.cache_hits, report.cache_misses)
+        assert "run.journal_checkpoints" not in counters
+
+    def test_serial_report_is_the_one_cache(self, monkeypatch):
+        report, cache, sharded = _reduced_fsp_search(monkeypatch, 1)
+        assert sharded is None
+        assert (report.cache_hits, report.cache_misses) == (
+            cache.stats.hits, cache.stats.misses)
 
 
 class _SchedulerBuilt(Exception):

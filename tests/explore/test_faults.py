@@ -19,22 +19,16 @@ import pytest
 from repro.errors import SymexError
 from repro.explore import (
     Assignment,
-    CoordinatorKilled,
-    CorruptRecord,
     DelayResult,
     ExcludeControl,
     FaultPlan,
     FaultyTransport,
     GarbleResult,
-    KillCoordinatorAt,
     KillWorker,
     LocalTransport,
     RefuseRespawn,
     ShardScheduler,
-    TornWrite,
     Transport,
-    TruncateSegment,
-    apply_disk_fault,
 )
 from repro.explore.shard import MSG_DONE, extends
 from repro.symex.engine import Engine, EngineConfig
@@ -344,69 +338,6 @@ class TestRecoveryParity:
                                    seed_factor=2, transport=faulty)
         with pytest.raises(SymexError, match="local worker 0"):
             scheduler.run()
-
-
-# -- disk faults: the persistence-layer fault vocabulary ----------------------
-
-
-def _framed_file(tmp_path, payloads):
-    from repro.framing import write_segment
-
-    path = tmp_path / "framed.qc"
-    write_segment(path, payloads)
-    return path
-
-
-class TestDiskFaults:
-    def test_truncate_cuts_the_tail(self, tmp_path):
-        path = _framed_file(tmp_path, [b"abc", b"defg"])
-        before = len(path.read_bytes())
-        apply_disk_fault(path, TruncateSegment(drop_bytes=3))
-        assert len(path.read_bytes()) == before - 3
-
-    def test_corrupt_record_flips_one_payload_byte(self, tmp_path):
-        path = _framed_file(tmp_path, [b"abc", b"defg"])
-        before = path.read_bytes()
-        apply_disk_fault(path, CorruptRecord(record=1, offset=2))
-        after = path.read_bytes()
-        assert len(after) == len(before)
-        diffs = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
-        assert len(diffs) == 1
-
-    def test_corrupt_header_targets_the_file_header(self, tmp_path):
-        from repro.framing import MAGIC, scan_frames
-
-        path = _framed_file(tmp_path, [b"abc"])
-        apply_disk_fault(path, CorruptRecord(record=-1))
-        data = path.read_bytes()
-        assert data[:len(MAGIC)] != MAGIC
-        assert scan_frames(data).reason == "unrecognized header"
-
-    def test_torn_write_halves_the_final_payload(self, tmp_path):
-        from repro.framing import scan_frames
-
-        path = _framed_file(tmp_path, [b"abc", b"defghijk"])
-        apply_disk_fault(path, TornWrite())
-        scan = scan_frames(path.read_bytes())
-        assert scan.damaged and scan.reason == "torn final record"
-        assert scan.payloads == [b"abc"]
-
-    def test_unknown_fault_rejected(self, tmp_path):
-        path = _framed_file(tmp_path, [b"abc"])
-        with pytest.raises(SymexError, match="unknown disk fault"):
-            apply_disk_fault(path, object())
-
-    def test_kill_coordinator_fires_only_at_its_checkpoint(self):
-        kill = KillCoordinatorAt(checkpoint_n=3)
-        kill(1)
-        kill(2)
-        with pytest.raises(CoordinatorKilled, match="checkpoint 3"):
-            kill(3)
-
-    def test_coordinator_killed_is_not_a_symex_error(self):
-        """Recovery code must see an injected kill as an abrupt crash,
-        never as a catchable protocol failure."""
-        assert not issubclass(CoordinatorKilled, SymexError)
 
 
 class TestSchedulerPolicyValidation:

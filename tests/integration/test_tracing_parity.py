@@ -97,6 +97,23 @@ class TestTracingParity:
         _assert_trace_covers(trace.records, shards)
         _assert_canonical_trace_order(trace.records)
 
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_trace_file_is_canonical_json_lines(self, shards, tmp_path):
+        """The file is exactly the merged records, one canonical JSON
+        line each, in the canonical source order."""
+        import json
+
+        from repro.obs.trace import read_trace
+
+        _run_fsp(shards, trace_dir=str(tmp_path))
+        path = tmp_path / "trace.jsonl"
+        records = read_trace(path).records
+        assert path.read_bytes() == b"".join(
+            json.dumps(record, sort_keys=True,
+                       separators=(",", ":")).encode() + b"\n"
+            for record in records)
+        _assert_canonical_trace_order(records)
+
     @pytest.mark.parametrize("shards", (2, 4))
     def test_traced_run_survives_injected_worker_loss(self, shards,
                                                       tmp_path,

@@ -1,15 +1,15 @@
 """The tracer: spans, budgets, deltas, deterministic merge, file I/O.
 
 Determinism is the load-bearing property: merged traces must come out
-identical however worker deltas interleaved in real time, and the
-on-disk framing must salvage a torn file exactly like a run journal.
+identical however worker deltas interleaved in real time. The file is
+plain JSON Lines, and a damaged one salvages the records before its
+first bad line.
 """
 
 import json
 
 import pytest
 
-from repro.explore.faults import TruncateSegment, apply_disk_fault
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import (
@@ -192,13 +192,132 @@ class TestFileRoundTrip:
         assert loaded.records == records
 
     def test_torn_trace_salvages_prefix(self, tmp_path):
-        records = [dict(r, seq=i) for i, r in enumerate(
-            _delta("coordinator", ["a", "b", "c"]).records)]
-        path = write_trace(tmp_path / "trace.jsonl", records)
-        apply_disk_fault(path, TruncateSegment(drop_bytes=2))
+        path = write_trace(tmp_path / "trace.jsonl", _records("a", "b", "c"))
+        _truncate(path, 2)
         loaded = read_trace(path)
         assert loaded.damaged
         assert [r["name"] for r in loaded.records] == ["a", "b"]
+
+
+def _records(*names):
+    return [dict(r, seq=i) for i, r in enumerate(
+        _delta("coordinator", names).records)]
+
+
+def _truncate(path, drop_bytes):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - drop_bytes])
+
+
+def _line(record) -> bytes:
+    return json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode() + b"\n"
+
+
+class TestJsonLines:
+    """The trace file is plain JSON Lines: one compact, key-sorted object
+    per line, readable by ``jq``/``head`` and by :func:`read_trace`."""
+
+    def test_every_line_parses_and_there_is_no_header(self, tmp_path):
+        records = _records("a", "b", "c")
+        path = write_trace(tmp_path / "trace.jsonl", records)
+        data = path.read_bytes()
+        assert data.startswith(b"{")
+        assert data.endswith(b"\n")
+        lines = data.decode("ascii").splitlines()
+        assert [json.loads(line) for line in lines] == records
+
+    def test_file_is_exactly_one_canonical_line_per_record(self, tmp_path):
+        records = _records("b", "a")
+        path = write_trace(tmp_path / "trace.jsonl", records)
+        assert path.read_bytes() == b"".join(_line(r) for r in records)
+
+    def test_records_round_trip_in_merge_order(self, tmp_path):
+        deltas = {1: [_delta("worker", ["w1"])],
+                  0: [_delta("worker", ["w0a", "w0b"])]}
+        coordinator = _records("seed", "merge")
+        records = merge_traces(
+            coordinator, deltas,
+            extra_records=[metrics_record({"counters": {"n": 1}})])
+        loaded = read_trace(write_trace(tmp_path / "t.jsonl", records))
+        assert [(r["src"], r["name"]) for r in loaded.records] == [
+            ("coordinator", "seed"), ("coordinator", "merge"),
+            ("worker-0", "w0a"), ("worker-0", "w0b"),
+            ("worker-1", "w1"), ("coordinator", "metrics")]
+        assert loaded.records == records
+
+    @pytest.mark.parametrize("drop_bytes", [1, 2, 10])
+    def test_truncated_last_line_keeps_the_preceding_records(
+            self, tmp_path, drop_bytes):
+        path = write_trace(tmp_path / "trace.jsonl", _records("a", "b", "c"))
+        _truncate(path, drop_bytes)
+        loaded = read_trace(path)
+        assert loaded.damaged
+        assert loaded.reason == "line 3 has no final newline"
+        assert [r["name"] for r in loaded.records] == ["a", "b"]
+
+    def test_missing_final_newline_drops_that_record(self, tmp_path):
+        """A complete object without its newline is still a line the
+        writer never finished."""
+        path = write_trace(tmp_path / "trace.jsonl", _records("a", "b"))
+        _truncate(path, 1)
+        assert path.read_bytes().endswith(b"}")
+        loaded = read_trace(path)
+        assert loaded.damaged
+        assert "no final newline" in loaded.reason
+        assert [r["name"] for r in loaded.records] == ["a"]
+
+    @pytest.mark.parametrize("garbage", [
+        b"not json", b"", b"[1, 2]", b'"text"', b"{\"seq\": 1",
+        b"\xff\xfe"], ids=["text", "blank", "array", "string",
+                           "open-object", "invalid-utf8"])
+    def test_garbage_middle_line_keeps_exactly_the_prefix(self, tmp_path,
+                                                          garbage):
+        a, b, c = _records("a", "b", "c")
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(_line(a) + _line(b) + garbage + b"\n" + _line(c))
+        loaded = read_trace(path)
+        assert loaded.damaged
+        assert loaded.reason == "line 3 is not a JSON object"
+        assert loaded.records == [a, b]
+
+    def test_garbage_first_line_salvages_nothing(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"ACHSEG\x01\n" + _line(_records("a")[0]))
+        loaded = read_trace(path)
+        assert loaded.damaged
+        assert loaded.records == []
+
+    def test_empty_file_is_zero_records_and_not_damaged(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"")
+        loaded = read_trace(path)
+        assert loaded.records == []
+        assert not loaded.damaged
+        assert loaded.reason is None
+
+    def test_no_records_write_an_empty_file(self, tmp_path):
+        path = write_trace(tmp_path / "trace.jsonl", [])
+        assert path.read_bytes() == b""
+        assert not read_trace(path).damaged
+
+    def test_rewrite_replaces_whole_and_leaves_no_temp_file(self, tmp_path):
+        path = write_trace(tmp_path / "trace.jsonl", _records("a", "b", "c"))
+        write_trace(path, _records("z"))
+        assert [r["name"] for r in read_trace(path).records] == ["z"]
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+    def test_write_creates_the_directory(self, tmp_path):
+        path = write_trace(tmp_path / "a" / "b" / "trace.jsonl",
+                           _records("x"))
+        assert path.exists()
+        assert [p.name for p in path.parent.iterdir()] == ["trace.jsonl"]
+
+    def test_strings_with_newlines_stay_on_one_line(self, tmp_path):
+        record = dict(_records("multi")[0], attrs={"msg": "one\ntwo"})
+        path = write_trace(tmp_path / "trace.jsonl", [record, record])
+        assert path.read_bytes().count(b"\n") == 2
+        assert read_trace(path).records == [record, record]
 
 
 class TestChromeExport:

@@ -8,7 +8,6 @@ import pytest
 from repro.__main__ import _EXPERIMENTS, main
 from repro.achilles import AchillesConfig
 from repro.bench import experiments
-from repro.explore.checkpoint import JOURNAL_NAME
 from repro.systems.toy import TOY_LAYOUT
 
 #: The first line each experiment's printer starts with (a prefix where
@@ -104,18 +103,11 @@ class TestFlagsReachTheConfig:
             assert engine.max_paths == 7
 
     def test_experiment_sets_every_run_setting(self, captured, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        (run_dir / JOURNAL_NAME).touch()
         with pytest.raises(_Captured):
             main(["toy", *SHARED_FLAGS,
-                  "--resume", str(run_dir), "--checkpoint-interval", "4",
                   "--trace-dir", str(tmp_path / "trace")])
         [config] = captured
         self._assert_shared(config)
-        assert config.run_dir == str(run_dir)
-        assert config.resume is True
-        assert config.checkpoint_interval == 4
         assert config.trace_dir == str(tmp_path / "trace")
         default = AchillesConfig(layout=TOY_LAYOUT)
         changed = {f.name for f in fields(AchillesConfig)
@@ -127,9 +119,6 @@ class TestFlagsReachTheConfig:
             main(["corpus", "run", "--variants", "1", *SHARED_FLAGS])
         [config] = captured
         self._assert_shared(config)
-        assert config.run_dir is None
-        assert config.resume is False
-        assert config.checkpoint_interval == 1
         assert config.trace_dir is None
 
 
@@ -138,11 +127,8 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("flags, message", [
         (["--shards", "0"], "shards must be >= 1"),
-        (["--resume", "{tmp}", "--shards", "1"], "set shards >= 2"),
-        (["--checkpoint-interval", "0"], "checkpoint_interval must be >= 1"),
-    ], ids=["shards-0", "resume-serial", "checkpoint-interval-0"])
-    def test_experiment(self, capsys, tmp_path, flags, message):
-        flags = [flag.format(tmp=tmp_path) for flag in flags]
+    ], ids=["shards-0"])
+    def test_experiment(self, capsys, flags, message):
         assert main(["toy", *flags]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -170,36 +156,60 @@ class TestBadSettings:
             capsys.readouterr().err
 
 
-class TestPersistenceFlags:
-    def test_resume_conflicting_run_dir_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["toy", "--shards", "2",
-                  "--run-dir", str(tmp_path / "a"),
-                  "--resume", str(tmp_path / "b")])
-        assert "conflicting" in capsys.readouterr().err
+class TestNoRunJournal:
+    """A run keeps no durable state: no run directory, no resume, no
+    checkpoint flags, and a sharded run writes nothing."""
 
-    def test_run_then_resume_prints_identical_findings(self, capsys,
-                                                       tmp_path):
-        """--resume on an already *completed* journal re-runs nothing
-        new but must still print the same findings table."""
-        run_dir = tmp_path / "run"
-        assert main(["toy", "--shards", "2", "--run-dir",
-                     str(run_dir)]) == 0
-        first = capsys.readouterr().out
-        assert main(["toy", "--shards", "2", "--resume", str(run_dir)]) == 0
-        second = capsys.readouterr().out
-        # The title line embeds a wall-clock timing, and the trailing
-        # "run health" block legitimately differs (a resume of a
-        # completed journal answers everything from the journal, so it
-        # issues zero fresh solver queries); compare the findings rows.
-        def rows(s):
-            lines = s.splitlines()
-            if "run health:" in lines:
-                lines = lines[:lines.index("run health:")]
-            return [l for l in lines if "Trojan finding(s) in" not in l]
-        assert rows(second) == rows(first)
-        assert any("witness" in l for l in rows(first))
-        assert "resumed regions" in second
+    @pytest.mark.parametrize("command", [["toy"], ["corpus", "run"]],
+                             ids=["toy", "corpus-run"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--run-dir", "run"), ("--resume", "run"),
+        ("--checkpoint-interval", "4")])
+    def test_journal_flags_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [[], ["corpus"]],
+                             ids=["experiments", "corpus"])
+    def test_help_names_no_journal(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for text in ("--run-dir", "--resume", "--checkpoint", "journal"):
+            assert text not in out
+
+    def test_sharded_toy_run_leaves_nothing_on_disk(self, capsys,
+                                                    tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["toy", "--shards", "2"]) == 0
+        assert "Trojan finding" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sharded_fsp_run_leaves_nothing_on_disk(self, capsys, tmp_path,
+                                                    monkeypatch):
+        """FSP fans out to the workers, unlike the toy tree."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["fsp", "--shards", "2"]) == 0
+        assert "80/80" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sharded_corpus_run_writes_only_its_report(self, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["corpus", "run", "--variants", "2", "--corpus-seed",
+                     "0", "--shards", "2", "--out", "corpus.json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+    def test_run_health_names_no_journal(self, capsys):
+        assert main(["toy", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        health = out[out.index("run health:"):]
+        assert "journal" not in health
+        assert "resumed" not in health
 
 
 class TestNoDiskCache:
@@ -346,18 +356,18 @@ class TestCorpusSubcommand:
 
 
 class TestTraceExportSalvage:
-    """Satellite regression: ``trace export`` on a torn trace.jsonl must
-    export the salvaged prefix with a warning instead of failing."""
+    """``trace export`` on a torn trace.jsonl exports the salvaged prefix
+    with a warning instead of failing."""
 
     def _torn_trace(self, tmp_path):
-        from repro.explore.faults import TruncateSegment, apply_disk_fault
         from repro.obs.trace import write_trace
 
         records = [{"seq": i, "kind": "event", "name": name,
                     "ts": float(i), "depth": 0, "src": "coordinator"}
                    for i, name in enumerate(["a", "b", "c"])]
         path = write_trace(tmp_path / "trace.jsonl", records)
-        apply_disk_fault(path, TruncateSegment(drop_bytes=2))
+        data = path.read_bytes()
+        path.write_bytes(data[:-2])  # tear the last line
         return path
 
     def test_export_salvages_the_valid_prefix(self, capsys, tmp_path):
@@ -374,6 +384,34 @@ class TestTraceExportSalvage:
         assert {"a", "b"} <= names
         assert "c" not in names
 
+    def test_summarize_reports_the_damage(self, capsys, tmp_path):
+        path = self._torn_trace(tmp_path)
+        assert main(["trace", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "records: 2" in out
+        assert "damaged tail salvaged (line 3 has no final newline)" in out
+
+    def test_summarize_names_a_garbage_line(self, capsys, tmp_path):
+        path = self._torn_trace(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"\x00garbage\n" + lines[1])
+        assert main(["trace", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "records: 1" in out
+        assert "line 2 is not a JSON object" in out
+
+    def test_summarize_empty_trace(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"")
+        assert main(["trace", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "records: 0" in out
+        assert "damaged" not in out
+
+    def test_missing_trace_exits_one(self, capsys, tmp_path):
+        assert main(["trace", "summarize", str(tmp_path / "nope")]) == 1
+        assert "cannot read trace" in capsys.readouterr().err
+
     def test_intact_trace_exports_without_warning(self, capsys, tmp_path):
         from repro.obs.trace import write_trace
 
@@ -384,3 +422,71 @@ class TestTraceExportSalvage:
         captured = capsys.readouterr()
         assert "warning" not in captured.err
         assert path.with_suffix(".chrome.json").exists()
+
+
+class TestTracedShardedRun:
+    """``--trace-dir`` on a sharded run writes a plain JSON Lines trace
+    the inspector reads."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        # FSP, not toy: the toy tree is too small to fan out to workers.
+        trace_dir = tmp_path_factory.mktemp("fsp") / "t"
+        assert main(["fsp", "--shards", "2",
+                     "--trace-dir", str(trace_dir)]) == 0
+        return trace_dir / "trace.jsonl"
+
+    def test_every_line_is_json(self, trace_path):
+        lines = trace_path.read_text().splitlines()
+        assert lines
+        for line in lines:
+            assert isinstance(json.loads(line), dict)
+        assert json.loads(lines[-1])["kind"] == "metrics"
+        assert {json.loads(line)["src"] for line in lines} >= {
+            "coordinator", "worker-0"}
+
+    def test_trace_dir_holds_only_the_trace(self, trace_path):
+        assert [p.name for p in trace_path.parent.iterdir()] == [
+            "trace.jsonl"]
+
+    def test_summarize_and_export_succeed(self, capsys, tmp_path,
+                                          trace_path):
+        assert main(["trace", "summarize", str(trace_path.parent)]) == 0
+        out = capsys.readouterr().out
+        assert "damaged" not in out
+        assert "coordinator.seed" in out
+        chrome_path = tmp_path / "chrome.json"
+        assert main(["trace", "export", str(trace_path),
+                     "-o", str(chrome_path)]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err
+        assert json.loads(chrome_path.read_text())["traceEvents"]
+
+    def test_no_checkpoint_events(self, trace_path):
+        names = {json.loads(line)["name"]
+                 for line in trace_path.read_text().splitlines()}
+        assert "coordinator.merge" in names
+        assert not [name for name in names if "checkpoint" in name]
+
+    def test_head_of_the_trace_reads_whole(self, tmp_path, trace_path):
+        """Cutting the file at a line boundary (``head -n``) leaves a
+        valid, shorter trace."""
+        from repro.obs.trace import read_trace
+
+        head = tmp_path / "head.jsonl"
+        lines = trace_path.read_bytes().splitlines(keepends=True)
+        head.write_bytes(b"".join(lines[:5]))
+        loaded = read_trace(head)
+        assert not loaded.damaged
+        assert loaded.records == read_trace(trace_path).records[:5]
+
+    def test_export_of_a_truncated_copy_warns(self, capsys, tmp_path,
+                                              trace_path):
+        data = trace_path.read_bytes()
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data[:len(data) // 2])
+        assert main(["trace", "export", str(torn)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: trace" in captured.err
+        intact = data[:len(data) // 2].count(b"\n")
+        assert f"prefix of {intact} record(s)" in captured.err
