@@ -81,52 +81,49 @@ def test_cache_snapshot_cuts_duplicate_queries(benchmark, json_artifact):
 def test_recovery_overhead(benchmark, artifact, json_artifact):
     """What a mid-run worker loss costs under ``on_worker_loss="recover"``.
 
-    The same FSP run two ways — fault-free, and one worker killed before
-    its first result (plus one refused respawn, exercising the retry
-    budget). Findings must be byte-identical in both (the robustness
-    criterion); the JSON records the recovery wall clock the faults cost.
+    The same FSP search three ways — serial, fault-free at shards=2, and
+    shards=2 with one worker killed before its first result (the
+    coordinator then aborts the fleet and walks the frontier
+    in-process). Findings must be byte-identical in all three (the
+    robustness criterion); the JSON records each server-search wall
+    clock and the recovery share of the faulted one.
     """
     from repro.explore import (FaultPlan, FaultyTransport, KillWorker,
-                               LocalTransport, RefuseRespawn)
+                               LocalTransport)
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    def chaos_plan():
-        return FaultPlan(KillWorker(0, after_results=0),
-                         RefuseRespawn(0, times=1))
-
-    baseline_report, baseline_seconds = _run_fsp(1)
+    serial_report, serial_seconds = _run_fsp(1)
     clean_report, clean_seconds = _run_fsp(2, on_worker_loss="recover")
 
-    local_faulty = FaultyTransport(LocalTransport(), chaos_plan())
-    local_report, local_seconds = _run_fsp(2, transport=local_faulty,
-                                           on_worker_loss="recover")
+    faulty = FaultyTransport(LocalTransport(),
+                             FaultPlan(KillWorker(0, after_results=0)))
+    faulted_report, faulted_seconds = _run_fsp(2, transport=faulty,
+                                               on_worker_loss="recover")
 
     # Byte-identical findings with and without injected faults.
-    assert clean_report.witnesses() == baseline_report.witnesses()
-    assert local_report.witnesses() == baseline_report.witnesses()
-    # The faults must actually have fired, and been accounted for.
-    assert local_faulty.injected_kills == 1
-    assert local_report.worker_failures == 1
+    assert clean_report.witnesses() == serial_report.witnesses()
+    assert faulted_report.witnesses() == serial_report.witnesses()
+    # The fault must actually have fired, and been accounted for.
+    assert faulty.injected_kills == 1
+    assert faulted_report.worker_failures == 1
     assert clean_report.worker_failures == 0
 
     rows = [
-        ["fault-free (shards=2, local)", f"{clean_seconds:.2f}s", "-", "-"],
-        ["1 kill + 1 refused respawn (local)", f"{local_seconds:.2f}s",
-         f"{local_report.prefixes_reassigned}",
-         f"{local_report.recovery_seconds:.3f}s"],
+        ["serial (shards=1)", f"{serial_seconds:.2f}s", "-"],
+        ["fault-free (shards=2)", f"{clean_seconds:.2f}s", "-"],
+        ["1 worker killed (shards=2)", f"{faulted_seconds:.2f}s",
+         f"{faulted_report.recovery_seconds:.3f}s"],
     ]
     artifact("recovery_overhead", format_table(
-        ["Configuration", "Server search", "Prefixes moved", "Recovery"],
+        ["Configuration", "Server search", "Recovery"],
         rows, title="Worker-loss recovery overhead, FSP 4-utility subset"))
     json_artifact("recovery", {
-        "workload": "FSP 4-utility subset, shards=2, "
-                    "KillWorker(0)+RefuseRespawn(0)",
-        "serial_seconds": round(baseline_seconds, 4),
+        "workload": "FSP 4-utility subset, shards=2, KillWorker(0)",
+        "serial_seconds": round(serial_seconds, 4),
         "fault_free_seconds": round(clean_seconds, 4),
-        "local_faulted_seconds": round(local_seconds, 4),
-        "local_recovery_seconds": round(local_report.recovery_seconds, 4),
-        "local_prefixes_reassigned": local_report.prefixes_reassigned,
-        "worker_failures": local_report.worker_failures,
+        "faulted_seconds": round(faulted_seconds, 4),
+        "recovery_seconds": round(faulted_report.recovery_seconds, 4),
+        "worker_failures": faulted_report.worker_failures,
         "parity": True,
     })

@@ -45,7 +45,7 @@ def main() -> None:
                         help="cap on completed paths per exploration")
     parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
                         default="fail",
-                        help="recover reassigns a dead worker's prefixes "
+                        help="recover finishes the search in-process "
                              "instead of aborting the run; findings are "
                              "byte-identical either way")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",

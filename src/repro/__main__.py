@@ -31,8 +31,8 @@ code 2.
 A run keeps no durable state: the query cache and the sharded search's
 progress live in memory for one run, and a killed run is simply run
 again. With ``--on-worker-loss recover`` a killed shard worker no longer
-aborts the run: its prefixes are reassigned and the findings stay
-byte-identical.
+aborts the run: the coordinator stops the other workers and finishes the
+search in-process, and the findings stay byte-identical.
 
 Observability: ``--trace-dir DIR`` records structured spans across the
 coordinator, the shard workers and every solver layer, writing the
@@ -154,9 +154,8 @@ def _print_broadcast(outcome) -> int:
 def _report_health(report) -> None:
     """Robustness/observability counters after the experiment tables.
 
-    Surfaces what the run survived (worker deaths, reclaimed prefixes)
-    and what it cost (solver queries, recovery time) in one scannable
-    block.
+    Surfaces what the run survived (worker deaths) and what it cost
+    (solver queries, recovery time) in one scannable block.
     The cache hit rate counts only lookups that reach the query cache:
     replayed server prefixes are answered by the Trojan observer's
     prefix trie first, so FSP shows ~26% with the same solver work that
@@ -167,7 +166,6 @@ def _report_health(report) -> None:
     rows = [("solver queries", report.solver_queries),
             ("cache hit rate", hit_rate),
             ("worker failures", report.worker_failures),
-            ("prefixes reassigned", report.prefixes_reassigned),
             ("recovery seconds", f"{report.recovery_seconds:.2f}")]
     print("run health:")
     for name, value in rows:
@@ -219,9 +217,9 @@ def _settings_parser() -> argparse.ArgumentParser:
                         default="fail",
                         help="policy when a shard worker dies silently "
                              "mid-run (default: fail loudly naming the "
-                             "lost assignment; recover reassigns it to a "
-                             "respawned or surviving worker — findings "
-                             "are identical either way)")
+                             "lost assignment; recover stops the other "
+                             "workers and finishes the search in-process "
+                             "— findings are identical either way)")
     parser.add_argument("--search-order", choices=["dfs", "bfs"],
                         default=None,
                         help="exploration worklist order (default: the "

@@ -96,14 +96,10 @@ class AchillesConfig:
         on_worker_loss: what a sharded search does when a worker dies
             silently mid-run (SIGKILL, OOM kill). ``"fail"`` (the
             default) raises an error naming the dead worker and the
-            decision prefixes it held; ``"recover"`` discards the dead
-            worker's partial results, reclaims its prefixes, and re-runs
-            them on a respawned replacement or the surviving workers —
+            decision prefixes it held; ``"recover"`` stops every worker,
+            discards their results and finishes the search in-process —
             findings stay byte-identical, the fault costs only wall
             clock (reported as ``AchillesReport.recovery_seconds``).
-        max_worker_retries: with ``on_worker_loss="recover"``, respawn
-            attempts per worker slot before that slot is written off and
-            its work spread over the survivors.
         trace_dir: when set, record structured spans across the whole
             phase-2 search — coordinator phases, per-worker exploration
             and every solver layer — and write the merged trace to
@@ -126,7 +122,6 @@ class AchillesConfig:
     shards: int = 1
     transport: Transport | None = None
     on_worker_loss: str = "fail"
-    max_worker_retries: int = 2
     trace_dir: str | None = None
     progress: bool = False
 
@@ -149,10 +144,6 @@ class AchillesConfig:
             raise AchillesError(
                 f"AchillesConfig.on_worker_loss must be 'fail' or "
                 f"'recover', got {self.on_worker_loss!r}")
-        if self.max_worker_retries < 0:
-            raise AchillesError(
-                f"AchillesConfig.max_worker_retries must be >= 0, got "
-                f"{self.max_worker_retries}")
         if self.trace_dir is not None:
             trace_path = Path(self.trace_dir)
             if trace_path.exists() and not trace_path.is_dir():

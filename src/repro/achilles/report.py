@@ -124,18 +124,15 @@ class AchillesReport:
             caches included — are folded in fixed order onto the
             coordinator's. Their split depends on the (timing-dependent)
             partition; findings never depend on the shard count.
-        worker_failures: shard workers declared dead during the search.
+        worker_failures: shard workers found dead during the search.
             0 on a fault-free run; only ever non-zero with
             ``on_worker_loss="recover"`` (a loss under the default
             ``"fail"`` policy raises instead of reporting).
-        prefixes_reassigned: decision prefixes reclaimed from dead
-            workers and re-run elsewhere. Re-running is sound — the
-            merge renumbers canonically and the dead worker's partial
-            results are discarded — so these never change findings.
-        recovery_seconds: wall clock the search spent reclaiming,
-            respawning, and re-dispatching after worker losses — the
-            overhead the faults cost (included in the server-analysis
-            timing, not extra).
+        recovery_seconds: wall clock from a worker loss's detection to
+            the end of the in-process walk that finished the search —
+            the overhead the fault cost (included in the server-analysis
+            timing, not extra). The walk re-explores the whole seeded
+            frontier; the merge makes its findings byte-identical.
     """
 
     findings: list[TrojanFinding] = field(default_factory=list)
@@ -151,7 +148,6 @@ class AchillesReport:
     propagation_seconds: float = 0.0
     shards: int = 1
     worker_failures: int = 0
-    prefixes_reassigned: int = 0
     recovery_seconds: float = 0.0
 
     @property

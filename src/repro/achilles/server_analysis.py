@@ -392,7 +392,6 @@ def search_server(server, clients: ClientPredicateSet,
                 shards=shards, engine=engine,
                 transport=config.transport,
                 on_worker_loss=config.on_worker_loss,
-                max_worker_retries=config.max_worker_retries,
                 trace=tracer is not None, progress=meter)
             sharded = scheduler.run()
             exploration = sharded.exploration
@@ -439,7 +438,6 @@ def search_server(server, clients: ClientPredicateSet,
         report.frames_reused += shard_stats.frames_reused
         report.propagation_seconds += shard_stats.propagation_seconds
         report.worker_failures = sharded.worker_failures
-        report.prefixes_reassigned = sharded.prefixes_reassigned
         report.recovery_seconds = sharded.recovery_seconds
     report.timings.server_analysis = elapsed
     if meter is not None:
@@ -470,7 +468,6 @@ def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
         "solver.queries": report.solver_queries,
         "solver.frames_reused": report.frames_reused,
         "run.worker_failures": report.worker_failures,
-        "run.prefixes_reassigned": report.prefixes_reassigned,
     }
     for name, value in run_counters.items():
         if value:

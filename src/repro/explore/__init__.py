@@ -1,13 +1,12 @@
 """Sharded parallel exploration: decision-prefix partitioning of the path tree.
 
-PR 3 parallelized the *solver batches*; this package parallelizes the
-*exploration itself* (Cloud9-style): the symbolic path tree is split by
-decision prefixes across a pool of worker processes, each running the
-stock :meth:`repro.symex.engine.Engine.explore` loop below its prefixes
-with a fully private solver pipeline (hash-consed arena, canonical
-:class:`~repro.solver.cache.QueryCache`, incremental frame stack — the
-PR 3 worker bootstrap, one engine per process instead of one solver per
-chunk).
+This package parallelizes the *exploration itself* (Cloud9-style): the
+symbolic path tree is split by decision prefixes across a pool of worker
+processes, each running the stock
+:meth:`repro.symex.engine.Engine.explore` loop below its prefixes with a
+fully private solver pipeline (hash-consed arena, canonical
+:class:`~repro.solver.cache.QueryCache`, incremental frame stack — one
+engine per process).
 
 The protocol, end to end:
 
@@ -57,6 +56,13 @@ reaches them only through the :class:`~repro.explore.transport.Transport`
 interface, which is where :class:`~repro.explore.faults.FaultyTransport`
 injects scripted worker loss.
 
+A lost worker (SIGKILL, OOM kill) fails the run by default. Under
+``on_worker_loss="recover"`` the coordinator aborts the whole fleet,
+drops every shard outcome it has received, and explores the seeded
+frontier itself in one in-process walk; the merge makes that walk's
+output byte-identical to the fleet's. No worker is ever replaced, so
+no worker's share ever has to be carved out of another's.
+
 A sharded run keeps no durable state: the coordinator holds the seed
 outcome, the frontier and every shard outcome in memory until the merge,
 and writes nothing to disk. A killed run is simply run again — a hunt
@@ -69,13 +75,11 @@ from repro.explore.faults import (
     FaultyTransport,
     GarbleResult,
     KillWorker,
-    RefuseRespawn,
 )
 from repro.explore.merge import MergedExploration, merge_outcomes
 from repro.explore.scheduler import ShardedExploration, ShardScheduler
 from repro.explore.shard import (
     Assignment,
-    ExcludeControl,
     FrontierControl,
     ShardOutcome,
     StealControl,
@@ -89,7 +93,6 @@ from repro.explore.transport import (
 __all__ = [
     "Assignment",
     "DelayResult",
-    "ExcludeControl",
     "FaultPlan",
     "FaultyTransport",
     "FrontierControl",
@@ -97,7 +100,6 @@ __all__ = [
     "KillWorker",
     "LocalTransport",
     "MergedExploration",
-    "RefuseRespawn",
     "ShardOutcome",
     "ShardScheduler",
     "ShardedExploration",

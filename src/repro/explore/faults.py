@@ -4,18 +4,16 @@ Recovery code that is only ever exercised by racy ``os.kill`` timing is
 recovery code that regresses silently. :class:`FaultyTransport` wraps
 any real :class:`~repro.explore.transport.Transport` and applies a
 scripted :class:`FaultPlan` at the transport interface — the exact
-surface the scheduler sees — so every recovery path (death detection,
-reclaim, respawn, retry exhaustion) is driven by deterministic message
-counts in unit tests and CI chaos jobs.
+surface the scheduler sees — so both ways a loss is detected (the
+liveness poll and an undeliverable assignment) are driven by
+deterministic message counts in unit tests and CI chaos jobs.
 
 The fault vocabulary mirrors how distributed workers actually fail:
 
 * :class:`KillWorker` — the worker goes silent after its Nth delivered
   message: ``alive()`` turns False, its subsequent messages are
   swallowed (a dead process delivers nothing), and assignments to it
-  bounce. Only a successful respawn revives the slot.
-* :class:`RefuseRespawn` — the first K replacement attempts for a slot
-  fail, exercising the ``max_worker_retries`` budget.
+  bounce.
 * :class:`DelayResult` — one message is delivered late, exercising the
   liveness grace window.
 * :class:`GarbleResult` — one message arrives undecodable; nothing the
@@ -48,15 +46,6 @@ class KillWorker:
 
 
 @dataclass(frozen=True)
-class RefuseRespawn:
-    """Fail the first ``times`` respawn attempts for worker ``wid``
-    (a replacement process that cannot be brought up)."""
-
-    wid: int
-    times: int = 1
-
-
-@dataclass(frozen=True)
 class DelayResult:
     """Sleep ``seconds`` before delivering ``wid``'s ``nth`` (1-based)
     message — a slow worker, not a dead one."""
@@ -79,9 +68,7 @@ class GarbleResult:
 class FaultPlan:
     """An ordered script of fault actions, applied deterministically.
 
-    Each action fires at most once; two :class:`KillWorker` entries for
-    the same worker kill it twice (the second applies after a successful
-    respawn resets the delivery count).
+    Each action fires at most once.
     """
 
     def __init__(self, *faults):
@@ -95,9 +82,8 @@ class FaultPlan:
 class FaultyTransport(Transport):
     """A :class:`Transport` decorator that injects a :class:`FaultPlan`.
 
-    Counters (``injected_kills``, ``refused_respawns``) let tests assert
-    the plan actually fired — a chaos run whose faults never triggered
-    proves nothing.
+    The ``injected_kills`` counter lets tests assert the plan actually
+    fired — a chaos run whose faults never triggered proves nothing.
     """
 
     def __init__(self, inner: Transport, plan: FaultPlan):
@@ -106,9 +92,7 @@ class FaultyTransport(Transport):
         self._delivered: dict[int, int] = {}
         self._severed: set[int] = set()
         self._consumed: set[int] = set()
-        self._refusals_used: dict[int, int] = {}
         self.injected_kills = 0
-        self.refused_respawns = 0
 
     @property
     def worker_count(self) -> int:
@@ -189,23 +173,6 @@ class FaultyTransport(Transport):
             return False
         return self.inner.alive(wid)
 
-    def respawn(self, wid: int) -> bool:
-        for fault in self.plan.faults:
-            if (isinstance(fault, RefuseRespawn) and fault.wid == wid
-                    and self._refusals_used.get(id(fault), 0) < fault.times):
-                self._refusals_used[id(fault)] = (
-                    self._refusals_used.get(id(fault), 0) + 1)
-                self.refused_respawns += 1
-                return False
-        if not self.inner.respawn(wid):
-            return False
-        # A fresh worker owns the slot: clear the fault bookkeeping so
-        # later plan entries (e.g. a second KillWorker) count its
-        # deliveries from zero.
-        self._severed.discard(wid)
-        self._delivered[wid] = 0
-        return True
-
     def describe(self, wid: int) -> str:
         base = self.inner.describe(wid)
         if wid in self._severed:
@@ -214,3 +181,6 @@ class FaultyTransport(Transport):
 
     def stop(self) -> None:
         self.inner.stop()
+
+    def abort(self) -> None:
+        self.inner.abort()

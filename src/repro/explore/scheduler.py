@@ -17,12 +17,13 @@ the real one.
 
 Worker loss is a policy decision (``on_worker_loss``): the default
 ``"fail"`` raises a :class:`SymexError` naming the dead worker and its
-assignment; ``"recover"`` discards the dead worker's partial results,
-reclaims its decision prefixes (minus the subtrees it had already
-donated — those live on elsewhere), and reassigns them to a respawned
-replacement or the surviving workers. Because every path replays from
-the root and the merge renumbers canonically, a re-run assignment yields
-byte-identical findings — recovery costs wall clock, never correctness.
+assignment; ``"recover"`` tears the fleet down, drops every shard
+outcome received so far and walks the whole seeded frontier in-process.
+Because every path replays from the root and the merge renumbers
+canonically, that walk yields byte-identical findings — recovery costs
+wall clock, never correctness. Shards do not beat the serial walk on a
+small host, so finishing in-process costs about what a replacement
+fleet would, with no bookkeeping of who explored what.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.explore.shard import (
     Prefix,
     ShardOutcome,
     ShardSetup,
-    extends,
+    run_assignment,
 )
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger, log_event
@@ -96,14 +97,12 @@ class ShardedExploration:
         cache_entries_shipped: feasibility entries in the query-cache
             snapshot shipped to each worker at fan-out (0 when shipping
             was disabled or the run never fanned out).
-        worker_failures: workers declared dead during the run (0 on a
+        worker_failures: workers found dead during the run (0 on a
             fault-free run; only ever non-zero with
             ``on_worker_loss="recover"`` — a death under ``"fail"``
             raises instead).
-        prefixes_reassigned: decision prefixes reclaimed from dead
-            workers and re-run elsewhere.
-        recovery_seconds: wall clock spent inside recovery (reclaiming,
-            respawning, re-dispatching) — the overhead a fault cost.
+        recovery_seconds: wall clock from the loss's detection to the
+            end of the in-process walk that replaced the fleet.
         worker_traces: per-worker :class:`~repro.obs.trace.TraceDelta`
             lists (in per-worker arrival order) collected from traced
             result frames — empty unless the run traced. Observational
@@ -118,22 +117,8 @@ class ShardedExploration:
     steals: int = 0
     cache_entries_shipped: int = 0
     worker_failures: int = 0
-    prefixes_reassigned: int = 0
     recovery_seconds: float = 0.0
     worker_traces: dict[int, list] = field(default_factory=dict)
-
-
-@dataclass
-class _Booking:
-    """Coordinator-side record of one outstanding assignment.
-
-    ``exclude`` grows as the holder donates: a donated subtree belongs
-    to whoever the coordinator reassigns it to, so if the holder dies
-    its region is re-run *minus* every donation.
-    """
-
-    roots: list[Prefix]
-    exclude: list[Prefix] = field(default_factory=list)
 
 
 class ShardScheduler:
@@ -170,17 +155,12 @@ class ShardScheduler:
             Sound (booleans are pure functions of the canonical query);
             disable only to measure the overhead it removes.
         on_worker_loss: ``"fail"`` (default) raises on a silently dead
-            worker, naming the lost assignment — exactly the
-            pre-recovery semantics. ``"recover"`` reclaims the dead
-            worker's prefixes and reassigns them (to a respawned
-            replacement when the transport can provide one, else to the
-            survivors); findings stay byte-identical either way. A
-            worker that reports a Python exception (``MSG_ERROR``)
-            always fails the run — the bug is deterministic, re-running
-            it would just crash again.
-        max_worker_retries: respawn attempts per worker slot across the
-            run before that slot is written off and its work spread over
-            the survivors. The run only fails when no worker is left.
+            worker, naming the lost assignment. ``"recover"`` aborts the
+            fleet and explores the whole seeded frontier in-process;
+            findings stay byte-identical either way. A worker that
+            reports a Python exception (``MSG_ERROR``) always fails the
+            run — the bug is deterministic, re-running it would just
+            crash again.
         trace: ship tracing-enabled sessions to the workers; their span
             deltas come home on result frames and land in
             :attr:`ShardedExploration.worker_traces`. Purely
@@ -200,7 +180,6 @@ class ShardScheduler:
                  transport: Transport | None = None,
                  ship_cache: bool = True,
                  on_worker_loss: str = "fail",
-                 max_worker_retries: int = 2,
                  trace: bool = False,
                  heartbeat_interval: float | None = None,
                  progress=None):
@@ -210,9 +189,6 @@ class ShardScheduler:
             raise SymexError(
                 f"on_worker_loss must be 'fail' or 'recover', "
                 f"got {on_worker_loss!r}")
-        if max_worker_retries < 0:
-            raise SymexError(
-                f"max_worker_retries must be >= 0, got {max_worker_retries}")
         self.setup = setup
         self.setup_args = tuple(setup_args)
         self.shards = shards
@@ -223,7 +199,6 @@ class ShardScheduler:
                           else transport)
         self.ship_cache = ship_cache
         self.on_worker_loss = on_worker_loss
-        self.max_worker_retries = max_worker_retries
         self.trace = trace
         if heartbeat_interval is None:
             heartbeat_interval = (DEFAULT_HEARTBEAT_SECONDS
@@ -231,10 +206,8 @@ class ShardScheduler:
         self.heartbeat_interval = heartbeat_interval
         self.progress = progress
         self._worker_failures = 0
-        self._prefixes_reassigned = 0
         self._recovery_seconds = 0.0
         self._worker_traces: dict[int, list] = {}
-        self._fleet_gauges: dict[int, dict] = {}
 
     # -- observability seams -------------------------------------------------
 
@@ -257,16 +230,14 @@ class ShardScheduler:
         """Seed, fan out, steal until drained, merge."""
         started = time.perf_counter()
         self._worker_failures = 0
-        self._prefixes_reassigned = 0
         self._recovery_seconds = 0.0
         self._worker_traces = {}
-        self._fleet_gauges = {}
         program, observer = self.setup(self.engine, *self.setup_args)
-        outcomes, entries = self._seed(program, observer)
+        outcomes, frontier = self._seed(program, observer)
         steals = 0
         shipped = 0
-        if entries:
-            shard_outcomes, steals, shipped = self._fan_out(entries)
+        if frontier:
+            shard_outcomes, steals, shipped = self._fan_out(frontier)
             outcomes.extend(shard_outcomes)
 
         with self._span("coordinator.merge", outcomes=len(outcomes)):
@@ -281,7 +252,6 @@ class ShardScheduler:
             worker_solver_stats=merged.solver_stats, shards=self.shards,
             steals=steals, cache_entries_shipped=shipped,
             worker_failures=self._worker_failures,
-            prefixes_reassigned=self._prefixes_reassigned,
             recovery_seconds=self._recovery_seconds,
             worker_traces=self._worker_traces)
 
@@ -311,14 +281,13 @@ class ShardScheduler:
         # double-counted by the merge.
         seed_outcome = ShardOutcome(executed=seed.executed, paths=seed.paths,
                                     stats=seed.stats, delta=seed_delta)
-        frontier = sorted(seed.frontier, key=canonical_key)
-        return [seed_outcome], [(prefix, ()) for prefix in frontier]
+        return [seed_outcome], sorted(seed.frontier, key=canonical_key)
 
     # -- worker fleet --------------------------------------------------------
 
-    def _fan_out(self, entries: list[tuple[Prefix, tuple[Prefix, ...]]],
+    def _fan_out(self, frontier: list[Prefix],
                  ) -> tuple[list[ShardOutcome], int, int]:
-        """Partition pending entries across the fleet; broker steals."""
+        """Partition the frontier across the fleet; broker steals."""
         snapshot = (self.engine.query_cache.snapshot()
                     if self.ship_cache else None)
         session = WorkerSession(
@@ -328,47 +297,44 @@ class ShardScheduler:
             heartbeat_interval=self.heartbeat_interval)
         self.transport.start(self.shards, session)
         try:
-            outcomes, steals = self._coordinate(entries)
+            outcomes, steals, dead = self._coordinate(frontier)
         except BaseException:
             # Aborting (coordinator crash, ^C): every in-flight
             # assignment is doomed anyway, so don't grant the graceful
             # drain window — tear the fleet down immediately.
             self.transport.abort()
             raise
-        self.transport.stop()
+        if dead:
+            outcomes = [self._recover(dead, frontier)]
+        else:
+            self.transport.stop()
         return outcomes, steals, len(snapshot or ())
 
-    def _coordinate(self, entries) -> tuple[list[ShardOutcome], int]:
+    def _coordinate(self, frontier: list[Prefix],
+                    ) -> tuple[list[ShardOutcome], int, list[int]]:
+        """Run the fleet until the tree is drained or a worker is lost.
+
+        Returns the shard outcomes, the steal count and the workers found
+        dead (empty on a clean run). A loss under ``"fail"`` raises here,
+        while the dead workers can still be described.
+        """
         transport = self.transport
-        # Pending work is (root prefix, exclusions) — exclusions are
-        # non-empty for work reclaimed from a dead worker whose region
-        # had donated subtrees carved out.
-        pending: deque[tuple[Prefix, tuple[Prefix, ...]]] = deque(entries)
-        active = set(range(self.shards))
-        idle = set(active)
+        pending: deque[Prefix] = deque(frontier)
+        idle = set(range(self.shards))
         steal_pending: set[int] = set()
-        # Outstanding assignment per busy worker — what recovery reclaims
-        # (and what the fail-mode error names) when a worker dies.
-        assigned: dict[int, _Booking] = {}
-        retries = {wid: 0 for wid in active}
+        # Outstanding roots per busy worker — what the fail-mode error
+        # names when a worker dies.
+        assigned: dict[int, tuple[Prefix, ...]] = {}
         outcomes: list[ShardOutcome] = []
         steals = 0
         dead_polls = 0
-        self._dispatch(pending, idle, active, assigned, steal_pending,
-                       retries)
+        dead = self._assign(pending, idle, assigned)
 
-        while len(idle) < len(active) or pending:
-            if not active:
-                raise SymexError(
-                    "all shard workers were lost and none could be "
-                    f"respawned within max_worker_retries="
-                    f"{self.max_worker_retries}; sharded exploration "
-                    "cannot complete")
+        while not dead and (len(idle) < self.shards or pending):
             if self.progress is not None:
                 self.progress.maybe_render(
-                    workers=len(active), busy=len(active) - len(idle),
-                    pending=len(pending), steals=steals,
-                    failures=self._worker_failures)
+                    workers=self.shards, busy=self.shards - len(idle),
+                    pending=len(pending), steals=steals)
             message = transport.recv(_POLL_SECONDS)
             if message is None:
                 # Liveness: a worker that died without reporting (OOM
@@ -376,36 +342,16 @@ class ShardScheduler:
                 # exceptions) would leave this loop polling
                 # forever. A few empty polls of grace let a just-dead
                 # worker's last in-flight message drain first.
-                dead = [wid for wid in sorted(active)
-                        if wid not in idle and not transport.alive(wid)]
-                if dead:
-                    dead_polls += 1
-                    if dead_polls >= _DEATH_GRACE_POLLS:
-                        dead_polls = 0
-                        log_event(_log, logging.WARNING, "worker.lost",
-                                  workers=",".join(
-                                      self._describe_safe(w)
-                                      for w in dead),
-                                  policy=self.on_worker_loss)
-                        if self.on_worker_loss == "fail":
-                            raise SymexError(
-                                self._death_report(dead, assigned))
-                        for wid in dead:
-                            self._recover(wid, pending, idle, active,
-                                          assigned, steal_pending, retries)
-                        self._dispatch(pending, idle, active, assigned,
-                                       steal_pending, retries)
-                else:
-                    dead_polls = 0
-                self._request_steal(idle, active, steal_pending)
+                silent = [wid for wid in range(self.shards)
+                          if wid not in idle and not transport.alive(wid)]
+                dead_polls = dead_polls + 1 if silent else 0
+                if dead_polls >= _DEATH_GRACE_POLLS:
+                    dead = silent
+                    break
+                self._request_steal(idle, steal_pending)
                 continue
             dead_polls = 0
             kind, wid, payload = message
-            if wid not in active:
-                # A worker slot already written off; its reclaimed work
-                # runs elsewhere, so folding this message in too would
-                # double-count.
-                continue
             if kind == MSG_HEARTBEAT:
                 # Live gauges only: consumed for progress/trace, never
                 # merged — losing or reordering heartbeats cannot change
@@ -427,117 +373,83 @@ class ShardScheduler:
                 steal_pending.discard(wid)
                 transport.acknowledge_done(wid)
                 if pending:
-                    self._dispatch(pending, idle, active, assigned,
-                                   steal_pending, retries)
+                    dead = self._assign(pending, idle, assigned)
                 else:
-                    self._request_steal(idle, active, steal_pending)
+                    self._request_steal(idle, steal_pending)
             elif kind == MSG_DONATE:
                 steal_pending.discard(wid)
                 if payload:
                     steals += 1
-                    booking = assigned.get(wid)
-                    donor_exclude = tuple(booking.exclude) if booking else ()
-                    for prefix in payload:
-                        # The donor's standing exclusions that fall inside
-                        # this donated subtree travel with it.
-                        pending.append((prefix, tuple(
-                            d for d in donor_exclude
-                            if extends(d, prefix) and d != prefix)))
-                    if booking is not None:
-                        # Donated subtrees leave the donor's region: if it
-                        # dies later, they must not be re-run with it.
-                        booking.exclude.extend(payload)
-                self._dispatch(pending, idle, active, assigned,
-                               steal_pending, retries)
+                    pending.extend(payload)
+                dead = self._assign(pending, idle, assigned)
             elif kind == MSG_ERROR:
                 raise SymexError(
                     f"shard worker {transport.describe(wid)} failed:\n"
                     f"{payload}")
             else:  # pragma: no cover - internal protocol
                 raise SymexError(f"unknown shard message kind {kind!r}")
-        return outcomes, steals
+
+        if dead:
+            log_event(_log, logging.WARNING, "worker.lost",
+                      workers=",".join(self._describe_safe(w) for w in dead),
+                      policy=self.on_worker_loss)
+            if self.on_worker_loss == "fail":
+                raise SymexError(self._death_report(dead, assigned))
+        return outcomes, steals, dead
 
     def _note_heartbeat(self, wid: int, payload) -> None:
-        """Fold a worker heartbeat into the live fleet gauges."""
+        """Feed a worker heartbeat to the progress meter and the trace."""
         if not isinstance(payload, dict):  # pragma: no cover - defensive
             return
-        self._fleet_gauges[wid] = payload
         if self.progress is not None:
             self.progress.heartbeat(wid, payload)
         self._event("worker.heartbeat", wid=wid, **payload)
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover(self, wid: int, pending: deque, idle: set[int],
-                 active: set[int], assigned: dict[int, _Booking],
-                 steal_pending: set[int], retries: dict[int, int]) -> None:
-        """Reclaim a dead worker's region; respawn or retire the slot.
+    def _recover(self, dead: list[int],
+                 frontier: list[Prefix]) -> ShardOutcome:
+        """Replace the fleet with one in-process walk of the frontier.
 
-        The dead worker's partial results never reached the outcome list
-        (a worker reports one ``MSG_DONE`` per assignment, at the end),
-        so discarding means simply re-running its booking — roots minus
-        the subtrees it donated, which other workers own now.
+        The returned outcome stands in for every shard outcome received
+        so far, and the worker trace deltas are dropped with them, so the
+        report and the trace count exactly the seed phase plus this walk.
         """
-        with self._span("coordinator.recover", wid=wid):
-            self._recover_inner(wid, pending, idle, active, assigned,
-                                steal_pending, retries)
-
-    def _recover_inner(self, wid: int, pending: deque, idle: set[int],
-                       active: set[int], assigned: dict[int, _Booking],
-                       steal_pending: set[int],
-                       retries: dict[int, int]) -> None:
-        recovery_started = time.perf_counter()
-        self._worker_failures += 1
-        steal_pending.discard(wid)
-        idle.discard(wid)
-        booking = assigned.pop(wid, None)
-        if booking is not None:
-            for root in booking.roots:
-                if any(extends(root, d) for d in booking.exclude):
-                    # The root itself was donated away (StealControl
-                    # hands out the shallowest worklist entries, which
-                    # can be untouched roots of a multi-root
-                    # assignment): its subtree already belongs to
-                    # whoever received the donation, so requeueing it
-                    # here would explore it twice and the merge would
-                    # reject the overlap.
-                    continue
-                self._prefixes_reassigned += 1
-                pending.append((root, tuple(
-                    d for d in booking.exclude
-                    if extends(d, root) and d != root)))
-        revived = False
-        while retries[wid] < self.max_worker_retries:
-            retries[wid] += 1
-            if self.transport.respawn(wid):
-                revived = True
-                break
-        if revived:
-            idle.add(wid)
-        else:
-            active.discard(wid)
-        elapsed = time.perf_counter() - recovery_started
-        self._recovery_seconds += elapsed
+        started = time.perf_counter()
+        self._worker_failures = len(dead)
+        self.transport.abort()
+        self._worker_traces = {}
+        with self._span("coordinator.recover", workers=len(dead),
+                        roots=len(frontier)):
+            engine = Engine(self.engine_config,
+                            query_cache=self.engine.query_cache)
+            outcome = run_assignment(engine, self.setup, self.setup_args,
+                                     frontier)
+        # The shared cache already books this walk's lookups on the
+        # coordinator's own stats; folding them in again would count
+        # every lookup twice.
+        outcome.solver_stats.cache_hits = 0
+        outcome.solver_stats.cache_misses = 0
+        self._recovery_seconds = time.perf_counter() - started
         log_event(_log, logging.WARNING, "worker.recovered",
-                  worker=self._describe_safe(wid),
-                  prefixes_reclaimed=len(booking.roots) if booking else 0,
-                  respawned=revived, recovery_seconds=elapsed)
+                  workers=len(dead), roots=len(frontier),
+                  recovery_seconds=self._recovery_seconds)
+        return outcome
 
     def _describe_safe(self, wid: int) -> str:
-        """``transport.describe`` that cannot fail on a torn-down or
-        never-started worker slot (recovery logs race worker death)."""
+        """``transport.describe`` that cannot fail on a dying worker
+        (loss logs race worker death)."""
         try:
             return self.transport.describe(wid)
         except Exception:  # pragma: no cover - transport-specific races
             return f"worker {wid}"
 
     def _death_report(self, dead: list[int],
-                      assigned: dict[int, _Booking]) -> str:
+                      assigned: dict[int, tuple[Prefix, ...]]) -> str:
         """Name the dead workers and the assignments that died with them."""
         lines = []
         for wid in dead:
-            booking = assigned.get(wid)
-            prefixes = booking.roots if booking else []
+            prefixes = assigned.get(wid, ())
             rendered = ", ".join(
                 "".join("T" if d else "F" for d in p) or "<root>"
                 for p in prefixes[:4])
@@ -551,115 +463,43 @@ class ShardScheduler:
                 f"(killed? out of memory?); the lost assignment(s):\n"
                 f"{detail}\n"
                 "sharded exploration cannot complete "
-                "(on_worker_loss='recover' reassigns instead)")
+                "(on_worker_loss='recover' finishes the walk in-process "
+                "instead)")
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, pending: deque, idle: set[int], active: set[int],
-                  assigned: dict[int, _Booking], steal_pending: set[int],
-                  retries: dict[int, int]) -> None:
-        """Assign pending work; under ``"recover"``, a worker that turns
-        out unreachable at assign time is treated exactly like a
-        liveness-poll death (its booking reclaimed, slot respawned or
-        retired) and dispatching continues on whoever is left."""
-        while True:
-            failed = self._assign(pending, idle, assigned)
-            if not failed:
-                return
-            for wid in failed:
-                self._recover(wid, pending, idle, active, assigned,
-                              steal_pending, retries)
-
     def _assign(self, pending: deque, idle: set[int],
-                assigned: dict[int, _Booking]) -> list[int]:
-        """Split the pending work evenly across the idle workers.
+                assigned: dict[int, tuple[Prefix, ...]]) -> list[int]:
+        """Split the pending prefixes evenly across the idle workers.
 
-        Returns the workers whose assignment could not be delivered
-        (always empty under ``on_worker_loss="fail"`` — the transport
-        error propagates instead).
+        Returns the worker whose assignment could not be delivered, or
+        an empty list. Under ``on_worker_loss="fail"`` the transport
+        error propagates instead.
         """
-        failed: list[int] = []
-        while pending and (idle - set(failed)):
-            takers = sorted(idle - set(failed))[:len(pending)]
-            base, extra = divmod(len(pending), len(takers))
-            for position, wid in enumerate(takers):
-                if not pending:
-                    break
-                size = base + (1 if position < extra else 0)
-                booking = self._take_batch(pending, size)
-                if booking is None:
-                    continue
-                idle.discard(wid)
-                assigned[wid] = booking
-                try:
-                    with self._span("coordinator.assign", wid=wid,
-                                    roots=len(booking.roots)):
-                        self.transport.assign(wid, Assignment(
-                            roots=tuple(booking.roots),
-                            exclude=tuple(booking.exclude)))
-                except SymexError:
-                    if self.on_worker_loss == "fail":
-                        raise
-                    failed.append(wid)
-        return failed
+        takers = sorted(idle)[:len(pending)]
+        if not takers:
+            return []
+        base, extra = divmod(len(pending), len(takers))
+        for position, wid in enumerate(takers):
+            roots = tuple(pending.popleft()
+                          for _ in range(base + (position < extra)))
+            idle.discard(wid)
+            assigned[wid] = roots
+            try:
+                with self._span("coordinator.assign", wid=wid,
+                                roots=len(roots)):
+                    self.transport.assign(wid, Assignment(roots=roots))
+            except SymexError:
+                if self.on_worker_loss == "fail":
+                    raise
+                return [wid]
+        return []
 
-    @staticmethod
-    def _take_batch(pending: deque, size: int) -> _Booking | None:
-        """Pop up to ``size`` compatible pending entries into one booking.
-
-        A batch ships one merged exclusion list, so entries are only
-        batched together when no root of the batch falls inside another
-        entry's exclusions (the worker's exclusion filter would silently
-        drop that root). Incompatible entries are deferred, keeping
-        their queue order; a single entry is always self-consistent
-        (its exclusions are strict descendants of its own root), so
-        dispatch always makes progress.
-
-        Duplicate roots are collapsed: an entry whose root is already
-        covered by an accepted root (and not carved back out by the
-        batch exclusions) would seed the worker's worklist twice and
-        yield duplicate paths inside one outcome, so it is dropped —
-        keeping its exclusions, which mark subtrees owned elsewhere.
-        Defense in depth against any double-enqueued reclaim.
-        """
-        if size <= 0:
-            return None
-        roots: list[Prefix] = []
-        exclude: list[Prefix] = []
-        deferred: list[tuple[Prefix, tuple[Prefix, ...]]] = []
-        for _ in range(len(pending)):
-            if len(roots) >= size:
-                break
-            root, root_exclude = pending.popleft()
-            if (any(extends(root, r) for r in roots)
-                    and not any(extends(root, d) for d in exclude)):
-                exclude.extend(
-                    d for d in root_exclude if d not in exclude)
-                continue
-            candidate_roots = roots + [root]
-            candidate_exclude = exclude + [
-                d for d in root_exclude if d not in exclude]
-            if (any(extends(r, d) for r in candidate_roots
-                    for d in candidate_exclude)
-                    or any(extends(r, root) for r in roots)):
-                # An exclusion swallowing a batch root, or a candidate
-                # containing an accepted root: either would corrupt the
-                # worker's worklist — defer to a later batch.
-                deferred.append((root, root_exclude))
-                continue
-            roots = candidate_roots
-            exclude = candidate_exclude
-        pending.extendleft(reversed(deferred))
-        if not roots:
-            return None
-        return _Booking(roots=roots, exclude=exclude)
-
-    def _request_steal(self, idle: set[int], active: set[int],
-                       steal_pending: set[int]) -> None:
+    def _request_steal(self, idle: set[int], steal_pending: set[int]) -> None:
         """Raise one loaded worker's steal flag when someone is idle."""
         if not idle:
             return
-        busy = [wid for wid in sorted(active)
+        busy = [wid for wid in range(self.shards)
                 if wid not in idle and wid not in steal_pending]
         if busy:
             target = busy[0]

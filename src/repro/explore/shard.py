@@ -39,16 +39,6 @@ MSG_ERROR = "error"
 MSG_HEARTBEAT = "heartbeat"
 
 
-def extends(prefix: Prefix, ancestor: Prefix) -> bool:
-    """True when ``prefix`` lies inside ``ancestor``'s subtree.
-
-    A prefix extends its ancestor when it replays the same decisions up
-    to the ancestor's depth (equal prefixes count: a subtree contains its
-    own root).
-    """
-    return len(prefix) >= len(ancestor) and prefix[:len(ancestor)] == ancestor
-
-
 @dataclass(frozen=True)
 class Assignment:
     """One unit of work shipped to a shard worker.
@@ -56,15 +46,9 @@ class Assignment:
     Attributes:
         roots: decision prefixes whose subtrees the worker explores to
             exhaustion.
-        exclude: decision prefixes carved *out* of those subtrees. Empty
-            on a first-time assignment; non-empty when the coordinator
-            reassigns a dead worker's region — the parts the dead worker
-            had already donated belong to other workers now, and
-            re-exploring them would double-merge their paths.
     """
 
     roots: tuple[Prefix, ...]
-    exclude: tuple[Prefix, ...] = ()
 
 
 @dataclass
@@ -134,40 +118,6 @@ class StealControl(ExploreControl):
         return True
 
 
-class ExcludeControl(ExploreControl):
-    """Drop worklist entries that descend into excluded subtrees.
-
-    A reclaimed assignment re-runs a dead worker's roots, but subtrees
-    that worker had *donated* before dying are owned (possibly already
-    completed) by other workers; re-exploring them would make the merge
-    reject the run for overlapping paths. Filtering the worklist between
-    paths is sufficient to carve those subtrees out exactly: replay is
-    deterministic, and an executing path only enters an excluded subtree
-    by popping a schedule that extends the excluded prefix — at the fork
-    that *pushed* the excluded prefix, the continuing execution took the
-    other direction.
-
-    Runs before ``inner`` (the steal control on a worker), so donations
-    drawn from the filtered worklist are exclusion-free by construction.
-    """
-
-    def __init__(self, exclude: tuple[Prefix, ...],
-                 inner: ExploreControl | None = None):
-        self.exclude = tuple(exclude)
-        self.inner = inner
-
-    def checkpoint(self, worklist: deque) -> bool:
-        if self.exclude:
-            kept = [p for p in worklist
-                    if not any(extends(p, d) for d in self.exclude)]
-            if len(kept) != len(worklist):
-                worklist.clear()
-                worklist.extend(kept)
-        if self.inner is not None:
-            return self.inner.checkpoint(worklist)
-        return True
-
-
 class HeartbeatControl(ExploreControl):
     """Emit periodic liveness gauges between paths (``--progress``).
 
@@ -179,9 +129,8 @@ class HeartbeatControl(ExploreControl):
     Purely observational: it never touches the worklist and always
     returns True, so findings are unchanged by its presence.
 
-    Chains ``inner`` like :class:`ExcludeControl`, so one long-lived
-    heartbeat (its counters span assignments) wraps each assignment's
-    own steal/exclude controls.
+    Chains ``inner``, so one long-lived heartbeat (its counters span
+    assignments) wraps each assignment's own steal control.
     """
 
     def __init__(self, interval: float, emit: Callable[[dict], None],
@@ -283,8 +232,7 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
             # into this assignment.
             steal_flag.clear()
             roots = list(assignment.roots)
-            exclude = assignment.exclude
-            control = (ExcludeControl(exclude, steal) if exclude else steal)
+            control = steal
             if heartbeat is not None:
                 heartbeat.inner = control
                 control = heartbeat
@@ -292,8 +240,7 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
                 outcome = run_assignment(engine, session.setup,
                                          session.setup_args, roots, control)
             else:
-                with tracer.span("worker.assignment", roots=len(roots),
-                                 exclude=len(exclude)):
+                with tracer.span("worker.assignment", roots=len(roots)):
                     outcome = run_assignment(engine, session.setup,
                                              session.setup_args, roots,
                                              control)

@@ -32,9 +32,8 @@ traceback; a worker that dies silently (SIGKILL) is detected by
 ``alive()`` going False while the worker still holds an assignment.
 What happens next is the scheduler's ``on_worker_loss`` policy:
 ``"fail"`` (default) raises naming the lost assignment, ``"recover"``
-reclaims the assignment and asks the transport to
-:meth:`Transport.respawn` a replacement worker — a fresh local process
-seeded with the same :class:`WorkerSession`.
+calls :meth:`Transport.abort` and finishes the walk in-process. Either
+way a lost worker ends the fleet: no transport ever replaces a worker.
 """
 
 from __future__ import annotations
@@ -120,20 +119,6 @@ class Transport:
         """True while the worker can still deliver messages."""
         raise NotImplementedError
 
-    def respawn(self, wid: int) -> bool:
-        """Try to replace a dead worker with a fresh one for the same
-        session (a new process, same ``WorkerSession``).
-
-        Returns True when slot ``wid`` is live again and ready for an
-        assignment; False when this transport cannot (or could not)
-        bring a replacement up — the scheduler then reassigns the lost
-        work to the surviving workers instead. Messages from the retired
-        worker must never surface under ``wid`` afterwards (its partial
-        results were discarded; delivering them would double-merge).
-        The base implementation never respawns.
-        """
-        return False
-
     def describe(self, wid: int) -> str:
         """Human-readable worker identity for error messages."""
         return f"worker {wid}"
@@ -161,21 +146,13 @@ class LocalTransport(Transport):
     SHUTDOWN_GRACE = 10.0
 
     def __init__(self):
-        self._ctx = None
-        self._session: WorkerSession | None = None
-        # Worker ids are stable for the scheduler; processes are not
-        # (respawn replaces them). A *slot* is one process + its task
-        # queue + steal flag; ``_slot_of_wid`` maps the scheduler's wid
-        # to its current slot, and workers tag result-queue messages
-        # with their slot id so late messages from a terminated
-        # predecessor (which shares the result queue) are recognized and
-        # dropped instead of being credited to the replacement.
+        # Indexed by worker id: one process, task queue and steal flag
+        # per worker; every worker tags its result-queue messages with
+        # its id.
         self._workers: list = []
         self._task_queues: list = []
         self._steal_flags: list = []
         self._result_queue = None
-        self._slot_of_wid: list[int] = []
-        self._wid_of_slot: dict[int, int] = {}
 
     def start(self, count: int, session: WorkerSession) -> None:
         import multiprocessing
@@ -183,87 +160,52 @@ class LocalTransport(Transport):
         # fork inherits the interned AST arena copy-on-write; spawn (the
         # only option on some platforms) re-interns on unpickle.
         methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
+        ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
         self.worker_count = count
-        self._session = session
-        self._result_queue = self._ctx.Queue()
-        self._slot_of_wid = list(range(count))
-        self._wid_of_slot = {slot: slot for slot in range(count)}
-        for _ in range(count):
-            self._spawn_slot()
-
-    def _spawn_slot(self) -> int:
-        """Fork one fresh worker process in a new slot; returns the slot."""
-        slot = len(self._workers)
-        self._task_queues.append(self._ctx.Queue())
-        self._steal_flags.append(self._ctx.Event())
-        worker = self._ctx.Process(
-            target=shard_worker,
-            args=(slot, self._session, self._task_queues[slot],
-                  self._result_queue, self._steal_flags[slot]),
-            daemon=True)
-        self._workers.append(worker)
-        worker.start()
-        return slot
+        self._result_queue = ctx.Queue()
+        for wid in range(count):
+            self._task_queues.append(ctx.Queue())
+            self._steal_flags.append(ctx.Event())
+            worker = ctx.Process(
+                target=shard_worker,
+                args=(wid, session, self._task_queues[wid],
+                      self._result_queue, self._steal_flags[wid]),
+                daemon=True)
+            self._workers.append(worker)
+            worker.start()
 
     def assign(self, wid: int, assignment: Assignment) -> None:
-        self._task_queues[self._slot_of_wid[wid]].put(assignment)
+        self._task_queues[wid].put(assignment)
 
     def request_steal(self, wid: int) -> None:
-        self._steal_flags[self._slot_of_wid[wid]].set()
+        self._steal_flags[wid].set()
 
     def acknowledge_done(self, wid: int) -> None:
         # An unanswered steal request must not leak into the worker's
         # next assignment (the worker also clears defensively on its
         # side at assignment start).
-        self._steal_flags[self._slot_of_wid[wid]].clear()
+        self._steal_flags[wid].clear()
 
     def recv(self, timeout: float) -> tuple[str, int, object] | None:
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            try:
-                kind, slot, payload = self._result_queue.get(
-                    timeout=max(0.0, remaining))
-            except queue_module.Empty:
-                return None
-            wid = self._wid_of_slot.get(slot)
-            if wid is None:
-                # A retired slot's late message: its worker was declared
-                # dead and its assignment reclaimed — merging this too
-                # would double-count the subtree.
-                continue
-            return kind, wid, payload
+        try:
+            return self._result_queue.get(timeout=timeout)
+        except queue_module.Empty:
+            return None
 
     def alive(self, wid: int) -> bool:
-        return self._workers[self._slot_of_wid[wid]].is_alive()
-
-    def respawn(self, wid: int) -> bool:
-        old_slot = self._slot_of_wid[wid]
-        self._wid_of_slot.pop(old_slot, None)
-        worker = self._workers[old_slot]
-        if worker.is_alive():
-            # "Dead" here is the scheduler's verdict (e.g. an injected
-            # fault severed the worker); make it true before replacing.
-            worker.terminate()
-        worker.join(timeout=self.SHUTDOWN_GRACE)
-        slot = self._spawn_slot()
-        self._slot_of_wid[wid] = slot
-        self._wid_of_slot[slot] = wid
-        return True
+        return self._workers[wid].is_alive()
 
     def describe(self, wid: int) -> str:
-        pid = self._workers[self._slot_of_wid[wid]].pid
+        pid = self._workers[wid].pid
         return f"local worker {wid} (pid {pid})"
 
     def stop(self) -> None:
-        for slot, task_queue in enumerate(self._task_queues):
-            if slot in self._wid_of_slot:
-                try:
-                    task_queue.put(None)
-                except Exception:  # pragma: no cover - queue already broken
-                    pass
+        for task_queue in self._task_queues:
+            try:
+                task_queue.put(None)
+            except Exception:  # pragma: no cover - queue already broken
+                pass
         deadline = time.monotonic() + self.SHUTDOWN_GRACE
         for worker in self._workers:
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -288,6 +230,3 @@ class LocalTransport(Transport):
         self._task_queues = []
         self._steal_flags = []
         self._result_queue = None
-        self._slot_of_wid = []
-        self._wid_of_slot = {}
-        self._session = None

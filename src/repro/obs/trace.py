@@ -193,7 +193,7 @@ def merge_traces(coordinator_records,
     each worker's deltas in arrival order (per-worker arrival order is
     deterministic — result frames are FIFO per worker), records inside a
     delta in local order. Sequence numbers are renumbered per source, so
-    a respawned worker restarting its counter cannot collide. The output
+    two deltas that each restart their counter cannot collide. The output
     is therefore identical however the deltas interleaved in real time.
     """
     merged: list[dict] = []

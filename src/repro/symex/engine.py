@@ -410,8 +410,7 @@ class Engine:
                     stopped = True
                     break
                 if not worklist:
-                    # The control carved out every pending entry (an
-                    # ExcludeControl dropping donated subtrees).
+                    # The control handed away every pending entry.
                     break
             if order == DFS:
                 schedule = worklist.pop()

@@ -38,22 +38,24 @@ class TestParallelismValidation:
         names = {f.name for f in dataclasses.fields(AchillesReport)}
         assert "shards" in names
         assert "workers" not in names
+        assert "prefixes_reassigned" not in names
 
     def test_rejects_unknown_worker_loss_policy(self):
         with pytest.raises(AchillesError, match="on_worker_loss"):
             AchillesConfig(layout=TOY_LAYOUT, on_worker_loss="shrug")
 
-    def test_rejects_negative_retry_budget(self):
-        with pytest.raises(AchillesError,
-                           match="max_worker_retries must be >= 0"):
-            AchillesConfig(layout=TOY_LAYOUT, max_worker_retries=-1)
+    def test_retry_budget_is_not_a_field(self):
+        import dataclasses
 
-    def test_recovery_knobs_accepted(self):
+        names = {f.name for f in dataclasses.fields(AchillesConfig)}
+        assert "max_worker_retries" not in names
+        with pytest.raises(TypeError, match="max_worker_retries"):
+            AchillesConfig(layout=TOY_LAYOUT, max_worker_retries=0)
+
+    def test_recovery_policy_accepted(self):
         config = AchillesConfig(layout=TOY_LAYOUT, shards=2,
-                                on_worker_loss="recover",
-                                max_worker_retries=0)
+                                on_worker_loss="recover")
         assert config.on_worker_loss == "recover"
-        assert config.max_worker_retries == 0
 
     def test_transport_instance_accepted(self):
         from repro.explore import LocalTransport

@@ -146,16 +146,13 @@ class TestShardOutcome:
 
 class TestScalarPayloads:
     def test_assignment(self):
-        """The task payload a coordinator ships on reassignment:
-        roots plus the excluded (already-donated) subtrees."""
+        """The task payload a coordinator ships: the roots to explore."""
         from repro.explore import Assignment
 
-        assignment = Assignment(roots=((True,), (False, True)),
-                                exclude=((False, True, False),))
+        assignment = Assignment(roots=((True,), (False, True)))
         copy = wire_roundtrip(assignment)
         assert copy == assignment
         assert copy.roots == ((True,), (False, True))
-        assert copy.exclude == ((False, True, False),)
 
     def test_solver_stats(self):
         stats = SolverStats()
@@ -210,7 +207,7 @@ class TestWorkerMessages:
         from repro.obs.trace import Tracer
 
         tracer = Tracer(source="worker")
-        with tracer.span("worker.assignment", roots=2, exclude=0):
+        with tracer.span("worker.assignment", roots=2):
             tracer.event("coordinator.steal", wid=1)
         delta = tracer.take_delta()
         assert delta.records

@@ -17,21 +17,21 @@ from collections import deque
 import pytest
 
 from repro.errors import SymexError
+import repro.explore
 from repro.explore import (
     Assignment,
     DelayResult,
-    ExcludeControl,
     FaultPlan,
     FaultyTransport,
     GarbleResult,
     KillWorker,
     LocalTransport,
-    RefuseRespawn,
     ShardScheduler,
     Transport,
 )
-from repro.explore.shard import MSG_DONE, extends
-from repro.symex.engine import Engine, EngineConfig
+from repro.explore.shard import MSG_DONE, FrontierControl, run_assignment
+from repro.symex.engine import BFS, Engine, EngineConfig
+from repro.symex.state import canonical_key
 
 
 def tree_setup(engine, depth, thresholds=()):
@@ -65,8 +65,8 @@ class _ScriptedTransport(Transport):
         self.workers = workers
         self.inbox = deque()
         self.assigned = []
-        self.respawned = []
         self.stopped = False
+        self.aborted = False
 
     @property
     def worker_count(self):
@@ -92,15 +92,14 @@ class _ScriptedTransport(Transport):
     def alive(self, wid):
         return True
 
-    def respawn(self, wid):
-        self.respawned.append(wid)
-        return True
-
     def describe(self, wid):
         return f"scripted worker {wid}"
 
     def stop(self):
         self.stopped = True
+
+    def abort(self):
+        self.aborted = True
 
 
 class TestFaultyTransportSemantics:
@@ -143,31 +142,24 @@ class TestFaultyTransportSemantics:
         inner.inbox.append((MSG_DONE, 1, "alive"))
         assert faulty.recv(0.1) == (MSG_DONE, 1, "alive")
 
-    def test_respawn_refused_then_granted(self):
+    def test_abort_forwards_to_the_inner_abort(self):
+        """Not to the graceful ``stop`` the base class falls back on: a
+        recovering run must not wait for a severed-but-alive worker to
+        drain."""
         inner = _ScriptedTransport()
-        faulty = FaultyTransport(
-            inner, FaultPlan(KillWorker(0), RefuseRespawn(0, times=2)))
-        assert not faulty.alive(0)
-        assert not faulty.respawn(0)
-        assert not faulty.respawn(0)
-        assert faulty.refused_respawns == 2
-        assert inner.respawned == []          # refusals never reach inner
-        assert faulty.respawn(0)
-        assert inner.respawned == [0]
-        assert faulty.alive(0)                # severed state cleared
+        FaultyTransport(inner, FaultPlan(KillWorker(0))).abort()
+        assert inner.aborted
+        assert not inner.stopped
 
-    def test_respawn_resets_delivery_count_for_second_kill(self):
-        inner = _ScriptedTransport()
+    def test_a_severed_worker_is_killed_once(self):
+        """A second KillWorker entry for a worker already severed never
+        fires: nothing replaces a lost worker."""
         faulty = FaultyTransport(
-            inner, FaultPlan(KillWorker(0, after_results=0),
-                             KillWorker(0, after_results=1)))
+            _ScriptedTransport(), FaultPlan(KillWorker(0, after_results=0),
+                                            KillWorker(0, after_results=0)))
         assert not faulty.alive(0)
-        assert faulty.respawn(0)
-        assert faulty.alive(0)                # second kill needs 1 delivery
-        inner.inbox.append((MSG_DONE, 0, "one"))
-        assert faulty.recv(0.1) == (MSG_DONE, 0, "one")
-        assert not faulty.alive(0)            # and now it fires
-        assert faulty.injected_kills == 2
+        assert not faulty.alive(0)
+        assert faulty.injected_kills == 1
 
     def test_delay_result_sleeps_but_delivers(self):
         inner = _ScriptedTransport()
@@ -190,51 +182,9 @@ class TestFaultyTransportSemantics:
         assert faulty.injected_kills == 1
 
     def test_plan_repr_names_its_faults(self):
-        plan = FaultPlan(KillWorker(3), RefuseRespawn(3, times=2))
+        plan = FaultPlan(KillWorker(3), DelayResult(3, nth=2, seconds=0.1))
         assert "KillWorker" in repr(plan)
-        assert "RefuseRespawn" in repr(plan)
-
-
-# -- ExcludeControl: the reclaim-without-double-merge mechanism ---------------
-
-
-class TestExcludeControl:
-    def test_extends_relation(self):
-        assert extends((True, False), (True,))
-        assert extends((True,), (True,))      # a subtree contains its root
-        assert not extends((True,), (True, False))
-        assert not extends((False, True), (True,))
-        assert extends((True,), ())           # everything is under the root
-
-    def test_filters_descendants_of_excluded_prefixes(self):
-        control = ExcludeControl(exclude=((True,),))
-        worklist = deque([(True,), (True, False), (False,), (False, True)])
-        assert control.checkpoint(worklist)
-        assert list(worklist) == [(False,), (False, True)]
-
-    def test_empty_exclusion_leaves_worklist_untouched(self):
-        control = ExcludeControl(exclude=())
-        worklist = deque([(True,), (False,)])
-        assert control.checkpoint(worklist)
-        assert list(worklist) == [(True,), (False,)]
-
-    def test_delegates_to_inner_control(self):
-        class Stop:
-            def checkpoint(self, worklist):
-                return False
-
-        control = ExcludeControl(exclude=((True,),), inner=Stop())
-        assert control.checkpoint(deque()) is False
-
-    def test_excluding_every_pending_entry_ends_the_walk(self):
-        """The last pending entry carved out leaves an empty worklist
-        mid-walk; the engine stops there instead of popping from it."""
-        engine = Engine(EngineConfig())
-        program, _ = tree_setup(engine, 1)
-        result = engine.explore(program,
-                                control=ExcludeControl(((False,),)))
-        assert [p.decisions for p in result.paths] == [(True,)]
-        assert result.frontier == ()
+        assert "DelayResult" in repr(plan)
 
 
 # -- end-to-end recovery over a real LocalTransport ---------------------------
@@ -243,12 +193,27 @@ class TestExcludeControl:
 TREE_ARGS = (4, [30, 200])
 
 
-def _recover_run(plan, shards=2, max_worker_retries=2, seed_factor=2):
-    faulty = FaultyTransport(LocalTransport(), plan)
+class _RecordingLocalTransport(LocalTransport):
+    """A real local fleet that records how it was torn down."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def stop(self):
+        self.calls.append("stop")
+        super().stop()
+
+    def abort(self):
+        self.calls.append("abort")
+        super().abort()
+
+
+def _recover_run(plan, shards=2, seed_factor=2, inner=None):
+    faulty = FaultyTransport(inner or LocalTransport(), plan)
     scheduler = ShardScheduler(tree_setup, TREE_ARGS, shards=shards,
                                seed_factor=seed_factor, transport=faulty,
-                               on_worker_loss="recover",
-                               max_worker_retries=max_worker_retries)
+                               on_worker_loss="recover")
     return scheduler.run(), faulty
 
 
@@ -259,7 +224,6 @@ class TestRecoveryParity:
         sharded, faulty = _recover_run(FaultPlan())
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.worker_failures == 0
-        assert sharded.prefixes_reassigned == 0
         assert sharded.recovery_seconds == 0.0
         assert faulty.injected_kills == 0
 
@@ -269,46 +233,51 @@ class TestRecoveryParity:
             FaultPlan(KillWorker(0, after_results=0)))
         assert faulty.injected_kills == 1
         assert sharded.worker_failures == 1
-        assert sharded.prefixes_reassigned >= 1
         assert sharded.recovery_seconds > 0.0
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
 
-    def test_kill_plus_refused_respawn_still_recovers(self):
-        """First respawn refused, second granted — inside the default
-        max_worker_retries=2 budget."""
-        serial = _serial(tree_setup, TREE_ARGS)
+    def test_recovery_aborts_the_real_fleet(self):
+        """The fault wrapper forwards the abort, so the local workers are
+        terminated rather than drained."""
+        inner = _RecordingLocalTransport()
         sharded, faulty = _recover_run(
-            FaultPlan(KillWorker(0, after_results=0),
-                      RefuseRespawn(0, times=1)))
-        assert faulty.injected_kills == 1
-        assert faulty.refused_respawns == 1
+            FaultPlan(KillWorker(0, after_results=0)), inner=inner)
         assert sharded.worker_failures == 1
-        assert _signature(sharded.exploration) == _signature(serial)
+        assert inner.calls == ["abort"]
 
-    def test_retries_exhausted_survivors_finish_the_work(self):
-        """When a slot can never be respawned its region spreads over the
-        survivors; the run completes and stays byte-identical."""
+    def test_every_worker_severed_recovers_byte_identical(self):
         serial = _serial(tree_setup, TREE_ARGS)
-        sharded, faulty = _recover_run(
-            FaultPlan(KillWorker(0, after_results=0),
-                      RefuseRespawn(0, times=10)),
-            max_worker_retries=2)
-        assert faulty.refused_respawns == 2   # the whole retry budget
-        assert sharded.worker_failures == 1
+        sharded, faulty = _recover_run(FaultPlan(KillWorker(0),
+                                                 KillWorker(1)))
+        assert faulty.injected_kills >= 1
+        assert sharded.worker_failures >= 1
         assert _signature(sharded.exploration) == _signature(serial)
+        assert sharded.exploration.executed == serial.executed
 
-    def test_all_workers_lost_fails_loudly(self):
-        plan = FaultPlan(KillWorker(0), KillWorker(1),
-                         RefuseRespawn(0, times=10),
-                         RefuseRespawn(1, times=10))
-        faulty = FaultyTransport(LocalTransport(), plan)
-        scheduler = ShardScheduler(tree_setup, TREE_ARGS, shards=2,
-                                   seed_factor=2, transport=faulty,
-                                   on_worker_loss="recover",
-                                   max_worker_retries=1)
-        with pytest.raises(SymexError, match="all shard workers were lost"):
-            scheduler.run()
+    def test_recovery_counts_each_cache_lookup_once(self):
+        """The in-process walk shares the coordinator's query cache, so
+        its lookups are booked there and nowhere else: seed lookups plus
+        walk lookups, exactly as a standalone seed-and-walk counts
+        them."""
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, *TREE_ARGS)
+        seed = engine.explore(program, control=FrontierControl(4), order=BFS)
+        run_assignment(Engine(EngineConfig(), query_cache=engine.query_cache),
+                       tree_setup, TREE_ARGS, sorted(seed.frontier,
+                                                     key=canonical_key))
+        expected = engine.query_cache.stats.queries
+
+        scheduler = ShardScheduler(
+            tree_setup, TREE_ARGS, shards=2, seed_factor=2,
+            transport=FaultyTransport(LocalTransport(),
+                                      FaultPlan(KillWorker(0))),
+            on_worker_loss="recover")
+        sharded = scheduler.run()
+        assert sharded.worker_failures == 1
+        worker = sharded.worker_solver_stats
+        assert (scheduler.engine.query_cache.stats.queries
+                + worker.cache_hits + worker.cache_misses) == expected
 
     def test_garbled_result_recovers_byte_identical(self):
         """A corrupted frame severs the worker; recovery re-runs its
@@ -346,7 +315,14 @@ class TestSchedulerPolicyValidation:
             ShardScheduler(tree_setup, TREE_ARGS, shards=2,
                            on_worker_loss="retry-forever")
 
-    def test_rejects_negative_retry_budget(self):
-        with pytest.raises(SymexError, match="max_worker_retries"):
+    def test_retry_budget_is_gone(self):
+        with pytest.raises(TypeError, match="max_worker_retries"):
             ShardScheduler(tree_setup, TREE_ARGS, shards=2,
-                           max_worker_retries=-1)
+                           max_worker_retries=2)
+
+    def test_no_worker_is_ever_replaced(self):
+        assert not hasattr(Transport, "respawn")
+        assert not hasattr(FaultyTransport, "respawn")
+        for name in ("ExcludeControl", "RefuseRespawn"):
+            assert name not in repro.explore.__all__
+            assert not hasattr(repro.explore, name)

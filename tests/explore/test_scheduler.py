@@ -13,19 +13,18 @@ import pytest
 
 from repro.errors import SymexError
 from repro.explore import (
-    ExcludeControl,
+    FrontierControl,
     ShardScheduler,
     Transport,
     merge_outcomes,
 )
-from repro.explore.scheduler import _Booking
 from repro.explore.shard import (
     MSG_DONATE,
     MSG_DONE,
-    Assignment,
+    ShardOutcome,
     run_assignment,
 )
-from repro.symex.engine import Engine, EngineConfig
+from repro.symex.engine import BFS, Engine, EngineConfig
 from repro.symex.observers import PathObserver
 
 
@@ -75,7 +74,7 @@ def dying_setup(engine, parent_pid):
 def die_once_setup(engine, coordinator_pid, marker):
     """SIGKILLs the first worker process to finish a path — exactly once
     across the whole run, via an O_EXCL marker file — so a recovery run
-    sees one real death and its respawned replacement completes."""
+    sees one real death and the coordinator finishes the walk."""
     def program(ctx):
         for i in range(4):
             ctx.branch(ctx.fresh_bool(f"b{i}"))
@@ -171,20 +170,34 @@ class TestSchedulerValidation:
 
 
 class TestWorkerLossRecovery:
-    def test_sigkilled_worker_recovers_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sigkilled_worker_recovers_byte_identical(self, tmp_path,
+                                                      shards):
         """A real SIGKILL (not an injected fault): with
-        ``on_worker_loss="recover"`` the dead worker's prefixes re-run on
-        a respawned process and the merged result matches the serial
-        engine path-for-path."""
+        ``on_worker_loss="recover"`` the coordinator aborts the fleet and
+        walks the frontier in-process, and the merged result matches the
+        serial engine path-for-path."""
         marker = str(tmp_path / "killed-once")
         args = (os.getpid(), marker)
         serial = _serial(die_once_setup, args)
-        scheduler = ShardScheduler(die_once_setup, args, shards=2,
+        scheduler = ShardScheduler(die_once_setup, args, shards=shards,
                                    seed_factor=1, on_worker_loss="recover")
         sharded = scheduler.run()
         assert os.path.exists(marker), "the kill never fired"
-        assert sharded.worker_failures == 1
-        assert sharded.prefixes_reassigned >= 1
+        assert sharded.worker_failures >= 1
+        assert sharded.recovery_seconds > 0.0
+        assert _signature(sharded.exploration) == _signature(serial)
+        assert sharded.exploration.executed == serial.executed
+
+    def test_every_worker_sigkilled_recovers_byte_identical(self):
+        """Every worker process kills itself on its first path; the
+        in-process walk needs none of them."""
+        args = (os.getpid(),)
+        serial = _serial(dying_setup, args)
+        sharded = ShardScheduler(dying_setup, args, shards=2,
+                                 seed_factor=1,
+                                 on_worker_loss="recover").run()
+        assert sharded.worker_failures >= 1
         assert sharded.recovery_seconds > 0.0
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
@@ -193,48 +206,54 @@ class TestWorkerLossRecovery:
         sharded = ShardScheduler(tree_setup, (4, [100]), shards=2,
                                  on_worker_loss="recover").run()
         assert sharded.worker_failures == 0
-        assert sharded.prefixes_reassigned == 0
         assert sharded.recovery_seconds == 0.0
 
 
-class TestMergeReclaimSoundness:
-    """Reclaiming a dead worker's roots must not re-explore subtrees it
-    had donated — the merge rejects the overlap; ``ExcludeControl``
-    carves the donation out exactly."""
-
-    def test_naive_rerun_of_donated_subtree_rejected_by_merge(self):
+class TestMergeSoundness:
+    def test_overlapping_outcomes_rejected_by_merge(self):
         full = run_assignment(Engine(EngineConfig()), tree_setup, (3,), [()])
-        donated = run_assignment(Engine(EngineConfig()), tree_setup, (3,),
+        subtree = run_assignment(Engine(EngineConfig()), tree_setup, (3,),
                                  [(False,)])
         with pytest.raises(SymexError, match="overlap"):
-            merge_outcomes([full, donated])
+            merge_outcomes([full, subtree])
 
-    def test_exclusion_carves_out_the_donated_subtree(self):
-        """Re-running the dead worker's root with its donation excluded
-        plus the donation's own run merges cleanly into the serial tree.
-        (The excluded prefix ends in False — donations always do, since
-        the worklist holds the not-taken side of each fork.)"""
-        rest = run_assignment(Engine(EngineConfig()), tree_setup, (3,), [()],
-                              control=ExcludeControl(((False,),)))
-        donated = run_assignment(Engine(EngineConfig()), tree_setup, (3,),
-                                 [(False,)])
-        merged = merge_outcomes([rest, donated])
-        serial = _serial(tree_setup, (3,))
+    def test_frontier_walk_merges_with_seed_into_serial_tree(self):
+        """What recovery relies on: the seed outcome plus one walk of
+        the whole seeded frontier is exactly the serial tree."""
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, 3, [100])
+        seed = engine.explore(program, control=FrontierControl(4), order=BFS)
+        assert seed.frontier
+        seed_outcome = ShardOutcome(executed=seed.executed,
+                                    paths=seed.paths, stats=seed.stats)
+        walk = run_assignment(
+            Engine(EngineConfig(), query_cache=engine.query_cache),
+            tree_setup, (3, [100]), list(seed.frontier))
+        merged = merge_outcomes([seed_outcome, walk])
+        serial = _serial(tree_setup, (3, [100]))
         assert _signature(merged.exploration) == _signature(serial)
         assert merged.exploration.executed == serial.executed
 
 
-class _DonateRootThenDieTransport(Transport):
-    """Inline transport scripting one exact schedule: worker 0's first
-    multi-root assignment donates an *untouched whole root* back to the
-    coordinator, then the worker dies silently (no DONE, no error frame
-    — ``alive()`` just turns False, like a SIGKILL). Every other
-    assignment — including the respawned slot's — runs synchronously
-    in-process, so the schedule is fully deterministic."""
+class _InlineTransport(Transport):
+    """Runs every assignment synchronously in-process, so a schedule is
+    fully deterministic. Two scripted faults:
 
-    def __init__(self):
+    * ``donate_then_die``: worker 0's first multi-root assignment
+      donates an *untouched whole root* back to the coordinator, then
+      the worker dies silently (no DONE, no error frame — ``alive()``
+      just turns False, like a SIGKILL).
+    * ``unreachable``: assignments to these workers bounce.
+    """
+
+    def __init__(self, donate_then_die=False, unreachable=()):
+        self.donate_then_die = donate_then_die
+        self.unreachable = set(unreachable)
         self.inbox = deque()
         self.donated = None
+        self.ran = []
+        self.aborted = False
+        self.stopped = False
         self._session = None
         self._alive = {}
 
@@ -243,20 +262,21 @@ class _DonateRootThenDieTransport(Transport):
         self._session = session
         self._alive = {wid: True for wid in range(count)}
 
-    def assign(self, wid, prefixes):
-        assignment = (prefixes if isinstance(prefixes, Assignment)
-                      else Assignment(roots=tuple(prefixes)))
-        if wid == 0 and self.donated is None and len(assignment.roots) > 1:
+    def assign(self, wid, assignment):
+        if wid in self.unreachable:
+            raise SymexError(f"shard worker {self.describe(wid)} is "
+                             "unreachable")
+        if (self.donate_then_die and wid == 0 and self.donated is None
+                and len(assignment.roots) > 1):
             self.donated = assignment.roots[-1]
             self.inbox.append((MSG_DONATE, wid, [self.donated]))
             self._alive[wid] = False
             return
-        engine = Engine(self._session.engine_config)
-        control = (ExcludeControl(assignment.exclude)
-                   if assignment.exclude else None)
-        outcome = run_assignment(engine, self._session.setup,
+        self.ran.append(wid)
+        outcome = run_assignment(Engine(self._session.engine_config),
+                                 self._session.setup,
                                  self._session.setup_args,
-                                 list(assignment.roots), control)
+                                 list(assignment.roots))
         self.inbox.append((MSG_DONE, wid, outcome))
 
     def request_steal(self, wid):
@@ -273,85 +293,92 @@ class _DonateRootThenDieTransport(Transport):
     def alive(self, wid):
         return self._alive.get(wid, True)
 
-    def respawn(self, wid):
-        self._alive[wid] = True
-        return True
-
     def describe(self, wid):
         return f"inline worker {wid}"
 
     def stop(self):
-        pass
+        self.stopped = True
+
+    def abort(self):
+        self.aborted = True
 
 
-class TestReclaimAfterDonation:
-    def test_donated_whole_root_is_not_requeued_on_recovery(self):
-        """The uncovered schedule from the review: a worker donates an
-        untouched root of its multi-root assignment, *then* dies. The
-        reclaim must skip that root — its subtree already ran via the
-        donation — or the merge rejects the overlap and the run crashes
-        despite on_worker_loss='recover'."""
-        args = (4, [100])
-        serial = _serial(tree_setup, args)
-        transport = _DonateRootThenDieTransport()
-        scheduler = ShardScheduler(tree_setup, args, shards=2,
-                                   seed_factor=2, transport=transport,
-                                   on_worker_loss="recover")
-        sharded = scheduler.run()
+class TestInProcessRecovery:
+    ARGS = (4, [100])
+
+    def _run(self, transport, policy="recover"):
+        return ShardScheduler(tree_setup, self.ARGS, shards=2,
+                              seed_factor=2, transport=transport,
+                              on_worker_loss=policy).run()
+
+    def test_donated_whole_root_then_death_matches_serial(self):
+        """A worker donates an untouched root of its multi-root
+        assignment, *then* dies. The in-process walk replaces every
+        shard outcome, so nothing is explored twice."""
+        transport = _InlineTransport(donate_then_die=True)
+        sharded = self._run(transport)
         assert transport.donated is not None, "the scripted donation " \
             "never fired (assignment held a single root?)"
-        assert sharded.worker_failures == 1
         assert sharded.steals == 1
+        assert sharded.worker_failures == 1
+        assert transport.aborted and not transport.stopped
+        serial = _serial(tree_setup, self.ARGS)
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
 
-    def test_recover_skips_fully_donated_root(self):
-        """Unit-level pin: a booking root equal to (or inside) a donated
-        subtree must not come back as pending work, and must not count
-        as reassigned."""
-        scheduler = ShardScheduler(tree_setup, (3,), shards=2,
-                                   on_worker_loss="recover",
-                                   max_worker_retries=0)
-        pending = deque()
-        active = {0, 1}
-        assigned = {0: _Booking(roots=[(False,), (True,)],
-                                exclude=[(True,), (False, True)])}
-        scheduler._recover(0, pending, idle=set(), active=active,
-                           assigned=assigned, steal_pending=set(),
-                           retries={0: 0, 1: 0})
-        # (True,) was donated whole — it belongs to its new owner; only
-        # (False,) returns, minus its own donated (False, True) subtree.
-        assert list(pending) == [((False,), ((False, True),))]
-        assert scheduler._prefixes_reassigned == 1
-        assert 0 not in active  # zero retries: the slot is written off
+    def test_unreachable_worker_finishes_in_process(self):
+        transport = _InlineTransport(unreachable={0})
+        sharded = self._run(transport)
+        assert sharded.worker_failures == 1
+        assert sharded.recovery_seconds > 0.0
+        assert transport.aborted and not transport.stopped
+        serial = _serial(tree_setup, self.ARGS)
+        assert _signature(sharded.exploration) == _signature(serial)
+        assert sharded.exploration.executed == serial.executed
+
+    def test_unreachable_worker_fails_naming_it(self):
+        transport = _InlineTransport(unreachable={1})
+        with pytest.raises(SymexError, match="inline worker 1"):
+            self._run(transport, policy="fail")
+        assert transport.aborted
+
+    def test_clean_run_stops_the_fleet_gracefully(self):
+        transport = _InlineTransport()
+        sharded = self._run(transport)
+        assert sharded.worker_failures == 0
+        assert transport.stopped and not transport.aborted
+        assert sorted(set(transport.ran)) == [0, 1]
 
 
-class TestTakeBatchDeduplication:
-    def test_duplicate_roots_collapse_with_exclusions_merged(self):
-        """Two pending entries for the same root (a double-enqueued
-        reclaim) must not both seed one worker's worklist; the
-        duplicate's exclusions still mark subtrees owned elsewhere."""
-        pending = deque([((False,), ()), ((False,), ((False, True),))])
-        booking = ShardScheduler._take_batch(pending, 2)
-        assert booking.roots == [(False,)]
-        assert booking.exclude == [(False, True)]
-        assert not pending
+class _RecordingTransport(Transport):
+    def __init__(self):
+        self.assigned = {}
 
-    def test_entry_carved_out_by_batch_exclusion_is_deferred_not_dropped(
-            self):
-        """The legitimate nesting: the batch explores () minus (False,),
-        and the (False,) entry is someone's donated region — it must be
-        deferred to its own batch, never silently dropped."""
-        pending = deque([((), ((False,),)), ((False,), ())])
-        booking = ShardScheduler._take_batch(pending, 2)
-        assert booking.roots == [()]
-        assert booking.exclude == [(False,)]
-        assert list(pending) == [((False,), ())]
+    def assign(self, wid, assignment):
+        self.assigned[wid] = assignment.roots
 
-    def test_root_containing_an_accepted_root_is_deferred(self):
-        """The other overlap direction: a candidate whose subtree
-        contains an already-accepted root would double-seed it."""
-        pending = deque([((False, True), ()), ((False,), ())])
-        booking = ShardScheduler._take_batch(pending, 2)
-        assert booking.roots == [(False, True)]
-        assert list(pending) == [((False,), ())]
+
+class TestAssign:
+    def _assign(self, pending, idle):
+        transport = _RecordingTransport()
+        scheduler = ShardScheduler(tree_setup, (3,), shards=len(idle),
+                                   transport=transport)
+        queue = deque(pending)
+        idle = set(idle)
+        assigned = {}
+        assert scheduler._assign(queue, idle, assigned) == []
+        assert not queue
+        assert assigned == transport.assigned
+        return assigned, idle
+
+    def test_pending_splits_evenly_in_queue_order(self):
+        prefixes = [(True, True), (True, False), (False, True),
+                    (False, False), (False,)]
+        assigned, idle = self._assign(prefixes, {0, 1})
+        assert assigned == {0: tuple(prefixes[:3]), 1: tuple(prefixes[3:])}
+        assert idle == set()
+
+    def test_surplus_workers_stay_idle(self):
+        assigned, idle = self._assign([(False,)], {0, 1, 2})
+        assert assigned == {0: ((False,),)}
+        assert idle == {1, 2}

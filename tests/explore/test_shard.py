@@ -112,6 +112,24 @@ class TestStealControl:
         assert len(worklist) == 2
 
 
+class TestControlEmptiesWorklist:
+    def test_handing_away_every_pending_entry_ends_the_walk(self):
+        """A control may harvest the whole worklist mid-walk; the engine
+        stops there instead of popping from an empty worklist."""
+        class TakeForks:
+            """Leaves the root, hands away every fork prefix."""
+
+            def checkpoint(self, worklist):
+                if () not in worklist:
+                    worklist.clear()
+                return True
+
+        result = Engine(EngineConfig()).explore(_tree_program(1),
+                                                control=TakeForks())
+        assert [p.decisions for p in result.paths] == [(True,)]
+        assert result.frontier == ()
+
+
 class TestMergeOutcomes:
     def test_renumbers_canonically_regardless_of_outcome_order(self):
         serial = Engine(EngineConfig()).explore(_chain_program([40, 90, 180]))

@@ -18,7 +18,6 @@ from repro.explore.shard import (
     MSG_ERROR,
     MSG_HEARTBEAT,
     Assignment,
-    extends,
     shard_worker,
 )
 from repro.explore.transport import WorkerSession
@@ -58,6 +57,11 @@ def _serial(setup=tree_setup, args=TREE_ARGS, roots=None):
     engine = Engine(EngineConfig())
     program, observer = setup(engine, *args)
     return engine.explore(program, observer, roots=roots)
+
+
+def _within(prefix, root):
+    """True when ``prefix`` lies inside ``root``'s subtree."""
+    return prefix[:len(root)] == root
 
 
 def _decisions(paths):
@@ -111,25 +115,20 @@ class TestTasks:
         [outcome] = _outcomes(_run([Assignment(roots)]))
         assert outcome.paths
         for path in outcome.paths:
-            assert any(extends(path.decisions, root) for root in roots)
+            assert any(_within(path.decisions, root) for root in roots)
         assert _decisions(outcome.paths) == _decisions(
             _serial(roots=list(roots)).paths)
 
-    def test_exclusions_are_carved_out(self):
-        excluded = (True, False)
-        [outcome] = _outcomes(_run([Assignment(((),), (excluded,))]))
-        assert not any(extends(p.decisions, excluded)
-                       for p in outcome.paths)
-        kept = [p for p in _serial().paths
-                if not extends(p.decisions, excluded)]
-        assert _decisions(outcome.paths) == _decisions(kept)
+    def test_an_assignment_is_just_its_roots(self):
+        with pytest.raises(TypeError):
+            Assignment(((),), ((True, False),))
 
     def test_one_done_message_per_assignment_in_order(self):
         roots = [((True,),), ((False,),)]
         outcomes = _outcomes(_run([Assignment(r) for r in roots]))
         assert len(outcomes) == 2
         for outcome, (root,) in zip(outcomes, roots):
-            assert all(extends(p.decisions, root) for p in outcome.paths)
+            assert all(_within(p.decisions, root) for p in outcome.paths)
 
     def test_bare_prefix_list_is_not_a_task(self):
         """``Assignment`` is the only task type."""

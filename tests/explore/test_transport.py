@@ -79,10 +79,9 @@ class TestTransportInterface:
             transport.recv(0.1)
         assert transport.describe(3) == "worker 3"
 
-    def test_respawn_defaults_to_unsupported(self):
-        """A transport that can't replace workers says so by returning
-        False — the scheduler then spreads work over the survivors."""
-        assert Transport().respawn(0) is False
+    def test_no_transport_replaces_a_worker(self):
+        """A lost worker ends the fleet; nothing respawns it."""
+        assert not hasattr(LocalTransport, "respawn")
 
 
 def tiny_setup(engine):
@@ -120,11 +119,9 @@ class TestLocalTransportLifecycle:
         transport.stop()
         transport.stop()
 
-    def test_respawn_replaces_a_dead_worker(self):
-        """Terminate a worker process outright, respawn its slot, and
-        the replacement serves a fresh assignment — while any stray
-        message from the terminated predecessor is dropped (the slot
-        indirection), never surfacing under the respawned wid."""
+    def test_terminated_worker_reads_dead_while_survivor_serves(self):
+        """Terminate one worker process outright: ``alive`` reports it,
+        and the other worker still serves a fresh assignment."""
         from repro.explore import WorkerSession
         from repro.explore.shard import MSG_DONE
 
@@ -132,17 +129,12 @@ class TestLocalTransportLifecycle:
         transport.start(2, WorkerSession(setup=tiny_setup,
                                          engine_config=EngineConfig()))
         try:
-            victim = transport._workers[transport._slot_of_wid[0]]
+            victim = transport._workers[0]
             victim.terminate()
             victim.join(timeout=10)
-            for _ in range(200):
-                if not transport.alive(0):
-                    break
             assert not transport.alive(0)
             assert transport.alive(1)
-            assert transport.respawn(0) is True
-            assert transport.alive(0)
-            transport.assign(0, Assignment(((),)))
+            transport.assign(1, Assignment(((),)))
             message = None
             for _ in range(500):
                 message = transport.recv(0.05)
@@ -150,7 +142,7 @@ class TestLocalTransportLifecycle:
                     break
             assert message is not None
             kind, wid, outcome = message
-            assert (kind, wid) == (MSG_DONE, 0)
+            assert (kind, wid) == (MSG_DONE, 1)
             assert len(outcome.paths) == 2
         finally:
             transport.stop()
@@ -198,15 +190,6 @@ class TestLocalTransportMessaging:
         finally:
             transport.stop()
 
-    def test_exclusions_cross_the_process_boundary(self):
-        transport = _started(1)
-        try:
-            transport.assign(0, Assignment(((),), ((False,),)))
-            _, _, outcome = _next_message(transport)
-            assert [p.decisions for p in outcome.paths] == [(True,)]
-        finally:
-            transport.stop()
-
     def test_recv_times_out_with_none_when_idle(self):
         transport = _started(1)
         try:
@@ -219,8 +202,8 @@ class TestLocalTransportMessaging:
         try:
             transport.request_steal(1)
             flags = transport._steal_flags
-            assert not flags[transport._slot_of_wid[0]].is_set()
-            assert flags[transport._slot_of_wid[1]].is_set()
+            assert not flags[0].is_set()
+            assert flags[1].is_set()
         finally:
             transport.stop()
 
@@ -229,59 +212,7 @@ class TestLocalTransportMessaging:
         try:
             transport.request_steal(0)
             transport.acknowledge_done(0)
-            assert not transport._steal_flags[
-                transport._slot_of_wid[0]].is_set()
-        finally:
-            transport.stop()
-
-
-class TestLocalTransportRespawn:
-    def _kill(self, transport, wid):
-        victim = transport._workers[transport._slot_of_wid[wid]]
-        victim.terminate()
-        victim.join(timeout=10)
-        return victim
-
-    def test_retired_slot_messages_are_dropped(self):
-        """A message the dead predecessor left in the shared result
-        queue must never be credited to its replacement."""
-        from repro.explore.shard import MSG_DONE
-
-        transport = _started(1)
-        try:
-            old_slot = transport._slot_of_wid[0]
-            self._kill(transport, 0)
-            assert transport.respawn(0) is True
-            transport._result_queue.put((MSG_DONE, old_slot, "stale"))
-            assert transport.recv(0.5) is None
-            transport.assign(0, Assignment(((),)))
-            kind, wid, outcome = _next_message(transport)
-            assert (kind, wid) == (MSG_DONE, 0)
-            assert outcome != "stale"
-        finally:
-            transport.stop()
-
-    def test_replacement_is_a_new_process(self):
-        transport = _started(2)
-        try:
-            victim = self._kill(transport, 0)
-            survivor = transport.describe(1)
-            assert transport.respawn(0) is True
-            assert f"pid {victim.pid}" not in transport.describe(0)
-            assert transport.describe(1) == survivor
-        finally:
-            transport.stop()
-
-    def test_respawn_terminates_a_worker_declared_dead_while_alive(self):
-        """The scheduler's verdict (an injected fault) may condemn a
-        live process; respawn makes the verdict true before replacing
-        it."""
-        transport = _started(1)
-        try:
-            condemned = transport._workers[transport._slot_of_wid[0]]
-            assert transport.respawn(0) is True
-            assert not condemned.is_alive()
-            assert transport.alive(0)
+            assert not transport._steal_flags[0].is_set()
         finally:
             transport.stop()
 

@@ -167,9 +167,9 @@ class TestMerge:
         permuted = {1: deltas[1], 0: deltas[0]}  # reversed insertion order
         assert merge_traces(coord, deltas) == merge_traces(coord, permuted)
 
-    def test_respawned_worker_seq_restart_cannot_collide(self):
-        # Two deltas from the same wid both starting at seq 0 (a respawn
-        # restarts the local counter) renumber into one gapless range.
+    def test_restarted_seq_counters_cannot_collide(self):
+        # Two deltas from the same wid both starting at seq 0 renumber
+        # into one gapless range.
         deltas = {0: [_delta("worker", ["a", "b"], seq_start=0),
                       _delta("worker", ["c"], seq_start=0)]}
         merged = merge_traces([], deltas)

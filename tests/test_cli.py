@@ -86,10 +86,10 @@ def captured(monkeypatch):
 SHARED_FLAGS = ["--shards", "3", "--on-worker-loss", "recover",
                 "--search-order", "bfs", "--max-paths", "7", "--progress"]
 
-#: AchillesConfig fields no flag sets: the system's own description, the
-#: worker retry budget and the transport test seam.
+#: AchillesConfig fields no flag sets: the system's own description and
+#: the transport test seam.
 UNFLAGGED = {"layout", "mask", "optimizations", "destination", "msg_name",
-             "max_worker_retries", "transport"}
+             "transport"}
 
 
 class TestFlagsReachTheConfig:
