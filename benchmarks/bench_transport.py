@@ -81,12 +81,12 @@ def test_cache_snapshot_cuts_duplicate_queries(benchmark, json_artifact):
 def test_recovery_overhead(benchmark, artifact, json_artifact):
     """What a mid-run worker loss costs under ``on_worker_loss="recover"``.
 
-    The same FSP search three ways — serial, fault-free at shards=2, and
-    shards=2 with one worker killed before its first result (the
-    coordinator then aborts the fleet and walks the frontier
-    in-process). Findings must be byte-identical in all three (the
+    The same FSP search four ways — serial, fault-free at shards=2, and
+    shards=2 with one worker killed before or after its first result
+    (the coordinator then aborts the fleet and walks the frontier
+    in-process). Findings must be byte-identical in all four (the
     robustness criterion); the JSON records each server-search wall
-    clock and the recovery share of the faulted one.
+    clock and the recovery share of the faulted ones.
     """
     from repro.explore import (FaultPlan, FaultyTransport, KillWorker,
                                LocalTransport)
@@ -96,34 +96,46 @@ def test_recovery_overhead(benchmark, artifact, json_artifact):
     serial_report, serial_seconds = _run_fsp(1)
     clean_report, clean_seconds = _run_fsp(2, on_worker_loss="recover")
 
-    faulty = FaultyTransport(LocalTransport(),
-                             FaultPlan(KillWorker(0, after_results=0)))
-    faulted_report, faulted_seconds = _run_fsp(2, transport=faulty,
-                                               on_worker_loss="recover")
+    def faulted_run(after_results: int):
+        faulty = FaultyTransport(
+            LocalTransport(), FaultPlan(KillWorker(0, after_results)))
+        report, seconds = _run_fsp(2, transport=faulty,
+                                   on_worker_loss="recover")
+        # The fault must actually have fired, and been accounted for.
+        assert faulty.injected_kills == 1
+        assert report.worker_failures == 1
+        return report, seconds
+
+    faulted_report, faulted_seconds = faulted_run(0)
+    late_report, late_seconds = faulted_run(1)
 
     # Byte-identical findings with and without injected faults.
     assert clean_report.witnesses() == serial_report.witnesses()
     assert faulted_report.witnesses() == serial_report.witnesses()
-    # The fault must actually have fired, and been accounted for.
-    assert faulty.injected_kills == 1
-    assert faulted_report.worker_failures == 1
+    assert late_report.witnesses() == serial_report.witnesses()
     assert clean_report.worker_failures == 0
 
     rows = [
         ["serial (shards=1)", f"{serial_seconds:.2f}s", "-"],
         ["fault-free (shards=2)", f"{clean_seconds:.2f}s", "-"],
-        ["1 worker killed (shards=2)", f"{faulted_seconds:.2f}s",
+        ["worker killed before its first result (shards=2)",
+         f"{faulted_seconds:.2f}s",
          f"{faulted_report.recovery_seconds:.3f}s"],
+        ["worker killed after its first result (shards=2)",
+         f"{late_seconds:.2f}s", f"{late_report.recovery_seconds:.3f}s"],
     ]
     artifact("recovery_overhead", format_table(
         ["Configuration", "Server search", "Recovery"],
         rows, title="Worker-loss recovery overhead, FSP 4-utility subset"))
     json_artifact("recovery", {
-        "workload": "FSP 4-utility subset, shards=2, KillWorker(0)",
+        "workload": ("FSP 4-utility subset, shards=2, KillWorker(0) with "
+                     "after_results=0 and 1"),
         "serial_seconds": round(serial_seconds, 4),
         "fault_free_seconds": round(clean_seconds, 4),
         "faulted_seconds": round(faulted_seconds, 4),
         "recovery_seconds": round(faulted_report.recovery_seconds, 4),
+        "late_faulted_seconds": round(late_seconds, 4),
+        "late_recovery_seconds": round(late_report.recovery_seconds, 4),
         "worker_failures": faulted_report.worker_failures,
         "parity": True,
     })

@@ -21,9 +21,11 @@ assignment; ``"recover"`` tears the fleet down, drops every shard
 outcome received so far and walks the whole seeded frontier in-process.
 Because every path replays from the root and the merge renumbers
 canonically, that walk yields byte-identical findings — recovery costs
-wall clock, never correctness. Shards do not beat the serial walk on a
-small host, so finishing in-process costs about what a replacement
-fleet would, with no bookkeeping of who explored what.
+wall clock, never correctness. A loss costs the fleet's time up to it
+plus one serial walk of the frontier, and nothing tracks who explored
+what. On the FSP subset in ``benchmarks/bench_transport.py`` (2-core
+host), a loss before any result finishes in about the serial time and a
+loss after the first result in about 1.5x it.
 """
 
 from __future__ import annotations
@@ -423,8 +425,12 @@ class ShardScheduler:
                         roots=len(frontier)):
             engine = Engine(self.engine_config,
                             query_cache=self.engine.query_cache)
+            control = None
+            if self.progress is not None:
+                self.progress.fleet_lost(len(dead))
+                control = self.progress.serial_control(engine)
             outcome = run_assignment(engine, self.setup, self.setup_args,
-                                     frontier)
+                                     frontier, control=control)
         # The shared cache already books this walk's lookups on the
         # coordinator's own stats; folding them in again would count
         # every lookup twice.

@@ -43,6 +43,14 @@ class ProgressMeter:
         """Update coordinator-side fields (pending, busy, steals...)."""
         self.coordinator.update(fields)
 
+    def fleet_lost(self, failures: int) -> None:
+        """The fleet was torn down: forget its gauges and fleet counts
+        (its work is dropped) and show how many workers were lost."""
+        self._fleet.clear()
+        for key in ("workers", "busy", "pending"):
+            self.coordinator.pop(key, None)
+        self.coordinator["failures"] = failures
+
     # -- rendering ------------------------------------------------------
 
     def _totals(self) -> dict:

@@ -44,13 +44,19 @@ class TestParallelismValidation:
         with pytest.raises(AchillesError, match="on_worker_loss"):
             AchillesConfig(layout=TOY_LAYOUT, on_worker_loss="shrug")
 
-    def test_retry_budget_is_not_a_field(self):
+    def test_retry_budget_is_gone(self):
+        """Neither the config nor the scheduler takes a retry budget."""
         import dataclasses
+
+        from repro.explore import ShardScheduler
 
         names = {f.name for f in dataclasses.fields(AchillesConfig)}
         assert "max_worker_retries" not in names
         with pytest.raises(TypeError, match="max_worker_retries"):
             AchillesConfig(layout=TOY_LAYOUT, max_worker_retries=0)
+        with pytest.raises(TypeError, match="max_worker_retries"):
+            ShardScheduler(lambda engine: (None, None), (), shards=2,
+                           max_worker_retries=2)
 
     def test_recovery_policy_accepted(self):
         config = AchillesConfig(layout=TOY_LAYOUT, shards=2,

@@ -193,24 +193,8 @@ class TestFaultyTransportSemantics:
 TREE_ARGS = (4, [30, 200])
 
 
-class _RecordingLocalTransport(LocalTransport):
-    """A real local fleet that records how it was torn down."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def stop(self):
-        self.calls.append("stop")
-        super().stop()
-
-    def abort(self):
-        self.calls.append("abort")
-        super().abort()
-
-
-def _recover_run(plan, shards=2, seed_factor=2, inner=None):
-    faulty = FaultyTransport(inner or LocalTransport(), plan)
+def _recover_run(plan, shards=2, seed_factor=2):
+    faulty = FaultyTransport(LocalTransport(), plan)
     scheduler = ShardScheduler(tree_setup, TREE_ARGS, shards=shards,
                                seed_factor=seed_factor, transport=faulty,
                                on_worker_loss="recover")
@@ -236,15 +220,6 @@ class TestRecoveryParity:
         assert sharded.recovery_seconds > 0.0
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
-
-    def test_recovery_aborts_the_real_fleet(self):
-        """The fault wrapper forwards the abort, so the local workers are
-        terminated rather than drained."""
-        inner = _RecordingLocalTransport()
-        sharded, faulty = _recover_run(
-            FaultPlan(KillWorker(0, after_results=0)), inner=inner)
-        assert sharded.worker_failures == 1
-        assert inner.calls == ["abort"]
 
     def test_every_worker_severed_recovers_byte_identical(self):
         serial = _serial(tree_setup, TREE_ARGS)
@@ -315,14 +290,13 @@ class TestSchedulerPolicyValidation:
             ShardScheduler(tree_setup, TREE_ARGS, shards=2,
                            on_worker_loss="retry-forever")
 
-    def test_retry_budget_is_gone(self):
-        with pytest.raises(TypeError, match="max_worker_retries"):
-            ShardScheduler(tree_setup, TREE_ARGS, shards=2,
-                           max_worker_retries=2)
+    @pytest.mark.parametrize(
+        "transport", [Transport, LocalTransport, FaultyTransport])
+    def test_no_worker_is_ever_replaced(self, transport):
+        """A lost worker ends the fleet; nothing respawns it."""
+        assert not hasattr(transport, "respawn")
 
-    def test_no_worker_is_ever_replaced(self):
-        assert not hasattr(Transport, "respawn")
-        assert not hasattr(FaultyTransport, "respawn")
+    def test_no_exclusion_or_respawn_exports(self):
         for name in ("ExcludeControl", "RefuseRespawn"):
             assert name not in repro.explore.__all__
             assert not hasattr(repro.explore, name)

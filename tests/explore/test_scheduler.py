@@ -5,6 +5,7 @@ scheduler can ship them to worker processes under any multiprocessing
 start method.
 """
 
+import io
 import os
 import signal
 from collections import deque
@@ -24,6 +25,7 @@ from repro.explore.shard import (
     ShardOutcome,
     run_assignment,
 )
+from repro.obs.progress import ProgressMeter
 from repro.symex.engine import BFS, Engine, EngineConfig
 from repro.symex.observers import PathObserver
 
@@ -184,7 +186,7 @@ class TestWorkerLossRecovery:
                                    seed_factor=1, on_worker_loss="recover")
         sharded = scheduler.run()
         assert os.path.exists(marker), "the kill never fired"
-        assert sharded.worker_failures >= 1
+        assert sharded.worker_failures == 1
         assert sharded.recovery_seconds > 0.0
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
@@ -335,6 +337,25 @@ class TestInProcessRecovery:
         serial = _serial(tree_setup, self.ARGS)
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
+
+    def test_progress_follows_the_in_process_walk(self):
+        """With ``--progress`` the meter keeps rendering through the
+        walk, fed by it rather than by the dead fleet's gauges."""
+        stream = io.StringIO()
+        meter = ProgressMeter(stream=stream, interval=0.0)
+        meter.heartbeat(0, {"paths": 999, "worklist": 5})
+        sharded = ShardScheduler(tree_setup, self.ARGS, shards=2,
+                                 seed_factor=2,
+                                 transport=_InlineTransport(unreachable={0}),
+                                 on_worker_loss="recover",
+                                 progress=meter).run()
+        assert sharded.worker_failures == 1
+        lines = stream.getvalue().splitlines()
+        assert len(lines) > 1, "the walk never rendered"
+        last = lines[-1]
+        assert "paths=999" not in last and "paths=0 " not in last
+        assert "failures=1" in last
+        assert "workers=" not in last
 
     def test_unreachable_worker_fails_naming_it(self):
         transport = _InlineTransport(unreachable={1})

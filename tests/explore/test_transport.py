@@ -79,10 +79,6 @@ class TestTransportInterface:
             transport.recv(0.1)
         assert transport.describe(3) == "worker 3"
 
-    def test_no_transport_replaces_a_worker(self):
-        """A lost worker ends the fleet; nothing respawns it."""
-        assert not hasattr(LocalTransport, "respawn")
-
 
 def tiny_setup(engine):
     def program(ctx):
