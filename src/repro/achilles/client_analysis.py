@@ -7,8 +7,9 @@ captured ``(payload, constraints)`` pair becomes one
 :class:`~repro.achilles.predicates.ClientPathPredicate`.
 
 The pre-processing step (§3) then de-duplicates structurally identical
-predicates, precomputes the per-predicate negations, and builds the
-``differentFrom`` matrix.
+predicates, precomputes the per-predicate negations, and sets up the
+``differentFrom`` matrix, whose entries the server search computes on
+demand.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class ClientPredicateSet:
         predicates: de-duplicated client path predicates; indices are
             contiguous and match ``predicates[i].index == i``.
         negations: ``negate(pathC_i)`` per predicate (§3.2), precomputed.
-        different_from: the §3.3 matrix.
+        different_from: the §3.3 matrix (entries computed on lookup).
         stats: extraction/pre-processing counters.
     """
 
@@ -129,21 +130,18 @@ def preprocess(predicates: list[ClientPathPredicate],
                mask: FieldMask | None = None,
                solver: Solver | None = None,
                stats: ClientAnalysisStats | None = None,
-               build_difference: bool = True,
                service: SolverService | None = None) -> ClientPredicateSet:
-    """Pre-compute negations and the ``differentFrom`` matrix (§3, §3.3).
+    """Pre-compute negations and set up the ``differentFrom`` matrix (§3).
 
-    All pre-processing probes flow through one
-    :class:`~repro.solver.service.SolverService`: the per-field negation
-    overlap checks and the pairwise matrix entries are independent
-    queries, batched per predicate. Both families share the service's
-    single incremental frame stack (the ``pred.combined(server_msg)``
-    prefix propagates once per predicate, whichever family probes it
-    first).
+    The per-field negation overlap checks are independent queries,
+    batched per predicate through one
+    :class:`~repro.solver.service.SolverService`; each predicate's
+    ``pred.combined(server_msg)`` prefix propagates once on its frame
+    stack.
 
-    The surviving per-field negation expressions computed for
-    ``negations`` are handed to :class:`DifferentFrom` directly, so the
-    matrix no longer re-runs (and re-verifies) the negate operator.
+    The matrix poses no query here: it keeps the surviving negations and
+    computes each entry on the solver ``solver`` the first time the
+    server search looks it up.
     """
     mask = mask or FieldMask.none()
     mask.validate(layout)
@@ -155,20 +153,8 @@ def preprocess(predicates: list[ClientPathPredicate],
     negations = [negate_predicate(p, server_msg, mask, solver,
                                   service=service)
                  for p in predicates]
-    if build_difference:
-        field_negations: dict[tuple[int, str], Expr | None] = {
-            (pred.index, field): None
-            for pred in predicates for field in mask.visible_fields(layout)}
-        for negation in negations:
-            for disjunct in negation.disjuncts:
-                field_negations[(negation.pred_index, disjunct.field)] = (
-                    disjunct.expr)
-        different = DifferentFrom(predicates, server_msg, mask, solver,
-                                  service=service,
-                                  field_negations=field_negations)
-    else:
-        different = DifferentFrom([], server_msg, mask, solver,
-                                  service=service)
+    different = DifferentFrom(predicates, server_msg, mask, solver,
+                              negations)
     stats.preprocess_seconds = time.perf_counter() - started
     return ClientPredicateSet(layout, predicates, negations, different, stats)
 

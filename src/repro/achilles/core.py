@@ -11,7 +11,7 @@ Usage::
         print(finding.witness_fields(FSP_LAYOUT))
 
 ``run`` executes phase 1 (client predicate extraction), the pre-processing
-step (de-duplication, negations, ``differentFrom``), and phase 2 (server
+step (de-duplication, negations), and phase 2 (server
 exploration with incremental Trojan search), reporting the wall-clock
 split the paper quotes in §6.2.
 
@@ -31,9 +31,11 @@ pipeline is canonicalize → shared query cache (identical queries) →
 per-engine frame stack (prefix-sharing queries reuse interval-propagation
 fixpoints; ``frames_reused`` / ``propagation_seconds`` on the report) →
 from-scratch search for whatever remains. Pre-processing batches its
-independent probes (the negation overlap checks and the ``differentFrom``
-matrix) through one :class:`~repro.solver.service.SolverService`, whose
-single frame stack both families share.
+negation overlap checks through one
+:class:`~repro.solver.service.SolverService`. The ``differentFrom``
+matrix computes an entry only when the server search first reads it, on
+one frame stack per matrix row and on pre-processing's solver, so its
+queries stay out of ``report.solver_queries``.
 
 The one parallelism knob is ``AchillesConfig.shards``: it partitions the
 phase-2 path tree across local worker processes (:mod:`repro.explore`).
@@ -187,11 +189,8 @@ class Achilles:
             raise AchillesError(
                 "no client messages captured; check the destination filter "
                 "and that the clients reach ctx.send()")
-        result = preprocess(
-            predicates, self.config.layout, self.server_msg,
-            self.config.mask, Solver(), stats,
-            build_difference=self.config.optimizations.use_different_from)
-        return result
+        return preprocess(predicates, self.config.layout, self.server_msg,
+                          self.config.mask, Solver(), stats)
 
     def search(self, server: ServerProgram,
                clients: ClientPredicateSet) -> AchillesReport:

@@ -147,8 +147,7 @@ def negate_predicate(pred: ClientPathPredicate,
     When a :class:`~repro.solver.service.SolverService` is given, the §4.1
     overlap checks for all fields go out as one probe batch against the
     shared ``pred.combined(server_msg)`` prefix, riding the service's
-    incremental frame stack (the same one the ``differentFrom`` matrix
-    probes). Answers are identical either way.
+    incremental frame stack. Answers are identical either way.
     """
     mask = mask or FieldMask.none()
     candidates = []

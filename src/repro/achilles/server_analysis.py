@@ -65,7 +65,7 @@ class OptimizationFlags:
         incremental_drop: track per-path live predicate lists, dropping
             predicates whose combination with the path became unsat.
         use_different_from: on a single-field drop, also drop everything
-            the precomputed matrix proves redundant.
+            the ``differentFrom`` matrix proves redundant.
         prune_unreachable: abandon server paths whose Trojan query is
             unsat ("as soon as an execution path cannot be triggered by
             any Trojan messages, it is dropped from the exploration").
@@ -285,10 +285,12 @@ class TrojanSearchObserver(PathObserver):
             constraint_field = single_field_of(
                 constraint, self._server_msg, self._clients.layout)
             if constraint_field is not None:
+                # Only entries about still-kept predicates can change the
+                # live set, so only those are looked up (and computed).
                 for index in dropped_now:
                     kept.difference_update(
                         self._clients.different_from.droppable_with(
-                            index, constraint_field))
+                            index, constraint_field, kept))
         return frozenset(kept)
 
     def _negation_query(self, live: frozenset[int]) -> tuple[Expr, ...]:

@@ -1,9 +1,9 @@
 """Batched solver dispatch: one surface for bulk independent queries.
 
-Two Achilles hot loops the paper calls embarrassingly parallel (§3.3) —
-the pairwise ``differentFrom`` matrix and the per-predicate/per-field
-negation probes — pose *independent* queries in bulk. :class:`SolverService`
-gives them one batched surface:
+Pre-processing poses its per-predicate/per-field negation overlap probes
+(§4.1) as *independent* queries in bulk, and the solver-stack
+conformance oracle checks whole query lists. :class:`SolverService`
+gives both one batched surface:
 
 * :meth:`SolverService.probe_batch` — feasibility of ``prefix + probe_i``
   for many probes against one shared prefix (the push/pop shape);
@@ -11,11 +11,11 @@ gives them one batched surface:
   model) for each of many independent constraint conjunctions.
 
 Both run in-process on one shared
-:class:`~repro.solver.incremental.IncrementalSolver`, so callers that probe
-the same prefix (the negate overlap checks and the ``differentFrom``
-matrix) ride the same propagation frames. Results come back in input
-order. Parallelism lives one layer up, in sharded exploration
-(:mod:`repro.explore`), which splits the path tree itself.
+:class:`~repro.solver.incremental.IncrementalSolver`, so probes posed
+against one prefix (a predicate's negate overlap checks) ride the same
+propagation frames. Results come back in input order. Parallelism lives
+one layer up, in sharded exploration (:mod:`repro.explore`), which
+splits the path tree itself.
 
 When to batch vs. push/pop directly: the assertion stack is the right tool
 for *sequentially dependent* queries (extend-by-one branch checks, where
@@ -45,8 +45,8 @@ class SolverService:
     def __init__(self, solver: Solver | None = None):
         self.solver = solver or Solver()
         # Every caller of this service probes through one
-        # IncrementalSolver, which is how the negate overlap checks and the
-        # differentFrom matrix end up riding the same prefix frames.
+        # IncrementalSolver, so a batch against one prefix propagates it
+        # once.
         self.incremental = IncrementalSolver(solver=self.solver)
 
     def probe_batch(self, prefix: Sequence[Expr],

@@ -103,11 +103,22 @@ class TestPreprocess:
             preprocess(predicates, LAYOUT, MSG, mask=FieldMask.hide("zzz"))
 
     def test_difference_matrix_optional(self):
-        predicates, _ = extract_client_predicates(
-            {"a": _client_sending(1)}, LAYOUT)
-        prepared = preprocess(predicates, LAYOUT, MSG,
-                              build_difference=False)
-        assert prepared.different_from.stats.pairs_checked == 0
+        """Pre-processing poses no matrix query; the search computes
+        entries only when ``use_different_from`` consults the matrix."""
+        from repro.achilles import Achilles, AchillesConfig
+        from repro.achilles.server_analysis import OptimizationFlags
+        from repro.systems.toy import TOY_LAYOUT, toy_client, toy_server
+
+        for use_different_from in (True, False):
+            flags = OptimizationFlags(use_different_from=use_different_from)
+            with Achilles(AchillesConfig(layout=TOY_LAYOUT,
+                                         optimizations=flags)) as achilles:
+                prepared = achilles.extract_clients({"toy": toy_client})
+                matrix = prepared.different_from
+                assert matrix.stats.entries_computed == 0
+                achilles.search(toy_server, prepared)
+            assert (matrix.stats.entries_computed > 0) == use_different_from
+            assert bool(matrix._table) == use_different_from
 
     def test_timings_recorded(self):
         predicates, stats = extract_client_predicates(
@@ -116,10 +127,10 @@ class TestPreprocess:
         assert prepared.stats.extraction_seconds > 0
         assert prepared.stats.preprocess_seconds > 0
 
-    def test_negations_and_matrix_share_one_service(self):
-        """Both pre-processing families probe through the one service
-        they are given: the negate overlap checks against a predicate's
-        prefix, the ``differentFrom`` entries as bare probes."""
+    def test_negations_ride_the_service_and_the_matrix_does_not(self):
+        """The negate overlap checks go to the service as one batch per
+        predicate prefix; the ``differentFrom`` entries never do, before
+        or after a lookup."""
         class Recording(SolverService):
             def __init__(self):
                 super().__init__()
@@ -134,9 +145,10 @@ class TestPreprocess:
              "b": _client_sending(2, bound=20)}, LAYOUT)
         service = Recording()
         prepared = preprocess(predicates, LAYOUT, MSG, service=service)
-        assert prepared.different_from.stats.pairs_checked > 0
-        assert () in service.prefixes
-        assert any(service.prefixes)
+        assert service.prefixes == [p.combined(MSG) for p in predicates]
+        prepared.different_from.droppable_with(0, "v", range(2))
+        assert prepared.different_from.stats.entries_computed > 0
+        assert len(service.prefixes) == len(predicates)
 
     def test_default_service_counts_on_the_given_solver(self):
         predicates, _ = extract_client_predicates(

@@ -113,7 +113,7 @@ class TestPickleRoundTrip:
     """Shard workers receive the whole ``ClientPredicateSet`` by pickle;
     every system's predicate set must survive the trip byte-exactly
     (expressions re-intern on unpickle, the ``DifferentFrom`` matrix
-    drops only its solver service)."""
+    keeps its memo table and drops its row stacks)."""
 
     @staticmethod
     def _extracted(system: str):
@@ -151,13 +151,21 @@ class TestPickleRoundTrip:
         assert clone.different_from._table == predicates.different_from._table
 
     @pytest.mark.parametrize("system", ["raft", "tpc"])
-    def test_different_from_drops_its_service(self, system):
+    def test_different_from_drops_its_row_stacks(self, system):
+        import itertools
         import pickle
 
         predicates = self._extracted(system)
-        clone = pickle.loads(pickle.dumps(predicates))
-        restored = clone.different_from.__dict__
-        assert restored.get("_service") is None
+        matrix = predicates.different_from
+        indices = range(len(predicates))
+        for i, field in itertools.product(indices,
+                                          predicates.layout.field_names):
+            matrix.droppable_with(i, field, indices)
+        assert matrix._rows
+        clone = pickle.loads(pickle.dumps(predicates)).different_from
+        assert clone._rows == {}
+        assert clone._solver.stats.queries == 0
+        assert clone._table == matrix._table
 
 
 class TestSignature:

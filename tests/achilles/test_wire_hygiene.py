@@ -66,17 +66,18 @@ class TestClientPredicateSet:
             assert revived.pred_index == original.pred_index
             assert revived.expr is original.expr  # re-interned identity
 
-    def test_different_from_matrix_travels_without_its_service(self,
-                                                               toy_achilles):
-        """The matrix is pure data after construction; the solver service
-        (which may hold a live process pool) must be dropped, and lookups
-        must still answer from the shipped table."""
+    def test_different_from_matrix_travels_without_its_row_stacks(
+            self, toy_achilles):
+        """The matrix ships its memo table; its row stacks and their
+        solver stay behind, and the copy computes the entries it lacks
+        on a fresh solver of its own."""
         _, predicates, _ = toy_achilles
-        copy = wire_roundtrip(predicates)
-        matrix, original = copy.different_from, predicates.different_from
-        assert matrix._service is None
+        original = predicates.different_from
+        assert original._rows, "the search computed no entry"
+        matrix = wire_roundtrip(predicates).different_from
+        assert matrix._rows == {}
+        assert matrix._solver.stats.queries == 0
         assert matrix._table == original._table
-        assert matrix._independent == original._independent
         for i, j in itertools.product(range(len(predicates)), repeat=2):
             for name in TOY_LAYOUT.field_names:
                 assert matrix.different(i, j, name) == \

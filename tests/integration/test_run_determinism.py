@@ -3,8 +3,8 @@
 Every solver query of a run is posed in-process, in one fixed order, on
 frame stacks that start empty. So two fresh runs of the same analysis
 must agree on everything they report: the findings (same order, same
-witnesses, same live-predicate sets), the pre-processing products (the
-negations and the ``differentFrom`` matrix) and the solver's work
+witnesses, same live-predicate sets), the negations, the
+``differentFrom`` entries the search computed, and the solver's work
 counters. These tests pin that on FSP and PBFT, for the incremental
 search and for the §6.4 a-posteriori baseline.
 """

@@ -134,6 +134,26 @@ class TestTracingParity:
         assert not trace.damaged
         _assert_canonical_trace_order(trace.records)
 
+    def test_traced_serial_run_records_matrix_entries(self, tmp_path,
+                                                      fsp_baseline):
+        """Each ``differentFrom`` entry the search computes is one
+        ``achilles.different_from`` span, so ``trace summarize`` splits
+        the matrix's cost from the search's own solver layers."""
+        from repro.obs.trace import read_trace, summarize
+
+        commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
+        config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
+                                trace_dir=str(tmp_path))
+        with Achilles(config) as achilles:
+            predicates = achilles.extract_clients(
+                fsp.literal_clients(commands))
+            report = achilles.search(fsp.fsp_server, predicates)
+        assert _finding_signature(report) == fsp_baseline
+        spans = summarize(read_trace(tmp_path / "trace.jsonl").records)["spans"]
+        computed = predicates.different_from.stats.entries_computed
+        assert computed > 0
+        assert spans["achilles.different_from"]["count"] == computed
+
     def test_tracing_leaves_no_global_tracer_behind(self, tmp_path):
         from repro.obs import metrics as obs_metrics
         from repro.obs import trace as obs_trace
