@@ -331,6 +331,54 @@ def test_probe_stacks_push_one_frame_per_step(json_artifact):
     assert shared_pushes[1:] == [1 + len(probes) * 6] * steps
 
 
+def test_check_current_evaluates_only_changed_conjuncts(json_artifact,
+                                                        monkeypatch):
+    """Deterministic count gate: on an extend-by-one stack over distinct
+    variables, ``check_current`` verifies its candidate model by delta,
+    so each step evaluates the new conjunct alone — O(1) per step — where
+    full verification evaluates every conjunct on the stack (O(depth)).
+    Counts conjunct evaluations, not time, so the gate cannot flake."""
+    from repro.solver import incremental as incremental_module
+
+    depth = 64
+    variables = [bv_var(f"v{i}", 8) for i in range(depth)]
+    path = tuple(var > i % 200 for i, var in enumerate(variables))
+
+    def walk():
+        stack = IncrementalSolver()
+        return [stack.check(path[:hi]).is_sat for hi in range(1, depth + 1)]
+
+    started = time.perf_counter()
+    assert all(walk())
+    wall = time.perf_counter() - started
+
+    counts = []
+    real_holds = incremental_module.holds
+
+    def counting_holds(*args):
+        counts[-1] += 1
+        return real_holds(*args)
+
+    monkeypatch.setattr(incremental_module, "holds", counting_holds)
+    stack = IncrementalSolver()
+    for hi in range(1, depth + 1):
+        counts.append(0)
+        assert stack.check(path[:hi]).is_sat
+    full = depth * (depth + 1) // 2  # every conjunct, at every check
+    print(f"\ndelta verification: {sum(counts)} conjunct evaluations over "
+          f"{depth} extend-by-one checks (full verification: {full}), "
+          f"walk {wall * 1000:.1f} ms")
+    json_artifact("check_current_delta", {
+        "workload": "extend-by-one stack over 64 distinct variables",
+        "depth": depth,
+        "evaluations_per_check": counts,
+        "evaluations_total": sum(counts),
+        "full_verification_total": full,
+        "walk_seconds": round(wall, 6),
+    })
+    assert max(counts) <= 2
+
+
 def test_trail_pop_is_cheaper_than_repropagation(benchmark):
     """pop() must be O(changes): popping and re-pushing one probe conjunct
     at the end of a deep stack, timed."""

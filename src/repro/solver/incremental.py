@@ -26,6 +26,14 @@ without the full solver:
   with ``var == expr`` definition frames evaluated concretely — is
   *verified* against the original constraints; when every constraint
   holds, that is a sound SAT answer with a complete model;
+* verification is by delta: the stack keeps the candidate it last
+  verified and a holds/fails memo per canonical conjunct, a check drops
+  the memo of every conjunct watching a variable whose candidate value
+  changed, and :meth:`~IncrementalSolver.pop` drops the memo of the
+  popped frame's conjuncts (they stop watching their variables). A
+  conjunct's value depends only on its variables, so answers equal full
+  verification, and an extend-by-one check evaluates about one conjunct
+  instead of all of them;
 * everything else falls back to a from-scratch
   :meth:`~repro.solver.solver.Solver.check`, so answers always agree with
   the non-incremental solver by construction.
@@ -46,7 +54,7 @@ from repro.errors import SolverError
 from repro.obs import trace as obs_trace
 from repro.solver import interval as iv
 from repro.solver.ast import Expr
-from repro.solver.evalmodel import all_hold, evaluate
+from repro.solver.evalmodel import evaluate, holds
 from repro.solver.propagate import (
     TrailDomains,
     VarIndex,
@@ -120,6 +128,11 @@ class IncrementalSolver:
         # the conjunction of the raw pushes), so verification does not
         # re-flatten the stack on every check.
         self._canon: list[Expr] = []
+        # Delta verification: the candidate model of the last check, and
+        # whether each canonical conjunct held under it. A memo entry stays
+        # valid while none of its conjunct's variables changes value.
+        self._checked: dict[Expr, int] = {}
+        self._holds: dict[Expr, bool] = {}
 
     # -- stack surface -------------------------------------------------------
 
@@ -169,7 +182,11 @@ class IncrementalSolver:
         if not self._frames:
             raise SolverError("pop() on an empty assertion stack")
         frame = self._frames.pop()
+        memo = self._holds
         for constraint in reversed(frame.indexed):
+            # A popped conjunct stops watching its variables, so its memo
+            # entry could go stale before a re-push; drop it now.
+            memo.pop(constraint, None)
             for var in collect_vars(constraint):
                 watchers = self._var_index[var]
                 watchers.pop()
@@ -210,6 +227,12 @@ class IncrementalSolver:
         stack: the quick paths are sound (UNSAT only on a propagation
         contradiction, SAT only on a verified model) and everything else
         delegates to :meth:`Solver.check`.
+
+        The candidate is verified by delta against the last checked one:
+        a conjunct is re-evaluated only when one of its variables changed
+        value or its memo entry was dropped by :meth:`pop`, and the walk
+        over the stack stops at the first failing conjunct, exactly as a
+        full evaluation would.
         """
         stats = self.solver.stats
         if self._frames and self._frames[-1].unsat:
@@ -229,11 +252,27 @@ class IncrementalSolver:
         # Verified against the canonical conjuncts — equivalent to the raw
         # conjunction (canonicalization preserves equivalence), so a
         # holding candidate is a sound SAT answer with a complete model.
-        if all_hold(self._canon, candidate):
+        # Only conjuncts watching a variable whose value changed since the
+        # last check are re-evaluated; the rest keep their memoized value.
+        checked, memo, index = self._checked, self._holds, self._var_index
+        for var, value in candidate.items():
+            if checked.get(var) != value:
+                for constraint in index.get(var, ()):
+                    memo.pop(constraint, None)
+        self._checked = candidate
+        cache: dict[Expr, int] = {}
+        for constraint in self._canon:
+            ok = memo.get(constraint)
+            if ok is None:
+                ok = memo[constraint] = holds(constraint, candidate, cache)
+            if not ok:
+                break
+        else:
             stats.queries += 1
             stats.sat_answers += 1
             stats.quick_sats += 1
-            return SatResult(SAT, candidate)
+            # A copy: the memo is relative to the candidate kept above.
+            return SatResult(SAT, dict(candidate))
         stats.incremental_fallbacks += 1
         # The fallback search starts from the frame stack's propagation
         # fixpoint rather than ⊤: every interval in `_domains` is implied

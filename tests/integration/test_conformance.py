@@ -15,7 +15,9 @@ same answer (and a genuinely satisfying model) for
 * ``Engine.probe_feasible_batch`` along a depth-first walk of a prefix
   (extend, backtrack, extend a sibling) against fixed multi-conjunct
   probes, with the per-probe frame stacks on and with
-  ``EngineConfig.incremental`` off,
+  ``EngineConfig.incremental`` off, and one long-lived
+  ``IncrementalSolver`` whose verification memo carries across
+  siblings, against a fresh stack at every node (status and model),
 * an engine fronted by an *absorbed* cache snapshot
   (``QueryCache.snapshot()`` → ``absorb()``), which must answer every
   prefix depth identically — and entirely from cache hits,
@@ -179,10 +181,14 @@ def test_probe_batch_agrees_along_a_prefix_walk(walk):
     """The drop step's access pattern: the same probes posed against a
     prefix that grows, backtracks and grows a sibling, as the server
     walk does. Every answer must equal from-scratch ``Solver.check`` on
-    ``prefix + probe``, with per-probe stacks and without them."""
+    ``prefix + probe``, with per-probe stacks and without them. A
+    long-lived stack posed the prefix and every ``prefix + probe`` must
+    give the status and model of a fresh stack, which has no memo of
+    earlier checks."""
     pool, probes, moves = walk
     engines = {incremental: Engine(EngineConfig(incremental=incremental))
                for incremental in (True, False)}
+    long_lived = IncrementalSolver()
     references: dict = {}  # a revisited prefix re-asks the engines only
     prefix: tuple = ()
     for step, move in enumerate(moves):
@@ -198,6 +204,11 @@ def test_probe_batch_agrees_along_a_prefix_walk(walk):
         for incremental, engine in engines.items():
             assert engine.probe_feasible_batch(prefix, probes) == \
                 reference, f"step {step}, incremental={incremental}"
+        for query in (prefix, *(prefix + probe for probe in probes)):
+            result = long_lived.check(query)
+            fresh = IncrementalSolver().check(query)
+            assert (result.status, result.model) == \
+                (fresh.status, fresh.model), f"step {step}"
 
 
 @CONFORMANCE

@@ -227,6 +227,97 @@ class TestRandomizedAgreement:
                 assert all_hold(stack, result.model)
 
 
+_QUICK_COUNTERS = ("quick_sats", "quick_unsats", "incremental_fallbacks")
+
+
+def _checked_against_fresh(inc, stack):
+    """check_current on ``inc`` must match a fresh stack aligned to
+    ``stack``: same status, same model, same quick-path counter deltas.
+    A fresh stack has no verification memo, so it verifies in full."""
+    stats = inc.solver.stats
+    before = [getattr(stats, name) for name in _QUICK_COUNTERS]
+    result = inc.check_current()
+    deltas = [getattr(stats, name) - was
+              for name, was in zip(_QUICK_COUNTERS, before)]
+    fresh = IncrementalSolver()
+    fresh.align(tuple(stack))
+    expected = fresh.check_current()
+    assert result.status == expected.status
+    assert result.model == expected.model
+    assert deltas == [getattr(fresh.solver.stats, name)
+                      for name in _QUICK_COUNTERS]
+    return result
+
+
+class TestDeltaVerification:
+    """check_current re-evaluates only conjuncts whose variables changed
+    value since the last check; the memo must never change an answer."""
+
+    def test_repush_after_sibling_changed_a_definition(self):
+        # Z's candidate value comes from the definition Z == X + Y, and
+        # propagation cannot see Z != 7 fail; only evaluation can.
+        defined, guard = eq(Z, X + Y), ne(Z, bv_const(7, 8))
+        inc = IncrementalSolver()
+        stack = [defined, guard]
+        inc.align(stack)
+        assert _checked_against_fresh(inc, stack).model[Z] == 0
+        # A sibling of the guard moves X (and with it Z) to 7 ...
+        inc.pop()
+        stack[-1] = X > 6
+        inc.push(stack[-1])
+        assert _checked_against_fresh(inc, stack).model[Z] == 7
+        # ... so the re-pushed guard, memoized as holding at Z == 0
+        # before its pop, must be evaluated again and fail there.
+        stack.append(guard)
+        inc.push(guard)
+        result = _checked_against_fresh(inc, stack)
+        assert result.is_sat and result.model[Z] != 7
+        assert inc.solver.stats.incremental_fallbacks == 1
+
+    def test_extend_by_one_evaluates_only_the_new_conjunct(self, monkeypatch):
+        from repro.solver import incremental
+
+        evaluated = []
+        real = incremental.holds
+        monkeypatch.setattr(incremental, "holds", lambda c, *args:
+                            evaluated.append(c) or real(c, *args))
+        variables = [bv_var(f"v{i}", 8) for i in range(12)]
+        inc = IncrementalSolver()
+        for depth, var in enumerate(variables):
+            conjunct = var > depth
+            inc.push(conjunct)
+            evaluated.clear()
+            assert inc.check_current().is_sat
+            assert evaluated == [conjunct]
+
+    @pytest.mark.parametrize("seed", [40, 41, 42, 43, 44, 45])
+    def test_random_walk_matches_fresh_stack(self, seed):
+        """Push/pop/align walks over a pool with definition frames; a
+        popped conjunct is re-pushed after its siblings moved values."""
+        rng = random.Random(seed)
+        pool = _conjunct_pool(rng) + [eq(Y, X + rng.randrange(256)),
+                                      eq(X, Z + Y)]
+        inc = IncrementalSolver()
+        stack, popped = [], []
+        for _ in range(80):
+            move = rng.random()
+            if stack and move < 0.3:
+                popped.append(stack.pop())
+                inc.pop()
+            elif popped and move < 0.5:
+                stack.append(rng.choice(popped))
+                inc.push(stack[-1])
+            elif move < 0.6:
+                keep = rng.randrange(len(stack) + 1)
+                stack = stack[:keep] + [rng.choice(pool)
+                                        for _ in range(rng.randrange(3))]
+                inc.align(tuple(stack))
+            else:
+                stack.append(rng.choice(pool))
+                inc.push(stack[-1])
+            _checked_against_fresh(inc, stack)
+
+
 class TestTrailDomains:
     def test_undo_restores_exact_state(self):
         domains = TrailDomains({X: Interval(0, 255), Y: Interval(0, 255)})
