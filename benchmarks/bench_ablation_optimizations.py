@@ -12,10 +12,19 @@ import statistics
 
 import pytest
 
-from repro.achilles import server_analysis
-from repro.bench.experiments import run_ablation
+from repro.achilles import Achilles, AchillesConfig, server_analysis
+from repro.achilles.server_analysis import (
+    OptimizationFlags,
+    a_posteriori_search,
+)
+from repro.bench.experiments import FSP_SESSION_MASK, run_ablation
 from repro.bench.tables import format_table
-from repro.systems.fsp import GroundTruth
+from repro.systems.fsp import (
+    FSP_LAYOUT,
+    GroundTruth,
+    fsp_server,
+    literal_clients,
+)
 
 
 class _TrielessObserver(server_analysis.TrojanSearchObserver):
@@ -32,17 +41,25 @@ def outcomes():
     return run_ablation()
 
 
-@pytest.fixture(scope="module")
-def trieless_outcomes():
+def _trieless_ablation():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(server_analysis, "TrojanSearchObserver",
                       _TrielessObserver)
         return run_ablation()
 
 
-def test_all_variants_find_the_same_trojans(benchmark, outcomes, artifact,
+def _fsp_hunt(flags: OptimizationFlags):
+    config = AchillesConfig(layout=FSP_LAYOUT, mask=FSP_SESSION_MASK,
+                            optimizations=flags)
+    with Achilles(config) as achilles:
+        return achilles.search(fsp_server,
+                               achilles.extract_clients(literal_clients()))
+
+
+def test_all_variants_find_the_same_trojans(benchmark, artifact,
                                             json_artifact):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    # Times the whole ablation this test tabulates.
+    outcomes = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     scores = {label: GroundTruth.score(report.witnesses())
               for label, report in outcomes.items()}
     for label, score in scores.items():
@@ -91,9 +108,16 @@ def test_incremental_drop_shrinks_final_queries(benchmark, outcomes,
     size, which our substituted solver deliberately does not exhibit
     (see EXPERIMENTS.md for the measured timings and discussion).
     """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    # Times the a-posteriori baseline whose all-negations queries the
+    # test contrasts with the optimized search's.
+    with Achilles(AchillesConfig(layout=FSP_LAYOUT,
+                                 mask=FSP_SESSION_MASK)) as achilles:
+        predicates = achilles.extract_clients(literal_clients())
+        posterior = benchmark.pedantic(
+            a_posteriori_search, args=(fsp_server, predicates,
+                                       achilles.server_msg),
+            rounds=1, iterations=1)
     optimized = outcomes["achilles-optimized"]
-    posterior = outcomes["a-posteriori"]
 
     mean_live_optimized = statistics.mean(
         len(f.live_predicates) for f in optimized.findings)
@@ -120,9 +144,11 @@ def test_incremental_drop_shrinks_final_queries(benchmark, outcomes,
 
 
 def test_pruning_reduces_explored_paths(benchmark, outcomes):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    # Times the hunt without pruning that the test compares against.
+    without_pruning = benchmark.pedantic(
+        _fsp_hunt, args=(OptimizationFlags(prune_unreachable=False),),
+        rounds=1, iterations=1)
     with_pruning = outcomes["achilles-optimized"]
-    without_pruning = outcomes["no-pruning"]
     assert with_pruning.server_paths_pruned > 0
     assert without_pruning.server_paths_pruned == 0
     # Without pruning, valid accepting paths run to completion.
@@ -130,27 +156,42 @@ def test_pruning_reduces_explored_paths(benchmark, outcomes):
             > with_pruning.server_paths_explored)
 
 
-def test_query_cache_absorbs_repeated_queries(benchmark, outcomes,
-                                              trieless_outcomes):
+def _findings(report):
+    return [(f.server_path_id, f.decisions, f.path_condition, f.negation,
+             f.witness, f.live_predicates) for f in report.findings]
+
+
+def test_query_cache_absorbs_repeated_queries(benchmark, outcomes):
     """The canonical query cache still answers repeats the observer's
     prefix trie cannot see — pathS ∧ pathC_i re-posed across sibling
     prefixes, branch probes, cross-phase reuse — without reaching the
     solver.
 
     Replayed prefixes no longer reach the cache at all (the trie answers
-    them), so the hit rate is no longer the measure: FSP's drops from
-    ~97% to ~26% with identical solver work. The gate is that solver
-    work: every row poses exactly as many solver queries, and misses the
-    cache exactly as often, as the same row run without the trie.
+    them), so the hit rate is no longer the measure. Every row must
+    explore, prune and find exactly what the same row run without the
+    trie does. The trie also saves solver work on purpose: a fresh
+    prefix inherits the models its parent kept, where the trie-less run
+    re-derives each path from the root and gets no model back from a
+    cache hit. So every row poses strictly fewer solver queries and
+    cache misses than without the trie.
     """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    # Times the trie-less ablation this test compares every row with.
+    trieless = benchmark.pedantic(_trieless_ablation, rounds=1,
+                                  iterations=1)
     for label, report in outcomes.items():
         if label == "a-posteriori":
             # Vanilla exploration poses each branch query exactly once and
             # differences every accepting path once: nothing repeats.
             continue
-        reference = trieless_outcomes[label]
+        reference = trieless[label]
         assert report.cache_hits > 0, label
-        assert report.solver_queries == reference.solver_queries, label
-        assert report.cache_misses == reference.cache_misses, label
+        assert _findings(report) == _findings(reference), label
+        assert report.predicate_samples == reference.predicate_samples, label
+        assert report.server_paths_pruned == \
+            reference.server_paths_pruned, label
+        assert report.server_paths_explored == \
+            reference.server_paths_explored, label
+        assert report.solver_queries < reference.solver_queries, label
+        assert report.cache_misses < reference.cache_misses, label
         assert report.cache_hits < reference.cache_hits, label

@@ -19,6 +19,8 @@ import time
 
 import pytest
 
+from repro.achilles import Achilles, AchillesConfig, server_analysis
+from repro.bench.experiments import FSP_SESSION_MASK
 from repro.messages.symbolic import message_vars, wire_equalities
 from repro.solver import ast
 from repro.solver.ast import bv_const, bv_var
@@ -26,7 +28,7 @@ from repro.solver.cache import QueryCache
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.solver import Solver
 from repro.symex.engine import Engine, EngineConfig
-from repro.systems.fsp import FSP_LAYOUT
+from repro.systems.fsp import FSP_LAYOUT, fsp_server, literal_clients
 from repro.systems.toy import TOY_LAYOUT
 from repro.systems.toy.protocol import toy_checksum
 
@@ -296,39 +298,42 @@ def test_incremental_speedup_on_extend_by_one(json_artifact):
     assert stats.frames_reused > stats.frames_pushed
 
 
-def test_probe_stacks_push_one_frame_per_step(json_artifact):
-    """Deterministic count gate: the Trojan search's ``pathS ∧ pathC_i``
-    pattern — the same K probes of m conjuncts posed against a prefix
-    that grows one conjunct per step — must cost K frame pushes per
-    step on the engine's per-probe stacks, where one shared stack pays
-    1 + K*m (pop the previous probe, push the next one whole)."""
-    msg = message_vars(TOY_LAYOUT)
-    path = [msg[i] < 200 - i for i in range(10)]
-    probes = [tuple(ast.ne(msg[10], bv_const(k * 16 + j, 8))
-                    for j in range(6)) for k in range(8)]
-    engine = Engine(EngineConfig(), query_cache=QueryCache())
-    shared = IncrementalSolver()
-    probe_pushes, shared_pushes = [], []
-    for depth in range(1, len(path) + 1):
-        prefix = tuple(path[:depth])
-        before = engine.solver.stats.frames_pushed
-        answers = engine.probe_feasible_batch(prefix, probes)
-        probe_pushes.append(engine.solver.stats.frames_pushed - before)
-        before = shared.solver.stats.frames_pushed
-        assert answers == [shared.check(prefix + probe).is_sat
-                           for probe in probes]
-        shared_pushes.append(shared.solver.stats.frames_pushed - before)
-    steps = len(path) - 1
-    print(f"\nprobe stacks: {sum(probe_pushes[1:]) / steps:.1f} pushes per "
-          f"step; shared stack: {sum(shared_pushes[1:]) / steps:.1f}")
-    json_artifact("probe_stacks", {
-        "workload": "8 probes x 6 conjuncts, prefix grown to 10 conjuncts",
-        "probe_stack_pushes_per_step": probe_pushes,
-        "shared_stack_pushes_per_step": shared_pushes,
+def test_observer_decides_most_fresh_prefixes(json_artifact, monkeypatch):
+    """Deterministic count gate on one serial FSP hunt: the Trojan
+    observer's prefix trie decides most fresh-prefix questions itself —
+    a parent's model that satisfies the appended constraint proves SAT,
+    and the constraint being false over a predicate's own propagated
+    intervals proves it dead — so few drop-step probes and Trojan
+    queries reach the engine, and the hunt poses at most 1,000 solver
+    queries (1,907 before the shortcuts). Counts, not time: the gate
+    cannot flake."""
+    observers = []
+
+    class Recording(server_analysis.TrojanSearchObserver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            observers.append(self)
+
+    monkeypatch.setattr(server_analysis, "TrojanSearchObserver", Recording)
+    with Achilles(AchillesConfig(layout=FSP_LAYOUT,
+                                 mask=FSP_SESSION_MASK)) as achilles:
+        report = achilles.search(
+            fsp_server, achilles.extract_clients(literal_clients()))
+    observer, = observers
+    answered = dict(sorted(observer.answered.items()))
+    print(f"\nobserver answers: {answered}; "
+          f"solver queries {report.solver_queries}")
+    json_artifact("observer_shortcuts", {
+        "workload": "serial FSP hunt (Table 1)",
+        "answered": answered,
+        "solver_queries": report.solver_queries,
+        "cache_misses": report.cache_misses,
+        "findings": len(report.findings),
     })
-    assert engine.solver.stats.cache_misses == len(path) * len(probes)
-    assert probe_pushes[1:] == [len(probes)] * steps
-    assert shared_pushes[1:] == [1 + len(probes) * 6] * steps
+    assert len(report.findings) == 80
+    assert answered["drop.engine"] <= 40
+    assert answered["trojan.engine"] <= 330
+    assert report.solver_queries <= 1_000
 
 
 def test_check_current_evaluates_only_changed_conjuncts(json_artifact,

@@ -106,16 +106,15 @@ class AchillesReport:
             cross-phase reuse and therefore count more lookups than the
             phase-2-only ``solver_queries``. Replayed server prefixes
             never reach the cache: the Trojan observer answers them from
-            its prefix trie. So the counters measure repeats the trie
-            cannot see (sibling prefixes, branch probes, cross-phase
-            reuse), and FSP's hit rate is ~26%, where counting replays
-            gave ~97.5% for the same solver work.
+            its prefix trie, which also decides most fresh prefixes
+            itself (inherited models, interval refutations). So the
+            counters measure what the trie leaves (branch probes,
+            residual probes, cross-phase reuse), and FSP's hit rate is
+            ~18% (222 hits, 999 misses).
         frames_reused: assertion-stack frames whose propagation fixpoint
             the incremental layer reused across prefix-sharing queries
             (:class:`~repro.solver.incremental.IncrementalSolver`) during
-            the server search, summed over the engine's main stack and
-            its per-probe stacks (the drop step's ``pathS ∧ pathC_i``
-            probes each keep their own).
+            the server search.
         propagation_seconds: wall clock the server search spent in
             incremental interval propagation.
         shards: exploration shard count the server search ran with (1 =

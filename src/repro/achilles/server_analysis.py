@@ -17,6 +17,13 @@ A path that reaches an accept marker therefore *has* Trojan messages by
 construction; the observer emits a finding with the symbolic expression
 and a concrete witness.
 
+Both questions are asked once per fresh prefix, and the observer's
+prefix trie decides most of them without the engine: a model its parent
+kept that satisfies the appended constraint proves SAT, and the
+constraint being false over a predicate's own propagated intervals
+proves that predicate dead (:meth:`TrojanSearchObserver._decide`). What
+is left is posed to the engine's main frame stack.
+
 Each optimization can be disabled individually (the §6.4 ablation), and
 :func:`a_posteriori_search` implements the paper's non-optimized
 comparison point: explore the server with vanilla symbolic execution
@@ -26,6 +33,7 @@ first, difference the predicates afterwards.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -44,6 +52,8 @@ from repro.obs.trace import (
 )
 from repro.solver.ast import Expr
 from repro.solver.cache import QueryCache
+from repro.solver.evalmodel import extend_model
+from repro.solver.propagate import Domains, fixpoint, refutes
 from repro.symex.context import ExecutionContext
 from repro.symex.engine import DFS, Engine, EngineConfig, ExplorationResult
 from repro.symex.observers import ObserverDelta, PathObserver
@@ -89,14 +99,24 @@ class _PrefixNode:
     after that constraint's drop step; ``trojan`` is the Trojan-feasible
     bit of the prefix, or None when no hook computed it (pruning off, or
     the root).
+
+    The node also keeps the satisfying models it learned: ``models[i]``
+    satisfies ``pathS ∧ pathC_i`` for live predicate ``i``, and
+    ``trojan_model`` the prefix's Trojan query. A model is kept only where
+    one was found (a cache hit brings none) and may be shared with the
+    parent and siblings, so it is never mutated.
     """
 
-    __slots__ = ("live", "trojan", "children")
+    __slots__ = ("live", "trojan", "children", "models", "trojan_model")
 
-    def __init__(self, live: frozenset[int], trojan: bool | None = None):
+    def __init__(self, live: frozenset[int], trojan: bool | None = None,
+                 models: dict[int, dict[Expr, int]] | None = None,
+                 trojan_model: dict[Expr, int] | None = None):
         self.live = live
         self.trojan = trojan
         self.children: dict[Expr, _PrefixNode] = {}
+        self.models = models or {}
+        self.trojan_model = trojan_model
 
 
 @dataclass
@@ -122,22 +142,33 @@ class TrojanSearchObserver(PathObserver):
     prefix from the root. The observer memoizes its state per prefix in a
     trie of :class:`_PrefixNode` (live predicate set and Trojan-feasible
     bit): a replayed constraint costs one dict lookup and never reaches
-    the engine, the query cache or the solver. Only the first
-    visit of a prefix poses queries. Below the cache, every such probe —
-    ``pathS ∧ pathC_i`` predicate re-checks and ``pathS ∧ ⋀ negations``
-    Trojan queries alike — is a ``pc + probe`` shape, which the engine's
-    incremental assertion stack answers as push/pop against the path's
-    frame: the ``pc`` prefix keeps its propagation fixpoint and only the
-    probe conjuncts are propagated per query.
+    the engine, the query cache or the solver. Only the first visit of a
+    prefix poses questions, and most of those the trie answers itself
+    (:meth:`_decide`). A child's query is its parent's plus one
+    constraint ``c``, over a live set that can only shrink, so:
+
+    * **inheritance** — a model the parent kept for the same predicate
+      (or for its Trojan query) that satisfies ``c`` proves the child
+      query SAT, and the child keeps that model in turn (KLEE's
+      counterexample cache, along the prefix trie);
+    * **interval refutation** — ``c`` evaluated over the propagation
+      fixpoint of ``pathC_i`` alone, computed once per predicate, being
+      false everywhere proves ``pathS ∧ pathC_i`` UNSAT;
+    * the rest goes to :meth:`Engine.feasibility` on the engine's main
+      frame stack, which hands its model back for the children.
 
     An accepting path's witness is solved when the path ends
-    (:meth:`Engine.solve`), so ``findings`` grows in discovery order.
+    (:meth:`Engine.solve`), never taken from an inherited model, so
+    ``findings`` grows in discovery order and is the same whichever way
+    each question was answered. ``answered`` counts the answers by kind
+    and source (``"drop.inherited"``, ``"drop.refuted"``,
+    ``"drop.engine"``, ``"trojan.inherited"``, ``"trojan.engine"``).
 
     The observer is also delta-capable (:meth:`delta` / :meth:`restore`),
     which is what lets the sharded exploration layer run one private
     instance per shard worker and deterministically rebuild the merged
-    findings on the coordinator. Both are sound because every hook here
-    is a pure function of the path's constraint sequence.
+    findings on the coordinator. Both are sound because every hook's
+    answer is a pure function of the path's constraint sequence.
     """
 
     def __init__(self, engine: Engine, clients: ClientPredicateSet,
@@ -150,6 +181,12 @@ class TrojanSearchObserver(PathObserver):
         self._flags = flags or OptimizationFlags()
         self._combined = [p.combined(server_msg) for p in clients.predicates]
         self._negation_exprs = [n.expr for n in clients.negations]
+        # Per predicate, the propagation fixpoint of its combined
+        # conjuncts alone (None: unsat alone), for interval refutation.
+        self._domains: list[Domains | None] = (
+            [fixpoint(combined) for combined in self._combined]
+            if self._flags.incremental_drop else [])
+        self.answered: Counter[str] = Counter()
         self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
         self._started = time.perf_counter()
         # Sharding support costs per-path bookkeeping (samples are kept
@@ -260,27 +297,36 @@ class TrojanSearchObserver(PathObserver):
         """First visit of ``parent``'s prefix plus ``constraint``: run the
         drop step and the Trojan query, and record the child node."""
         pc = tuple(ctx.state.constraints)
-        live = parent.live
+        live, models = parent.live, {}
         if self._flags.incremental_drop:
-            live = self._drop_dead_predicates(pc, constraint, live)
-        trojan = None
+            live, models = self._drop_dead_predicates(pc, constraint, parent)
+        trojan = trojan_model = None
         if self._flags.prune_unreachable:
-            trojan = self._trojan_feasible(pc, live)
-        node = parent.children[constraint] = _PrefixNode(live, trojan)
+            trojan, trojan_model = self._decide(
+                "trojan", pc, self._negation_query(live), parent.trojan_model)
+        node = parent.children[constraint] = _PrefixNode(
+            live, trojan, models, trojan_model)
         return node
 
     def _drop_dead_predicates(self, pc: tuple[Expr, ...], constraint: Expr,
-                              live: frozenset[int]) -> frozenset[int]:
-        # One probe batch per appended constraint: the ``pathS ∧ pathC_i``
-        # re-checks for all live predicates, each on its own frame stack.
-        indices = sorted(live)
-        answers = self._engine.probe_feasible_batch(
-            pc, [self._combined[index] for index in indices])
-        dropped_now = [index for index, feasible in zip(indices, answers)
-                       if not feasible]
+                              parent: _PrefixNode
+                              ) -> tuple[frozenset[int],
+                                         dict[int, dict[Expr, int]]]:
+        # The ``pathS ∧ pathC_i`` re-checks for all live predicates, in
+        # index order; returns the kept set and the models learned.
+        models: dict[int, dict[Expr, int]] = {}
+        dropped_now = []
+        for index in sorted(parent.live):
+            feasible, model = self._decide(
+                "drop", pc, self._combined[index], parent.models.get(index),
+                index)
+            if not feasible:
+                dropped_now.append(index)
+            elif model is not None:
+                models[index] = model
         if not dropped_now:
-            return live
-        kept = set(live).difference(dropped_now)
+            return parent.live, models
+        kept = set(parent.live).difference(dropped_now)
         if self._flags.use_different_from:
             constraint_field = single_field_of(
                 constraint, self._server_msg, self._clients.layout)
@@ -291,7 +337,33 @@ class TrojanSearchObserver(PathObserver):
                     kept.difference_update(
                         self._clients.different_from.droppable_with(
                             index, constraint_field, kept))
-        return frozenset(kept)
+        return frozenset(kept), {index: model
+                                 for index, model in models.items()
+                                 if index in kept}
+
+    def _decide(self, kind: str, pc: tuple[Expr, ...],
+                probe: tuple[Expr, ...], model: dict[Expr, int] | None,
+                predicate: int | None = None
+                ) -> tuple[bool, dict[Expr, int] | None]:
+        """Feasibility of ``pc + probe``, with a model to keep (or None).
+
+        ``model``, when given, satisfies ``pc[:-1] + probe`` (or a
+        superset of ``probe``, for the Trojan query of a shrunk live set).
+        ``predicate`` names the client predicate whose conjuncts ``probe``
+        is; its propagation fixpoint may refute the appended constraint.
+        """
+        constraint = pc[-1]
+        if model is not None:
+            model = extend_model(model, constraint)
+            if model is not None:
+                self.answered[kind + ".inherited"] += 1
+                return True, model
+        if predicate is not None and refutes(self._domains[predicate],
+                                             constraint):
+            self.answered[kind + ".refuted"] += 1
+            return False, None
+        self.answered[kind + ".engine"] += 1
+        return self._engine.feasibility(pc, probe)
 
     def _negation_query(self, live: frozenset[int]) -> tuple[Expr, ...]:
         """Negations of the live predicates; dropped ones are implicit."""

@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 from repro.errors import SolverError
 from repro.solver.ast import Expr, fold_binary, fold_comparison
 from repro.solver.sorts import BOOL, BitVecSort
+from repro.solver.walk import collect_vars
 
 Model = Mapping[Expr, int]
 
@@ -99,3 +100,21 @@ def all_hold(constraints: Iterable[Expr], model: Model) -> bool:
     """True iff every constraint holds under ``model`` (shared eval cache)."""
     cache: dict[Expr, int] = {}
     return all(holds(c, model, cache) for c in constraints)
+
+
+def extend_model(model: Model, constraint: Expr) -> Model | None:
+    """``model`` extended to ``constraint``, or None if it does not hold.
+
+    Variables of ``constraint`` that ``model`` lacks take 0; only then is
+    the model copied, so a holding constraint over known variables hands
+    back ``model`` itself (callers share it and must not mutate it).
+    Adding a variable the model's own constraints never mention keeps
+    them satisfied, so a model of ``Q`` extended to ``c`` is a model of
+    ``Q ∧ c`` — the counterexample-cache step for an appended conjunct.
+    """
+    missing = [var for var in collect_vars(constraint) if var not in model]
+    if missing:
+        model = dict(model)
+        for var in missing:
+            model[var] = 0
+    return model if holds(constraint, model) else None

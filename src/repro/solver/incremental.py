@@ -2,8 +2,10 @@
 
 The exploration hot path almost never poses independent queries: the
 symbolic-execution engine extends a path condition by one conjunct per
-branch, the Trojan search probes ``pc + probe`` shapes against the same
-prefix, and replayed forks rebuild identical prefixes conjunct by conjunct.
+branch, the Trojan search poses the ``pc + probe`` shapes its prefix
+trie could not decide against the same prefix, and witness queries
+extend the path condition once more. The engine keeps one stack for all
+of them, aligned in query order.
 :class:`IncrementalSolver` amortizes solving across that structure instead
 of restarting :meth:`~repro.solver.solver.Solver.check` from scratch.
 
@@ -109,18 +111,10 @@ class IncrementalSolver:
         solver: fallback satisfiability backend; quick answers and frame
             counters are recorded on its :class:`SolverStats`, so sharing
             the engine's solver keeps one coherent set of counters.
-        suffix_frames: number of bottom frames that every query poses
-            *last* — a fixed probe held at the bottom of the stack while
-            the prefix above it changes. The fallback search receives
-            these conjuncts after the others, in query order: its
-            branching order (so its running time, never its answer)
-            follows conjunct order, and this keeps it the order of the
-            query as posed.
     """
 
-    def __init__(self, solver: Solver | None = None, suffix_frames: int = 0):
+    def __init__(self, solver: Solver | None = None):
         self.solver = solver or Solver()
-        self._suffix_frames = suffix_frames
         self._domains = TrailDomains()
         self._var_index: VarIndex = {}
         self._frames: list[_Frame] = []
@@ -279,9 +273,7 @@ class IncrementalSolver:
         # by the pushed conjuncts, so handing them over as seeds is sound
         # and saves the from-scratch pass re-deriving the narrowing the
         # stack already paid for. (Solver.check only reads the mapping.)
-        raws = [frame.raw for frame in self._frames]
-        suffix = self._suffix_frames
-        return self.solver.check(raws[suffix:] + raws[:suffix],
+        return self.solver.check([frame.raw for frame in self._frames],
                                  seed_domains=self._domains)
 
     def check(self, constraints: Iterable[Expr]) -> SatResult:

@@ -181,6 +181,23 @@ def propagate(constraints: list[Expr], domains: Domains) -> Domains | None:
     return state
 
 
+def fixpoint(constraints: Iterable[Expr]) -> Domains | None:
+    """:func:`propagate` of ``constraints`` alone, from full ranges."""
+    constraints = list(constraints)
+    return propagate(constraints, initial_domains(constraints))
+
+
+def refutes(domains: Domains | None, constraint: Expr) -> bool:
+    """True when ``constraint`` is false everywhere inside ``domains``.
+
+    Every model of a constraint set lies inside its :func:`fixpoint`
+    (None when propagation proved the set unsat), so with those domains
+    True proves the set plus ``constraint`` unsatisfiable. False proves
+    nothing.
+    """
+    return domains is None or forward(constraint, domains, {}).hi == 0
+
+
 def forward(expr: Expr, domains: Domains, cache: dict[Expr, Interval]) -> Interval:
     """Sound interval over-approximation of ``expr`` under ``domains``."""
     hit = cache.get(expr)

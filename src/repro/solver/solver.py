@@ -92,10 +92,7 @@ class SolverStats:
     this solver: frames pushed onto / reused from the assertion stack,
     queries answered by the propagation-contradiction and verified-candidate
     fast paths, wall clock spent in incremental propagation, and queries
-    that fell back to a from-scratch :meth:`Solver.check`. An engine's
-    stacks all share its solver, so ``frames_pushed`` / ``frames_reused``
-    sum over its main stack and its per-probe stacks (see
-    :meth:`~repro.symex.engine.Engine.probe_feasible_batch`).
+    that fell back to a from-scratch :meth:`Solver.check`.
     """
 
     queries: int = 0

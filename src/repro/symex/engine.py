@@ -20,15 +20,14 @@ cache → incremental frame stack → propagation → full search:
   being explored: the common prefix of consecutive queries keeps its
   propagation fixpoint (``frames_reused`` in ``SolverStats``), only the
   differing suffix is re-propagated, and most answers resolve from the
-  propagated domains without the from-scratch search;
-* cache-missed ``prefix + probe`` queries from
-  :meth:`Engine.probe_feasible_batch` (the Trojan search's
-  ``pathS ∧ pathC_i`` re-checks) go to a *per-probe* stack instead,
-  aligned as ``probe + prefix``: the probe's conjuncts stay propagated at
-  the bottom, so a prefix grown by one server constraint costs one push,
-  where the shared main stack would pop the previous probe and push this
-  one whole. Only booleans leave the probe stacks; models always come
-  from the main stack.
+  propagated domains without the from-scratch search. Branch checks,
+  the Trojan search's residual ``prefix + probe`` checks and witness
+  models all share this one stack, posed in query order.
+
+:meth:`Engine.feasibility` hands back the deciding stack's model with
+the answer, so a caller walking a prefix trie can keep it and decide a
+child query by evaluating the appended constraint (the Trojan observer
+does; see :mod:`repro.achilles.server_analysis`).
 
 Every query is answered in-process, in the order it is posed. To spread
 a search over cores, shard the path tree (:mod:`repro.explore`):
@@ -216,10 +215,6 @@ class Engine:
         # checks and frame/fast-path counters land on one SolverStats.
         self.incremental = (IncrementalSolver(solver=self.solver)
                             if self.config.incremental else None)
-        # One frame stack per probe of probe_feasible_batch, built on first
-        # use and kept for the engine's lifetime (one search, or one shard
-        # worker session); they share the engine's solver like the main one.
-        self._probe_stacks: dict[tuple[Expr, ...], IncrementalSolver] = {}
         self._stats: ExplorationStats | None = None
 
     # -- services used by ExecutionContext ------------------------------------
@@ -236,75 +231,52 @@ class Engine:
             return self.solver.check(constraints)
         return self.incremental.check(constraints)
 
-    def _check_probe(self, prefix: tuple[Expr, ...],
-                     probe: tuple[Expr, ...]) -> bool:
-        """Decide a cache-missed ``prefix + probe`` on the probe's own stack.
-
-        The stack holds ``probe + prefix``: the probe's conjuncts sit at
-        the bottom and keep their propagation across calls, so a prefix
-        extended by one constraint since the last call costs one push.
-        Conjunction order does not change satisfiability, and only the
-        boolean leaves, so answers equal the main stack's. A fallback
-        search still sees ``prefix + probe`` (``suffix_frames``), because
-        its running time depends on conjunct order.
-        """
-        if self.incremental is None:
-            return self._check(prefix + probe).is_sat
-        stack = self._probe_stacks.get(probe)
-        if stack is None:
-            stack = self._probe_stacks[probe] = IncrementalSolver(
-                solver=self.solver, suffix_frames=len(probe))
-        return stack.check(probe + prefix).is_sat
-
     def is_feasible(self, constraints: tuple[Expr, ...]) -> bool:
         """Satisfiability of a path condition, memoized canonically."""
-        return self._feasible(constraints)
+        return self.feasibility(tuple(constraints))[0]
 
-    def _feasible(self, prefix: tuple[Expr, ...],
-                  probe: tuple[Expr, ...] | None = None) -> bool:
-        """Memoized feasibility of ``prefix`` (+ ``probe``, when given).
+    def feasibility(self, prefix: tuple[Expr, ...],
+                    probe: tuple[Expr, ...] = ()
+                    ) -> tuple[bool, dict[Expr, int] | None]:
+        """Memoized feasibility of ``prefix + probe``, with its model.
 
-        The canonical cache keys the whole query either way; a miss is
-        decided on the main stack, or on the probe's stack when a probe
-        is given (:meth:`_check_probe`).
+        The model is the one the deciding stack verified (a fresh dict
+        the caller may keep); it is None on UNSAT and on a cache hit,
+        since the cache stores only the boolean. It is no witness:
+        witnesses come from :meth:`solve`, whose models are cached.
         """
         tracer = obs_trace.active
         if tracer is None:
-            return self._feasibility(prefix, probe)
+            return self._feasibility(prefix + probe)
         with tracer.span("solver.cache"):
-            return self._feasibility(prefix, probe)
+            return self._feasibility(prefix + probe)
 
-    def _feasibility(self, prefix: tuple[Expr, ...],
-                     probe: tuple[Expr, ...] | None) -> bool:
-        constraints = prefix if probe is None else prefix + probe
+    def _feasibility(self, constraints: tuple[Expr, ...]
+                     ) -> tuple[bool, dict[Expr, int] | None]:
         cache = self.query_cache
         key = cache.key(constraints)
         cached = cache.get_feasible(key)
         if cached is not None:
             self.solver.stats.cache_hits += 1
-            return cached
+            return cached, None
         self.solver.stats.cache_misses += 1
         if cache.is_trivially_unsat(key):
-            feasible = False
-        elif probe is None:
-            feasible = self._check(constraints).is_sat
+            feasible, model = False, None
         else:
-            feasible = self._check_probe(prefix, probe)
+            result = self._check(constraints)
+            feasible, model = result.is_sat, result.model
         cache.put_feasible(key, feasible)
-        return feasible
+        return feasible, model
 
     def probe_feasible_batch(self, prefix: tuple[Expr, ...],
                              probes: list[tuple[Expr, ...]]) -> list[bool]:
         """Feasibility of ``prefix + probe`` for every probe, in order.
 
-        Each probe is memoized canonically exactly like
-        :meth:`is_feasible`. A cache miss is decided on that probe's own
-        frame stack (see :meth:`_check_probe`), built on first use: the
-        Trojan search poses the same probes against a prefix that grows
-        one constraint at a time, so each stack pays one push per call
-        instead of re-pushing the whole probe.
+        Each probe is one :meth:`feasibility` call: memoized canonically,
+        and a miss is decided on the main stack as ``prefix + probe``,
+        so the prefix frames are reused from probe to probe.
         """
-        return [self._feasible(prefix, probe) for probe in probes]
+        return [self.feasibility(prefix, probe)[0] for probe in probes]
 
     def branch_feasibility(self, pc: tuple[Expr, ...],
                            condition: Expr) -> tuple[bool, bool]:

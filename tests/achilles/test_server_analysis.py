@@ -17,6 +17,9 @@ from repro.bench.experiments import FSP_SESSION_MASK
 from repro.messages.layout import Field, MessageLayout
 from repro.messages.symbolic import MessageBuilder, field_expr, message_vars
 from repro.solver import ast
+from repro.solver.evalmodel import all_hold
+from repro.solver.solver import Solver
+from repro.solver.walk import collect_vars_all
 from repro.symex.engine import Engine
 from repro.systems import broadcast, fsp, raft, tpc
 from repro.systems.pbft import REQUEST_LAYOUT, pbft_client, pbft_replica
@@ -178,6 +181,31 @@ class _TrielessObserver(TrojanSearchObserver):
         super().on_path_start(ctx)
 
 
+class _AuditingObserver(TrojanSearchObserver):
+    """Checks every answer the trie gives without the engine — an
+    inherited model or an interval refutation — against a fresh
+    from-scratch ``Solver().check`` of the full query, and an inherited
+    model against the query itself."""
+
+    audits: list[int] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.audits.append(0)
+
+    def _decide(self, kind, pc, probe, model, predicate=None):
+        engine_before = self.answered[kind + ".engine"]
+        feasible, decided = super()._decide(kind, pc, probe, model, predicate)
+        if self.answered[kind + ".engine"] == engine_before:
+            query = pc + probe
+            assert Solver().check(query).is_sat == feasible, (kind, pc)
+            if feasible:
+                assert collect_vars_all(query) <= decided.keys(), (kind, pc)
+                assert all_hold(query, decided), (kind, pc)
+            self.audits[-1] += 1
+        return feasible, decided
+
+
 #: name -> (AchillesConfig keywords, client programs, server program).
 WORKLOADS = {
     "toy": ({"layout": TOY_LAYOUT}, lambda: {"toy": toy_client}, toy_server),
@@ -215,8 +243,7 @@ def _observable(report):
                  f.witness, f.live_predicates, f.labels)
                 for f in report.findings]
     return (findings, report.predicate_samples, report.server_paths_pruned,
-            report.server_paths_explored, report.solver_queries,
-            report.cache_misses)
+            report.server_paths_explored)
 
 
 class TestPrefixTrieReplayParity:
@@ -227,19 +254,36 @@ class TestPrefixTrieReplayParity:
         without = _hunt(workload, FLAGS[flags], _TrielessObserver)
         assert with_trie.findings
         assert _observable(with_trie) == _observable(without)
-        # Replays skip the cache, never the solver.
+        # The trie saves solver work: a fresh child inherits the models
+        # its parent kept, where a recompute from the root re-derives
+        # them (a cache hit hands back no model to inherit).
+        assert with_trie.solver_queries <= without.solver_queries
+        assert with_trie.cache_misses <= without.cache_misses
         assert with_trie.cache_hits <= without.cache_hits
+        if workload == "fsp" and flags != "all-off":
+            assert with_trie.solver_queries < without.solver_queries
+            assert with_trie.cache_misses < without.cache_misses
+
+    @pytest.mark.parametrize("flags", FLAGS)
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_trie_answers_agree_with_scratch_solver(self, workload, flags):
+        _AuditingObserver.audits.clear()
+        report = _hunt(workload, FLAGS[flags], _AuditingObserver)
+        assert report.findings
+        if flags != "all-off":  # no drop step and no Trojan query to audit
+            assert sum(_AuditingObserver.audits) > 0
 
     def test_replayed_prefix_makes_no_engine_call(self, monkeypatch):
         engine_calls = [0]
-        for name in ("is_feasible", "probe_feasible_batch"):
-            original = getattr(Engine, name)
+        original = Engine.feasibility
 
-            def counted(self, *args, _original=original):
-                engine_calls[0] += 1
-                return _original(self, *args)
+        def counted(self, *args):
+            engine_calls[0] += 1
+            return original(self, *args)
 
-            monkeypatch.setattr(Engine, name, counted)
+        # Every feasibility question, from is_feasible and
+        # probe_feasible_batch too, goes through Engine.feasibility.
+        monkeypatch.setattr(Engine, "feasibility", counted)
 
         seen: set[tuple] = set()
         calls = {"fresh": [], "replayed": []}
@@ -259,5 +303,7 @@ class TestPrefixTrieReplayParity:
         report = _hunt("fsp", OptimizationFlags(), TrojanSearchObserver)
         assert report.trojan_count == 80
         assert len(calls["replayed"]) > len(calls["fresh"]) > 0
-        assert all(count > 0 for count in calls["fresh"])
         assert not any(calls["replayed"])
+        # A fresh prefix may be decided by the trie alone (inherited
+        # models and interval refutations), and on FSP some are.
+        assert 0 in calls["fresh"] and any(calls["fresh"])

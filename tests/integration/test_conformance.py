@@ -14,17 +14,22 @@ same answer (and a genuinely satisfying model) for
   and the canonically-equal reordered variant),
 * ``Engine.probe_feasible_batch`` along a depth-first walk of a prefix
   (extend, backtrack, extend a sibling) against fixed multi-conjunct
-  probes, with the per-probe frame stacks on and with
+  probes, on the engine's main frame stack and with
   ``EngineConfig.incremental`` off, and one long-lived
   ``IncrementalSolver`` whose verification memo carries across
   siblings, against a fresh stack at every node (status and model),
+* the Trojan observer's trie shortcuts along the same walk: a model of
+  ``prefix + probe`` extended to the appended constraint
+  (``extend_model``, missing variables at 0) must satisfy the child
+  query, and a refutation over the probe's own propagation fixpoint
+  (``refutes``) must be a child query the solver finds UNSAT,
 * an engine fronted by an *absorbed* cache snapshot
   (``QueryCache.snapshot()`` → ``absorb()``), which must answer every
   prefix depth identically — and entirely from cache hits,
 * ``SolverService.check_batch`` / ``probe_batch``, whose one shared
   frame stack must give the same answers in any query order and with
   the two surfaces interleaved, and whose probes must agree with the
-  engine's per-probe stacks (``Engine.probe_feasible_batch``).
+  engine's (``Engine.probe_feasible_batch``).
 
 The hypothesis profile is derandomized (fixed seed) with the deadline
 disabled, so the suite is reproducible on 1-core CI runners; CI runs it
@@ -38,10 +43,12 @@ from repro.messages.symbolic import field_expr, message_vars
 from repro.solver import ast
 from repro.solver.ast import bv_const
 from repro.solver.cache import QueryCache
-from repro.solver.evalmodel import all_hold
+from repro.solver.evalmodel import all_hold, extend_model
 from repro.solver.incremental import IncrementalSolver
+from repro.solver.propagate import fixpoint, refutes
 from repro.solver.service import SolverService
 from repro.solver.solver import Solver
+from repro.solver.walk import collect_vars_all
 from repro.symex.engine import Engine, EngineConfig
 
 settings.register_profile(
@@ -212,6 +219,70 @@ def test_probe_batch_agrees_along_a_prefix_walk(walk):
 
 
 @CONFORMANCE
+@given(walk=prefix_walks())
+def test_trie_shortcuts_agree_along_a_prefix_walk(walk):
+    """The observer's two shortcuts, posed as its trie poses them. Each
+    node keeps a model of ``prefix + probe`` per probe: inherited from
+    its parent when ``extend_model`` holds, else the scratch model. An
+    inherited model must cover and satisfy the child query, and leave
+    the parent's model untouched; a ``refutes`` over the probe's own
+    fixpoint must be a query the scratch solver finds UNSAT."""
+    pool, probes, moves = walk
+    domains = [fixpoint(probe) for probe in probes]
+    models: dict = {(): [Solver().check(probe).model for probe in probes]}
+    prefix: tuple = ()
+    for step, move in enumerate(moves):
+        if move is None:
+            prefix = prefix[:-1]
+            continue
+        index, negate = move
+        parent, constraint = prefix, (ast.not_(pool[index]) if negate
+                                      else pool[index])
+        prefix = parent + (constraint,)
+        if prefix in models:
+            continue
+        kept = []
+        for k, probe in enumerate(probes):
+            query = prefix + probe
+            reference = Solver().check(query)
+            model = models[parent][k]
+            inherited = None
+            if model is not None:
+                before = dict(model)
+                inherited = extend_model(model, constraint)
+                assert model == before, f"step {step}: parent model mutated"
+            if inherited is not None:
+                assert reference.is_sat, f"step {step}"
+                assert collect_vars_all(query) <= inherited.keys()
+                assert all_hold(query, inherited), f"step {step}"
+            if refutes(domains[k], constraint):
+                assert not reference.is_sat, f"step {step}"
+            kept.append(inherited if inherited is not None
+                        else reference.model)
+        models[prefix] = kept
+
+
+def test_trie_shortcuts_fire_on_the_battery():
+    """Both shortcuts decide something on a fixed battery — inheritance
+    also across a variable the parent's model lacks — and agree with
+    the scratch solver there."""
+    layout = MessageLayout("conf", [Field("f0", 1), Field("f1", 2)])
+    wire = message_vars(layout, "conf_msg")
+    f0 = field_expr(wire, layout.view("f0"))
+    f1 = field_expr(wire, layout.view("f1"))
+    probe = (f0 < 10,)
+    parent = (ast.ne(f0, bv_const(3, 8)),)
+    model = Solver().check(parent + probe).model
+    assert not set(collect_vars_all([f1])) <= model.keys()
+    inherited = extend_model(model, f1 < 300)
+    assert inherited is not None and inherited is not model
+    assert all_hold(parent + (f1 < 300,) + probe, inherited)
+    refuting = f0 > 40
+    assert refutes(fixpoint(probe), refuting)
+    assert not Solver().check(parent + (refuting,) + probe).is_sat
+
+
+@CONFORMANCE
 @given(workload=workloads())
 def test_absorbed_snapshot_fronted_engine_agrees(workload):
     """The snapshot/absorb leg of the oracle: answers served out of an
@@ -330,9 +401,10 @@ def test_interleaved_service_batches_agree_with_scratch():
             assert all_hold(query, dict(checked.model))
 
 
-def test_engine_probe_stacks_agree_with_service():
-    """The two batched probe surfaces — the engine's per-probe stacks and
-    the service's single shared stack — answer one battery alike."""
+def test_engine_probes_agree_with_service():
+    """The two batched probe surfaces — the engine's main stack behind
+    its query cache, and the service's shared stack — answer one battery
+    alike."""
     by_anchor: dict = {}
     for anchor, conjunct in _battery():
         by_anchor.setdefault(anchor, []).append((conjunct,))

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import SolverError
 from repro.solver import ast
 from repro.solver.ast import bool_var, bv_const, bv_var, ite, not_, or_, ult
-from repro.solver.evalmodel import all_hold, evaluate, holds
+from repro.solver.evalmodel import all_hold, evaluate, extend_model, holds
 
 X = bv_var("x", 8)
 Y = bv_var("y", 8)
@@ -75,3 +75,19 @@ class TestAgreesWithFolding:
         folded = getattr(ast, op)(bv_const(a, 8), bv_const(b, 8))
         symbolic = getattr(ast, op)(X, Y)
         assert evaluate(symbolic, {X: a, Y: b}) == int(folded.is_true)
+
+
+class TestExtendModel:
+    def test_holding_constraint_shares_the_model(self):
+        model = {X: 5}
+        assert extend_model(model, ult(X, bv_const(10, 8))) is model
+
+    def test_failing_constraint_gives_none(self):
+        assert extend_model({X: 5}, ult(X, bv_const(3, 8))) is None
+
+    def test_missing_variables_take_zero_in_a_copy(self):
+        model = {X: 5}
+        extended = extend_model(model, ast.eq(Y, bv_const(0, 8)))
+        assert extended == {X: 5, Y: 0}
+        assert model == {X: 5}  # the shared model is never mutated
+        assert extend_model(model, ast.eq(Y, bv_const(1, 8))) is None

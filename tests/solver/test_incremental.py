@@ -151,25 +151,6 @@ def _conjunct_pool(rng):
     return pool
 
 
-class TestSuffixFrames:
-    def test_fallback_receives_suffix_frames_last(self):
-        posed = []
-
-        class RecordingSolver(Solver):
-            def check(self, constraints, *args, **kwargs):
-                posed.append(tuple(constraints))
-                return super().check(constraints, *args, **kwargs)
-
-        # x*y == 6 with x, y in 2..3: propagation alone neither refutes
-        # nor satisfies it, so check_current falls back.
-        probe = (ast.mul(X, Y).eq(bv_const(6, 8)), X >= 2)
-        prefix = (Y >= 2, X < 4, Y < 4)
-        inc = IncrementalSolver(solver=RecordingSolver(), suffix_frames=2)
-        result = inc.check(probe + prefix)
-        assert result.status == _scratch_status(prefix + probe)
-        assert posed == [prefix + probe]
-
-
 class TestRandomizedAgreement:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_push_pop_agrees_with_scratch(self, seed):

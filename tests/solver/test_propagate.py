@@ -13,7 +13,7 @@ from repro.solver import ast
 from repro.solver.ast import bv_const, bv_var, eq, ne, not_, or_, ult, zext
 from repro.solver.evalmodel import all_hold
 from repro.solver.interval import Interval
-from repro.solver.propagate import initial_domains, propagate
+from repro.solver.propagate import fixpoint, initial_domains, propagate, refutes
 
 X = bv_var("x", 8)
 Y = bv_var("y", 8)
@@ -112,3 +112,21 @@ class TestSoundness:
         domain = domains.get(X, Interval(0, 255))
         for value in models:
             assert domain.contains(value)
+
+
+class TestRefutes:
+    X = bv_var("x", 8)
+
+    def test_constraint_false_over_the_fixpoint_is_refuted(self):
+        domains = fixpoint([self.X < 10])
+        assert refutes(domains, self.X > 20)
+        assert not refutes(domains, self.X > 5)
+
+    def test_unknown_variables_are_unconstrained(self):
+        y = bv_var("y", 8)
+        assert not refutes(fixpoint([self.X < 10]), y > 20)
+
+    def test_unsat_set_refutes_everything(self):
+        domains = fixpoint([self.X < 1, self.X > 5])
+        assert domains is None
+        assert refutes(domains, self.X < 200)

@@ -187,7 +187,7 @@ class TestDeterminism:
 
 class TestConstruction:
     def test_takes_no_solver_service(self):
-        """Batched probes run on the engine's own probe stacks; there is
+        """Batched probes run on the engine's own frame stack; there is
         no pool-backed service to hand it."""
         from repro.solver.service import SolverService
 
@@ -239,51 +239,31 @@ class TestIncrementalParity:
         assert engine.solver.stats.frames_pushed == 0
 
 
-class TestProbeStacks:
-    """``probe_feasible_batch`` decides cache misses on one frame stack
-    per probe, so a prefix grown by one conjunct costs one push per
-    probe — not a pop and re-push of every probe's conjuncts."""
+class TestProbesOnTheMainStack:
+    """``probe_feasible_batch`` decides cache misses on the engine's one
+    frame stack, posed as ``prefix + probe`` like any other query."""
 
-    PROBES = 4     # K probes ...
-    CONJUNCTS = 5  # ... of m conjuncts each
-    STEPS = 6
-
-    @classmethod
-    def _workload(cls):
-        # Probe k bounds its own variables, and the prefix grows over a
-        # separate one, so every query is satisfiable and none repeats
-        # canonically: each call misses the cache for every probe.
-        probes = []
-        for k in range(cls.PROBES):
-            v = [bv_var(f"p{k}_{j}", 8) for j in range(cls.CONJUNCTS)]
-            probes.append(tuple(var < 100 + k for var in v))
-        z = bv_var("z", 8)
-        prefix = tuple(z > step for step in range(cls.STEPS))
-        return prefix, probes
-
-    def test_each_step_pushes_one_frame_per_probe(self):
+    def test_probes_reuse_the_prefix_frames(self):
+        x, y = bv_var("x", 8), bv_var("y", 8)
+        prefix = (x > 3, x < 200, y > 1)
+        probes = [(x < 10,), (y < 5, x > 5), (x > 250,)]
         engine = _engine()
         stats = engine.solver.stats
-        prefix, probes = self._workload()
-        pushed = []
-        for depth in range(1, self.STEPS + 1):
-            before = stats.frames_pushed
-            answers = engine.probe_feasible_batch(prefix[:depth], probes)
-            assert answers == [True] * self.PROBES
-            pushed.append(stats.frames_pushed - before)
-        assert stats.cache_misses == self.STEPS * self.PROBES
-        # First call builds each stack: the probe plus the first conjunct.
-        assert pushed[0] == self.PROBES * (self.CONJUNCTS + 1)
-        # Afterwards K pushes per step; the shared main stack would pay
-        # 1 + K*m (pop each probe, push the next one whole).
-        assert pushed[1:] == [self.PROBES] * (self.STEPS - 1)
+        assert engine.probe_feasible_batch(prefix, probes) == \
+            [True, True, False]
+        assert stats.cache_misses == len(probes)
+        # The prefix is pushed once; each later probe pops the previous
+        # one and keeps the prefix frames.
+        assert stats.frames_pushed == len(prefix) + 1 + 2 + 1
+        assert stats.frames_reused == len(prefix) * (len(probes) - 1)
+        assert engine.incremental.depth == len(prefix) + len(probes[-1])
 
     def test_fallback_search_sees_the_query_order(self):
         # The from-scratch search branches in conjunct order. Posed as
         # prefix + probe this unsat query takes ~7.4k branch steps;
         # posed probe-first it exhausts the 50k budget below (and runs
-        # past 30 s without one), so a probe stack must hand its
-        # fallback the query order, not its own frame order.
+        # past 30 s without one), so the stack must hand its fallback
+        # the query order.
         b = [bv_var(f"b{i}", 8) for i in range(4)]
         hi = ast.concat(b[0], b[1])
         lo = ast.concat(b[2], b[3])
@@ -296,13 +276,15 @@ class TestProbeStacks:
         engine = Engine(solver=Solver(max_branch_steps=50_000))
         assert engine.probe_feasible_batch(prefix, [probe]) == [False]
 
-    def test_models_stay_on_the_main_stack(self):
+    def test_feasibility_hands_back_the_deciding_model(self):
+        x = bv_var("x", 8)
+        prefix, probe = (x > 3,), (x < 10,)
         engine = _engine()
-        prefix, probes = self._workload()
-        engine.probe_feasible_batch(prefix, probes)
-        assert engine.incremental.depth == 0
-        assert engine.solve(prefix) is not None
-        assert engine.incremental.depth == len(prefix)
+        feasible, model = engine.feasibility(prefix, probe)
+        assert feasible and 3 < model[x] < 10
+        # A cache hit knows only the boolean; UNSAT has no model.
+        assert engine.feasibility(prefix, probe) == (True, None)
+        assert engine.feasibility(prefix, (x < 2,)) == (False, None)
 
 
 def _vars(expr):
