@@ -1,21 +1,16 @@
 """Shard transport costs on the FSP workload (4-utility subset, shards=2).
 
-Two measurements: shard workers that absorb the coordinator's phase-1
-feasibility answers pose fewer solver queries than cold-cache workers
-(``BENCH_transport_cache_snapshot.json``), and a mid-run worker loss
-under ``on_worker_loss="recover"`` costs wall clock only, never findings
-(``BENCH_recovery.json``). Parity is asserted unconditionally; the wall
-clocks are recorded, not gated.
+A mid-run worker loss under ``on_worker_loss="recover"`` costs wall
+clock only, never findings (``BENCH_recovery.json``). Parity is asserted
+unconditionally; the wall clocks are recorded, not gated.
 """
 
 import itertools
 import time
 
 from repro.achilles import Achilles, AchillesConfig
-from repro.achilles.server_analysis import _shard_setup
 from repro.bench.experiments import FSP_SESSION_MASK
 from repro.bench.tables import format_table
-from repro.explore import ShardScheduler
 from repro.systems import fsp
 
 
@@ -32,52 +27,6 @@ def _run_fsp(shards: int, transport=None, on_worker_loss: str = "fail"):
     return report, seconds
 
 
-def test_cache_snapshot_cuts_duplicate_queries(benchmark, json_artifact):
-    """Shipping the coordinator's feasibility snapshot at fan-out must
-    cut the shard workers' solver queries vs cold caches — the ~1.6x
-    duplicate-query overhead the sharding PR measured at 2 shards."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
-
-    def sharded_queries(ship_cache: bool):
-        achilles = Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
-                                           mask=FSP_SESSION_MASK))
-        predicates = achilles.extract_clients(fsp.literal_clients(commands))
-        scheduler = ShardScheduler(
-            _shard_setup,
-            (fsp.fsp_server, predicates, achilles.server_msg, None, "msg",
-             True),
-            shards=2, engine_config=achilles.config.server_engine,
-            ship_cache=ship_cache)
-        # Warm the coordinator cache exactly as search_server would: the
-        # phase-1 answers are already in achilles.query_cache.
-        scheduler.engine.query_cache.absorb(achilles.query_cache.snapshot())
-        sharded = scheduler.run()
-        worker_queries = sharded.worker_solver_stats.queries
-        return worker_queries, sharded
-
-    cold_queries, cold = sharded_queries(ship_cache=False)
-    warm_queries, warm = sharded_queries(ship_cache=True)
-
-    assert warm.cache_entries_shipped > 0
-    assert cold.cache_entries_shipped == 0
-    # Identical findings either way — the snapshot is an accelerator,
-    # never an input.
-    assert [f.witness for f in warm.observer.findings] == \
-        [f.witness for f in cold.observer.findings]
-    assert warm_queries < cold_queries, (
-        f"snapshot shipping did not reduce worker queries: "
-        f"{warm_queries} vs {cold_queries}")
-
-    json_artifact("transport_cache_snapshot", {
-        "workload": "FSP 4-utility subset, shards=2",
-        "worker_queries_cold": cold_queries,
-        "worker_queries_with_snapshot": warm_queries,
-        "reduction_factor": round(cold_queries / max(1, warm_queries), 4),
-        "cache_entries_shipped": warm.cache_entries_shipped,
-    })
-
-
 def test_recovery_overhead(benchmark, artifact, json_artifact):
     """What a mid-run worker loss costs under ``on_worker_loss="recover"``.
 
@@ -91,10 +40,11 @@ def test_recovery_overhead(benchmark, artifact, json_artifact):
     from repro.explore import (FaultPlan, FaultyTransport, KillWorker,
                                LocalTransport)
 
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
     serial_report, serial_seconds = _run_fsp(1)
-    clean_report, clean_seconds = _run_fsp(2, on_worker_loss="recover")
+    # The timed region: the fault-free sharded search.
+    clean_report, clean_seconds = benchmark.pedantic(
+        _run_fsp, args=(2,), kwargs={"on_worker_loss": "recover"},
+        rounds=1, iterations=1)
 
     def faulted_run(after_results: int):
         faulty = FaultyTransport(

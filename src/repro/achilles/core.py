@@ -19,7 +19,9 @@ Both phases share one canonical :class:`~repro.solver.cache.QueryCache`
 (held on the :class:`Achilles` instance as ``query_cache``): feasibility
 answers computed while exploring the clients are reused verbatim during
 the server search whenever the canonicalized constraint sets coincide.
-The cache lives in memory for one run.
+With ``shards > 1`` only the coordinator's seed phase reads it: each
+shard worker starts with an empty private cache. The cache lives in
+memory for one run.
 The cache's hit/miss counters are surfaced on the resulting
 :class:`~repro.achilles.report.AchillesReport` (``cache_hits``,
 ``cache_misses``, ``cache_hit_rate``).
@@ -163,7 +165,8 @@ class Achilles:
         self.config = config
         self.server_msg = message_vars(config.layout, config.msg_name)
         # One canonical query cache for the whole run: phase 1 engines and
-        # the phase 2 search all consult (and fill) the same instance.
+        # the in-process phase 2 search consult (and fill) the same
+        # instance; shard workers keep private ones.
         self.query_cache = QueryCache()
 
     def close(self) -> None:

@@ -31,6 +31,10 @@ class TrojanFinding:
             accepted (the Trojan may be "bundled" with their messages).
         elapsed_seconds: when the finding was produced, measured from the
             start of the server analysis (drives the Figure 10 curve).
+            Under ``shards > 1`` a finding made by a shard worker keeps
+            the worker's clock: it is measured from the start of the
+            assignment that found the path, not from the start of the
+            run.
         labels: free-form marks the server program recorded on the path.
     """
 
@@ -168,7 +172,13 @@ class AchillesReport:
         return [f.witness for f in self.findings]
 
     def timeline(self) -> list[tuple[float, int]]:
-        """Cumulative discovery curve: (seconds, findings so far) — Fig 10."""
+        """Cumulative discovery curve: (seconds, findings so far) — Fig 10.
+
+        Points follow the findings' canonical order and carry their
+        ``elapsed_seconds``; under ``shards > 1`` those are per-assignment
+        clocks (see :class:`TrojanFinding`), so the seconds need not rise
+        monotonically.
+        """
         points = []
         for count, finding in enumerate(self.findings, start=1):
             points.append((finding.elapsed_seconds, count))

@@ -42,6 +42,7 @@ from repro.achilles.client_analysis import ClientPredicateSet
 from repro.achilles.negate import single_field_of
 from repro.achilles.report import AchillesReport, TrojanFinding
 from repro.errors import AchillesError
+from repro.explore.shard import HeartbeatControl
 from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressMeter
 from repro.obs.trace import (
@@ -476,8 +477,11 @@ def search_server(server, clients: ClientPredicateSet,
                                              server_msg,
                                              config.optimizations,
                                              config.msg_name)
-            control = (meter.serial_control(engine)
-                       if meter is not None else None)
+            control = None
+            if meter is not None:
+                control = HeartbeatControl(
+                    0.0, lambda beat: meter.maybe_render(**beat),
+                    engine=engine)
             if tracer is None:
                 exploration = engine.explore(program, observer,
                                              control=control)

@@ -5,8 +5,8 @@ symbolic path tree is split by decision prefixes across a pool of worker
 processes, each running the stock
 :meth:`repro.symex.engine.Engine.explore` loop below its prefixes with a
 fully private solver pipeline (hash-consed arena, canonical
-:class:`~repro.solver.cache.QueryCache`, incremental frame stack — one
-engine per process).
+:class:`~repro.solver.cache.QueryCache` that starts empty, incremental
+frame stack — one engine per process).
 
 The protocol, end to end:
 

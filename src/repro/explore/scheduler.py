@@ -45,6 +45,7 @@ from repro.explore.shard import (
     MSG_HEARTBEAT,
     Assignment,
     FrontierControl,
+    HeartbeatControl,
     Prefix,
     ShardOutcome,
     ShardSetup,
@@ -96,9 +97,6 @@ class ShardedExploration:
         steals: successful (non-empty) worklist donations brokered by
             the coordinator — a load-balancing diagnostic, not part of
             the deterministic output.
-        cache_entries_shipped: feasibility entries in the query-cache
-            snapshot shipped to each worker at fan-out (0 when shipping
-            was disabled or the run never fanned out).
         worker_failures: workers found dead during the run (0 on a
             fault-free run; only ever non-zero with
             ``on_worker_loss="recover"`` — a death under ``"fail"``
@@ -117,7 +115,6 @@ class ShardedExploration:
     worker_solver_stats: SolverStats
     shards: int
     steals: int = 0
-    cache_entries_shipped: int = 0
     worker_failures: int = 0
     recovery_seconds: float = 0.0
     worker_traces: dict[int, list] = field(default_factory=dict)
@@ -137,8 +134,9 @@ class ShardScheduler:
         shards: worker count (>= 1).
         engine: coordinator engine for the seed phase; defaults to a
             fresh ``Engine(engine_config)``. Its query cache is used
-            only above the frontier — workers build private engines
-            from ``engine_config``.
+            only above the frontier — workers (and a recovery walk)
+            build private engines, with empty caches, from
+            ``engine_config``.
         engine_config: exploration limits for workers (defaults to the
             coordinator engine's config). Note the ``max_paths`` cap
             degrades to per-worker granularity in a sharded run; byte
@@ -150,12 +148,6 @@ class ShardScheduler:
             to drive the workers through; None (the default) means a
             fresh :class:`~repro.explore.transport.LocalTransport`.
             Tests pass fault-injecting or scripted transports here.
-        ship_cache: ship a read-only snapshot of the coordinator
-            engine's canonical query cache (phase-1 + seed-phase
-            feasibility answers) to every worker at fan-out, so shards
-            do not re-solve queries a sibling phase already answered.
-            Sound (booleans are pure functions of the canonical query);
-            disable only to measure the overhead it removes.
         on_worker_loss: ``"fail"`` (default) raises on a silently dead
             worker, naming the lost assignment. ``"recover"`` aborts the
             fleet and explores the whole seeded frontier in-process;
@@ -167,12 +159,13 @@ class ShardScheduler:
             deltas come home on result frames and land in
             :attr:`ShardedExploration.worker_traces`. Purely
             observational — findings are byte-identical either way.
-        heartbeat_interval: seconds between worker liveness-gauge
-            heartbeats; 0 disables them. Tracing or an attached progress
-            meter defaults this to :data:`DEFAULT_HEARTBEAT_SECONDS`.
         progress: an optional :class:`~repro.obs.progress.ProgressMeter`
             fed from heartbeats and coordinator state (the ``--progress``
             status line).
+
+    Workers send liveness-gauge heartbeats every
+    :data:`DEFAULT_HEARTBEAT_SECONDS` when tracing or a progress meter
+    is on, and none otherwise.
     """
 
     def __init__(self, setup: ShardSetup, setup_args: tuple = (), *,
@@ -180,10 +173,8 @@ class ShardScheduler:
                  engine_config: EngineConfig | None = None,
                  seed_factor: int = DEFAULT_SEED_FACTOR,
                  transport: Transport | None = None,
-                 ship_cache: bool = True,
                  on_worker_loss: str = "fail",
                  trace: bool = False,
-                 heartbeat_interval: float | None = None,
                  progress=None):
         if shards < 1:
             raise SymexError(f"shard count must be >= 1, got {shards}")
@@ -199,13 +190,11 @@ class ShardScheduler:
         self.seed_factor = max(1, seed_factor)
         self.transport = (LocalTransport() if transport is None
                           else transport)
-        self.ship_cache = ship_cache
         self.on_worker_loss = on_worker_loss
         self.trace = trace
-        if heartbeat_interval is None:
-            heartbeat_interval = (DEFAULT_HEARTBEAT_SECONDS
-                                  if (trace or progress is not None) else 0.0)
-        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_interval = (DEFAULT_HEARTBEAT_SECONDS
+                                   if (trace or progress is not None)
+                                   else 0.0)
         self.progress = progress
         self._worker_failures = 0
         self._recovery_seconds = 0.0
@@ -237,9 +226,8 @@ class ShardScheduler:
         program, observer = self.setup(self.engine, *self.setup_args)
         outcomes, frontier = self._seed(program, observer)
         steals = 0
-        shipped = 0
         if frontier:
-            shard_outcomes, steals, shipped = self._fan_out(frontier)
+            shard_outcomes, steals = self._fan_out(frontier)
             outcomes.extend(shard_outcomes)
 
         with self._span("coordinator.merge", outcomes=len(outcomes)):
@@ -252,7 +240,7 @@ class ShardScheduler:
             exploration=merged.exploration, observer=observer,
             path_ids=merged.path_ids,
             worker_solver_stats=merged.solver_stats, shards=self.shards,
-            steals=steals, cache_entries_shipped=shipped,
+            steals=steals,
             worker_failures=self._worker_failures,
             recovery_seconds=self._recovery_seconds,
             worker_traces=self._worker_traces)
@@ -288,14 +276,11 @@ class ShardScheduler:
     # -- worker fleet --------------------------------------------------------
 
     def _fan_out(self, frontier: list[Prefix],
-                 ) -> tuple[list[ShardOutcome], int, int]:
+                 ) -> tuple[list[ShardOutcome], int]:
         """Partition the frontier across the fleet; broker steals."""
-        snapshot = (self.engine.query_cache.snapshot()
-                    if self.ship_cache else None)
         session = WorkerSession(
             setup=self.setup, setup_args=self.setup_args,
-            engine_config=self.engine_config, cache_snapshot=snapshot,
-            trace=self.trace,
+            engine_config=self.engine_config, trace=self.trace,
             heartbeat_interval=self.heartbeat_interval)
         self.transport.start(self.shards, session)
         try:
@@ -310,7 +295,7 @@ class ShardScheduler:
             outcomes = [self._recover(dead, frontier)]
         else:
             self.transport.stop()
-        return outcomes, steals, len(snapshot or ())
+        return outcomes, steals
 
     def _coordinate(self, frontier: list[Prefix],
                     ) -> tuple[list[ShardOutcome], int, list[int]]:
@@ -401,8 +386,6 @@ class ShardScheduler:
 
     def _note_heartbeat(self, wid: int, payload) -> None:
         """Feed a worker heartbeat to the progress meter and the trace."""
-        if not isinstance(payload, dict):  # pragma: no cover - defensive
-            return
         if self.progress is not None:
             self.progress.heartbeat(wid, payload)
         self._event("worker.heartbeat", wid=wid, **payload)
@@ -423,19 +406,16 @@ class ShardScheduler:
         self._worker_traces = {}
         with self._span("coordinator.recover", workers=len(dead),
                         roots=len(frontier)):
-            engine = Engine(self.engine_config,
-                            query_cache=self.engine.query_cache)
+            engine = Engine(self.engine_config)
             control = None
-            if self.progress is not None:
-                self.progress.fleet_lost(len(dead))
-                control = self.progress.serial_control(engine)
+            meter = self.progress
+            if meter is not None:
+                meter.fleet_lost(len(dead))
+                control = HeartbeatControl(
+                    0.0, lambda beat: meter.maybe_render(**beat),
+                    engine=engine)
             outcome = run_assignment(engine, self.setup, self.setup_args,
                                      frontier, control=control)
-        # The shared cache already books this walk's lookups on the
-        # coordinator's own stats; folding them in again would count
-        # every lookup twice.
-        outcome.solver_stats.cache_hits = 0
-        outcome.solver_stats.cache_misses = 0
         self._recovery_seconds = time.perf_counter() - started
         log_event(_log, logging.WARNING, "worker.recovered",
                   workers=len(dead), roots=len(frontier),

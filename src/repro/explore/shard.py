@@ -107,13 +107,11 @@ class StealControl(ExploreControl):
     def __init__(self, flag, donate: Callable[[list[Prefix]], None]):
         self.flag = flag
         self.donate = donate
-        self.donations = 0
 
     def checkpoint(self, worklist: deque) -> bool:
         if self.flag.is_set():
             self.flag.clear()
             share = [worklist.popleft() for _ in range(len(worklist) // 2)]
-            self.donations += 1
             self.donate(share)
         return True
 
@@ -130,7 +128,9 @@ class HeartbeatControl(ExploreControl):
     returns True, so findings are unchanged by its presence.
 
     Chains ``inner``, so one long-lived heartbeat (its counters span
-    assignments) wraps each assignment's own steal control.
+    assignments) wraps the worker's steal control. With a zero
+    interval it beats at every checkpoint: that is how in-process walks
+    (serial runs, worker-loss recovery) feed the ``--progress`` meter.
     """
 
     def __init__(self, interval: float, emit: Callable[[dict], None],
@@ -194,11 +194,10 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
     loop down), ``result_queue`` carries ``(kind, worker_id, payload)``
     messages back to the coordinator, and ``steal_flag`` is the
     ``multiprocessing.Event`` the coordinator raises to ask for a
-    donation. The engine (and with it the warm canonical cache and frame
-    stack) persists across assignments; the coordinator's cache
-    snapshot, when shipped, is absorbed once before the first
-    assignment. Any exception is reported as an :data:`MSG_ERROR`
-    message instead of dying silently.
+    donation. The engine starts with an empty query cache and persists
+    across assignments, so its canonical cache and frame stack stay
+    warm. Any exception is reported as an :data:`MSG_ERROR` message
+    instead of dying silently.
 
     Args:
         session: a :class:`~repro.explore.transport.WorkerSession`.
@@ -208,22 +207,19 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
 
     try:
         engine = Engine(session.engine_config)
-        if session.cache_snapshot is not None:
-            engine.query_cache.absorb(session.cache_snapshot)
         tracer = None
         if session.trace:
             # A forked worker inherits the coordinator's tracer binding;
             # replace it with a fresh worker-sourced one.
             obs_trace.deactivate()
             tracer = obs_trace.activate(source="worker")
-        heartbeat = None
+        control = StealControl(
+            steal_flag, lambda share: put_message(MSG_DONATE, share))
         if session.heartbeat_interval:
-            heartbeat = HeartbeatControl(
+            control = HeartbeatControl(
                 session.heartbeat_interval,
                 lambda payload: put_message(MSG_HEARTBEAT, payload),
-                engine=engine)
-        steal = StealControl(
-            steal_flag, lambda share: put_message(MSG_DONATE, share))
+                engine=engine, inner=control)
         while True:
             assignment = task_queue.get()
             if assignment is None:
@@ -232,10 +228,6 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
             # into this assignment.
             steal_flag.clear()
             roots = list(assignment.roots)
-            control = steal
-            if heartbeat is not None:
-                heartbeat.inner = control
-                control = heartbeat
             if tracer is None:
                 outcome = run_assignment(engine, session.setup,
                                          session.setup_args, roots, control)

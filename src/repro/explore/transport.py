@@ -16,8 +16,8 @@ interface.
 Message flow, coordinator side:
 
 1. :meth:`Transport.start` launches ``count`` workers and hands each
-   one the :class:`WorkerSession` (setup callable, engine config, and
-   the read-only :class:`~repro.solver.cache.QueryCache` snapshot).
+   one the :class:`WorkerSession` (setup callable, engine config and
+   observation settings).
 2. :meth:`Transport.assign` ships an
    :class:`~repro.explore.shard.Assignment` to one worker;
    :meth:`Transport.request_steal` raises its steal flag.
@@ -58,12 +58,8 @@ class WorkerSession:
         setup: module-level ``setup(engine, *args) -> (program, observer)``
             callable, rebuilt per assignment inside the worker.
         setup_args: picklable arguments for ``setup``.
-        engine_config: exploration limits for the worker's private engine.
-        cache_snapshot: read-only snapshot of the coordinator's canonical
-            query cache (:meth:`repro.solver.cache.QueryCache.snapshot`),
-            absorbed into the worker's cache at session start so shard
-            workers do not re-solve what phase 1 and the seed phase
-            already answered. None ships no warm-up.
+        engine_config: exploration limits for the worker's private engine
+            (which starts with an empty query cache).
         trace: when True the worker activates a local tracer and ships
             a :class:`~repro.obs.trace.TraceDelta` on every result
             frame. Off by default — tracing must cost nothing unless a
@@ -76,7 +72,6 @@ class WorkerSession:
     setup: ShardSetup
     setup_args: tuple = ()
     engine_config: EngineConfig = field(default_factory=EngineConfig)
-    cache_snapshot: dict | None = None
     trace: bool = False
     heartbeat_interval: float = 0.0
 

@@ -3,10 +3,10 @@
 A :class:`ProgressMeter` aggregates worker heartbeats (paths/sec,
 worklist depth, cache hit rate) plus coordinator-side counts (pending
 regions, steals, failures) and prints a single status line to stderr at
-a fixed cadence. It deliberately has no repro imports: the serial
-control below duck-types the engine's ``ExploreControl`` protocol
-(``checkpoint(worklist) -> bool``), so this module can sit below every
-layer it observes.
+a fixed cadence. In-process walks (serial runs and worker-loss recovery)
+feed it through :class:`~repro.explore.shard.HeartbeatControl` with a
+zero interval. It deliberately has no repro imports, so it can sit below
+every layer it observes.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ class ProgressMeter:
         self._last_paths = 0
         self._last_rate_at = self.started
         self._fleet: dict[int, dict] = {}
-        self.lines_rendered = 0
         self.coordinator: dict = {}
 
     # -- inputs ---------------------------------------------------------
 
     def heartbeat(self, wid: int, payload: dict) -> None:
         """Record one worker heartbeat (a plain dict of gauges)."""
-        if isinstance(payload, dict):
-            self._fleet[wid] = payload
+        self._fleet[wid] = payload
 
     def note(self, **fields) -> None:
         """Update coordinator-side fields (pending, busy, steals...)."""
@@ -100,40 +98,8 @@ class ProgressMeter:
             return False
         self._last_render = now
         print(self.status_line(), file=self.stream, flush=True)
-        self.lines_rendered += 1
         return True
 
     def close(self) -> None:
         """Final status line so short runs show at least one."""
         print(self.status_line(), file=self.stream, flush=True)
-        self.lines_rendered += 1
-
-    # -- serial runs ----------------------------------------------------
-
-    def serial_control(self, engine=None, inner=None) -> "ProgressControl":
-        """An ``ExploreControl`` that feeds this meter from an
-        in-process (unsharded) exploration."""
-        return ProgressControl(self, engine=engine, inner=inner)
-
-
-class ProgressControl:
-    """Duck-typed ExploreControl: counts popped paths and worklist depth
-    for the meter; purely observational (always returns True)."""
-
-    def __init__(self, meter: ProgressMeter, engine=None, inner=None):
-        self.meter = meter
-        self.engine = engine
-        self.inner = inner
-        self.paths = 0
-
-    def checkpoint(self, worklist) -> bool:
-        self.paths += 1
-        fields = {"paths": self.paths, "worklist": len(worklist)}
-        if self.engine is not None:
-            stats = self.engine.query_cache.stats
-            fields["cache_hits"] = stats.hits
-            fields["cache_misses"] = stats.misses
-        self.meter.maybe_render(**fields)
-        if self.inner is not None:
-            return self.inner.checkpoint(worklist)
-        return True

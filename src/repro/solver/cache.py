@@ -133,36 +133,6 @@ class QueryCache:
         self._models[key] = model
         self._feasible[key] = model is not None
 
-    # -- cross-process shipping ----------------------------------------------
-
-    def snapshot(self) -> dict[QueryKey, bool]:
-        """Read-only copy of the feasibility map, for shipping to workers.
-
-        Only the boolean feasibility entries travel: SAT/UNSAT is a pure
-        function of the canonical query, so pre-loading another cache
-        with these answers can never change what that cache's owner
-        computes — it only saves the re-solve. Models are deliberately
-        excluded: a model stored for a canonically-equal *variant* could
-        otherwise change which witness a remote worker reports. The
-        canonical keys are frozensets of hash-consed
-        expressions, which re-intern on unpickle, so a snapshot crosses
-        process and host boundaries intact.
-        """
-        return dict(self._feasible)
-
-    def absorb(self, snapshot: dict[QueryKey, bool]) -> int:
-        """Pre-load feasibility answers from another cache's snapshot.
-
-        Locally-computed entries win on conflict (they are equal anyway —
-        both are pure functions of the key); hit/miss counters are not
-        touched, so absorbed answers surface as ordinary hits when the
-        owner first poses the query. Returns the number of new entries.
-        """
-        before = len(self._feasible)
-        for key, feasible in snapshot.items():
-            self._feasible.setdefault(key, feasible)
-        return len(self._feasible) - before
-
     # -- maintenance ---------------------------------------------------------
 
     def __len__(self) -> int:

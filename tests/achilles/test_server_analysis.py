@@ -100,6 +100,23 @@ class TestSearch:
         report, _ = search_server(_server_with_hole, clients, MSG)
         assert report.findings[0].live_predicates == (0,)
 
+    @pytest.mark.parametrize("server", [_server_with_hole, _exact_server])
+    def test_serial_progress_meter_counts_every_path(self, clients, capsys,
+                                                     server):
+        """``--progress`` on a serial walk renders to stderr, and the
+        closing line counts exactly the executed paths (a pruned path
+        counts: ``_exact_server`` prunes its accepting one)."""
+        report, exploration = search_server(
+            server, clients, MSG,
+            AchillesConfig(layout=LAYOUT, progress=True))
+        lines = capsys.readouterr().err.splitlines()
+        assert lines
+        assert all(line.startswith("[hunt]") for line in lines)
+        executed = len(exploration.executed)
+        assert executed == report.server_paths_explored + \
+            report.server_paths_pruned > 1
+        assert f" paths={executed} " in lines[-1]
+
 
 class TestAPosteriori:
     def test_same_trojans_as_incremental(self, clients):

@@ -174,8 +174,8 @@ class TestScalarPayloads:
             assert isinstance(copy, TrojanFinding)
             assert copy == finding
 
-    def test_worker_session_with_snapshot(self, toy_achilles):
-        """The full session-init payload, cache snapshot included."""
+    def test_worker_session(self, toy_achilles):
+        """The full session-init payload."""
         from repro.achilles.server_analysis import _shard_setup
 
         achilles, predicates, _ = toy_achilles
@@ -183,13 +183,10 @@ class TestScalarPayloads:
             setup=_shard_setup,
             setup_args=(toy_server, predicates, achilles.server_msg,
                         None, "msg", True),
-            engine_config=EngineConfig(),
-            cache_snapshot=achilles.query_cache.snapshot())
+            engine_config=EngineConfig())
         copy = wire_roundtrip(session)
         assert copy.setup is _shard_setup
         assert copy.engine_config == session.engine_config
-        assert copy.cache_snapshot == session.cache_snapshot
-        assert len(copy.cache_snapshot) > 0
 
 
 class TestWorkerMessages:
@@ -235,8 +232,7 @@ class TestSchedulerSessionIsPicklable:
         scheduler.engine.explore(*tree_setup(scheduler.engine, 3))
         session = WorkerSession(
             setup=scheduler.setup, setup_args=scheduler.setup_args,
-            engine_config=scheduler.engine_config,
-            cache_snapshot=scheduler.engine.query_cache.snapshot())
+            engine_config=scheduler.engine_config)
         revived = pickle.loads(pickle.dumps(session))
         assert revived.setup is tree_setup
         assert revived.setup_args == (3,)

@@ -231,17 +231,20 @@ class TestRecoveryParity:
         assert sharded.exploration.executed == serial.executed
 
     def test_recovery_counts_each_cache_lookup_once(self):
-        """The in-process walk shares the coordinator's query cache, so
-        its lookups are booked there and nowhere else: seed lookups plus
-        walk lookups, exactly as a standalone seed-and-walk counts
-        them."""
+        """The in-process walk runs on a fresh engine, as a worker does:
+        the coordinator's cache books the seed lookups, the walk's
+        outcome books its own, and each side counts exactly what a
+        standalone seed and a standalone walk count."""
         engine = Engine(EngineConfig())
         program, _ = tree_setup(engine, *TREE_ARGS)
         seed = engine.explore(program, control=FrontierControl(4), order=BFS)
-        run_assignment(Engine(EngineConfig(), query_cache=engine.query_cache),
-                       tree_setup, TREE_ARGS, sorted(seed.frontier,
-                                                     key=canonical_key))
-        expected = engine.query_cache.stats.queries
+        walker = Engine(EngineConfig())
+        walk = run_assignment(walker, tree_setup, TREE_ARGS,
+                              sorted(seed.frontier, key=canonical_key))
+        seed_lookups = engine.query_cache.stats.queries
+        walk_lookups = walker.query_cache.stats.queries
+        assert walk.solver_stats.cache_hits + \
+            walk.solver_stats.cache_misses == walk_lookups > 0
 
         scheduler = ShardScheduler(
             tree_setup, TREE_ARGS, shards=2, seed_factor=2,
@@ -251,8 +254,8 @@ class TestRecoveryParity:
         sharded = scheduler.run()
         assert sharded.worker_failures == 1
         worker = sharded.worker_solver_stats
-        assert (scheduler.engine.query_cache.stats.queries
-                + worker.cache_hits + worker.cache_misses) == expected
+        assert scheduler.engine.query_cache.stats.queries == seed_lookups
+        assert worker.cache_hits + worker.cache_misses == walk_lookups
 
     def test_garbled_result_recovers_byte_identical(self):
         """A corrupted frame severs the worker; recovery re-runs its

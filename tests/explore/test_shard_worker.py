@@ -185,16 +185,6 @@ class TestWarmCache:
         assert second.solver_stats.cache_hits > 0
         assert _decisions(second.paths) == _decisions(first.paths)
 
-    def test_cache_snapshot_is_absorbed_before_the_first_assignment(self):
-        engine = Engine(EngineConfig())
-        engine.explore(*tree_setup(engine, *TREE_ARGS))
-        session = WorkerSession(
-            setup=tree_setup, setup_args=TREE_ARGS,
-            cache_snapshot=engine.query_cache.snapshot())
-        [outcome] = _outcomes(_run([Assignment(((),))], session))
-        assert outcome.solver_stats.queries == 0
-        assert outcome.solver_stats.cache_hits > 0
-
 
 class TestObservation:
     def test_untraced_session_ships_no_trace(self):

@@ -1,5 +1,5 @@
-"""Unit tests for the transport layer: snapshots, the interface, the
-local worker lifecycle, and the absence of any network transport.
+"""Unit tests for the transport layer: the interface, the local worker
+lifecycle, and the absence of any network transport.
 
 End-to-end sharded runs (parity across shard counts, worker death,
 tracing) live in ``tests/integration/``; this file covers the pieces in
@@ -8,66 +8,14 @@ isolation.
 
 import ast
 import importlib
-import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.explore import Assignment, LocalTransport, Transport
-from repro.solver.ast import bv_const, bv_var, ult
-from repro.solver.cache import QueryCache
 from repro.symex.engine import EngineConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-
-class TestCacheSnapshot:
-    def _key(self, cache, byte):
-        return cache.key((ult(bv_var("m_0", 8), bv_const(byte, 8)),))
-
-    def test_snapshot_ships_feasibility_only(self):
-        cache = QueryCache()
-        key = self._key(cache, 10)
-        cache.put_feasible(key, True)
-        model_key = self._key(cache, 20)
-        cache.put_model(model_key, {bv_var("m_0", 8): 5})
-        snapshot = cache.snapshot()
-        # put_model implies feasibility, so both keys appear — but only
-        # as booleans; the model itself must not travel.
-        assert snapshot == {key: True, model_key: True}
-
-    def test_absorb_preloads_and_counts_new_entries(self):
-        source, target = QueryCache(), QueryCache()
-        key = self._key(source, 33)
-        source.put_feasible(key, False)
-        assert target.absorb(source.snapshot()) == 1
-        assert target.absorb(source.snapshot()) == 0  # idempotent
-        # The absorbed answer is served as an ordinary hit.
-        assert target.get_feasible(key) is False
-        assert target.stats.hits == 1
-        assert target.stats.misses == 0
-
-    def test_absorb_never_overwrites_local_entries(self):
-        local, remote = QueryCache(), QueryCache()
-        key = self._key(local, 7)
-        local.put_feasible(key, True)
-        remote_snapshot = {key: False}  # cannot happen in practice
-        local.absorb(remote_snapshot)
-        assert local.get_feasible(key) is True
-
-    def test_absorb_does_not_touch_counters(self):
-        cache = QueryCache()
-        cache.absorb({self._key(cache, 3): True})
-        assert cache.stats.queries == 0
-
-    def test_snapshot_survives_pickling(self):
-        cache = QueryCache()
-        key = self._key(cache, 99)
-        cache.put_feasible(key, True)
-        revived = pickle.loads(pickle.dumps(cache.snapshot()))
-        other = QueryCache()
-        assert other.absorb(revived) == 1
-        assert other.get_feasible(self._key(other, 99)) is True
 
 
 class TestTransportInterface:

@@ -23,9 +23,6 @@ same answer (and a genuinely satisfying model) for
   (``extend_model``, missing variables at 0) must satisfy the child
   query, and a refutation over the probe's own propagation fixpoint
   (``refutes``) must be a child query the solver finds UNSAT,
-* an engine fronted by an *absorbed* cache snapshot
-  (``QueryCache.snapshot()`` → ``absorb()``), which must answer every
-  prefix depth identically — and entirely from cache hits,
 * ``SolverService.check_batch`` / ``probe_batch``, whose one shared
   frame stack must give the same answers in any query order and with
   the two surfaces interleaved, and whose probes must agree with the
@@ -280,47 +277,6 @@ def test_trie_shortcuts_fire_on_the_battery():
     refuting = f0 > 40
     assert refutes(fixpoint(probe), refuting)
     assert not Solver().check(parent + (refuting,) + probe).is_sat
-
-
-@CONFORMANCE
-@given(workload=workloads())
-def test_absorbed_snapshot_fronted_engine_agrees(workload):
-    """The snapshot/absorb leg of the oracle: answers served out of an
-    *absorbed* cache snapshot must agree with from-scratch at every
-    prefix depth.
-
-    A source engine warms a cache at every prefix of the workload, the
-    snapshot crosses into a fresh cache via ``absorb``, and a fresh
-    engine fronted by the absorbed cache must (a) answer every prefix
-    identically to the scratch reference and (b) answer them all as
-    cache *hits* — the engine records every prefix feasibility it
-    decides, so the snapshot covers them."""
-    _, constraints = workload
-    reference = _reference_answers(constraints)
-    prefixes = [tuple(constraints[:depth + 1])
-                for depth in range(len(constraints))]
-    source_cache = QueryCache()
-    source_engine = Engine(query_cache=source_cache)
-    for prefix, expected in zip(prefixes, reference):
-        assert source_engine.is_feasible(prefix) == expected.is_sat
-    snapshot = source_cache.snapshot()
-    absorbed = QueryCache()
-    assert absorbed.absorb(snapshot) == len(snapshot)
-    assert absorbed.absorb(snapshot) == 0  # idempotent: local wins
-    fronted = Engine(query_cache=absorbed)
-    for depth, (prefix, expected) in enumerate(zip(prefixes, reference)):
-        hits_before = absorbed.stats.hits
-        assert fronted.is_feasible(prefix) == expected.is_sat, \
-            f"depth {depth}"
-        assert absorbed.stats.hits == hits_before + 1, \
-            f"depth {depth} missed the absorbed snapshot"
-    # Canonical equality crosses the snapshot boundary too: reordered
-    # conjuncts still hit the absorbed entries.
-    variant = tuple(reversed(constraints))
-    hits_before = absorbed.stats.hits
-    assert Engine(query_cache=absorbed).is_feasible(variant) == \
-        reference[-1].is_sat
-    assert absorbed.stats.hits == hits_before + 1
 
 
 @CONFORMANCE
