@@ -11,6 +11,7 @@ Setup callables live at module level so worker processes can unpickle
 them under any start method.
 """
 
+import io
 import time
 from collections import deque
 
@@ -30,6 +31,7 @@ from repro.explore import (
     Transport,
 )
 from repro.explore.shard import MSG_DONE, FrontierControl, run_assignment
+from repro.obs.progress import ProgressMeter
 from repro.symex.engine import BFS, Engine, EngineConfig
 from repro.symex.state import canonical_key
 
@@ -256,6 +258,33 @@ class TestRecoveryParity:
         worker = sharded.worker_solver_stats
         assert scheduler.engine.query_cache.stats.queries == seed_lookups
         assert worker.cache_hits + worker.cache_misses == walk_lookups
+
+    def test_recovery_walk_feeds_the_progress_meter(self):
+        """After a loss the meter drops the fleet's gauges and counts
+        the in-process walk's own executed paths, as a serial run's
+        meter does."""
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, *TREE_ARGS)
+        seed = engine.explore(program, control=FrontierControl(4), order=BFS)
+        walk = run_assignment(Engine(EngineConfig()), tree_setup, TREE_ARGS,
+                              sorted(seed.frontier, key=canonical_key))
+
+        stream = io.StringIO()
+        meter = ProgressMeter(stream=stream)
+        scheduler = ShardScheduler(
+            tree_setup, TREE_ARGS, shards=2, seed_factor=2,
+            transport=FaultyTransport(LocalTransport(),
+                                      FaultPlan(KillWorker(0))),
+            on_worker_loss="recover", progress=meter)
+        sharded = scheduler.run()
+        meter.close()
+        assert sharded.worker_failures == 1
+        assert meter.coordinator["failures"] == 1
+        assert meter.coordinator["paths"] == len(walk.executed) > 1
+        assert "workers" not in meter.coordinator
+        last = stream.getvalue().splitlines()[-1]
+        assert f" paths={len(walk.executed)} " in last
+        assert last.endswith(" failures=1")
 
     def test_garbled_result_recovers_byte_identical(self):
         """A corrupted frame severs the worker; recovery re-runs its

@@ -1,8 +1,10 @@
 """HeartbeatControl: cadence, payload, chaining, observational purity."""
 
+import io
 from collections import deque
 
 from repro.explore.shard import HeartbeatControl
+from repro.obs.progress import ProgressMeter
 
 
 class FakeClock:
@@ -91,3 +93,35 @@ def test_never_mutates_the_worklist():
     clock.now = 5.0
     control.checkpoint(worklist)
     assert list(worklist) == [(True,), (False,)]
+
+
+def test_zero_interval_beats_at_every_checkpoint():
+    """The in-process walks' setting: no clock advance is needed."""
+    clock = FakeClock()
+    emit = Recorder()
+    control = HeartbeatControl(0.0, emit, clock=clock)
+    worklist = deque([()])
+    for _ in range(3):
+        control.checkpoint(worklist)
+    assert [beat["paths"] for beat in emit.payloads] == [1, 2, 3]
+    assert control.sent == 3
+
+
+def test_zero_interval_feeds_a_progress_meter():
+    """Serial runs and recovery wire each beat into the meter's
+    coordinator fields; the meter's own cadence decides what prints."""
+    clock = FakeClock()
+    stream = io.StringIO()
+    meter = ProgressMeter(stream=stream, interval=1.0, clock=clock)
+    control = HeartbeatControl(0.0, lambda beat: meter.maybe_render(**beat),
+                               engine=FakeEngine(), clock=clock)
+    worklist = deque([(), ()])
+    control.checkpoint(worklist)           # same instant: nothing prints
+    assert stream.getvalue() == ""
+    clock.now = 1.0
+    control.checkpoint(worklist)
+    [line] = stream.getvalue().splitlines()
+    assert line.startswith("[hunt]")
+    assert " paths=2 " in line
+    assert " worklist=2" in line
+    assert "cache=73.3%" in line           # 11 hits of 15 lookups

@@ -18,6 +18,7 @@ from repro.explore.shard import (
     MSG_ERROR,
     MSG_HEARTBEAT,
     Assignment,
+    run_assignment,
     shard_worker,
 )
 from repro.explore.transport import WorkerSession
@@ -184,6 +185,19 @@ class TestWarmCache:
         assert second.solver_stats.cache_misses == 0
         assert second.solver_stats.cache_hits > 0
         assert _decisions(second.paths) == _decisions(first.paths)
+
+    def test_first_assignment_starts_from_an_empty_cache(self):
+        """Nothing preloads the worker's cache: its first assignment
+        books exactly the hits and misses a fresh engine books on the
+        same roots."""
+        roots = ((True,), (False,))
+        [outcome] = _outcomes(_run([Assignment(roots)]))
+        fresh = run_assignment(Engine(EngineConfig()), tree_setup,
+                               TREE_ARGS, list(roots))
+        assert outcome.solver_stats.cache_misses > 0
+        assert (outcome.solver_stats.cache_hits,
+                outcome.solver_stats.cache_misses) == (
+            fresh.solver_stats.cache_hits, fresh.solver_stats.cache_misses)
 
 
 class TestObservation:

@@ -7,15 +7,27 @@ isolation.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 from repro.explore import Assignment, LocalTransport, Transport
+from repro.explore.transport import WorkerSession
 from repro.symex.engine import EngineConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+class TestWorkerSession:
+    def test_session_carries_no_cache_state(self):
+        """A worker's engine starts with an empty private cache: the
+        session-init payload holds the setup, the limits and the
+        observation switches, and no query-cache entries."""
+        names = {f.name for f in dataclasses.fields(WorkerSession)}
+        assert names == {"setup", "setup_args", "engine_config", "trace",
+                         "heartbeat_interval"}
 
 
 class TestTransportInterface:
@@ -207,6 +219,12 @@ class TestOneTransport:
 
         with pytest.raises(TypeError, match="hosts"):
             ShardScheduler(tiny_setup, shards=2, hosts=("127.0.0.1:9100",))
+
+    def test_scheduler_ships_no_cache(self):
+        from repro.explore import ShardScheduler
+
+        with pytest.raises(TypeError, match="ship_cache"):
+            ShardScheduler(tiny_setup, shards=2, ship_cache=True)
 
     def test_no_module_imports_socket(self):
         offenders = []

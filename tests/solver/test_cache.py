@@ -118,6 +118,13 @@ class TestQueryCache:
                      "is_disk_loaded", "flush_store", "peek_model"):
             assert not hasattr(cache, name), name
 
+    def test_no_snapshot_surface(self):
+        """Entries never cross engines: a cache is filled only by the
+        lookups of the engine that owns it."""
+        cache = QueryCache()
+        for name in ("snapshot", "absorb"):
+            assert not hasattr(cache, name), name
+
     def test_clear_drops_entries_but_keeps_counters(self):
         cache = QueryCache()
         key = cache.key([ult(X, Y)])
