@@ -10,10 +10,11 @@ records the phase costs.
 The *shard* sweep runs the same FSP end-to-end analysis at 1, 2 and 4
 exploration shards (decision-prefix sharding of the phase-2 path tree,
 :mod:`repro.explore`), asserts the findings are byte-identical at every
-shard count and emits ``BENCH_explore_scaling.json``. The wall-clock
-speedup assertion is gated on the machine actually having the cores — on
-a single-core box the shards can only add dispatch overhead, which the
-emitted JSON records rather than hides.
+shard count, gates the shards=2 solver-query count against serial and
+emits ``BENCH_explore_scaling.json``. The wall-clock speedup assertion
+is gated on the machine actually having the cores — on a single-core
+box the shards can only add dispatch overhead, which the emitted JSON
+records rather than hides.
 """
 
 import itertools
@@ -97,6 +98,14 @@ def test_different_from_is_computed_lazily(benchmark, sweep):
 
 SHARD_COUNTS = (1, 2, 4)
 
+#: Solver queries a shards=2 FSP hunt may pose per serial one. Workers
+#: keep one Trojan observer per session and start from the coordinator's
+#: seeded prefix trie, so they re-decide only the prefixes a steal moved
+#: between them: 983-990 queries against 979 serially. A worker that
+#: rebuilt its observer per assignment posed ~1,065; one that also
+#: started from an empty trie, 1,170-1,309.
+SHARD_QUERY_RATIO = 1.05
+
 
 @pytest.fixture(scope="module")
 def shard_sweep():
@@ -122,14 +131,18 @@ def shard_sweep():
 
 def test_shard_sweep_end_to_end(benchmark, shard_sweep, artifact,
                                 json_artifact):
-    """Decision-prefix sharding: parity is unconditional, speedup gated.
+    """Decision-prefix sharding: parity and worker queries are
+    unconditional, speedup gated.
 
+    Times one shards=2 FSP hunt, and holds it and the sweep's shards=2
+    run to :data:`SHARD_QUERY_RATIO` times the serial solver queries.
     Emits ``BENCH_explore_scaling.json``. The >=1.5x wall-clock gate at 4
     shards only runs on machines with >= 4 cores — a smaller box can only
     time-slice the shard processes, which the JSON records rather than
     hides.
     """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    timed = benchmark.pedantic(run_accuracy, args=("fsp",),
+                               kwargs={"shards": 2}, rounds=1, iterations=1)
     cores = os.cpu_count() or 1
     serial_seconds = shard_sweep[1][0]
 
@@ -163,9 +176,20 @@ def test_shard_sweep_end_to_end(benchmark, shard_sweep, artifact,
     for shards in SHARD_COUNTS[1:]:
         assert shard_sweep[shards][1].report.witnesses() == baseline, (
             f"shards={shards} changed the findings")
+    assert timed.report.witnesses() == baseline
     for shards in SHARD_COUNTS:
         assert shard_sweep[shards][1].true_positives == 80
         assert shard_sweep[shards][1].false_positives == 0
+
+    # Workers must not re-decide what the coordinator or they already
+    # decided.
+    serial_queries = shard_sweep[1][1].report.solver_queries
+    budget = round(SHARD_QUERY_RATIO * serial_queries)
+    for report in (timed.report, shard_sweep[2][1].report):
+        assert report.solver_queries <= budget, (
+            f"shards=2 posed {report.solver_queries} solver queries, "
+            f"over {budget} ({SHARD_QUERY_RATIO}x the serial "
+            f"{serial_queries})")
 
     if cores < 4:
         pytest.skip("shard speedup gate needs >= 4 cores "

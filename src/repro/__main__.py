@@ -229,7 +229,8 @@ def _settings_parser() -> argparse.ArgumentParser:
                              "(default: the engine default)")
     parser.add_argument("--progress", action="store_true",
                         help="print a live one-line fleet status to "
-                             "stderr while the search runs")
+                             "stderr while the search runs (paths= counts "
+                             "executed paths, pruned ones included)")
     return parser
 
 

@@ -168,8 +168,17 @@ class TrojanSearchObserver(PathObserver):
     The observer is also delta-capable (:meth:`delta` / :meth:`restore`),
     which is what lets the sharded exploration layer run one private
     instance per shard worker and deterministically rebuild the merged
-    findings on the coordinator. Both are sound because every hook's
-    answer is a pure function of the path's constraint sequence.
+    findings on the coordinator. A worker keeps its instance for the
+    whole session: each :meth:`delta` drains the findings of one
+    assignment while the trie stays, and the trie the coordinator's seed
+    phase built travels to every worker (:meth:`export_memo` /
+    :meth:`adopt_memo`), so no prefix is decided twice in one process.
+    All of this is sound because every hook's answer is a pure function
+    of the path's constraint sequence.
+
+    ``elapsed_seconds`` of a finding counts from the first path after
+    construction or after the last :meth:`delta` — in a shard worker,
+    from the start of the assignment that made it.
     """
 
     def __init__(self, engine: Engine, clients: ClientPredicateSet,
@@ -189,7 +198,9 @@ class TrojanSearchObserver(PathObserver):
             if self._flags.incremental_drop else [])
         self.answered: Counter[str] = Counter()
         self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
-        self._started = time.perf_counter()
+        # Findings' clock: set by the first path after construction or
+        # after a delta() drain.
+        self._started: float | None = None
         # Sharding support costs per-path bookkeeping (samples are kept
         # per path as well as in the flat stream), so it is opt-in: only
         # observers created for a sharded run record it.
@@ -207,6 +218,8 @@ class TrojanSearchObserver(PathObserver):
     # -- engine hooks ---------------------------------------------------------------
 
     def on_path_start(self, ctx: ExecutionContext) -> None:
+        if self._started is None:
+            self._started = time.perf_counter()
         self.paths_seen += 1
         ctx.state.observer_slot = _PathSlot(node=self._root)
 
@@ -262,9 +275,11 @@ class TrojanSearchObserver(PathObserver):
     # -- sharding protocol ---------------------------------------------------------
 
     def delta(self) -> ObserverDelta | None:
-        """Picklable snapshot of this instance's findings (see base class).
+        """Drain the findings made since the last delta (see base class).
 
         None unless the observer was created with ``record_delta=True``.
+        The per-path records, findings, samples and path counters start
+        over, and so does the findings' clock; the trie stays.
         """
         if not self._record_delta:
             return None
@@ -272,10 +287,48 @@ class TrojanSearchObserver(PathObserver):
             (decisions, _TrojanPathRecord(samples=samples, finding=finding))
             for decisions, samples, finding in self._per_path
         ]
-        return ObserverDelta(
+        delta = ObserverDelta(
             per_path=per_path,
             counters={"paths_seen": self.paths_seen,
                       "paths_pruned": self.paths_pruned})
+        self._per_path = []
+        self.findings = []
+        self.samples = []
+        self.paths_seen = self.paths_pruned = 0
+        self._started = None
+        return delta
+
+    def export_memo(self) -> list[tuple]:
+        """The prefix trie as a flat, picklable list (see base class).
+
+        One ``(parent, constraint, live, trojan, models, trojan_model)``
+        row per node in preorder; ``parent`` indexes an earlier row (-1
+        and no constraint for the root). Flat rather than nested, so
+        pickling it does not recurse once per trie level. Rows share the
+        nodes' models, which are never mutated.
+        """
+        rows: list[tuple] = []
+        stack = [(-1, None, self._root)]
+        while stack:
+            parent, constraint, node = stack.pop()
+            rows.append((parent, constraint, node.live, node.trojan,
+                         node.models, node.trojan_model))
+            index = len(rows) - 1
+            stack.extend((index, key, child)
+                         for key, child in node.children.items())
+        return rows
+
+    def adopt_memo(self, memo: list[tuple]) -> None:
+        """Replace the trie with one :meth:`export_memo` produced for the
+        same predicates, message and flags."""
+        nodes: list[_PrefixNode] = []
+        for parent, constraint, live, trojan, models, trojan_model in memo:
+            node = _PrefixNode(live, trojan, models, trojan_model)
+            if parent < 0:
+                self._root = node
+            else:
+                nodes[parent].children[constraint] = node
+            nodes.append(node)
 
     def restore(self, delta: ObserverDelta,
                 path_ids: dict[tuple[bool, ...], int]) -> None:

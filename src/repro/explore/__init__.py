@@ -21,7 +21,13 @@ The protocol, end to end:
 2. **Partition** (:mod:`~repro.explore.scheduler`): the frontier is
    sorted canonically and split contiguously across the shard workers;
    each worker explores its prefixes to exhaustion and reports a
-   :class:`~repro.explore.shard.ShardOutcome`.
+   :class:`~repro.explore.shard.ShardOutcome`. A worker builds its
+   engine and its ``(program, observer)`` pair once per session and
+   keeps them for every assignment; its observer starts from the memo
+   the coordinator's observer exported after the seed
+   (:meth:`~repro.symex.observers.PathObserver.export_memo` — for the
+   Trojan search, the seeded prefix trie), so no prefix the seed or an
+   earlier assignment decided is decided again in that worker.
 3. **Steal**: when a worker drains its prefixes while others are still
    loaded, the coordinator sets the *steal flag* of a loaded worker; at
    its next between-paths checkpoint

@@ -127,9 +127,13 @@ class ShardScheduler:
         setup: module-level callable building one shard's program and
             observer: ``setup(engine, *setup_args) -> (program,
             observer)``. Runs once on the coordinator engine (seed
-            phase) and once per assignment inside each worker. The
-            observer may be None (plain exploration); otherwise it must
-            be delta-capable (:meth:`PathObserver.delta`).
+            phase), once per worker session (the pair serves every
+            assignment of that worker) and once for a recovery walk.
+            The observer may be None (plain exploration); otherwise it
+            must be delta-capable (:meth:`PathObserver.delta`). An
+            observer that exports a memo after the seed phase
+            (:meth:`PathObserver.export_memo`) has it adopted by every
+            worker's and the recovery walk's observer.
         setup_args: picklable arguments for ``setup``.
         shards: worker count (>= 1).
         engine: coordinator engine for the seed phase; defaults to a
@@ -227,7 +231,8 @@ class ShardScheduler:
         outcomes, frontier = self._seed(program, observer)
         steals = 0
         if frontier:
-            shard_outcomes, steals = self._fan_out(frontier)
+            memo = observer.export_memo() if observer is not None else None
+            shard_outcomes, steals = self._fan_out(frontier, memo)
             outcomes.extend(shard_outcomes)
 
         with self._span("coordinator.merge", outcomes=len(outcomes)):
@@ -275,13 +280,16 @@ class ShardScheduler:
 
     # -- worker fleet --------------------------------------------------------
 
-    def _fan_out(self, frontier: list[Prefix],
+    def _fan_out(self, frontier: list[Prefix], memo: object,
                  ) -> tuple[list[ShardOutcome], int]:
-        """Partition the frontier across the fleet; broker steals."""
+        """Partition the frontier across the fleet; broker steals.
+
+        ``memo`` is the seeded observer memo every worker starts from.
+        """
         session = WorkerSession(
             setup=self.setup, setup_args=self.setup_args,
-            engine_config=self.engine_config, trace=self.trace,
-            heartbeat_interval=self.heartbeat_interval)
+            engine_config=self.engine_config, observer_memo=memo,
+            trace=self.trace, heartbeat_interval=self.heartbeat_interval)
         self.transport.start(self.shards, session)
         try:
             outcomes, steals, dead = self._coordinate(frontier)
@@ -292,7 +300,7 @@ class ShardScheduler:
             self.transport.abort()
             raise
         if dead:
-            outcomes = [self._recover(dead, frontier)]
+            outcomes = [self._recover(dead, frontier, session)]
         else:
             self.transport.stop()
         return outcomes, steals
@@ -392,12 +400,14 @@ class ShardScheduler:
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover(self, dead: list[int],
-                 frontier: list[Prefix]) -> ShardOutcome:
+    def _recover(self, dead: list[int], frontier: list[Prefix],
+                 session: WorkerSession) -> ShardOutcome:
         """Replace the fleet with one in-process walk of the frontier.
 
-        The returned outcome stands in for every shard outcome received
-        so far, and the worker trace deltas are dropped with them, so the
+        The walk opens the fleet's ``session`` on a fresh engine, so its
+        observer starts from the seeded memo as a worker's does. The
+        returned outcome stands in for every shard outcome received so
+        far, and the worker trace deltas are dropped with them, so the
         report and the trace count exactly the seed phase plus this walk.
         """
         started = time.perf_counter()
@@ -414,8 +424,9 @@ class ShardScheduler:
                 control = HeartbeatControl(
                     0.0, lambda beat: meter.maybe_render(**beat),
                     engine=engine)
-            outcome = run_assignment(engine, self.setup, self.setup_args,
-                                     frontier, control=control)
+            program, observer = session.open(engine)
+            outcome = run_assignment(engine, program, observer, frontier,
+                                     control=control)
         self._recovery_seconds = time.perf_counter() - started
         log_event(_log, logging.WARNING, "worker.recovered",
                   workers=len(dead), roots=len(frontier),

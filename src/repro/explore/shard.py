@@ -24,9 +24,10 @@ from repro.symex.observers import ObserverDelta
 from repro.symex.state import PathResult
 
 #: A worker setup callable: ``setup(engine, *args) -> (program, observer)``.
-#: It runs once per assignment inside the worker process (and once on the
-#: coordinator for the seed phase), so it must be picklable under the
-#: ``spawn`` start method — a module-level function plus picklable args.
+#: It runs once per worker session inside the worker process (and once on
+#: the coordinator for the seed phase, and once for a recovery walk), so
+#: it must be picklable under the ``spawn`` start method — a module-level
+#: function plus picklable args.
 ShardSetup = Callable
 
 #: Decision prefix identifying an unexplored subtree.
@@ -63,8 +64,9 @@ class ShardOutcome:
         solver_stats: the engine's solver counters accumulated during
             this exploration only (reset per assignment, so the
             coordinator folds exact deltas).
-        delta: the observer's findings snapshot, or None when the run
-            had no observer.
+        delta: the observer's findings for this exploration alone (its
+            drained :meth:`~repro.symex.observers.PathObserver.delta`),
+            or None when the run had no observer.
         trace: the worker tracer's span records for this assignment
             (:class:`~repro.obs.trace.TraceDelta`), or None when tracing
             was off. Purely observational — stripped by the coordinator
@@ -163,18 +165,18 @@ class HeartbeatControl(ExploreControl):
         return True
 
 
-def run_assignment(engine: Engine, setup: ShardSetup, setup_args: tuple,
+def run_assignment(engine: Engine, program, observer,
                    prefixes: list[Prefix],
                    control: ExploreControl | None = None) -> ShardOutcome:
     """Explore ``prefixes`` to exhaustion on ``engine``; return the outcome.
 
-    A fresh ``(program, observer)`` pair is built per assignment (the
-    observer must start empty so its delta covers exactly this
-    assignment) while the engine — and with it the warm canonical cache
-    and frame stack — persists across assignments. Solver counters are
-    reset first so the outcome ships an exact per-assignment delta.
+    ``program`` and ``observer`` are the session's pair, built once on
+    ``engine`` and kept across assignments along with the engine's warm
+    canonical cache and frame stack, and the observer's per-prefix memo.
+    The observer's delta drains, so the outcome carries exactly this
+    assignment's findings; solver counters are reset first so it also
+    ships an exact per-assignment solver delta.
     """
-    program, observer = setup(engine, *setup_args)
     engine.solver.stats = SolverStats()
     result = engine.explore(program, observer, roots=prefixes,
                             control=control)
@@ -194,10 +196,13 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
     loop down), ``result_queue`` carries ``(kind, worker_id, payload)``
     messages back to the coordinator, and ``steal_flag`` is the
     ``multiprocessing.Event`` the coordinator raises to ask for a
-    donation. The engine starts with an empty query cache and persists
-    across assignments, so its canonical cache and frame stack stay
-    warm. Any exception is reported as an :data:`MSG_ERROR` message
-    instead of dying silently.
+    donation. The engine starts with an empty query cache; it and the
+    session's ``(program, observer)`` pair, built once before the first
+    assignment with the coordinator's seeded observer memo adopted
+    (:meth:`WorkerSession.open`), persist across assignments, so the
+    canonical cache, the frame stack and the observer's per-prefix
+    answers stay warm. Any exception is reported as an
+    :data:`MSG_ERROR` message instead of dying silently.
 
     Args:
         session: a :class:`~repro.explore.transport.WorkerSession`.
@@ -207,6 +212,7 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
 
     try:
         engine = Engine(session.engine_config)
+        program, observer = session.open(engine)
         tracer = None
         if session.trace:
             # A forked worker inherits the coordinator's tracer binding;
@@ -229,13 +235,12 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
             steal_flag.clear()
             roots = list(assignment.roots)
             if tracer is None:
-                outcome = run_assignment(engine, session.setup,
-                                         session.setup_args, roots, control)
+                outcome = run_assignment(engine, program, observer, roots,
+                                         control)
             else:
                 with tracer.span("worker.assignment", roots=len(roots)):
-                    outcome = run_assignment(engine, session.setup,
-                                             session.setup_args, roots,
-                                             control)
+                    outcome = run_assignment(engine, program, observer,
+                                             roots, control)
                 outcome.trace = tracer.take_delta()
             put_message(MSG_DONE, outcome)
     except Exception:  # pragma: no cover - exercised via scheduler tests

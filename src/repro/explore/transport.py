@@ -16,8 +16,8 @@ interface.
 Message flow, coordinator side:
 
 1. :meth:`Transport.start` launches ``count`` workers and hands each
-   one the :class:`WorkerSession` (setup callable, engine config and
-   observation settings).
+   one the :class:`WorkerSession` (setup callable, engine config, the
+   seeded observer memo and observation settings).
 2. :meth:`Transport.assign` ships an
    :class:`~repro.explore.shard.Assignment` to one worker;
    :meth:`Transport.request_steal` raises its steal flag.
@@ -56,10 +56,16 @@ class WorkerSession:
 
     Attributes:
         setup: module-level ``setup(engine, *args) -> (program, observer)``
-            callable, rebuilt per assignment inside the worker.
+            callable, run once per session inside the worker
+            (:meth:`open`); the pair serves every assignment.
         setup_args: picklable arguments for ``setup``.
         engine_config: exploration limits for the worker's private engine
             (which starts with an empty query cache).
+        observer_memo: what the coordinator's observer exported after the
+            seed phase (:meth:`~repro.symex.observers.PathObserver.export_memo`
+            — for the Trojan search, its prefix trie with the models it
+            kept), adopted by each worker's observer before its first
+            assignment; None when there is nothing to share.
         trace: when True the worker activates a local tracer and ships
             a :class:`~repro.obs.trace.TraceDelta` on every result
             frame. Off by default — tracing must cost nothing unless a
@@ -72,8 +78,17 @@ class WorkerSession:
     setup: ShardSetup
     setup_args: tuple = ()
     engine_config: EngineConfig = field(default_factory=EngineConfig)
+    observer_memo: object = None
     trace: bool = False
     heartbeat_interval: float = 0.0
+
+    def open(self, engine):
+        """Build this session's ``(program, observer)`` pair on ``engine``,
+        the observer starting from :attr:`observer_memo`."""
+        program, observer = self.setup(engine, *self.setup_args)
+        if observer is not None and self.observer_memo is not None:
+            observer.adopt_memo(self.observer_memo)
+        return program, observer
 
 
 class Transport:

@@ -25,8 +25,11 @@ class ObserverDelta:
     """Serializable reduction of one observer's findings.
 
     The sharded exploration layer (:mod:`repro.explore`) runs a private
-    observer instance inside every shard worker; a delta is what ships
-    back to the coordinator. It carries one entry per executed path —
+    observer instance inside every shard worker, kept for the worker's
+    whole session; a delta is what ships back to the coordinator after
+    each assignment (:meth:`PathObserver.delta` drains the instance, so
+    each delta covers that assignment's paths alone). It carries one
+    entry per executed path —
     keyed by the path's decision vector, with an observer-defined
     picklable payload — plus whole-run counters, so the coordinator can
     rebuild the merged observer state in canonical path order regardless
@@ -105,15 +108,39 @@ class PathObserver:
     # -- sharded exploration protocol ---------------------------------------
     #
     # Observers that support decision-prefix sharding additionally
-    # implement the pair below: delta() snapshots this instance's
-    # findings as a picklable ObserverDelta, and restore() rebuilds the
-    # instance from a canonical merge of shard deltas. The base class
-    # opts out (delta() -> None), which the scheduler rejects when an
-    # observer is attached.
+    # implement the pair below: delta() drains what this instance found
+    # since its last delta() into a picklable ObserverDelta, and
+    # restore() rebuilds the instance from a canonical merge of shard
+    # deltas. The base class opts out (delta() -> None), which the
+    # scheduler rejects when an observer is attached.
+    #
+    # A shard worker keeps one observer for its whole session, so a
+    # second, optional pair lets an observer's per-prefix memo travel:
+    # export_memo() after the coordinator's seed phase, adopt_memo() in
+    # each worker (and in a recovery walk) before it explores anything.
+    # The base class has no memo to share.
 
     def delta(self) -> ObserverDelta | None:
-        """Picklable snapshot of findings, or None when not delta-capable."""
+        """Drain the findings made since the last call, or None when not
+        delta-capable.
+
+        The returned delta covers exactly the paths executed since the
+        previous ``delta()`` (or since construction); the instance then
+        forgets those findings and counters, while any per-prefix memo
+        stays, so one instance can serve many explorations whose deltas
+        never double-count a path.
+        """
         return None
+
+    def export_memo(self) -> object | None:
+        """Picklable copy of the per-prefix memo, or None (the default:
+        nothing to share)."""
+        return None
+
+    def adopt_memo(self, memo: object) -> None:
+        """Start from a memo another instance of the same configuration
+        exported; called before this instance explores anything. The
+        default ignores it."""
 
     def restore(self, delta: ObserverDelta,
                 path_ids: dict[tuple[bool, ...], int]) -> None:

@@ -103,8 +103,8 @@ class TestObserverDelta:
         achilles, predicates, _ = toy_achilles
         engine = Engine(EngineConfig())
         outcome = run_assignment(
-            engine, _shard_setup,
-            (toy_server, predicates, achilles.server_msg, None, "msg", True),
+            engine, *_shard_setup(engine, toy_server, predicates,
+                                  achilles.server_msg, None, "msg", True),
             [()])
         assert outcome.delta is not None
         copy = wire_roundtrip(outcome.delta)
@@ -124,7 +124,7 @@ class TestShardOutcome:
             return program, None
 
         engine = Engine(EngineConfig())
-        outcome = run_assignment(engine, setup, (), [()])
+        outcome = run_assignment(engine, *setup(engine), [()])
         copy = wire_roundtrip(outcome)
         assert copy.executed == outcome.executed
         assert copy.solver_stats == outcome.solver_stats
@@ -187,6 +187,45 @@ class TestScalarPayloads:
         copy = wire_roundtrip(session)
         assert copy.setup is _shard_setup
         assert copy.engine_config == session.engine_config
+
+    def test_worker_session_with_the_seeded_fsp_trie(self):
+        """The session as a sharded FSP hunt ships it: carrying the
+        prefix trie the coordinator's seed phase built. Trie keys come
+        back as the interned expressions themselves, models equal."""
+        from repro.achilles.server_analysis import _shard_setup
+        from repro.explore.scheduler import DEFAULT_SEED_FACTOR
+        from repro.explore.shard import FrontierControl
+        from repro.symex.engine import BFS
+
+        achilles = Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
+                                           mask=FSP_SESSION_MASK))
+        predicates = achilles.extract_clients(fsp.literal_clients())
+        setup_args = (fsp.fsp_server, predicates, achilles.server_msg,
+                      None, "msg", True)
+        engine = Engine(EngineConfig())
+        program, observer = _shard_setup(engine, *setup_args)
+        engine.explore(program, observer,
+                       control=FrontierControl(2 * DEFAULT_SEED_FACTOR),
+                       order=BFS)
+        memo = observer.export_memo()
+        session = WorkerSession(setup=_shard_setup, setup_args=setup_args,
+                                engine_config=EngineConfig(),
+                                observer_memo=memo)
+
+        revived = wire_roundtrip(session).observer_memo
+        assert len(revived) == len(memo) > 1
+        assert sum(len(row[4]) for row in memo) > 0, "no model to inherit"
+        for original, copy in zip(memo, revived):
+            parent, constraint, live, trojan, models, trojan_model = copy
+            assert parent == original[0]
+            assert constraint is original[1]
+            assert (live, trojan) == original[2:4]
+            assert models == original[4]
+            assert trojan_model == original[5]
+            pairs = [(original[4][i], models[i]) for i in models]
+            pairs.append((original[5] or {}, trojan_model or {}))
+            for kept, shipped in pairs:
+                assert all(a is b for a, b in zip(kept, shipped))
 
 
 class TestWorkerMessages:

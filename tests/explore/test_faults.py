@@ -241,7 +241,7 @@ class TestRecoveryParity:
         program, _ = tree_setup(engine, *TREE_ARGS)
         seed = engine.explore(program, control=FrontierControl(4), order=BFS)
         walker = Engine(EngineConfig())
-        walk = run_assignment(walker, tree_setup, TREE_ARGS,
+        walk = run_assignment(walker, *tree_setup(walker, *TREE_ARGS),
                               sorted(seed.frontier, key=canonical_key))
         seed_lookups = engine.query_cache.stats.queries
         walk_lookups = walker.query_cache.stats.queries
@@ -266,7 +266,8 @@ class TestRecoveryParity:
         engine = Engine(EngineConfig())
         program, _ = tree_setup(engine, *TREE_ARGS)
         seed = engine.explore(program, control=FrontierControl(4), order=BFS)
-        walk = run_assignment(Engine(EngineConfig()), tree_setup, TREE_ARGS,
+        walker = Engine(EngineConfig())
+        walk = run_assignment(walker, *tree_setup(walker, *TREE_ARGS),
                               sorted(seed.frontier, key=canonical_key))
 
         stream = io.StringIO()

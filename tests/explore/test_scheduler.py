@@ -213,9 +213,9 @@ class TestWorkerLossRecovery:
 
 class TestMergeSoundness:
     def test_overlapping_outcomes_rejected_by_merge(self):
-        full = run_assignment(Engine(EngineConfig()), tree_setup, (3,), [()])
-        subtree = run_assignment(Engine(EngineConfig()), tree_setup, (3,),
-                                 [(False,)])
+        engine, other = Engine(EngineConfig()), Engine(EngineConfig())
+        full = run_assignment(engine, *tree_setup(engine, 3), [()])
+        subtree = run_assignment(other, *tree_setup(other, 3), [(False,)])
         with pytest.raises(SymexError, match="overlap"):
             merge_outcomes([full, subtree])
 
@@ -228,9 +228,9 @@ class TestMergeSoundness:
         assert seed.frontier
         seed_outcome = ShardOutcome(executed=seed.executed,
                                     paths=seed.paths, stats=seed.stats)
-        walk = run_assignment(
-            Engine(EngineConfig(), query_cache=engine.query_cache),
-            tree_setup, (3, [100]), list(seed.frontier))
+        walker = Engine(EngineConfig(), query_cache=engine.query_cache)
+        walk = run_assignment(walker, *tree_setup(walker, 3, [100]),
+                              list(seed.frontier))
         merged = merge_outcomes([seed_outcome, walk])
         serial = _serial(tree_setup, (3, [100]))
         assert _signature(merged.exploration) == _signature(serial)
@@ -275,9 +275,8 @@ class _InlineTransport(Transport):
             self._alive[wid] = False
             return
         self.ran.append(wid)
-        outcome = run_assignment(Engine(self._session.engine_config),
-                                 self._session.setup,
-                                 self._session.setup_args,
+        engine = Engine(self._session.engine_config)
+        outcome = run_assignment(engine, *self._session.open(engine),
                                  list(assignment.roots))
         self.inbox.append((MSG_DONE, wid, outcome))
 

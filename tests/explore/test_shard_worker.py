@@ -12,19 +12,23 @@ import threading
 
 import pytest
 
+from repro.achilles.server_analysis import _shard_setup
 from repro.explore.shard import (
     MSG_DONATE,
     MSG_DONE,
     MSG_ERROR,
     MSG_HEARTBEAT,
     Assignment,
+    FrontierControl,
     run_assignment,
     shard_worker,
 )
 from repro.explore.transport import WorkerSession
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceDelta
-from repro.symex.engine import Engine, EngineConfig
+from repro.symex.engine import BFS, Engine, EngineConfig
+from repro.symex.observers import ObserverDelta
+from repro.symex.state import canonical_key
 
 TREE_ARGS = (2, (30, 200))
 
@@ -54,6 +58,51 @@ def failing_setup(engine):
     raise RuntimeError("setup exploded")
 
 
+def counting_setup(engine, calls, depth):
+    """``tree_setup`` that notes every call in ``calls``."""
+    calls.append(engine)
+    return tree_setup(engine, depth)
+
+
+class _AskedEngine:
+    """Stands between an observer and its engine, recording the path
+    condition of every feasibility question the observer poses."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.asked = []
+
+    def feasibility(self, prefix, probe=()):
+        self.asked.append(prefix)
+        return self.engine.feasibility(prefix, probe)
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+
+def recording_setup(engine, sink, *args):
+    """The Trojan search's shard setup, with the observer's engine
+    questions recorded and the observer appended to ``sink``."""
+    program, observer = _shard_setup(engine, *args)
+    observer._engine = _AskedEngine(engine)
+    sink.append(observer)
+    return program, observer
+
+
+class _SnapshotQueue(queue.Queue):
+    """A result queue that also notes ``probe()`` as each message is
+    sent, so per-assignment state of the worker can be read back."""
+
+    def __init__(self, probe):
+        super().__init__()
+        self.probe = probe
+        self.seen = []
+
+    def put(self, item, *args, **kwargs):
+        self.seen.append(self.probe())
+        super().put(item, *args, **kwargs)
+
+
 def _serial(setup=tree_setup, args=TREE_ARGS, roots=None):
     engine = Engine(EngineConfig())
     program, observer = setup(engine, *args)
@@ -69,12 +118,14 @@ def _decisions(paths):
     return sorted(p.decisions for p in paths)
 
 
-def _run(tasks, session=None, worker_id=0, steal_flag=None):
+def _run(tasks, session=None, worker_id=0, steal_flag=None,
+         result_queue=None):
     """Feed ``tasks`` (then the shutdown sentinel) to one worker loop;
     return every message it sent, in order."""
     session = session or WorkerSession(setup=tree_setup,
                                        setup_args=TREE_ARGS)
-    task_queue, result_queue = queue.Queue(), queue.Queue()
+    task_queue = queue.Queue()
+    result_queue = result_queue or queue.Queue()
     for task in tasks:
         task_queue.put(task)
     task_queue.put(None)
@@ -88,6 +139,43 @@ def _run(tasks, session=None, worker_id=0, steal_flag=None):
 
 def _outcomes(messages):
     return [payload for kind, _, payload in messages if kind == MSG_DONE]
+
+
+@pytest.fixture(scope="module")
+def toy_args():
+    """``_shard_setup`` arguments for the toy system's Trojan search."""
+    from repro.achilles import Achilles, AchillesConfig
+    from repro.systems.toy import TOY_LAYOUT, toy_client, toy_server
+
+    achilles = Achilles(AchillesConfig(layout=TOY_LAYOUT))
+    predicates = achilles.extract_clients({"toy": toy_client})
+    return (toy_server, predicates, achilles.server_msg, None, "msg", True)
+
+
+def _toy_seed(toy_args):
+    """The coordinator's seed phase on the toy search: its observer,
+    delta and canonically sorted frontier."""
+    engine = Engine(EngineConfig())
+    program, observer = _shard_setup(engine, *toy_args)
+    seed = engine.explore(program, observer, control=FrontierControl(4),
+                          order=BFS)
+    return observer, observer.delta(), sorted(seed.frontier,
+                                              key=canonical_key)
+
+
+def _witnesses(delta):
+    """``(decisions, witness)`` per finding of a delta — what a finding
+    says, without the clock it was made at."""
+    return [(record.finding.decisions, record.finding.witness)
+            for _, record in delta.per_path if record.finding is not None]
+
+
+def _memo_prefixes(memo):
+    """The path condition of every non-root node of an exported trie."""
+    prefixes = [()]
+    for parent, constraint, *_ in memo[1:]:
+        prefixes.append(prefixes[parent] + (constraint,))
+    return set(prefixes[1:])
 
 
 @pytest.fixture
@@ -147,6 +235,13 @@ class TestFailures:
         assert payload.startswith("Traceback")
         assert "setup exploded" in payload
 
+    def test_setup_failure_is_reported_before_any_assignment(self):
+        """Setup runs when the session opens, so a broken setup is
+        reported even to a worker that is only ever told to stop."""
+        [(kind, _, payload)] = _run([], WorkerSession(setup=failing_setup))
+        assert kind == MSG_ERROR
+        assert "setup exploded" in payload
+
     def test_error_ends_the_loop(self):
         """A worker that reported an error serves nothing more: the
         coordinator aborts the run on MSG_ERROR anyway."""
@@ -192,12 +287,87 @@ class TestWarmCache:
         same roots."""
         roots = ((True,), (False,))
         [outcome] = _outcomes(_run([Assignment(roots)]))
-        fresh = run_assignment(Engine(EngineConfig()), tree_setup,
-                               TREE_ARGS, list(roots))
+        engine = Engine(EngineConfig())
+        fresh = run_assignment(engine, *tree_setup(engine, *TREE_ARGS),
+                               list(roots))
         assert outcome.solver_stats.cache_misses > 0
         assert (outcome.solver_stats.cache_hits,
                 outcome.solver_stats.cache_misses) == (
             fresh.solver_stats.cache_hits, fresh.solver_stats.cache_misses)
+
+
+class TestOneObserverPerSession:
+    def test_setup_runs_once_per_session(self):
+        calls = []
+        session = WorkerSession(setup=counting_setup, setup_args=(calls, 2))
+        roots = [((True,),), ((False,),), ((),)]
+        outcomes = _outcomes(_run([Assignment(r) for r in roots], session))
+        assert len(outcomes) == 3
+        assert len(calls) == 1
+
+    def test_decided_prefixes_are_not_asked_again(self, toy_args):
+        """A second assignment over the prefixes the first one decided
+        is answered from the session observer's trie: the observer asks
+        its engine nothing, and finds the same."""
+        sink = []
+        session = WorkerSession(setup=recording_setup,
+                                setup_args=(sink, *toy_args))
+        results = _SnapshotQueue(
+            lambda: sum(len(observer._engine.asked) for observer in sink))
+        first, second = _outcomes(_run(
+            [Assignment(((),)), Assignment(((),))], session,
+            result_queue=results))
+        asked_first, asked_both = results.seen
+        assert asked_first > 0
+        assert _witnesses(first.delta)
+        assert asked_both == asked_first
+        assert second.executed == first.executed
+        assert _witnesses(second.delta) == _witnesses(first.delta)
+
+    def test_each_delta_holds_only_its_own_paths(self, toy_args):
+        serial = Engine(EngineConfig())
+        program, observer = _shard_setup(serial, *toy_args)
+        serial.explore(program, observer)
+
+        _, seed_delta, frontier = _toy_seed(toy_args)
+        half = len(frontier) // 2
+        outcomes = _outcomes(_run(
+            [Assignment(tuple(frontier[:half])),
+             Assignment(tuple(frontier[half:]))],
+            WorkerSession(setup=_shard_setup, setup_args=toy_args)))
+        for outcome in outcomes:
+            own = [decisions for decisions, _ in outcome.executed]
+            assert [d for d, _ in outcome.delta.per_path] == own
+            assert outcome.delta.counters["paths_seen"] == len(own)
+        merged = ObserverDelta.merge(
+            [seed_delta] + [outcome.delta for outcome in outcomes])
+        assert merged.counters == {"paths_seen": observer.paths_seen,
+                                   "paths_pruned": observer.paths_pruned}
+        assert _witnesses(merged) == [(f.decisions, f.witness)
+                                      for f in observer.findings]
+
+    def test_seeded_trie_spares_the_worker_every_seeded_prefix(
+            self, toy_args):
+        coordinator, _, frontier = _toy_seed(toy_args)
+        memo = coordinator.export_memo()
+        seeded = _memo_prefixes(memo)
+        assert seeded
+
+        def walk(observer_memo):
+            sink = []
+            session = WorkerSession(setup=recording_setup,
+                                    setup_args=(sink, *toy_args),
+                                    observer_memo=observer_memo)
+            [outcome] = _outcomes(_run([Assignment(tuple(frontier))],
+                                       session))
+            return outcome, set(sink[0]._engine.asked)
+
+        adopted, asked = walk(memo)
+        cold, asked_cold = walk(None)
+        assert not asked & seeded
+        assert asked_cold & seeded, "a cold worker decides them itself"
+        assert adopted.executed == cold.executed
+        assert _witnesses(adopted.delta) == _witnesses(cold.delta)
 
 
 class TestObservation:

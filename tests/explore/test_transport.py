@@ -23,11 +23,12 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 class TestWorkerSession:
     def test_session_carries_no_cache_state(self):
         """A worker's engine starts with an empty private cache: the
-        session-init payload holds the setup, the limits and the
-        observation switches, and no query-cache entries."""
+        session-init payload holds the setup, the limits, the seeded
+        observer memo and the observation switches, and no query-cache
+        entries."""
         names = {f.name for f in dataclasses.fields(WorkerSession)}
-        assert names == {"setup", "setup_args", "engine_config", "trace",
-                         "heartbeat_interval"}
+        assert names == {"setup", "setup_args", "engine_config",
+                         "observer_memo", "trace", "heartbeat_interval"}
 
 
 class TestTransportInterface:
