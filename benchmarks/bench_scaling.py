@@ -10,11 +10,11 @@ records the phase costs.
 The *shard* sweep runs the same FSP end-to-end analysis at 1, 2 and 4
 exploration shards (decision-prefix sharding of the phase-2 path tree,
 :mod:`repro.explore`), asserts the findings are byte-identical at every
-shard count, gates the shards=2 solver-query count against serial and
-emits ``BENCH_explore_scaling.json``. The wall-clock speedup assertion
-is gated on the machine actually having the cores — on a single-core
-box the shards can only add dispatch overhead, which the emitted JSON
-records rather than hides.
+shard count, gates the shards=2 and shards=4 solver-query counts against
+serial and emits ``BENCH_explore_scaling.json``. The wall-clock speedup
+assertion is gated on the machine actually having the cores — on a
+single-core box the shards can only add dispatch overhead, which the
+emitted JSON records rather than hides.
 """
 
 import itertools
@@ -65,8 +65,12 @@ def test_scaling_sweep(benchmark, sweep, artifact):
 
 def test_finding_count_tracks_uncovered_commands(benchmark, sweep):
     """With fewer utilities, *more* messages are Trojan: the uncovered
-    commands' accepting paths have no generating client at all."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    commands' accepting paths have no generating client at all.
+
+    Times one 2-utility end-to-end run, the sweep point with the most
+    uncovered commands, and checks it finds what the sweep's did."""
+    _, timed = benchmark.pedantic(_run, args=(2,), rounds=1, iterations=1)
+    assert timed.witnesses() == sweep[2][1].witnesses()
     findings = {n: sweep[n][1].trojan_count for n in (2, 4, 8)}
     # 8 utilities: 80 (the ground-truth classes). Fewer utilities: the
     # remaining commands' valid paths also become Trojan (14 paths per
@@ -84,11 +88,13 @@ FSP_MATRIX_ENTRIES = 992
 def test_different_from_is_computed_lazily(benchmark, sweep):
     """Pre-processing poses no matrix query; the search computes exactly
     the entries its drop step reads (queries, not seconds, to stay robust
-    on noisy machines)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    on noisy machines). Times the full-FSP client extraction and
+    pre-processing, the phase that no longer builds the matrix."""
     achilles = Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
                                        mask=FSP_SESSION_MASK))
-    predicates = achilles.extract_clients(fsp.literal_clients())
+    predicates = benchmark.pedantic(achilles.extract_clients,
+                                    args=(fsp.literal_clients(),),
+                                    rounds=1, iterations=1)
     assert predicates.different_from.stats.entries_computed == 0
     full, _ = sweep[8]
     assert full.different_from.stats.entries_computed == FSP_MATRIX_ENTRIES
@@ -98,13 +104,18 @@ def test_different_from_is_computed_lazily(benchmark, sweep):
 
 SHARD_COUNTS = (1, 2, 4)
 
-#: Solver queries a shards=2 FSP hunt may pose per serial one. Workers
-#: keep one Trojan observer per session and start from the coordinator's
-#: seeded prefix trie, so they re-decide only the prefixes a steal moved
-#: between them: 983-990 queries against 979 serially. A worker that
-#: rebuilt its observer per assignment posed ~1,065; one that also
-#: started from an empty trie, 1,170-1,309.
-SHARD_QUERY_RATIO = 1.05
+#: Solver queries a shards=2 or shards=4 FSP hunt may pose per serial
+#: one. Workers keep one Trojan observer per session, start from the
+#: coordinator's seeded prefix trie and take the frontier one prefix at
+#: a time, so a worker decides only the subtrees of the prefixes it
+#: drew. What is left over serial are the few queries one process
+#: answers from its cache because another subtree, or the seed phase,
+#: posed them first: 982 and 983 queries at shards 2 and 4 against 979
+#: serially. Moving half-explored subtrees between workers mid-run
+#: (work stealing, since deleted) posed up to 1,039 at shards=4; a
+#: worker that rebuilt its observer per assignment posed ~1,065, and one
+#: that also started from an empty trie, 1,170-1,309.
+SHARD_QUERY_RATIO = 1.01
 
 
 @pytest.fixture(scope="module")
@@ -115,17 +126,19 @@ def shard_sweep():
     Two runs per count, keeping the faster wall clock — best-of-n is the
     standard defense against scheduler noise on shared CI runners, so the
     speedup gate below compares two minima rather than single samples.
+    Each count keeps the outcome of the run whose wall clock it keeps, so
+    the JSON pairs seconds and solver queries from one run.
     """
     runs = {}
     for shards in SHARD_COUNTS:
-        best_seconds, outcome = None, None
+        best = None
         for _ in range(2):
             started = time.perf_counter()
             outcome = run_accuracy("fsp", shards=shards)
             elapsed = time.perf_counter() - started
-            if best_seconds is None or elapsed < best_seconds:
-                best_seconds = elapsed
-        runs[shards] = (best_seconds, outcome)
+            if best is None or elapsed < best[0]:
+                best = (elapsed, outcome)
+        runs[shards] = best
     return runs
 
 
@@ -135,7 +148,8 @@ def test_shard_sweep_end_to_end(benchmark, shard_sweep, artifact,
     unconditional, speedup gated.
 
     Times one shards=2 FSP hunt, and holds it and the sweep's shards=2
-    run to :data:`SHARD_QUERY_RATIO` times the serial solver queries.
+    and shards=4 runs to :data:`SHARD_QUERY_RATIO` times the serial
+    solver queries.
     Emits ``BENCH_explore_scaling.json``. The >=1.5x wall-clock gate at 4
     shards only runs on machines with >= 4 cores — a smaller box can only
     time-slice the shard processes, which the JSON records rather than
@@ -185,10 +199,12 @@ def test_shard_sweep_end_to_end(benchmark, shard_sweep, artifact,
     # decided.
     serial_queries = shard_sweep[1][1].report.solver_queries
     budget = round(SHARD_QUERY_RATIO * serial_queries)
-    for report in (timed.report, shard_sweep[2][1].report):
+    for shards, report in ((2, timed.report),
+                           (2, shard_sweep[2][1].report),
+                           (4, shard_sweep[4][1].report)):
         assert report.solver_queries <= budget, (
-            f"shards=2 posed {report.solver_queries} solver queries, "
-            f"over {budget} ({SHARD_QUERY_RATIO}x the serial "
+            f"shards={shards} posed {report.solver_queries} solver "
+            f"queries, over {budget} ({SHARD_QUERY_RATIO}x the serial "
             f"{serial_queries})")
 
     if cores < 4:

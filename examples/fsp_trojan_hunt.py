@@ -12,9 +12,10 @@ Run::
     python examples/fsp_trojan_hunt.py --shards 4    # sharded exploration
 
 ``--shards N`` partitions the server's path tree by decision prefixes
-across N local exploration processes with work-stealing. The findings
-are byte-identical to the serial run. ``--search-order`` and
-``--max-paths`` override the exploration policy.
+across N local exploration processes, which take the seeded frontier
+one prefix at a time. The findings are byte-identical to the serial
+run. ``--search-order`` and ``--max-paths`` override the exploration
+policy.
 
 Watch it live with ``--progress`` (one fleet-status line per second on
 stderr), or record a full trace with ``--trace-dir DIR`` and inspect it

@@ -90,8 +90,8 @@ class AchillesConfig:
         shards: phase-2 exploration shard count. 1 (the default) walks
             the server's path tree in one process; >1 partitions the
             tree by decision prefixes across that many worker processes
-            (:mod:`repro.explore`) with coordinator-brokered stealing.
-            Findings are byte-identical at any shard count.
+            (:mod:`repro.explore`), handing out one frontier prefix per
+            assignment. Findings are byte-identical at any shard count.
         transport: a test seam, set by no flag. None (the default)
             runs the shard workers as ``multiprocessing`` processes on
             this machine (:class:`~repro.explore.transport.LocalTransport`);

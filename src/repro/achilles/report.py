@@ -113,8 +113,10 @@ class AchillesReport:
             its prefix trie, which also decides most fresh prefixes
             itself (inherited models, interval refutations). So the
             counters measure what the trie leaves (branch probes,
-            residual probes, cross-phase reuse), and FSP's hit rate is
-            ~18% (222 hits, 999 misses).
+            residual probes) plus every phase-1 lookup. On FSP they read
+            222 hits and 999 misses (18%), but 140 of those hits and 20
+            of those misses are phase 1's: the search alone makes 1,061
+            lookups with 82 hits (7.7%).
         frames_reused: assertion-stack frames whose propagation fixpoint
             the incremental layer reused across prefix-sharing queries
             (:class:`~repro.solver.incremental.IncrementalSolver`) during

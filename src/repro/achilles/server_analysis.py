@@ -573,8 +573,7 @@ def search_server(server, clients: ClientPredicateSet,
     report.timings.server_analysis = elapsed
     if meter is not None:
         if sharded is not None:
-            meter.note(steals=sharded.steals,
-                       failures=report.worker_failures)
+            meter.note(failures=report.worker_failures)
         meter.close()
     if tracer is not None:
         obs_trace.deactivate()

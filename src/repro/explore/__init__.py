@@ -18,9 +18,13 @@ The protocol, end to end:
    schedule mechanism replays deterministically (scheduled branches take
    the recorded direction with no new solver checks), so handing a prefix
    to another process hands it exactly the subtree below that fork.
-2. **Partition** (:mod:`~repro.explore.scheduler`): the frontier is
-   sorted canonically and split contiguously across the shard workers;
-   each worker explores its prefixes to exhaustion and reports a
+2. **Hand out** (:mod:`~repro.explore.scheduler`): the frontier is
+   sorted canonically and handed out one prefix per assignment — each
+   idle worker gets the next pending prefix, and each result a worker
+   reports earns it the next one, until the frontier drains. No prefix
+   is ever split or moved between workers, so a worker's solver work
+   depends only on the prefixes it drew. Each worker explores its
+   prefix to exhaustion and reports a
    :class:`~repro.explore.shard.ShardOutcome`. A worker builds its
    engine and its ``(program, observer)`` pair once per session and
    keeps them for every assignment; its observer starts from the memo
@@ -28,22 +32,14 @@ The protocol, end to end:
    (:meth:`~repro.symex.observers.PathObserver.export_memo` — for the
    Trojan search, the seeded prefix trie), so no prefix the seed or an
    earlier assignment decided is decided again in that worker.
-3. **Steal**: when a worker drains its prefixes while others are still
-   loaded, the coordinator sets the *steal flag* of a loaded worker; at
-   its next between-paths checkpoint
-   (:class:`~repro.explore.shard.StealControl`) that worker donates the
-   shallowest half of its live worklist back through the coordinator,
-   which reassigns it to the idle workers. Re-execution forking makes
-   stealing essentially free — every path replays from the root anyway,
-   so a migrated prefix costs one extra replay, not a state transfer.
-4. **Merge** (:mod:`~repro.explore.merge`): shard outcomes fold into one
+3. **Merge** (:mod:`~repro.explore.merge`): shard outcomes fold into one
    :class:`~repro.symex.engine.ExplorationResult` — paths renumbered in
    canonical prefix order (lexicographic, True before False, which *is*
    the serial DFS completion order), exploration/solver counters summed
    in a fixed order, and per-shard observer findings reduced through the
    :class:`~repro.symex.observers.ObserverDelta` protocol. The merged
    output is a pure function of the explored tree: byte-identical at any
-   shard count, with any stealing schedule, for DFS-ordered runs
+   shard count, in any assignment order, for DFS-ordered runs
    byte-identical to the plain serial engine.
 
 The explored tree itself is shard-invariant because every pruning input
@@ -88,7 +84,6 @@ from repro.explore.shard import (
     Assignment,
     FrontierControl,
     ShardOutcome,
-    StealControl,
 )
 from repro.explore.transport import (
     LocalTransport,
@@ -109,7 +104,6 @@ __all__ = [
     "ShardOutcome",
     "ShardScheduler",
     "ShardedExploration",
-    "StealControl",
     "Transport",
     "WorkerSession",
     "merge_outcomes",

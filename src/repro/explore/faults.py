@@ -136,13 +136,6 @@ class FaultyTransport(Transport):
                 f"shard worker {self.describe(wid)} is unreachable")
         self.inner.assign(wid, prefixes)
 
-    def request_steal(self, wid: int) -> None:
-        if not self._severed_now(wid):
-            self.inner.request_steal(wid)
-
-    def acknowledge_done(self, wid: int) -> None:
-        self.inner.acknowledge_done(wid)
-
     def recv(self, timeout: float) -> tuple[str, int, object] | None:
         deadline = time.monotonic() + timeout
         while True:

@@ -1,8 +1,7 @@
 """Deterministic merge of shard outcomes.
 
-The partition of the path tree across shards (and the stealing schedule
-that reshuffles it mid-run) is timing-dependent, but the *explored tree*
-is not — so the merge reduces everything to canonical prefix order and
+Which worker explores which frontier prefix is timing-dependent, but
+the *explored tree* is not — so the merge reduces everything to canonical prefix order and
 the result is a pure function of the tree: identical at any shard count,
 and (for DFS-ordered runs) identical to the plain serial engine.
 

@@ -1,13 +1,14 @@
-"""The coordinator: seeds shards, brokers stealing, merges outcomes.
+"""The coordinator: seeds shards, hands out the frontier, merges outcomes.
 
 :class:`ShardScheduler` owns the whole sharded run. It explores the top
-of the tree in-process to grow a frontier of fork prefixes, partitions
-that frontier across ``shards`` workers, then sits in a message loop
-re-balancing work: a worker that drains its prefixes goes idle, and the
-coordinator raises the steal flag of a loaded worker, whose next
-checkpoint donates the shallowest half of its worklist back for
-reassignment. Outcomes merge deterministically regardless of any of this
-scheduling — see :mod:`repro.explore.merge`.
+of the tree in-process to grow a frontier of fork prefixes, then hands
+that frontier out one prefix per assignment, in canonical order: each
+idle worker gets the next pending prefix, and every result a worker
+reports earns it the next one, until the frontier drains. Which worker
+explores which prefix depends on timing, but no prefix is ever split or
+moved, so every worker's solver work depends only on the prefixes it
+drew. Outcomes merge deterministically regardless of this scheduling —
+see :mod:`repro.explore.merge`.
 
 The workers are ``multiprocessing`` processes on this machine
 (:class:`~repro.explore.transport.LocalTransport`). The scheduler speaks
@@ -24,8 +25,9 @@ canonically, that walk yields byte-identical findings — recovery costs
 wall clock, never correctness. A loss costs the fleet's time up to it
 plus one serial walk of the frontier, and nothing tracks who explored
 what. On the FSP subset in ``benchmarks/bench_transport.py`` (2-core
-host), a loss before any result finishes in about the serial time and a
-loss after the first result in about 1.5x it.
+host), a loss before or after a worker's first result finishes in about
+the serial time: a worker's first result is one frontier prefix, so
+little fleet work is lost with it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 from repro.errors import SymexError
 from repro.explore.merge import merge_outcomes
 from repro.explore.shard import (
-    MSG_DONATE,
     MSG_DONE,
     MSG_ERROR,
     MSG_HEARTBEAT,
@@ -59,8 +60,9 @@ from repro.symex.engine import BFS, Engine, EngineConfig, ExplorationResult
 from repro.symex.observers import PathObserver
 from repro.symex.state import canonical_key
 
-#: Frontier prefixes harvested per shard before workers start; a few
-#: subtrees per worker gives the first round of load balancing for free.
+#: Frontier prefixes harvested per shard before workers start. Workers
+#: draw them one at a time, so a few per worker is what lets a worker
+#: that drew a small subtree take another instead of going idle.
 DEFAULT_SEED_FACTOR = 4
 
 #: Coordinator poll interval while waiting on worker messages (seconds).
@@ -94,9 +96,9 @@ class ShardedExploration:
             workers, folded in canonical order (coordinator-side solver
             work stays on the coordinator engine's own stats).
         shards: worker count the run was configured with.
-        steals: successful (non-empty) worklist donations brokered by
-            the coordinator — a load-balancing diagnostic, not part of
-            the deterministic output.
+        steals: always 0. The coordinator moves no work between
+            workers; the field stays only because the repository's
+            benchmark reads it.
         worker_failures: workers found dead during the run (0 on a
             fault-free run; only ever non-zero with
             ``on_worker_loss="recover"`` — a death under ``"fail"``
@@ -143,11 +145,12 @@ class ShardScheduler:
             ``engine_config``.
         engine_config: exploration limits for workers (defaults to the
             coordinator engine's config). Note the ``max_paths`` cap
-            degrades to per-worker granularity in a sharded run; byte
-            parity with the serial engine is only guaranteed for runs
-            that drain the tree below the cap.
-        seed_factor: frontier prefixes to grow per shard before
-            partitioning.
+            applies per assignment in a sharded run, which means per
+            frontier prefix (plus once to the seed phase); byte parity
+            with the serial engine is only guaranteed for runs that
+            drain the tree below the cap.
+        seed_factor: frontier prefixes to grow per shard before the
+            workers start.
         transport: the :class:`~repro.explore.transport.Transport`
             to drive the workers through; None (the default) means a
             fresh :class:`~repro.explore.transport.LocalTransport`.
@@ -222,18 +225,16 @@ class ShardScheduler:
     # -- phases --------------------------------------------------------------
 
     def run(self) -> ShardedExploration:
-        """Seed, fan out, steal until drained, merge."""
+        """Seed, fan out until the frontier drains, merge."""
         started = time.perf_counter()
         self._worker_failures = 0
         self._recovery_seconds = 0.0
         self._worker_traces = {}
         program, observer = self.setup(self.engine, *self.setup_args)
         outcomes, frontier = self._seed(program, observer)
-        steals = 0
         if frontier:
             memo = observer.export_memo() if observer is not None else None
-            shard_outcomes, steals = self._fan_out(frontier, memo)
-            outcomes.extend(shard_outcomes)
+            outcomes.extend(self._fan_out(frontier, memo))
 
         with self._span("coordinator.merge", outcomes=len(outcomes)):
             merged = merge_outcomes(outcomes)
@@ -245,7 +246,6 @@ class ShardScheduler:
             exploration=merged.exploration, observer=observer,
             path_ids=merged.path_ids,
             worker_solver_stats=merged.solver_stats, shards=self.shards,
-            steals=steals,
             worker_failures=self._worker_failures,
             recovery_seconds=self._recovery_seconds,
             worker_traces=self._worker_traces)
@@ -280,9 +280,9 @@ class ShardScheduler:
 
     # -- worker fleet --------------------------------------------------------
 
-    def _fan_out(self, frontier: list[Prefix], memo: object,
-                 ) -> tuple[list[ShardOutcome], int]:
-        """Partition the frontier across the fleet; broker steals.
+    def _fan_out(self, frontier: list[Prefix],
+                 memo: object) -> list[ShardOutcome]:
+        """Explore the frontier on the fleet, one prefix per assignment.
 
         ``memo`` is the seeded observer memo every worker starts from.
         """
@@ -292,7 +292,7 @@ class ShardScheduler:
             trace=self.trace, heartbeat_interval=self.heartbeat_interval)
         self.transport.start(self.shards, session)
         try:
-            outcomes, steals, dead = self._coordinate(frontier)
+            outcomes, dead = self._coordinate(frontier)
         except BaseException:
             # Aborting (coordinator crash, ^C): every in-flight
             # assignment is doomed anyway, so don't grant the graceful
@@ -303,25 +303,23 @@ class ShardScheduler:
             outcomes = [self._recover(dead, frontier, session)]
         else:
             self.transport.stop()
-        return outcomes, steals
+        return outcomes
 
     def _coordinate(self, frontier: list[Prefix],
-                    ) -> tuple[list[ShardOutcome], int, list[int]]:
-        """Run the fleet until the tree is drained or a worker is lost.
+                    ) -> tuple[list[ShardOutcome], list[int]]:
+        """Run the fleet until the frontier is drained or a worker is lost.
 
-        Returns the shard outcomes, the steal count and the workers found
-        dead (empty on a clean run). A loss under ``"fail"`` raises here,
-        while the dead workers can still be described.
+        Returns the shard outcomes and the workers found dead (empty on a
+        clean run). A loss under ``"fail"`` raises here, while the dead
+        workers can still be described.
         """
         transport = self.transport
         pending: deque[Prefix] = deque(frontier)
         idle = set(range(self.shards))
-        steal_pending: set[int] = set()
-        # Outstanding roots per busy worker — what the fail-mode error
+        # The prefix each busy worker holds — what the fail-mode error
         # names when a worker dies.
-        assigned: dict[int, tuple[Prefix, ...]] = {}
+        assigned: dict[int, Prefix] = {}
         outcomes: list[ShardOutcome] = []
-        steals = 0
         dead_polls = 0
         dead = self._assign(pending, idle, assigned)
 
@@ -329,7 +327,7 @@ class ShardScheduler:
             if self.progress is not None:
                 self.progress.maybe_render(
                     workers=self.shards, busy=self.shards - len(idle),
-                    pending=len(pending), steals=steals)
+                    pending=len(pending))
             message = transport.recv(_POLL_SECONDS)
             if message is None:
                 # Liveness: a worker that died without reporting (OOM
@@ -343,7 +341,6 @@ class ShardScheduler:
                 if dead_polls >= _DEATH_GRACE_POLLS:
                     dead = silent
                     break
-                self._request_steal(idle, steal_pending)
                 continue
             dead_polls = 0
             kind, wid, payload = message
@@ -365,17 +362,6 @@ class ShardScheduler:
                 outcomes.append(payload)
                 idle.add(wid)
                 assigned.pop(wid, None)
-                steal_pending.discard(wid)
-                transport.acknowledge_done(wid)
-                if pending:
-                    dead = self._assign(pending, idle, assigned)
-                else:
-                    self._request_steal(idle, steal_pending)
-            elif kind == MSG_DONATE:
-                steal_pending.discard(wid)
-                if payload:
-                    steals += 1
-                    pending.extend(payload)
                 dead = self._assign(pending, idle, assigned)
             elif kind == MSG_ERROR:
                 raise SymexError(
@@ -390,7 +376,7 @@ class ShardScheduler:
                       policy=self.on_worker_loss)
             if self.on_worker_loss == "fail":
                 raise SymexError(self._death_report(dead, assigned))
-        return outcomes, steals, dead
+        return outcomes, dead
 
     def _note_heartbeat(self, wid: int, payload) -> None:
         """Feed a worker heartbeat to the progress meter and the trace."""
@@ -442,19 +428,13 @@ class ShardScheduler:
             return f"worker {wid}"
 
     def _death_report(self, dead: list[int],
-                      assigned: dict[int, tuple[Prefix, ...]]) -> str:
-        """Name the dead workers and the assignments that died with them."""
+                      assigned: dict[int, Prefix]) -> str:
+        """Name the dead workers and the prefixes that died with them."""
         lines = []
         for wid in dead:
-            prefixes = assigned.get(wid, ())
-            rendered = ", ".join(
-                "".join("T" if d else "F" for d in p) or "<root>"
-                for p in prefixes[:4])
-            more = len(prefixes) - 4
-            lines.append(
-                f"  {self.transport.describe(wid)} holding "
-                f"{len(prefixes)} prefix(es) "
-                f"[{rendered}{f', +{more} more' if more > 0 else ''}]")
+            rendered = "".join("T" if d else "F" for d in assigned[wid])
+            lines.append(f"  {self.transport.describe(wid)} holding prefix "
+                         f"[{rendered or '<root>'}]")
         detail = "\n".join(lines)
         return ("shard worker(s) died without reporting a result "
                 f"(killed? out of memory?); the lost assignment(s):\n"
@@ -466,40 +446,22 @@ class ShardScheduler:
     # -- dispatch ------------------------------------------------------------
 
     def _assign(self, pending: deque, idle: set[int],
-                assigned: dict[int, tuple[Prefix, ...]]) -> list[int]:
-        """Split the pending prefixes evenly across the idle workers.
+                assigned: dict[int, Prefix]) -> list[int]:
+        """Give each idle worker the next pending prefix, in queue order.
 
         Returns the worker whose assignment could not be delivered, or
         an empty list. Under ``on_worker_loss="fail"`` the transport
         error propagates instead.
         """
-        takers = sorted(idle)[:len(pending)]
-        if not takers:
-            return []
-        base, extra = divmod(len(pending), len(takers))
-        for position, wid in enumerate(takers):
-            roots = tuple(pending.popleft()
-                          for _ in range(base + (position < extra)))
+        for wid in sorted(idle)[:len(pending)]:
+            prefix = pending.popleft()
             idle.discard(wid)
-            assigned[wid] = roots
+            assigned[wid] = prefix
             try:
-                with self._span("coordinator.assign", wid=wid,
-                                roots=len(roots)):
-                    self.transport.assign(wid, Assignment(roots=roots))
+                with self._span("coordinator.assign", wid=wid):
+                    self.transport.assign(wid, Assignment(roots=(prefix,)))
             except SymexError:
                 if self.on_worker_loss == "fail":
                     raise
                 return [wid]
         return []
-
-    def _request_steal(self, idle: set[int], steal_pending: set[int]) -> None:
-        """Raise one loaded worker's steal flag when someone is idle."""
-        if not idle:
-            return
-        busy = [wid for wid in range(self.shards)
-                if wid not in idle and wid not in steal_pending]
-        if busy:
-            target = busy[0]
-            steal_pending.add(target)
-            self._event("coordinator.steal", wid=target)
-            self.transport.request_steal(target)

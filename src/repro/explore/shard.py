@@ -2,8 +2,8 @@
 
 A *shard* is one local worker process owning a private engine (and
 therefore a private solver pipeline). It is driven by the coordinator
-through a task queue, a shared result queue and a steal flag — see the
-package docstring for the protocol, :mod:`repro.explore.transport` for
+through a task queue and a shared result queue — see the package
+docstring for the protocol, :mod:`repro.explore.transport` for
 the process plumbing and :mod:`repro.explore.scheduler` for the
 coordinator side.
 """
@@ -35,7 +35,6 @@ Prefix = tuple[bool, ...]
 
 # result-queue message kinds (worker -> coordinator)
 MSG_DONE = "done"
-MSG_DONATE = "donate"
 MSG_ERROR = "error"
 MSG_HEARTBEAT = "heartbeat"
 
@@ -46,7 +45,8 @@ class Assignment:
 
     Attributes:
         roots: decision prefixes whose subtrees the worker explores to
-            exhaustion.
+            exhaustion. The coordinator sends one frontier prefix per
+            assignment.
     """
 
     roots: tuple[Prefix, ...]
@@ -85,7 +85,7 @@ class FrontierControl(ExploreControl):
     """Stop exploring once the worklist holds ``target`` fork prefixes.
 
     The coordinator's seed phase runs under this control: the worklist
-    left behind is the frontier that gets partitioned across shards.
+    left behind is the frontier the shard workers draw from.
     """
 
     def __init__(self, target: int):
@@ -93,29 +93,6 @@ class FrontierControl(ExploreControl):
 
     def checkpoint(self, worklist: deque) -> bool:
         return len(worklist) < self.target
-
-
-class StealControl(ExploreControl):
-    """Donate worklist entries when the coordinator requests a steal.
-
-    ``flag`` is a :class:`multiprocessing.Event` the coordinator sets;
-    at the next between-paths checkpoint the worker pops the shallowest
-    half of its worklist (the oldest forks — for DFS those are the
-    biggest unexplored subtrees) and hands it to ``donate``. An empty
-    donation is still sent so the coordinator knows this worker had
-    nothing to give and can ask another.
-    """
-
-    def __init__(self, flag, donate: Callable[[list[Prefix]], None]):
-        self.flag = flag
-        self.donate = donate
-
-    def checkpoint(self, worklist: deque) -> bool:
-        if self.flag.is_set():
-            self.flag.clear()
-            share = [worklist.popleft() for _ in range(len(worklist) // 2)]
-            self.donate(share)
-        return True
 
 
 class HeartbeatControl(ExploreControl):
@@ -129,20 +106,17 @@ class HeartbeatControl(ExploreControl):
     Purely observational: it never touches the worklist and always
     returns True, so findings are unchanged by its presence.
 
-    Chains ``inner``, so one long-lived heartbeat (its counters span
-    assignments) wraps the worker's steal control. With a zero
-    interval it beats at every checkpoint: that is how in-process walks
-    (serial runs, worker-loss recovery) feed the ``--progress`` meter.
+    A worker keeps one heartbeat for its whole session, so its counters
+    span assignments. With a zero interval it beats at every checkpoint:
+    that is how in-process walks (serial runs, worker-loss recovery) feed
+    the ``--progress`` meter.
     """
 
     def __init__(self, interval: float, emit: Callable[[dict], None],
-                 engine: Engine | None = None,
-                 inner: ExploreControl | None = None,
-                 clock=time.monotonic):
+                 engine: Engine | None = None, clock=time.monotonic):
         self.interval = interval
         self.emit = emit
         self.engine = engine
-        self.inner = inner
         self.clock = clock
         self.paths = 0
         self.sent = 0
@@ -160,8 +134,6 @@ class HeartbeatControl(ExploreControl):
                 payload["cache_misses"] = stats.misses
             self.sent += 1
             self.emit(payload)
-        if self.inner is not None:
-            return self.inner.checkpoint(worklist)
         return True
 
 
@@ -188,15 +160,12 @@ def run_assignment(engine: Engine, program, observer,
                         delta=delta)
 
 
-def shard_worker(worker_id: int, session, task_queue, result_queue,
-                 steal_flag) -> None:
+def shard_worker(worker_id: int, session, task_queue, result_queue) -> None:
     """Worker process main loop (one per shard).
 
     ``task_queue`` yields the next :class:`Assignment` (None shuts the
-    loop down), ``result_queue`` carries ``(kind, worker_id, payload)``
-    messages back to the coordinator, and ``steal_flag`` is the
-    ``multiprocessing.Event`` the coordinator raises to ask for a
-    donation. The engine starts with an empty query cache; it and the
+    loop down) and ``result_queue`` carries ``(kind, worker_id,
+    payload)`` messages back to the coordinator. The engine starts with an empty query cache; it and the
     session's ``(program, observer)`` pair, built once before the first
     assignment with the coordinator's seeded observer memo adopted
     (:meth:`WorkerSession.open`), persist across assignments, so the
@@ -219,20 +188,16 @@ def shard_worker(worker_id: int, session, task_queue, result_queue,
             # replace it with a fresh worker-sourced one.
             obs_trace.deactivate()
             tracer = obs_trace.activate(source="worker")
-        control = StealControl(
-            steal_flag, lambda share: put_message(MSG_DONATE, share))
+        control = None
         if session.heartbeat_interval:
             control = HeartbeatControl(
                 session.heartbeat_interval,
                 lambda payload: put_message(MSG_HEARTBEAT, payload),
-                engine=engine, inner=control)
+                engine=engine)
         while True:
             assignment = task_queue.get()
             if assignment is None:
                 return
-            # A steal request that raced a previous DONE must not leak
-            # into this assignment.
-            steal_flag.clear()
             roots = list(assignment.roots)
             if tracer is None:
                 outcome = run_assignment(engine, program, observer, roots,

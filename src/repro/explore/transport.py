@@ -1,11 +1,11 @@
 """The coordinator↔worker transport for sharded exploration.
 
 The shard protocol is message-shaped: the coordinator assigns decision
-prefixes, raises steal flags, and folds back ``ShardOutcome``/donation/
-error messages. :class:`Transport` names that protocol as an interface
-and :class:`LocalTransport` implements it: worker processes on this
-machine, driven over ``multiprocessing`` queues and ``Event`` steal
-flags. It is the only transport. The interface stays because it is the
+prefixes and folds back ``ShardOutcome``/heartbeat/error messages.
+:class:`Transport` names that protocol as an interface and
+:class:`LocalTransport` implements it: worker processes on this
+machine, driven over ``multiprocessing`` queues. It is the only
+transport. The interface stays because it is the
 seam fault injection and tests stand behind:
 :class:`~repro.explore.faults.FaultyTransport` wraps a
 ``LocalTransport``, and scripted in-memory transports stand in for it
@@ -19,10 +19,9 @@ Message flow, coordinator side:
    one the :class:`WorkerSession` (setup callable, engine config, the
    seeded observer memo and observation settings).
 2. :meth:`Transport.assign` ships an
-   :class:`~repro.explore.shard.Assignment` to one worker;
-   :meth:`Transport.request_steal` raises its steal flag.
+   :class:`~repro.explore.shard.Assignment` to one worker.
 3. :meth:`Transport.recv` polls for the next ``(kind, wid, payload)``
-   message (``MSG_DONE``/``MSG_DONATE``/``MSG_ERROR``), returning None
+   message (``MSG_DONE``/``MSG_HEARTBEAT``/``MSG_ERROR``), returning None
    on timeout so the scheduler can run its liveness checks via
    :meth:`Transport.alive`.
 4. :meth:`Transport.stop` shuts every worker down (idempotent).
@@ -113,14 +112,6 @@ class Transport:
         (the assignment would otherwise be silently lost)."""
         raise NotImplementedError
 
-    def request_steal(self, wid: int) -> None:
-        """Raise ``wid``'s steal flag (best effort on a dying worker)."""
-        raise NotImplementedError
-
-    def acknowledge_done(self, wid: int) -> None:
-        """Called when ``wid`` reports done: clear any stale steal state."""
-        raise NotImplementedError
-
     def recv(self, timeout: float) -> tuple[str, int, object] | None:
         """Next ``(kind, wid, payload)`` message, or None on timeout."""
         raise NotImplementedError
@@ -147,21 +138,19 @@ class Transport:
 class LocalTransport(Transport):
     """Shard workers as local ``multiprocessing`` processes.
 
-    One task queue and one steal ``Event`` per worker, one
-    shared result queue back, daemon processes joined (and terminated as
-    a hang safety net) on :meth:`stop`.
+    One task queue per worker, one shared result queue back, daemon
+    processes joined (and terminated as a hang safety net) on
+    :meth:`stop`.
     """
 
     #: Grace given to workers to drain their queues at shutdown (seconds).
     SHUTDOWN_GRACE = 10.0
 
     def __init__(self):
-        # Indexed by worker id: one process, task queue and steal flag
-        # per worker; every worker tags its result-queue messages with
-        # its id.
+        # Indexed by worker id: one process and task queue per worker;
+        # every worker tags its result-queue messages with its id.
         self._workers: list = []
         self._task_queues: list = []
-        self._steal_flags: list = []
         self._result_queue = None
 
     def start(self, count: int, session: WorkerSession) -> None:
@@ -176,26 +165,16 @@ class LocalTransport(Transport):
         self._result_queue = ctx.Queue()
         for wid in range(count):
             self._task_queues.append(ctx.Queue())
-            self._steal_flags.append(ctx.Event())
             worker = ctx.Process(
                 target=shard_worker,
                 args=(wid, session, self._task_queues[wid],
-                      self._result_queue, self._steal_flags[wid]),
+                      self._result_queue),
                 daemon=True)
             self._workers.append(worker)
             worker.start()
 
     def assign(self, wid: int, assignment: Assignment) -> None:
         self._task_queues[wid].put(assignment)
-
-    def request_steal(self, wid: int) -> None:
-        self._steal_flags[wid].set()
-
-    def acknowledge_done(self, wid: int) -> None:
-        # An unanswered steal request must not leak into the worker's
-        # next assignment (the worker also clears defensively on its
-        # side at assignment start).
-        self._steal_flags[wid].clear()
 
     def recv(self, timeout: float) -> tuple[str, int, object] | None:
         try:
@@ -238,5 +217,4 @@ class LocalTransport(Transport):
     def _forget_workers(self) -> None:
         self._workers = []
         self._task_queues = []
-        self._steal_flags = []
         self._result_queue = None

@@ -2,8 +2,8 @@
 
 A :class:`ProgressMeter` aggregates worker heartbeats (paths/sec,
 worklist depth, cache hit rate) plus coordinator-side counts (pending
-regions, steals, failures) and prints a single status line to stderr at
-a fixed cadence. In-process walks (serial runs and worker-loss recovery)
+prefixes, busy workers, failures) and prints a single status line to
+stderr at a fixed cadence. In-process walks (serial runs and worker-loss recovery)
 feed it through :class:`~repro.explore.shard.HeartbeatControl` with a
 zero interval. It deliberately has no repro imports, so it can sit below
 every layer it observes.
@@ -45,7 +45,7 @@ class ProgressMeter:
         self._fleet[wid] = payload
 
     def note(self, **fields) -> None:
-        """Update coordinator-side fields (pending, busy, steals...)."""
+        """Update coordinator-side fields (pending, busy, failures...)."""
         self.coordinator.update(fields)
 
     def fleet_lost(self, failures: int) -> None:
@@ -91,9 +91,8 @@ class ProgressMeter:
         queries = totals["cache_hits"] + totals["cache_misses"]
         if queries:
             parts.append(f"cache={totals['cache_hits'] / queries:.1%}")
-        for key in ("steals", "failures"):
-            if self.coordinator.get(key):
-                parts.append(f"{key}={self.coordinator[key]}")
+        if self.coordinator.get("failures"):
+            parts.append(f"failures={self.coordinator['failures']}")
         return " ".join(parts)
 
     def maybe_render(self, **fields) -> bool:

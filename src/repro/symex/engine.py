@@ -141,12 +141,12 @@ class ExploreControl:
     """Hook consulted between paths; lets a caller pause or split a run.
 
     The sharded exploration layer (:mod:`repro.explore`) uses this to
-    export frontier prefixes (seeding) and to donate worklist entries to
-    other shards (stealing). The engine calls :meth:`checkpoint` with its
-    live worklist before popping each schedule; the control may harvest
-    entries from it (each removed prefix identifies an unexplored subtree
-    that can be replayed elsewhere) and may stop the run by returning
-    False — the untouched remainder of the worklist is then published as
+    export frontier prefixes (seeding) and to send heartbeats. The
+    engine calls :meth:`checkpoint` with its live worklist before
+    popping each schedule; the control may harvest entries from it
+    (each removed prefix identifies an unexplored subtree that can be
+    replayed elsewhere) and may stop the run by returning False — the
+    untouched remainder of the worklist is then published as
     :attr:`ExplorationResult.frontier`.
     """
 
@@ -349,8 +349,8 @@ class Engine:
                 subtree below it is explored exactly as the exporting run
                 would have.
             control: optional :class:`ExploreControl` consulted between
-                paths; it may harvest worklist entries (donating subtrees
-                to other shards) or stop the run early, leaving the rest
+                paths; it may harvest worklist entries (subtrees to
+                explore elsewhere) or stop the run early, leaving the rest
                 of the worklist in :attr:`ExplorationResult.frontier`.
             order: worklist order override for this run only (the
                 explored tree — and with it every per-path output — is

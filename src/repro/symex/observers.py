@@ -51,7 +51,7 @@ class ObserverDelta:
         decision vector (paths of one exploration are prefix-free, so the
         key is total) and counters are summed — the result is a pure
         function of the explored tree, independent of shard count,
-        stealing decisions and arrival order.
+        assignment order and arrival order.
         """
         merged = cls()
         for delta in deltas:

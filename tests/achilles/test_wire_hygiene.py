@@ -231,10 +231,6 @@ class TestScalarPayloads:
 class TestWorkerMessages:
     """The other payloads a worker puts on its result queue."""
 
-    def test_donation_share(self):
-        share = [(True, False), (False,), ()]
-        assert wire_roundtrip(share) == share
-
     def test_heartbeat_gauges(self):
         beat = {"paths": 12, "worklist": 3, "cache_hits": 8,
                 "cache_misses": 30}
@@ -244,8 +240,8 @@ class TestWorkerMessages:
         from repro.obs.trace import Tracer
 
         tracer = Tracer(source="worker")
-        with tracer.span("worker.assignment", roots=2):
-            tracer.event("coordinator.steal", wid=1)
+        with tracer.span("worker.assignment", roots=1):
+            tracer.event("worker.heartbeat", wid=1)
         delta = tracer.take_delta()
         assert delta.records
         copy = wire_roundtrip(delta)

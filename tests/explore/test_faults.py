@@ -80,12 +80,6 @@ class _ScriptedTransport(Transport):
     def assign(self, wid, prefixes):
         self.assigned.append((wid, prefixes))
 
-    def request_steal(self, wid):
-        pass
-
-    def acknowledge_done(self, wid):
-        pass
-
     def recv(self, timeout):
         if self.inbox:
             return self.inbox.popleft()

@@ -1,7 +1,9 @@
-"""HeartbeatControl: cadence, payload, chaining, observational purity."""
+"""HeartbeatControl: cadence, payload, observational purity."""
 
 import io
 from collections import deque
+
+import pytest
 
 from repro.explore.shard import HeartbeatControl
 from repro.obs.progress import ProgressMeter
@@ -21,16 +23,6 @@ class Recorder:
 
     def __call__(self, payload):
         self.payloads.append(payload)
-
-
-class CountingInner:
-    def __init__(self, verdict=True):
-        self.calls = 0
-        self.verdict = verdict
-
-    def checkpoint(self, worklist):
-        self.calls += 1
-        return self.verdict
 
 
 class FakeStats:
@@ -78,21 +70,20 @@ def test_engine_gauges_ride_the_payload():
     assert emit.payloads[0]["cache_misses"] == 4
 
 
-def test_chains_inner_and_returns_its_verdict():
-    clock = FakeClock()
-    inner = CountingInner(verdict=False)
-    control = HeartbeatControl(10.0, Recorder(), inner=inner, clock=clock)
-    assert control.checkpoint(deque()) is False
-    assert inner.calls == 1
-
-
 def test_never_mutates_the_worklist():
     clock = FakeClock()
     control = HeartbeatControl(1.0, Recorder(), clock=clock)
     worklist = deque([(True,), (False,)])
     clock.now = 5.0
-    control.checkpoint(worklist)
+    assert control.checkpoint(worklist) is True
     assert list(worklist) == [(True,), (False,)]
+
+
+def test_chains_no_other_control():
+    """A worker's heartbeat is its only checkpoint control: nothing is
+    left for it to wrap."""
+    with pytest.raises(TypeError, match="inner"):
+        HeartbeatControl(1.0, Recorder(), inner=None)
 
 
 def test_zero_interval_beats_at_every_checkpoint():

@@ -1,8 +1,9 @@
-"""Executable spec: ``max_paths`` caps degrade to per-shard granularity.
+"""Executable spec: ``max_paths`` caps degrade to per-prefix granularity.
 
 ROADMAP open item, pinned before it gets fixed: with ``shards > 1`` the
-``max_paths`` cap applies per worker assignment (the seed phase and each
-shard budget independently), so a capped sharded run explores *more*
+``max_paths`` cap applies per worker assignment, and an assignment is
+one frontier prefix (the seed phase and each frontier prefix budget
+independently), so a capped sharded run explores *more*
 than a capped serial run and byte parity with the serial engine is NOT
 claimed — parity is only guaranteed for runs that drain the tree below
 the cap. What a capped sharded run must still honour is soundness: every

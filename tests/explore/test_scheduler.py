@@ -14,20 +14,25 @@ import pytest
 
 from repro.errors import SymexError
 from repro.explore import (
+    FaultPlan,
+    FaultyTransport,
     FrontierControl,
+    KillWorker,
+    LocalTransport,
     ShardScheduler,
     Transport,
     merge_outcomes,
 )
 from repro.explore.shard import (
-    MSG_DONATE,
     MSG_DONE,
     ShardOutcome,
     run_assignment,
 )
+from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressMeter
 from repro.symex.engine import BFS, Engine, EngineConfig
 from repro.symex.observers import PathObserver
+from repro.symex.state import canonical_key
 
 
 def tree_setup(engine, depth, thresholds=()):
@@ -43,8 +48,9 @@ def tree_setup(engine, depth, thresholds=()):
 
 
 def skewed_setup(engine, depth):
-    """One shallow subtree and one bushy deep one — the stealing
-    workload: whoever draws the shallow prefix goes idle immediately."""
+    """One shallow subtree and one bushy deep one — the load-balancing
+    workload: whoever draws a shallow prefix is done with it at once and
+    draws the next."""
     def program(ctx):
         if ctx.branch(ctx.fresh_bool("shallow")):
             return  # shallow side: done immediately
@@ -108,6 +114,18 @@ def _serial(setup, args):
     return engine.explore(program, observer)
 
 
+class _RecordingLocalTransport(LocalTransport):
+    """A real fleet that notes the roots of every assignment it ships."""
+
+    def __init__(self):
+        super().__init__()
+        self.shipped = []
+
+    def assign(self, wid, assignment):
+        self.shipped.append(assignment.roots)
+        super().assign(wid, assignment)
+
+
 class TestShardedParity:
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_tree_matches_serial(self, shards):
@@ -122,11 +140,66 @@ class TestShardedParity:
         assert sharded.exploration.stats.forks == serial.stats.forks
 
     def test_skewed_tree_matches_serial(self):
-        """A lopsided tree forces rebalancing; output must not change."""
+        """A lopsided tree finishes its prefixes at very different
+        times; the output must not change."""
         serial = _serial(skewed_setup, (7,))
         sharded = ShardScheduler(skewed_setup, (7,), shards=2,
                                  seed_factor=1).run()
         assert _signature(sharded.exploration) == _signature(serial)
+
+    def test_fleet_draws_the_frontier_one_prefix_at_a_time(self):
+        """Every assignment is one frontier prefix, shipped in canonical
+        order, and the prefixes shipped are exactly the seeded frontier."""
+        args = (4, [30, 80, 200])
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, *args)
+        seed = engine.explore(program, control=FrontierControl(4), order=BFS)
+        frontier = sorted(seed.frontier, key=canonical_key)
+        transport = _RecordingLocalTransport()
+        sharded = ShardScheduler(tree_setup, args, shards=2, seed_factor=2,
+                                 transport=transport).run()
+        assert [len(roots) for roots in transport.shipped] == \
+            [1] * len(frontier)
+        assert [roots[0] for roots in transport.shipped] == frontier
+        assert sharded.steals == 0
+        assert _signature(sharded.exploration) == _signature(
+            _serial(tree_setup, args))
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_worker_solver_queries_repeat_for_a_shard_count(self, shards):
+        """A prefix arrives with its ancestors decided and is explored
+        whole by one worker, so the solver work of a run does not depend
+        on which worker drew which prefix, or when."""
+        args = (4, [30, 80, 200])
+        counts = set()
+        for _ in range(3):
+            stats = ShardScheduler(tree_setup, args, shards=shards,
+                                   seed_factor=2).run().worker_solver_stats
+            counts.add((stats.queries, stats.cache_hits, stats.cache_misses))
+        assert len(counts) == 1, counts
+
+    def test_traced_run_assigns_each_prefix_once_and_never_steals(self):
+        """The trace shows one ``coordinator.assign`` span and one
+        ``worker.assignment`` span per frontier prefix, and no record of
+        work moving between workers."""
+        args = (4, [30, 80, 200])
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, *args)
+        seed = engine.explore(program, control=FrontierControl(4), order=BFS)
+        tracer = obs_trace.activate()
+        try:
+            sharded = ShardScheduler(tree_setup, args, shards=2,
+                                     seed_factor=2, trace=True).run()
+        finally:
+            obs_trace.deactivate()
+        records = list(tracer.records) + [
+            record for deltas in sharded.worker_traces.values()
+            for delta in deltas for record in delta.records]
+        names = [record["name"] for record in records]
+        assert names.count("coordinator.assign") == len(seed.frontier)
+        assert names.count("worker.assignment") == len(seed.frontier)
+        assert not [name for name in names if "steal" in name]
+        assert sharded.steals == 0
 
     def test_tiny_tree_never_spawns_workers(self):
         """A tree smaller than the frontier target is done at seed time."""
@@ -163,7 +236,7 @@ class TestSchedulerValidation:
         message = str(excinfo.value)
         assert "died without reporting a result" in message
         assert "local worker" in message          # who
-        assert "prefix(es)" in message            # what it was holding
+        assert "holding prefix [" in message      # what it was holding
 
     def test_non_delta_observer_rejected(self):
         scheduler = ShardScheduler(plain_observer_setup, (), shards=2)
@@ -241,18 +314,16 @@ class _InlineTransport(Transport):
     """Runs every assignment synchronously in-process, so a schedule is
     fully deterministic. Two scripted faults:
 
-    * ``donate_then_die``: worker 0's first multi-root assignment
-      donates an *untouched whole root* back to the coordinator, then
-      the worker dies silently (no DONE, no error frame — ``alive()``
-      just turns False, like a SIGKILL).
     * ``unreachable``: assignments to these workers bounce.
+    * ``silent``: these workers die on receiving an assignment — no
+      DONE, no error frame; ``alive()`` just turns False, like a
+      SIGKILL.
     """
 
-    def __init__(self, donate_then_die=False, unreachable=()):
-        self.donate_then_die = donate_then_die
+    def __init__(self, unreachable=(), silent=()):
         self.unreachable = set(unreachable)
+        self.silent = set(silent)
         self.inbox = deque()
-        self.donated = None
         self.ran = []
         self.aborted = False
         self.stopped = False
@@ -268,10 +339,7 @@ class _InlineTransport(Transport):
         if wid in self.unreachable:
             raise SymexError(f"shard worker {self.describe(wid)} is "
                              "unreachable")
-        if (self.donate_then_die and wid == 0 and self.donated is None
-                and len(assignment.roots) > 1):
-            self.donated = assignment.roots[-1]
-            self.inbox.append((MSG_DONATE, wid, [self.donated]))
+        if wid in self.silent:
             self._alive[wid] = False
             return
         self.ran.append(wid)
@@ -279,12 +347,6 @@ class _InlineTransport(Transport):
         outcome = run_assignment(engine, *self._session.open(engine),
                                  list(assignment.roots))
         self.inbox.append((MSG_DONE, wid, outcome))
-
-    def request_steal(self, wid):
-        pass  # assignments complete inline; nothing to steal from
-
-    def acknowledge_done(self, wid):
-        pass
 
     def recv(self, timeout):
         if self.inbox:
@@ -312,20 +374,43 @@ class TestInProcessRecovery:
                               seed_factor=2, transport=transport,
                               on_worker_loss=policy).run()
 
-    def test_donated_whole_root_then_death_matches_serial(self):
-        """A worker donates an untouched root of its multi-root
-        assignment, *then* dies. The in-process walk replaces every
-        shard outcome, so nothing is explored twice."""
-        transport = _InlineTransport(donate_then_die=True)
+    def test_kill_after_first_result_matches_serial(self):
+        """Worker 0 goes silent once its first one-prefix result is
+        delivered, so the next prefix it is handed bounces; the
+        in-process walk replaces every shard outcome, so nothing is
+        explored twice or lost."""
+        faulty = FaultyTransport(_InlineTransport(),
+                                 FaultPlan(KillWorker(0, after_results=1)))
+        sharded = self._run(faulty)
+        assert faulty.injected_kills == 1
+        assert sharded.worker_failures == 1
+        assert faulty.inner.ran.count(0) == 1
+        assert faulty.inner.aborted and not faulty.inner.stopped
+        serial = _serial(tree_setup, self.ARGS)
+        assert _signature(sharded.exploration) == _signature(serial)
+        assert sharded.exploration.executed == serial.executed
+
+    def test_silent_death_mid_assignment_matches_serial(self):
+        transport = _InlineTransport(silent={1})
         sharded = self._run(transport)
-        assert transport.donated is not None, "the scripted donation " \
-            "never fired (assignment held a single root?)"
-        assert sharded.steals == 1
         assert sharded.worker_failures == 1
         assert transport.aborted and not transport.stopped
         serial = _serial(tree_setup, self.ARGS)
         assert _signature(sharded.exploration) == _signature(serial)
         assert sharded.exploration.executed == serial.executed
+
+    def test_silent_death_under_fail_names_the_one_prefix_held(self):
+        """An assignment is one frontier prefix, and the loss report
+        names it: worker 1 drew the second prefix in canonical order."""
+        engine = Engine(EngineConfig())
+        program, _ = tree_setup(engine, *self.ARGS)
+        seed = engine.explore(program, control=FrontierControl(4), order=BFS)
+        second = sorted(seed.frontier, key=canonical_key)[1]
+        rendered = "".join("T" if d else "F" for d in second)
+        with pytest.raises(SymexError) as excinfo:
+            self._run(_InlineTransport(silent={1}), policy="fail")
+        assert (f"inline worker 1 holding prefix [{rendered}]"
+                in str(excinfo.value))
 
     def test_unreachable_worker_finishes_in_process(self):
         transport = _InlineTransport(unreachable={0})
@@ -370,35 +455,63 @@ class TestInProcessRecovery:
         assert sorted(set(transport.ran)) == [0, 1]
 
 
-class _RecordingTransport(Transport):
+class _ScriptedDoneTransport(Transport):
+    """Records every assignment in order and answers it with an empty
+    ``MSG_DONE``, latest assignment first: the worker that reported last
+    keeps reporting first, so which worker draws what is scripted."""
+
     def __init__(self):
-        self.assigned = {}
+        self.log = []
+        self.replies = []
 
     def assign(self, wid, assignment):
-        self.assigned[wid] = assignment.roots
+        self.log.append((wid, assignment.roots))
+        self.replies.append((MSG_DONE, wid, ShardOutcome()))
+
+    def recv(self, timeout):
+        return self.replies.pop() if self.replies else None
+
+    def alive(self, wid):
+        return True
 
 
 class TestAssign:
     def _assign(self, pending, idle):
-        transport = _RecordingTransport()
+        transport = _ScriptedDoneTransport()
         scheduler = ShardScheduler(tree_setup, (3,), shards=len(idle),
                                    transport=transport)
         queue = deque(pending)
         idle = set(idle)
         assigned = {}
         assert scheduler._assign(queue, idle, assigned) == []
-        assert not queue
-        assert assigned == transport.assigned
-        return assigned, idle
+        assert {wid: (prefix,) for wid, prefix in assigned.items()} == \
+            dict(transport.log)
+        return assigned, idle, queue
 
-    def test_pending_splits_evenly_in_queue_order(self):
-        prefixes = [(True, True), (True, False), (False, True),
-                    (False, False), (False,)]
-        assigned, idle = self._assign(prefixes, {0, 1})
-        assert assigned == {0: tuple(prefixes[:3]), 1: tuple(prefixes[3:])}
+    def test_each_idle_worker_draws_one_prefix(self):
+        prefixes = sorted([(False, False), (True, False), (False, True),
+                           (True, True)], key=canonical_key)
+        assigned, idle, queue = self._assign(prefixes, {1, 0})
+        assert assigned == {0: prefixes[0], 1: prefixes[1]}
         assert idle == set()
+        assert list(queue) == prefixes[2:]
+
+    def test_each_done_draws_the_next_prefix_in_canonical_order(self):
+        prefixes = sorted([(True, True), (True, False), (False, True),
+                           (False, False, True), (False, False, False)],
+                          key=canonical_key)
+        transport = _ScriptedDoneTransport()
+        scheduler = ShardScheduler(tree_setup, (3,), shards=2,
+                                   transport=transport)
+        outcomes, dead = scheduler._coordinate(prefixes)
+        assert dead == []
+        assert len(outcomes) == len(prefixes)
+        # Workers 0 and 1 draw the first two; then every DONE (worker 1
+        # reports first each time, by the script) draws the next prefix.
+        assert transport.log == [(0, (prefixes[0],)), (1, (prefixes[1],))] \
+            + [(1, (prefix,)) for prefix in prefixes[2:]]
 
     def test_surplus_workers_stay_idle(self):
-        assigned, idle = self._assign([(False,)], {0, 1, 2})
-        assert assigned == {0: ((False,),)}
+        assigned, idle, _ = self._assign([(False,)], {0, 1, 2})
+        assert assigned == {0: (False,)}
         assert idle == {1, 2}

@@ -1,12 +1,10 @@
 """Units for the shard-side primitives and the deterministic merge."""
 
-from collections import deque
-
 import pytest
 
 from repro.errors import SymexError
 from repro.explore.merge import merge_outcomes
-from repro.explore.shard import FrontierControl, ShardOutcome, StealControl
+from repro.explore.shard import FrontierControl, ShardOutcome
 from repro.symex.engine import Engine, EngineConfig, ExplorationStats
 from repro.symex.state import canonical_key
 
@@ -17,22 +15,6 @@ def _chain_program(thresholds):
         for threshold in thresholds:
             ctx.branch(x < threshold)
     return program
-
-
-class _Flag:
-    """Minimal stand-in for a multiprocessing.Event."""
-
-    def __init__(self, value=False):
-        self.value = value
-
-    def is_set(self):
-        return self.value
-
-    def set(self):
-        self.value = True
-
-    def clear(self):
-        self.value = False
 
 
 class TestCanonicalKey:
@@ -82,34 +64,6 @@ class TestFrontierControl:
         result = Engine(EngineConfig()).explore(_chain_program([10]),
                                                 control=FrontierControl(50))
         assert result.frontier == ()
-
-
-class TestStealControl:
-    def test_donates_shallowest_half_on_request(self):
-        donations = []
-        control = StealControl(_Flag(True), donations.append)
-        worklist = deque([(True,), (True, False), (True, False, False),
-                          (False,)])
-        assert control.checkpoint(worklist) is True
-        assert donations == [[(True,), (True, False)]]
-        assert list(worklist) == [(True, False, False), (False,)]
-        assert not control.flag.is_set()
-
-    def test_empty_donation_still_reported(self):
-        donations = []
-        control = StealControl(_Flag(True), donations.append)
-        worklist = deque([(True,)])
-        control.checkpoint(worklist)
-        assert donations == [[]]
-        assert list(worklist) == [(True,)]
-
-    def test_no_request_no_donation(self):
-        donations = []
-        control = StealControl(_Flag(False), donations.append)
-        worklist = deque([(True,), (False,)])
-        control.checkpoint(worklist)
-        assert donations == []
-        assert len(worklist) == 2
 
 
 class TestControlEmptiesWorklist:

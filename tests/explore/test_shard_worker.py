@@ -2,19 +2,17 @@
 
 :func:`~repro.explore.shard.shard_worker` normally runs in a forked
 process behind :class:`~repro.explore.transport.LocalTransport`. Here it
-runs in the test's own thread over plain ``queue.Queue`` objects and a
-``threading.Event``, so every message it sends can be inspected in
+runs in the test's own thread over plain ``queue.Queue`` objects, so
+every message it sends can be inspected in
 order, without process scheduling in the way.
 """
 
 import queue
-import threading
 
 import pytest
 
 from repro.achilles.server_analysis import _shard_setup
 from repro.explore.shard import (
-    MSG_DONATE,
     MSG_DONE,
     MSG_ERROR,
     MSG_HEARTBEAT,
@@ -40,17 +38,6 @@ def tree_setup(engine, depth, thresholds=()):
         x = ctx.fresh_byte("x")
         for threshold in thresholds:
             ctx.branch(x < threshold)
-    return program, None
-
-
-def steal_once_setup(engine, depth, flag, fired):
-    """Raises the steal flag during the first path only."""
-    def program(ctx):
-        if not fired:
-            fired.append(True)
-            flag.set()
-        for i in range(depth):
-            ctx.branch(ctx.fresh_bool(f"b{i}"))
     return program, None
 
 
@@ -118,8 +105,7 @@ def _decisions(paths):
     return sorted(p.decisions for p in paths)
 
 
-def _run(tasks, session=None, worker_id=0, steal_flag=None,
-         result_queue=None):
+def _run(tasks, session=None, worker_id=0, result_queue=None):
     """Feed ``tasks`` (then the shutdown sentinel) to one worker loop;
     return every message it sent, in order."""
     session = session or WorkerSession(setup=tree_setup,
@@ -129,8 +115,7 @@ def _run(tasks, session=None, worker_id=0, steal_flag=None,
     for task in tasks:
         task_queue.put(task)
     task_queue.put(None)
-    shard_worker(worker_id, session, task_queue, result_queue,
-                 steal_flag or threading.Event())
+    shard_worker(worker_id, session, task_queue, result_queue)
     messages = []
     while not result_queue.empty():
         messages.append(result_queue.get_nowait())
@@ -248,28 +233,6 @@ class TestFailures:
         session = WorkerSession(setup=failing_setup)
         messages = _run([Assignment(((),)), Assignment(((),))], session)
         assert [kind for kind, _, _ in messages] == [MSG_ERROR]
-
-
-class TestStealing:
-    def test_stale_steal_flag_is_cleared_at_assignment_start(self):
-        flag = threading.Event()
-        flag.set()
-        messages = _run([Assignment(((),))], steal_flag=flag)
-        assert [kind for kind, _, _ in messages] == [MSG_DONE]
-
-    def test_steal_request_donates_then_finishes_the_rest(self):
-        flag, fired = threading.Event(), []
-        session = WorkerSession(setup=steal_once_setup,
-                                setup_args=(3, flag, fired))
-        messages = _run([Assignment(((),))], session, steal_flag=flag)
-        assert [kind for kind, _, _ in messages] == [MSG_DONATE, MSG_DONE]
-        share, outcome = messages[0][2], messages[1][2]
-        assert share
-        donated = _serial(steal_once_setup, (3, threading.Event(), [True]),
-                          roots=list(share)).paths
-        full = _serial(steal_once_setup, (3, threading.Event(), [True]))
-        assert _decisions(outcome.paths + donated) == _decisions(full.paths)
-        assert not flag.is_set()
 
 
 class TestWarmCache:

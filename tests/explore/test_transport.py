@@ -40,6 +40,17 @@ class TestTransportInterface:
             transport.recv(0.1)
         assert transport.describe(3) == "worker 3"
 
+    def test_no_steal_surface(self):
+        """No work moves between workers once assigned, so no transport
+        raises or clears a steal request."""
+        import repro.explore
+        from repro.explore import FaultyTransport
+
+        for transport in (Transport, LocalTransport, FaultyTransport):
+            for name in ("request_steal", "acknowledge_done"):
+                assert not hasattr(transport, name), (transport, name)
+        assert "StealControl" not in repro.explore.__all__
+
 
 def tiny_setup(engine):
     def program(ctx):
@@ -151,25 +162,6 @@ class TestLocalTransportMessaging:
         transport = _started(1)
         try:
             assert transport.recv(0.05) is None
-        finally:
-            transport.stop()
-
-    def test_request_steal_raises_only_that_workers_flag(self):
-        transport = _started(2)
-        try:
-            transport.request_steal(1)
-            flags = transport._steal_flags
-            assert not flags[0].is_set()
-            assert flags[1].is_set()
-        finally:
-            transport.stop()
-
-    def test_acknowledge_done_clears_an_unanswered_steal(self):
-        transport = _started(1)
-        try:
-            transport.request_steal(0)
-            transport.acknowledge_done(0)
-            assert not transport._steal_flags[0].is_set()
         finally:
             transport.stop()
 

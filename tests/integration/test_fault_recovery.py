@@ -149,6 +149,18 @@ class TestRecoveryCountersSurface:
         assert report.recovery_seconds > 0.0
         assert report.recovery_seconds < report.timings.server_analysis
 
+    def test_kill_after_first_result_keeps_findings(self, baselines):
+        """Worker 0 goes silent after delivering its first result, which
+        is one frontier prefix: the next prefix it is handed bounces,
+        the coordinator walks the frontier in-process, and the findings
+        still match the serial run byte for byte."""
+        faulty = FaultyTransport(LocalTransport(),
+                                 FaultPlan(KillWorker(0, after_results=1)))
+        report = _run_fsp(2, transport=faulty, on_worker_loss="recover")
+        assert faulty.injected_kills == 1
+        assert report.worker_failures == 1
+        assert _finding_signature(report) == baselines["fsp"]
+
     def test_fault_free_run_reports_clean_counters(self):
         report = _run_fsp(2, on_worker_loss="recover")
         assert report.worker_failures == 0
