@@ -14,8 +14,9 @@ appended constraint:
    the query, which is what keeps it small (§3.3, Figure 11).
 
 A path that reaches an accept marker therefore *has* Trojan messages by
-construction; the observer emits a finding with the symbolic expression
-and a concrete witness.
+construction; the observer records a finding for it, with the symbolic
+expression and a concrete witness, in the per-path record it hands the
+engine (:attr:`~repro.symex.engine.ExplorationResult.records`).
 
 Both questions are asked once per fresh prefix, and the observer's
 prefix trie decides most of them without the engine: a model its parent
@@ -57,7 +58,7 @@ from repro.solver.evalmodel import extend_model
 from repro.solver.propagate import Domains, fixpoint, refutes
 from repro.symex.context import ExecutionContext
 from repro.symex.engine import DFS, Engine, EngineConfig, ExplorationResult
-from repro.symex.observers import ObserverDelta, PathObserver
+from repro.symex.observers import PathObserver
 from repro.symex.state import ACCEPTED, PathResult
 
 if TYPE_CHECKING:  # core.py imports this module
@@ -130,7 +131,11 @@ class _PathSlot:
 
 @dataclass(frozen=True)
 class _TrojanPathRecord:
-    """Per-path payload inside a :class:`ObserverDelta` (picklable)."""
+    """What the observer records for one executed path (picklable): the
+    ``(path-condition length, live predicates)`` sample of each
+    constraint, and the path's finding, if any. The finding's
+    ``server_path_id`` is local to the exploration that made it;
+    :func:`search_server` renumbers it."""
 
     samples: tuple[tuple[int, int], ...]
     finding: TrojanFinding | None
@@ -159,32 +164,31 @@ class TrojanSearchObserver(PathObserver):
       frame stack, which hands its model back for the children.
 
     An accepting path's witness is solved when the path ends
-    (:meth:`Engine.solve`), never taken from an inherited model, so
-    ``findings`` grows in discovery order and is the same whichever way
-    each question was answered. ``answered`` counts the answers by kind
-    and source (``"drop.inherited"``, ``"drop.refuted"``,
-    ``"drop.engine"``, ``"trojan.inherited"``, ``"trojan.engine"``).
+    (:meth:`Engine.solve`), never taken from an inherited model, so a
+    finding is the same whichever way each question was answered.
+    ``answered`` counts the answers by kind and source
+    (``"drop.inherited"``, ``"drop.refuted"``, ``"drop.engine"``,
+    ``"trojan.inherited"``, ``"trojan.engine"``).
 
-    The observer is also delta-capable (:meth:`delta` / :meth:`restore`),
-    which is what lets the sharded exploration layer run one private
-    instance per shard worker and deterministically rebuild the merged
-    findings on the coordinator. A worker keeps its instance for the
-    whole session: each :meth:`delta` drains the findings of one
-    assignment while the trie stays, and the trie the coordinator's seed
-    phase built travels to every worker (:meth:`export_memo` /
-    :meth:`adopt_memo`), so no prefix is decided twice in one process.
-    All of this is sound because every hook's answer is a pure function
-    of the path's constraint sequence.
+    The observer keeps no findings itself: :meth:`on_path_end` returns
+    each path's :class:`_TrojanPathRecord`, which the engine keeps in
+    :attr:`ExplorationResult.records` and a shard worker ships home with
+    its outcome. That is what lets the sharded exploration layer run one
+    private instance per shard worker. A worker keeps its instance for
+    the whole session, and the trie the coordinator's seed phase built
+    travels to every worker (:meth:`export_memo` / :meth:`adopt_memo`),
+    so no prefix is decided twice in one process. All of this is sound
+    because every hook's answer is a pure function of the path's
+    constraint sequence.
 
-    ``elapsed_seconds`` of a finding counts from the first path after
-    construction or after the last :meth:`delta` — in a shard worker,
-    from the start of the assignment that made it.
+    ``elapsed_seconds`` of a finding counts from the first path of the
+    :meth:`Engine.explore` call that made it — in a shard worker, from
+    the start of the assignment.
     """
 
     def __init__(self, engine: Engine, clients: ClientPredicateSet,
                  server_msg: tuple[Expr, ...],
-                 flags: OptimizationFlags | None = None,
-                 record_delta: bool = False):
+                 flags: OptimizationFlags | None = None):
         self._engine = engine
         self._clients = clients
         self._server_msg = server_msg
@@ -198,29 +202,14 @@ class TrojanSearchObserver(PathObserver):
             if self._flags.incremental_drop else [])
         self.answered: Counter[str] = Counter()
         self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
-        # Findings' clock: set by the first path after construction or
-        # after a delta() drain.
-        self._started: float | None = None
-        # Sharding support costs per-path bookkeeping (samples are kept
-        # per path as well as in the flat stream), so it is opt-in: only
-        # observers created for a sharded run record it.
-        self._record_delta = record_delta
-        # (decisions, per-path samples, finding or None) per executed
-        # path; delta() freezes these into _TrojanPathRecord payloads.
-        self._per_path: list[tuple[tuple[bool, ...],
-                                   tuple[tuple[int, int], ...],
-                                   TrojanFinding | None]] = []
-        self.findings: list[TrojanFinding] = []
-        self.samples: list[tuple[int, int]] = []
-        self.paths_pruned = 0
-        self.paths_seen = 0
+        # Findings' clock: set by the first path of each explore() call.
+        self._started = 0.0
 
     # -- engine hooks ---------------------------------------------------------------
 
     def on_path_start(self, ctx: ExecutionContext) -> None:
-        if self._started is None:
+        if ctx.path_id == 0:
             self._started = time.perf_counter()
-        self.paths_seen += 1
         ctx.state.observer_slot = _PathSlot(node=self._root)
 
     def on_constraint(self, ctx: ExecutionContext, constraint: Expr) -> bool:
@@ -229,25 +218,17 @@ class TrojanSearchObserver(PathObserver):
         if node is None:
             node = self._extend(ctx, constraint, slot.node)
         slot.node = node
-        sample = (len(ctx.state.constraints), len(node.live))
-        if self._record_delta:
-            slot.samples.append(sample)
-        self.samples.append(sample)
-        if node.trojan is False:
-            self.paths_pruned += 1
-            return False
-        return True
+        slot.samples.append((len(ctx.state.constraints), len(node.live)))
+        return node.trojan is not False
 
-    def on_path_end(self, ctx: ExecutionContext, result: PathResult) -> None:
+    def on_path_end(self, ctx: ExecutionContext,
+                    result: PathResult) -> _TrojanPathRecord:
         slot: _PathSlot = ctx.state.observer_slot
         finding = None
         if result.verdict == ACCEPTED:
             finding = self._finding(result, slot.node)
-            if finding is not None:
-                self.findings.append(finding)
-        if self._record_delta:
-            self._per_path.append((result.decisions, tuple(slot.samples),
-                                   finding))
+        return _TrojanPathRecord(samples=tuple(slot.samples),
+                                 finding=finding)
 
     def _finding(self, result: PathResult,
                  node: _PrefixNode) -> TrojanFinding | None:
@@ -272,31 +253,7 @@ class TrojanSearchObserver(PathObserver):
             labels=result.labels,
         )
 
-    # -- sharding protocol ---------------------------------------------------------
-
-    def delta(self) -> ObserverDelta | None:
-        """Drain the findings made since the last delta (see base class).
-
-        None unless the observer was created with ``record_delta=True``.
-        The per-path records, findings, samples and path counters start
-        over, and so does the findings' clock; the trie stays.
-        """
-        if not self._record_delta:
-            return None
-        per_path = [
-            (decisions, _TrojanPathRecord(samples=samples, finding=finding))
-            for decisions, samples, finding in self._per_path
-        ]
-        delta = ObserverDelta(
-            per_path=per_path,
-            counters={"paths_seen": self.paths_seen,
-                      "paths_pruned": self.paths_pruned})
-        self._per_path = []
-        self.findings = []
-        self.samples = []
-        self.paths_seen = self.paths_pruned = 0
-        self._started = None
-        return delta
+    # -- sharded exploration -------------------------------------------------------
 
     def export_memo(self) -> list[tuple]:
         """The prefix trie as a flat, picklable list (see base class).
@@ -329,20 +286,6 @@ class TrojanSearchObserver(PathObserver):
             else:
                 nodes[parent].children[constraint] = node
             nodes.append(node)
-
-    def restore(self, delta: ObserverDelta,
-                path_ids: dict[tuple[bool, ...], int]) -> None:
-        """Rebuild findings/samples from a canonical shard-delta merge."""
-        self.paths_seen = delta.counters.get("paths_seen", 0)
-        self.paths_pruned = delta.counters.get("paths_pruned", 0)
-        self.samples = []
-        self.findings = []
-        self._per_path = []
-        for decisions, record in delta.per_path:
-            self.samples.extend(record.samples)
-            if record.finding is not None:
-                self.findings.append(replace(
-                    record.finding, server_path_id=path_ids[decisions]))
 
     # -- search internals --------------------------------------------------------------
 
@@ -434,15 +377,13 @@ class TrojanSearchObserver(PathObserver):
 
 def _shard_setup(engine: Engine, server, clients: ClientPredicateSet,
                  server_msg: tuple[Expr, ...],
-                 flags: OptimizationFlags | None, msg_name: str,
-                 record_delta: bool = False):
+                 flags: OptimizationFlags | None, msg_name: str):
     """Build one shard's (program, observer) pair on its private engine.
 
     Module-level (and its args picklable) so the shard scheduler can ship
     it to worker processes under any multiprocessing start method.
     """
-    observer = TrojanSearchObserver(engine, clients, server_msg, flags,
-                                    record_delta=record_delta)
+    observer = TrojanSearchObserver(engine, clients, server_msg, flags)
 
     def program(ctx: ExecutionContext) -> None:
         wire = tuple(ctx.fresh_bytes(msg_name, len(server_msg)))
@@ -472,10 +413,13 @@ def search_server(server, clients: ClientPredicateSet,
         query_cache: shared canonical query cache (the orchestrator passes
             the phase-1 cache here so cross-phase queries hit).
 
-    With ``shards > 1`` every solver counter — queries, frames,
-    propagation time and the query-cache hits and misses — is the
-    coordinator's own plus the sum over the shard workers' private
-    engines.
+    Serial, sharded and recovered runs build the report one way: from
+    the exploration's observer records (findings and predicate samples,
+    in path order) and its counters (``server_paths_pruned`` is
+    ``stats.paths_pruned``). With ``shards > 1`` every solver counter —
+    queries, frames, propagation time and the query-cache hits and
+    misses — is the coordinator's own plus the sum over the shard
+    workers' private engines.
 
     Returns:
         The (partially filled) report and the raw exploration result; the
@@ -516,14 +460,13 @@ def search_server(server, clients: ClientPredicateSet,
             scheduler = ShardScheduler(
                 _shard_setup,
                 (server, clients, server_msg, config.optimizations,
-                 config.msg_name, True),
+                 config.msg_name),
                 shards=shards, engine=engine,
                 transport=config.transport,
                 on_worker_loss=config.on_worker_loss,
                 trace=tracer is not None, progress=meter)
             sharded = scheduler.run()
             exploration = sharded.exploration
-            observer = sharded.observer
             shard_stats = sharded.worker_solver_stats
         else:
             program, observer = _shard_setup(engine, server, clients,
@@ -548,13 +491,14 @@ def search_server(server, clients: ClientPredicateSet,
         raise
     elapsed = time.perf_counter() - started
 
+    findings, samples = _observed(exploration)
     cache_stats = engine.query_cache.stats
     report = AchillesReport(
-        findings=observer.findings,
+        findings=findings,
         client_predicate_count=len(clients),
-        predicate_samples=observer.samples,
+        predicate_samples=samples,
         server_paths_explored=len(exploration.paths),
-        server_paths_pruned=observer.paths_pruned,
+        server_paths_pruned=exploration.stats.paths_pruned,
         solver_queries=engine.solver.stats.queries,
         cache_hits=cache_stats.hits,
         cache_misses=cache_stats.misses,
@@ -580,6 +524,21 @@ def search_server(server, clients: ClientPredicateSet,
         worker_deltas = sharded.worker_traces if sharded is not None else None
         _write_run_trace(tracer, config.trace_dir, worker_deltas, report)
     return report, exploration
+
+
+def _observed(exploration: ExplorationResult
+              ) -> tuple[list[TrojanFinding], list[tuple[int, int]]]:
+    """The findings and predicate samples of an exploration's observer
+    records, in path order; a finding's ``server_path_id`` is its path's
+    index in ``exploration.executed``."""
+    findings: list[TrojanFinding] = []
+    samples: list[tuple[int, int]] = []
+    for path_id, (decisions, _verdict) in enumerate(exploration.executed):
+        record = exploration.records[decisions]
+        samples.extend(record.samples)
+        if record.finding is not None:
+            findings.append(replace(record.finding, server_path_id=path_id))
+    return findings, samples
 
 
 def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:

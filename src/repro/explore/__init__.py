@@ -36,16 +36,18 @@ The protocol, end to end:
    :class:`~repro.symex.engine.ExplorationResult` — paths renumbered in
    canonical prefix order (lexicographic, True before False, which *is*
    the serial DFS completion order), exploration/solver counters summed
-   in a fixed order, and per-shard observer findings reduced through the
-   :class:`~repro.symex.observers.ObserverDelta` protocol. The merged
-   output is a pure function of the explored tree: byte-identical at any
-   shard count, in any assignment order, for DFS-ordered runs
-   byte-identical to the plain serial engine.
+   in a fixed order, and the observer's per-path records
+   (:attr:`~repro.symex.engine.ExplorationResult.records`, what
+   :meth:`~repro.symex.observers.PathObserver.on_path_end` returned)
+   united under their decision vectors. The merged output is a pure
+   function of the explored tree: byte-identical at any shard count, in
+   any assignment order, for DFS-ordered runs byte-identical to the
+   plain serial engine.
 
 The explored tree itself is shard-invariant because every pruning input
 is pure: branch feasibility is a function of the path condition, and
-delta-capable observers are (by the :class:`PathObserver` contract)
-deterministic functions of the constraint sequence.
+observers are (by the :class:`PathObserver` contract) deterministic
+functions of the constraint sequence.
 
 Sharding is the one parallelism axis: the solver service (layer 5)
 batches independent queries through one in-process frame stack, while

@@ -17,10 +17,9 @@ Three reductions happen here:
   so float accumulation never depends on arrival order; the integer
   totals are partition-invariant, the float ones vary run-to-run exactly
   as wall clock does).
-* **Observer findings** — the per-shard
-  :class:`~repro.symex.observers.ObserverDelta` snapshots merge via
-  :meth:`ObserverDelta.merge` (canonical per-path order, summed
-  counters), ready for :meth:`PathObserver.restore`.
+* **Observer records** — the per-path records of every outcome (keyed
+  by decision vector, so the overlap check on executed paths also rules
+  out a collision) are united in canonical path order.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.errors import SymexError
 from repro.explore.shard import Prefix, ShardOutcome
 from repro.solver.solver import SolverStats
 from repro.symex.engine import ExplorationResult, ExplorationStats
-from repro.symex.observers import ObserverDelta
 from repro.symex.state import canonical_key
 
 
@@ -41,21 +39,20 @@ class MergedExploration:
 
     Attributes:
         exploration: merged result — paths renumbered and sorted in
-            canonical prefix order, counters summed
-            (``stats.elapsed_seconds`` is aggregate shard CPU time until
-            the scheduler overwrites it with coordinator wall clock).
+            canonical prefix order, observer records in the same order,
+            counters summed (``stats.elapsed_seconds`` is aggregate
+            shard CPU time until the scheduler overwrites it with
+            coordinator wall clock).
         path_ids: decision vector -> canonical path id, covering every
-            executed path (observers translate recorded ids through it).
+            executed path.
         solver_stats: shard-side solver counters folded in canonical
             outcome order (the coordinator's own engine keeps its
             counters on its ``Solver`` as usual).
-        delta: merged observer findings, or None for observer-less runs.
     """
 
     exploration: ExplorationResult
     path_ids: dict[Prefix, int]
     solver_stats: SolverStats
-    delta: ObserverDelta | None
 
 
 def merge_outcomes(outcomes: list[ShardOutcome]) -> MergedExploration:
@@ -82,18 +79,19 @@ def merge_outcomes(outcomes: list[ShardOutcome]) -> MergedExploration:
              for outcome in ordered for path in outcome.paths]
     paths.sort(key=lambda path: path.path_id)
 
+    records = {}
     stats = ExplorationStats()
     solver_stats = SolverStats()
-    deltas: list[ObserverDelta] = []
     for outcome in ordered:
+        records.update(outcome.records)
         if outcome.stats is not None:
             stats.merge(outcome.stats)
         solver_stats += outcome.solver_stats
-        if outcome.delta is not None:
-            deltas.append(outcome.delta)
 
-    merged_delta = ObserverDelta.merge(deltas) if deltas else None
-    exploration = ExplorationResult(paths=paths, stats=stats,
-                                    executed=executed, frontier=())
+    exploration = ExplorationResult(
+        paths=paths, stats=stats, executed=executed, frontier=(),
+        records={decisions: records[decisions]
+                 for decisions, _verdict in executed
+                 if decisions in records})
     return MergedExploration(exploration=exploration, path_ids=path_ids,
-                             solver_stats=solver_stats, delta=merged_delta)
+                             solver_stats=solver_stats)

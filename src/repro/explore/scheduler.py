@@ -57,10 +57,9 @@ from repro.obs.log import get_logger, log_event
 from repro.explore.transport import LocalTransport, Transport, WorkerSession
 from repro.solver.solver import SolverStats
 from repro.symex.engine import BFS, Engine, EngineConfig, ExplorationResult
-from repro.symex.observers import PathObserver
 from repro.symex.state import canonical_key
 
-#: Frontier prefixes harvested per shard before workers start. Workers
+#: Frontier prefixes grown per shard before workers start. Workers
 #: draw them one at a time, so a few per worker is what lets a worker
 #: that drew a small subtree take another instead of going idle.
 DEFAULT_SEED_FACTOR = 4
@@ -85,11 +84,9 @@ class ShardedExploration:
 
     Attributes:
         exploration: deterministic merged result (canonical path ids,
-            summed counters, ``stats.elapsed_seconds`` = coordinator
-            wall clock for the whole run).
-        observer: the coordinator's observer, with findings restored
-            from the canonical merge of every shard's delta (None when
-            the run had no observer).
+            every shard's observer records, summed counters,
+            ``stats.elapsed_seconds`` = coordinator wall clock for the
+            whole run).
         path_ids: decision vector -> canonical path id for every
             executed path.
         worker_solver_stats: solver counters accumulated inside shard
@@ -112,7 +109,6 @@ class ShardedExploration:
     """
 
     exploration: ExplorationResult
-    observer: PathObserver | None
     path_ids: dict[Prefix, int]
     worker_solver_stats: SolverStats
     shards: int
@@ -131,8 +127,8 @@ class ShardScheduler:
             observer)``. Runs once on the coordinator engine (seed
             phase), once per worker session (the pair serves every
             assignment of that worker) and once for a recovery walk.
-            The observer may be None (plain exploration); otherwise it
-            must be delta-capable (:meth:`PathObserver.delta`). An
+            The observer may be None (plain exploration); the records
+            it returns per path come home with each outcome. An
             observer that exports a memo after the seed phase
             (:meth:`PathObserver.export_memo`) has it adopted by every
             worker's and the recovery walk's observer.
@@ -240,18 +236,15 @@ class ShardScheduler:
             merged = merge_outcomes(outcomes)
         merged.exploration.stats.elapsed_seconds = (
             time.perf_counter() - started)
-        if observer is not None and merged.delta is not None:
-            observer.restore(merged.delta, merged.path_ids)
         return ShardedExploration(
-            exploration=merged.exploration, observer=observer,
-            path_ids=merged.path_ids,
+            exploration=merged.exploration, path_ids=merged.path_ids,
             worker_solver_stats=merged.solver_stats, shards=self.shards,
             worker_failures=self._worker_failures,
             recovery_seconds=self._recovery_seconds,
             worker_traces=self._worker_traces)
 
     def _seed(self, program, observer):
-        """Seed phase: explore the tree top, harvest the frontier."""
+        """Seed phase: explore the tree top, leave the frontier."""
         # Seed breadth-first regardless of the configured order: a DFS
         # worklist only ever holds one open sibling per level (too narrow
         # a frontier on deep trees), while BFS's worklist is the breadth
@@ -263,19 +256,11 @@ class ShardScheduler:
                 program, observer,
                 control=FrontierControl(self.shards * self.seed_factor),
                 order=BFS)
-        seed_delta = None
-        if observer is not None:
-            seed_delta = observer.delta()
-            if seed_delta is None:
-                raise SymexError(
-                    f"{type(observer).__name__} is not delta-capable: "
-                    "sharded exploration needs PathObserver.delta() to "
-                    "return an ObserverDelta")
         # Coordinator solver work is already booked on self.engine's own
-        # stats; the seed outcome ships an empty delta so it is not
+        # stats; the seed outcome ships empty solver stats so it is not
         # double-counted by the merge.
         seed_outcome = ShardOutcome(executed=seed.executed, paths=seed.paths,
-                                    stats=seed.stats, delta=seed_delta)
+                                    stats=seed.stats, records=seed.records)
         return [seed_outcome], sorted(seed.frontier, key=canonical_key)
 
     # -- worker fleet --------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,7 +19,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceDelta
 from repro.solver.solver import SolverStats
 from repro.symex.engine import Engine, ExploreControl
-from repro.symex.observers import ObserverDelta
 from repro.symex.state import PathResult
 
 #: A worker setup callable: ``setup(engine, *args) -> (program, observer)``.
@@ -64,9 +62,10 @@ class ShardOutcome:
         solver_stats: the engine's solver counters accumulated during
             this exploration only (reset per assignment, so the
             coordinator folds exact deltas).
-        delta: the observer's findings for this exploration alone (its
-            drained :meth:`~repro.symex.observers.PathObserver.delta`),
-            or None when the run had no observer.
+        records: the observer's record per executed path of this
+            exploration, keyed by decision vector (see
+            :attr:`~repro.symex.engine.ExplorationResult.records`); empty
+            when the run had no observer.
         trace: the worker tracer's span records for this assignment
             (:class:`~repro.obs.trace.TraceDelta`), or None when tracing
             was off. Purely observational — stripped by the coordinator
@@ -77,7 +76,7 @@ class ShardOutcome:
     paths: list[PathResult] = field(default_factory=list)
     stats: object = None
     solver_stats: SolverStats = field(default_factory=SolverStats)
-    delta: ObserverDelta | None = None
+    records: dict[Prefix, object] = field(default_factory=dict)
     trace: TraceDelta | None = None
 
 
@@ -91,8 +90,8 @@ class FrontierControl(ExploreControl):
     def __init__(self, target: int):
         self.target = max(1, target)
 
-    def checkpoint(self, worklist: deque) -> bool:
-        return len(worklist) < self.target
+    def checkpoint(self, pending: int) -> bool:
+        return pending < self.target
 
 
 class HeartbeatControl(ExploreControl):
@@ -103,8 +102,8 @@ class HeartbeatControl(ExploreControl):
     gauges: cumulative paths popped, current worklist depth, and (with
     an engine attached) the private query cache's hit/miss counters —
     enough for the coordinator to derive paths/sec and hit rates.
-    Purely observational: it never touches the worklist and always
-    returns True, so findings are unchanged by its presence.
+    Purely observational: it always returns True, so findings are
+    unchanged by its presence.
 
     A worker keeps one heartbeat for its whole session, so its counters
     span assignments. With a zero interval it beats at every checkpoint:
@@ -122,12 +121,12 @@ class HeartbeatControl(ExploreControl):
         self.sent = 0
         self._last = clock()
 
-    def checkpoint(self, worklist: deque) -> bool:
+    def checkpoint(self, pending: int) -> bool:
         self.paths += 1
         now = self.clock()
         if now - self._last >= self.interval:
             self._last = now
-            payload = {"paths": self.paths, "worklist": len(worklist)}
+            payload = {"paths": self.paths, "worklist": pending}
             if self.engine is not None:
                 stats = self.engine.query_cache.stats
                 payload["cache_hits"] = stats.hits
@@ -145,19 +144,16 @@ def run_assignment(engine: Engine, program, observer,
     ``program`` and ``observer`` are the session's pair, built once on
     ``engine`` and kept across assignments along with the engine's warm
     canonical cache and frame stack, and the observer's per-prefix memo.
-    The observer's delta drains, so the outcome carries exactly this
-    assignment's findings; solver counters are reset first so it also
-    ships an exact per-assignment solver delta.
+    The outcome's observer records come from this exploration alone;
+    solver counters are reset first so it also ships an exact
+    per-assignment solver delta.
     """
     engine.solver.stats = SolverStats()
     result = engine.explore(program, observer, roots=prefixes,
                             control=control)
-    delta = None
-    if observer is not None:
-        delta = observer.delta()
     return ShardOutcome(executed=result.executed, paths=result.paths,
                         stats=result.stats, solver_stats=engine.solver.stats,
-                        delta=delta)
+                        records=result.records)
 
 
 def shard_worker(worker_id: int, session, task_queue, result_queue) -> None:

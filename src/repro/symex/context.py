@@ -119,25 +119,15 @@ class ExecutionContext:
         pc = tuple(state.constraints)
         feasible_true, feasible_false = self._engine.branch_feasibility(
             pc, condition)
-        explore_true, explore_false = self._observer.on_branch(
-            self, condition, feasible_true, feasible_false)
-        explore_true = explore_true and feasible_true
-        explore_false = explore_false and feasible_false
-
-        if explore_true and explore_false:
+        if feasible_true and feasible_false:
             self._engine.note_fork()
             self._pending.append(tuple(state.decisions) + (False,))
+        if feasible_true:
             self._take(condition, True)
             return True
-        if explore_true:
-            self._take(condition, True)
-            return True
-        if explore_false:
+        if feasible_false:
             self._take(condition, False)
             return False
-        if feasible_true or feasible_false:
-            # The observer vetoed every feasible direction: pruned.
-            raise _PathTerminated(path_state.PRUNED)
         raise PathInfeasible("no feasible branch direction")
 
     def _take(self, condition: Expr, direction: bool) -> None:

@@ -138,20 +138,18 @@ class ExplorationStats:
 
 
 class ExploreControl:
-    """Hook consulted between paths; lets a caller pause or split a run.
+    """Hook consulted between paths; lets a caller watch a run or stop it.
 
     The sharded exploration layer (:mod:`repro.explore`) uses this to
-    export frontier prefixes (seeding) and to send heartbeats. The
-    engine calls :meth:`checkpoint` with its live worklist before
-    popping each schedule; the control may harvest entries from it
-    (each removed prefix identifies an unexplored subtree that can be
-    replayed elsewhere) and may stop the run by returning False — the
-    untouched remainder of the worklist is then published as
+    grow a frontier (seeding) and to send heartbeats. The engine calls
+    :meth:`checkpoint` with the number of pending worklist entries
+    before popping each schedule; returning False stops the run, and the
+    worklist left behind is published as
     :attr:`ExplorationResult.frontier`.
     """
 
-    def checkpoint(self, worklist: "deque[tuple[bool, ...]]") -> bool:
-        """Return False to stop exploring; may mutate ``worklist``."""
+    def checkpoint(self, pending: int) -> bool:
+        """Return False to stop exploring."""
         return True
 
 
@@ -171,12 +169,17 @@ class ExplorationResult:
             :class:`ExploreControl` stopped the run early (empty for a
             drained exploration). Each entry is a decision prefix that
             can be handed to another engine as a ``roots`` element.
+        records: decisions -> the record the observer returned from
+            :meth:`~repro.symex.observers.PathObserver.on_path_end`, for
+            every executed path it returned one for, in ``executed``
+            order.
     """
 
     paths: list[PathResult]
     stats: ExplorationStats
     executed: list[tuple[tuple[bool, ...], str]] = field(default_factory=list)
     frontier: tuple[tuple[bool, ...], ...] = ()
+    records: dict[tuple[bool, ...], object] = field(default_factory=dict)
 
     @property
     def accepting(self) -> list[PathResult]:
@@ -349,16 +352,16 @@ class Engine:
                 subtree below it is explored exactly as the exporting run
                 would have.
             control: optional :class:`ExploreControl` consulted between
-                paths; it may harvest worklist entries (subtrees to
-                explore elsewhere) or stop the run early, leaving the rest
-                of the worklist in :attr:`ExplorationResult.frontier`.
+                paths; it may stop the run early, leaving the rest of
+                the worklist (subtrees to explore elsewhere) in
+                :attr:`ExplorationResult.frontier`.
             order: worklist order override for this run only (the
                 explored tree — and with it every per-path output — is
                 order-invariant; only completion sequence and worklist
                 shape change). The shard scheduler seeds breadth-first
                 this way: a DFS worklist stays as narrow as the tree is
                 deep, while BFS widens with the tree's breadth, which is
-                what a frontier harvest needs.
+                what a frontier needs.
         """
         order = order or self.config.search_order
         if order not in (DFS, BFS):
@@ -368,22 +371,17 @@ class Engine:
         self._stats = stats
         results: list[PathResult] = []
         executed: list[tuple[tuple[bool, ...], str]] = []
+        records: dict[tuple[bool, ...], object] = {}
         # deque: BFS pops from the left in O(1) where list.pop(0) is O(n).
         worklist: deque[tuple[bool, ...]] = deque(
             [()] if roots is None else [tuple(r) for r in roots])
         next_path_id = 0
-        stopped = False
         started = time.perf_counter()
 
         while worklist and (stats.paths_finished + stats.paths_limited
                             < self.config.max_paths):
-            if control is not None:
-                if not control.checkpoint(worklist):
-                    stopped = True
-                    break
-                if not worklist:
-                    # The control handed away every pending entry.
-                    break
+            if control is not None and not control.checkpoint(len(worklist)):
+                break
             if order == DFS:
                 schedule = worklist.pop()
             else:
@@ -408,13 +406,15 @@ class Engine:
             else:
                 stats.paths_finished += 1
                 results.append(result)
-            observer.on_path_end(ctx, result)
+            record = observer.on_path_end(ctx, result)
+            if record is not None:
+                records[result.decisions] = record
 
         stats.elapsed_seconds = time.perf_counter() - started
         self._stats = None
-        frontier = tuple(worklist) if (stopped or worklist) else ()
         return ExplorationResult(paths=results, stats=stats,
-                                 executed=executed, frontier=frontier)
+                                 executed=executed, frontier=tuple(worklist),
+                                 records=records)
 
     def _run_one(self, program: NodeProgram, ctx: ExecutionContext,
                  state: PathState) -> str:

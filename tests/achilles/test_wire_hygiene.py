@@ -95,23 +95,6 @@ class TestClientPredicateSet:
         assert copy.stats == predicates.stats
 
 
-class TestObserverDelta:
-    def test_trojan_delta_round_trips(self, toy_achilles):
-        """The per-assignment ObserverDelta a shard worker ships back."""
-        from repro.achilles.server_analysis import _shard_setup
-
-        achilles, predicates, _ = toy_achilles
-        engine = Engine(EngineConfig())
-        outcome = run_assignment(
-            engine, *_shard_setup(engine, toy_server, predicates,
-                                  achilles.server_msg, None, "msg", True),
-            [()])
-        assert outcome.delta is not None
-        copy = wire_roundtrip(outcome.delta)
-        assert copy.counters == outcome.delta.counters
-        assert copy.per_path == outcome.delta.per_path
-
-
 class TestShardOutcome:
     def test_full_outcome_round_trips(self):
         """ShardOutcome carries PathResults (with live Expr constraints),
@@ -142,7 +125,26 @@ class TestShardOutcome:
         copy = wire_roundtrip(ShardOutcome())
         assert copy.executed == []
         assert copy.paths == []
-        assert copy.delta is None
+        assert copy.records == {}
+
+    def test_trojan_records_round_trip(self, toy_achilles):
+        """The Trojan search's per-path records, findings included, as a
+        shard worker ships them home inside its outcome."""
+        from repro.achilles.server_analysis import _shard_setup
+
+        achilles, predicates, _ = toy_achilles
+        engine = Engine(EngineConfig())
+        outcome = run_assignment(
+            engine, *_shard_setup(engine, toy_server, predicates,
+                                  achilles.server_msg, None, "msg"),
+            [()])
+        findings = [record.finding for record in outcome.records.values()
+                    if record.finding is not None]
+        assert findings
+        assert all(isinstance(f, TrojanFinding) for f in findings)
+        copy = wire_roundtrip(outcome)
+        assert list(copy.records) == [d for d, _ in outcome.executed]
+        assert copy.records == outcome.records
 
 
 class TestScalarPayloads:
@@ -182,7 +184,7 @@ class TestScalarPayloads:
         session = WorkerSession(
             setup=_shard_setup,
             setup_args=(toy_server, predicates, achilles.server_msg,
-                        None, "msg", True),
+                        None, "msg"),
             engine_config=EngineConfig())
         copy = wire_roundtrip(session)
         assert copy.setup is _shard_setup
@@ -201,7 +203,7 @@ class TestScalarPayloads:
                                            mask=FSP_SESSION_MASK))
         predicates = achilles.extract_clients(fsp.literal_clients())
         setup_args = (fsp.fsp_server, predicates, achilles.server_msg,
-                      None, "msg", True)
+                      None, "msg")
         engine = Engine(EngineConfig())
         program, observer = _shard_setup(engine, *setup_args)
         engine.explore(program, observer,

@@ -1,12 +1,12 @@
 """HeartbeatControl: cadence, payload, observational purity."""
 
 import io
-from collections import deque
 
 import pytest
 
 from repro.explore.shard import HeartbeatControl
 from repro.obs.progress import ProgressMeter
+from repro.symex.engine import Engine, EngineConfig
 
 
 class FakeClock:
@@ -42,19 +42,18 @@ def test_emits_only_after_interval_elapses():
     clock = FakeClock()
     emit = Recorder()
     control = HeartbeatControl(1.0, emit, clock=clock)
-    worklist = deque([(), ()])
-    assert control.checkpoint(worklist) is True
+    assert control.checkpoint(2) is True
     assert emit.payloads == []  # same instant as construction
     clock.now = 0.5
-    control.checkpoint(worklist)
+    control.checkpoint(2)
     assert emit.payloads == []
     clock.now = 1.0
-    control.checkpoint(worklist)
+    control.checkpoint(2)
     assert len(emit.payloads) == 1
     assert emit.payloads[0] == {"paths": 3, "worklist": 2}
     # the beat resets the window
     clock.now = 1.5
-    control.checkpoint(worklist)
+    control.checkpoint(2)
     assert len(emit.payloads) == 1
     assert control.sent == 1
     assert control.paths == 4
@@ -65,18 +64,26 @@ def test_engine_gauges_ride_the_payload():
     emit = Recorder()
     control = HeartbeatControl(1.0, emit, engine=FakeEngine(), clock=clock)
     clock.now = 2.0
-    control.checkpoint(deque())
+    control.checkpoint(0)
     assert emit.payloads[0]["cache_hits"] == 11
     assert emit.payloads[0]["cache_misses"] == 4
 
 
-def test_never_mutates_the_worklist():
-    clock = FakeClock()
-    control = HeartbeatControl(1.0, Recorder(), clock=clock)
-    worklist = deque([(True,), (False,)])
-    clock.now = 5.0
-    assert control.checkpoint(worklist) is True
-    assert list(worklist) == [(True,), (False,)]
+def test_leaves_the_walk_unchanged():
+    """A beat at every checkpoint: the engine walks the same paths and
+    leaves the same (empty) frontier as without the control."""
+    def program(ctx):
+        for i in range(3):
+            ctx.branch(ctx.fresh_bool(f"b{i}"))
+
+    emit = Recorder()
+    beating = Engine(EngineConfig()).explore(
+        program, control=HeartbeatControl(0.0, emit))
+    plain = Engine(EngineConfig()).explore(program)
+    assert beating.executed == plain.executed
+    assert beating.frontier == plain.frontier == ()
+    assert [beat["paths"] for beat in emit.payloads] == list(
+        range(1, len(plain.executed) + 1))
 
 
 def test_chains_no_other_control():
@@ -91,9 +98,8 @@ def test_zero_interval_beats_at_every_checkpoint():
     clock = FakeClock()
     emit = Recorder()
     control = HeartbeatControl(0.0, emit, clock=clock)
-    worklist = deque([()])
     for _ in range(3):
-        control.checkpoint(worklist)
+        control.checkpoint(1)
     assert [beat["paths"] for beat in emit.payloads] == [1, 2, 3]
     assert control.sent == 3
 
@@ -106,11 +112,10 @@ def test_zero_interval_feeds_a_progress_meter():
     meter = ProgressMeter(stream=stream, interval=1.0, clock=clock)
     control = HeartbeatControl(0.0, lambda beat: meter.maybe_render(**beat),
                                engine=FakeEngine(), clock=clock)
-    worklist = deque([(), ()])
-    control.checkpoint(worklist)           # same instant: nothing prints
+    control.checkpoint(2)                  # same instant: nothing prints
     assert stream.getvalue() == ""
     clock.now = 1.0
-    control.checkpoint(worklist)
+    control.checkpoint(2)
     [line] = stream.getvalue().splitlines()
     assert line.startswith("[hunt]")
     assert " paths=2 " in line

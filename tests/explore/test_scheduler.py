@@ -238,10 +238,13 @@ class TestSchedulerValidation:
         assert "local worker" in message          # who
         assert "holding prefix [" in message      # what it was holding
 
-    def test_non_delta_observer_rejected(self):
-        scheduler = ShardScheduler(plain_observer_setup, (), shards=2)
-        with pytest.raises(SymexError, match="delta-capable"):
-            scheduler.run()
+    def test_observer_without_records_is_accepted(self):
+        """An observer needs no sharding support: one that records
+        nothing shards like the serial engine, with no records."""
+        serial = _serial(plain_observer_setup, ())
+        sharded = ShardScheduler(plain_observer_setup, (), shards=2).run()
+        assert _signature(sharded.exploration) == _signature(serial)
+        assert sharded.exploration.records == serial.records == {}
 
 
 class TestWorkerLossRecovery:

@@ -66,24 +66,6 @@ class TestFrontierControl:
         assert result.frontier == ()
 
 
-class TestControlEmptiesWorklist:
-    def test_handing_away_every_pending_entry_ends_the_walk(self):
-        """A control may harvest the whole worklist mid-walk; the engine
-        stops there instead of popping from an empty worklist."""
-        class TakeForks:
-            """Leaves the root, hands away every fork prefix."""
-
-            def checkpoint(self, worklist):
-                if () not in worklist:
-                    worklist.clear()
-                return True
-
-        result = Engine(EngineConfig()).explore(_tree_program(1),
-                                                control=TakeForks())
-        assert [p.decisions for p in result.paths] == [(True,)]
-        assert result.frontier == ()
-
-
 class TestMergeOutcomes:
     def test_renumbers_canonically_regardless_of_outcome_order(self):
         serial = Engine(EngineConfig()).explore(_chain_program([40, 90, 180]))
@@ -106,6 +88,20 @@ class TestMergeOutcomes:
                [(p.path_id, p.decisions, p.constraints, p.verdict)
                 for p in serial.paths]
         assert merged.exploration.executed == serial.executed
+
+    def test_records_united_in_canonical_path_order(self):
+        serial = Engine(EngineConfig()).explore(_chain_program([40, 90, 180]))
+        records = {decisions: f"record {rank}"
+                   for rank, (decisions, _) in enumerate(serial.executed)}
+        half = len(serial.executed) // 2
+        outcomes = [
+            ShardOutcome(executed=part, stats=ExplorationStats(),
+                         records={decisions: records[decisions]
+                                  for decisions, _ in reversed(part)})
+            for part in (serial.executed[half:], serial.executed[:half])]
+        merged = merge_outcomes(outcomes)
+        assert list(merged.exploration.records.items()) == list(
+            records.items())
 
     def test_overlapping_outcomes_rejected(self):
         serial = Engine(EngineConfig()).explore(_chain_program([40]))

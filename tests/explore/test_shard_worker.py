@@ -11,6 +11,7 @@ import queue
 
 import pytest
 
+from repro.achilles import server_analysis
 from repro.achilles.server_analysis import _shard_setup
 from repro.explore.shard import (
     MSG_DONE,
@@ -25,7 +26,6 @@ from repro.explore.transport import WorkerSession
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceDelta
 from repro.symex.engine import BFS, Engine, EngineConfig
-from repro.symex.observers import ObserverDelta
 from repro.symex.state import canonical_key
 
 TREE_ARGS = (2, (30, 200))
@@ -134,25 +134,45 @@ def toy_args():
 
     achilles = Achilles(AchillesConfig(layout=TOY_LAYOUT))
     predicates = achilles.extract_clients({"toy": toy_client})
-    return (toy_server, predicates, achilles.server_msg, None, "msg", True)
+    return (toy_server, predicates, achilles.server_msg, None, "msg")
 
 
 def _toy_seed(toy_args):
     """The coordinator's seed phase on the toy search: its observer,
-    delta and canonically sorted frontier."""
+    exploration and canonically sorted frontier."""
     engine = Engine(EngineConfig())
     program, observer = _shard_setup(engine, *toy_args)
     seed = engine.explore(program, observer, control=FrontierControl(4),
                           order=BFS)
-    return observer, observer.delta(), sorted(seed.frontier,
-                                              key=canonical_key)
+    return observer, seed, sorted(seed.frontier, key=canonical_key)
 
 
-def _witnesses(delta):
-    """``(decisions, witness)`` per finding of a delta — what a finding
-    says, without the clock it was made at."""
-    return [(record.finding.decisions, record.finding.witness)
-            for _, record in delta.per_path if record.finding is not None]
+def _findings(records):
+    """The findings among per-path records, in record order."""
+    return [record.finding for record in records.values()
+            if record.finding is not None]
+
+
+def _witnesses(records):
+    """``(decisions, witness)`` per finding among per-path records — what
+    a finding says, without the clock it was made at."""
+    return [(finding.decisions, finding.witness)
+            for finding in _findings(records)]
+
+
+class _SteppingClock:
+    """Stands in for the observer's ``time`` module: every reading is
+    one second after the previous one, plus whatever ``skip`` adds."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+    def skip(self, seconds):
+        self.now += seconds
 
 
 def _memo_prefixes(memo):
@@ -282,32 +302,55 @@ class TestOneObserverPerSession:
             result_queue=results))
         asked_first, asked_both = results.seen
         assert asked_first > 0
-        assert _witnesses(first.delta)
+        assert _witnesses(first.records)
         assert asked_both == asked_first
         assert second.executed == first.executed
-        assert _witnesses(second.delta) == _witnesses(first.delta)
+        assert _witnesses(second.records) == _witnesses(first.records)
 
-    def test_each_delta_holds_only_its_own_paths(self, toy_args):
-        serial = Engine(EngineConfig())
-        program, observer = _shard_setup(serial, *toy_args)
-        serial.explore(program, observer)
+    def test_each_outcome_records_only_its_own_paths(self, toy_args):
+        """A session observer serves many assignments, yet each outcome's
+        records cover exactly that assignment's executed paths, and the
+        seed's and the assignments' records together are the serial
+        run's."""
+        serial = _serial(_shard_setup, toy_args)
 
-        _, seed_delta, frontier = _toy_seed(toy_args)
+        _, seed, frontier = _toy_seed(toy_args)
         half = len(frontier) // 2
         outcomes = _outcomes(_run(
             [Assignment(tuple(frontier[:half])),
              Assignment(tuple(frontier[half:]))],
             WorkerSession(setup=_shard_setup, setup_args=toy_args)))
+        assert len(outcomes) == 2
+        united = dict(seed.records)
         for outcome in outcomes:
-            own = [decisions for decisions, _ in outcome.executed]
-            assert [d for d, _ in outcome.delta.per_path] == own
-            assert outcome.delta.counters["paths_seen"] == len(own)
-        merged = ObserverDelta.merge(
-            [seed_delta] + [outcome.delta for outcome in outcomes])
-        assert merged.counters == {"paths_seen": observer.paths_seen,
-                                   "paths_pruned": observer.paths_pruned}
-        assert _witnesses(merged) == [(f.decisions, f.witness)
-                                      for f in observer.findings]
+            assert list(outcome.records) == [
+                decisions for decisions, _ in outcome.executed]
+            assert not united.keys() & outcome.records.keys()
+            united.update(outcome.records)
+        assert united.keys() == serial.records.keys()
+        in_order = {decisions: united[decisions]
+                    for decisions, _ in serial.executed}
+        assert _witnesses(in_order) == _witnesses(serial.records)
+        assert [record.samples for record in in_order.values()] == [
+            record.samples for record in serial.records.values()]
+
+    def test_findings_clock_starts_with_each_explore_call(
+            self, toy_args, monkeypatch):
+        """Two assignments on one session observer, with time passing
+        between them: each finding's ``elapsed_seconds`` counts from the
+        first path of the assignment that made it."""
+        clock = _SteppingClock()
+        monkeypatch.setattr(server_analysis, "time", clock)
+        engine = Engine(EngineConfig())
+        program, observer = _shard_setup(engine, *toy_args)
+        first = run_assignment(engine, program, observer, [()])
+        clock.skip(1000.0)
+        second = run_assignment(engine, program, observer, [()])
+        # One clock reading starts the walk, one stamps each finding.
+        [made_first] = _findings(first.records)
+        [made_second] = _findings(second.records)
+        assert made_first.elapsed_seconds == 1.0
+        assert made_second.elapsed_seconds == 1.0
 
     def test_seeded_trie_spares_the_worker_every_seeded_prefix(
             self, toy_args):
@@ -330,7 +373,7 @@ class TestOneObserverPerSession:
         assert not asked & seeded
         assert asked_cold & seeded, "a cold worker decides them itself"
         assert adopted.executed == cold.executed
-        assert _witnesses(adopted.delta) == _witnesses(cold.delta)
+        assert _witnesses(adopted.records) == _witnesses(cold.records)
 
 
 class TestObservation:
