@@ -1,8 +1,8 @@
 """Shard transport costs on the FSP workload (4-utility subset, shards=2).
 
-A mid-run worker loss under ``on_worker_loss="recover"`` costs wall
-clock only, never findings (``BENCH_recovery.json``). Parity is asserted
-unconditionally; the wall clocks are recorded, not gated.
+A mid-run worker loss costs wall clock only, never findings
+(``BENCH_recovery.json``). Parity is asserted unconditionally; the wall
+clocks are recorded, not gated.
 """
 
 import itertools
@@ -14,11 +14,10 @@ from repro.bench.tables import format_table
 from repro.systems import fsp
 
 
-def _run_fsp(shards: int, transport=None, on_worker_loss: str = "fail"):
+def _run_fsp(shards: int, transport=None):
     commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
     config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-                            shards=shards, transport=transport,
-                            on_worker_loss=on_worker_loss)
+                            shards=shards, transport=transport)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(fsp.literal_clients(commands))
         started = time.perf_counter()
@@ -28,7 +27,7 @@ def _run_fsp(shards: int, transport=None, on_worker_loss: str = "fail"):
 
 
 def test_recovery_overhead(benchmark, artifact, json_artifact):
-    """What a mid-run worker loss costs under ``on_worker_loss="recover"``.
+    """What a mid-run worker loss costs.
 
     The same FSP search four ways — serial, fault-free at shards=2, and
     shards=2 with one worker killed before or after its first result
@@ -43,14 +42,12 @@ def test_recovery_overhead(benchmark, artifact, json_artifact):
     serial_report, serial_seconds = _run_fsp(1)
     # The timed region: the fault-free sharded search.
     clean_report, clean_seconds = benchmark.pedantic(
-        _run_fsp, args=(2,), kwargs={"on_worker_loss": "recover"},
-        rounds=1, iterations=1)
+        _run_fsp, args=(2,), rounds=1, iterations=1)
 
     def faulted_run(after_results: int):
         faulty = FaultyTransport(
             LocalTransport(), FaultPlan(KillWorker(0, after_results)))
-        report, seconds = _run_fsp(2, transport=faulty,
-                                   on_worker_loss="recover")
+        report, seconds = _run_fsp(2, transport=faulty)
         # The fault must actually have fired, and been accounted for.
         assert faulty.injected_kills == 1
         assert report.worker_failures == 1

@@ -44,11 +44,6 @@ def main() -> None:
                         help="exploration worklist order (default: dfs)")
     parser.add_argument("--max-paths", type=int, default=None,
                         help="cap on completed paths per exploration")
-    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
-                        default="fail",
-                        help="recover finishes the search in-process "
-                             "instead of aborting the run; findings are "
-                             "byte-identical either way")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="record structured spans for the whole hunt "
                              "and write DIR/trace.jsonl (inspect with "
@@ -63,7 +58,6 @@ def main() -> None:
                           max_paths=args.max_paths or EngineConfig.max_paths)
     outcome = run_accuracy("fsp", shards=args.shards,
                            client_engine=engine, server_engine=engine,
-                           on_worker_loss=args.on_worker_loss,
                            trace_dir=args.trace_dir,
                            progress=args.progress)
     report = outcome.report

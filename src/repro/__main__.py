@@ -21,18 +21,17 @@ settings come from flags and become
 docstring describes. Experiments and ``corpus run`` share these flags:
 ``--shards`` (the one parallelism knob: it partitions the server's path
 tree across local worker processes; findings are byte-identical at any
-count), ``--on-worker-loss`` (what a lost worker costs),
-``--search-order/--max-paths`` (one exploration policy for both phases)
-and ``--progress``.
+count), ``--search-order/--max-paths`` (one exploration policy for both
+phases) and ``--progress``.
 Only experiments take ``--trace-dir`` and ``-v/-q``. A setting the
 config rejects is reported on stderr, without a traceback, with exit
 code 2.
 
 A run keeps no durable state: the query cache and the sharded search's
 progress live in memory for one run, and a killed run is simply run
-again. With ``--on-worker-loss recover`` a killed shard worker no longer
-aborts the run: the coordinator stops the other workers and finishes the
-search in-process, and the findings stay byte-identical.
+again. A killed shard worker does not abort the run: the coordinator
+stops the other workers and finishes the search in-process, and the
+findings stay byte-identical.
 
 Observability: ``--trace-dir DIR`` records structured spans across the
 coordinator, the shard workers and every solver layer, writing the
@@ -216,13 +215,6 @@ def _settings_parser() -> argparse.ArgumentParser:
                         help="exploration shard processes for the server "
                              "search (default: 1, one in-process walk; "
                              "findings are identical at any shard count)")
-    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
-                        default="fail",
-                        help="policy when a shard worker dies silently "
-                             "mid-run (default: fail loudly naming the "
-                             "lost assignment; recover stops the other "
-                             "workers and finishes the search in-process "
-                             "— findings are identical either way)")
     parser.add_argument("--search-order", choices=["dfs", "bfs"],
                         default=None,
                         help="exploration worklist order (default: the "
@@ -244,9 +236,8 @@ def _settings(args: argparse.Namespace) -> dict:
         engine.search_order = args.search_order
     if args.max_paths is not None:
         engine.max_paths = args.max_paths
-    return dict(
-        shards=args.shards, on_worker_loss=args.on_worker_loss,
-        client_engine=engine, server_engine=engine, progress=args.progress)
+    return dict(shards=args.shards, client_engine=engine,
+                server_engine=engine, progress=args.progress)
 
 
 def _run_trace(argv: list[str]) -> int:

@@ -92,18 +92,15 @@ class AchillesConfig:
             tree by decision prefixes across that many worker processes
             (:mod:`repro.explore`), handing out one frontier prefix per
             assignment. Findings are byte-identical at any shard count.
+            A worker that dies silently mid-run (SIGKILL, OOM kill)
+            costs only wall clock: every worker is stopped, their
+            results are discarded and the search finishes in-process
+            (the cost is reported as ``AchillesReport.recovery_seconds``).
         transport: a test seam, set by no flag. None (the default)
             runs the shard workers as ``multiprocessing`` processes on
             this machine (:class:`~repro.explore.transport.LocalTransport`);
             a :class:`~repro.explore.transport.Transport` instance — a
             fault-injecting or scripted stand-in — is used as given.
-        on_worker_loss: what a sharded search does when a worker dies
-            silently mid-run (SIGKILL, OOM kill). ``"fail"`` (the
-            default) raises an error naming the dead worker and the
-            decision prefixes it held; ``"recover"`` stops every worker,
-            discards their results and finishes the search in-process —
-            findings stay byte-identical, the fault costs only wall
-            clock (reported as ``AchillesReport.recovery_seconds``).
         trace_dir: when set, record structured spans across the whole
             phase-2 search — coordinator phases, per-worker exploration
             and every solver layer — and write the merged trace to
@@ -125,7 +122,6 @@ class AchillesConfig:
     msg_name: str = "msg"
     shards: int = 1
     transport: Transport | None = None
-    on_worker_loss: str = "fail"
     trace_dir: str | None = None
     progress: bool = False
 
@@ -144,10 +140,6 @@ class AchillesConfig:
                 f"AchillesConfig.transport must be None (local worker "
                 f"processes) or a Transport instance, got "
                 f"{self.transport!r}")
-        if self.on_worker_loss not in ("fail", "recover"):
-            raise AchillesError(
-                f"AchillesConfig.on_worker_loss must be 'fail' or "
-                f"'recover', got {self.on_worker_loss!r}")
         if self.trace_dir is not None:
             trace_path = Path(self.trace_dir)
             if trace_path.exists() and not trace_path.is_dir():

@@ -129,10 +129,9 @@ class AchillesReport:
             caches included — are folded in fixed order onto the
             coordinator's. Their split depends on the (timing-dependent)
             partition; findings never depend on the shard count.
-        worker_failures: shard workers found dead during the search.
-            0 on a fault-free run; only ever non-zero with
-            ``on_worker_loss="recover"`` (a loss under the default
-            ``"fail"`` policy raises instead of reporting).
+        worker_failures: shard workers found dead during the search
+            (0 on a fault-free run). A loss costs only wall clock: the
+            search finishes in-process with the same findings.
         recovery_seconds: wall clock from a worker loss's detection to
             the end of the in-process walk that finished the search —
             the overhead the fault cost (included in the server-analysis

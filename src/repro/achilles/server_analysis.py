@@ -463,7 +463,6 @@ def search_server(server, clients: ClientPredicateSet,
                  config.msg_name),
                 shards=shards, engine=engine,
                 transport=config.transport,
-                on_worker_loss=config.on_worker_loss,
                 trace=tracer is not None, progress=meter)
             sharded = scheduler.run()
             exploration = sharded.exploration

@@ -60,12 +60,12 @@ reaches them only through the :class:`~repro.explore.transport.Transport`
 interface, which is where :class:`~repro.explore.faults.FaultyTransport`
 injects scripted worker loss.
 
-A lost worker (SIGKILL, OOM kill) fails the run by default. Under
-``on_worker_loss="recover"`` the coordinator aborts the whole fleet,
-drops every shard outcome it has received, and explores the seeded
-frontier itself in one in-process walk; the merge makes that walk's
-output byte-identical to the fleet's. No worker is ever replaced, so
-no worker's share ever has to be carved out of another's.
+A lost worker (SIGKILL, OOM kill) is survived: the coordinator aborts
+the whole fleet, drops every shard outcome it has received, and
+explores the seeded frontier itself in one in-process walk; the merge
+makes that walk's output byte-identical to the fleet's, so a loss costs
+only wall clock. No worker is ever replaced, so no worker's share ever
+has to be carved out of another's.
 
 A sharded run keeps no durable state: the coordinator holds the seed
 outcome, the frontier and every shard outcome in memory until the merge,
@@ -80,7 +80,7 @@ from repro.explore.faults import (
     GarbleResult,
     KillWorker,
 )
-from repro.explore.merge import MergedExploration, merge_outcomes
+from repro.explore.merge import merge_outcomes
 from repro.explore.scheduler import ShardedExploration, ShardScheduler
 from repro.explore.shard import (
     Assignment,
@@ -102,7 +102,6 @@ __all__ = [
     "GarbleResult",
     "KillWorker",
     "LocalTransport",
-    "MergedExploration",
     "ShardOutcome",
     "ShardScheduler",
     "ShardedExploration",

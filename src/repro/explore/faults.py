@@ -22,7 +22,7 @@ The fault vocabulary mirrors how distributed workers actually fail:
 The wrapper never reorders or fabricates messages, so a run under an
 empty plan is byte-identical to the bare transport — and the headline
 parity criterion (findings byte-identical with and without injected
-faults, under ``on_worker_loss="recover"``) is testable end to end.
+faults) is testable end to end.
 Faults act on the transport only: a run writes no durable state, so
 there is nothing on disk for a fault to damage.
 """

@@ -24,7 +24,7 @@ Three reductions happen here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.errors import SymexError
 from repro.explore.shard import Prefix, ShardOutcome
@@ -33,30 +33,18 @@ from repro.symex.engine import ExplorationResult, ExplorationStats
 from repro.symex.state import canonical_key
 
 
-@dataclass
-class MergedExploration:
-    """The deterministic reduction of all shard outcomes.
+def merge_outcomes(outcomes: list[ShardOutcome],
+                   ) -> tuple[ExplorationResult, SolverStats]:
+    """Fold shard outcomes into one canonical exploration result.
 
-    Attributes:
-        exploration: merged result — paths renumbered and sorted in
-            canonical prefix order, observer records in the same order,
-            counters summed (``stats.elapsed_seconds`` is aggregate
-            shard CPU time until the scheduler overwrites it with
-            coordinator wall clock).
-        path_ids: decision vector -> canonical path id, covering every
-            executed path.
-        solver_stats: shard-side solver counters folded in canonical
-            outcome order (the coordinator's own engine keeps its
-            counters on its ``Solver`` as usual).
+    Returns the merged exploration — paths renumbered and sorted in
+    canonical prefix order, observer records in the same order, counters
+    summed (``stats.elapsed_seconds`` is aggregate shard CPU time until
+    the scheduler overwrites it with coordinator wall clock) — and the
+    shard-side solver counters folded in canonical outcome order (the
+    coordinator's own engine keeps its counters on its ``Solver`` as
+    usual).
     """
-
-    exploration: ExplorationResult
-    path_ids: dict[Prefix, int]
-    solver_stats: SolverStats
-
-
-def merge_outcomes(outcomes: list[ShardOutcome]) -> MergedExploration:
-    """Fold shard outcomes into one canonical exploration result."""
     # Fix the fold order first: outcomes sorted by the canonical rank of
     # their first executed path (empty outcomes last). Every per-outcome
     # aggregate below folds in this order.
@@ -93,5 +81,4 @@ def merge_outcomes(outcomes: list[ShardOutcome]) -> MergedExploration:
         records={decisions: records[decisions]
                  for decisions, _verdict in executed
                  if decisions in records})
-    return MergedExploration(exploration=exploration, path_ids=path_ids,
-                             solver_stats=solver_stats)
+    return exploration, solver_stats

@@ -16,18 +16,19 @@ only the :class:`~repro.explore.transport.Transport` interface, so a
 fault-injecting wrapper or a scripted test transport can stand in for
 the real one.
 
-Worker loss is a policy decision (``on_worker_loss``): the default
-``"fail"`` raises a :class:`SymexError` naming the dead worker and its
-assignment; ``"recover"`` tears the fleet down, drops every shard
-outcome received so far and walks the whole seeded frontier in-process.
-Because every path replays from the root and the merge renumbers
-canonically, that walk yields byte-identical findings — recovery costs
-wall clock, never correctness. A loss costs the fleet's time up to it
+A worker that dies silently (SIGKILL, OOM kill) or cannot take an
+assignment is survived: the coordinator tears the fleet down, drops
+every shard outcome received so far and walks the whole seeded frontier
+in-process. Because every path replays from the root and the merge
+renumbers canonically, that walk yields byte-identical findings — a
+loss costs wall clock, never correctness: the fleet's time up to it
 plus one serial walk of the frontier, and nothing tracks who explored
 what. On the FSP subset in ``benchmarks/bench_transport.py`` (2-core
 host), a loss before or after a worker's first result finishes in about
 the serial time: a worker's first result is one frontier prefix, so
-little fleet work is lost with it.
+little fleet work is lost with it. A worker that reports a Python
+exception (``MSG_ERROR``) still fails the run: the bug is
+deterministic, and re-running it would just crash again.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger, log_event
 from repro.explore.transport import LocalTransport, Transport, WorkerSession
 from repro.solver.solver import SolverStats
-from repro.symex.engine import BFS, Engine, EngineConfig, ExplorationResult
+from repro.symex.engine import BFS, Engine, ExplorationResult
 from repro.symex.state import canonical_key
 
 #: Frontier prefixes grown per shard before workers start. Workers
@@ -87,8 +88,6 @@ class ShardedExploration:
             every shard's observer records, summed counters,
             ``stats.elapsed_seconds`` = coordinator wall clock for the
             whole run).
-        path_ids: decision vector -> canonical path id for every
-            executed path.
         worker_solver_stats: solver counters accumulated inside shard
             workers, folded in canonical order (coordinator-side solver
             work stays on the coordinator engine's own stats).
@@ -97,9 +96,7 @@ class ShardedExploration:
             workers; the field stays only because the repository's
             benchmark reads it.
         worker_failures: workers found dead during the run (0 on a
-            fault-free run; only ever non-zero with
-            ``on_worker_loss="recover"`` — a death under ``"fail"``
-            raises instead).
+            fault-free run).
         recovery_seconds: wall clock from the loss's detection to the
             end of the in-process walk that replaced the fleet.
         worker_traces: per-worker :class:`~repro.obs.trace.TraceDelta`
@@ -109,7 +106,6 @@ class ShardedExploration:
     """
 
     exploration: ExplorationResult
-    path_ids: dict[Prefix, int]
     worker_solver_stats: SolverStats
     shards: int
     steals: int = 0
@@ -135,29 +131,19 @@ class ShardScheduler:
         setup_args: picklable arguments for ``setup``.
         shards: worker count (>= 1).
         engine: coordinator engine for the seed phase; defaults to a
-            fresh ``Engine(engine_config)``. Its query cache is used
-            only above the frontier — workers (and a recovery walk)
-            build private engines, with empty caches, from
-            ``engine_config``.
-        engine_config: exploration limits for workers (defaults to the
-            coordinator engine's config). Note the ``max_paths`` cap
-            applies per assignment in a sharded run, which means per
-            frontier prefix (plus once to the seed phase); byte parity
-            with the serial engine is only guaranteed for runs that
-            drain the tree below the cap.
+            fresh ``Engine()``. Its query cache is used only above the
+            frontier — workers (and a recovery walk) build private
+            engines, with empty caches, from its config. Note the
+            ``max_paths`` cap applies per assignment in a sharded run,
+            which means per frontier prefix (plus once to the seed
+            phase); byte parity with the serial engine is only
+            guaranteed for runs that drain the tree below the cap.
         seed_factor: frontier prefixes to grow per shard before the
             workers start.
         transport: the :class:`~repro.explore.transport.Transport`
             to drive the workers through; None (the default) means a
             fresh :class:`~repro.explore.transport.LocalTransport`.
             Tests pass fault-injecting or scripted transports here.
-        on_worker_loss: ``"fail"`` (default) raises on a silently dead
-            worker, naming the lost assignment. ``"recover"`` aborts the
-            fleet and explores the whole seeded frontier in-process;
-            findings stay byte-identical either way. A worker that
-            reports a Python exception (``MSG_ERROR``) always fails the
-            run — the bug is deterministic, re-running it would just
-            crash again.
         trace: ship tracing-enabled sessions to the workers; their span
             deltas come home on result frames and land in
             :attr:`ShardedExploration.worker_traces`. Purely
@@ -173,27 +159,19 @@ class ShardScheduler:
 
     def __init__(self, setup: ShardSetup, setup_args: tuple = (), *,
                  shards: int = 2, engine: Engine | None = None,
-                 engine_config: EngineConfig | None = None,
                  seed_factor: int = DEFAULT_SEED_FACTOR,
                  transport: Transport | None = None,
-                 on_worker_loss: str = "fail",
                  trace: bool = False,
                  progress=None):
         if shards < 1:
             raise SymexError(f"shard count must be >= 1, got {shards}")
-        if on_worker_loss not in ("fail", "recover"):
-            raise SymexError(
-                f"on_worker_loss must be 'fail' or 'recover', "
-                f"got {on_worker_loss!r}")
         self.setup = setup
         self.setup_args = tuple(setup_args)
         self.shards = shards
-        self.engine = engine or Engine(engine_config)
-        self.engine_config = engine_config or self.engine.config
+        self.engine = engine or Engine()
         self.seed_factor = max(1, seed_factor)
         self.transport = (LocalTransport() if transport is None
                           else transport)
-        self.on_worker_loss = on_worker_loss
         self.trace = trace
         self.heartbeat_interval = (DEFAULT_HEARTBEAT_SECONDS
                                    if (trace or progress is not None)
@@ -233,12 +211,12 @@ class ShardScheduler:
             outcomes.extend(self._fan_out(frontier, memo))
 
         with self._span("coordinator.merge", outcomes=len(outcomes)):
-            merged = merge_outcomes(outcomes)
-        merged.exploration.stats.elapsed_seconds = (
+            exploration, solver_stats = merge_outcomes(outcomes)
+        exploration.stats.elapsed_seconds = (
             time.perf_counter() - started)
         return ShardedExploration(
-            exploration=merged.exploration, path_ids=merged.path_ids,
-            worker_solver_stats=merged.solver_stats, shards=self.shards,
+            exploration=exploration, worker_solver_stats=solver_stats,
+            shards=self.shards,
             worker_failures=self._worker_failures,
             recovery_seconds=self._recovery_seconds,
             worker_traces=self._worker_traces)
@@ -273,15 +251,16 @@ class ShardScheduler:
         """
         session = WorkerSession(
             setup=self.setup, setup_args=self.setup_args,
-            engine_config=self.engine_config, observer_memo=memo,
+            engine_config=self.engine.config, observer_memo=memo,
             trace=self.trace, heartbeat_interval=self.heartbeat_interval)
-        self.transport.start(self.shards, session)
         try:
+            self.transport.start(self.shards, session)
             outcomes, dead = self._coordinate(frontier)
         except BaseException:
-            # Aborting (coordinator crash, ^C): every in-flight
-            # assignment is doomed anyway, so don't grant the graceful
-            # drain window — tear the fleet down immediately.
+            # Aborting (a fleet that failed to start, coordinator crash,
+            # ^C): every in-flight assignment is doomed anyway, so don't
+            # grant the graceful drain window — tear the fleet down
+            # immediately.
             self.transport.abort()
             raise
         if dead:
@@ -295,18 +274,14 @@ class ShardScheduler:
         """Run the fleet until the frontier is drained or a worker is lost.
 
         Returns the shard outcomes and the workers found dead (empty on a
-        clean run). A loss under ``"fail"`` raises here, while the dead
-        workers can still be described.
+        clean run).
         """
         transport = self.transport
         pending: deque[Prefix] = deque(frontier)
         idle = set(range(self.shards))
-        # The prefix each busy worker holds — what the fail-mode error
-        # names when a worker dies.
-        assigned: dict[int, Prefix] = {}
         outcomes: list[ShardOutcome] = []
         dead_polls = 0
-        dead = self._assign(pending, idle, assigned)
+        dead = self._assign(pending, idle)
 
         while not dead and (len(idle) < self.shards or pending):
             if self.progress is not None:
@@ -346,8 +321,7 @@ class ShardScheduler:
                     payload.trace = None
                 outcomes.append(payload)
                 idle.add(wid)
-                assigned.pop(wid, None)
-                dead = self._assign(pending, idle, assigned)
+                dead = self._assign(pending, idle)
             elif kind == MSG_ERROR:
                 raise SymexError(
                     f"shard worker {transport.describe(wid)} failed:\n"
@@ -357,10 +331,7 @@ class ShardScheduler:
 
         if dead:
             log_event(_log, logging.WARNING, "worker.lost",
-                      workers=",".join(self._describe_safe(w) for w in dead),
-                      policy=self.on_worker_loss)
-            if self.on_worker_loss == "fail":
-                raise SymexError(self._death_report(dead, assigned))
+                      workers=",".join(self._describe_safe(w) for w in dead))
         return outcomes, dead
 
     def _note_heartbeat(self, wid: int, payload) -> None:
@@ -387,7 +358,7 @@ class ShardScheduler:
         self._worker_traces = {}
         with self._span("coordinator.recover", workers=len(dead),
                         roots=len(frontier)):
-            engine = Engine(self.engine_config)
+            engine = Engine(self.engine.config)
             control = None
             meter = self.progress
             if meter is not None:
@@ -412,41 +383,20 @@ class ShardScheduler:
         except Exception:  # pragma: no cover - transport-specific races
             return f"worker {wid}"
 
-    def _death_report(self, dead: list[int],
-                      assigned: dict[int, Prefix]) -> str:
-        """Name the dead workers and the prefixes that died with them."""
-        lines = []
-        for wid in dead:
-            rendered = "".join("T" if d else "F" for d in assigned[wid])
-            lines.append(f"  {self.transport.describe(wid)} holding prefix "
-                         f"[{rendered or '<root>'}]")
-        detail = "\n".join(lines)
-        return ("shard worker(s) died without reporting a result "
-                f"(killed? out of memory?); the lost assignment(s):\n"
-                f"{detail}\n"
-                "sharded exploration cannot complete "
-                "(on_worker_loss='recover' finishes the walk in-process "
-                "instead)")
-
     # -- dispatch ------------------------------------------------------------
 
-    def _assign(self, pending: deque, idle: set[int],
-                assigned: dict[int, Prefix]) -> list[int]:
+    def _assign(self, pending: deque, idle: set[int]) -> list[int]:
         """Give each idle worker the next pending prefix, in queue order.
 
         Returns the worker whose assignment could not be delivered, or
-        an empty list. Under ``on_worker_loss="fail"`` the transport
-        error propagates instead.
+        an empty list.
         """
         for wid in sorted(idle)[:len(pending)]:
             prefix = pending.popleft()
             idle.discard(wid)
-            assigned[wid] = prefix
             try:
                 with self._span("coordinator.assign", wid=wid):
                     self.transport.assign(wid, Assignment(roots=(prefix,)))
             except SymexError:
-                if self.on_worker_loss == "fail":
-                    raise
                 return [wid]
         return []

@@ -29,10 +29,9 @@ Message flow, coordinator side:
 Failure semantics: a worker that raises reports ``MSG_ERROR`` with its
 traceback; a worker that dies silently (SIGKILL) is detected by
 ``alive()`` going False while the worker still holds an assignment.
-What happens next is the scheduler's ``on_worker_loss`` policy:
-``"fail"`` (default) raises naming the lost assignment, ``"recover"``
-calls :meth:`Transport.abort` and finishes the walk in-process. Either
-way a lost worker ends the fleet: no transport ever replaces a worker.
+The scheduler then calls :meth:`Transport.abort` and finishes the walk
+in-process. A lost worker ends the fleet: no transport ever replaces a
+worker.
 """
 
 from __future__ import annotations
@@ -164,14 +163,16 @@ class LocalTransport(Transport):
         self.worker_count = count
         self._result_queue = ctx.Queue()
         for wid in range(count):
-            self._task_queues.append(ctx.Queue())
+            task_queue = ctx.Queue()
             worker = ctx.Process(
                 target=shard_worker,
-                args=(wid, session, self._task_queues[wid],
-                      self._result_queue),
+                args=(wid, session, task_queue, self._result_queue),
                 daemon=True)
-            self._workers.append(worker)
             worker.start()
+            # Recorded only once started: stop()/abort() join every
+            # recorded worker, and joining an unstarted process raises.
+            self._task_queues.append(task_queue)
+            self._workers.append(worker)
 
     def assign(self, wid: int, assignment: Assignment) -> None:
         self._task_queues[wid].put(assignment)

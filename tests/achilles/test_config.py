@@ -4,6 +4,7 @@ import pytest
 
 from repro.achilles import AchillesConfig
 from repro.errors import AchillesError
+from repro.symex.engine import EngineConfig
 from repro.systems.toy import TOY_LAYOUT
 
 
@@ -40,10 +41,6 @@ class TestParallelismValidation:
         assert "workers" not in names
         assert "prefixes_reassigned" not in names
 
-    def test_rejects_unknown_worker_loss_policy(self):
-        with pytest.raises(AchillesError, match="on_worker_loss"):
-            AchillesConfig(layout=TOY_LAYOUT, on_worker_loss="shrug")
-
     def test_retry_budget_is_gone(self):
         """Neither the config nor the scheduler takes a retry budget."""
         import dataclasses
@@ -57,11 +54,6 @@ class TestParallelismValidation:
         with pytest.raises(TypeError, match="max_worker_retries"):
             ShardScheduler(lambda engine: (None, None), (), shards=2,
                            max_worker_retries=2)
-
-    def test_recovery_policy_accepted(self):
-        config = AchillesConfig(layout=TOY_LAYOUT, shards=2,
-                                on_worker_loss="recover")
-        assert config.on_worker_loss == "recover"
 
     def test_transport_instance_accepted(self):
         from repro.explore import LocalTransport
@@ -187,6 +179,24 @@ class TestNoRunJournal:
 
         with pytest.raises(TypeError, match=name):
             ShardScheduler(_shard_setup, shards=2, **{name: value})
+
+    @pytest.mark.parametrize("owner, name, value", [
+        ("config", "on_worker_loss", "recover"),
+        ("scheduler", "on_worker_loss", "recover"),
+        ("scheduler", "engine_config", EngineConfig())])
+    def test_rejects_worker_loss_settings(self, owner, name, value):
+        """A lost worker is always survived, so neither the config nor
+        the scheduler takes a loss policy; workers build their engines
+        from the coordinator engine's config, so the scheduler takes no
+        engine config of its own either."""
+        from repro.achilles.server_analysis import _shard_setup
+        from repro.explore import ShardScheduler
+
+        with pytest.raises(TypeError, match=name):
+            if owner == "config":
+                AchillesConfig(layout=TOY_LAYOUT, **{name: value})
+            else:
+                ShardScheduler(_shard_setup, shards=2, **{name: value})
 
     def test_search_server_takes_no_checkpoint_hook(self):
         from repro.achilles.server_analysis import search_server

@@ -269,7 +269,7 @@ class TestSchedulerSessionIsPicklable:
         scheduler.engine.explore(*tree_setup(scheduler.engine, 3))
         session = WorkerSession(
             setup=scheduler.setup, setup_args=scheduler.setup_args,
-            engine_config=scheduler.engine_config)
+            engine_config=scheduler.engine.config)
         revived = pickle.loads(pickle.dumps(session))
         assert revived.setup is tree_setup
         assert revived.setup_args == (3,)

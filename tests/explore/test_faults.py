@@ -4,8 +4,7 @@ Two layers of coverage: :class:`FaultyTransport` semantics against a
 scripted in-memory transport (the plan fires exactly when and where the
 script says), then end-to-end recovery runs over a real
 ``LocalTransport`` asserting the headline criterion — findings are
-byte-identical with and without injected faults under
-``on_worker_loss="recover"``.
+byte-identical with and without injected faults.
 
 Setup callables live at module level so worker processes can unpickle
 them under any start method.
@@ -192,14 +191,13 @@ TREE_ARGS = (4, [30, 200])
 def _recover_run(plan, shards=2, seed_factor=2):
     faulty = FaultyTransport(LocalTransport(), plan)
     scheduler = ShardScheduler(tree_setup, TREE_ARGS, shards=shards,
-                               seed_factor=seed_factor, transport=faulty,
-                               on_worker_loss="recover")
+                               seed_factor=seed_factor, transport=faulty)
     return scheduler.run(), faulty
 
 
 class TestRecoveryParity:
-    def test_fault_free_recover_mode_matches_serial(self):
-        """recover mode on a healthy run changes nothing at all."""
+    def test_empty_plan_matches_serial(self):
+        """A healthy run through the fault wrapper changes nothing."""
         serial = _serial(tree_setup, TREE_ARGS)
         sharded, faulty = _recover_run(FaultPlan())
         assert _signature(sharded.exploration) == _signature(serial)
@@ -245,8 +243,7 @@ class TestRecoveryParity:
         scheduler = ShardScheduler(
             tree_setup, TREE_ARGS, shards=2, seed_factor=2,
             transport=FaultyTransport(LocalTransport(),
-                                      FaultPlan(KillWorker(0))),
-            on_worker_loss="recover")
+                                      FaultPlan(KillWorker(0))))
         sharded = scheduler.run()
         assert sharded.worker_failures == 1
         worker = sharded.worker_solver_stats
@@ -270,7 +267,7 @@ class TestRecoveryParity:
             tree_setup, TREE_ARGS, shards=2, seed_factor=2,
             transport=FaultyTransport(LocalTransport(),
                                       FaultPlan(KillWorker(0))),
-            on_worker_loss="recover", progress=meter)
+            progress=meter)
         sharded = scheduler.run()
         meter.close()
         assert sharded.worker_failures == 1
@@ -299,24 +296,8 @@ class TestRecoveryParity:
         assert sharded.worker_failures == 0
         assert _signature(sharded.exploration) == _signature(serial)
 
-    def test_fail_mode_still_fails_under_injected_kill(self):
-        """The default policy keeps today's loud-failure contract even
-        when the death is injected rather than real — the error names
-        the worker instead of recovering."""
-        faulty = FaultyTransport(LocalTransport(),
-                                 FaultPlan(KillWorker(0, after_results=0)))
-        scheduler = ShardScheduler(tree_setup, TREE_ARGS, shards=2,
-                                   seed_factor=2, transport=faulty)
-        with pytest.raises(SymexError, match="local worker 0"):
-            scheduler.run()
 
-
-class TestSchedulerPolicyValidation:
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(SymexError, match="on_worker_loss"):
-            ShardScheduler(tree_setup, TREE_ARGS, shards=2,
-                           on_worker_loss="retry-forever")
-
+class TestNoWorkerReplacement:
     @pytest.mark.parametrize(
         "transport", [Transport, LocalTransport, FaultyTransport])
     def test_no_worker_is_ever_replaced(self, transport):

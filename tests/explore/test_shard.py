@@ -82,12 +82,12 @@ class TestMergeOutcomes:
             paths=[p for p in serial.paths
                    if (p.decisions, p.verdict) in serial.executed[:half]],
             stats=ExplorationStats())
-        merged = merge_outcomes([outcome_a, outcome_b])
+        merged, _ = merge_outcomes([outcome_a, outcome_b])
         assert [(p.path_id, p.decisions, p.constraints, p.verdict)
-                for p in merged.exploration.paths] == \
+                for p in merged.paths] == \
                [(p.path_id, p.decisions, p.constraints, p.verdict)
                 for p in serial.paths]
-        assert merged.exploration.executed == serial.executed
+        assert merged.executed == serial.executed
 
     def test_records_united_in_canonical_path_order(self):
         serial = Engine(EngineConfig()).explore(_chain_program([40, 90, 180]))
@@ -99,8 +99,8 @@ class TestMergeOutcomes:
                          records={decisions: records[decisions]
                                   for decisions, _ in reversed(part)})
             for part in (serial.executed[half:], serial.executed[:half])]
-        merged = merge_outcomes(outcomes)
-        assert list(merged.exploration.records.items()) == list(
+        merged, _ = merge_outcomes(outcomes)
+        assert list(merged.records.items()) == list(
             records.items())
 
     def test_overlapping_outcomes_rejected(self):
@@ -120,5 +120,5 @@ class TestMergeOutcomes:
                          stats=ExplorationStats(
                              paths_finished=len(serial.executed) - half)),
         ]
-        merged = merge_outcomes(outcomes)
-        assert merged.exploration.stats.paths_finished == len(serial.executed)
+        merged, _ = merge_outcomes(outcomes)
+        assert merged.stats.paths_finished == len(serial.executed)

@@ -186,6 +186,76 @@ class TestLocalTransportShutdown:
         transport.stop()
 
 
+def wide_setup(engine):
+    """Sixteen paths: enough that the seed phase leaves a frontier and
+    the scheduler starts its fleet."""
+    def program(ctx):
+        for i in range(4):
+            ctx.branch(ctx.fresh_bool(f"b{i}"))
+    return program, None
+
+
+class _FailingStart(Transport):
+    """A fleet that cannot come up: ``start`` raises."""
+
+    def __init__(self):
+        self.aborted = False
+
+    def start(self, count, session):
+        raise RuntimeError("fleet failed to start")
+
+    def abort(self):
+        self.aborted = True
+
+
+class TestFleetStartFailure:
+    """A fleet whose start fails is torn down, and the start error is
+    the one the run raises."""
+
+    def test_failed_start_aborts_the_fleet(self):
+        from repro.explore import ShardScheduler
+
+        transport = _FailingStart()
+        scheduler = ShardScheduler(wide_setup, shards=2, seed_factor=1,
+                                   transport=transport)
+        with pytest.raises(RuntimeError, match="fleet failed to start"):
+            scheduler.run()
+        assert transport.aborted
+
+    def test_second_process_start_failure_terminates_the_first(
+            self, monkeypatch):
+        """The second worker process fails to start (monkeypatched, so
+        no real process limit is reached): the first worker is
+        terminated, and the start error propagates rather than an
+        error from joining the process that never started."""
+        from multiprocessing.process import BaseProcess
+
+        from repro.explore import ShardScheduler
+
+        real_start = BaseProcess.start
+        started = []
+
+        def start_one(process):
+            if started:
+                raise OSError("cannot start another process")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", start_one)
+        scheduler = ShardScheduler(wide_setup, shards=2, seed_factor=1,
+                                   transport=LocalTransport())
+        try:
+            with pytest.raises(OSError, match="cannot start another"):
+                scheduler.run()
+            [first] = started
+            assert not first.is_alive()
+        finally:
+            for process in started:
+                if process.is_alive():
+                    process.terminate()
+                    process.join(timeout=10)
+
+
 class TestOneTransport:
     """Local worker processes are the only transport: nothing in the
     package listens on, or connects over, the network."""

@@ -2,13 +2,13 @@
 
 The headline robustness criterion, end to end: the FSP, Raft and
 broadcast analyses run under a scripted :class:`FaultPlan` — one worker
-killed before it delivers anything, or every worker killed — with
-``on_worker_loss="recover"``, on local worker processes at shards = 2
-and 4. The coordinator then aborts the fleet and finishes the search
+killed before it delivers anything, or every worker killed — on local
+worker processes at shards = 2 and 4, with the default configuration.
+The coordinator then aborts the fleet and finishes the search
 in-process; the findings must be byte-identical to a fault-free serial
 run, and the report must prove the faults actually fired
-(``worker_failures``, ``recovery_seconds``) rather than silently
-missing the injection.
+(``worker_failures``, ``recovery_seconds``) rather than silently missing
+the injection.
 
 This is the suite the CI chaos job runs.
 """
@@ -51,30 +51,27 @@ def _finding_signature(report):
     ]
 
 
-def _run_fsp(shards, transport=None, on_worker_loss="fail"):
+def _run_fsp(shards, transport=None):
     commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
     config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-                            shards=shards, transport=transport,
-                            on_worker_loss=on_worker_loss)
+                            shards=shards, transport=transport)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(fsp.literal_clients(commands))
         return achilles.search(fsp.fsp_server, predicates)
 
 
-def _run_raft(shards, transport=None, on_worker_loss="fail"):
+def _run_raft(shards, transport=None):
     config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            shards=shards, transport=transport,
-                            on_worker_loss=on_worker_loss)
+                            shards=shards, transport=transport)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(raft.peer_clients())
         return achilles.search(raft.raft_follower, predicates)
 
 
-def _run_broadcast(shards, transport=None, on_worker_loss="fail"):
+def _run_broadcast(shards, transport=None):
     config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
                             destination="node", shards=shards,
-                            transport=transport,
-                            on_worker_loss=on_worker_loss)
+                            transport=transport)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(broadcast.peer_clients())
         return achilles.search(broadcast.broadcast_node, predicates)
@@ -120,8 +117,7 @@ class TestChaosParityLocal:
     def test_findings_survive_injected_worker_loss(self, system, shards,
                                                    plan, baselines):
         faulty = FaultyTransport(LocalTransport(), _PLANS[plan](shards))
-        report = _RUNNERS[system](shards, transport=faulty,
-                                  on_worker_loss="recover")
+        report = _RUNNERS[system](shards, transport=faulty)
         _assert_parity(report, faulty, baselines[system],
                        f"{system} local shards={shards} {plan}")
 
@@ -132,8 +128,7 @@ class TestChaosParityLocal:
         actually fire — a chaos run whose faults never triggered proves
         nothing."""
         faulty = FaultyTransport(LocalTransport(), _PLANS[plan](shards))
-        report = _RUNNERS[system](shards, transport=faulty,
-                                  on_worker_loss="recover")
+        report = _RUNNERS[system](shards, transport=faulty)
         assert faulty.injected_kills >= 1
         _assert_parity(report, faulty, baselines[system],
                        f"{system} local shards={shards} {plan}")
@@ -144,7 +139,7 @@ class TestRecoveryCountersSurface:
         """AchillesReport carries the fault accounting: how many workers
         died and what the wall-clock overhead was."""
         faulty = FaultyTransport(LocalTransport(), _kill_one(2))
-        report = _run_fsp(2, transport=faulty, on_worker_loss="recover")
+        report = _run_fsp(2, transport=faulty)
         assert report.worker_failures == 1
         assert report.recovery_seconds > 0.0
         assert report.recovery_seconds < report.timings.server_analysis
@@ -156,21 +151,12 @@ class TestRecoveryCountersSurface:
         still match the serial run byte for byte."""
         faulty = FaultyTransport(LocalTransport(),
                                  FaultPlan(KillWorker(0, after_results=1)))
-        report = _run_fsp(2, transport=faulty, on_worker_loss="recover")
+        report = _run_fsp(2, transport=faulty)
         assert faulty.injected_kills == 1
         assert report.worker_failures == 1
         assert _finding_signature(report) == baselines["fsp"]
 
     def test_fault_free_run_reports_clean_counters(self):
-        report = _run_fsp(2, on_worker_loss="recover")
+        report = _run_fsp(2)
         assert report.worker_failures == 0
         assert report.recovery_seconds == 0.0
-
-    def test_fail_policy_names_the_lost_worker(self):
-        """The default policy is unchanged: a lost worker fails the run
-        with an error naming it."""
-        from repro.errors import SymexError
-
-        faulty = FaultyTransport(LocalTransport(), _kill_one(2))
-        with pytest.raises(SymexError, match="local worker 0"):
-            _run_fsp(2, transport=faulty)

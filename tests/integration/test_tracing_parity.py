@@ -126,7 +126,7 @@ class TestTracingParity:
 
         faulty = FaultyTransport(LocalTransport(), FaultPlan(KillWorker(0)))
         report = _run_fsp(shards, trace_dir=str(tmp_path),
-                          transport=faulty, on_worker_loss="recover")
+                          transport=faulty)
         assert faulty.injected_kills == 1
         assert report.worker_failures == 1
         assert _finding_signature(report) == fsp_baseline

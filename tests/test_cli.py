@@ -83,8 +83,8 @@ def captured(monkeypatch):
 
 
 #: Every shared run-settings flag, each off its default.
-SHARED_FLAGS = ["--shards", "3", "--on-worker-loss", "recover",
-                "--search-order", "bfs", "--max-paths", "7", "--progress"]
+SHARED_FLAGS = ["--shards", "3", "--search-order", "bfs",
+                "--max-paths", "7", "--progress"]
 
 #: AchillesConfig fields no flag sets: the system's own description and
 #: the transport test seam.
@@ -96,7 +96,6 @@ class TestFlagsReachTheConfig:
     def _assert_shared(self, config):
         assert config.shards == 3
         assert config.transport is None
-        assert config.on_worker_loss == "recover"
         assert config.progress is True
         for engine in (config.client_engine, config.server_engine):
             assert engine.search_order == "bfs"
