@@ -22,10 +22,7 @@ import argparse
 from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_table
 from repro.symex.engine import EngineConfig
-from repro.systems.raft import (
-    classify_message,
-    run_truncation_attack,
-)
+from repro.systems.raft import SYSTEM, run_truncation_attack
 
 
 def main() -> None:
@@ -70,7 +67,7 @@ def main() -> None:
     for finding in report.findings:
         marker = (" [erases committed entries]"
                   if "truncates-committed" in finding.labels else "")
-        print(f"  {classify_message(finding.witness)}  "
+        print(f"  {SYSTEM.classify(finding.witness)}  "
               f"wire={finding.witness.hex()}{marker}")
 
     print("\nDetonating one stale-term AppendEntries on a live follower:")

@@ -47,7 +47,6 @@ off.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from functools import partial
 
@@ -57,6 +56,7 @@ from repro.bench.experiments import (
     run_fsp_wildcard,
     run_pbft_impact,
     run_toy,
+    scored_systems,
 )
 from repro.bench.tables import format_table
 from repro.errors import ReproError
@@ -118,7 +118,7 @@ def _print_pbft(outcome) -> int:
 
 def _print_scored(title: str, system: str, outcome) -> int:
     """Printer of a :func:`run_accuracy` row: the accuracy table, run
-    health, and each finding's Trojan class."""
+    health, and each finding's Trojan class by the row's own oracle."""
     total = outcome.classes_total
     print(format_table(
         ["metric", "seeded", "here"],
@@ -130,8 +130,7 @@ def _print_scored(title: str, system: str, outcome) -> int:
          ["time", "-", f"{outcome.report.timings.total:.1f}s"]],
         title=title))
     _report_health(outcome.report)
-    classify = importlib.import_module(
-        f"repro.systems.{system}").classify_message
+    classify = scored_systems()[system].ground_truth.classify
     for finding in outcome.report.findings:
         print(f"  {classify(finding.witness)}  "
               f"wire={finding.witness.hex()}")

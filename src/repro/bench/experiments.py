@@ -92,7 +92,9 @@ def scored_systems() -> dict[str, ScoredSystem]:
     """The table :func:`run_accuracy` runs, one row per system.
 
     Built on call, so importing this module leaves the Raft, 2PC and
-    broadcast systems unimported.
+    broadcast systems unimported. Those three are the corpus templates
+    pinned to each system's protocol constants, scored by the oracle
+    their package exports.
     """
     from repro.systems import broadcast, raft, tpc
 
@@ -103,21 +105,20 @@ def scored_systems() -> dict[str, ScoredSystem]:
             fsp.GroundTruth, len(fsp.all_trojan_classes()),
             mask=FSP_SESSION_MASK),
         # 8 stale-term AppendEntries classes + 1 vote off-by-one.
-        "raft": ScoredSystem(
-            raft.RAFT_LAYOUT, raft.peer_clients, raft.raft_follower,
-            raft.GroundTruth, len(raft.all_trojan_classes()),
-            destination="follower"),
+        "raft": _template_system(raft.SYSTEM, raft.GroundTruth),
         # Ack-without-WAL + empty-op prepare.
-        "tpc": ScoredSystem(
-            tpc.TPC_LAYOUT, tpc.coordinator_clients, tpc.tpc_participant,
-            tpc.GroundTruth, len(tpc.all_trojan_classes()),
-            destination="participant"),
+        "tpc": _template_system(tpc.SYSTEM, tpc.GroundTruth),
         # 1 forged-sender SEND class + 6 thin-quorum READY certificates.
-        "broadcast": ScoredSystem(
-            broadcast.BROADCAST_LAYOUT, broadcast.peer_clients,
-            broadcast.broadcast_node, broadcast.GroundTruth,
-            len(broadcast.all_trojan_classes()), destination="node"),
+        "broadcast": _template_system(broadcast.SYSTEM,
+                                      broadcast.GroundTruth),
     }
+
+
+def _template_system(system, ground_truth) -> ScoredSystem:
+    """The row of a system built by a corpus template."""
+    return ScoredSystem(
+        system.layout, partial(dict, system.clients), system.server,
+        ground_truth, len(system.classes), destination=system.destination)
 
 
 def _hunt(system: ScoredSystem, **settings) -> AchillesReport:
@@ -326,10 +327,7 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
         systems = generate_corpus(corpus_seed, variants, templates)
     results = []
     for variant in systems:
-        system = ScoredSystem(
-            variant.layout, partial(dict, variant.clients), variant.server,
-            bound_ground_truth(variant), len(variant.classes),
-            destination=variant.destination)
+        system = _template_system(variant, bound_ground_truth(variant))
         results.append(VariantOutcome(variant=variant,
                                       outcome=_score(system, **settings)))
     return CorpusOutcome(corpus_seed=None if only else corpus_seed,

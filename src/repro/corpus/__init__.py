@@ -1,14 +1,15 @@
 """Scenario-matrix corpus — randomized seeded-bug systems at scale.
 
-The accuracy workloads (:mod:`repro.systems.tpc`,
-:mod:`repro.systems.raft`, :mod:`repro.systems.broadcast`) each pin one
-hand-built system with known seeded bugs. This package turns each into
-a *template*: a deterministic, seed-driven generator of system variants
-that perturbs the message layout (field order, widths, reserved
-fields), the protocol constants and the injected bug subset — and
-derives the exact ground-truth oracle from the same drawn parameters,
-so precision and recall stay exactly scorable across the whole matrix
-(``python -m repro corpus run``).
+The templates here are the one implementation of the 2PC, Raft and
+Bracha broadcast programs and oracles: each builds a system from a
+parameter record. The accuracy workloads (:mod:`repro.systems.tpc`,
+:mod:`repro.systems.raft`, :mod:`repro.systems.broadcast`) are pinned
+parameter sets with every bug seeded. The corpus instead draws the
+parameters from a deterministic seed: it perturbs the message layout
+(field order, widths, reserved fields), the protocol constants and the
+injected bug subset, and derives the exact ground-truth oracle from the
+same drawn parameters, so precision and recall stay exactly scorable
+across the whole matrix (``python -m repro corpus run``).
 """
 
 from repro.corpus.generate import (
@@ -32,9 +33,12 @@ from repro.corpus.templates import (
     SystemVariant,
     TpcParams,
     bound_ground_truth,
-    build_broadcast_variant,
-    build_raft_variant,
-    build_tpc_variant,
+    broadcast_system,
+    draw_broadcast_params,
+    draw_raft_params,
+    draw_tpc_params,
+    raft_system,
+    tpc_system,
 )
 
 __all__ = [
@@ -46,14 +50,17 @@ __all__ = [
     "TpcParams",
     "VariantOutcome",
     "bound_ground_truth",
-    "build_broadcast_variant",
-    "build_raft_variant",
-    "build_tpc_variant",
+    "broadcast_system",
     "build_variant",
     "corpus_payload",
+    "draw_broadcast_params",
+    "draw_raft_params",
+    "draw_tpc_params",
     "dump_payload",
     "generate_corpus",
     "parse_variant_token",
+    "raft_system",
     "render_payload",
+    "tpc_system",
     "variant_row",
 ]

@@ -23,12 +23,12 @@ def variant_seed(corpus_seed: int, template: str, counter: int) -> int:
 def build_variant(template: str, seed: int) -> SystemVariant:
     """Rebuild one variant from its ``template`` and ``seed``."""
     try:
-        builder = TEMPLATES[template]
+        draw, system = TEMPLATES[template]
     except KeyError:
         known = ", ".join(sorted(TEMPLATES))
         raise ReproError(
             f"unknown template {template!r} (known: {known})") from None
-    return builder(seed)
+    return system(draw(seed), seed)
 
 
 def parse_variant_token(token: str) -> SystemVariant:

@@ -1,14 +1,21 @@
-"""Parameterized system templates for the scenario-matrix corpus.
+"""Parameterized system templates: the one implementation of the 2PC,
+Raft and Bracha broadcast programs and oracles.
 
-Each template generalizes one hand-built workload
+Each template turns a parameter record (``TpcParams``, ``RaftParams``,
+``BroadcastParams``) into a system (``tpc_system``, ``raft_system``,
+``broadcast_system``): the message layout (field order, widths, an
+optional must-be-zero reserved field), the protocol constants (kind
+bytes, ids, terms, thresholds' anchors) and the seeded bug subset from
+the system's bug menu derive the symbolic client/server programs
+**and** the exact ground-truth oracle, so every system stays precisely
+scorable.
+
+Two kinds of parameters feed the same builders. The accuracy workloads
 (:mod:`repro.systems.tpc`, :mod:`repro.systems.raft`,
-:mod:`repro.systems.broadcast`) into a family of randomized variants: a
-``random.Random(variant_seed)`` draw fixes the message layout (field
-order, widths, an optional must-be-zero reserved field), the protocol
-constants (kind bytes, ids, terms, thresholds' anchors) and the seeded
-bug subset from the system's bug menu — and the *same* drawn parameters
-derive the symbolic client/server programs **and** the exact
-ground-truth oracle, so every variant stays precisely scorable.
+:mod:`repro.systems.broadcast`) each pin one parameter set built from
+their protocol constants, with every bug seeded; the scenario-matrix
+corpus draws randomized ones from ``random.Random(variant_seed)``
+(``draw_tpc_params`` and its siblings).
 
 The node programs and oracles are callable dataclasses (not closures)
 so a variant survives pickling: sharded runs ship the server program to
@@ -34,10 +41,11 @@ from repro.systems.scoring import TrojanScore
 
 @dataclass
 class SystemVariant:
-    """One generated system: programs + oracle derived from one seed."""
+    """One system: programs + oracle derived from one parameter set
+    (``seed`` is the draw's seed, None for a pinned system)."""
 
     template: str
-    seed: int
+    seed: int | None
     layout: MessageLayout
     destination: str
     clients: dict[str, Callable]
@@ -68,21 +76,19 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _permuted_layout(rng: random.Random, name: str,
-                     sizes: dict[str, int], pad_size: int) -> tuple:
+def _field_order(rng: random.Random, names: tuple[str, ...],
+                 pad_size: int) -> tuple[str, ...]:
     """Field order permutation plus an optional reserved field.
 
-    Returns ``(layout, field_order, pad_size)``; the reserved ``pad``
-    field (when present) must be zero on the wire — both sides check it,
-    so it perturbs offsets without perturbing the Trojan space.
+    The reserved ``pad`` field (when present) must be zero on the wire —
+    both sides check it, so it perturbs offsets without perturbing the
+    Trojan space.
     """
-    order = list(sizes)
+    order = list(names)
     rng.shuffle(order)
     if pad_size:
         order.insert(rng.randrange(len(order) + 1), "pad")
-        sizes = dict(sizes, pad=pad_size)
-    layout = MessageLayout(name, [Field(n, sizes[n]) for n in order])
-    return layout, tuple(order), pad_size
+    return tuple(order)
 
 
 def _const(layout: MessageLayout, name: str, value: int):
@@ -281,23 +287,25 @@ class TpcVariantOracle:
         return SKIP_WAL if fields["flags"] == 0 else EMPTY_OP
 
 
-def build_tpc_variant(seed: int) -> SystemVariant:
-    """Draw one two-phase-commit variant from ``seed``."""
+def draw_tpc_params(seed: int) -> TpcParams:
+    """Draw one two-phase-commit parameter set from ``seed``."""
     rng = random.Random(seed)
-    kinds = rng.sample(range(1, 256), 3)
-    params = TpcParams(
-        field_order=(),  # filled below (the draw fixes the permutation)
-        txid_size=rng.choice([1, 2]),
-        pad_size=rng.choice([0, 1, 2]),
-        prepare=kinds[0], commit=kinds[1], abort=kinds[2],
-        flag_durable=rng.randrange(1, 256),
-        no_op=rng.randrange(256),
-        bugs=_draw_bugs(rng, (SKIP_WAL, EMPTY_OP)),
-    )
-    sizes = {"kind": 1, "txid": params.txid_size, "flags": 1, "op": 1}
-    _, order, _ = _permuted_layout(rng, "tpc-variant", sizes,
-                                   params.pad_size)
-    params.field_order = order
+    prepare, commit, abort = rng.sample(range(1, 256), 3)
+    txid_size = rng.choice([1, 2])
+    pad_size = rng.choice([0, 1, 2])
+    flag_durable = rng.randrange(1, 256)
+    no_op = rng.randrange(256)
+    bugs = _draw_bugs(rng, (SKIP_WAL, EMPTY_OP))
+    return TpcParams(
+        field_order=_field_order(rng, ("kind", "txid", "flags", "op"),
+                                 pad_size),
+        txid_size=txid_size, pad_size=pad_size,
+        prepare=prepare, commit=commit, abort=abort,
+        flag_durable=flag_durable, no_op=no_op, bugs=bugs)
+
+
+def tpc_system(params: TpcParams, seed: int | None = None) -> SystemVariant:
+    """The two-phase-commit system ``params`` describe."""
     oracle = TpcVariantOracle(params)
     classes = tuple(bug for bug in (SKIP_WAL, EMPTY_OP)
                     if bug in params.bugs)
@@ -309,7 +317,8 @@ def build_tpc_variant(seed: int) -> SystemVariant:
         server=TpcVariantServer(params),
         accepts=oracle.accepts, generable=oracle.generable,
         classify=oracle.classify, classes=classes, bugs=params.bugs,
-        params={"field_order": list(order), "txid_size": params.txid_size,
+        params={"field_order": list(params.field_order),
+                "txid_size": params.txid_size,
                 "pad_size": params.pad_size,
                 "kinds": {"prepare": params.prepare,
                           "commit": params.commit, "abort": params.abort},
@@ -586,10 +595,10 @@ def _vote_class(index: int) -> str:
     return f"{VOTE_OFF_BY_ONE}(index={index})"
 
 
-def build_raft_variant(seed: int) -> SystemVariant:
-    """Draw one raft variant from ``seed``."""
+def draw_raft_params(seed: int) -> RaftParams:
+    """Draw one raft parameter set from ``seed``."""
     rng = random.Random(seed)
-    kinds = rng.sample(range(1, 256), 2)
+    msg_append, msg_vote = rng.sample(range(1, 256), 2)
     node_ids = tuple(sorted(rng.sample(range(1, 10), 3)))
     current_term = rng.randint(2, 4)
     last_index = rng.randint(2, 4)
@@ -598,27 +607,28 @@ def build_raft_variant(seed: int) -> SystemVariant:
     # off-by-one class is real whenever that bug is injected.
     prefix = sorted(rng.choices(range(1, current_term), k=last_index - 1))
     final = rng.randint(prefix[-1] + 1, current_term)
-    log_terms = (0, *prefix, final)
-    params = RaftParams(
-        field_order=(), pad_size=rng.choice([0, 1]),
-        msg_append=kinds[0], msg_vote=kinds[1],
+    pad_size = rng.choice([0, 1])
+    term_leaders = tuple(rng.choice(node_ids) for _ in range(current_term))
+    commit_index = rng.randint(1, last_index)
+    bugs = _draw_bugs(rng, (STALE_APPEND, VOTE_OFF_BY_ONE))
+    return RaftParams(
+        field_order=_field_order(
+            rng, ("type", "term", "sender", "idx", "logterm", "cmd"),
+            pad_size),
+        pad_size=pad_size, msg_append=msg_append, msg_vote=msg_vote,
         node_ids=node_ids, current_term=current_term,
-        log_terms=log_terms,
-        term_leaders=tuple(rng.choice(node_ids)
-                           for _ in range(current_term)),
-        commit_index=rng.randint(1, last_index),
-        bugs=_draw_bugs(rng, (STALE_APPEND, VOTE_OFF_BY_ONE)),
-    )
-    sizes = {"type": 1, "term": 1, "sender": 1, "idx": 1, "logterm": 1,
-             "cmd": 1}
-    _, order, _ = _permuted_layout(rng, "raft-variant", sizes,
-                                   params.pad_size)
-    params.field_order = order
+        log_terms=(0, *prefix, final), term_leaders=term_leaders,
+        commit_index=commit_index, bugs=bugs)
+
+
+def raft_system(params: RaftParams, seed: int | None = None,
+                ) -> SystemVariant:
+    """The raft system ``params`` describe."""
     oracle = RaftVariantOracle(params)
     classes = []
     if STALE_APPEND in params.bugs:
         classes.extend(_stale_append_class(term, index)
-                       for term in range(1, current_term)
+                       for term in range(1, params.current_term)
                        for index in range(params.last_index + 1))
     if VOTE_OFF_BY_ONE in params.bugs:
         classes.append(_vote_class(params.last_index - 1))
@@ -631,11 +641,13 @@ def build_raft_variant(seed: int) -> SystemVariant:
         accepts=oracle.accepts, generable=oracle.generable,
         classify=oracle.classify, classes=tuple(classes),
         bugs=params.bugs,
-        params={"field_order": list(order), "pad_size": params.pad_size,
+        params={"field_order": list(params.field_order),
+                "pad_size": params.pad_size,
                 "kinds": {"append": params.msg_append,
                           "vote": params.msg_vote},
-                "node_ids": list(node_ids), "current_term": current_term,
-                "log_terms": list(log_terms),
+                "node_ids": list(params.node_ids),
+                "current_term": params.current_term,
+                "log_terms": list(params.log_terms),
                 "term_leaders": list(params.term_leaders),
                 "commit_index": params.commit_index},
     )
@@ -870,24 +882,28 @@ def _thin_quorum_class(cert: int) -> str:
     return f"ready:{THIN_QUORUM}(cert={cert:#04x})"
 
 
-def build_broadcast_variant(seed: int) -> SystemVariant:
-    """Draw one broadcast variant from ``seed``."""
+def draw_broadcast_params(seed: int) -> BroadcastParams:
+    """Draw one broadcast parameter set from ``seed``."""
     rng = random.Random(seed)
-    kinds = rng.sample(range(1, 256), 3)
+    msg_send, msg_echo, msg_ready = rng.sample(range(1, 256), 3)
     value_size = rng.choice([1, 2])
-    params = BroadcastParams(
-        field_order=(), pad_size=rng.choice([0, 1]),
-        value_size=value_size,
-        msg_send=kinds[0], msg_echo=kinds[1], msg_ready=kinds[2],
-        node_ids=tuple(sorted(rng.sample(range(8), 4))),
-        broadcaster=0, broadcast_value=rng.randrange(1 << (8 * value_size)),
-        bugs=_draw_bugs(rng, (FORGED_SENDER, THIN_QUORUM)),
-    )
-    params.broadcaster = rng.choice(params.node_ids)
-    sizes = {"kind": 1, "sender": 1, "value": value_size, "cert": 1}
-    _, order, _ = _permuted_layout(rng, "broadcast-variant", sizes,
-                                   params.pad_size)
-    params.field_order = order
+    pad_size = rng.choice([0, 1])
+    node_ids = tuple(sorted(rng.sample(range(8), 4)))
+    broadcast_value = rng.randrange(1 << (8 * value_size))
+    bugs = _draw_bugs(rng, (FORGED_SENDER, THIN_QUORUM))
+    broadcaster = rng.choice(node_ids)
+    return BroadcastParams(
+        field_order=_field_order(rng, ("kind", "sender", "value", "cert"),
+                                 pad_size),
+        pad_size=pad_size, value_size=value_size,
+        msg_send=msg_send, msg_echo=msg_echo, msg_ready=msg_ready,
+        node_ids=node_ids, broadcaster=broadcaster,
+        broadcast_value=broadcast_value, bugs=bugs)
+
+
+def broadcast_system(params: BroadcastParams, seed: int | None = None,
+                     ) -> SystemVariant:
+    """The broadcast system ``params`` describe."""
     oracle = BroadcastVariantOracle(params)
     classes = []
     if FORGED_SENDER in params.bugs:
@@ -904,8 +920,9 @@ def build_broadcast_variant(seed: int) -> SystemVariant:
         accepts=oracle.accepts, generable=oracle.generable,
         classify=oracle.classify, classes=tuple(classes),
         bugs=params.bugs,
-        params={"field_order": list(order), "pad_size": params.pad_size,
-                "value_size": value_size,
+        params={"field_order": list(params.field_order),
+                "pad_size": params.pad_size,
+                "value_size": params.value_size,
                 "kinds": {"send": params.msg_send, "echo": params.msg_echo,
                           "ready": params.msg_ready},
                 "node_ids": list(params.node_ids),
@@ -924,9 +941,10 @@ def _draw_bugs(rng: random.Random,
     return subsets[rng.randrange(len(subsets))]
 
 
-#: Template registry: name -> ``build(variant_seed) -> SystemVariant``.
-TEMPLATES: dict[str, Callable[[int], SystemVariant]] = {
-    "tpc": build_tpc_variant,
-    "raft": build_raft_variant,
-    "broadcast": build_broadcast_variant,
+#: Template registry: name -> (``draw(variant_seed) -> params``,
+#: ``system(params, variant_seed) -> SystemVariant``).
+TEMPLATES: dict[str, tuple[Callable, Callable]] = {
+    "tpc": (draw_tpc_params, tpc_system),
+    "raft": (draw_raft_params, raft_system),
+    "broadcast": (draw_broadcast_params, broadcast_system),
 }

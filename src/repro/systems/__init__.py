@@ -15,9 +15,17 @@ level the Achilles analysis operates on:
   log-replication follower (stale-term AppendEntries truncation and a
   vote-granting off-by-one, both seeded);
 * :mod:`~repro.systems.tpc` — a two-phase-commit participant (malformed
-  PREPARE acked without its write-ahead record, seeded).
+  PREPARE acked without its write-ahead record and an unvalidated empty
+  operation, both seeded);
+* :mod:`~repro.systems.broadcast` — a Bracha reliable-broadcast node
+  (forged-sender SEND and a thin-quorum READY certificate, both seeded).
 
-Every system ships both *node programs* (symbolic, for Achilles) and
+Every system ships *node programs* (symbolic, for Achilles) and
 *concrete nodes* (for the simulated network), built from the same
-protocol constants so findings transfer between the two.
+protocol constants so findings transfer between the two. Toy, FSP,
+PBFT and Paxos hand-write their node programs. Raft, 2PC and broadcast
+do not: each pins a parameter set (``RAFT_PARAMS``, ``TPC_PARAMS``,
+``BROADCAST_PARAMS``) of a template in :mod:`repro.corpus.templates`,
+which derives the symbolic programs and the exact ground-truth oracle,
+and exports the result as ``SYSTEM`` and ``GroundTruth``.
 """

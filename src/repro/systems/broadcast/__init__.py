@@ -12,20 +12,21 @@ seeded:
   a valid quorum is counted toward delivery (6 classes, one per thin
   certificate).
 
-As for the other systems, the symbolic node programs (for Achilles) and
-the concrete node (for the simulated network) are built from the same
+:data:`SYSTEM` is the broadcast template of :mod:`repro.corpus.templates`
+pinned to :data:`BROADCAST_PARAMS`: its correct-peer clients, node
+server, oracles (``accepts``/``generable``/``classify``) and class
+universe. The concrete node (for the simulated network) reads the same
 protocol constants, so findings transfer between the two.
 """
 
+from repro.corpus.templates import bound_ground_truth, broadcast_system
 from repro.systems.broadcast.protocol import (
-    ACCEPTED_CERTS,
     BROADCASTER,
     BROADCAST_LAYOUT,
+    BROADCAST_PARAMS,
     BROADCAST_VALUE,
-    BUGGY_ECHO_THRESHOLD,
     ECHO_THRESHOLD,
     FAULTY,
-    FULL_CERTS,
     MSG_ECHO,
     MSG_READY,
     MSG_SEND,
@@ -34,63 +35,40 @@ from repro.systems.broadcast.protocol import (
     NODE_MASK,
     NO_CERT,
     READY_THRESHOLD,
-    THIN_CERTS,
 )
 from repro.systems.broadcast.nodes import (
     BroadcastNode,
     ForgedDeliveryOutcome,
-    broadcast_echoer,
     broadcast_message,
-    broadcast_node,
-    broadcast_readier,
-    broadcast_sender,
-    peer_clients,
     run_forged_delivery_demo,
 )
-from repro.systems.broadcast.ground_truth import (
-    FORGED_SENDER,
-    THIN_QUORUM,
-    BroadcastTrojanClass,
-    GroundTruth,
-    all_trojan_classes,
-    classify_message,
-    is_node_accepted,
-    is_peer_generable,
-)
+
+#: The pinned broadcast system: forged-sender SEND and 6 thin-quorum
+#: READY certificates.
+SYSTEM = broadcast_system(BROADCAST_PARAMS)
+
+#: Scores witnesses against :data:`SYSTEM`'s oracle.
+GroundTruth = bound_ground_truth(SYSTEM)
 
 __all__ = [
-    "ACCEPTED_CERTS",
     "BROADCASTER",
     "BROADCAST_LAYOUT",
+    "BROADCAST_PARAMS",
     "BROADCAST_VALUE",
-    "BUGGY_ECHO_THRESHOLD",
     "BroadcastNode",
-    "BroadcastTrojanClass",
     "ECHO_THRESHOLD",
     "FAULTY",
-    "FORGED_SENDER",
-    "FULL_CERTS",
     "ForgedDeliveryOutcome",
     "GroundTruth",
     "MSG_ECHO",
     "MSG_READY",
     "MSG_SEND",
-    "N_NODES",
     "NODE_IDS",
     "NODE_MASK",
     "NO_CERT",
+    "N_NODES",
     "READY_THRESHOLD",
-    "THIN_CERTS",
-    "THIN_QUORUM",
-    "all_trojan_classes",
-    "broadcast_echoer",
+    "SYSTEM",
     "broadcast_message",
-    "broadcast_node",
-    "broadcast_readier",
-    "broadcast_sender",
-    "classify_message",
-    "is_node_accepted",
-    "is_peer_generable",
-    "peer_clients",
     "run_forged_delivery_demo",
 ]

@@ -1,14 +1,10 @@
-"""Symbolic broadcast node programs: correct peers and the vulnerable node.
+"""Concrete broadcast node — the forged-delivery impact.
 
-The Achilles *clients* are the three messages a correct peer can send
-for the pinned slot — the broadcaster's (re-)``SEND``, a peer's
-``ECHO``, and a peer's ``READY`` backed by a full echo certificate
-(:func:`peer_clients`). The *server* is one node's message ingress
-(:func:`broadcast_node`) carrying the two seeded vulnerabilities
-described in :mod:`repro.systems.broadcast.protocol`. A concrete node
-(:class:`BroadcastNode`) built from the same constants demonstrates the
-damage: a forged-sender ``SEND`` plus a flood of thin-certificate
-``READY``\\ s delivers a value the real broadcaster never sent.
+The symbolic analysis finds the forged-sender and thin-quorum Trojans;
+this module shows what they *do*: a node (:class:`BroadcastNode`) built
+from the same protocol constants, fed a forged-sender ``SEND`` plus a
+flood of thin-certificate ``READY``\\ s, delivers a value the real
+broadcaster never sent.
 """
 
 from __future__ import annotations
@@ -16,19 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.messages.concrete import decode_ints, encode
-from repro.messages.symbolic import MessageBuilder, field_expr
 from repro.net.network import Network, Node
-from repro.solver import ast
-from repro.solver.ast import Expr
-from repro.symex.context import ExecutionContext
-from repro.symex.engine import NodeProgram
 from repro.systems.broadcast.protocol import (
-    ACCEPTED_CERTS,
     BROADCASTER,
     BROADCAST_LAYOUT,
-    BROADCAST_VALUE,
     ECHO_THRESHOLD,
-    FULL_CERTS,
     MSG_ECHO,
     MSG_READY,
     MSG_SEND,
@@ -37,144 +25,6 @@ from repro.systems.broadcast.protocol import (
     NO_CERT,
     READY_THRESHOLD,
 )
-
-
-def _member(sender: Expr) -> Expr:
-    return ast.any_of([ast.eq(sender, ast.bv_const(node, 8))
-                       for node in NODE_IDS])
-
-
-def broadcast_sender(ctx: ExecutionContext, node: str = "node") -> None:
-    """The slot's broadcaster (re-)transmitting its ``SEND``.
-
-    Everything is pinned by the slot history: only :data:`BROADCASTER`
-    initiates this slot, and it disseminates :data:`BROADCAST_VALUE`.
-    """
-    _send(ctx, node, MSG_SEND, BROADCASTER, BROADCAST_VALUE, NO_CERT)
-
-
-def broadcast_echoer(ctx: ExecutionContext, node: str = "node") -> None:
-    """A correct peer echoing the broadcaster's value."""
-    peer = ctx.fresh_byte("peer")
-    if not ctx.branch(_member(peer)):
-        return  # only cluster members speak the protocol
-    _send(ctx, node, MSG_ECHO, peer, BROADCAST_VALUE, NO_CERT)
-
-
-def broadcast_readier(ctx: ExecutionContext, node: str = "node") -> None:
-    """A correct peer's ``READY``: backed by a full echo certificate.
-
-    The certificate is the peer's local echo tally — over-approximated
-    as symbolic state (§3.4) constrained to the certificates a correct
-    peer can actually hold: at least ``2f + 1`` member bits.
-    """
-    peer = ctx.fresh_byte("peer")
-    if not ctx.branch(_member(peer)):
-        return
-    cert = ctx.fresh_byte("state:echo_certificate")
-    for mask in FULL_CERTS:
-        if ctx.branch(ast.eq(cert, ast.bv_const(mask, 8))):
-            _send(ctx, node, MSG_READY, peer, BROADCAST_VALUE, cert)
-            return
-    # A correct peer never asserts READY below the echo quorum: no
-    # message on this path.
-
-
-def peer_clients(node: str = "node") -> dict[str, NodeProgram]:
-    """All correct-peer programs, keyed for ``extract_clients``."""
-    return {
-        "sender": lambda ctx: broadcast_sender(ctx, node),
-        "echoer": lambda ctx: broadcast_echoer(ctx, node),
-        "readier": lambda ctx: broadcast_readier(ctx, node),
-    }
-
-
-def broadcast_node(ctx: ExecutionContext, msg: tuple[Expr, ...]) -> None:
-    """One node event-loop iteration (accept/reject classified)."""
-    field = lambda name: field_expr(msg, BROADCAST_LAYOUT.view(name))
-    if ctx.branch(ast.eq(field("kind"), ast.bv_const(MSG_SEND, 8))):
-        _handle_send(ctx, field)
-        return
-    if ctx.branch(ast.eq(field("kind"), ast.bv_const(MSG_ECHO, 8))):
-        _handle_echo(ctx, field)
-        return
-    if ctx.branch(ast.eq(field("kind"), ast.bv_const(MSG_READY, 8))):
-        _handle_ready(ctx, field)
-        return
-    ctx.reject("unknown-kind")
-
-
-def _handle_send(ctx: ExecutionContext, field) -> None:
-    """``SEND`` ingress — with the forged-sender vulnerability.
-
-    The identity check should be ``sender == BROADCASTER``; the node
-    only tests cluster membership, so any member can play the
-    broadcaster and trigger the echo.
-    """
-    if not ctx.branch(_member(field("sender"))):
-        ctx.reject("send:not-a-member")
-        return
-    if not ctx.branch(ast.eq(field("value"),
-                             ast.bv_const(BROADCAST_VALUE, 8))):
-        ctx.reject("send:equivocation")
-        return
-    if not ctx.branch(ast.eq(field("cert"), ast.bv_const(NO_CERT, 8))):
-        ctx.reject("send:unexpected-certificate")
-        return
-    ctx.send("peers", [MSG_ECHO])
-    ctx.accept("send:echo")
-
-
-def _handle_echo(ctx: ExecutionContext, field) -> None:
-    """``ECHO`` ingress: counted toward the ready threshold (clean path)."""
-    if not ctx.branch(_member(field("sender"))):
-        ctx.reject("echo:not-a-member")
-        return
-    if not ctx.branch(ast.eq(field("value"),
-                             ast.bv_const(BROADCAST_VALUE, 8))):
-        ctx.reject("echo:value-mismatch")
-        return
-    if not ctx.branch(ast.eq(field("cert"), ast.bv_const(NO_CERT, 8))):
-        ctx.reject("echo:unexpected-certificate")
-        return
-    ctx.accept("echo:counted")
-
-
-def _handle_ready(ctx: ExecutionContext, field) -> None:
-    """``READY`` ingress — with the thin-quorum off-by-one.
-
-    The certificate switch enumerates every bitmap of at least ``2f``
-    member bits: the ``popcount(cert) >= 2f + 1`` quorum test is off by
-    one, so the one-echo-short certificates reach the delivery tally.
-    """
-    if not ctx.branch(_member(field("sender"))):
-        ctx.reject("ready:not-a-member")
-        return
-    if not ctx.branch(ast.eq(field("value"),
-                             ast.bv_const(BROADCAST_VALUE, 8))):
-        ctx.reject("ready:value-mismatch")
-        return
-    cert = field("cert")
-    for mask in ACCEPTED_CERTS:
-        if ctx.branch(ast.eq(cert, ast.bv_const(mask, 8))):
-            if bin(mask).count("1") < ECHO_THRESHOLD:
-                ctx.label("thin-certificate")
-            ctx.accept(f"ready:cert-{mask:04b}")
-            return
-    ctx.reject("ready:bad-certificate")
-
-
-def _send(ctx: ExecutionContext, node: str, kind: int, sender, value,
-          cert) -> None:
-    builder = MessageBuilder(BROADCAST_LAYOUT)
-    builder.set("kind", kind)
-    builder.set("sender", sender)
-    builder.set("value", value)
-    builder.set("cert", cert)
-    ctx.send(node, builder.wire())
-
-
-# -- concrete node ------------------------------------------------------------
 
 
 def broadcast_message(kind: int, sender: int, value: int,

@@ -26,8 +26,10 @@ already recorded the broadcaster's ``SEND`` for this slot, carrying
 value field (a second ``SEND`` is checked against the recorded one, the
 standard equivocation test).
 
-Two vulnerabilities are seeded in the node
-(:func:`repro.systems.broadcast.nodes.broadcast_node`):
+:data:`BROADCAST_PARAMS` pins the broadcast template of
+:mod:`repro.corpus.templates` to these constants, which derives the
+symbolic programs and the ground-truth oracle from them. Two
+vulnerabilities are seeded in the node:
 
 * **forged-sender SEND** — the identity check on the ``SEND`` path is
   weakened from ``sender == BROADCASTER`` to cluster *membership*, so
@@ -43,6 +45,11 @@ Two vulnerabilities are seeded in the node
 
 from __future__ import annotations
 
+from repro.corpus.templates import (
+    FORGED_SENDER,
+    THIN_QUORUM,
+    BroadcastParams,
+)
 from repro.messages.layout import Field, MessageLayout
 
 #: Message kinds (the ``kind`` byte).
@@ -73,28 +80,8 @@ NO_CERT = 0x00
 #: Echo certificate threshold for a valid ``READY``: ``2f + 1``.
 ECHO_THRESHOLD = 2 * FAULTY + 1
 
-#: The seeded off-by-one: the node accepts certificates of ``2f``.
-BUGGY_ECHO_THRESHOLD = 2 * FAULTY
-
 #: Distinct ``READY`` senders needed to deliver: ``2f + 1``.
 READY_THRESHOLD = 2 * FAULTY + 1
-
-
-def _masks(predicate) -> tuple[int, ...]:
-    return tuple(mask for mask in range(NODE_MASK + 1)
-                 if predicate(bin(mask).count("1")))
-
-
-#: Certificates a correct peer can hold: ``>= 2f + 1`` member bits.
-FULL_CERTS = _masks(lambda bits: bits >= ECHO_THRESHOLD)
-
-#: The seeded thin certificates: exactly ``2f`` member bits — one echo
-#: short of a valid quorum, accepted only because of the off-by-one.
-THIN_CERTS = _masks(lambda bits: bits == BUGGY_ECHO_THRESHOLD)
-
-#: Everything the *buggy* node accepts on the ``READY`` path, in
-#: ascending order (the symbolic program enumerates these).
-ACCEPTED_CERTS = _masks(lambda bits: bits >= BUGGY_ECHO_THRESHOLD)
 
 BROADCAST_LAYOUT = MessageLayout("broadcast", [
     Field("kind", 1),
@@ -102,3 +89,12 @@ BROADCAST_LAYOUT = MessageLayout("broadcast", [
     Field("value", 1),
     Field("cert", 1),
 ])
+
+#: The broadcast template pinned to the constants above, with both bugs
+#: seeded (the template fixes ``f = 1`` and :data:`NO_CERT` at 0).
+BROADCAST_PARAMS = BroadcastParams(
+    field_order=tuple(field.name for field in BROADCAST_LAYOUT.fields),
+    pad_size=0, value_size=1,
+    msg_send=MSG_SEND, msg_echo=MSG_ECHO, msg_ready=MSG_READY,
+    node_ids=NODE_IDS, broadcaster=BROADCASTER,
+    broadcast_value=BROADCAST_VALUE, bugs=(FORGED_SENDER, THIN_QUORUM))

@@ -12,13 +12,15 @@ follower's RPC ingress. Two Trojan families are seeded:
   ``lastLogIndex + 1 >= LAST_INDEX``, electing a candidate whose log is
   one entry short of the follower's (1 class).
 
-As for the other systems, the symbolic node programs (for Achilles) and
-the concrete follower (for the simulated network) are built from the
+:data:`SYSTEM` is the raft template of :mod:`repro.corpus.templates`
+pinned to :data:`RAFT_PARAMS`: its correct-peer clients, follower
+server, oracles (``accepts``/``generable``/``classify``) and class
+universe. The concrete follower (for the simulated network) reads the
 same protocol constants, so findings transfer between the two.
 """
 
+from repro.corpus.templates import bound_ground_truth, raft_system
 from repro.systems.raft.protocol import (
-    CANDIDATE_LOGS,
     COMMIT_INDEX,
     CURRENT_TERM,
     LAST_INDEX,
@@ -28,14 +30,9 @@ from repro.systems.raft.protocol import (
     MSG_VOTE,
     NODE_IDS,
     RAFT_LAYOUT,
+    RAFT_PARAMS,
     TERM_LEADERS,
     VOTE_PADDING,
-)
-from repro.systems.raft.nodes import (
-    peer_clients,
-    raft_candidate,
-    raft_follower,
-    raft_leader,
 )
 from repro.systems.raft.cluster import (
     LogEntry,
@@ -44,19 +41,15 @@ from repro.systems.raft.cluster import (
     append_message,
     run_truncation_attack,
 )
-from repro.systems.raft.ground_truth import (
-    GroundTruth,
-    RaftTrojanClass,
-    STALE_APPEND,
-    VOTE_OFF_BY_ONE,
-    all_trojan_classes,
-    classify_message,
-    is_follower_accepted,
-    is_peer_generable,
-)
+
+#: The pinned Raft system: 8 stale-term AppendEntries classes and the
+#: vote off-by-one.
+SYSTEM = raft_system(RAFT_PARAMS)
+
+#: Scores witnesses against :data:`SYSTEM`'s oracle.
+GroundTruth = bound_ground_truth(SYSTEM)
 
 __all__ = [
-    "CANDIDATE_LOGS",
     "COMMIT_INDEX",
     "CURRENT_TERM",
     "GroundTruth",
@@ -68,21 +61,12 @@ __all__ = [
     "MSG_VOTE",
     "NODE_IDS",
     "RAFT_LAYOUT",
+    "RAFT_PARAMS",
     "RaftFollowerNode",
-    "RaftTrojanClass",
-    "STALE_APPEND",
+    "SYSTEM",
     "TERM_LEADERS",
     "TruncationOutcome",
-    "VOTE_OFF_BY_ONE",
     "VOTE_PADDING",
-    "all_trojan_classes",
     "append_message",
-    "classify_message",
-    "is_follower_accepted",
-    "is_peer_generable",
-    "peer_clients",
-    "raft_candidate",
-    "raft_follower",
-    "raft_leader",
     "run_truncation_attack",
 ]

@@ -15,12 +15,14 @@ kinds share a single fixed-size layout::
 Following the paper's annotation-stub approach (§6.1), the cluster
 *history* is pinned to constants both sides agree on: the follower under
 analysis is at term :data:`CURRENT_TERM` with the reference log
-:data:`LOG_TERMS`, the per-term leaders are :data:`TERM_LEADERS`, and a
-correct peer's log is one of :data:`CANDIDATE_LOGS` (every correct node
-holds at least the committed prefix and at most the full log).
+:data:`LOG_TERMS` and the per-term leaders are :data:`TERM_LEADERS`; a
+correct peer's log holds at least the committed prefix and at most the
+full log.
 
-Two vulnerabilities are seeded in the follower
-(:func:`repro.systems.raft.nodes.raft_follower`):
+:data:`RAFT_PARAMS` pins the raft template of
+:mod:`repro.corpus.templates` to these constants, which derives the
+symbolic programs and the ground-truth oracle from them. Two
+vulnerabilities are seeded in the follower:
 
 * **stale-term AppendEntries** — the follower never rejects
   ``term < CURRENT_TERM``, so an AppendEntries from a deposed leader is
@@ -34,6 +36,7 @@ Two vulnerabilities are seeded in the follower
 
 from __future__ import annotations
 
+from repro.corpus.templates import STALE_APPEND, VOTE_OFF_BY_ONE, RaftParams
 from repro.messages.layout import Field, MessageLayout
 
 #: RPC kinds (the ``type`` byte).
@@ -65,12 +68,6 @@ LAST_TERM = LOG_TERMS[LAST_INDEX]
 #: a correct leader never asks a follower to truncate below it.
 COMMIT_INDEX = 2
 
-#: (lastLogIndex, lastLogTerm) pairs a *correct* peer can report: every
-#: correct node has replicated at least the committed prefix and at most
-#: the full log of the current leader.
-CANDIDATE_LOGS = tuple(
-    (index, LOG_TERMS[index]) for index in range(COMMIT_INDEX, LAST_INDEX + 1))
-
 #: RequestVote messages carry zero padding in the command slot.
 VOTE_PADDING = 0
 
@@ -82,3 +79,13 @@ RAFT_LAYOUT = MessageLayout("raft", [
     Field("logterm", 1),
     Field("cmd", 1),
 ])
+
+#: The raft template pinned to the constants above, with both bugs
+#: seeded.
+RAFT_PARAMS = RaftParams(
+    field_order=tuple(field.name for field in RAFT_LAYOUT.fields),
+    pad_size=0, msg_append=MSG_APPEND, msg_vote=MSG_VOTE,
+    node_ids=NODE_IDS, current_term=CURRENT_TERM, log_terms=LOG_TERMS,
+    term_leaders=tuple(TERM_LEADERS[term]
+                       for term in range(1, CURRENT_TERM + 1)),
+    commit_index=COMMIT_INDEX, bugs=(STALE_APPEND, VOTE_OFF_BY_ONE))

@@ -1,15 +1,19 @@
 """Shared ground-truth scoring for the systems under test.
 
-Every system ships an exact oracle pair — ``classify_message`` (concrete
-message → seeded Trojan class or None) and ``all_trojan_classes`` (the
-seeded universe). :class:`TrojanScore` turns that pair into the scoring
-surface the experiments use (``score`` / ``coverage`` / ``missing``), so
-the semantics of counting true/false positives live in exactly one
-place. Each system subclasses it, binding its two oracles::
+Every scored system has an exact oracle pair — a classifier (concrete
+message → seeded Trojan class or None) and the seeded class universe.
+:class:`TrojanScore` turns that pair into the scoring surface the
+experiments use (``score`` / ``coverage`` / ``missing``), so the
+semantics of counting true/false positives live in exactly one place.
+FSP subclasses it, binding its two oracles::
 
     class GroundTruth(TrojanScore):
         classify = staticmethod(classify_message)
         universe = staticmethod(all_trojan_classes)
+
+A template system — Raft, 2PC, broadcast or any corpus variant — gets
+its subclass from its oracle: ``GroundTruth = bound_ground_truth(SYSTEM)``
+(:func:`repro.corpus.templates.bound_ground_truth`).
 """
 
 from __future__ import annotations

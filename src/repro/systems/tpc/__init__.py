@@ -11,10 +11,15 @@ participants. The seeded vulnerability family lives on the participant's
 * **empty-op** — the operation payload is never validated, so the empty
   operation (which no correct coordinator prepares) is logged and acked.
 
-Symbolic node programs (for Achilles) and the concrete participant (for
-the simulated network) are built from the same protocol constants.
+:data:`SYSTEM` is the two-phase-commit template of
+:mod:`repro.corpus.templates` pinned to :data:`TPC_PARAMS`: its
+coordinator clients, participant server, oracles
+(``accepts``/``generable``/``classify``) and class universe. The
+concrete participant (for the simulated network) reads the same
+protocol constants.
 """
 
+from repro.corpus.templates import bound_ground_truth, tpc_system
 from repro.systems.tpc.protocol import (
     ABORT,
     ACK_PREPARED,
@@ -24,55 +29,37 @@ from repro.systems.tpc.protocol import (
     NO_OP,
     PREPARE,
     TPC_LAYOUT,
+    TPC_PARAMS,
 )
 from repro.systems.tpc.nodes import (
     LostWriteOutcome,
     TpcParticipantNode,
     WalRecord,
-    coordinator_clients,
     prepare_message,
     run_lost_write_demo,
-    tpc_abort,
-    tpc_commit,
-    tpc_participant,
-    tpc_prepare,
 )
-from repro.systems.tpc.ground_truth import (
-    EMPTY_OP,
-    GroundTruth,
-    SKIP_WAL,
-    TpcTrojanClass,
-    all_trojan_classes,
-    classify_message,
-    is_coordinator_generable,
-    is_participant_accepted,
-)
+
+#: The pinned two-phase-commit system: ack-without-WAL and empty-op.
+SYSTEM = tpc_system(TPC_PARAMS)
+
+#: Scores witnesses against :data:`SYSTEM`'s oracle.
+GroundTruth = bound_ground_truth(SYSTEM)
 
 __all__ = [
     "ABORT",
     "ACK_PREPARED",
     "COMMIT",
-    "EMPTY_OP",
     "FLAG_DURABLE",
     "FLAG_NONE",
     "GroundTruth",
     "LostWriteOutcome",
     "NO_OP",
     "PREPARE",
-    "SKIP_WAL",
+    "SYSTEM",
     "TPC_LAYOUT",
+    "TPC_PARAMS",
     "TpcParticipantNode",
-    "TpcTrojanClass",
     "WalRecord",
-    "all_trojan_classes",
-    "classify_message",
-    "coordinator_clients",
-    "is_coordinator_generable",
-    "is_participant_accepted",
     "prepare_message",
     "run_lost_write_demo",
-    "tpc_abort",
-    "tpc_commit",
-    "tpc_participant",
-    "tpc_prepare",
 ]

@@ -1,24 +1,17 @@
-"""Two-phase-commit node programs: coordinator clients and participant.
+"""Concrete two-phase-commit participant — the ack-without-WAL impact.
 
-The Achilles *clients* are the three messages a correct coordinator can
-send (:func:`coordinator_clients`); the *server* is one participant's
-message ingress (:func:`tpc_participant`) with the seeded
-ack-without-WAL vulnerability. A concrete participant
-(:class:`TpcParticipantNode`) built from the same constants demonstrates
-the durability loss.
+The symbolic analysis finds the ack-without-WAL Trojan; this module
+shows what it *does*: a participant built from the same protocol
+constants acks a PREPARE with the durable flag clear exactly like a
+well-formed one, and loses the prepared write on a crash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.messages.concrete import decode_ints, encode
-from repro.messages.symbolic import MessageBuilder, field_expr
 from repro.net.network import Network, Node
-from repro.solver import ast
-from repro.solver.ast import Expr
-from repro.symex.context import ExecutionContext
-from repro.symex.engine import NodeProgram
 from repro.systems.tpc.protocol import (
     ABORT,
     ACK_PREPARED,
@@ -29,121 +22,6 @@ from repro.systems.tpc.protocol import (
     PREPARE,
     TPC_LAYOUT,
 )
-
-
-def tpc_prepare(ctx: ExecutionContext,
-                participant: str = "participant") -> None:
-    """A correct coordinator's PREPARE: durable flag set, real operation."""
-    txid = ctx.fresh_byte("txid")
-    if not ctx.branch(ast.ne(txid, ast.bv_const(0, 8))):
-        return  # transaction ids start at 1
-    op = ctx.fresh_byte("op")
-    if not ctx.branch(ast.ne(op, ast.bv_const(NO_OP, 8))):
-        return  # nothing to prepare for the empty operation
-    _send(ctx, participant, PREPARE, txid, FLAG_DURABLE, op)
-
-
-def tpc_commit(ctx: ExecutionContext,
-               participant: str = "participant") -> None:
-    """A correct coordinator's COMMIT: bare close, no payload."""
-    txid = ctx.fresh_byte("txid")
-    if not ctx.branch(ast.ne(txid, ast.bv_const(0, 8))):
-        return
-    _send(ctx, participant, COMMIT, txid, FLAG_NONE, NO_OP)
-
-
-def tpc_abort(ctx: ExecutionContext,
-              participant: str = "participant") -> None:
-    """A correct coordinator's ABORT: bare close, no payload."""
-    txid = ctx.fresh_byte("txid")
-    if not ctx.branch(ast.ne(txid, ast.bv_const(0, 8))):
-        return
-    _send(ctx, participant, ABORT, txid, FLAG_NONE, NO_OP)
-
-
-def coordinator_clients(participant: str = "participant",
-                        ) -> dict[str, NodeProgram]:
-    """All correct-coordinator programs, keyed for ``extract_clients``."""
-    return {
-        "prepare": lambda ctx: tpc_prepare(ctx, participant),
-        "commit": lambda ctx: tpc_commit(ctx, participant),
-        "abort": lambda ctx: tpc_abort(ctx, participant),
-    }
-
-
-def tpc_participant(ctx: ExecutionContext, msg: tuple[Expr, ...]) -> None:
-    """One participant event-loop iteration (accept/reject classified)."""
-    field_ = lambda name: field_expr(msg, TPC_LAYOUT.view(name))
-    if ctx.branch(ast.eq(field_("kind"), ast.bv_const(PREPARE, 8))):
-        _handle_prepare(ctx, field_)
-        return
-    if ctx.branch(ast.eq(field_("kind"), ast.bv_const(COMMIT, 8))):
-        _handle_close(ctx, field_, commit=True)
-        return
-    if ctx.branch(ast.eq(field_("kind"), ast.bv_const(ABORT, 8))):
-        _handle_close(ctx, field_, commit=False)
-        return
-    ctx.reject("unknown-kind")
-
-
-def _handle_prepare(ctx: ExecutionContext, field_) -> None:
-    """PREPARE ingress — with the ack-without-WAL vulnerability.
-
-    The operation payload is never validated (so the empty operation is
-    logged like any other), and a clear durable flag skips the
-    write-ahead record while still acking — the crash-atomicity Trojan.
-    """
-    if not ctx.branch(ast.ne(field_("txid"), ast.bv_const(0, 8))):
-        ctx.reject("zero-txid")
-        return
-    flags = field_("flags")
-    if ctx.branch(ast.eq(flags, ast.bv_const(FLAG_DURABLE, 8))):
-        # Write-ahead record forced, then ack: the well-formed path.
-        ctx.send("coordinator", [ACK_PREPARED])
-        ctx.accept("prepare:logged")
-        return
-    if ctx.branch(ast.eq(flags, ast.bv_const(FLAG_NONE, 8))):
-        # Should be rejected as malformed — instead the participant acks
-        # without the write-ahead record.
-        ctx.send("coordinator", [ACK_PREPARED])
-        ctx.accept("prepare:ack-without-wal")
-        return
-    ctx.reject("bad-flags")
-
-
-def _handle_close(ctx: ExecutionContext, field_, commit: bool) -> None:
-    """COMMIT/ABORT ingress: bare close of a prepared transaction."""
-    verb = "commit" if commit else "abort"
-    if not ctx.branch(ast.ne(field_("txid"), ast.bv_const(0, 8))):
-        ctx.reject(f"{verb}:zero-txid")
-        return
-    if not ctx.branch(ast.eq(field_("flags"), ast.bv_const(FLAG_NONE, 8))):
-        ctx.reject(f"{verb}:bad-flags")
-        return
-    if not ctx.branch(ast.eq(field_("op"), ast.bv_const(NO_OP, 8))):
-        ctx.reject(f"{verb}:bad-padding")
-        return
-    if commit:
-        # Only a prepared transaction commits; the prepared-set lookup is
-        # over-approximated by unconstrained symbolic local state (§3.4).
-        prepared = ctx.fresh_byte("state:prepared_txid")
-        if not ctx.branch(ast.eq(field_("txid"), prepared)):
-            ctx.reject("commit:not-prepared")
-            return
-    ctx.accept(verb)
-
-
-def _send(ctx: ExecutionContext, participant: str, kind: int, txid,
-          flags: int, op) -> None:
-    builder = MessageBuilder(TPC_LAYOUT)
-    builder.set("kind", kind)
-    builder.set("txid", txid)
-    builder.set("flags", flags)
-    builder.set("op", op)
-    ctx.send(participant, builder.wire())
-
-
-# -- concrete participant ----------------------------------------------------
 
 
 @dataclass

@@ -12,8 +12,10 @@ kinds on one fixed-size layout::
 * ``COMMIT`` / ``ABORT`` close a transaction; they carry no payload
   (``flags == FLAG_NONE``, ``op == NO_OP``).
 
-Two vulnerabilities are seeded in the participant
-(:func:`repro.systems.tpc.nodes.tpc_participant`):
+:data:`TPC_PARAMS` pins the two-phase-commit template of
+:mod:`repro.corpus.templates` to these constants, which derives the
+symbolic programs and the ground-truth oracle from them. Two
+vulnerabilities are seeded in the participant:
 
 * **ack-without-WAL** — a malformed ``PREPARE`` with the durable flag
   clear is acked exactly like a well-formed one, but the participant
@@ -26,6 +28,7 @@ Two vulnerabilities are seeded in the participant
 
 from __future__ import annotations
 
+from repro.corpus.templates import EMPTY_OP, SKIP_WAL, TpcParams
 from repro.messages.layout import Field, MessageLayout
 
 #: Message kinds (the ``kind`` byte).
@@ -50,3 +53,11 @@ TPC_LAYOUT = MessageLayout("tpc", [
     Field("flags", 1),
     Field("op", 1),
 ])
+
+#: The two-phase-commit template pinned to the constants above, with
+#: both bugs seeded (COMMIT/ABORT carry :data:`FLAG_NONE`, which the
+#: template fixes at 0).
+TPC_PARAMS = TpcParams(
+    field_order=tuple(field.name for field in TPC_LAYOUT.fields),
+    txid_size=1, pad_size=0, prepare=PREPARE, commit=COMMIT, abort=ABORT,
+    flag_durable=FLAG_DURABLE, no_op=NO_OP, bugs=(SKIP_WAL, EMPTY_OP))

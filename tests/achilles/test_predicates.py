@@ -120,16 +120,11 @@ class TestPickleRoundTrip:
         from repro.achilles import Achilles, AchillesConfig
         from repro.systems import raft, tpc
 
-        if system == "raft":
-            config = AchillesConfig(layout=raft.RAFT_LAYOUT,
-                                    destination="follower")
-            clients = raft.peer_clients()
-        else:
-            config = AchillesConfig(layout=tpc.TPC_LAYOUT,
-                                    destination="participant")
-            clients = tpc.coordinator_clients()
+        pinned = {"raft": raft.SYSTEM, "tpc": tpc.SYSTEM}[system]
+        config = AchillesConfig(layout=pinned.layout,
+                                destination=pinned.destination)
         with Achilles(config) as achilles:
-            return achilles.extract_clients(clients)
+            return achilles.extract_clients(dict(pinned.clients))
 
     @pytest.mark.parametrize("system", ["raft", "tpc"])
     def test_predicate_set_round_trips(self, system):

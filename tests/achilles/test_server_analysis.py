@@ -2,6 +2,7 @@
 plus replay parity of the observer's prefix trie on every workload."""
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -223,6 +224,12 @@ class _AuditingObserver(TrojanSearchObserver):
         return feasible, decided
 
 
+def _pinned(system):
+    """The workload entry of a pinned template system."""
+    return ({"layout": system.layout, "destination": system.destination},
+            partial(dict, system.clients), system.server)
+
+
 #: name -> (AchillesConfig keywords, client programs, server program).
 WORKLOADS = {
     "toy": ({"layout": TOY_LAYOUT}, lambda: {"toy": toy_client}, toy_server),
@@ -230,12 +237,9 @@ WORKLOADS = {
             fsp.literal_clients, fsp.fsp_server),
     "pbft": ({"layout": REQUEST_LAYOUT, "destination": "replica0"},
              lambda: {"pbft-client": pbft_client}, pbft_replica),
-    "raft": ({"layout": raft.RAFT_LAYOUT, "destination": "follower"},
-             raft.peer_clients, raft.raft_follower),
-    "tpc": ({"layout": tpc.TPC_LAYOUT, "destination": "participant"},
-            tpc.coordinator_clients, tpc.tpc_participant),
-    "broadcast": ({"layout": broadcast.BROADCAST_LAYOUT, "destination": "node"},
-                  broadcast.peer_clients, broadcast.broadcast_node),
+    "raft": _pinned(raft.SYSTEM),
+    "tpc": _pinned(tpc.SYSTEM),
+    "broadcast": _pinned(broadcast.SYSTEM),
 }
 
 FLAGS = {

@@ -9,6 +9,7 @@ independent concrete oracles.
 import pytest
 
 from repro.bench.experiments import run_accuracy
+from repro.corpus.templates import FORGED_SENDER
 from repro.systems import broadcast
 
 
@@ -29,21 +30,22 @@ class TestBroadcastAccuracy:
     def test_every_witness_is_accepted_and_ungenerable(
             self, broadcast_outcome):
         for witness in broadcast_outcome.report.witnesses():
-            assert broadcast.is_node_accepted(witness)
-            assert not broadcast.is_peer_generable(witness)
+            assert broadcast.SYSTEM.accepts(witness)
+            assert not broadcast.SYSTEM.generable(witness)
 
     def test_both_seeded_bugs_are_represented(self, broadcast_outcome):
-        kinds = {broadcast.classify_message(w).kind
-                 for w in broadcast_outcome.report.witnesses()}
-        assert kinds == {broadcast.FORGED_SENDER, broadcast.THIN_QUORUM}
+        classes = {broadcast.SYSTEM.classify(w)
+                   for w in broadcast_outcome.report.witnesses()}
+        assert FORGED_SENDER in classes
+        assert classes == set(broadcast.SYSTEM.classes)
 
     def test_thin_certificates_carry_the_label(self, broadcast_outcome):
         # The READY switch labels every below-quorum certificate at the
         # moment it slips past the off-by-one; forged SENDs do not.
         for finding in broadcast_outcome.report.findings:
-            trojan = broadcast.classify_message(finding.witness)
+            trojan = broadcast.SYSTEM.classify(finding.witness)
             assert (("thin-certificate" in finding.labels)
-                    == (trojan.kind == broadcast.THIN_QUORUM))
+                    == (trojan != FORGED_SENDER))
 
     def test_benign_accepting_paths_yield_no_findings(
             self, broadcast_outcome):

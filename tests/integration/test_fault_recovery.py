@@ -2,18 +2,21 @@
 
 The headline robustness criterion, end to end: the FSP, Raft and
 broadcast analyses run under a scripted :class:`FaultPlan` — one worker
-killed before it delivers anything, or every worker killed — on local
-worker processes at shards = 2 and 4, with the default configuration.
-The coordinator then aborts the fleet and finishes the search
-in-process; the findings must be byte-identical to a fault-free serial
-run, and the report must prove the faults actually fired
-(``worker_failures``, ``recovery_seconds``) rather than silently missing
-the injection.
+killed before it delivers anything — on local worker processes at
+shards = 2 and 4, with the default configuration. The coordinator then
+aborts the fleet and finishes the search in-process; the findings must
+be byte-identical to a fault-free serial run, and the report must prove
+the fault actually fired (``worker_failures``, ``recovery_seconds``)
+rather than silently missing the injection.
+
+One kill is all a plan can do: the coordinator aborts the whole fleet
+at the first loss it detects, so a second scheduled kill never fires.
 
 This is the suite the CI chaos job runs.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -30,17 +33,9 @@ from repro.systems import broadcast, fsp, raft
 SHARD_COUNTS = (2, 4)
 
 
-def _kill_one(shards):
+def _kill_one():
     """One worker dead before its first result."""
     return FaultPlan(KillWorker(0, after_results=0))
-
-
-def _kill_all(shards):
-    """Every worker dead before its first result."""
-    return FaultPlan(*(KillWorker(wid) for wid in range(shards)))
-
-
-_PLANS = {"kill-one": _kill_one, "kill-all": _kill_all}
 
 
 def _finding_signature(report):
@@ -60,28 +55,20 @@ def _run_fsp(shards, transport=None):
         return achilles.search(fsp.fsp_server, predicates)
 
 
-def _run_raft(shards, transport=None):
-    config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            shards=shards, transport=transport)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(raft.peer_clients())
-        return achilles.search(raft.raft_follower, predicates)
-
-
-def _run_broadcast(shards, transport=None):
-    config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
-                            destination="node", shards=shards,
+def _run_pinned(system, shards, transport=None):
+    config = AchillesConfig(layout=system.layout,
+                            destination=system.destination, shards=shards,
                             transport=transport)
     with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(broadcast.peer_clients())
-        return achilles.search(broadcast.broadcast_node, predicates)
+        predicates = achilles.extract_clients(dict(system.clients))
+        return achilles.search(system.server, predicates)
 
 
-_RUNNERS = {"broadcast": _run_broadcast, "fsp": _run_fsp,
-            "raft": _run_raft}
+_RUNNERS = {"broadcast": partial(_run_pinned, broadcast.SYSTEM),
+            "fsp": _run_fsp, "raft": partial(_run_pinned, raft.SYSTEM)}
 
 #: (system, shards) pairs whose path trees outlive the seed phase, so the
-#: kill plan is guaranteed a worker to hit. The broadcast tree, and the
+#: kill is guaranteed a worker to hit. The broadcast tree, and the
 #: Raft tree at shards=4 (a 16-prefix seed target against 36 paths),
 #: finish at seed time — their chaos runs assert parity (and clean
 #: counters), but cannot assert the injection fired.
@@ -103,7 +90,8 @@ def _assert_parity(report, faulty, baseline, label):
     assert _finding_signature(report) == baseline, (
         f"{label}: findings diverged under injected worker loss")
     if faulty.injected_kills:
-        assert report.worker_failures >= 1
+        assert faulty.injected_kills == 1
+        assert report.worker_failures == 1
         assert report.recovery_seconds > 0.0
     else:
         assert report.worker_failures == 0
@@ -111,34 +99,33 @@ def _assert_parity(report, faulty, baseline, label):
 
 
 class TestChaosParityLocal:
-    @pytest.mark.parametrize("plan", sorted(_PLANS))
     @pytest.mark.parametrize("system", sorted(_RUNNERS))
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_findings_survive_injected_worker_loss(self, system, shards,
-                                                   plan, baselines):
-        faulty = FaultyTransport(LocalTransport(), _PLANS[plan](shards))
+                                                   baselines):
+        faulty = FaultyTransport(LocalTransport(), _kill_one())
         report = _RUNNERS[system](shards, transport=faulty)
         _assert_parity(report, faulty, baselines[system],
-                       f"{system} local shards={shards} {plan}")
+                       f"{system} local shards={shards}")
 
-    @pytest.mark.parametrize("plan", sorted(_PLANS))
     @pytest.mark.parametrize("system,shards", _FANS_OUT)
-    def test_injection_fires(self, system, shards, plan, baselines):
-        """Teeth check: wherever the search fans out, the plan must
-        actually fire — a chaos run whose faults never triggered proves
+    def test_injection_fires(self, system, shards, baselines):
+        """Teeth check: wherever the search fans out, the kill must
+        actually fire — a chaos run whose fault never triggered proves
         nothing."""
-        faulty = FaultyTransport(LocalTransport(), _PLANS[plan](shards))
+        faulty = FaultyTransport(LocalTransport(), _kill_one())
         report = _RUNNERS[system](shards, transport=faulty)
-        assert faulty.injected_kills >= 1
+        assert faulty.injected_kills == 1
+        assert report.worker_failures == 1
         _assert_parity(report, faulty, baselines[system],
-                       f"{system} local shards={shards} {plan}")
+                       f"{system} local shards={shards}")
 
 
 class TestRecoveryCountersSurface:
     def test_report_counts_the_recovery(self):
         """AchillesReport carries the fault accounting: how many workers
         died and what the wall-clock overhead was."""
-        faulty = FaultyTransport(LocalTransport(), _kill_one(2))
+        faulty = FaultyTransport(LocalTransport(), _kill_one())
         report = _run_fsp(2, transport=faulty)
         assert report.worker_failures == 1
         assert report.recovery_seconds > 0.0

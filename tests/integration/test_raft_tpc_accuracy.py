@@ -9,7 +9,21 @@ under the independent concrete oracles.
 import pytest
 
 from repro.bench.experiments import run_accuracy
+from repro.corpus.templates import (
+    EMPTY_OP,
+    SKIP_WAL,
+    STALE_APPEND,
+    VOTE_OFF_BY_ONE,
+)
 from repro.systems import raft, tpc
+
+
+def _kind(trojan_class: str) -> str:
+    return trojan_class.split("(")[0]
+
+
+def _index(trojan_class: str) -> int:
+    return int(trojan_class.rsplit("index=", 1)[1].rstrip(")"))
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +46,22 @@ class TestRaftAccuracy:
 
     def test_every_witness_is_accepted_and_ungenerable(self, raft_outcome):
         for witness in raft_outcome.report.witnesses():
-            assert raft.is_follower_accepted(witness)
-            assert not raft.is_peer_generable(witness)
+            assert raft.SYSTEM.accepts(witness)
+            assert not raft.SYSTEM.generable(witness)
 
     def test_both_seeded_bugs_are_represented(self, raft_outcome):
-        kinds = {raft.classify_message(w).kind
+        kinds = {_kind(raft.SYSTEM.classify(w))
                  for w in raft_outcome.report.witnesses()}
-        assert kinds == {raft.STALE_APPEND, raft.VOTE_OFF_BY_ONE}
+        assert kinds == {STALE_APPEND, VOTE_OFF_BY_ONE}
 
     def test_committed_truncation_labelled(self, raft_outcome):
         # The stale appends probing below the commit point carry the
         # label the follower program records at the truncate step.
         for finding in raft_outcome.report.findings:
-            trojan = raft.classify_message(finding.witness)
-            assert (("truncates-committed" in finding.labels)
-                    == trojan.truncates_committed)
+            trojan = raft.SYSTEM.classify(finding.witness)
+            truncates = (_kind(trojan) == STALE_APPEND
+                         and _index(trojan) < raft.COMMIT_INDEX)
+            assert ("truncates-committed" in finding.labels) == truncates
 
     def test_benign_accepting_paths_yield_no_findings(self, raft_outcome):
         # Current-term appends (4 paths) + the up-to-date vote grant:
@@ -64,16 +79,16 @@ class TestTpcAccuracy:
 
     def test_every_witness_is_accepted_and_ungenerable(self, tpc_outcome):
         for witness in tpc_outcome.report.witnesses():
-            assert tpc.is_participant_accepted(witness)
-            assert not tpc.is_coordinator_generable(witness)
+            assert tpc.SYSTEM.accepts(witness)
+            assert not tpc.SYSTEM.generable(witness)
 
     def test_both_seeded_classes_found(self, tpc_outcome):
-        kinds = {tpc.classify_message(w).kind
+        kinds = {tpc.SYSTEM.classify(w)
                  for w in tpc_outcome.report.witnesses()}
-        assert kinds == {tpc.SKIP_WAL, tpc.EMPTY_OP}
+        assert kinds == {SKIP_WAL, EMPTY_OP}
 
     def test_skip_wal_witness_rides_the_unlogged_path(self, tpc_outcome):
-        labels = {tpc.classify_message(f.witness).kind: f.labels
+        labels = {tpc.SYSTEM.classify(f.witness): f.labels
                   for f in tpc_outcome.report.findings}
-        assert "prepare:ack-without-wal" in labels[tpc.SKIP_WAL]
-        assert "prepare:logged" in labels[tpc.EMPTY_OP]
+        assert "prepare:ack-without-wal" in labels[SKIP_WAL]
+        assert "prepare:logged" in labels[EMPTY_OP]

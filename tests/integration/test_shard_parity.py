@@ -1,16 +1,18 @@
 """Shard-parity: exploration shard count must never change what Achilles finds.
 
-The FSP, PBFT, Raft and two-phase-commit end-to-end analyses must
-produce *identical* findings (same order, same path ids, same witnesses,
-same live-predicate sets) at shards = 1, 2 and 4 — shards=1 being the
-plain in-process walk, so this also pins the sharded pipeline against
-the classic serial engine. The canonical ordering is the same pinned
-prefix order for every system. The sharded walk must also compose with
-the from-scratch solver (``EngineConfig(incremental=False)``): the frame
-stacks are a pure optimization, in every shard.
+The FSP, PBFT, Raft, two-phase-commit and broadcast end-to-end
+analyses must produce *identical* findings (same order, same path ids,
+same witnesses, same live-predicate sets) at shards = 1, 2 and 4 —
+shards=1 being the plain in-process walk, so this also pins the sharded
+pipeline against the classic serial engine. The canonical ordering is
+the same pinned prefix order for every system. The sharded walk must
+also compose with the from-scratch solver
+(``EngineConfig(incremental=False)``): the frame stacks are a pure
+optimization, in every shard.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -53,35 +55,21 @@ def _run_pbft(shards: int, incremental: bool = True):
     return report
 
 
-def _run_raft(shards: int, incremental: bool = True):
+def _run_pinned(system, shards: int, incremental: bool = True):
+    """Hunt a pinned template system (Raft, 2PC or broadcast)."""
     server_engine = EngineConfig(incremental=incremental)
-    config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
+    config = AchillesConfig(layout=system.layout,
+                            destination=system.destination,
                             shards=shards, server_engine=server_engine)
     with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(raft.peer_clients())
-        report = achilles.search(raft.raft_follower, predicates)
+        predicates = achilles.extract_clients(dict(system.clients))
+        report = achilles.search(system.server, predicates)
     return report
 
 
-def _run_tpc(shards: int, incremental: bool = True):
-    server_engine = EngineConfig(incremental=incremental)
-    config = AchillesConfig(layout=tpc.TPC_LAYOUT, destination="participant",
-                            shards=shards, server_engine=server_engine)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(tpc.coordinator_clients())
-        report = achilles.search(tpc.tpc_participant, predicates)
-    return report
-
-
-def _run_broadcast(shards: int, incremental: bool = True):
-    server_engine = EngineConfig(incremental=incremental)
-    config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
-                            destination="node",
-                            shards=shards, server_engine=server_engine)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(broadcast.peer_clients())
-        report = achilles.search(broadcast.broadcast_node, predicates)
-    return report
+_run_raft = partial(_run_pinned, raft.SYSTEM)
+_run_tpc = partial(_run_pinned, tpc.SYSTEM)
+_run_broadcast = partial(_run_pinned, broadcast.SYSTEM)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +138,7 @@ class TestRaftShardParity:
     def test_witnesses_stay_trojan(self, raft_runs):
         for shards in SHARD_COUNTS:
             for finding in raft_runs[shards].findings:
-                assert raft.classify_message(finding.witness) is not None
+                assert raft.SYSTEM.classify(finding.witness) is not None
 
     def test_shards_compose_with_scratch_solving(self, raft_runs):
         scratch = _run_raft(2, incremental=False)
@@ -169,7 +157,7 @@ class TestTpcShardParity:
     def test_witnesses_stay_trojan(self, tpc_runs):
         for shards in SHARD_COUNTS:
             for finding in tpc_runs[shards].findings:
-                assert tpc.classify_message(finding.witness) is not None
+                assert tpc.SYSTEM.classify(finding.witness) is not None
 
     def test_shards_compose_with_scratch_solving(self, tpc_runs):
         scratch = _run_tpc(2, incremental=False)
@@ -201,8 +189,7 @@ class TestBroadcastShardParity:
     def test_witnesses_stay_trojan(self, broadcast_runs):
         for shards in SHARD_COUNTS:
             for finding in broadcast_runs[shards].findings:
-                assert broadcast.classify_message(finding.witness) \
-                    is not None
+                assert broadcast.SYSTEM.classify(finding.witness) is not None
 
     def test_shards_compose_with_scratch_solving(self, broadcast_runs):
         scratch = _run_broadcast(2, incremental=False)

@@ -1,28 +1,32 @@
-"""Unit tests for the Bracha broadcast system: oracles and concrete node."""
+"""Unit tests for the Bracha broadcast system: the pinned template's
+oracles and the concrete node."""
 
 from itertools import product
 
+from repro.corpus.templates import FORGED_SENDER, THIN_QUORUM
 from repro.net.network import Network
 from repro.systems.broadcast import (
     BROADCASTER,
+    BROADCAST_LAYOUT,
+    BROADCAST_PARAMS,
     BROADCAST_VALUE,
+    ECHO_THRESHOLD,
+    SYSTEM,
     BroadcastNode,
-    FORGED_SENDER,
-    FULL_CERTS,
     MSG_ECHO,
     MSG_READY,
     MSG_SEND,
     NODE_IDS,
-    NO_CERT,
-    THIN_CERTS,
-    THIN_QUORUM,
-    all_trojan_classes,
+    NODE_MASK,
     broadcast_message,
-    classify_message,
-    is_node_accepted,
-    is_peer_generable,
     run_forged_delivery_demo,
 )
+
+classify_message = SYSTEM.classify
+is_node_accepted = SYSTEM.accepts
+is_peer_generable = SYSTEM.generable
+FULL_CERTS = BROADCAST_PARAMS.full_certs
+THIN_CERTS = BROADCAST_PARAMS.thin_certs
 
 
 def _message_space():
@@ -45,8 +49,8 @@ class TestGroundTruthOracles:
     def test_brute_force_covers_exactly_the_seeded_classes(self):
         found = {classify_message(m) for m in _message_space()}
         found.discard(None)
-        assert found == set(all_trojan_classes())
-        assert len(all_trojan_classes()) == 7
+        assert found == set(SYSTEM.classes)
+        assert len(SYSTEM.classes) == 7
 
     def test_generable_is_a_subset_of_accepted(self):
         for message in _message_space():
@@ -57,8 +61,7 @@ class TestGroundTruthOracles:
         forged = [classify_message(broadcast_message(MSG_SEND, sender,
                                                      BROADCAST_VALUE))
                   for sender in NODE_IDS if sender != BROADCASTER]
-        assert all(cls is not None and cls.kind == FORGED_SENDER
-                   for cls in forged)
+        assert all(cls == FORGED_SENDER for cls in forged)
         assert len(set(forged)) == 1
 
     def test_thin_quorum_is_one_class_per_certificate(self):
@@ -66,9 +69,10 @@ class TestGroundTruthOracles:
             broadcast_message(MSG_READY, BROADCASTER, BROADCAST_VALUE,
                               cert))
             for cert in THIN_CERTS}
-        assert all(cls is not None and cls.kind == THIN_QUORUM
+        assert all(cls is not None and cls.startswith(f"ready:{THIN_QUORUM}")
                    for cls in classes)
         assert len(classes) == len(THIN_CERTS) == 6
+        assert "ready:thin-quorum(cert=0x03)" in classes
 
     def test_full_certificate_ready_is_benign(self):
         for cert in FULL_CERTS:
@@ -83,6 +87,22 @@ class TestGroundTruthOracles:
                                         FULL_CERTS[0])
             assert not is_node_accepted(message)
             assert not is_peer_generable(message)
+
+
+class TestPinnedParams:
+    def test_layout_is_the_wire_layout(self):
+        assert SYSTEM.layout.fields == BROADCAST_LAYOUT.fields
+        assert SYSTEM.destination == "node"
+        assert set(SYSTEM.clients) == {"sender", "echoer", "readier"}
+
+    def test_certificates_follow_the_protocol_thresholds(self):
+        # The template fixes f = 1; the protocol's thresholds must agree.
+        assert BROADCAST_PARAMS.node_mask == NODE_MASK
+        bits = lambda mask: bin(mask).count("1")
+        assert FULL_CERTS == tuple(mask for mask in range(NODE_MASK + 1)
+                                   if bits(mask) >= ECHO_THRESHOLD)
+        assert THIN_CERTS == tuple(mask for mask in range(NODE_MASK + 1)
+                                   if bits(mask) == ECHO_THRESHOLD - 1)
 
 
 class TestConcreteNode:

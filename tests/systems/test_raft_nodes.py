@@ -1,25 +1,26 @@
-"""Unit tests for the Raft system: oracles, concrete follower, attack."""
+"""Unit tests for the Raft system: the pinned template's oracles, the
+concrete follower, and the truncation attack."""
 
 from itertools import product
 
+from repro.corpus.templates import STALE_APPEND, VOTE_OFF_BY_ONE
 from repro.messages.concrete import encode
 from repro.systems.raft import (
     COMMIT_INDEX,
     CURRENT_TERM,
     LAST_INDEX,
     RAFT_LAYOUT,
+    SYSTEM,
     RaftFollowerNode,
-    STALE_APPEND,
     TERM_LEADERS,
-    VOTE_OFF_BY_ONE,
-    all_trojan_classes,
     append_message,
-    classify_message,
-    is_follower_accepted,
-    is_peer_generable,
     run_truncation_attack,
 )
 from repro.net.network import Network, Node
+
+classify_message = SYSTEM.classify
+is_follower_accepted = SYSTEM.accepts
+is_peer_generable = SYSTEM.generable
 
 
 def _message(msg_type, term, sender, idx, logterm, cmd):
@@ -40,6 +41,14 @@ def _small_message_space():
         yield _message(*fields)
 
 
+def _kind(trojan_class: str) -> str:
+    return trojan_class.split("(")[0]
+
+
+def _index(trojan_class: str) -> int:
+    return int(trojan_class.rsplit("index=", 1)[1].rstrip(")"))
+
+
 class TestGroundTruthOracles:
     def test_generable_implies_not_trojan(self):
         for message in _small_message_space():
@@ -56,26 +65,29 @@ class TestGroundTruthOracles:
     def test_brute_force_covers_exactly_the_seeded_classes(self):
         found = {classify_message(m) for m in _small_message_space()}
         found.discard(None)
-        assert found == set(all_trojan_classes())
+        assert found == set(SYSTEM.classes)
 
     def test_nine_classes(self):
-        classes = all_trojan_classes()
-        assert len(classes) == 9
-        assert sum(1 for c in classes if c.kind == STALE_APPEND) == 8
-        assert sum(1 for c in classes if c.kind == VOTE_OFF_BY_ONE) == 1
+        classes = SYSTEM.classes
+        assert len(classes) == len(set(classes)) == 9
+        assert sum(1 for c in classes if _kind(c) == STALE_APPEND) == 8
+        assert sum(1 for c in classes if _kind(c) == VOTE_OFF_BY_ONE) == 1
+        assert f"{VOTE_OFF_BY_ONE}(index={LAST_INDEX - 1})" in classes
 
     def test_committed_truncation_marking(self):
-        truncating = [c for c in all_trojan_classes()
-                      if c.truncates_committed]
-        assert all(c.kind == STALE_APPEND and c.index < COMMIT_INDEX
-                   for c in truncating)
-        assert len(truncating) == 2 * COMMIT_INDEX
+        # One stale term per historical term, each probing every index
+        # below the commit point: those classes erase committed entries.
+        truncating = [c for c in SYSTEM.classes
+                      if _kind(c) == STALE_APPEND
+                      and _index(c) < COMMIT_INDEX]
+        assert len(truncating) == (CURRENT_TERM - 1) * COMMIT_INDEX
 
     def test_stale_append_trojan_wire_shape(self):
         trojan = _message(0xA1, 1, TERM_LEADERS[1], 0, 0, 0x99)
         assert is_follower_accepted(trojan)
         assert not is_peer_generable(trojan)
-        assert classify_message(trojan).kind == STALE_APPEND
+        assert classify_message(trojan) == \
+            f"{STALE_APPEND}(term=1, index=0)"
 
     def test_current_term_append_is_benign(self):
         benign = _message(0xA1, CURRENT_TERM, TERM_LEADERS[CURRENT_TERM],
@@ -94,7 +106,30 @@ class _Sink(Node):
         self.received.append(payload)
 
 
+class TestPinnedParams:
+    def test_layout_is_the_wire_layout(self):
+        assert SYSTEM.layout.fields == RAFT_LAYOUT.fields
+        assert SYSTEM.destination == "follower"
+        assert set(SYSTEM.clients) == {"leader", "candidate"}
+
+    def test_every_bug_is_seeded(self):
+        assert set(SYSTEM.bugs) == {STALE_APPEND, VOTE_OFF_BY_ONE}
+
+
 class TestConcreteFollower:
+    def test_follower_accepts_exactly_what_the_oracle_accepts(self):
+        # Differential check: the concrete follower reads the protocol
+        # constants, the oracle the pinned template parameters; a fresh
+        # follower must ack exactly the messages the oracle accepts.
+        for message in _small_message_space():
+            network = Network()
+            follower = network.attach(RaftFollowerNode())
+            network.attach(_Sink("peer"))
+            follower.handle("peer", message, network)
+            acked = follower.appends_acked + len(follower.votes_granted)
+            assert acked == int(is_follower_accepted(message)), \
+                message.hex()
+
     def test_truncation_attack_erases_committed_entries(self):
         outcome = run_truncation_attack()
         assert outcome.acked

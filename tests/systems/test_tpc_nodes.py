@@ -1,26 +1,27 @@
-"""Unit tests for the two-phase-commit system: oracles and concrete node."""
+"""Unit tests for the two-phase-commit system: the pinned template's
+oracles and the concrete participant."""
 
 from itertools import product
 
-from repro.messages.concrete import encode
+from repro.corpus.templates import EMPTY_OP, SKIP_WAL
+from repro.messages.concrete import decode_ints, encode
 from repro.net.network import Network, Node
 from repro.systems.tpc import (
     ABORT,
     COMMIT,
-    EMPTY_OP,
     FLAG_DURABLE,
     FLAG_NONE,
     PREPARE,
-    SKIP_WAL,
+    SYSTEM,
     TPC_LAYOUT,
     TpcParticipantNode,
-    all_trojan_classes,
-    classify_message,
-    is_coordinator_generable,
-    is_participant_accepted,
     prepare_message,
     run_lost_write_demo,
 )
+
+classify_message = SYSTEM.classify
+is_participant_accepted = SYSTEM.accepts
+is_coordinator_generable = SYSTEM.generable
 
 
 def _message(kind, txid, flags, op):
@@ -47,16 +48,16 @@ class TestGroundTruthOracles:
     def test_brute_force_covers_exactly_the_seeded_classes(self):
         found = {classify_message(m) for m in _small_message_space()}
         found.discard(None)
-        assert found == set(all_trojan_classes())
-        assert len(all_trojan_classes()) == 2
+        assert found == set(SYSTEM.classes)
+        assert SYSTEM.classes == (SKIP_WAL, EMPTY_OP)
 
     def test_skip_wal_takes_priority_over_empty_op(self):
         both = _message(PREPARE, 1, FLAG_NONE, 0)  # flag clear AND empty op
-        assert classify_message(both).kind == SKIP_WAL
+        assert classify_message(both) == SKIP_WAL
 
     def test_empty_op_requires_durable_flag(self):
         empty = _message(PREPARE, 1, FLAG_DURABLE, 0)
-        assert classify_message(empty).kind == EMPTY_OP
+        assert classify_message(empty) == EMPTY_OP
 
     def test_well_formed_prepare_is_benign(self):
         benign = _message(PREPARE, 1, FLAG_DURABLE, 0x77)
@@ -80,7 +81,46 @@ class _Coordinator(Node):
         self.acks.append(payload)
 
 
+class TestPinnedParams:
+    def test_layout_is_the_wire_layout(self):
+        assert SYSTEM.layout.fields == TPC_LAYOUT.fields
+        assert SYSTEM.destination == "participant"
+        assert set(SYSTEM.clients) == {"prepare", "commit", "abort"}
+
+    def test_close_messages_carry_the_none_flag(self):
+        # The template fixes the COMMIT/ABORT flags byte at 0; the pinned
+        # system is only the protocol's own if FLAG_NONE is that byte.
+        assert FLAG_NONE == 0
+        assert FLAG_DURABLE != FLAG_NONE
+
+
 class TestConcreteParticipant:
+    def test_participant_accepts_exactly_what_the_oracle_accepts(self):
+        # Differential check: the concrete participant reads the protocol
+        # constants, the oracle the pinned template parameters. A PREPARE
+        # is accepted when it is acked; a COMMIT/ABORT when it closes a
+        # transaction prepared just before (the oracle's prepared-set
+        # lookup is over-approximated: any nonzero txid can be pending).
+        for message in _small_message_space():
+            network = Network()
+            participant = network.attach(TpcParticipantNode())
+            network.attach(_Coordinator())
+            fields = decode_ints(TPC_LAYOUT, message)
+            kind, txid = fields["kind"], fields["txid"]
+            if kind in (COMMIT, ABORT) and txid:
+                participant.handle("coordinator", prepare_message(txid),
+                                   network)
+            acked = len(participant.acked)
+            participant.handle("coordinator", message, network)
+            if kind == COMMIT:
+                accepted = participant.committed == [txid]
+            elif kind == ABORT:
+                accepted = bool(txid) and not participant.survives_crash(txid)
+            else:
+                accepted = len(participant.acked) > acked
+            assert accepted == is_participant_accepted(message), \
+                message.hex()
+
     def test_lost_write_demo(self):
         outcome = run_lost_write_demo()
         assert outcome.acked           # the Trojan was acked like any prepare
