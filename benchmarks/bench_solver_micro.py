@@ -15,6 +15,7 @@ persist machine-readable ``BENCH_*.json`` artifacts; the incremental
 speedup assertion is the CI perf smoke gate.
 """
 
+import sys
 import time
 
 import pytest
@@ -25,8 +26,12 @@ from repro.messages.symbolic import message_vars, wire_equalities
 from repro.solver import ast
 from repro.solver.ast import bv_const, bv_var
 from repro.solver.cache import QueryCache
+from repro.solver import interval as iv
 from repro.solver.incremental import IncrementalSolver
+from repro.solver.simplify import _fingerprint, canonicalize
 from repro.solver.solver import Solver
+from repro.solver.sorts import BOOL, BV8
+from repro.solver.walk import collect_vars, expr_size
 from repro.symex.engine import Engine, EngineConfig
 from repro.systems.fsp import FSP_LAYOUT, fsp_server, literal_clients
 from repro.systems.toy import TOY_LAYOUT
@@ -417,3 +422,87 @@ def test_cross_engine_cache_reuse(benchmark):
 
     solver_calls = benchmark(second_phase)
     assert solver_calls == 0  # everything answered by the shared cache
+
+
+# -- term kernels: the per-node operations under every layer -------------------
+
+
+def _term_kernel_ops():
+    """Named zero-argument callables, one per per-node operation: intern
+    hits (a node rebuilt while alive), memo hits on a warmed node, sort
+    compares and hashes, and interval construction."""
+    x, y = bv_var("kx", 8), bv_var("ky", 8)
+    node = ast.not_(ast.ult(ast.add(x, y), bv_const(9, 8)))
+    for warm in (canonicalize, collect_vars, expr_size, _fingerprint):
+        warm(node)
+    add_node = ast.add(x, y)
+    sort = x.sort
+    table = {BV8: 1, BOOL: 0}
+    return node, {
+        "intern_hit_expr": lambda: ast.Expr("add", BV8, (x, y)),
+        "intern_hit_ult": lambda: ast.ult(add_node, y),
+        "memo_hit_canonicalize": lambda: canonicalize(node),
+        "memo_hit_collect_vars": lambda: collect_vars(node),
+        "memo_hit_expr_size": lambda: expr_size(node),
+        "memo_hit_fingerprint": lambda: _fingerprint(node),
+        "sort_eq": lambda: sort == BOOL,
+        "sort_ne": lambda: sort != BV8,
+        "sort_hash_lookup": lambda: table[sort],
+        "interval_new": lambda: iv.Interval(3, 9),
+        "interval_full": lambda: iv.full(8),
+    }
+
+
+def test_term_kernels_stay_in_c(json_artifact):
+    """Deterministic count gate: intern hits, per-node memo hits and sort
+    compares make no Python-level call into ``repro.solver.sorts`` or
+    ``weakref``. Sorts are identity-hashed singletons, the memos are slots
+    on the node and the intern table is a plain dict of weak references,
+    so those steps run in C. Counts Python frames with ``sys.setprofile``
+    over 1,000 rounds of each operation; the per-operation timings are
+    recorded in ``BENCH_term_kernels.json`` but not gated."""
+    rounds = 1_000
+    node, ops = _term_kernel_ops()
+    gated = [name for name in ops if not name.startswith("interval")]
+    calls: dict[str, dict[str, int]] = {}
+
+    for name in gated:
+        op = ops[name]
+        modules = calls[name] = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__", "?")
+                if module != __name__:  # not the op's own lambda
+                    modules[module] = modules.get(module, 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            for _ in range(rounds):
+                op()
+        finally:
+            sys.setprofile(None)
+
+    timed_rounds = 20_000
+    ns_per_op = {}
+    # Each figure includes one lambda call; "call_overhead" is its cost.
+    for name, op in [("call_overhead", lambda: None), *ops.items()]:
+        started = time.perf_counter_ns()
+        for _ in range(timed_rounds):
+            op()
+        ns_per_op[name] = round(
+            (time.perf_counter_ns() - started) / timed_rounds, 1)
+    print(f"\nterm kernels (ns/op): {ns_per_op}")
+    json_artifact("term_kernels", {
+        "workload": "per-node term operations on a warmed 8-bit node",
+        "rounds_counted": rounds,
+        "rounds_timed": timed_rounds,
+        "python_calls_by_module": calls,
+        "ns_per_op": ns_per_op,
+    })
+    for name, modules in calls.items():
+        assert "repro.solver.sorts" not in modules, (name, modules)
+        assert "weakref" not in modules, (name, modules)
+    # Sort compares and hashes never enter a Python frame at all.
+    for name in ("sort_eq", "sort_ne", "sort_hash_lookup"):
+        assert calls[name] == {}, (name, calls[name])

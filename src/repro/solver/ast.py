@@ -9,8 +9,19 @@ system can build expressions freely without ballooning formulas.
 Expressions are **hash-consed**: constructing a node that is structurally
 identical to a live one returns the existing instance, so structural
 equality coincides with ``is`` identity and dict/set/cache lookups on
-expressions run at pointer speed. The intern table holds weak references
-only — nodes are reclaimed as soon as no formula references them.
+expressions hash and compare in C with no Python frame. The intern table
+is a plain dict from ``(op, sort, args, params)`` to a weak reference
+that carries its own key; a hit is one ``dict.get`` and one reference
+call, and a node's death removes its entry through one shared callback.
+Nodes are reclaimed as soon as no formula references them.
+
+Each node also carries the per-node memos of the traversals in
+:mod:`repro.solver.walk` and :mod:`repro.solver.simplify` (variable set,
+size, canonical form, structural digest) in slots of its own, so a memo
+hit is an attribute read and a memo dies with its node. No memo refers
+back to its own node: a self-canonical node stores a sentinel, and a
+variable does not cache its own variable set, so dropping the last
+reference to a node frees it at once, without the cycle collector.
 
 Conventions
 -----------
@@ -26,7 +37,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Iterable, Sequence
 
@@ -49,11 +59,22 @@ WIDTH_OPS = frozenset({"zext", "sext", "extract", "concat"})
 _COMMUTATIVE_OPS = frozenset({"add", "mul", "bvand", "bvor", "bvxor", "eq"})
 
 
-#: Global intern table: (op, sort, args, params) -> live Expr instance.
-_INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+class _InternRef(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
 
-#: Monotone creation serial; canonical orderings sort interned nodes by it.
-_NEXT_SERIAL = itertools.count()
+    __slots__ = ("key",)
+
+
+#: Global intern table: (op, sort, args, params) -> weak reference to the
+#: live Expr instance. A dead node's entry is removed by ``_forget``.
+_INTERN_TABLE: dict[tuple, _InternRef] = {}
+
+
+def _forget(ref: _InternRef, table: dict = _INTERN_TABLE) -> None:
+    """Weakref callback: drop a dead node's entry, unless a newer node
+    already took over its key."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class Expr:
@@ -65,22 +86,31 @@ class Expr:
         args: child expressions.
         params: non-expression parameters (constant value, variable name,
             extract bounds, extension width).
+
+    The underscored ``_vars``, ``_size``, ``_canon`` and ``_digest`` slots
+    are memos owned by :mod:`repro.solver.walk` and
+    :mod:`repro.solver.simplify`; ``None`` means "not computed yet".
     """
 
-    __slots__ = ("op", "sort", "args", "params", "_serial", "__weakref__")
+    __slots__ = ("op", "sort", "args", "params",
+                 "_vars", "_size", "_canon", "_digest", "__weakref__")
 
     def __new__(cls, op: str, sort: Sort, args: tuple["Expr", ...] = (), params: tuple = ()):
         key = (op, sort, args, params)
-        cached = _INTERN_TABLE.get(key)
-        if cached is not None:
-            return cached
+        ref = _INTERN_TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                return cached
         self = object.__new__(cls)
         self.op = op
         self.sort = sort
         self.args = args
         self.params = params
-        self._serial = next(_NEXT_SERIAL)
-        _INTERN_TABLE[key] = self
+        self._vars = self._size = self._canon = self._digest = None
+        ref = _InternRef(self, _forget)
+        ref.key = key
+        _INTERN_TABLE[key] = ref
         return self
 
     # -- structural identity ------------------------------------------------
@@ -284,7 +314,7 @@ def bool_const(value: bool) -> Expr:
 def bv_const(value: int, width: int) -> Expr:
     """A bitvector constant; ``value`` is wrapped into the unsigned range."""
     sort = bitvec_sort(width)
-    return Expr(OP_CONST, sort, params=(sort.wrap(value),))
+    return Expr(OP_CONST, sort, params=(value & sort.mask,))
 
 
 def bv_var(name: str, width: int) -> Expr:

@@ -6,25 +6,51 @@ the true result set of an operation is always contained in the returned
 interval (falling back to the full range when wrap-around makes the result
 non-contiguous). Soundness is what matters — the solver's search verifies
 candidate models by concrete evaluation, so precision only affects speed.
+
+:class:`Interval` is a slotted value class, not a dataclass: propagation
+builds tens of thousands per hunt, and a frozen dataclass pays a Python
+``object.__setattr__`` per field. It is immutable all the same, which is
+what lets :func:`full` hand out one shared instance per width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SolverError
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Inclusive unsigned range ``[lo, hi]``. Invariant: ``0 <= lo <= hi``."""
+    """Inclusive unsigned range ``[lo, hi]``. Invariant: ``0 <= lo <= hi``.
 
-    lo: int
-    hi: int
+    Immutable, with value equality and hashing.
+    """
 
-    def __post_init__(self):
-        if self.lo < 0 or self.lo > self.hi:
-            raise SolverError(f"malformed interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        if lo < 0 or lo > hi:
+            raise SolverError(f"malformed interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Interval is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Interval is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def size(self) -> int:
@@ -51,8 +77,21 @@ class Interval:
         return iter(range(self.lo, self.hi + 1))
 
 
+# Slot writers that bypass the refusing ``__setattr__``; only
+# ``Interval.__init__`` uses them.
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+_FULL: dict[int, Interval] = {}
+
+
 def full(width: int) -> Interval:
-    return Interval(0, (1 << width) - 1)
+    """The whole unsigned range of ``width`` bits, one shared instance per
+    width (safe because intervals are immutable)."""
+    interval = _FULL.get(width)
+    if interval is None:
+        interval = _FULL.setdefault(width, Interval(0, (1 << width) - 1))
+    return interval
 
 
 def singleton(value: int) -> Interval:

@@ -27,8 +27,10 @@ form:
 * trivial comparisons against domain edges collapse
   (``ult(x, 1)`` → ``eq(x, 0)``, ``ule(x, max)`` → ``true``, …).
 
-The pass is idempotent and memoized per node (expressions are interned,
-so the weak-keyed memo persists across queries for shared subtrees).
+The pass is idempotent and memoized per node: expressions are interned,
+so the memo, kept in each node's own ``_canon`` slot, persists across
+queries for shared subtrees and dies with its node. Structural digests
+(``_fingerprint``) are memoized the same way, in the ``_digest`` slot.
 
 :func:`canonical_constraint_set` lifts canonicalization to whole
 constraint conjunctions and is the keying function of the query cache.
@@ -37,7 +39,6 @@ constraint conjunctions and is the keying function of the query cache.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from typing import Iterable
 
 from repro.solver import ast
@@ -54,17 +55,10 @@ _COMMUTATIVE_NARY = frozenset({"and", "or"})
 #: Positive form of each negated comparison, with swapped operands.
 _NEGATED_COMPARISON = {"ult": "ule", "ule": "ult", "slt": "sle", "sle": "slt"}
 
-#: Per-node memo. A value of ``None`` means "the key is its own canonical
-#: form" — storing the node as its own value would give the entry a strong
-#: reference to its key and make every canonicalized expression immortal.
-_CANON_CACHE: "weakref.WeakKeyDictionary[Expr, Expr | None]" = (
-    weakref.WeakKeyDictionary())
-_MISS = object()
-
-
-#: Memoized structural fingerprints (weak-keyed like the canon cache).
-_FINGERPRINTS: "weakref.WeakKeyDictionary[Expr, bytes]" = (
-    weakref.WeakKeyDictionary())
+#: ``Expr._canon`` value meaning "the node is its own canonical form".
+#: Storing the node itself would make it reference itself, a cycle that
+#: only the garbage collector could free.
+_SELF = object()
 
 
 def _fingerprint(expr: Expr) -> bytes:
@@ -76,14 +70,13 @@ def _fingerprint(expr: Expr) -> bytes:
     a pure function of the structure — so it is identical in every
     process. Collisions are cryptographically negligible.
     """
-    cached = _FINGERPRINTS.get(expr)
+    cached = expr._digest
     if cached is None:
         digest = hashlib.sha256(
             repr((expr.op, str(expr.sort), expr.params)).encode())
         for arg in expr.args:
             digest.update(_fingerprint(arg))
-        cached = digest.digest()
-        _FINGERPRINTS[expr] = cached
+        cached = expr._digest = digest.digest()
     return cached
 
 
@@ -109,10 +102,10 @@ def _arg_key(expr: Expr) -> tuple:
 
 def canonicalize(expr: Expr) -> Expr:
     """Rewrite ``expr`` into its canonical form (memoized, idempotent)."""
-    cached = _CANON_CACHE.get(expr, _MISS)
-    if cached is None:
+    cached = expr._canon
+    if cached is _SELF:
         return expr
-    if cached is not _MISS:
+    if cached is not None:
         return cached
     if expr.args:
         new_args = tuple(canonicalize(a) for a in expr.args)
@@ -122,12 +115,12 @@ def canonicalize(expr: Expr) -> Expr:
         node = expr
     result = _canonicalize_node(node)
     if result is expr:
-        _CANON_CACHE[expr] = None
+        expr._canon = _SELF
     else:
-        _CANON_CACHE[expr] = result
+        expr._canon = result
         # The canonical form is its own fixpoint; record that too so
         # re-canonicalizing a canonical expression is one lookup.
-        _CANON_CACHE[result] = None
+        result._canon = _SELF
     return result
 
 

@@ -6,6 +6,11 @@ that Achilles needs (the paper uses STP/Z3 over bitvectors and booleans):
 * :class:`BoolSort` — the boolean sort.
 * :class:`BitVecSort` — fixed-width bitvectors; message bytes are 8-bit
   bitvectors and multi-byte fields are wider bitvectors.
+
+Sorts are singletons: ``BoolSort()`` is :data:`BOOL` and ``BitVecSort(w)``
+is ``bitvec_sort(w)``, and unpickling returns the same objects. Equality
+and hashing are therefore the inherited identity ones, decided in C —
+sorts sit in every intern-table key and every ``sort == BOOL`` check.
 """
 
 from __future__ import annotations
@@ -23,50 +28,49 @@ class Sort:
 
 
 class BoolSort(Sort):
-    """The boolean sort. All instances are interchangeable."""
+    """The boolean sort. ``BoolSort()`` returns the singleton :data:`BOOL`."""
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BoolSort)
+    def __new__(cls) -> "BoolSort":
+        return BOOL
 
-    def __hash__(self) -> int:
-        return hash("BoolSort")
+    def __reduce__(self):
+        return (BoolSort, ())
 
 
 class BitVecSort(Sort):
-    """Fixed-width bitvector sort.
+    """Fixed-width bitvector sort; ``BitVecSort(w)`` is ``bitvec_sort(w)``.
 
     Values of this sort are unsigned integers in ``[0, 2**width)``. Signed
     interpretations are applied by individual operators (``slt`` etc.), not
     by the sort.
+
+    Attributes:
+        width: number of bits.
+        mask: bitmask covering the full width (``2**width - 1``).
+        size: number of distinct values of this sort (``2**width``).
     """
 
-    __slots__ = ("width",)
+    __slots__ = ("width", "mask", "size")
 
-    def __init__(self, width: int):
-        if width <= 0:
-            raise SortError(f"bitvector width must be positive, got {width}")
-        self.width = width
+    def __new__(cls, width: int) -> "BitVecSort":
+        sort = _BV_CACHE.get(width)
+        if sort is None:
+            if width <= 0:
+                raise SortError(f"bitvector width must be positive, got {width}")
+            sort = object.__new__(cls)
+            sort.width = width
+            sort.size = 1 << width
+            sort.mask = sort.size - 1
+            sort = _BV_CACHE.setdefault(width, sort)
+        return sort
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BitVecSort) and other.width == self.width
-
-    def __hash__(self) -> int:
-        return hash(("BitVecSort", self.width))
+    def __reduce__(self):
+        return (BitVecSort, (self.width,))
 
     def __repr__(self) -> str:
         return f"BitVec({self.width})"
-
-    @property
-    def mask(self) -> int:
-        """Bitmask covering the full width (``2**width - 1``)."""
-        return (1 << self.width) - 1
-
-    @property
-    def size(self) -> int:
-        """Number of distinct values of this sort (``2**width``)."""
-        return 1 << self.width
 
     def wrap(self, value: int) -> int:
         """Reduce ``value`` into the unsigned range of this sort."""
@@ -84,18 +88,14 @@ class BitVecSort(Sort):
         return self.wrap(value)
 
 
-BOOL = BoolSort()
+BOOL = object.__new__(BoolSort)
 
 _BV_CACHE: dict[int, BitVecSort] = {}
 
 
 def bitvec_sort(width: int) -> BitVecSort:
-    """Return the (cached) bitvector sort of the given width."""
-    sort = _BV_CACHE.get(width)
-    if sort is None:
-        sort = BitVecSort(width)
-        _BV_CACHE[width] = sort
-    return sort
+    """Return the singleton bitvector sort of the given width."""
+    return _BV_CACHE.get(width) or BitVecSort(width)
 
 
 BV8 = bitvec_sort(8)

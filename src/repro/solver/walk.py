@@ -6,38 +6,32 @@ message variables, and measuring expression sizes for reporting.
 
 Because expression nodes are interned (see :mod:`repro.solver.ast`), the
 traversals here memoize per-node: ``collect_vars`` and ``expr_size`` cache
-their result against the node itself in weak-keyed tables, so the repeated
+their result in the node's own ``_vars`` / ``_size`` slots, so the repeated
 queries the solver hot path issues (variable counts for constraint ordering,
-definition detection) cost one dict lookup after the first visit.
+definition detection) cost one attribute read after the first visit, and a
+memo dies with its node.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Iterable, Mapping
 
 from repro.solver import ast
 from repro.solver.ast import Expr
 
-#: Per-node memo tables. Weak keys: entries die with their expression.
-_VARS_CACHE: "weakref.WeakKeyDictionary[Expr, frozenset[Expr]]" = (
-    weakref.WeakKeyDictionary())
-_SIZE_CACHE: "weakref.WeakKeyDictionary[Expr, int]" = weakref.WeakKeyDictionary()
-
 
 def collect_vars(expr: Expr) -> frozenset[Expr]:
     """Return the set of variable nodes occurring in ``expr`` (memoized)."""
-    if expr.is_var:
-        # Not cached: the entry's value would strongly reference its own
-        # key and pin the variable in the weak table forever.
-        return frozenset((expr,))
-    cached = _VARS_CACHE.get(expr)
+    cached = expr._vars
     if cached is not None:
         return cached
+    if expr.op == ast.OP_VAR:
+        # Not cached: the memo would reference its own node, a cycle that
+        # only the garbage collector could free.
+        return frozenset((expr,))
     found: set[Expr] = set()
     _walk_vars(expr, found, set())
-    result = frozenset(found)
-    _VARS_CACHE[expr] = result
+    result = expr._vars = frozenset(found)
     return result
 
 
@@ -56,7 +50,7 @@ def _walk_vars(expr: Expr, found: set[Expr], visited: set[Expr]) -> None:
         if node in visited:
             continue
         visited.add(node)
-        cached = _VARS_CACHE.get(node)
+        cached = node._vars
         if cached is not None:
             found |= cached
         elif node.is_var:
@@ -67,7 +61,7 @@ def _walk_vars(expr: Expr, found: set[Expr], visited: set[Expr]) -> None:
 
 def expr_size(expr: Expr) -> int:
     """Number of distinct nodes in ``expr`` (shared subtrees counted once)."""
-    cached = _SIZE_CACHE.get(expr)
+    cached = expr._size
     if cached is not None:
         return cached
     seen: set[Expr] = set()
@@ -78,8 +72,7 @@ def expr_size(expr: Expr) -> int:
             continue
         seen.add(node)
         stack.extend(node.args)
-    result = len(seen)
-    _SIZE_CACHE[expr] = result
+    result = expr._size = len(seen)
     return result
 
 

@@ -230,6 +230,47 @@ class TestScalarPayloads:
                 assert all(a is b for a, b in zip(kept, shipped))
 
 
+class TestSolverTerms:
+    """The solver's term types, which every payload above carries:
+    sorts come back as the singletons, expressions re-intern, and
+    intervals come back equal (and still immutable)."""
+
+    def test_sorts_are_the_singletons(self):
+        from repro.solver.sorts import BOOL, BitVecSort, BoolSort, bitvec_sort
+
+        sorts = (BOOL, bitvec_sort(8), bitvec_sort(32), BitVecSort(5))
+        copy = wire_roundtrip(sorts)
+        assert all(a is b for a, b in zip(copy, sorts))
+        assert BoolSort() is copy[0]
+
+    def test_expressions_re_intern(self):
+        from repro.solver import ast
+        from repro.solver.simplify import canonicalize
+        from repro.solver.walk import collect_vars
+
+        x, y = ast.bv_var("wx", 8), ast.bv_var("wy", 16)
+        exprs = (x, ast.ult(x, ast.bv_const(9, 8)),
+                 ast.not_(ast.eq(ast.zext(x, 16) + 1, y)), ast.TRUE)
+        for expr in exprs:
+            # Warm the memo slots: they must not travel, nor break pickling.
+            canonicalize(expr)
+            collect_vars(expr)
+        copy = wire_roundtrip(exprs)
+        assert all(a is b for a, b in zip(copy, exprs))
+        assert copy[2].args[0].args[1].sort is y.sort
+
+    def test_intervals(self):
+        from repro.solver import interval as iv
+        from repro.solver.interval import Interval
+
+        intervals = (Interval(0, 9), iv.full(8), iv.BOOL_FULL)
+        copy = wire_roundtrip(intervals)
+        assert copy == intervals
+        assert all(isinstance(i, Interval) for i in copy)
+        with pytest.raises(AttributeError):
+            copy[0].lo = 1
+
+
 class TestWorkerMessages:
     """The other payloads a worker puts on its result queue."""
 

@@ -19,7 +19,7 @@ from repro.solver.ast import (
     ult,
     zext,
 )
-from repro.solver.sorts import BOOL, bitvec_sort
+from repro.solver.sorts import BOOL, BitVecSort, BoolSort, bitvec_sort
 
 
 X = bv_var("x", 8)
@@ -154,6 +154,43 @@ class TestStructuralIdentity:
         pred = ne(X, bv_const(3, 8))
         assert pred.op == "not"
         assert pred.args[0].op == "eq"
+
+
+class TestSortSingletons:
+    def test_constructors_return_the_singletons(self):
+        assert BitVecSort(8) is bitvec_sort(8)
+        assert BitVecSort(13) is bitvec_sort(13)
+        assert BoolSort() is BOOL
+
+    def test_equality_and_hash_are_identity_in_c(self):
+        # No Python-level __eq__/__hash__: comparisons and intern-key
+        # hashing never enter a Python frame.
+        for cls in (BoolSort, BitVecSort):
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+        assert bitvec_sort(8) != bitvec_sort(16)
+        assert bitvec_sort(8) != BOOL
+
+    def test_pickle_and_copy_return_the_singletons(self):
+        import copy
+        import pickle
+
+        for sort in (BOOL, bitvec_sort(8), bitvec_sort(32)):
+            assert pickle.loads(pickle.dumps(sort)) is sort
+            assert copy.copy(sort) is sort
+            assert copy.deepcopy(sort) is sort
+
+    def test_width_and_mask(self):
+        sort = BitVecSort(12)
+        assert (sort.width, sort.mask, sort.size) == (12, 0xFFF, 4096)
+        assert sort.wrap(0x1234) == 0x234
+        assert sort.to_signed(0xFFF) == -1
+
+    def test_non_positive_width_rejected(self):
+        with pytest.raises(SortError):
+            BitVecSort(0)
+        with pytest.raises(SortError):
+            bitvec_sort(-8)
 
 
 class TestWidthOps:

@@ -43,32 +43,43 @@ class TestInterning:
         assert hash(e1) == hash(e2)
 
     def test_transient_expressions_are_reclaimed(self):
-        """Interning and the memo tables must not pin dead expressions:
-        the weak tables exist precisely so long runs stay bounded."""
+        """Interning and the per-node memos must not pin dead expressions:
+        once the last formula referencing a node goes, reference counting
+        alone frees it — no memo slot forms a cycle the garbage collector
+        would have to break — and its intern-table entry goes with it."""
         import gc
+        import weakref
 
-        from repro.solver import ast as ast_module
-        from repro.solver.simplify import _CANON_CACHE, canonicalize
-        from repro.solver.walk import _VARS_CACHE, collect_vars
+        from repro.solver.simplify import _fingerprint, canonicalize
+        from repro.solver.walk import collect_vars, expr_size
 
-        def churn():
+        def churn(watched):
             for i in range(500):
                 x = bv_var(f"transient{i}", 8)
-                expr = (x + 3) * bv_var(f"transient_rhs{i}", 8)
-                canonicalize(expr)
-                collect_vars(expr)
+                y = bv_var(f"transient_rhs{i}", 8)
+                for expr in ((x + 3) * y,          # canonical already
+                             not_(ult(x, y)),      # canonicalizes to ule(y, x)
+                             eq(bv_const(i % 256, 8), (y + x) + 1)):
+                    canonical = canonicalize(expr)
+                    for node in (expr, canonical, x):
+                        collect_vars(node)
+                        expr_size(node)
+                        _fingerprint(node)
+                    if i == 0:
+                        watched += [weakref.ref(node)
+                                    for node in (x, expr, canonical)]
 
         gc.collect()
-        before = (len(ast_module._INTERN_TABLE), len(_CANON_CACHE),
-                  len(_VARS_CACHE))
-        churn()
-        gc.collect()
-        after = (len(ast_module._INTERN_TABLE), len(_CANON_CACHE),
-                 len(_VARS_CACHE))
-        slack = 20  # live fixtures/module constants may drift slightly
-        assert after[0] <= before[0] + slack, "intern table leaked"
-        assert after[1] <= before[1] + slack, "canonicalization memo leaked"
-        assert after[2] <= before[2] + slack, "collect_vars memo leaked"
+        baseline = len(ast._INTERN_TABLE)
+        watched = []
+        gc.disable()
+        try:
+            churn(watched)
+            assert watched and all(ref() is None for ref in watched), \
+                "a churned node outlived its last reference (memo cycle?)"
+            assert len(ast._INTERN_TABLE) == baseline, "intern table leaked"
+        finally:
+            gc.enable()
 
 
 class TestQueryCache:

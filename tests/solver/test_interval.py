@@ -42,6 +42,42 @@ class TestBasics:
     def test_hull(self):
         assert Interval(0, 2).hull(Interval(9, 11)) == Interval(0, 11)
 
+    def test_immutable(self):
+        interval = Interval(3, 9)
+        with pytest.raises(AttributeError):
+            interval.lo = 0
+        with pytest.raises(AttributeError):
+            interval.hi = 200
+        with pytest.raises(AttributeError):
+            del interval.lo
+        with pytest.raises(AttributeError):
+            interval.extra = 1
+        assert (interval.lo, interval.hi) == (3, 9)
+
+    def test_value_equality_and_hash(self):
+        assert Interval(3, 9) == Interval(3, 9)
+        assert Interval(3, 9) != Interval(3, 10)
+        assert Interval(3, 9) != (3, 9)
+        assert hash(Interval(3, 9)) == hash(Interval(3, 9))
+        assert len({Interval(0, 1), Interval(0, 1), iv.BOOL_FULL}) == 1
+        assert repr(Interval(3, 9)) == "Interval(lo=3, hi=9)"
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        interval = Interval(7, 42)
+        for clone in (pickle.loads(pickle.dumps(interval)),
+                      copy.copy(interval), copy.deepcopy(interval)):
+            assert clone == interval
+            assert (clone.lo, clone.hi) == (7, 42)
+
+    def test_full_is_one_shared_instance_per_width(self):
+        assert iv.full(8) is iv.full(8)
+        assert iv.full(8) == Interval(0, 255)
+        assert iv.full(16) == Interval(0, 0xFFFF)
+        assert iv.full(1) is not iv.full(2)
+
 
 _BINARY_OPS = ["add", "sub", "mul", "udiv", "urem", "bvand", "bvor", "bvxor",
                "shl", "lshr", "ashr"]
