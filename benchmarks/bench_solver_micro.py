@@ -28,6 +28,12 @@ from repro.solver.ast import bv_const, bv_var
 from repro.solver.cache import QueryCache
 from repro.solver import interval as iv
 from repro.solver.incremental import IncrementalSolver
+from repro.solver.propagate import (
+    TrailDomains,
+    build_var_index,
+    initial_domains,
+    propagate_delta,
+)
 from repro.solver.simplify import _fingerprint, canonicalize
 from repro.solver.solver import Solver
 from repro.solver.sorts import BOOL, BV8
@@ -436,9 +442,12 @@ def _term_kernel_ops():
     for warm in (canonicalize, collect_vars, expr_size, _fingerprint):
         warm(node)
     add_node = ast.add(x, y)
+    # Kept alive, so every rebuild through the simplifying constructor is
+    # an intern hit rather than a new node that dies at once.
+    ult_node = ast.ult(add_node, y)
     sort = x.sort
     table = {BV8: 1, BOOL: 0}
-    return node, {
+    return (node, ult_node), {
         "intern_hit_expr": lambda: ast.Expr("add", BV8, (x, y)),
         "intern_hit_ult": lambda: ast.ult(add_node, y),
         "memo_hit_canonicalize": lambda: canonicalize(node),
@@ -458,11 +467,15 @@ def test_term_kernels_stay_in_c(json_artifact):
     compares make no Python-level call into ``repro.solver.sorts`` or
     ``weakref``. Sorts are identity-hashed singletons, the memos are slots
     on the node and the intern table is a plain dict of weak references,
-    so those steps run in C. Counts Python frames with ``sys.setprofile``
-    over 1,000 rounds of each operation; the per-operation timings are
-    recorded in ``BENCH_term_kernels.json`` but not gated."""
+    so those steps run in C. An intern hit through a simplifying
+    constructor (``ast.ult`` on two live bitvector nodes) makes two
+    Python calls, the constructor and ``Expr.__new__``: its fast path
+    reads no property and calls no ``Expr.__eq__`` or sort check. Counts
+    Python frames with ``sys.setprofile`` over 1,000 rounds of each
+    operation; the per-operation timings are recorded in
+    ``BENCH_term_kernels.json`` but not gated."""
     rounds = 1_000
-    node, ops = _term_kernel_ops()
+    live, ops = _term_kernel_ops()
     gated = [name for name in ops if not name.startswith("interval")]
     calls: dict[str, dict[str, int]] = {}
 
@@ -506,3 +519,78 @@ def test_term_kernels_stay_in_c(json_artifact):
     # Sort compares and hashes never enter a Python frame at all.
     for name in ("sort_eq", "sort_ne", "sort_hash_lookup"):
         assert calls[name] == {}, (name, calls[name])
+    assert calls["intern_hit_ult"] == {"repro.solver.ast": 2 * rounds}, \
+        calls["intern_hit_ult"]
+
+
+# -- propagation kernel: the interval interpreter above the term kernels -------
+
+
+def _kernel_conjuncts():
+    """A fixed, satisfiable FSP Trojan-query conjunct set: a server
+    path's field equalities (command, checksum and session stubs, a path
+    length of 2, then one printable path byte and a NUL) and the
+    negation disjunctions of four client predicates, shaped as a hunt
+    poses them (one per path length 1-4, each binding the path bytes to
+    fresh client arguments)."""
+    msg = message_vars(FSP_LAYOUT, "msg")
+
+    def byte(value):
+        return bv_const(value, 8)
+
+    def printable(term):
+        return ast.and_(ast.ule(byte(33), term), ast.ule(term, byte(126)))
+
+    conjuncts = [ast.eq(msg[index], byte(value)) for index, value in
+                 enumerate((0x41, 0x5A, 0x12, 0x34, 0x00, 0x01, 0x00, 0x02))]
+    conjuncts += [printable(msg[12]), ast.eq(msg[13], byte(0))]
+    for length in range(1, 5):
+        args = [bv_var(f"~{length}.buf.arg[{i}]", 8) for i in range(5)]
+        shorter = [arm for arg in args[:length]
+                   for arm in (ast.eq(arg, byte(0)), ast.not_(printable(arg)))]
+        conjuncts.append(ast.or_(
+            ast.ne(msg[0], byte(0x41)),
+            ast.not_(ast.and_(ast.eq(msg[6], byte(0)),
+                              ast.eq(msg[7], byte(length)))),
+            ast.and_(*[ast.eq(msg[12 + i], arg) for i, arg in enumerate(args)],
+                     ast.or_(*shorter, ast.ne(args[length], byte(0))))))
+    return conjuncts
+
+
+def test_propagation_kernel_call_count(json_artifact):
+    """Deterministic count gate on the propagation kernel: the Python
+    calls one ``propagate_delta`` makes from full ranges on
+    :func:`_kernel_conjuncts`. The kernel dispatches on per-operator
+    tables, answers variables and constants before its forward cache,
+    keeps one forward cache for the whole fixpoint and reads the write
+    trail in place. The string-compare kernel it replaced made 1,952 calls
+    here; the gate holds the kernel to half of that. Counts Python frames with ``sys.setprofile``, not time,
+    so the gate cannot flake; the fixpoint itself is pinned by the
+    conformance suite's fixpoint digests."""
+    conjuncts = _kernel_conjuncts()
+    domains = TrailDomains(initial_domains(conjuncts))
+    var_index = build_var_index(conjuncts)
+    calls: dict[str, int] = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = frame.f_code.co_name
+            calls[name] = calls.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        ok = propagate_delta(domains, var_index, conjuncts)
+    finally:
+        sys.setprofile(None)
+    total = sum(calls.values())
+    print(f"\npropagation kernel: {total} Python calls, "
+          f"{len(domains._trail)} domain writes")
+    json_artifact("propagation_kernel", {
+        "workload": "one propagate_delta over a fixed FSP conjunct set",
+        "conjuncts": len(conjuncts),
+        "domain_writes": len(domains._trail),
+        "python_calls": total,
+        "python_calls_by_function": dict(sorted(calls.items())),
+    })
+    assert ok
+    assert total <= 1_952 // 2

@@ -41,7 +41,7 @@ import weakref
 from typing import Iterable, Sequence
 
 from repro.errors import SortError
-from repro.solver.sorts import BOOL, BitVecSort, Sort, bitvec_sort
+from repro.solver.sorts import _BV_CACHE, BOOL, BitVecSort, Sort, bitvec_sort
 
 # Operator name constants. Grouped by family; the solver's propagation and
 # evaluation switch on these strings.
@@ -313,13 +313,14 @@ def bool_const(value: bool) -> Expr:
 
 def bv_const(value: int, width: int) -> Expr:
     """A bitvector constant; ``value`` is wrapped into the unsigned range."""
-    sort = bitvec_sort(width)
+    sort = _BV_CACHE.get(width) or bitvec_sort(width)
     return Expr(OP_CONST, sort, params=(value & sort.mask,))
 
 
 def bv_var(name: str, width: int) -> Expr:
     """A bitvector variable. Variables are identified by (name, sort)."""
-    return Expr(OP_VAR, bitvec_sort(width), params=(name,))
+    return Expr(OP_VAR, _BV_CACHE.get(width) or bitvec_sort(width),
+                params=(name,))
 
 
 def bool_var(name: str) -> Expr:
@@ -569,15 +570,25 @@ def extract(a: Expr, hi: int, lo: int) -> Expr:
 
 def concat(hi: Expr, lo: Expr) -> Expr:
     """Concatenate two bitvectors; ``hi`` occupies the most significant bits."""
-    if not isinstance(hi.sort, BitVecSort) or not isinstance(lo.sort, BitVecSort):
+    hi_sort, lo_sort = hi.sort, lo.sort
+    if hi_sort.__class__ is not BitVecSort or lo_sort.__class__ is not BitVecSort:
         raise SortError("concat applies to bitvectors")
-    width = hi.width + lo.width
-    if hi.is_const and lo.is_const:
-        return bv_const((hi.value << lo.width) | lo.value, width)
-    return Expr("concat", bitvec_sort(width), args=(hi, lo))
+    lo_width = lo_sort.width
+    width = hi_sort.width + lo_width
+    if hi.op == OP_CONST and lo.op == OP_CONST:
+        return bv_const((hi.params[0] << lo_width) | lo.params[0], width)
+    return Expr("concat", _BV_CACHE.get(width) or bitvec_sort(width),
+                args=(hi, lo))
 
 
 # -- comparisons ----------------------------------------------------------------
+#
+# The hot comparisons open with a fast path for two interned nodes of one
+# bitvector sort: identity stands in for ``==``, and ``op``/``params``
+# reads for the ``is_const``/``value`` properties, so an intern hit makes
+# no Python call but ``Expr.__new__``. Everything else (bool operands,
+# sort errors, non-Expr operands, concat splitting) takes the general path
+# below it, which the fast path agrees with wherever both apply.
 
 
 def _comparison(op: str, a: Expr, b: Expr) -> Expr:
@@ -590,6 +601,16 @@ def _comparison(op: str, a: Expr, b: Expr) -> Expr:
 
 
 def eq(a: Expr, b: Expr) -> Expr:
+    if (a.__class__ is Expr and b.__class__ is Expr and a.sort is b.sort
+            and a.sort.__class__ is BitVecSort
+            and a.op != "concat" and b.op != "concat"):
+        if a is b:
+            return TRUE
+        if a.op == OP_CONST:
+            if b.op == OP_CONST:
+                return TRUE if a.params[0] == b.params[0] else FALSE
+            return Expr("eq", BOOL, (b, a))
+        return Expr("eq", BOOL, (a, b))
     if a.sort == BOOL and b.sort == BOOL:
         return iff(a, b)
     if a == b:
@@ -615,6 +636,16 @@ def ne(a: Expr, b: Expr) -> Expr:
 
 
 def ult(a: Expr, b: Expr) -> Expr:
+    if (a.__class__ is Expr and b.__class__ is Expr and a.sort is b.sort
+            and a.sort.__class__ is BitVecSort):
+        if a is b:
+            return FALSE
+        if b.op == OP_CONST:
+            if b.params[0] == 0:
+                return FALSE
+            if a.op == OP_CONST:
+                return TRUE if a.params[0] < b.params[0] else FALSE
+        return Expr("ult", BOOL, (a, b))
     if a == b:
         return FALSE
     if b.is_const and b.value == 0:
@@ -623,6 +654,16 @@ def ult(a: Expr, b: Expr) -> Expr:
 
 
 def ule(a: Expr, b: Expr) -> Expr:
+    if (a.__class__ is Expr and b.__class__ is Expr and a.sort is b.sort
+            and a.sort.__class__ is BitVecSort):
+        if a is b:
+            return TRUE
+        if a.op == OP_CONST:
+            if a.params[0] == 0:
+                return TRUE
+            if b.op == OP_CONST:
+                return TRUE if a.params[0] <= b.params[0] else FALSE
+        return Expr("ule", BOOL, (a, b))
     if a == b:
         return TRUE
     if a.is_const and a.value == 0:
@@ -666,11 +707,16 @@ def _check_bool(a: Expr) -> None:
         raise SortError(f"boolean operand required, got sort {a.sort}")
 
 
+# The connectives compare with the interned TRUE/FALSE nodes by identity
+# (the only boolean constants) instead of reading ``is_true``/``is_false``.
+
+
 def not_(a: Expr) -> Expr:
-    _check_bool(a)
-    if a.is_true:
+    if a.sort is not BOOL:
+        _check_bool(a)
+    if a is TRUE:
         return FALSE
-    if a.is_false:
+    if a is FALSE:
         return TRUE
     if a.op == "not":
         return a.args[0]
@@ -681,45 +727,45 @@ def and_(*operands: Expr) -> Expr:
     """N-ary conjunction with constant shortcuts and flattening."""
     flat: list[Expr] = []
     for operand in operands:
-        _check_bool(operand)
-        if operand.is_false:
+        if operand.sort is not BOOL:
+            _check_bool(operand)
+        if operand is FALSE:
             return FALSE
-        if operand.is_true:
+        if operand is TRUE:
             continue
         if operand.op == "and":
             flat.extend(operand.args)
         else:
             flat.append(operand)
     # Deduplicate while preserving order.
-    seen: set[Expr] = set()
-    unique = [e for e in flat if not (e in seen or seen.add(e))]
+    unique = tuple(dict.fromkeys(flat))
     if not unique:
         return TRUE
     if len(unique) == 1:
         return unique[0]
-    return Expr("and", BOOL, args=tuple(unique))
+    return Expr("and", BOOL, args=unique)
 
 
 def or_(*operands: Expr) -> Expr:
     """N-ary disjunction with constant shortcuts and flattening."""
     flat: list[Expr] = []
     for operand in operands:
-        _check_bool(operand)
-        if operand.is_true:
+        if operand.sort is not BOOL:
+            _check_bool(operand)
+        if operand is TRUE:
             return TRUE
-        if operand.is_false:
+        if operand is FALSE:
             continue
         if operand.op == "or":
             flat.extend(operand.args)
         else:
             flat.append(operand)
-    seen: set[Expr] = set()
-    unique = [e for e in flat if not (e in seen or seen.add(e))]
+    unique = tuple(dict.fromkeys(flat))
     if not unique:
         return FALSE
     if len(unique) == 1:
         return unique[0]
-    return Expr("or", BOOL, args=tuple(unique))
+    return Expr("or", BOOL, args=unique)
 
 
 def implies(a: Expr, b: Expr) -> Expr:

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.errors import SolverError
 from repro.solver.ast import Expr
 from repro.solver.evalmodel import all_hold
+from repro.solver import interval as iv
 from repro.solver.interval import Interval
 from repro.solver.propagate import (
     TrailDomains,
@@ -30,6 +31,7 @@ from repro.solver.propagate import (
     initial_domains,
     propagate_delta,
 )
+from repro.solver.sorts import BOOL
 from repro.solver.walk import collect_vars_all
 
 _DEFAULT_LIMIT = 1_000_000
@@ -86,11 +88,9 @@ def count_models(constraints: Iterable[Expr], variables: Sequence[Expr],
 
 
 def _full_domain(var: Expr) -> Interval:
-    from repro.solver.sorts import BOOL
-
-    if var.sort == BOOL:
-        return Interval(0, 1)
-    return Interval(0, var.sort.mask)
+    if var.sort is BOOL:
+        return iv.BOOL_FULL
+    return iv.full(var.sort.width)
 
 
 def _enumerate(constraints: list[Expr], domains: TrailDomains,
@@ -103,7 +103,7 @@ def _enumerate(constraints: list[Expr], domains: TrailDomains,
     the subtree is exhausted, restoring the parent fixpoint exactly.
     """
     if index == len(variables):
-        model = {var: domains.get(var, Interval(0, 0)).lo for var in variables}
+        model = {var: domains.get(var, iv.ZERO).lo for var in variables}
         if all_hold(constraints, model):
             yield model
         return
@@ -112,7 +112,7 @@ def _enumerate(constraints: list[Expr], domains: TrailDomains,
     watchers = var_index.get(var, ())
     for value in domain:
         mark = domains.mark()
-        domains[var] = Interval(value, value)
+        domains[var] = iv.singleton(value)
         if propagate_delta(domains, var_index, watchers, budget):
             yield from _enumerate(constraints, domains, var_index, variables,
                                   index + 1, budget)

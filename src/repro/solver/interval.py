@@ -10,7 +10,11 @@ candidate models by concrete evaluation, so precision only affects speed.
 :class:`Interval` is a slotted value class, not a dataclass: propagation
 builds tens of thousands per hunt, and a frozen dataclass pays a Python
 ``object.__setattr__`` per field. It is immutable all the same, which is
-what lets :func:`full` hand out one shared instance per width.
+what lets :func:`full` hand out one shared instance per width and
+:func:`singleton` one per byte value (:data:`ZERO` and :data:`ONE` are the
+boolean results). Each comparison has its own tri-valued decision
+(``compare_eq`` ... ``compare_sle``), looked up by operator name in
+:data:`COMPARISONS`.
 """
 
 from __future__ import annotations
@@ -94,10 +98,20 @@ def full(width: int) -> Interval:
     return interval
 
 
+#: Shared singletons of the byte values (bools included), indexed by
+#: value. A bounded table: wider values build a fresh interval each time.
+SMALL_SINGLETONS = tuple(Interval(value, value) for value in range(256))
+
+
 def singleton(value: int) -> Interval:
+    """``[value, value]``; one shared instance per value below 256."""
+    if 0 <= value < 256:
+        return SMALL_SINGLETONS[value]
     return Interval(value, value)
 
 
+ZERO = SMALL_SINGLETONS[0]
+ONE = SMALL_SINGLETONS[1]
 BOOL_FULL = Interval(0, 1)
 
 
@@ -198,10 +212,6 @@ def bvnot(a: Interval, width: int) -> Interval:
     return Interval(mask - a.hi, mask - a.lo)
 
 
-def zext(a: Interval, new_width: int) -> Interval:
-    return a
-
-
 def sext(a: Interval, old_width: int, new_width: int) -> Interval:
     sign_threshold = 1 << (old_width - 1)
     shift = (1 << new_width) - (1 << old_width)
@@ -240,40 +250,62 @@ TRI_FALSE = 0
 TRI_UNKNOWN = -1
 
 
+def compare_eq(a: Interval, b: Interval, width: int) -> int:
+    if a.hi < b.lo or b.hi < a.lo:
+        return TRI_FALSE
+    if a.lo == a.hi == b.lo == b.hi:
+        return TRI_TRUE
+    return TRI_UNKNOWN
+
+
+def compare_ult(a: Interval, b: Interval, width: int) -> int:
+    if a.hi < b.lo:
+        return TRI_TRUE
+    if a.lo >= b.hi:
+        return TRI_FALSE
+    return TRI_UNKNOWN
+
+
+def compare_ule(a: Interval, b: Interval, width: int) -> int:
+    if a.hi <= b.lo:
+        return TRI_TRUE
+    if a.lo > b.hi:
+        return TRI_FALSE
+    return TRI_UNKNOWN
+
+
+def compare_slt(a: Interval, b: Interval, width: int) -> int:
+    sa = signed_bounds(a, width)
+    sb = signed_bounds(b, width)
+    if sa is None or sb is None:
+        return TRI_UNKNOWN
+    if sa[1] < sb[0]:
+        return TRI_TRUE
+    if sa[0] >= sb[1]:
+        return TRI_FALSE
+    return TRI_UNKNOWN
+
+
+def compare_sle(a: Interval, b: Interval, width: int) -> int:
+    sa = signed_bounds(a, width)
+    sb = signed_bounds(b, width)
+    if sa is None or sb is None:
+        return TRI_UNKNOWN
+    if sa[1] <= sb[0]:
+        return TRI_TRUE
+    if sa[0] > sb[1]:
+        return TRI_FALSE
+    return TRI_UNKNOWN
+
+
+#: Comparison operator -> its tri-valued decision over intervals.
+COMPARISONS = {"eq": compare_eq, "ult": compare_ult, "ule": compare_ule,
+               "slt": compare_slt, "sle": compare_sle}
+
+
 def compare(op: str, a: Interval, b: Interval, width: int) -> int:
     """Decide a comparison over intervals, returning a TRI_* outcome."""
-    if op == "eq":
-        if a.is_singleton and b.is_singleton and a.lo == b.lo:
-            return TRI_TRUE
-        if a.intersect(b) is None:
-            return TRI_FALSE
-        return TRI_UNKNOWN
-    if op == "ult":
-        if a.hi < b.lo:
-            return TRI_TRUE
-        if a.lo >= b.hi:
-            return TRI_FALSE
-        return TRI_UNKNOWN
-    if op == "ule":
-        if a.hi <= b.lo:
-            return TRI_TRUE
-        if a.lo > b.hi:
-            return TRI_FALSE
-        return TRI_UNKNOWN
-    if op in ("slt", "sle"):
-        sa = signed_bounds(a, width)
-        sb = signed_bounds(b, width)
-        if sa is None or sb is None:
-            return TRI_UNKNOWN
-        if op == "slt":
-            if sa[1] < sb[0]:
-                return TRI_TRUE
-            if sa[0] >= sb[1]:
-                return TRI_FALSE
-        else:
-            if sa[1] <= sb[0]:
-                return TRI_TRUE
-            if sa[0] > sb[1]:
-                return TRI_FALSE
-        return TRI_UNKNOWN
-    raise SolverError(f"unknown comparison operator {op}")
+    decide = COMPARISONS.get(op)
+    if decide is None:
+        raise SolverError(f"unknown comparison operator {op}")
+    return decide(a, b, width)

@@ -18,6 +18,20 @@ Two entry points share the narrowing rules:
   ``undo_to`` restores the exact prior state in O(changes) — this is what
   lets :class:`~repro.solver.incremental.IncrementalSolver` pop a frame
   without recomputing or copying anything.
+
+The kernel under both is four walks over a constraint's nodes:
+:func:`forward` (the interval a term can take), ``_assert_true`` and
+``_assert_false`` (narrow so a boolean can hold or fail) and ``_narrow``
+(push a target interval down into a term). Each dispatches on the node's
+operator through a table of per-operator rules (``_FORWARD``,
+``_ASSERT_TRUE``, ``_ASSERT_FALSE``, ``_NARROW``); every operator of the
+expression language has an entry in each, so a missing entry means an
+unknown operator and raises :class:`~repro.errors.SolverError`. Variables
+and constants are answered before the forward cache is consulted, constants
+and 0/1 results are shared immutable intervals (:func:`interval.singleton`),
+and widths are read from the node's sort. One forward cache serves a whole
+fixpoint computation; every domain write clears it, so each cached interval
+always matches the current domains.
 """
 
 from __future__ import annotations
@@ -27,9 +41,9 @@ from typing import Iterable
 
 from repro.errors import SolverError
 from repro.solver import interval as iv
-from repro.solver.ast import Expr
+from repro.solver.ast import BV_BINARY_OPS, BV_UNARY_OPS, Expr
 from repro.solver.interval import Interval, TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
-from repro.solver.sorts import BOOL, BitVecSort
+from repro.solver.sorts import BOOL
 from repro.solver.walk import collect_vars, collect_vars_all
 
 Domains = dict[Expr, Interval]
@@ -38,6 +52,9 @@ Domains = dict[Expr, Interval]
 VarIndex = dict[Expr, list[Expr]]
 
 _MAX_ROUNDS = 40
+
+_SMALL = iv.SMALL_SINGLETONS
+_SMALL_LIMIT = len(_SMALL)
 
 #: Trail sentinel: the key was absent before the write.
 _ABSENT = object()
@@ -72,10 +89,6 @@ class TrailDomains(dict):
     def mark(self) -> int:
         """Current trail position, for a later :meth:`undo_to`."""
         return len(self._trail)
-
-    def written_since(self, mark: int) -> list[Expr]:
-        """Keys written since ``mark``, in write order (may repeat)."""
-        return [key for key, _ in self._trail[mark:]]
 
     def undo_to(self, mark: int) -> None:
         """Restore the exact state the dict had when ``mark`` was taken."""
@@ -124,6 +137,8 @@ def propagate_delta(domains: TrailDomains, var_index: VarIndex,
     queued = set(worklist)
     if max_pops is None:
         max_pops = default_pop_budget(len(queued) + len(var_index))
+    trail = domains._trail
+    cache: dict[Expr, Interval] = {}
     pops = 0
     try:
         while worklist:
@@ -132,10 +147,11 @@ def propagate_delta(domains: TrailDomains, var_index: VarIndex,
             pops += 1
             if pops > max_pops:
                 break
-            mark = domains.mark()
-            _assert_true(constraint, domains, {})
-            for var in domains.written_since(mark):
-                for watcher in var_index.get(var, ()):
+            mark = len(trail)
+            _assert_true(constraint, domains, cache)
+            # Wake the watchers of every variable this visit wrote.
+            for position in range(mark, len(trail)):
+                for watcher in var_index.get(trail[position][0], ()):
                     if watcher not in queued:
                         queued.add(watcher)
                         worklist.append(watcher)
@@ -152,7 +168,7 @@ def initial_domains(constraints: Iterable[Expr]) -> Domains:
     """Full-range domains for every variable in ``constraints``."""
     domains: Domains = {}
     for var in collect_vars_all(constraints):
-        domains[var] = iv.BOOL_FULL if var.sort == BOOL else iv.full(var.sort.width)
+        domains[var] = _full(var)
     return domains
 
 
@@ -168,11 +184,11 @@ def propagate(constraints: list[Expr], domains: Domains) -> Domains | None:
         constraint set unsatisfiable.
     """
     state = dict(domains)
+    cache: dict[Expr, Interval] = {}
     try:
         for _ in range(_MAX_ROUNDS):
             changed = False
             for constraint in constraints:
-                cache: dict[Expr, Interval] = {}
                 changed |= _assert_true(constraint, state, cache)
             if not changed:
                 break
@@ -198,209 +214,343 @@ def refutes(domains: Domains | None, constraint: Expr) -> bool:
     return domains is None or forward(constraint, domains, {}).hi == 0
 
 
+def _full(var: Expr) -> Interval:
+    """The whole range of ``var``'s sort."""
+    return iv.BOOL_FULL if var.sort is BOOL else iv.full(var.sort.width)
+
+
+def _unknown_operator(expr: Expr) -> SolverError:
+    return SolverError(f"cannot propagate through unknown operator {expr.op}")
+
+
+# -- forward: the interval a term can take ------------------------------------
+
+
 def forward(expr: Expr, domains: Domains, cache: dict[Expr, Interval]) -> Interval:
-    """Sound interval over-approximation of ``expr`` under ``domains``."""
-    hit = cache.get(expr)
-    if hit is not None:
-        return hit
-    result = _forward(expr, domains, cache)
-    cache[expr] = result
-    return result
+    """Sound interval over-approximation of ``expr`` under ``domains``.
 
-
-def _forward(expr: Expr, domains: Domains, cache: dict[Expr, Interval]) -> Interval:
+    ``cache`` memoizes compound nodes; it must be cleared whenever
+    ``domains`` changes (``_narrow`` does so on every write).
+    """
     op = expr.op
-    if op == "const":
-        return iv.singleton(expr.params[0])
     if op == "var":
         domain = domains.get(expr)
-        if domain is None:
-            return iv.BOOL_FULL if expr.sort == BOOL else iv.full(expr.sort.width)
-        return domain
-    if op in ("add", "sub", "mul", "udiv", "urem", "bvand", "bvor", "bvxor",
-              "shl", "lshr", "ashr"):
-        a = forward(expr.args[0], domains, cache)
-        b = forward(expr.args[1], domains, cache)
-        return getattr(iv, op)(a, b, expr.width)
-    if op in ("eq", "ult", "ule", "slt", "sle"):
-        a = forward(expr.args[0], domains, cache)
-        b = forward(expr.args[1], domains, cache)
-        outcome = iv.compare(op, a, b, expr.args[0].width)
-        if outcome == TRI_TRUE:
-            return iv.singleton(1)
-        if outcome == TRI_FALSE:
-            return iv.singleton(0)
-        return iv.BOOL_FULL
-    if op == "and":
-        if any(forward(a, domains, cache).hi == 0 for a in expr.args):
-            return iv.singleton(0)
-        if all(forward(a, domains, cache).lo == 1 for a in expr.args):
-            return iv.singleton(1)
-        return iv.BOOL_FULL
-    if op == "or":
-        if any(forward(a, domains, cache).lo == 1 for a in expr.args):
-            return iv.singleton(1)
-        if all(forward(a, domains, cache).hi == 0 for a in expr.args):
-            return iv.singleton(0)
-        return iv.BOOL_FULL
-    if op == "not":
-        inner = forward(expr.args[0], domains, cache)
-        if inner.is_singleton:
-            return iv.singleton(1 - inner.lo)
-        return iv.BOOL_FULL
-    if op == "neg":
-        return iv.neg(forward(expr.args[0], domains, cache), expr.width)
-    if op == "bvnot":
-        return iv.bvnot(forward(expr.args[0], domains, cache), expr.width)
-    if op == "zext":
-        return iv.zext(forward(expr.args[0], domains, cache), expr.width)
-    if op == "sext":
-        return iv.sext(forward(expr.args[0], domains, cache), expr.args[0].width, expr.width)
-    if op == "extract":
-        hi_bit, lo_bit = expr.params
-        return iv.extract(forward(expr.args[0], domains, cache), hi_bit, lo_bit,
-                          expr.args[0].width)
-    if op == "concat":
-        hi_part = forward(expr.args[0], domains, cache)
-        lo_part = forward(expr.args[1], domains, cache)
-        return iv.concat(hi_part, lo_part, expr.args[1].width)
-    if op == "ite":
-        cond = forward(expr.args[0], domains, cache)
-        if cond.is_singleton:
-            chosen = expr.args[1] if cond.lo else expr.args[2]
-            return forward(chosen, domains, cache)
-        return forward(expr.args[1], domains, cache).hull(
-            forward(expr.args[2], domains, cache))
-    raise SolverError(f"cannot propagate through unknown operator {expr.op}")
+        return _full(expr) if domain is None else domain
+    if op == "const":
+        value = expr.params[0]
+        return _SMALL[value] if value < _SMALL_LIMIT else Interval(value, value)
+    hit = cache.get(expr)
+    if hit is None:
+        rule = _FORWARD.get(op)
+        if rule is None:
+            raise _unknown_operator(expr)
+        hit = cache[expr] = rule(expr, domains, cache)
+    return hit
+
+
+def _forward_unary(transfer):
+    def rule(expr, domains, cache):
+        return transfer(forward(expr.args[0], domains, cache), expr.sort.width)
+    return rule
+
+
+def _forward_binary(transfer):
+    def rule(expr, domains, cache):
+        a, b = expr.args
+        return transfer(forward(a, domains, cache), forward(b, domains, cache),
+                        expr.sort.width)
+    return rule
+
+
+#: A comparison's tri-valued outcome as a boolean interval.
+_TRI_INTERVALS = {TRI_TRUE: iv.ONE, TRI_FALSE: iv.ZERO,
+                  TRI_UNKNOWN: iv.BOOL_FULL}
+
+
+def _forward_comparison(decide):
+    def rule(expr, domains, cache):
+        a, b = expr.args
+        return _TRI_INTERVALS[decide(forward(a, domains, cache),
+                                     forward(b, domains, cache),
+                                     a.sort.width)]
+    return rule
+
+
+def _forward_and(expr, domains, cache):
+    all_true = True
+    for arg in expr.args:
+        value = forward(arg, domains, cache)
+        if value.hi == 0:
+            return iv.ZERO
+        if value.lo != 1:
+            all_true = False
+    return iv.ONE if all_true else iv.BOOL_FULL
+
+
+def _forward_or(expr, domains, cache):
+    all_false = True
+    for arg in expr.args:
+        value = forward(arg, domains, cache)
+        if value.lo == 1:
+            return iv.ONE
+        if value.hi != 0:
+            all_false = False
+    return iv.ZERO if all_false else iv.BOOL_FULL
+
+
+def _forward_not(expr, domains, cache):
+    inner = forward(expr.args[0], domains, cache)
+    if inner.lo == inner.hi:
+        return iv.singleton(1 - inner.lo)
+    return iv.BOOL_FULL
+
+
+def _forward_zext(expr, domains, cache):
+    # Zero extension keeps every unsigned value as it is.
+    return forward(expr.args[0], domains, cache)
+
+
+def _forward_sext(expr, domains, cache):
+    inner = expr.args[0]
+    return iv.sext(forward(inner, domains, cache), inner.sort.width,
+                   expr.sort.width)
+
+
+def _forward_extract(expr, domains, cache):
+    inner = expr.args[0]
+    hi_bit, lo_bit = expr.params
+    return iv.extract(forward(inner, domains, cache), hi_bit, lo_bit,
+                      inner.sort.width)
+
+
+def _forward_concat(expr, domains, cache):
+    hi_part, lo_part = expr.args
+    return iv.concat(forward(hi_part, domains, cache),
+                     forward(lo_part, domains, cache), lo_part.sort.width)
+
+
+def _forward_ite(expr, domains, cache):
+    cond, then, otherwise = expr.args
+    chosen = forward(cond, domains, cache)
+    if chosen.lo == chosen.hi:
+        return forward(then if chosen.lo else otherwise, domains, cache)
+    return forward(then, domains, cache).hull(
+        forward(otherwise, domains, cache))
+
+
+#: Compound operator -> forward rule. Variables and constants are answered
+#: by :func:`forward` itself.
+_FORWARD = {
+    **{op: _forward_unary(getattr(iv, op)) for op in BV_UNARY_OPS},
+    **{op: _forward_binary(getattr(iv, op)) for op in BV_BINARY_OPS},
+    **{op: _forward_comparison(decide)
+       for op, decide in iv.COMPARISONS.items()},
+    "and": _forward_and,
+    "or": _forward_or,
+    "not": _forward_not,
+    "zext": _forward_zext,
+    "sext": _forward_sext,
+    "extract": _forward_extract,
+    "concat": _forward_concat,
+    "ite": _forward_ite,
+}
+
+#: Every operator of the expression language; the assert and narrow tables
+#: map each one without a rule of its own to :func:`_no_rule`.
+_OPERATORS = ("var", "const", *_FORWARD)
+
+
+def _no_rule(expr, *args) -> bool:
+    """A shape with no narrowing rule: a sound no-op."""
+    return False
+
+
+# -- assert: narrow so a boolean holds or fails -------------------------------
 
 
 def _assert_true(expr: Expr, domains: Domains, cache: dict[Expr, Interval]) -> bool:
     """Refine domains so the boolean ``expr`` can be true. Returns changed?"""
-    op = expr.op
-    if op == "const":
-        if expr.params[0] == 0:
-            raise _Contradiction()
-        return False
-    if op == "var":
-        return _narrow(expr, iv.singleton(1), domains, cache)
-    if op == "not":
-        return _assert_false(expr.args[0], domains, cache)
-    if op == "and":
-        changed = False
-        for arg in expr.args:
-            changed |= _assert_true(arg, domains, cache)
-        return changed
-    if op == "or":
-        # If all but one disjunct is definitely false, the last must hold.
-        open_args = [a for a in expr.args if forward(a, domains, cache).hi != 0]
-        if not open_args:
-            raise _Contradiction()
-        if len(open_args) == 1:
-            return _assert_true(open_args[0], domains, cache)
-        # All open arms bound the *same* variable: it must lie in the hull
-        # of the per-arm intervals (one arm holds, each arm implies its
-        # interval). Membership disjunctions (msg[0] == A ∨ msg[0] == B)
-        # narrow here instead of leaving the full range to the search.
-        hull = _common_var_hull(open_args)
-        if hull is not None:
-            return _narrow(hull[0], hull[1], domains, cache)
-        return False
-    if op in ("eq", "ult", "ule", "slt", "sle"):
-        return _assert_comparison(op, expr.args[0], expr.args[1], domains, cache)
-    if op == "ite":
-        cond_iv = forward(expr.args[0], domains, cache)
-        if cond_iv.is_singleton:
-            chosen = expr.args[1] if cond_iv.lo else expr.args[2]
-            return _assert_true(chosen, domains, cache)
-        return False
-    return False
+    rule = _ASSERT_TRUE.get(expr.op)
+    if rule is None:
+        raise _unknown_operator(expr)
+    return rule(expr, domains, cache)
 
 
 def _assert_false(expr: Expr, domains: Domains, cache: dict[Expr, Interval]) -> bool:
-    op = expr.op
-    if op == "const":
-        if expr.params[0] == 1:
-            raise _Contradiction()
-        return False
-    if op == "var":
-        return _narrow(expr, iv.singleton(0), domains, cache)
-    if op == "not":
-        return _assert_true(expr.args[0], domains, cache)
-    if op == "or":
-        changed = False
-        for arg in expr.args:
-            changed |= _assert_false(arg, domains, cache)
-        return changed
-    if op == "and":
-        open_args = [a for a in expr.args if forward(a, domains, cache).lo != 1]
-        if not open_args:
-            raise _Contradiction()
-        if len(open_args) == 1:
-            return _assert_false(open_args[0], domains, cache)
-        return False
-    if op == "eq":
-        a, b = expr.args
-        fa = forward(a, domains, cache)
-        fb = forward(b, domains, cache)
-        changed = False
-        # x != c prunes c only when it sits at a domain edge (intervals are
-        # contiguous, so interior holes cannot be represented).
-        if fb.is_singleton:
-            changed |= _exclude_edge(a, fb.lo, domains, cache)
-        if fa.is_singleton:
-            changed |= _exclude_edge(b, fa.lo, domains, cache)
-        if fa.is_singleton and fb.is_singleton and fa.lo == fb.lo:
-            raise _Contradiction()
-        return changed
-    if op == "ult":
-        # not(a < b)  <=>  b <= a
-        return _assert_comparison("ule", expr.args[1], expr.args[0], domains, cache)
-    if op == "ule":
-        return _assert_comparison("ult", expr.args[1], expr.args[0], domains, cache)
-    if op == "slt":
-        return _assert_comparison("sle", expr.args[1], expr.args[0], domains, cache)
-    if op == "sle":
-        return _assert_comparison("slt", expr.args[1], expr.args[0], domains, cache)
+    """Refine domains so the boolean ``expr`` can be false. Returns changed?"""
+    rule = _ASSERT_FALSE.get(expr.op)
+    if rule is None:
+        raise _unknown_operator(expr)
+    return rule(expr, domains, cache)
+
+
+def _true_const(expr, domains, cache):
+    if expr.params[0] == 0:
+        raise _Contradiction()
     return False
 
 
-def _assert_comparison(op: str, a: Expr, b: Expr, domains: Domains,
-                       cache: dict[Expr, Interval]) -> bool:
+def _false_const(expr, domains, cache):
+    if expr.params[0] == 1:
+        raise _Contradiction()
+    return False
+
+
+def _true_var(expr, domains, cache):
+    return _narrow_var(expr, iv.ONE, domains, cache)
+
+
+def _false_var(expr, domains, cache):
+    return _narrow_var(expr, iv.ZERO, domains, cache)
+
+
+def _true_not(expr, domains, cache):
+    return _assert_false(expr.args[0], domains, cache)
+
+
+def _false_not(expr, domains, cache):
+    return _assert_true(expr.args[0], domains, cache)
+
+
+def _true_and(expr, domains, cache):
+    changed = False
+    for arg in expr.args:
+        changed |= _assert_true(arg, domains, cache)
+    return changed
+
+
+def _false_or(expr, domains, cache):
+    changed = False
+    for arg in expr.args:
+        changed |= _assert_false(arg, domains, cache)
+    return changed
+
+
+def _true_or(expr, domains, cache):
+    # If all but one disjunct is definitely false, the last must hold.
+    open_args = [a for a in expr.args if forward(a, domains, cache).hi != 0]
+    if not open_args:
+        raise _Contradiction()
+    if len(open_args) == 1:
+        return _assert_true(open_args[0], domains, cache)
+    # All open arms bound the *same* variable: it must lie in the hull
+    # of the per-arm intervals (one arm holds, each arm implies its
+    # interval). Membership disjunctions (msg[0] == A ∨ msg[0] == B)
+    # narrow here instead of leaving the full range to the search.
+    hull = _common_var_hull(open_args)
+    if hull is not None:
+        return _narrow_var(hull[0], hull[1], domains, cache)
+    return False
+
+
+def _false_and(expr, domains, cache):
+    open_args = [a for a in expr.args if forward(a, domains, cache).lo != 1]
+    if not open_args:
+        raise _Contradiction()
+    if len(open_args) == 1:
+        return _assert_false(open_args[0], domains, cache)
+    return False
+
+
+def _true_ite(expr, domains, cache):
+    cond, then, otherwise = expr.args
+    chosen = forward(cond, domains, cache)
+    if chosen.lo == chosen.hi:
+        return _assert_true(then if chosen.lo else otherwise, domains, cache)
+    return False
+
+
+def _false_eq(expr, domains, cache):
+    a, b = expr.args
     fa = forward(a, domains, cache)
     fb = forward(b, domains, cache)
-    width = a.width
-    # Decide the comparison outright when the intervals already settle it:
-    # definitely-false must raise (otherwise the search keeps exploring a
-    # doomed subtree), definitely-true needs no narrowing.
-    outcome = iv.compare(op, fa, fb, width)
-    if outcome == TRI_FALSE:
-        raise _Contradiction()
-    if outcome == TRI_TRUE:
-        return False
     changed = False
-    if op == "eq":
-        target = fa.intersect(fb)
-        if target is None:
+    # x != c prunes c only when it sits at a domain edge (intervals are
+    # contiguous, so interior holes cannot be represented).
+    if fb.lo == fb.hi:
+        changed |= _exclude_edge(a, fb.lo, domains, cache)
+    if fa.lo == fa.hi:
+        changed |= _exclude_edge(b, fa.lo, domains, cache)
+        if fb.lo == fb.hi and fa.lo == fb.lo:
             raise _Contradiction()
-        changed |= _narrow(a, target, domains, cache)
-        changed |= _narrow(b, target, domains, cache)
-        return changed
-    if op == "ult":
-        if fb.hi == 0:
+    return changed
+
+
+# Comparison rules take the two operands, so a negated comparison is the
+# converse one with its operands swapped: not(a < b) <=> b <= a.
+
+
+def _comparison_rule(assert_ab):
+    def rule(expr, domains, cache):
+        a, b = expr.args
+        return assert_ab(a, b, domains, cache)
+    return rule
+
+
+def _converse_rule(assert_ab):
+    def rule(expr, domains, cache):
+        a, b = expr.args
+        return assert_ab(b, a, domains, cache)
+    return rule
+
+
+def _assert_eq(a, b, domains, cache):
+    fa = forward(a, domains, cache)
+    fb = forward(b, domains, cache)
+    lo = fa.lo if fa.lo > fb.lo else fb.lo
+    hi = fa.hi if fa.hi < fb.hi else fb.hi
+    if lo > hi:
+        raise _Contradiction()
+    if fa.lo == fa.hi == fb.lo == fb.hi:
+        return False
+    target = Interval(lo, hi)
+    changed = _narrow(a, target, domains, cache)
+    changed |= _narrow(b, target, domains, cache)
+    return changed
+
+
+def _assert_ult(a, b, domains, cache):
+    fa = forward(a, domains, cache)
+    fb = forward(b, domains, cache)
+    if fa.hi < fb.lo:
+        return False
+    if fa.lo >= fb.hi:
+        raise _Contradiction()
+    # fb.hi > fa.lo >= 0 here, so [0, fb.hi - 1] is never empty.
+    changed = _narrow(a, Interval(0, fb.hi - 1), domains, cache)
+    mask = a.sort.mask
+    lo = fa.lo + 1 if fa.lo < mask else mask
+    changed |= _narrow(b, Interval(lo, mask), domains, cache)
+    return changed
+
+
+def _assert_ule(a, b, domains, cache):
+    fa = forward(a, domains, cache)
+    fb = forward(b, domains, cache)
+    if fa.hi <= fb.lo:
+        return False
+    if fa.lo > fb.hi:
+        raise _Contradiction()
+    changed = _narrow(a, Interval(0, fb.hi), domains, cache)
+    changed |= _narrow(b, Interval(fa.lo, a.sort.mask), domains, cache)
+    return changed
+
+
+def _signed_rule(strict: bool):
+    decide = iv.compare_slt if strict else iv.compare_sle
+
+    def assert_ab(a, b, domains, cache):
+        fa = forward(a, domains, cache)
+        fb = forward(b, domains, cache)
+        width = a.sort.width
+        outcome = decide(fa, fb, width)
+        if outcome == TRI_FALSE:
             raise _Contradiction()
-        changed |= _narrow(a, Interval(0, fb.hi - 1), domains, cache)
-        mask = (1 << width) - 1
-        lo = min(fa.lo + 1, mask)
-        changed |= _narrow(b, Interval(lo, mask), domains, cache)
-        return changed
-    if op == "ule":
-        changed |= _narrow(a, Interval(0, fb.hi), domains, cache)
-        changed |= _narrow(b, Interval(fa.lo, (1 << width) - 1), domains, cache)
-        return changed
-    if op in ("slt", "sle"):
+        if outcome == TRI_TRUE:
+            return False
+        changed = False
         sa = iv.signed_bounds(fa, width)
         sb = iv.signed_bounds(fb, width)
-        strict = op == "slt"
         if sb is not None:
             hi_signed = sb[1] - 1 if strict else sb[1]
             narrowed = _signed_upper_bound(hi_signed, width)
@@ -414,7 +564,40 @@ def _assert_comparison(op: str, a: Expr, b: Expr, domains: Domains,
                 raise _Contradiction()
             changed |= _narrow_signed(b, narrowed, domains, cache)
         return changed
-    raise SolverError(f"unknown comparison operator {op}")
+    return assert_ab
+
+
+_assert_slt = _signed_rule(strict=True)
+_assert_sle = _signed_rule(strict=False)
+
+_ASSERT_TRUE = {
+    **dict.fromkeys(_OPERATORS, _no_rule),
+    "const": _true_const,
+    "var": _true_var,
+    "not": _true_not,
+    "and": _true_and,
+    "or": _true_or,
+    "ite": _true_ite,
+    "eq": _comparison_rule(_assert_eq),
+    "ult": _comparison_rule(_assert_ult),
+    "ule": _comparison_rule(_assert_ule),
+    "slt": _comparison_rule(_assert_slt),
+    "sle": _comparison_rule(_assert_sle),
+}
+
+_ASSERT_FALSE = {
+    **dict.fromkeys(_OPERATORS, _no_rule),
+    "const": _false_const,
+    "var": _false_var,
+    "not": _false_not,
+    "or": _false_or,
+    "and": _false_and,
+    "eq": _false_eq,
+    "ult": _converse_rule(_assert_ule),
+    "ule": _converse_rule(_assert_ult),
+    "slt": _converse_rule(_assert_sle),
+    "sle": _converse_rule(_assert_slt),
+}
 
 
 def _common_var_hull(arms: list[Expr]) -> tuple[Expr, Interval] | None:
@@ -442,19 +625,20 @@ def _common_var_hull(arms: list[Expr]) -> tuple[Expr, Interval] | None:
 
 def _arm_bounds(arm: Expr) -> tuple[Expr, Interval] | None:
     """``(var, interval)`` implied by a var-vs-constant comparison arm."""
-    if arm.op not in ("eq", "ult", "ule"):
+    op = arm.op
+    if op != "eq" and op != "ult" and op != "ule":
         return None
     lhs, rhs = arm.args
-    if lhs.is_var and lhs.sort != BOOL and rhs.is_const:
+    if lhs.op == "var" and lhs.sort is not BOOL and rhs.op == "const":
         var, value, var_left = lhs, rhs.params[0], True
-    elif rhs.is_var and rhs.sort != BOOL and lhs.is_const:
+    elif rhs.op == "var" and rhs.sort is not BOOL and lhs.op == "const":
         var, value, var_left = rhs, lhs.params[0], False
     else:
         return None
-    mask = (1 << var.width) - 1
-    if arm.op == "eq":
-        return var, Interval(value, value)
-    if arm.op == "ult":
+    if op == "eq":
+        return var, iv.singleton(value)
+    mask = var.sort.mask
+    if op == "ult":
         if var_left:
             return (var, Interval(0, value - 1)) if value > 0 else None
         return (var, Interval(value + 1, mask)) if value < mask else None
@@ -482,11 +666,10 @@ def _narrow_signed(expr: Expr, signed_range: tuple[int, int], domains: Domains,
                    cache: dict[Expr, Interval]) -> bool:
     """Narrow ``expr`` to a signed range, if it maps to a contiguous unsigned one."""
     lo, hi = signed_range
-    width = expr.width
-    period = 1 << width
     if lo >= 0:
         return _narrow(expr, Interval(lo, hi), domains, cache)
     if hi < 0:
+        period = expr.sort.size
         return _narrow(expr, Interval(lo + period, hi + period), domains, cache)
     # Straddles zero: [lo, hi] maps to [0, hi] U [lo+2^w, mask] — not
     # contiguous, so nothing sound can be pushed.
@@ -497,7 +680,7 @@ def _exclude_edge(expr: Expr, value: int, domains: Domains,
                   cache: dict[Expr, Interval]) -> bool:
     """Refine ``expr != value`` when ``value`` is at an edge of its interval."""
     current = forward(expr, domains, cache)
-    if current.is_singleton:
+    if current.lo == current.hi:
         if current.lo == value:
             raise _Contradiction()
         return False
@@ -508,6 +691,9 @@ def _exclude_edge(expr: Expr, value: int, domains: Domains,
     return False
 
 
+# -- narrow: push a target interval down into a term --------------------------
+
+
 def _narrow(expr: Expr, target: Interval, domains: Domains,
             cache: dict[Expr, Interval]) -> bool:
     """Push ``target`` down into ``expr``, narrowing variable domains.
@@ -515,88 +701,127 @@ def _narrow(expr: Expr, target: Interval, domains: Domains,
     Only shapes with an exact inverse are handled; everything else is a
     sound no-op. Returns True when any domain changed.
     """
-    op = expr.op
-    if op == "const":
-        if not target.contains(expr.params[0]):
-            raise _Contradiction()
+    rule = _NARROW.get(expr.op)
+    if rule is None:
+        raise _unknown_operator(expr)
+    return rule(expr, target, domains, cache)
+
+
+def _narrow_var(expr, target, domains, cache):
+    """The one place that writes a domain; it clears the forward cache."""
+    current = domains.get(expr)
+    if current is None:
+        current = _full(expr)
+    lo = target.lo if target.lo > current.lo else current.lo
+    hi = target.hi if target.hi < current.hi else current.hi
+    if lo > hi:
+        raise _Contradiction()
+    if lo == current.lo and hi == current.hi:
         return False
-    if op == "var":
-        current = domains.get(expr)
-        if current is None:
-            current = iv.BOOL_FULL if expr.sort == BOOL else iv.full(expr.sort.width)
-        narrowed = current.intersect(target)
-        if narrowed is None:
-            raise _Contradiction()
-        if narrowed != current:
-            domains[expr] = narrowed
-            cache.clear()
-            return True
-        return False
-    if op == "add":
-        # Invert through whichever operand is pinned (not just constants):
-        # this is what lets long checksum chains force their last free term.
-        fa = forward(expr.args[0], domains, cache)
-        fb = forward(expr.args[1], domains, cache)
-        if fb.is_singleton:
-            inner = iv.sub(target, fb, expr.width)
-            return _narrow(expr.args[0], inner, domains, cache)
-        if fa.is_singleton:
-            inner = iv.sub(target, fa, expr.width)
-            return _narrow(expr.args[1], inner, domains, cache)
-        return False
-    if op == "sub":
-        fa = forward(expr.args[0], domains, cache)
-        fb = forward(expr.args[1], domains, cache)
-        if fb.is_singleton:
-            inner = iv.add(target, fb, expr.width)
-            return _narrow(expr.args[0], inner, domains, cache)
-        if fa.is_singleton:
-            inner = iv.sub(fa, target, expr.width)
-            return _narrow(expr.args[1], inner, domains, cache)
-        return False
-    if op == "bvxor" and target.is_singleton:
-        fa = forward(expr.args[0], domains, cache)
-        fb = forward(expr.args[1], domains, cache)
-        if fb.is_singleton:
-            return _narrow(expr.args[0], iv.singleton(target.lo ^ fb.lo),
-                           domains, cache)
-        if fa.is_singleton:
-            return _narrow(expr.args[1], iv.singleton(target.lo ^ fa.lo),
-                           domains, cache)
-        return False
-    if op == "zext":
-        inner_full = iv.full(expr.args[0].width)
-        clipped = target.intersect(inner_full)
-        if clipped is None:
-            raise _Contradiction()
-        return _narrow(expr.args[0], clipped, domains, cache)
-    if op == "concat":
-        lo_width = expr.args[1].width
-        hi_target = Interval(target.lo >> lo_width, target.hi >> lo_width)
-        changed = _narrow(expr.args[0], hi_target, domains, cache)
-        if hi_target.is_singleton:
-            # The low part's bounds only project cleanly when the high
-            # part is fixed across the whole target range.
-            mask = (1 << lo_width) - 1
-            changed |= _narrow(
-                expr.args[1], Interval(target.lo & mask, target.hi & mask),
-                domains, cache)
-        return changed
-    if op == "ite":
-        cond_iv = forward(expr.args[0], domains, cache)
-        if cond_iv.is_singleton:
-            chosen = expr.args[1] if cond_iv.lo else expr.args[2]
-            return _narrow(chosen, target, domains, cache)
-        then_iv = forward(expr.args[1], domains, cache)
-        else_iv = forward(expr.args[2], domains, cache)
-        if then_iv.intersect(target) is None and else_iv.intersect(target) is None:
-            raise _Contradiction()
-        changed = False
-        if then_iv.intersect(target) is None:
-            changed |= _assert_false(expr.args[0], domains, cache)
-            changed |= _narrow(expr.args[2], target, domains, cache)
-        elif else_iv.intersect(target) is None:
-            changed |= _assert_true(expr.args[0], domains, cache)
-            changed |= _narrow(expr.args[1], target, domains, cache)
-        return changed
+    if lo == target.lo and hi == target.hi:
+        domains[expr] = target
+    else:
+        domains[expr] = Interval(lo, hi)
+    cache.clear()
+    return True
+
+
+def _narrow_const(expr, target, domains, cache):
+    if not target.lo <= expr.params[0] <= target.hi:
+        raise _Contradiction()
     return False
+
+
+def _narrow_add(expr, target, domains, cache):
+    # Invert through whichever operand is pinned (not just constants):
+    # this is what lets long checksum chains force their last free term.
+    a, b = expr.args
+    fa = forward(a, domains, cache)
+    fb = forward(b, domains, cache)
+    if fb.lo == fb.hi:
+        return _narrow(a, iv.sub(target, fb, expr.sort.width), domains, cache)
+    if fa.lo == fa.hi:
+        return _narrow(b, iv.sub(target, fa, expr.sort.width), domains, cache)
+    return False
+
+
+def _narrow_sub(expr, target, domains, cache):
+    a, b = expr.args
+    fa = forward(a, domains, cache)
+    fb = forward(b, domains, cache)
+    if fb.lo == fb.hi:
+        return _narrow(a, iv.add(target, fb, expr.sort.width), domains, cache)
+    if fa.lo == fa.hi:
+        return _narrow(b, iv.sub(fa, target, expr.sort.width), domains, cache)
+    return False
+
+
+def _narrow_bvxor(expr, target, domains, cache):
+    if target.lo != target.hi:
+        return False
+    a, b = expr.args
+    fa = forward(a, domains, cache)
+    fb = forward(b, domains, cache)
+    if fb.lo == fb.hi:
+        return _narrow(a, iv.singleton(target.lo ^ fb.lo), domains, cache)
+    if fa.lo == fa.hi:
+        return _narrow(b, iv.singleton(target.lo ^ fa.lo), domains, cache)
+    return False
+
+
+def _narrow_zext(expr, target, domains, cache):
+    inner = expr.args[0]
+    mask = inner.sort.mask
+    if target.lo > mask:
+        raise _Contradiction()
+    if target.hi > mask:
+        target = Interval(target.lo, mask)
+    return _narrow(inner, target, domains, cache)
+
+
+def _narrow_concat(expr, target, domains, cache):
+    hi_part, lo_part = expr.args
+    lo_width = lo_part.sort.width
+    hi_target = Interval(target.lo >> lo_width, target.hi >> lo_width)
+    changed = _narrow(hi_part, hi_target, domains, cache)
+    if hi_target.lo == hi_target.hi:
+        # The low part's bounds only project cleanly when the high
+        # part is fixed across the whole target range.
+        mask = lo_part.sort.mask
+        changed |= _narrow(lo_part, Interval(target.lo & mask, target.hi & mask),
+                           domains, cache)
+    return changed
+
+
+def _narrow_ite(expr, target, domains, cache):
+    cond, then, otherwise = expr.args
+    chosen = forward(cond, domains, cache)
+    if chosen.lo == chosen.hi:
+        return _narrow(then if chosen.lo else otherwise, target, domains, cache)
+    then_iv = forward(then, domains, cache)
+    else_iv = forward(otherwise, domains, cache)
+    then_out = then_iv.intersect(target) is None
+    else_out = else_iv.intersect(target) is None
+    if then_out and else_out:
+        raise _Contradiction()
+    changed = False
+    if then_out:
+        changed |= _assert_false(cond, domains, cache)
+        changed |= _narrow(otherwise, target, domains, cache)
+    elif else_out:
+        changed |= _assert_true(cond, domains, cache)
+        changed |= _narrow(then, target, domains, cache)
+    return changed
+
+
+_NARROW = {
+    **dict.fromkeys(_OPERATORS, _no_rule),
+    "var": _narrow_var,
+    "const": _narrow_const,
+    "add": _narrow_add,
+    "sub": _narrow_sub,
+    "bvxor": _narrow_bvxor,
+    "zext": _narrow_zext,
+    "concat": _narrow_concat,
+    "ite": _narrow_ite,
+}

@@ -40,7 +40,7 @@ from repro.solver import ast
 from repro.solver.ast import Expr
 from repro.solver.evalmodel import all_hold, evaluate
 from repro.solver.interval import Interval
-from repro.solver.propagate import Domains, forward, initial_domains, propagate
+from repro.solver.propagate import Domains, initial_domains, propagate
 from repro.solver.simplify import canonicalize
 from repro.solver.sorts import BOOL
 from repro.solver.walk import collect_vars, collect_vars_all, expr_size, substitute

@@ -33,6 +33,9 @@ disabled, so the suite is reproducible on 1-core CI runners; CI runs it
 as its own job step.
 """
 
+import hashlib
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.messages.layout import Field, MessageLayout
@@ -45,6 +48,7 @@ from repro.solver.incremental import IncrementalSolver
 from repro.solver.propagate import fixpoint, refutes
 from repro.solver.service import SolverService
 from repro.solver.solver import Solver
+from repro.solver.sorts import BoolSort
 from repro.solver.walk import collect_vars_all
 from repro.symex.engine import Engine, EngineConfig
 
@@ -402,3 +406,140 @@ def test_all_layers_one_oracle():
         # Prefix monotonicity: once UNSAT, deeper stays UNSAT.
         for shallow, deep in zip(prefix_answers, prefix_answers[1:]):
             assert shallow or not deep
+
+
+# -- fixpoint parity: the propagation kernel's domains, pinned -----------------
+
+
+def _fixpoint_text(outcome, domains) -> str:
+    """A fixpoint as text: the outcome, then every domain by variable name."""
+    if domains is None:
+        return f"{outcome}:unsat\n"
+    entries = sorted((var.params[0], 0 if var.sort.__class__ is BoolSort
+                      else var.sort.width, interval.lo, interval.hi)
+                     for var, interval in domains.items())
+    return f"{outcome}:" + ";".join(
+        f"{name}/{width}=[{lo},{hi}]" for name, width, lo, hi in entries) + "\n"
+
+
+def _battery_fixpoints(record):
+    """From-scratch fixpoints of every battery query, each conjunct alone
+    and with the second conjunct negated, then of :func:`_rule_sweep`."""
+    for anchor, conjunct in _battery():
+        for constraints in ([anchor, conjunct], [conjunct],
+                            [anchor, ast.not_(conjunct)]):
+            record("propagate", fixpoint(constraints))
+    for constraints in _rule_sweep():
+        record("propagate", fixpoint(constraints))
+
+
+def _rule_sweep():
+    """Constraint sets that reach every narrowing rule from either side:
+    each comparison, plain and negated, between a constant and a term
+    (a variable, an invertible arithmetic term, an ``ite``, a concat and
+    a zero extension), alone and beside bounds on the term's variables;
+    then disjunctions over one variable and a negated conjunction."""
+    x, y = ast.bv_var("sweep_x", 8), ast.bv_var("sweep_y", 8)
+    bounds = [ast.ule(x, bv_const(0x90, 8)), ast.ult(bv_const(2, 8), y)]
+    terms = [x, ast.add(x, bv_const(3, 8)), ast.sub(bv_const(200, 8), x),
+             ast.bvxor(x, bv_const(0x0F, 8)),
+             ast.ite(ast.bool_var("sweep_p"), x, y),
+             ast.concat(x, y), ast.zext(x, 16)]
+    for term in terms:
+        mask = (1 << term.sort.width) - 1
+        for value in (0, 1, 0x7F, 0x80, mask - 1, mask):
+            constant = bv_const(value, term.sort.width)
+            for op in ("eq", "ult", "ule", "slt", "sle"):
+                build = getattr(ast, op)
+                for pred in (build(term, constant), build(constant, term)):
+                    for constraint in (pred, ast.not_(pred)):
+                        yield [constraint]
+                        yield bounds + [constraint]
+    for low, high in ((3, 17), (0, 255), (200, 9)):
+        yield [ast.or_(ast.eq(x, bv_const(low, 8)),
+                       ast.ult(bv_const(high, 8), x))]
+        yield [ast.not_(ast.and_(ast.ule(bv_const(low, 8), x),
+                                 ast.eq(y, bv_const(high, 8)))),
+               ast.eq(x, bv_const(low, 8))]
+
+
+def _hunt_fixpoints(record, monkeypatch, cases):
+    """Every ``propagate_delta`` push and every from-scratch ``propagate``
+    that hunting ``cases`` makes, in call order."""
+    from repro.achilles import Achilles
+    from repro.solver import incremental, solver
+
+    real_delta, real_propagate = incremental.propagate_delta, solver.propagate
+
+    def delta(domains, *args, **kwargs):
+        ok = real_delta(domains, *args, **kwargs)
+        record(f"delta {ok}", domains)
+        return ok
+
+    def scratch(*args):
+        narrowed = real_propagate(*args)
+        record("propagate", narrowed)
+        return narrowed
+
+    monkeypatch.setattr(incremental, "propagate_delta", delta)
+    monkeypatch.setattr(solver, "propagate", scratch)
+    for config, clients, server in cases:
+        with Achilles(config) as achilles:
+            achilles.search(server, achilles.extract_clients(clients))
+
+
+def _fsp_cases():
+    from repro.achilles import AchillesConfig
+    from repro.bench.experiments import FSP_SESSION_MASK
+    from repro.systems import fsp
+
+    return [(AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK),
+             fsp.literal_clients(), fsp.fsp_server)]
+
+
+def _corpus_cases():
+    from repro.achilles import AchillesConfig
+    from repro.corpus import generate_corpus
+
+    return [(AchillesConfig(layout=variant.layout,
+                            destination=variant.destination),
+             variant.clients, variant.server)
+            for variant in generate_corpus(0, 12)]
+
+
+#: workload -> (fixpoints computed, sha256 prefix of their texts in order).
+PINNED_FIXPOINTS = {
+    "battery": (1866, "f2f55250e07995ae"),
+    "fsp": (3841, "050de2843e2d4654"),
+    "corpus-seed-0": (3668, "9cf4193dc6120396"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_FIXPOINTS))
+def test_propagation_fixpoints_are_pinned(workload, monkeypatch):
+    """The propagation kernel writes the same domains it always did.
+
+    Digests every fixpoint it computes on a fixed battery (the
+    from-scratch ``propagate`` of the conformance battery's constraint
+    sets and of a sweep over every narrowing rule) and along real hunts
+    (each ``propagate_delta`` push of the incremental stack and each
+    from-scratch ``propagate`` of an FSP hunt and of 12 corpus-seed-0
+    variants), and compares them with digests recorded from the kernel
+    before its dispatch-table rewrite. Any change to a narrowing rule,
+    the worklist order or the forward cache shows here as a different
+    digest.
+    """
+    sha = hashlib.sha256()
+    computed = 0
+
+    def record(outcome, domains):
+        nonlocal computed
+        computed += 1
+        sha.update(_fixpoint_text(outcome, domains).encode())
+
+    if workload == "battery":
+        _battery_fixpoints(record)
+    else:
+        cases = _fsp_cases() if workload == "fsp" else _corpus_cases()
+        _hunt_fixpoints(record, monkeypatch, cases)
+    assert (computed, sha.hexdigest()[:16]) == PINNED_FIXPOINTS[workload]

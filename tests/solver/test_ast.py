@@ -117,6 +117,40 @@ class TestBooleanConnectives:
         assert ite(bool_var("p"), X, X) == X
 
 
+class TestConstructorFastPaths:
+    """The comparison constructors' fast path for two interned bitvector
+    nodes builds exactly the node the general path builds."""
+
+    C0, C3, C5 = bv_const(0, 8), bv_const(3, 8), bv_const(5, 8)
+
+    def test_shapes_and_shortcuts(self):
+        C0, C3, C5 = self.C0, self.C3, self.C5
+        assert ult(X, C0) is FALSE and ult(C3, C5) is TRUE
+        assert ult(C5, X) is ast.Expr("ult", BOOL, (C5, X))
+        assert ast.ule(C0, X) is TRUE and ast.ule(C5, C3) is FALSE
+        assert ast.ule(X, C5) is ast.Expr("ule", BOOL, (X, C5))
+        # eq is commutative: a constant moves to the right.
+        assert eq(C5, X) is eq(X, C5) is ast.Expr("eq", BOOL, (X, C5))
+        assert eq(C3, C5) is FALSE and eq(C5, C5) is TRUE
+        assert eq(Y, X) is ast.Expr("eq", BOOL, (Y, X))
+
+    def test_other_operands_take_the_general_path(self):
+        p, q = bool_var("p"), bool_var("q")
+        assert eq(p, q) is ast.iff(p, q)
+        assert ult(p, p) is FALSE
+        wide = ast.concat(X, Y)
+        assert eq(wide, bv_const(0x0102, 16)) is and_(
+            eq(X, bv_const(1, 8)), eq(Y, bv_const(2, 8)))
+        with pytest.raises(SortError):
+            ult(X, bv_var("w", 16))
+        with pytest.raises(SortError):
+            eq(X, 5)
+        with pytest.raises(SortError):
+            not_(X)
+        with pytest.raises(SortError):
+            and_(bool_var("p"), X)
+
+
 class TestSortChecking:
     def test_mixed_width_addition_rejected(self):
         with pytest.raises(SortError):

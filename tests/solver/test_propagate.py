@@ -7,13 +7,18 @@ inside the propagated domains.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SolverError
 from repro.solver import ast
+from repro.solver import interval as iv
+from repro.solver import propagate as propagate_module
 from repro.solver.ast import bv_const, bv_var, eq, ne, not_, or_, ult, zext
 from repro.solver.evalmodel import all_hold
 from repro.solver.interval import Interval
 from repro.solver.propagate import fixpoint, initial_domains, propagate, refutes
+from repro.solver.sorts import BOOL, BV8
 
 X = bv_var("x", 8)
 Y = bv_var("y", 8)
@@ -130,3 +135,63 @@ class TestRefutes:
         domains = fixpoint([self.X < 1, self.X > 5])
         assert domains is None
         assert refutes(domains, self.X < 200)
+
+
+class TestKernelDispatch:
+    """The per-operator rule tables: unknown operators, shared leaves."""
+
+    BOGUS_BV = ast.Expr("frobnicate", BV8, (X,))
+    BOGUS_BOOL = ast.Expr("frobnicate", BOOL, (X,))
+
+    def test_unknown_operator_raises_from_forward(self):
+        with pytest.raises(SolverError, match="frobnicate"):
+            propagate_module.forward(self.BOGUS_BV, {}, {})
+
+    def test_unknown_operator_raises_from_assert_true(self):
+        with pytest.raises(SolverError, match="frobnicate"):
+            propagate_module._assert_true(self.BOGUS_BOOL, {}, {})
+
+    def test_unknown_operator_raises_from_assert_false(self):
+        with pytest.raises(SolverError, match="frobnicate"):
+            propagate_module._assert_false(self.BOGUS_BOOL, {}, {})
+
+    def test_unknown_operator_raises_from_narrow(self):
+        with pytest.raises(SolverError, match="frobnicate"):
+            propagate_module._narrow(self.BOGUS_BV, Interval(0, 3), {}, {})
+
+    def test_unknown_operator_raises_from_propagate(self):
+        with pytest.raises(SolverError, match="frobnicate"):
+            _run([eq(self.BOGUS_BV, bv_const(1, 8))])
+
+    def test_known_operators_without_a_rule_are_no_ops(self):
+        domains = {X: Interval(0, 9)}
+        assert not propagate_module._narrow(X * Y, Interval(0, 3), domains, {})
+        assert not propagate_module._assert_false(
+            ast.ite(X < 3, ast.bool_var("p"), ast.bool_var("q")), domains, {})
+        assert domains == {X: Interval(0, 9)}
+
+    def test_constants_and_bool_results_are_shared(self):
+        forward = propagate_module.forward
+        assert forward(bv_const(7, 8), {}, {}) is iv.singleton(7)
+        assert forward(X < 150, {X: Interval(0, 9)}, {}) is iv.ONE
+        assert forward(X < 5, {X: Interval(6, 9)}, {}) is iv.ZERO
+        wide = bv_const(1 << 31, 32)
+        assert forward(wide, {}, {}) == Interval(1 << 31, 1 << 31)
+
+    def test_wide_constants_are_not_memoized(self):
+        """Only byte values have shared singletons: a table keyed by any
+        constant value would grow with every 32-bit constant seen."""
+        assert len(iv.SMALL_SINGLETONS) == 256
+        assert iv.singleton(1 << 20) is not iv.singleton(1 << 20)
+
+    def test_a_domain_write_clears_the_forward_cache(self):
+        """The forward cache outlives a worklist visit, so a write must
+        drop every cached value computed from the old domains."""
+        domains = {X: Interval(0, 255)}
+        cache = {}
+        term = X + bv_const(1, 8)
+        assert propagate_module.forward(term, domains, cache) == Interval(0, 255)
+        assert term in cache
+        assert propagate_module._narrow(X, Interval(3, 4), domains, cache)
+        assert cache == {}
+        assert propagate_module.forward(term, domains, cache) == Interval(4, 5)
