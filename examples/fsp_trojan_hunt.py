@@ -32,7 +32,7 @@ from collections import Counter
 from repro.bench.experiments import run_accuracy
 from repro.bench.tables import format_series, format_table
 from repro.symex.engine import EngineConfig
-from repro.systems.fsp import FSP_LAYOUT, classify_message
+from repro.systems.fsp import FSP_LAYOUT, SYSTEM
 
 
 def main() -> None:
@@ -74,8 +74,9 @@ def main() -> None:
         title="Table 1 — Achilles on FSP"))
 
     print("\nFindings per utility:")
+    # Class labels read "fcat(L=3, t=2)": utility, reported and true length.
     by_utility = Counter(
-        classify_message(w).utility for w in report.witnesses())
+        SYSTEM.classify(w).partition("(")[0] for w in report.witnesses())
     for utility, count in sorted(by_utility.items()):
         print(f"  {utility}: {count} Trojan classes")
 
@@ -86,11 +87,12 @@ def main() -> None:
 
     example = report.findings[0]
     fields = example.witness_fields(FSP_LAYOUT)
-    trojan_class = classify_message(example.witness)
+    trojan_class = SYSTEM.classify(example.witness)
+    buf = example.witness[FSP_LAYOUT.view("buf").offset:]
     print(f"\nExample Trojan: {trojan_class}")
     print(f"  wire bytes: {example.witness.hex()}")
     print(f"  bb_len says {fields['bb_len']}, but the path ends at "
-          f"{trojan_class.true_length} - the unvalidated gap is a "
+          f"{buf.index(0)} - the unvalidated gap is a "
           f"hidden payload channel.")
 
 

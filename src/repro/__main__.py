@@ -82,6 +82,8 @@ def _print_fsp(outcome) -> int:
          ["false positives", 0, outcome.false_positives],
          ["classes", "80/80",
           f"{outcome.classes_found}/{outcome.classes_total}"],
+         ["precision", "1.00", f"{outcome.precision:.2f}"],
+         ["recall", "1.00", f"{outcome.recall:.2f}"],
          ["time", "1h03", f"{outcome.report.timings.total:.1f}s"]],
         title="FSP accuracy (Table 1, Achilles column)"))
     _report_health(outcome.report)
@@ -130,7 +132,7 @@ def _print_scored(title: str, system: str, outcome) -> int:
          ["time", "-", f"{outcome.report.timings.total:.1f}s"]],
         title=title))
     _report_health(outcome.report)
-    classify = scored_systems()[system].ground_truth.classify
+    classify = scored_systems()[system].classify
     for finding in outcome.report.findings:
         print(f"  {classify(finding.witness)}  "
               f"wire={finding.witness.hex()}")

@@ -14,18 +14,14 @@ Drivers that hunt take ``**settings``: run settings passed straight into
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable
 
-from repro.achilles import Achilles, AchillesConfig, FieldMask, OptimizationFlags
+from repro.achilles import Achilles, AchillesConfig, OptimizationFlags
 from repro.achilles.report import AchillesReport
 from repro.achilles.server_analysis import a_posteriori_search
 from repro.baselines.classic import ClassicResult, classic_symbolic_execution
 from repro.baselines.fuzzer import FuzzCampaign, FuzzResult, expected_trojans_per_hour
 from repro.messages.concrete import encode
-from repro.messages.layout import MessageLayout
 from repro.systems import fsp
-from repro.systems.fsp.protocol import STUBS
 from repro.systems.pbft import (
     MAC_STUB,
     REQUEST_LAYOUT,
@@ -34,9 +30,10 @@ from repro.systems.pbft import (
     run_workload,
 )
 from repro.systems.pbft.cluster import ClusterStats
+from repro.systems.scoring import SystemVariant, bound_ground_truth
 
 #: The §6.1 annotation mask: session fields are stubbed, not analyzed.
-FSP_SESSION_MASK = FieldMask.hide("sum", "bb_key", "bb_seq", "bb_pos")
+FSP_SESSION_MASK = fsp.SYSTEM.mask
 
 
 @dataclass
@@ -65,80 +62,45 @@ class AccuracyOutcome:
         return self.classes_found / self.classes_total
 
 
-@dataclass(frozen=True)
-class ScoredSystem:
-    """A system with seeded Trojan classes: what to hunt, how to score it.
-
-    Attributes:
-        layout: wire layout shared by its clients and server.
-        clients: builds the client programs handed to phase 1.
-        server: the server program phase 2 explores.
-        ground_truth: scores witnesses (``ground_truth.score(witnesses)``).
-        class_count: how many Trojan classes are seeded.
-        mask: fields hidden from the Trojan check.
-        destination: node name client messages must be sent to.
-    """
-
-    layout: MessageLayout
-    clients: Callable[[], dict]
-    server: Callable
-    ground_truth: object
-    class_count: int
-    mask: FieldMask = field(default_factory=FieldMask.none)
-    destination: str | None = None
-
-
-def scored_systems() -> dict[str, ScoredSystem]:
+def scored_systems() -> dict[str, SystemVariant]:
     """The table :func:`run_accuracy` runs, one row per system.
 
     Built on call, so importing this module leaves the Raft, 2PC and
-    broadcast systems unimported. Those three are the corpus templates
-    pinned to each system's protocol constants, scored by the oracle
-    their package exports.
+    broadcast systems unimported. Every row is a template pinned to the
+    system's protocol constants, scored by its own oracle.
     """
     from repro.systems import broadcast, raft, tpc
 
     return {
         # Table 1 (Achilles column) and the raw data of Figures 10/11.
-        "fsp": ScoredSystem(
-            fsp.FSP_LAYOUT, fsp.literal_clients, fsp.fsp_server,
-            fsp.GroundTruth, len(fsp.all_trojan_classes()),
-            mask=FSP_SESSION_MASK),
+        "fsp": fsp.SYSTEM,
         # 8 stale-term AppendEntries classes + 1 vote off-by-one.
-        "raft": _template_system(raft.SYSTEM, raft.GroundTruth),
+        "raft": raft.SYSTEM,
         # Ack-without-WAL + empty-op prepare.
-        "tpc": _template_system(tpc.SYSTEM, tpc.GroundTruth),
+        "tpc": tpc.SYSTEM,
         # 1 forged-sender SEND class + 6 thin-quorum READY certificates.
-        "broadcast": _template_system(broadcast.SYSTEM,
-                                      broadcast.GroundTruth),
+        "broadcast": broadcast.SYSTEM,
     }
 
 
-def _template_system(system, ground_truth) -> ScoredSystem:
-    """The row of a system built by a corpus template."""
-    return ScoredSystem(
-        system.layout, partial(dict, system.clients), system.server,
-        ground_truth, len(system.classes), destination=system.destination)
-
-
-def _hunt(system: ScoredSystem, **settings) -> AchillesReport:
+def _hunt(system: SystemVariant, **settings) -> AchillesReport:
     """One full Achilles pipeline over ``system`` under ``settings``."""
     config = AchillesConfig(layout=system.layout, mask=system.mask,
                             destination=system.destination, **settings)
     with Achilles(config) as achilles:
-        return achilles.run(system.clients(), system.server)
+        return achilles.run(system.clients, system.server)
 
 
-def _score(system: ScoredSystem, **settings) -> AccuracyOutcome:
-    """Hunt ``system`` and score its witnesses against the ground truth."""
+def run_scored(system: SystemVariant, **settings) -> AccuracyOutcome:
+    """Hunt ``system`` and score its witnesses against its own oracle."""
     report = _hunt(system, **settings)
-    score = system.ground_truth.score(report.witnesses())
+    score = bound_ground_truth(system).score(report.witnesses())
     return AccuracyOutcome(
         report=report,
         true_positives=score.true_positives,
         false_positives=score.false_positives,
         classes_found=len(score.classes_found),
-        classes_total=system.class_count,
+        classes_total=len(system.classes),
     )
 
 
@@ -148,7 +110,7 @@ def run_accuracy(name: str, **settings) -> AccuracyOutcome:
     A perfect run has ``precision == recall == 1.0``; findings are
     byte-identical at any shard count.
     """
-    return _score(scored_systems()[name], **settings)
+    return run_scored(scored_systems()[name], **settings)
 
 
 def run_toy(**settings) -> AchillesReport:
@@ -162,9 +124,8 @@ def run_toy(**settings) -> AchillesReport:
 def run_fsp_wildcard(listing: tuple[str, ...] = ("f1", "f2", "doc"),
                      **settings) -> AchillesReport:
     """§6.3 wildcard experiment: globbing clients, same server."""
-    system = replace(scored_systems()["fsp"],
-                     clients=partial(fsp.globbing_clients, listing))
-    return _hunt(system, **settings)
+    params = replace(fsp.FSP_PARAMS, globbing=True, listing=tuple(listing))
+    return _hunt(fsp.fsp_system(params), **settings)
 
 
 def run_classic_baseline(per_path_limit: int = 512) -> tuple[ClassicResult,
@@ -195,22 +156,22 @@ def run_fuzzing_comparison(tests: int = 200_000) -> FuzzingOutcome:
     stubbed session fields at their constants, exactly as the paper
     scopes it ("we only fuzz the same message fields that are analyzed").
     """
+    params = fsp.FSP_PARAMS
     template = encode(fsp.FSP_LAYOUT, {
-        "cmd": 0, "sum": STUBS["sum"], "bb_key": STUBS["bb_key"],
-        "bb_seq": STUBS["bb_seq"], "bb_len": 0, "bb_pos": STUBS["bb_pos"],
-        "buf": b"\x00" * fsp.PATH_SPACE,
+        "cmd": 0, **params.stubs, "bb_len": 0,
+        "buf": b"\x00" * params.path_space,
     })
     positions = (list(fsp.FSP_LAYOUT.view("cmd").byte_range)
                  + list(fsp.FSP_LAYOUT.view("bb_len").byte_range)
                  + list(fsp.FSP_LAYOUT.view("buf").byte_range))
     campaign = FuzzCampaign(
         template,
-        accepts=fsp.is_server_accepted,
-        is_trojan=lambda m: fsp.classify_message(m) is not None,
+        accepts=fsp.SYSTEM.accepts,
+        is_trojan=lambda m: fsp.SYSTEM.classify(m) is not None,
         positions=positions)
     result = campaign.run_tests(tests)
 
-    trojan_count = _count_trojan_bit_patterns()
+    trojan_count = _count_trojan_bit_patterns(params)
     expected = expected_trojans_per_hour(
         result.tests_per_minute, trojan_count, campaign.randomized_bits)
     return FuzzingOutcome(
@@ -221,7 +182,7 @@ def run_fuzzing_comparison(tests: int = 200_000) -> FuzzingOutcome:
     )
 
 
-def _count_trojan_bit_patterns() -> int:
+def _count_trojan_bit_patterns(params: fsp.FspParams) -> int:
     """Closed-form count of Trojan bit patterns in the fuzzed space.
 
     For class (cmd, L, t): positions t and L are NUL, characters before t
@@ -230,17 +191,13 @@ def _count_trojan_bit_patterns() -> int:
     accept predicate leaves them free (256 choices each). The paper's
     equivalent count for real FSP is 66 million.
     """
-    printable = 94
+    printable = params.printable[1] - params.printable[0] + 1
     free = 256
-    total = 0
-    for cls in fsp.all_trojan_classes():
-        length, true_length = cls.reported_length, cls.true_length
-        buf_positions = fsp.PATH_SPACE
-        pinned = {true_length, length}
-        before = true_length  # printable characters
-        rest = buf_positions - before - len(pinned)
-        total += (printable ** before) * (free ** rest)
-    return total
+    per_command = sum(printable ** true_length
+                      * free ** (params.path_space - true_length - 2)
+                      for length in range(1, params.path_space)
+                      for true_length in range(length))
+    return len(params.commands) * per_command
 
 
 def run_ablation() -> dict[str, AchillesReport]:
@@ -249,12 +206,13 @@ def run_ablation() -> dict[str, AchillesReport]:
     Also includes single-optimization-off variants (the design-choice
     ablation DESIGN.md calls out).
     """
-    achilles = Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
-                                       mask=FSP_SESSION_MASK))
-    predicates = achilles.extract_clients(fsp.literal_clients())
+    system = fsp.SYSTEM
+    achilles = Achilles(AchillesConfig(layout=system.layout,
+                                       mask=system.mask))
+    predicates = achilles.extract_clients(system.clients)
 
     outcomes: dict[str, AchillesReport] = {}
-    outcomes["achilles-optimized"] = achilles.search(fsp.fsp_server,
+    outcomes["achilles-optimized"] = achilles.search(system.server,
                                                      predicates)
 
     for label, flags in {
@@ -263,10 +221,10 @@ def run_ablation() -> dict[str, AchillesReport]:
         "no-incremental-drop": OptimizationFlags(incremental_drop=False,
                                                  use_different_from=False),
     }.items():
-        outcomes[label] = _hunt(scored_systems()["fsp"], optimizations=flags)
+        outcomes[label] = _hunt(system, optimizations=flags)
 
     posterior = a_posteriori_search(
-        fsp.fsp_server, predicates, achilles.server_msg)
+        system.server, predicates, achilles.server_msg)
     posterior.timings.client_extraction = predicates.stats.extraction_seconds
     posterior.timings.preprocessing = predicates.stats.preprocess_seconds
     outcomes["a-posteriori"] = posterior
@@ -316,7 +274,6 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
     from repro.corpus import (
         CorpusOutcome,
         VariantOutcome,
-        bound_ground_truth,
         generate_corpus,
         parse_variant_token,
     )
@@ -327,8 +284,7 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
         systems = generate_corpus(corpus_seed, variants, templates)
     results = []
     for variant in systems:
-        system = _template_system(variant, bound_ground_truth(variant))
         results.append(VariantOutcome(variant=variant,
-                                      outcome=_score(system, **settings)))
+                                      outcome=run_scored(variant, **settings)))
     return CorpusOutcome(corpus_seed=None if only else corpus_seed,
                          results=results)

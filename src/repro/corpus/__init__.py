@@ -30,9 +30,7 @@ from repro.corpus.templates import (
     TEMPLATES,
     BroadcastParams,
     RaftParams,
-    SystemVariant,
     TpcParams,
-    bound_ground_truth,
     broadcast_system,
     draw_broadcast_params,
     draw_raft_params,
@@ -40,6 +38,7 @@ from repro.corpus.templates import (
     raft_system,
     tpc_system,
 )
+from repro.systems.scoring import SystemVariant, bound_ground_truth
 
 __all__ = [
     "BroadcastParams",

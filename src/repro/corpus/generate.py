@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import zlib
 
-from repro.corpus.templates import TEMPLATES, SystemVariant
+from repro.corpus.templates import TEMPLATES
 from repro.errors import ReproError
+from repro.systems.scoring import SystemVariant
 
 
 def variant_seed(corpus_seed: int, template: str, counter: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.bench.experiments import AccuracyOutcome
 from repro.bench.tables import format_table
-from repro.corpus.templates import SystemVariant
+from repro.systems.scoring import SystemVariant
 
 
 @dataclass

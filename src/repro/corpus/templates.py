@@ -29,47 +29,14 @@ orderable for deterministic tables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.messages.concrete import decode_ints
 from repro.messages.layout import Field, MessageLayout
 from repro.messages.symbolic import MessageBuilder, field_expr
 from repro.solver import ast
-from repro.systems.scoring import TrojanScore
-
-
-@dataclass
-class SystemVariant:
-    """One system: programs + oracle derived from one parameter set
-    (``seed`` is the draw's seed, None for a pinned system)."""
-
-    template: str
-    seed: int | None
-    layout: MessageLayout
-    destination: str
-    clients: dict[str, Callable]
-    server: Callable
-    accepts: Callable[[bytes], bool]
-    generable: Callable[[bytes], bool]
-    classify: Callable[[bytes], str | None]
-    classes: tuple[str, ...]
-    bugs: tuple[str, ...]
-    params: dict = dc_field(default_factory=dict)
-
-    @property
-    def token(self) -> str:
-        """The reproduction handle: ``template:seed`` rebuilds this
-        exact variant (``python -m repro corpus run --variant TOKEN``)."""
-        return f"{self.template}:{self.seed}"
-
-
-def bound_ground_truth(variant: SystemVariant) -> type[TrojanScore]:
-    """A :class:`TrojanScore` subclass bound to the variant's oracle."""
-    return type("VariantGroundTruth", (TrojanScore,), {
-        "classify": staticmethod(variant.classify),
-        "universe": staticmethod(lambda: list(variant.classes)),
-    })
+from repro.systems.scoring import SystemVariant
 
 
 def _popcount(mask: int) -> int:

@@ -73,7 +73,7 @@ def _fingerprint(expr: Expr) -> bytes:
     cached = expr._digest
     if cached is None:
         digest = hashlib.sha256(
-            repr((expr.op, str(expr.sort), expr.params)).encode())
+            repr((expr.op, expr.sort.name, expr.params)).encode())
         for arg in expr.args:
             digest.update(_fingerprint(arg))
         cached = expr._digest = digest.digest()
@@ -94,9 +94,9 @@ def _arg_key(expr: Expr) -> tuple:
     answers would depend on which worker ran them.
     """
     if expr.is_const:
-        return (2, "", expr.params[0], str(expr.sort))
+        return (2, "", expr.params[0], expr.sort.name)
     if expr.is_var:
-        return (0, expr.params[0], 0, str(expr.sort))
+        return (0, expr.params[0], 0, expr.sort.name)
     return (1, expr.op, expr_size(expr), _fingerprint(expr))
 
 

@@ -11,6 +11,9 @@ Sorts are singletons: ``BoolSort()`` is :data:`BOOL` and ``BitVecSort(w)``
 is ``bitvec_sort(w)``, and unpickling returns the same objects. Equality
 and hashing are therefore the inherited identity ones, decided in C —
 sorts sit in every intern-table key and every ``sort == BOOL`` check.
+Each singleton's printed form is its ``name`` slot, filled once, so the
+canonicalizer's structural digests read a string instead of calling
+``__repr__``.
 """
 
 from __future__ import annotations
@@ -19,12 +22,16 @@ from repro.errors import SortError
 
 
 class Sort:
-    """Base class for expression sorts."""
+    """Base class for expression sorts.
 
-    __slots__ = ()
+    Attributes:
+        name: the printed form (``BoolSort``, ``BitVec(8)``).
+    """
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return self.__class__.__name__
+    __slots__ = ("name",)
+
+    def __repr__(self) -> str:
+        return self.name
 
 
 class BoolSort(Sort):
@@ -60,6 +67,7 @@ class BitVecSort(Sort):
             if width <= 0:
                 raise SortError(f"bitvector width must be positive, got {width}")
             sort = object.__new__(cls)
+            sort.name = f"BitVec({width})"
             sort.width = width
             sort.size = 1 << width
             sort.mask = sort.size - 1
@@ -68,9 +76,6 @@ class BitVecSort(Sort):
 
     def __reduce__(self):
         return (BitVecSort, (self.width,))
-
-    def __repr__(self) -> str:
-        return f"BitVec({self.width})"
 
     def wrap(self, value: int) -> int:
         """Reduce ``value`` into the unsigned range of this sort."""
@@ -89,6 +94,7 @@ class BitVecSort(Sort):
 
 
 BOOL = object.__new__(BoolSort)
+BOOL.name = "BoolSort"
 
 _BV_CACHE: dict[int, BitVecSort] = {}
 

@@ -22,10 +22,12 @@ level the Achilles analysis operates on:
 
 Every system ships *node programs* (symbolic, for Achilles) and
 *concrete nodes* (for the simulated network), built from the same
-protocol constants so findings transfer between the two. Toy, FSP,
-PBFT and Paxos hand-write their node programs. Raft, 2PC and broadcast
-do not: each pins a parameter set (``RAFT_PARAMS``, ``TPC_PARAMS``,
-``BROADCAST_PARAMS``) of a template in :mod:`repro.corpus.templates`,
-which derives the symbolic programs and the exact ground-truth oracle,
-and exports the result as ``SYSTEM`` and ``GroundTruth``.
+protocol constants so findings transfer between the two. Toy, PBFT and
+Paxos hand-write their node programs. FSP, Raft, 2PC and broadcast do
+not: each pins a parameter set (``FSP_PARAMS``, ``RAFT_PARAMS``,
+``TPC_PARAMS``, ``BROADCAST_PARAMS``) of a template — FSP's in
+:mod:`repro.systems.fsp.template`, the other three in
+:mod:`repro.corpus.templates` — which derives the symbolic programs and
+the exact ground-truth oracle, and exports the result as ``SYSTEM`` (a
+:class:`~repro.systems.scoring.SystemVariant`) and ``GroundTruth``.
 """

@@ -19,7 +19,7 @@ universe. The concrete node (for the simulated network) reads the same
 protocol constants, so findings transfer between the two.
 """
 
-from repro.corpus.templates import bound_ground_truth, broadcast_system
+from repro.corpus.templates import broadcast_system
 from repro.systems.broadcast.protocol import (
     BROADCASTER,
     BROADCAST_LAYOUT,
@@ -42,6 +42,7 @@ from repro.systems.broadcast.nodes import (
     broadcast_message,
     run_forged_delivery_demo,
 )
+from repro.systems.scoring import bound_ground_truth
 
 #: The pinned broadcast system: forged-sender SEND and 6 thin-quorum
 #: READY certificates.

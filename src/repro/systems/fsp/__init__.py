@@ -15,54 +15,73 @@ Two Trojan classes live here:
   sending (no escape exists), the server treats ``*`` as a regular
   character, so paths containing ``*`` are Trojans with messy deletion
   semantics (§6.3).
+
+:data:`SYSTEM` is :func:`~repro.systems.fsp.template.fsp_system` pinned
+to :data:`FSP_PARAMS`: the literal-mode clients, the server, the oracles
+(``accepts``/``generable``/``classify``), the 80-class universe and the
+session-stub mask. The §6.3 wildcard system is the same builder on
+``replace(FSP_PARAMS, globbing=True, listing=...)``, and any other path
+bound on ``replace(FSP_PARAMS, path_space=N)``. The concrete nodes (for
+the simulated network) read the same parameters, so findings transfer
+between the two.
 """
 
 from repro.systems.fsp.protocol import (
     COMMANDS,
-    COMMAND_NAMES,
     FSP_LAYOUT,
+    FSP_PARAMS,
     PATH_SPACE,
     PRINTABLE_MAX,
     PRINTABLE_MIN,
     STUBS,
 )
-from repro.systems.fsp.clients import fsp_client, literal_clients, globbing_clients
-from repro.systems.fsp.server import fsp_server
+from repro.systems.fsp.template import FspParams, fsp_system
 from repro.systems.fsp.nodes import (
     FspServerNode,
     client_command,
     expand_argument,
     rename_command,
 )
-from repro.systems.fsp.ground_truth import (
-    GroundTruth,
-    TrojanClass,
-    all_trojan_classes,
-    classify_message,
-    is_client_generable,
-    is_server_accepted,
-)
+from repro.systems.scoring import bound_ground_truth
+
+#: The pinned FSP system: 80 mismatched-length classes at path bound 5.
+SYSTEM = fsp_system(FSP_PARAMS)
+
+#: Scores witnesses against :data:`SYSTEM`'s oracle.
+GroundTruth = bound_ground_truth(SYSTEM)
+
+#: The server program every FSP hunt explores.
+fsp_server = SYSTEM.server
+
+
+def literal_clients(commands: dict[str, int] | None = None) -> dict:
+    """The literal-mode clients of ``commands`` (a subset of
+    :data:`COMMANDS`; all eight by default), against the full server."""
+    return {name: SYSTEM.clients[name] for name in commands or COMMANDS}
+
+
+def all_trojan_classes() -> list[str]:
+    """The 80 Trojan classes of :data:`SYSTEM`, in (command, L, t) order."""
+    return list(SYSTEM.classes)
+
 
 __all__ = [
     "COMMANDS",
-    "COMMAND_NAMES",
     "FSP_LAYOUT",
+    "FSP_PARAMS",
+    "FspParams",
     "FspServerNode",
     "GroundTruth",
     "PATH_SPACE",
     "PRINTABLE_MAX",
     "PRINTABLE_MIN",
     "STUBS",
-    "TrojanClass",
+    "SYSTEM",
     "all_trojan_classes",
-    "classify_message",
     "client_command",
     "expand_argument",
-    "fsp_client",
     "fsp_server",
-    "globbing_clients",
-    "is_client_generable",
-    "is_server_accepted",
+    "fsp_system",
     "literal_clients",
     "rename_command",
 ]

@@ -16,14 +16,7 @@ from repro.fsys.glob import glob_match, has_wildcard
 from repro.fsys.memfs import MemFS
 from repro.messages.concrete import decode_ints, encode
 from repro.net.network import Network, Node
-from repro.systems.fsp.protocol import (
-    CC_RENAME,
-    COMMANDS,
-    FSP_LAYOUT,
-    PATH_SPACE,
-    STUBS,
-    is_printable,
-)
+from repro.systems.fsp.protocol import CC_RENAME, FSP_LAYOUT, FSP_PARAMS
 
 #: Reply codes.
 REPLY_OK = 0x01
@@ -70,17 +63,18 @@ class FspServerNode(Node):
     def _validate(self, payload: bytes) -> str | None:
         """The vulnerable ingress: returns the parsed path or None.
 
-        Mirrors :func:`repro.systems.fsp.server.fsp_server`: first-NUL
+        Mirrors :class:`repro.systems.fsp.template.FspServer`: first-NUL
         scan, printable characters, terminator at ``bb_len`` — never
         cross-checked against the scan.
         """
-        buf = self._common_checks(payload, COMMANDS.values())
+        buf = self._common_checks(payload,
+                                  FSP_PARAMS.commands.values())
         if buf is None:
             return None
         length = decode_ints(FSP_LAYOUT, payload)["bb_len"]
         scanned = 0
         while scanned < length and buf[scanned] != 0:
-            if not is_printable(buf[scanned]):
+            if not FSP_PARAMS.is_printable(buf[scanned]):
                 return None
             scanned += 1
         if buf[length] != 0:
@@ -100,7 +94,7 @@ class FspServerNode(Node):
         source, _, target = packed.partition(b"\x00")
         if not source or not target:
             return None
-        if not all(is_printable(b) for b in source + target):
+        if not all(FSP_PARAMS.is_printable(b) for b in source + target):
             return None
         return source.decode("latin-1"), target.decode("latin-1")
 
@@ -112,10 +106,10 @@ class FspServerNode(Node):
         fields = decode_ints(FSP_LAYOUT, payload)
         if fields["cmd"] not in commands:
             return None
-        for name, stub in STUBS.items():
+        for name, stub in FSP_PARAMS.stubs.items():
             if fields[name] != stub:
                 return None
-        if not 1 <= fields["bb_len"] < PATH_SPACE:
+        if not 1 <= fields["bb_len"] < FSP_PARAMS.path_space:
             return None
         view = FSP_LAYOUT.view("buf")
         return payload[view.offset:view.end]
@@ -125,20 +119,20 @@ class FspServerNode(Node):
     def _execute(self, command: int, path: str) -> bool:
         """Perform the filesystem action; RENAME packs ``src\\0dst``."""
         full = f"{self.root}/{path}"
+        codes = FSP_PARAMS.commands
         try:
-            if command == COMMANDS["fls"]:
+            if command == codes["fls"]:
                 self.fs.listdir(full)
-            elif command in (COMMANDS["fcat"], COMMANDS["fstat"],
-                             COMMANDS["fgetpro"]):
+            elif command in (codes["fcat"], codes["fstat"], codes["fgetpro"]):
                 if not self.fs.exists(full):
                     return False
-            elif command == COMMANDS["frm"]:
+            elif command == codes["frm"]:
                 self.fs.delete(full)
-            elif command == COMMANDS["frmdir"]:
+            elif command == codes["frmdir"]:
                 self.fs.delete(full)
-            elif command == COMMANDS["fmkdir"]:
+            elif command == codes["fmkdir"]:
                 self.fs.mkdir(full)
-            elif command == COMMANDS["fgrab"]:
+            elif command == codes["fgrab"]:
                 self.fs.read_file(full)
                 self.fs.delete(full)
             else:
@@ -181,12 +175,12 @@ def client_command(utility: str, path: str) -> bytes:
     over-long paths, unprintable characters. Globbing happens *before*
     this step (see :func:`expand_argument`).
     """
-    if utility not in COMMANDS:
+    if utility not in FSP_PARAMS.commands:
         raise ValueError(f"unknown utility {utility!r}")
     raw = path.encode("ascii")
-    if not all(is_printable(b) for b in raw):
+    if not all(FSP_PARAMS.is_printable(b) for b in raw):
         raise ValueError("correct clients refuse unprintable path characters")
-    return _assemble(COMMANDS[utility], raw)
+    return _assemble(FSP_PARAMS.commands[utility], raw)
 
 
 def rename_command(source: str, target: str) -> bytes:
@@ -200,15 +194,9 @@ def rename_command(source: str, target: str) -> bytes:
 
 
 def _assemble(command: int, raw_path: bytes) -> bytes:
-    if not 0 < len(raw_path) < PATH_SPACE:
-        raise ValueError(f"path must be 1..{PATH_SPACE - 1} bytes")
-    buf = raw_path + b"\x00" * (PATH_SPACE - len(raw_path))
-    return encode(FSP_LAYOUT, {
-        "cmd": command,
-        "sum": STUBS["sum"],
-        "bb_key": STUBS["bb_key"],
-        "bb_seq": STUBS["bb_seq"],
-        "bb_len": len(raw_path),
-        "bb_pos": STUBS["bb_pos"],
-        "buf": buf,
-    })
+    space = FSP_PARAMS.path_space
+    if not 0 < len(raw_path) < space:
+        raise ValueError(f"path must be 1..{space - 1} bytes")
+    buf = raw_path + b"\x00" * (space - len(raw_path))
+    return encode(FSP_LAYOUT, {"cmd": command, **FSP_PARAMS.stubs,
+                               "bb_len": len(raw_path), "buf": buf})

@@ -1,4 +1,4 @@
-"""FSP wire protocol constants and layout (§6.1).
+"""FSP wire protocol constants and the pinned parameter set (§6.1).
 
 The command message carries::
 
@@ -7,7 +7,8 @@ The command message carries::
 ``buf`` holds the NUL-terminated file path; the evaluation bounds paths to
 length < 5 (so ``buf`` is 5 bytes: up to 4 path characters plus the
 terminator), exactly the bound the paper uses to let symbolic execution
-complete (§6.2).
+complete (§6.2). Other rungs of the bound are
+``replace(FSP_PARAMS, path_space=N)``.
 
 Following the paper, the ``sum`` checksum and the ``bb_key``/``bb_seq``/
 ``bb_pos`` session fields are *approximated by annotations*: clients write
@@ -17,7 +18,7 @@ a predefined constant and the server checks for that constant (§6.1). The
 
 from __future__ import annotations
 
-from repro.messages.layout import Field, MessageLayout
+from repro.systems.fsp.template import FspParams
 
 #: The eight client utilities with a single file-path argument (§6.2),
 #: mapped to their FSP command codes.
@@ -32,9 +33,6 @@ COMMANDS: dict[str, int] = {
     "fstat": 0x4D,    # CC_STAT: stat a path
 }
 
-#: Command code -> utility name (for reports).
-COMMAND_NAMES: dict[int, str] = {code: name for name, code in COMMANDS.items()}
-
 #: CC_RENAME takes two paths ("src NUL dst NUL"); it is exercised by the
 #: concrete impact experiments (the ``mv file file*`` scenario), not by
 #: the single-path accuracy workload.
@@ -47,20 +45,6 @@ PATH_SPACE = 5
 PRINTABLE_MIN = 33
 PRINTABLE_MAX = 126
 
-#: Glob metacharacters (no escape syntax exists, §6.3).
-WILDCARD_STAR = ord("*")
-WILDCARD_QUERY = ord("?")
-
-FSP_LAYOUT = MessageLayout("fsp", [
-    Field("cmd", 1),
-    Field("sum", 1),
-    Field("bb_key", 2),
-    Field("bb_seq", 2),
-    Field("bb_len", 2),
-    Field("bb_pos", 4),
-    Field("buf", PATH_SPACE),
-])
-
 #: Annotation stubs (§6.1): the client writes these constants, the server
 #: checks them, bypassing checksum/session-key logic on both sides.
 STUBS: dict[str, int] = {
@@ -70,7 +54,9 @@ STUBS: dict[str, int] = {
     "bb_pos": 0,
 }
 
+#: The §6.2 accuracy workload: every utility a literal-mode client.
+FSP_PARAMS = FspParams(
+    path_space=PATH_SPACE, commands=COMMANDS, utilities=tuple(COMMANDS),
+    printable=(PRINTABLE_MIN, PRINTABLE_MAX), stubs=STUBS)
 
-def is_printable(byte: int) -> bool:
-    """Server-side path character validation."""
-    return PRINTABLE_MIN <= byte <= PRINTABLE_MAX
+FSP_LAYOUT = FSP_PARAMS.layout

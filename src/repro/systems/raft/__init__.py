@@ -19,7 +19,7 @@ universe. The concrete follower (for the simulated network) reads the
 same protocol constants, so findings transfer between the two.
 """
 
-from repro.corpus.templates import bound_ground_truth, raft_system
+from repro.corpus.templates import raft_system
 from repro.systems.raft.protocol import (
     COMMIT_INDEX,
     CURRENT_TERM,
@@ -41,6 +41,7 @@ from repro.systems.raft.cluster import (
     append_message,
     run_truncation_attack,
 )
+from repro.systems.scoring import bound_ground_truth
 
 #: The pinned Raft system: 8 stale-term AppendEntries classes and the
 #: vote off-by-one.

@@ -19,7 +19,7 @@ concrete participant (for the simulated network) reads the same
 protocol constants.
 """
 
-from repro.corpus.templates import bound_ground_truth, tpc_system
+from repro.corpus.templates import tpc_system
 from repro.systems.tpc.protocol import (
     ABORT,
     ACK_PREPARED,
@@ -38,6 +38,7 @@ from repro.systems.tpc.nodes import (
     prepare_message,
     run_lost_write_demo,
 )
+from repro.systems.scoring import bound_ground_truth
 
 #: The pinned two-phase-commit system: ack-without-WAL and empty-op.
 SYSTEM = tpc_system(TPC_PARAMS)

@@ -12,6 +12,7 @@ explicitly — through a real ``multiprocessing`` queue, not just
 import itertools
 import multiprocessing
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -93,6 +94,35 @@ class TestClientPredicateSet:
         copy = wire_roundtrip(predicates)
         assert len(copy) == len(predicates)
         assert copy.stats == predicates.stats
+
+
+class TestFspPrograms:
+    """Sharded runs ship the FSP server to every worker: it is a
+    dataclass over its parameters, not a module function, so the
+    parameters travel with it."""
+
+    def test_pinned_server_and_clients_round_trip(self):
+        programs = (fsp.fsp_server, fsp.SYSTEM.clients)
+        server, clients = wire_roundtrip(programs)
+        assert type(server) is type(fsp.fsp_server)
+        assert server.params == fsp.FSP_PARAMS
+        assert server.params.layout.total_size == fsp.FSP_LAYOUT.total_size
+        assert list(clients) == list(fsp.SYSTEM.clients)
+        assert all(clients[name] == program
+                   for name, program in fsp.SYSTEM.clients.items())
+        # The revived programs hunt exactly like the originals.
+        with Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
+                                     mask=FSP_SESSION_MASK)) as achilles:
+            report = achilles.run(clients, server)
+        assert report.trojan_count == 80
+        assert fsp.GroundTruth.score(report.witnesses()).coverage == 1.0
+
+    def test_rung_server_keeps_its_path_bound(self):
+        rung = fsp.fsp_system(replace(fsp.FSP_PARAMS, path_space=8))
+        server = wire_roundtrip(rung.server)
+        assert server == rung.server
+        assert server.params.path_space == 8
+        assert server.params.layout.view("buf").size == 8
 
 
 class TestShardOutcome:

@@ -52,10 +52,12 @@ class TestExperimentDrivers:
 
     def test_trojan_pattern_count_matches_class_structure(self):
         from repro.bench.experiments import _count_trojan_bit_patterns
-        from repro.systems.fsp import all_trojan_classes
+        from repro.systems.fsp import FSP_PARAMS, all_trojan_classes
 
-        total = _count_trojan_bit_patterns()
+        total = _count_trojan_bit_patterns(FSP_PARAMS)
         # 80 classes, each contributing 94^t * 256^(free) patterns: the
         # count is dominated by the three-free-byte classes.
         assert total > len(all_trojan_classes())
-        assert total % 1 == 0
+        assert total == 8 * sum(94 ** t * 256 ** (5 - t - 2)
+                                for length in range(1, 5)
+                                for t in range(length)) == 727_557_056

@@ -14,6 +14,7 @@ here stay valid and the parity assertion below can be tightened.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -33,13 +34,9 @@ DRAIN = 10_000
 #: relative to this run's PC even though the full client set covers them.
 CLIENT_COMMANDS = dict(itertools.islice(fsp.COMMANDS.items(), 2))
 
-
-def _generable_by_run_clients(witness: bytes) -> bool:
-    from repro.messages.concrete import decode_ints
-
-    return (fsp.is_client_generable(witness)
-            and decode_ints(fsp.FSP_LAYOUT, witness)["cmd"]
-            in CLIENT_COMMANDS.values())
+#: FSP with clients for the subset only: its oracle judges this run.
+RUN_SYSTEM = fsp.fsp_system(replace(fsp.FSP_PARAMS,
+                                    utilities=tuple(CLIENT_COMMANDS)))
 
 
 def _run(shards: int, max_paths: int | None):
@@ -102,8 +99,8 @@ class TestShardedCap:
         # everything reported is accepted-but-ungenerable.
         assert sharded_capped.trojan_count > 0
         for witness in sharded_capped.witnesses():
-            assert fsp.is_server_accepted(witness)
-            assert not _generable_by_run_clients(witness)
+            assert RUN_SYSTEM.accepts(witness)
+            assert not RUN_SYSTEM.generable(witness)
 
     def test_drained_runs_restore_byte_parity(self):
         # The guarantee's boundary: a cap high enough to drain the tree

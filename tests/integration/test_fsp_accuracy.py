@@ -5,30 +5,39 @@ Ground truth: at path bound 5 there are exactly 80 Trojan classes
 false positives (Table 1, Achilles column).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.achilles import Achilles, AchillesConfig, FieldMask
 from repro.systems.fsp import (
     FSP_LAYOUT,
+    FSP_PARAMS,
+    SYSTEM,
     GroundTruth,
     all_trojan_classes,
-    classify_message,
-    fsp_server,
-    globbing_clients,
-    is_client_generable,
-    is_server_accepted,
-    literal_clients,
+    fsp_system,
 )
+from repro.systems.scoring import bound_ground_truth
 
 SESSION_MASK = FieldMask.hide("sum", "bb_key", "bb_seq", "bb_pos")
 
 
+def _run(system):
+    achilles = Achilles(AchillesConfig(layout=system.layout,
+                                       mask=system.mask))
+    predicates = achilles.extract_clients(system.clients)
+    return predicates, achilles.search(system.server, predicates)
+
+
 @pytest.fixture(scope="module")
 def accuracy_run():
-    achilles = Achilles(AchillesConfig(layout=FSP_LAYOUT, mask=SESSION_MASK))
-    predicates = achilles.extract_clients(literal_clients())
-    report = achilles.search(fsp_server, predicates)
-    return predicates, report
+    return _run(SYSTEM)
+
+
+def test_system_carries_the_session_mask():
+    assert SYSTEM.mask == SESSION_MASK
+    assert SYSTEM.layout is FSP_LAYOUT
 
 
 class TestClientPredicate:
@@ -59,8 +68,8 @@ class TestTable1AchillesColumn:
     def test_every_witness_is_accepted_and_ungenerable(self, accuracy_run):
         _, report = accuracy_run
         for witness in report.witnesses():
-            assert is_server_accepted(witness)
-            assert not is_client_generable(witness)
+            assert SYSTEM.accepts(witness)
+            assert not SYSTEM.generable(witness)
 
     def test_valid_paths_pruned(self, accuracy_run):
         # 8 utilities x 4 lengths of valid (t == L) accepting paths have
@@ -102,12 +111,13 @@ class TestWildcardExperiment:
     """§6.3: with globbing clients, wildcard paths become Trojans."""
 
     @pytest.fixture(scope="class")
-    def glob_run(self):
-        achilles = Achilles(AchillesConfig(layout=FSP_LAYOUT,
-                                           mask=SESSION_MASK))
-        listing = ["f1", "f2", "doc"]
-        predicates = achilles.extract_clients(globbing_clients(listing))
-        report = achilles.search(fsp_server, predicates)
+    def globbing(self):
+        return fsp_system(replace(FSP_PARAMS, globbing=True,
+                                  listing=("f1", "f2", "doc")))
+
+    @pytest.fixture(scope="class")
+    def glob_run(self, globbing):
+        _, report = _run(globbing)
         return report
 
     def test_wildcard_trojans_found(self, glob_run):
@@ -125,6 +135,14 @@ class TestWildcardExperiment:
         # ones), so every accepting path yields a finding.
         assert glob_run.trojan_count > 80
 
-    def test_no_witness_is_generable_by_globbing_clients(self, glob_run):
+    def test_no_witness_is_generable_by_globbing_clients(self, glob_run,
+                                                         globbing):
         for witness in glob_run.witnesses():
-            assert not is_client_generable(witness, allow_wildcards=False)
+            assert not globbing.generable(witness)
+
+    def test_every_class_found_once(self, glob_run, globbing):
+        """The globbing oracle scores the run exactly: 80 length
+        mismatches and 32 full-length wildcard paths, one witness each."""
+        score = bound_ground_truth(globbing).score(glob_run.witnesses())
+        assert (score.true_positives, score.false_positives) == (112, 0)
+        assert score.coverage == 1.0

@@ -1,5 +1,7 @@
 """Tests for the canonicalization pass (:mod:`repro.solver.simplify`)."""
 
+import sys
+
 from hypothesis import given, settings, strategies as st
 
 from repro.solver import ast
@@ -19,6 +21,7 @@ from repro.solver.ast import (
 )
 from repro.solver.evalmodel import evaluate
 from repro.solver.simplify import canonical_constraint_set, canonicalize
+from repro.solver.sorts import BOOL, bitvec_sort
 
 X = bv_var("x", 8)
 Y = bv_var("y", 8)
@@ -175,3 +178,37 @@ class TestCanonicalConstraintSet:
     def test_conjunctions_flatten(self):
         key = canonical_constraint_set([and_(P, Q)])
         assert key == canonical_constraint_set([Q, P])
+
+
+class TestSortNames:
+    def test_names_are_the_printed_forms(self):
+        # Structural digests hash these strings: they must not change.
+        assert (BOOL.name, bitvec_sort(16).name) == ("BoolSort", "BitVec(16)")
+        assert (repr(BOOL), str(bitvec_sort(8))) == ("BoolSort", "BitVec(8)")
+
+    def test_canonicalizing_fresh_nodes_makes_no_sort_calls(self):
+        """Digests and argument keys read each sort's ``name`` slot, so
+        canonicalizing fresh nodes of both sorts enters no Python frame
+        of :mod:`repro.solver.sorts` (``str(sort)`` would enter
+        ``__repr__`` once per fresh node)."""
+        fresh = []
+        for i in range(50):
+            a = bv_var(f"sort_name_a{i}", 16)
+            b = bv_var(f"sort_name_b{i}", 16)
+            fresh.append(and_(eq(b + a, bv_const(i, 16)),
+                              or_(bool_var(f"sort_name_p{i}"), ult(a, b))))
+        calls: dict[str, int] = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__", "?")
+                calls[module] = calls.get(module, 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            for expr in fresh:
+                canonicalize(expr)
+        finally:
+            sys.setprofile(None)
+        assert calls.get("repro.solver.simplify", 0) >= 50 * 4
+        assert "repro.solver.sorts" not in calls, calls

@@ -1,18 +1,26 @@
 """Tests for the FSP ground-truth oracles and Trojan class math (§6.2)."""
 
+from dataclasses import replace
+
 from hypothesis import given, strategies as st
 
 from repro.messages.concrete import encode
 from repro.systems.fsp import (
     COMMANDS,
     FSP_LAYOUT,
+    FSP_PARAMS,
+    SYSTEM,
     GroundTruth,
     all_trojan_classes,
-    classify_message,
-    is_client_generable,
-    is_server_accepted,
+    fsp_system,
 )
 from repro.systems.fsp.protocol import STUBS
+
+GLOBBING = fsp_system(replace(FSP_PARAMS, globbing=True,
+                              listing=("f1", "f2", "doc")))
+is_server_accepted = SYSTEM.accepts
+is_client_generable = SYSTEM.generable
+classify_message = SYSTEM.classify
 
 
 def _message(cmd=None, bb_len=1, buf=b"a\x00\x00\x00\x00", **overrides):
@@ -40,7 +48,26 @@ class TestClassCount:
 
     def test_true_length_always_below_reported(self):
         for cls in all_trojan_classes():
-            assert cls.true_length < cls.reported_length
+            reported, true = _lengths(cls)
+            assert true < reported
+
+    def test_labels_are_utility_and_lengths(self):
+        assert all_trojan_classes()[:3] == [
+            "fls(L=1, t=0)", "fls(L=2, t=0)", "fls(L=2, t=1)"]
+
+    def test_globbing_adds_one_wildcard_class_per_length(self):
+        # 80 mismatched-length classes + 8 utilities x 4 lengths.
+        assert len(GLOBBING.classes) == 112
+        assert set(all_trojan_classes()) < set(GLOBBING.classes)
+        assert "fcat(L=3, wildcard)" in GLOBBING.classes
+
+    def test_commands_without_a_client_are_trojans_at_every_length(self):
+        system = fsp_system(replace(FSP_PARAMS, utilities=("fls",)))
+        message = _message(cmd=COMMANDS["frm"], bb_len=2, buf=b"ab\x00zz")
+        assert system.classify(message) == "frm(L=2, t=2)"
+        assert system.classify(_message(cmd=COMMANDS["fls"], bb_len=2,
+                                        buf=b"ab\x00zz")) is None
+        assert len(system.classes) == 10 + 7 * (2 + 3 + 4 + 5)
 
 
 class TestServerOracle:
@@ -79,8 +106,9 @@ class TestClientOracle:
 
     def test_wildcard_generable_only_in_literal_mode(self):
         message = _message(bb_len=2, buf=b"f*\x00zz")
-        assert is_client_generable(message, allow_wildcards=True)
-        assert not is_client_generable(message, allow_wildcards=False)
+        assert is_client_generable(message)
+        assert not GLOBBING.generable(message)
+        assert GLOBBING.classify(message) == "frm(L=2, wildcard)"
 
 
 class TestClassify:
@@ -90,25 +118,23 @@ class TestClassify:
     def test_trojan_maps_to_its_class(self):
         trojan = classify_message(_message(cmd=COMMANDS["fcat"], bb_len=3,
                                            buf=b"ab\x00\x00z"))
-        assert trojan is not None
-        assert trojan.command == COMMANDS["fcat"]
-        assert trojan.reported_length == 3
-        assert trojan.true_length == 2
+        assert trojan == "fcat(L=3, t=2)"
 
     def test_every_class_has_a_witness(self):
         # Construct the canonical witness of each class and classify it
         # back: the mapping is exact and onto.
         for cls in all_trojan_classes():
-            path = b"x" * cls.true_length
+            reported, true = _lengths(cls)
+            path = b"x" * true
             buf = bytearray(5)
             buf[:len(path)] = path
             # NUL at true_length (already zero), terminator at reported
             # length (already zero), printable filler elsewhere.
-            for position in range(cls.true_length + 1, 5):
-                if position != cls.reported_length:
+            for position in range(true + 1, 5):
+                if position != reported:
                     buf[position] = ord("y")
-            message = _message(cmd=cls.command, bb_len=cls.reported_length,
-                               buf=bytes(buf))
+            message = _message(cmd=COMMANDS[cls.partition("(")[0]],
+                               bb_len=reported, buf=bytes(buf))
             assert classify_message(message) == cls
 
 
@@ -128,7 +154,17 @@ class TestScoring:
 
     @given(payload=st.binary(min_size=17, max_size=17))
     def test_oracles_consistent_on_random_messages(self, payload):
-        """classify() is exactly 'accepted and not generable'."""
-        is_trojan = classify_message(payload) is not None
-        assert is_trojan == (is_server_accepted(payload)
-                             and not is_client_generable(payload))
+        """classify() is exactly 'accepted and not generable', and names
+        a class of the universe."""
+        for system in (SYSTEM, GLOBBING):
+            trojan = system.classify(payload)
+            assert (trojan is not None) == (system.accepts(payload)
+                                            and not system.generable(payload))
+            assert trojan is None or trojan in system.classes
+
+
+def _lengths(label: str) -> tuple[int, int]:
+    """(L, t) of a mismatched-length class label such as
+    ``fcat(L=3, t=2)``."""
+    reported, true = label[label.index("(") + 1:-1].split(", ")
+    return int(reported[2:]), int(true[2:])
